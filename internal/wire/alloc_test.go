@@ -148,3 +148,48 @@ func TestWireClientLookupAllocs(t *testing.T) {
 		t.Errorf("Client.LookupBatch round trip: %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestWireProxyForwardAllocs extends the round-trip guard across the
+// hop: a steady-state Lookup or LookupBatch through the proxy must be
+// allocation-free for the whole process — client, proxy (both readers
+// and the front's writer) and daemon. Forwarding what the frame
+// already carries, instead of decoding and re-issuing it, is what
+// makes that possible; the pooled relay and the pooled buffers are
+// what the warm-up fills.
+func TestWireProxyForwardAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on channel handoffs")
+	}
+	mgr := fleet.NewManager(fleet.Options{})
+	if _, err := mgr.Create("prod", fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2}); err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := startServer(t, mgr, ServerOptions{Metrics: obs.New()})
+	_, paddr, _ := startTestProxy(t, map[string]string{"a": addr}, ProxyOptions{})
+	cl := dialTest(t, paddr, Options{Conns: 1})
+
+	xs := make([]int, 16)
+	phis := make([]int, len(xs))
+	for i := 0; i < 200; i++ {
+		if _, _, err := cl.Lookup("prod", 3); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.LookupBatch("prod", xs, phis); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, _, err := cl.Lookup("prod", 3); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("proxied Lookup round trip: %.1f allocs/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := cl.LookupBatch("prod", xs, phis); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("proxied LookupBatch round trip: %.1f allocs/op, want 0", allocs)
+	}
+}

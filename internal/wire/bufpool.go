@@ -1,9 +1,13 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"net"
 	"sync"
+	"time"
+
+	"ftnet/internal/obs"
 )
 
 // This file is the allocation discipline of the hot path: receive
@@ -131,6 +135,16 @@ func (q *writeQueue) sealFrameAt(buf []byte, mark int) {
 	q.sealAt(buf, mark)
 }
 
+// relay queues one forwarded frame: a head of the forwarder's choosing
+// (version, type, seq), then rest — the original payload past its own
+// head — verbatim.
+func (q *writeQueue) relay(v byte, t MsgType, seq uint64, rest []byte) {
+	mark := q.mark()
+	buf := append(appendFrameHeader(q.active), v, byte(t))
+	buf = binary.AppendUvarint(buf, seq)
+	q.sealFrameAt(append(buf, rest...), mark)
+}
+
 // sealAt records bytes a caller appended to the active chunk starting
 // at mark — one already-sealed frame, or nothing if the caller rolled
 // back — and rotates the chunk once it has reached chunkTarget.
@@ -191,4 +205,54 @@ func writeBuffers(nc net.Conn, vecs *net.Buffers, chunks [][]byte) error {
 	}
 	*vecs = scratch[:0]
 	return err
+}
+
+// sender is the send half of a connection that several goroutines
+// write to: they append frames to wq under mu, and flush sends
+// everything queued as one writev. It is the journal's group-commit
+// shape — one flusher at a time writes outside the lock while later
+// frames accumulate behind it, and it keeps going until the queue is
+// empty, so a frame appended before flush was called is on the wire
+// (or the write has failed) without its caller waiting for a turn.
+type sender struct {
+	nc      net.Conn
+	timeout time.Duration  // write deadline of one flush; 0 sets none
+	frames  *obs.Histogram // frames per writev, when non-nil
+
+	mu       sync.Mutex
+	wq       writeQueue
+	chunks   [][]byte // the flusher's chunk scratch, reused across flushes
+	vecs     net.Buffers
+	flushing bool
+}
+
+// flush writes what is queued, unless another goroutine is already
+// doing so (it will take these frames on its next turn). It returns
+// how many frames it took off the queue and the first write error,
+// after which the caller fails the connection.
+func (s *sender) flush() (frames int, err error) {
+	s.mu.Lock()
+	if s.flushing {
+		s.mu.Unlock()
+		return 0, nil
+	}
+	s.flushing = true
+	for err == nil && s.wq.queued > 0 {
+		chunks, _, n := s.wq.take(s.chunks)
+		s.mu.Unlock()
+		if s.timeout > 0 {
+			s.nc.SetWriteDeadline(time.Now().Add(s.timeout))
+		}
+		err = writeBuffers(s.nc, &s.vecs, chunks)
+		recycle(chunks)
+		if s.frames != nil {
+			s.frames.Observe(time.Duration(n))
+		}
+		frames += n
+		s.mu.Lock()
+		s.chunks = chunks
+	}
+	s.flushing = false
+	s.mu.Unlock()
+	return frames, err
 }

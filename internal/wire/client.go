@@ -2,12 +2,10 @@ package wire
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,9 +37,10 @@ const (
 // connections, each carrying many pipelined in-flight requests tagged
 // with sequence numbers and completed out of order by a reader
 // goroutine. Callers' encoded frames accumulate in a shared write
-// buffer and are flushed in groups (the journal's group-commit shape),
-// so concurrent callers share syscalls on the way out the same way the
-// server coalesces them on the way back.
+// queue and are flushed in groups (the journal's group-commit shape):
+// a caller that is not the only one using the client yields once
+// before it flushes, so concurrent callers share one writev on the way
+// out the same way the server coalesces them on the way back.
 //
 // A connection that fails is failed as a whole — every pending call
 // gets a TransportError — and is re-dialed lazily on next use.
@@ -50,10 +49,11 @@ const (
 // because the burst may have been applied before the connection died.
 // All methods are safe for concurrent use.
 type Client struct {
-	addr string
-	opts Options
-	next atomic.Uint64
-	pool []*connSlot
+	addr  string
+	opts  Options
+	next  atomic.Uint64
+	calls atomic.Int32 // round trips in progress
+	pool  []*connSlot
 
 	mu     sync.Mutex
 	closed bool
@@ -111,7 +111,7 @@ func (c *Client) Lookup(id string, x int) (phi int, epoch uint64, err error) {
 	ca := getCall(MsgLookup)
 	defer putCall(ca)
 	err = c.roundTrip(Request{Type: MsgLookup, ID: id, X: x}, ca, true)
-	return ca.phi, ca.epoch, err
+	return ca.resp.Phi, ca.resp.Epoch, err
 }
 
 // LookupBatch resolves xs in one frame each way, writing the answers
@@ -125,7 +125,7 @@ func (c *Client) LookupBatch(id string, xs, phis []int) (epoch uint64, err error
 	ca.phis = phis
 	defer putCall(ca)
 	err = c.roundTrip(Request{Type: MsgLookupBatch, ID: id, Xs: xs}, ca, true)
-	return ca.epoch, err
+	return ca.resp.Epoch, err
 }
 
 // ApplyBatch applies a whole fault burst as one atomic transition.
@@ -136,7 +136,7 @@ func (c *Client) ApplyBatch(id string, events []fleet.Event) (fleet.EventResult,
 	ca := getCall(MsgApplyBatch)
 	defer putCall(ca)
 	err := c.roundTrip(Request{Type: MsgApplyBatch, ID: id, Events: events}, ca, false)
-	return ca.result, err
+	return ca.resp.Result, err
 }
 
 // roundTrip sends req on a pooled connection and waits for its
@@ -145,12 +145,14 @@ func (c *Client) ApplyBatch(id string, events []fleet.Event) (fleet.EventResult,
 // everything.
 func (c *Client) roundTrip(req Request, ca *call, idempotent bool) error {
 	var err error
+	alone := c.calls.Add(1) == 1
+	defer c.calls.Add(-1)
 	for attempt := 0; attempt < 2; attempt++ {
 		var cc *clientConn
 		if cc, err = c.conn(); err != nil {
 			continue // nothing was sent; a retry is safe for any request
 		}
-		if err = cc.do(req, ca); err == nil || !IsTransport(err) {
+		if err = cc.do(req, ca, alone); err == nil || !IsTransport(err) {
 			return err
 		}
 		if !idempotent {
@@ -195,13 +197,11 @@ func (c *Client) conn() (*clientConn, error) {
 // time.NewTimer per round trip is three allocations, and the pooled
 // Reset is what keeps the steady-state lookup path at zero.
 type call struct {
-	done   chan error
-	timer  *time.Timer
-	t      MsgType
-	phi    int
-	epoch  uint64
-	phis   []int // LookupBatch: caller-provided destination
-	result fleet.EventResult
+	done  chan error
+	timer *time.Timer
+	t     MsgType
+	phis  []int    // LookupBatch: caller-provided destination
+	resp  Response // the reader decodes the answer here before completing done
 }
 
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan error, 1)} }}
@@ -219,26 +219,19 @@ func putCall(ca *call) {
 	case <-ca.done:
 	default:
 	}
-	ca.phis = nil
+	ca.phis, ca.resp = nil, Response{}
 	callPool.Put(ca)
 }
 
-// clientConn is one pooled connection: a writer side that group-flushes
-// the shared chunked write queue as one writev, and a reader goroutine
-// that matches response frames to pending calls by sequence number.
+// clientConn is one pooled connection: callers append to the sender's
+// write queue and flush it in groups, and a reader goroutine matches
+// response frames to pending calls by sequence number. The sender's
+// mutex also guards seq, pending and err.
 type clientConn struct {
-	nc      net.Conn
-	timeout time.Duration
-
-	mu       sync.Mutex
-	cond     *sync.Cond // waits for the in-progress flush to finish
-	wq       writeQueue // frames accumulated since the last flush
-	chunks   [][]byte   // flusher's chunk scratch, reused across flushes
-	vecs     net.Buffers
-	flushing bool
-	seq      uint64
-	pending  map[uint64]*call
-	err      error // first failure; set once, fails all pending
+	sender
+	seq     uint64
+	pending map[uint64]*call
+	err     error // first failure; set once, fails all pending
 }
 
 func dialConn(addr string, opts Options) (*clientConn, error) {
@@ -246,8 +239,7 @@ func dialConn(addr string, opts Options) (*clientConn, error) {
 	if err != nil {
 		return nil, &TransportError{Err: err}
 	}
-	cc := &clientConn{nc: nc, timeout: opts.Timeout, pending: make(map[uint64]*call)}
-	cc.cond = sync.NewCond(&cc.mu)
+	cc := &clientConn{sender: sender{nc: nc, timeout: opts.Timeout}, pending: make(map[uint64]*call)}
 	go cc.readLoop()
 	return cc, nil
 }
@@ -255,7 +247,7 @@ func dialConn(addr string, opts Options) (*clientConn, error) {
 // do encodes req into the shared write queue, registers ca under a fresh
 // sequence number, flushes, and waits for the reader (or a failure, or
 // the deadline) to complete ca.
-func (cc *clientConn) do(req Request, ca *call) error {
+func (cc *clientConn) do(req Request, ca *call, alone bool) error {
 	cc.mu.Lock()
 	if cc.err != nil {
 		err := cc.err
@@ -275,46 +267,23 @@ func (cc *clientConn) do(req Request, ca *call) error {
 	cc.pending[req.Seq] = ca
 	seq := req.Seq
 	cc.mu.Unlock()
+	if !alone {
+		// Other round trips are in progress on this client, and their
+		// callers tend to become runnable together (one read pass of a
+		// reader completes several). Yield once: every caller that is
+		// runnable right now appends to its round, and the first one
+		// back on each connection writes that whole round in one
+		// writev. A lone caller has nobody to wait for and flushes at
+		// once.
+		runtime.Gosched()
+	}
 	// A flush failure fails the whole connection, which delivers a
 	// TransportError to every pending call — including this one — so
 	// the wait below completes either way.
-	cc.flush()
-	return cc.wait(seq, ca)
-}
-
-// flush writes the accumulated frames in groups: one flusher at a time
-// takes the queued chunk list and writes it outside the lock as one
-// vectored write (writev — the whole group leaves in one syscall, with
-// no copy into a staging buffer) while later callers' frames
-// accumulate in fresh chunks (the journal's group-commit shape).
-// Callers loop until their own frame — appended before they got here —
-// is on the wire or the connection has failed.
-func (cc *clientConn) flush() {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	for {
-		if cc.err != nil || cc.wq.queued == 0 {
-			return
-		}
-		if cc.flushing {
-			cc.cond.Wait()
-			continue
-		}
-		cc.flushing = true
-		chunks, _, _ := cc.wq.take(cc.chunks)
-		cc.mu.Unlock()
-		cc.nc.SetWriteDeadline(time.Now().Add(cc.timeout))
-		werr := writeBuffers(cc.nc, &cc.vecs, chunks)
-		recycle(chunks)
-		cc.mu.Lock()
-		cc.chunks = chunks
-		cc.flushing = false
-		cc.cond.Broadcast()
-		if werr != nil {
-			cc.failLocked(werr)
-			return
-		}
+	if _, err := cc.flush(); err != nil {
+		cc.fail(err)
 	}
+	return cc.wait(seq, ca)
 }
 
 // wait blocks until the reader completes ca or the round-trip deadline
@@ -353,49 +322,29 @@ func (cc *clientConn) wait(seq uint64, ca *call) error {
 // the pool when the connection dies.
 func (cc *clientConn) readLoop() {
 	br := bufio.NewReaderSize(cc.nc, readBufSize)
-	var hdr [frameHeaderSize]byte
 	var buf []byte
 	defer func() { putBuf(buf) }()
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			cc.fail(err)
-			return
+		payload, err := readFrame(br, &buf)
+		if err == nil {
+			err = cc.dispatch(payload)
 		}
-		size := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if size > MaxFrame {
-			cc.fail(fmt.Errorf("frame of %d bytes exceeds limit", size))
-			return
-		}
-		buf = growRecv(buf, int(size))
-		if _, err := io.ReadFull(br, buf); err != nil {
-			cc.fail(err)
-			return
-		}
-		if crc32.Checksum(buf, castagnoli) != want {
-			cc.fail(errors.New("response frame CRC mismatch"))
-			return
-		}
-		if err := cc.dispatch(buf); err != nil {
+		if err != nil {
 			cc.fail(err)
 			return
 		}
 	}
 }
 
-// dispatch decodes one response payload into its pending call. A
-// payload that does not decode, or answers with the wrong type, is
-// protocol corruption: the connection is failed (the caller returns
-// the error).
+// dispatch decodes one response payload into its pending call and
+// completes it. A payload that does not decode, or answers with the
+// wrong type or entry count, is protocol corruption: the call gets a
+// TransportError and the connection is failed (the caller returns the
+// error).
 func (cc *clientConn) dispatch(payload []byte) error {
-	if len(payload) < 3 {
-		return errors.New("short response payload")
-	}
-	if payload[0] != Version && payload[0] != VersionShard {
-		return fmt.Errorf("unknown response version %d", payload[0])
-	}
-	t := MsgType(payload[1])
-	d := &cursor{b: payload, off: 2}
+	// Only the seq is read ahead of the walk: it says whose memory the
+	// body is to land in.
+	d := cursor{b: payload, off: min(2, len(payload))}
 	seq, err := d.uvarint()
 	if err != nil {
 		return err
@@ -407,90 +356,26 @@ func (cc *clientConn) dispatch(payload []byte) error {
 	if ca == nil {
 		return nil // the caller timed out and withdrew; drop the late answer
 	}
-	if t != ca.t {
-		err := fmt.Errorf("response type %v to a %v request", t, ca.t)
-		ca.done <- &TransportError{Err: err}
-		return err
-	}
-	if err := decodeInto(ca, payload[0], d); err != nil {
-		ca.done <- &TransportError{Err: err}
-		return err
-	}
-	return nil
-}
-
-// decodeInto finishes decoding a response body into ca's result fields
-// and completes it. The cursor discipline matches DecodeResponse; the
-// split exists so LookupBatch answers land directly in the caller's
-// phis slice instead of an allocated one.
-func decodeInto(ca *call, v byte, d *cursor) error {
-	st, err := d.byteVal()
-	if err != nil {
-		return err
-	}
-	if Status(st) != StatusOK {
-		if !validStatus(Status(st), v) {
-			return fmt.Errorf("status %d not valid at version %d", st, v)
-		}
-		e := &Error{Status: Status(st)}
-		if e.Msg, err = d.str(); err != nil {
-			return errors.New("malformed error response")
-		}
-		if e.Status == StatusWrongShard {
-			if e.Owner, err = d.str(); err != nil {
-				return errors.New("malformed error response")
-			}
-		}
-		if !d.done() {
-			return errors.New("malformed error response")
-		}
-		ca.done <- e
+	// A LookupBatch answer lands directly in the caller's slice; the
+	// capacity is clipped so an over-long answer cannot spill past it.
+	ca.resp = Response{Phis: ca.phis[:0:len(ca.phis)]}
+	h, err := walkResponse(payload, &ca.resp)
+	switch {
+	case err != nil:
+	case h.t != ca.t:
+		err = fmt.Errorf("response type %v to a %v request", h.t, ca.t)
+	case h.status != StatusOK:
+		ca.done <- &Error{Status: h.status, Msg: ca.resp.Msg, Owner: ca.resp.Owner}
 		return nil
+	case len(ca.resp.Phis) != len(ca.phis):
+		err = fmt.Errorf("lookup batch answered %d of %d entries", len(ca.resp.Phis), len(ca.phis))
 	}
-	switch ca.t {
-	case MsgLookup:
-		if ca.phi, err = d.intVal(); err != nil {
-			return err
-		}
-		if ca.epoch, err = d.uvarint(); err != nil {
-			return err
-		}
-	case MsgLookupBatch:
-		if ca.epoch, err = d.uvarint(); err != nil {
-			return err
-		}
-		n, err := d.count()
-		if err != nil {
-			return err
-		}
-		if n != len(ca.phis) {
-			return fmt.Errorf("lookup batch answered %d of %d entries", n, len(ca.phis))
-		}
-		for i := range ca.phis {
-			if ca.phis[i], err = d.intVal(); err != nil {
-				return err
-			}
-		}
-	case MsgApplyBatch:
-		r := &ca.result
-		if r.Epoch, err = d.uvarint(); err != nil {
-			return err
-		}
-		if r.NumFaults, err = d.intVal(); err != nil {
-			return err
-		}
-		if r.Budget, err = d.intVal(); err != nil {
-			return err
-		}
-		if r.Applied, err = d.intVal(); err != nil {
-			return err
-		}
+	if err != nil {
+		ca.done <- &TransportError{Err: err}
+	} else {
+		ca.done <- nil
 	}
-	if !d.done() {
-		return errors.New("trailing bytes after response body")
-	}
-	ca.done <- nil
-	return nil
+	return err
 }
 
 func (cc *clientConn) fail(err error) {
@@ -511,5 +396,4 @@ func (cc *clientConn) failLocked(err error) {
 		delete(cc.pending, seq)
 		ca.done <- &TransportError{Err: err}
 	}
-	cc.cond.Broadcast()
 }

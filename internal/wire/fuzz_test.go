@@ -7,11 +7,15 @@ import (
 	"ftnet/internal/fleet"
 )
 
-// FuzzWireDecode pins the codec's two safety properties on arbitrary
+// FuzzWireDecode pins the codec's safety properties on arbitrary
 // bytes: neither decoder ever panics, and the accepted language is
 // exactly the canonical encodings — any payload a decoder accepts must
 // re-encode byte-for-byte, so there are no two wire forms of one
 // message (the journal codec's discipline, applied to the RPC plane).
+// It also pins what the proxy relies on: validating in place (the
+// walkers with no destination) accepts exactly what the decoders
+// accept, and a payload forwarded the proxy's way — a new head, the
+// rest verbatim — decodes to the same message under the new head.
 func FuzzWireDecode(f *testing.F) {
 	seed := [][]byte{
 		{}, {Version}, {Version, byte(MsgLookup)},
@@ -55,7 +59,12 @@ func FuzzWireDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if req, err := DecodeRequest(b); err == nil {
+		req, err := DecodeRequest(b)
+		h, werr := walkRequest(b, nil)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("DecodeRequest says %v, validating in place says %v: %x", err, werr, b)
+		}
+		if err == nil {
 			out, err := AppendRequest(nil, req)
 			if err != nil {
 				t.Fatalf("accepted request %+v does not re-encode: %v", req, err)
@@ -63,14 +72,38 @@ func FuzzWireDecode(f *testing.F) {
 			if !bytes.Equal(out, b) {
 				t.Fatalf("request round-trip mismatch:\n in  %x\n out %x", b, out)
 			}
+			var q writeQueue
+			q.relay(VersionShard, h.t, h.seq+1, b[h.rest:])
+			req.Version, req.Seq = VersionShard, h.seq+1
+			want, _ := AppendRequest(nil, req)
+			if got := q.active[frameHeaderSize:]; !bytes.Equal(got, want) {
+				t.Fatalf("relayed request mismatch:\n got  %x\n want %x", got, want)
+			}
 		}
-		if resp, err := DecodeResponse(b); err == nil {
+		resp, err := DecodeResponse(b)
+		rh, werr := walkResponse(b, nil)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("DecodeResponse says %v, validating in place says %v: %x", err, werr, b)
+		}
+		if err == nil {
 			out, err := AppendResponse(nil, resp)
 			if err != nil {
 				t.Fatalf("accepted response %+v does not re-encode: %v", resp, err)
 			}
 			if !bytes.Equal(out, b) {
 				t.Fatalf("response round-trip mismatch:\n in  %x\n out %x", b, out)
+			}
+			if rh.status != resp.Status || rh.seq != resp.Seq {
+				t.Fatalf("walker head %+v disagrees with %+v", rh, resp)
+			}
+			// Relayed as the proxy does: same version (the status set
+			// depends on it), another seq.
+			var q writeQueue
+			q.relay(rh.v, rh.t, rh.seq+1, b[rh.rest:])
+			resp.Seq = rh.seq + 1
+			want, _ := AppendResponse(nil, resp)
+			if got := q.active[frameHeaderSize:]; !bytes.Equal(got, want) {
+				t.Fatalf("relayed response mismatch:\n got  %x\n want %x", got, want)
 			}
 		}
 	})

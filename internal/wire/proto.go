@@ -22,9 +22,12 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 
 	"ftnet/internal/fleet"
@@ -224,49 +227,116 @@ func AppendRequest(dst []byte, req Request) ([]byte, error) {
 // on arbitrary input; any deviation from the canonical encoding is an
 // error.
 func DecodeRequest(b []byte) (Request, error) {
-	d, v, t, seq, id, err := decodeHeader(b)
+	var req Request
+	h, err := walkRequest(b, &req)
 	if err != nil {
 		return Request{}, err
 	}
-	req := Request{Version: v, Type: t, Seq: seq, ID: string(id)}
-	switch t {
+	req.ID = string(h.id)
+	return req, nil
+}
+
+// reqHead is what every request carries ahead of its body, parsed in
+// place: id aliases the payload, and rest is the offset just past the
+// seq varint — everything from there on is what a relay forwards
+// verbatim under a sequence number of its own.
+type reqHead struct {
+	v    byte
+	t    MsgType
+	seq  uint64
+	id   []byte
+	rest int
+}
+
+// walkRequest is the request grammar. It checks a whole payload
+// against the canonical encoding and, when into is non-nil, stores
+// what it reads there, reusing the capacity of into.Xs and into.Events
+// (the id is left to the caller: only DecodeRequest wants a copy).
+// DecodeRequest, the server and the proxy all decode through it, so
+// there is no payload one of them accepts and another rejects. A nil
+// into validates without allocating.
+func walkRequest(b []byte, into *Request) (reqHead, error) {
+	if len(b) < 2 {
+		return reqHead{}, fmt.Errorf("wire: request payload of %d bytes is shorter than the header", len(b))
+	}
+	if b[0] != Version && b[0] != VersionShard {
+		return reqHead{}, fmt.Errorf("wire: unknown version %d", b[0])
+	}
+	var scratch Request
+	store := into != nil
+	if !store {
+		into = &scratch
+	}
+	h := reqHead{v: b[0], t: MsgType(b[1])}
+	d := cursor{b: b, off: 2}
+	var err error
+	if h.seq, err = d.uvarint(); err != nil {
+		return h, err
+	}
+	h.rest = d.off
+	if h.id, err = d.bytesVal(); err != nil {
+		return h, err
+	}
+	if len(h.id) == 0 {
+		return h, fmt.Errorf("wire: empty instance id")
+	}
+	into.Version, into.Type, into.Seq = h.v, h.t, h.seq
+	switch h.t {
 	case MsgLookup:
-		if req.X, err = d.intVal(); err != nil {
-			return Request{}, err
+		if into.X, err = d.intVal(); err != nil {
+			return h, err
 		}
 	case MsgLookupBatch:
 		n, err := d.count()
 		if err != nil {
-			return Request{}, err
+			return h, err
 		}
-		if n > 0 {
-			req.Xs = make([]int, n)
-			for i := range req.Xs {
-				if req.Xs[i], err = d.intVal(); err != nil {
-					return Request{}, err
-				}
+		if store {
+			into.Xs = sized(into.Xs, n)
+		}
+		for i := 0; i < n; i++ {
+			x, err := d.intVal()
+			if err != nil {
+				return h, err
+			}
+			if store {
+				into.Xs[i] = x
 			}
 		}
 	case MsgApplyBatch:
 		n, err := d.count()
 		if err != nil {
-			return Request{}, err
+			return h, err
 		}
-		if n > 0 {
-			req.Events = make([]fleet.Event, n)
-			for i := range req.Events {
-				if req.Events[i], err = d.event(); err != nil {
-					return Request{}, err
-				}
+		if store {
+			into.Events = sized(into.Events, n)
+		}
+		for i := 0; i < n; i++ {
+			ev, err := d.event()
+			if err != nil {
+				return h, err
+			}
+			if store {
+				into.Events[i] = ev
 			}
 		}
 	default:
-		return Request{}, fmt.Errorf("wire: unknown message type %d", b[1])
+		return h, fmt.Errorf("wire: unknown message type %d", b[1])
 	}
 	if !d.done() {
-		return Request{}, fmt.Errorf("wire: %d trailing bytes after request", len(b)-d.off)
+		return h, fmt.Errorf("wire: %d trailing bytes after request", len(b)-d.off)
 	}
-	return req, nil
+	return h, nil
+}
+
+// sized returns s with length n, reusing its memory when it has the
+// capacity. A nil s with n == 0 stays nil, which is what keeps an
+// empty batch decoding to the same value it was encoded from.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // AppendResponse appends the canonical payload encoding of resp to
@@ -332,83 +402,121 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 // DecodeResponse parses one canonical response payload with the same
 // never-panics strictness as DecodeRequest.
 func DecodeResponse(b []byte) (Response, error) {
+	var resp Response
+	if _, err := walkResponse(b, &resp); err != nil {
+		return Response{}, err
+	}
+	return resp, nil
+}
+
+// respHead is what every response carries ahead of its body. rest is
+// the offset of the status byte: from there on a relay forwards the
+// payload verbatim under the requester's own version and seq.
+type respHead struct {
+	v      byte
+	t      MsgType
+	seq    uint64
+	status Status
+	rest   int
+}
+
+// walkResponse is the response grammar, the twin of walkRequest:
+// DecodeResponse, the client and the proxy all decode through it. With
+// a non-nil into the fields are stored there, an OK LookupBatch
+// reusing the capacity of into.Phis.
+func walkResponse(b []byte, into *Response) (respHead, error) {
 	if len(b) < 3 {
-		return Response{}, fmt.Errorf("wire: response payload of %d bytes is shorter than the header", len(b))
+		return respHead{}, fmt.Errorf("wire: response payload of %d bytes is shorter than the header", len(b))
 	}
 	if b[0] != Version && b[0] != VersionShard {
-		return Response{}, fmt.Errorf("wire: unknown version %d", b[0])
+		return respHead{}, fmt.Errorf("wire: unknown version %d", b[0])
 	}
-	resp := Response{Version: b[0], Type: MsgType(b[1])}
-	if resp.Type != MsgLookup && resp.Type != MsgLookupBatch && resp.Type != MsgApplyBatch {
-		return Response{}, fmt.Errorf("wire: unknown message type %d", b[1])
+	h := respHead{v: b[0], t: MsgType(b[1])}
+	if h.t != MsgLookup && h.t != MsgLookupBatch && h.t != MsgApplyBatch {
+		return h, fmt.Errorf("wire: unknown message type %d", b[1])
 	}
-	d := &cursor{b: b, off: 2}
+	var scratch Response
+	store := into != nil
+	if !store {
+		into = &scratch
+	}
+	d := cursor{b: b, off: 2}
 	var err error
-	if resp.Seq, err = d.uvarint(); err != nil {
-		return Response{}, err
+	if h.seq, err = d.uvarint(); err != nil {
+		return h, err
 	}
+	h.rest = d.off
 	st, err := d.byteVal()
 	if err != nil {
-		return Response{}, err
+		return h, err
 	}
-	resp.Status = Status(st)
-	if resp.Status != StatusOK {
-		if !validStatus(resp.Status, resp.Version) {
-			return Response{}, fmt.Errorf("wire: status %d not valid at version %d", st, resp.Version)
+	h.status = Status(st)
+	into.Version, into.Type, into.Seq, into.Status = h.v, h.t, h.seq, h.status
+	switch {
+	case h.status != StatusOK:
+		if !validStatus(h.status, h.v) {
+			return h, fmt.Errorf("wire: status %d not valid at version %d", st, h.v)
 		}
-		if resp.Msg, err = d.str(); err != nil {
-			return Response{}, err
+		msg, err := d.bytesVal()
+		if err != nil {
+			return h, err
 		}
-		if resp.Status == StatusWrongShard {
-			if resp.Owner, err = d.str(); err != nil {
-				return Response{}, err
+		// The owner hint rides only on wrong-shard rejections.
+		var owner []byte
+		if h.status == StatusWrongShard {
+			if owner, err = d.bytesVal(); err != nil {
+				return h, err
 			}
 		}
-	} else {
-		switch resp.Type {
-		case MsgLookup:
-			if resp.Phi, err = d.intVal(); err != nil {
-				return Response{}, err
-			}
-			if resp.Epoch, err = d.uvarint(); err != nil {
-				return Response{}, err
-			}
-		case MsgLookupBatch:
-			if resp.Epoch, err = d.uvarint(); err != nil {
-				return Response{}, err
-			}
-			n, err := d.count()
+		if store {
+			into.Msg, into.Owner = string(msg), string(owner)
+		}
+	case h.t == MsgLookup:
+		if into.Phi, err = d.intVal(); err != nil {
+			return h, err
+		}
+		if into.Epoch, err = d.uvarint(); err != nil {
+			return h, err
+		}
+	case h.t == MsgLookupBatch:
+		if into.Epoch, err = d.uvarint(); err != nil {
+			return h, err
+		}
+		n, err := d.count()
+		if err != nil {
+			return h, err
+		}
+		if store {
+			into.Phis = sized(into.Phis, n)
+		}
+		for i := 0; i < n; i++ {
+			phi, err := d.intVal()
 			if err != nil {
-				return Response{}, err
+				return h, err
 			}
-			if n > 0 {
-				resp.Phis = make([]int, n)
-				for i := range resp.Phis {
-					if resp.Phis[i], err = d.intVal(); err != nil {
-						return Response{}, err
-					}
-				}
+			if store {
+				into.Phis[i] = phi
 			}
-		case MsgApplyBatch:
-			r := &resp.Result
-			if r.Epoch, err = d.uvarint(); err != nil {
-				return Response{}, err
-			}
-			if r.NumFaults, err = d.intVal(); err != nil {
-				return Response{}, err
-			}
-			if r.Budget, err = d.intVal(); err != nil {
-				return Response{}, err
-			}
-			if r.Applied, err = d.intVal(); err != nil {
-				return Response{}, err
-			}
+		}
+	case h.t == MsgApplyBatch:
+		r := &into.Result
+		if r.Epoch, err = d.uvarint(); err != nil {
+			return h, err
+		}
+		if r.NumFaults, err = d.intVal(); err != nil {
+			return h, err
+		}
+		if r.Budget, err = d.intVal(); err != nil {
+			return h, err
+		}
+		if r.Applied, err = d.intVal(); err != nil {
+			return h, err
 		}
 	}
 	if !d.done() {
-		return Response{}, fmt.Errorf("wire: %d trailing bytes after response", len(b)-d.off)
+		return h, fmt.Errorf("wire: %d trailing bytes after response", len(b)-d.off)
 	}
-	return resp, nil
+	return h, nil
 }
 
 // validStatus reports whether a status byte is legal at a protocol
@@ -432,33 +540,6 @@ func eventKindByte(k fleet.EventKind) (byte, bool) {
 	default:
 		return 0, false
 	}
-}
-
-// decodeHeader parses the shared request prefix (version, type, seq,
-// id) and returns a cursor positioned at the body. The id is a
-// subslice of b — the server's zero-copy path; DecodeRequest copies it
-// into a string. Both protocol versions share the header layout; the
-// version is returned so the server can answer at the sender's level.
-func decodeHeader(b []byte) (cursor, byte, MsgType, uint64, []byte, error) {
-	if len(b) < 2 {
-		return cursor{}, 0, 0, 0, nil, fmt.Errorf("wire: request payload of %d bytes is shorter than the header", len(b))
-	}
-	if b[0] != Version && b[0] != VersionShard {
-		return cursor{}, 0, 0, 0, nil, fmt.Errorf("wire: unknown version %d", b[0])
-	}
-	d := cursor{b: b, off: 2}
-	seq, err := d.uvarint()
-	if err != nil {
-		return cursor{}, 0, 0, 0, nil, err
-	}
-	id, err := d.bytesVal()
-	if err != nil {
-		return cursor{}, 0, 0, 0, nil, err
-	}
-	if len(id) == 0 {
-		return cursor{}, 0, 0, 0, nil, fmt.Errorf("wire: empty instance id")
-	}
-	return d, b[0], MsgType(b[1]), seq, id, nil
 }
 
 // cursor is a strict decoder over a payload: every read is
@@ -534,14 +615,6 @@ func (d *cursor) bytesVal() ([]byte, error) {
 	return b, nil
 }
 
-func (d *cursor) str() (string, error) {
-	b, err := d.bytesVal()
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
 // event reads one (kind, node) pair.
 func (d *cursor) event() (fleet.Event, error) {
 	k, err := d.byteVal()
@@ -578,4 +651,42 @@ func sealFrame(buf []byte, mark int) {
 	payload := buf[mark+frameHeaderSize:]
 	binary.LittleEndian.PutUint32(buf[mark:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[mark+4:], crc32.Checksum(payload, castagnoli))
+}
+
+// readFrame reads one frame from br and returns its payload once the
+// length is within MaxFrame and the CRC32C matches. The payload lives
+// in *buf, a pooled class buffer grown as needed and reused by the
+// next call, so it is only valid until then.
+func readFrame(br *bufio.Reader, buf *[]byte) ([]byte, error) {
+	hdr, err := br.Peek(frameHeaderSize)
+	if err != nil {
+		return nil, err
+	}
+	size := binary.LittleEndian.Uint32(hdr[0:4])
+	want := binary.LittleEndian.Uint32(hdr[4:8])
+	if size > MaxFrame {
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", size)
+	}
+	br.Discard(frameHeaderSize)
+	*buf = growRecv(*buf, int(size))
+	if _, err := io.ReadFull(br, *buf); err != nil {
+		return nil, err
+	}
+	if crc32.Checksum(*buf, castagnoli) != want {
+		return nil, errors.New("wire: frame CRC mismatch")
+	}
+	return *buf, nil
+}
+
+// frameBuffered reports whether br already holds a complete frame, so
+// that reading it cannot block. This is the test every reader applies
+// before it keeps coalescing: a partial frame does not count, because
+// the rest of it may be a long time coming and whatever is queued for
+// writing would wait with it.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < frameHeaderSize {
+		return false
+	}
+	hdr, _ := br.Peek(frameHeaderSize)
+	return br.Buffered()-frameHeaderSize >= int(binary.LittleEndian.Uint32(hdr))
 }

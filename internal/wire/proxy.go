@@ -3,12 +3,12 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
-	"io"
+	"fmt"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ftnet/internal/obs"
@@ -20,10 +20,11 @@ import (
 // — an evicted entry costs one extra bounce that re-teaches it.
 const proxyMaxOverrides = 4096
 
-// proxyWindow bounds the per-connection in-flight window: how many
-// requests may be fanned out to backends while earlier responses are
-// still being merged back in order. Past the window the reader stops
-// pulling frames, which backpressures the client through TCP.
+// proxyWindow bounds one front connection's in-flight window: frames
+// read from it whose responses have not been written back yet. Past
+// the window the reader stops pulling frames, which backpressures the
+// client through TCP, and it is what bounds the responses queued on a
+// front that reads slowly.
 const proxyWindow = 256
 
 // ProxyOptions configures NewProxy.
@@ -39,9 +40,11 @@ type ProxyOptions struct {
 	HTTPPeers map[string]string
 	// Replicas is the ring's virtual-node count (0 selects the default).
 	Replicas int
-	// Conns is each backend client's connection pool size.
+	// Conns is how many connections the proxy keeps to each backend. A
+	// front connection uses one of them per backend, so its frames for
+	// one owner ride one connection.
 	Conns int
-	// Timeout bounds one backend round trip.
+	// Timeout bounds how long a frame may wait for its backend.
 	Timeout time.Duration
 	// Metrics, when non-nil, receives the proxy's RPC-plane counters
 	// and histograms (pass the HTTP proxy's registry so one /metrics
@@ -49,39 +52,65 @@ type ProxyOptions struct {
 	Metrics *obs.Registry
 }
 
-// Proxy is the RPC-plane routing front door: it speaks the wire
-// protocol to clients, routes each frame to the instance's owning
-// daemon over pooled persistent wire.Clients (frames for different
-// owners fan out concurrently), and merges the responses back onto the
-// client connection in request order. StatusWrongShard rejections
-// re-teach the id->owner override cache exactly like the HTTP 403
-// path: learn the hint, retry once, keep the override until a daemon
-// changes it again.
+// Proxy is the RPC-plane routing front door. It speaks the wire
+// protocol to clients and forwards frames rather than re-issuing
+// calls: a request payload is checked against the whole request
+// grammar, given a sequence number of the backend connection's own,
+// and otherwise appended verbatim to the write queue of its owner's
+// connection; the response comes back through the response grammar,
+// gets the front's version and sequence number restored, and is queued
+// on the front it belongs to. Every reader — one per front, one per
+// backend connection — works in rounds: it handles every whole frame
+// already buffered, then flushes each connection it queued something
+// on exactly once (Bruck-style log rounds: everything bound for one
+// destination leaves in one write).
+//
+// Responses leave in completion order, not request order. The seq tag
+// is the protocol's ordering contract (clients match responses by it),
+// so a frame for a slow or dead owner never holds back the answers of
+// frames behind it.
+//
+// StatusWrongShard rejections re-teach the id->owner override cache
+// exactly like the HTTP 403 path: learn the hint, retry once, keep the
+// override until a daemon changes it again.
 type Proxy struct {
-	ring       *shard.Ring
-	rpcPeers   map[string]string
-	ownerByURL map[string]string // HTTP base URL -> member name
-
-	conns   int
-	timeout time.Duration
-
-	cmu     sync.Mutex
-	clients map[string]*Client // lazily dialed per-owner backends
+	ring     *shard.Ring
+	backends map[string]*backend // by member name, fixed at NewProxy
+	byURL    map[string]*backend // by HTTP base URL, the form hints take
+	timeout  time.Duration
 
 	omu      sync.RWMutex
-	override map[string]string // id -> member name learned from hints
+	override map[string]*backend // id -> owner learned from hints
 
-	requests  *obs.Counter
-	redirects *obs.Counter
-	misroutes *obs.Counter
-	upErrors  *obs.Counter
-	connGauge *obs.Gauge
-	hist      *obs.Histogram
+	requests      *obs.Counter
+	redirects     *obs.Counter
+	misroutes     *obs.Counter
+	upErrors      *obs.Counter
+	connGauge     *obs.Gauge
+	hist          *obs.Histogram
+	backendFrames *obs.Histogram
+	frontFrames   *obs.Histogram
 
-	mu     sync.Mutex
-	lns    map[net.Listener]struct{}
-	fronts map[net.Conn]struct{}
-	closed bool
+	acc      acceptor
+	accepted atomic.Int64 // fronts so far; picks each one's lane
+
+	// hungUp is set once the backend connections are being closed for
+	// good: a failed one is not replaced after that.
+	hungUp atomic.Bool
+}
+
+// backend is one shard member: its connections are dialed on first
+// use and replaced when they fail.
+type backend struct {
+	name, addr string
+	lanes      []lane
+}
+
+// lane is one of a backend's connection slots. A front uses the same
+// lane number at every backend.
+type lane struct {
+	mu sync.Mutex // serializes replacing bc
+	bc atomic.Pointer[backendConn]
 }
 
 // NewProxy builds an RPC routing proxy over the configured peers.
@@ -98,23 +127,21 @@ func NewProxy(opts ProxyOptions) *Proxy {
 		reg = obs.New()
 	}
 	members := make([]string, 0, len(opts.RPCPeers))
-	for name := range opts.RPCPeers {
+	backends := make(map[string]*backend, len(opts.RPCPeers))
+	byURL := make(map[string]*backend, len(opts.RPCPeers))
+	for name, addr := range opts.RPCPeers {
 		members = append(members, name)
-	}
-	ownerByURL := make(map[string]string, len(opts.HTTPPeers))
-	for name, url := range opts.HTTPPeers {
-		if _, ok := opts.RPCPeers[name]; ok {
-			ownerByURL[url] = name
+		backends[name] = &backend{name: name, addr: addr, lanes: make([]lane, opts.Conns)}
+		if url, ok := opts.HTTPPeers[name]; ok {
+			byURL[url] = backends[name]
 		}
 	}
 	return &Proxy{
-		ring:       shard.New(members, opts.Replicas),
-		rpcPeers:   opts.RPCPeers,
-		ownerByURL: ownerByURL,
-		conns:      opts.Conns,
-		timeout:    opts.Timeout,
-		clients:    make(map[string]*Client),
-		override:   make(map[string]string),
+		ring:     shard.New(members, opts.Replicas),
+		backends: backends,
+		byURL:    byURL,
+		timeout:  opts.Timeout,
+		override: make(map[string]*backend),
 		requests: reg.Counter("ftproxy_rpc_requests_total",
 			"RPC frames routed to a shard owner."),
 		redirects: reg.Counter("ftproxy_rpc_redirects_total",
@@ -126,154 +153,71 @@ func NewProxy(opts ProxyOptions) *Proxy {
 		connGauge: reg.Gauge("ftproxy_rpc_connections",
 			"RPC client connections currently open."),
 		hist: reg.Histogram("ftproxy_rpc_request_seconds",
-			"End-to-end proxied RPC request latency."),
-		lns:    make(map[net.Listener]struct{}),
-		fronts: make(map[net.Conn]struct{}),
+			"End-to-end proxied RPC request latency: frame read from the client to its answer queued for it."),
+		backendFrames: reg.Histogram("ftproxy_rpc_backend_flush_frames",
+			"Request frames per write to a backend connection (unit: frames — the send-side batching factor)."),
+		frontFrames: reg.Histogram("ftproxy_rpc_front_flush_frames",
+			"Response frames per write to a client connection (unit: frames)."),
+		acc: newAcceptor(),
 	}
 }
 
 // Serve accepts client connections on ln until Close (or a listener
 // error) and serves each on its own goroutine pair. It returns nil
 // after Close.
-func (p *Proxy) Serve(ln net.Listener) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		ln.Close()
-		return errors.New("wire: proxy closed")
-	}
-	p.lns[ln] = struct{}{}
-	p.mu.Unlock()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			p.mu.Lock()
-			closed := p.closed
-			delete(p.lns, ln)
-			p.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			nc.Close()
-			return nil
-		}
-		p.fronts[nc] = struct{}{}
-		p.mu.Unlock()
-		go p.serveFront(nc)
-	}
-}
+func (p *Proxy) Serve(ln net.Listener) error { return p.acc.serve(ln, p.serveFront) }
 
-// Close stops the listeners, hangs up every client connection, and
-// closes the backend clients.
+// Close stops the listeners and hangs up every client and backend
+// connection.
 func (p *Proxy) Close() error {
-	p.mu.Lock()
-	p.closed = true
-	for ln := range p.lns {
-		ln.Close()
-		delete(p.lns, ln)
-	}
-	for nc := range p.fronts {
-		nc.Close()
-		delete(p.fronts, nc)
-	}
-	p.mu.Unlock()
-	p.cmu.Lock()
-	for name, cl := range p.clients {
-		cl.Close()
-		delete(p.clients, name)
-	}
-	p.cmu.Unlock()
+	p.acc.close()
+	p.hangUpBackends()
 	return nil
 }
 
 // Shutdown drains the proxy gracefully, mirroring Server.Shutdown:
 // listeners stop accepting and each front connection finishes the
-// frames it has already read before exiting on its nudged deadline.
+// frames it has already read — forwarded, answered and written back —
+// before exiting on its nudged deadline.
 func (p *Proxy) Shutdown(ctx context.Context) error {
-	p.mu.Lock()
-	p.closed = true
-	for ln := range p.lns {
-		ln.Close()
-		delete(p.lns, ln)
-	}
-	for nc := range p.fronts {
-		nc.SetReadDeadline(time.Now())
-	}
-	p.mu.Unlock()
-	ticker := time.NewTicker(5 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		p.mu.Lock()
-		n := len(p.fronts)
-		p.mu.Unlock()
-		if n == 0 {
-			p.closeClients()
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			p.Close()
-			return ctx.Err()
-		case <-ticker.C:
+	err := p.acc.shutdown(ctx)
+	p.hangUpBackends()
+	return err
+}
+
+func (p *Proxy) hangUpBackends() {
+	p.hungUp.Store(true)
+	for _, b := range p.backends {
+		for i := range b.lanes {
+			l := &b.lanes[i]
+			l.mu.Lock()
+			if bc := l.bc.Load(); bc != nil {
+				bc.fail(errors.New("proxy closed"))
+			}
+			l.mu.Unlock()
 		}
 	}
 }
 
-func (p *Proxy) closeClients() {
-	p.cmu.Lock()
-	for name, cl := range p.clients {
-		cl.Close()
-		delete(p.clients, name)
-	}
-	p.cmu.Unlock()
-}
-
-func (p *Proxy) forget(nc net.Conn) {
-	p.mu.Lock()
-	delete(p.fronts, nc)
-	p.mu.Unlock()
-}
-
-// client returns the pooled backend client for a member, dialing it on
-// first use. A dead client is not replaced here — wire.Client re-dials
-// its own connections lazily, so one handle per backend lives for the
-// proxy's lifetime.
-func (p *Proxy) client(owner string) (*Client, error) {
-	p.cmu.Lock()
-	defer p.cmu.Unlock()
-	if cl := p.clients[owner]; cl != nil {
-		return cl, nil
-	}
-	addr := p.rpcPeers[owner]
-	if addr == "" {
-		return nil, transportErrf("no RPC address for shard member %q", owner)
-	}
-	cl, err := Dial(addr, Options{Conns: p.conns, Timeout: p.timeout})
-	if err != nil {
-		return nil, err
-	}
-	p.clients[owner] = cl
-	return cl, nil
-}
-
-func (p *Proxy) lookupOverride(id string) string {
+// route picks the backend for an instance id: a learned exception if
+// there is one, the ring's owner otherwise (nil on an empty ring).
+func (p *Proxy) route(id []byte) *backend {
 	p.omu.RLock()
-	defer p.omu.RUnlock()
-	return p.override[id]
+	b := p.override[string(id)]
+	p.omu.RUnlock()
+	if b == nil {
+		b = p.backends[p.ring.OwnerBytes(id)]
+	}
+	return b
 }
 
 // setOverride learns (or clears) an id's owner exception, with the
 // same discipline as the HTTP proxy: a hint that agrees with the ring
 // again ends the exception, and past the cap an arbitrary entry is
 // evicted — the next bounce re-teaches it.
-func (p *Proxy) setOverride(id, owner string) {
+func (p *Proxy) setOverride(id string, owner *backend) {
 	p.omu.Lock()
-	if p.ring.Owner(id) == owner {
+	if p.ring.Owner(id) == owner.name {
 		delete(p.override, id)
 	} else {
 		if _, ok := p.override[id]; !ok && len(p.override) >= proxyMaxOverrides {
@@ -287,231 +231,515 @@ func (p *Proxy) setOverride(id, owner string) {
 	p.omu.Unlock()
 }
 
-// proxyCall is one in-flight frame's slot in a front connection's
-// order queue: the writer completes slots strictly in arrival order,
-// so responses merge back onto the client connection in request order
-// no matter how the backend fan-out interleaves.
-type proxyCall struct {
-	done  chan struct{}
-	v     byte // front's negotiated version for this frame
-	fatal bool // ambiguous-fate write: hang up instead of answering
-	resp  Response
+// relay is one front frame on its way through the proxy, pooled. It
+// keeps what the response needs restored (the front's version and seq)
+// and the request from the id on, so the frame can be sent again after
+// a wrong-shard bounce or a dead backend connection.
+type relay struct {
+	f       *front
+	b       *backend // where it was last sent
+	start   time.Time
+	seq     uint64
+	v       byte
+	t       MsgType
+	bounced bool   // followed a wrong-shard hint already
+	resent  bool   // re-sent after a backend connection died already
+	req     []byte // the request payload past its seq varint
 }
 
-// serveFront runs one client connection: this goroutine reads frames,
-// decodes them, and fans each out to its owner's backend on a fresh
-// goroutine; a writer goroutine drains the order queue, re-encodes
-// responses, and flushes them coalesced (one writev per drained run).
+var relayPool = sync.Pool{New: func() any { return new(relay) }}
+
+func putRelay(e *relay) {
+	req := e.req[:0]
+	if cap(req) > maxPooledBuf {
+		req = nil // one giant frame must not pin its size in the pool
+	}
+	*e = relay{req: req}
+	relayPool.Put(e)
+}
+
+// id returns the instance id at the head of the kept request.
+func (e *relay) id() string {
+	d := cursor{b: e.req}
+	id, _ := d.bytesVal() // validated when the frame was read
+	return string(id)
+}
+
+// passIDs numbers read passes across all rounds, so a connection can
+// tell whether the round appending to it has already listed it.
+var passIDs atomic.Uint64
+
+// round is one read pass of one reader goroutine: the connections it
+// has queued frames on since its last finish. Each is flushed (a
+// backend) or has its writer woken (a front) once per round, however
+// many frames the round put there.
+type round struct {
+	pass     uint64
+	backends []*backendConn
+	fronts   []*front
+}
+
+func newRound() *round { return &round{pass: passIDs.Add(1)} }
+
+// finish sends what the round queued. Every reader calls it before
+// anything that can block, so a queued frame never waits on a read.
+func (r *round) finish() {
+	if len(r.fronts) == 0 && len(r.backends) == 0 {
+		return
+	}
+	for i, f := range r.fronts {
+		f.kick()
+		r.fronts[i] = nil
+	}
+	for i, bc := range r.backends {
+		bc.kick()
+		r.backends[i] = nil
+	}
+	r.fronts, r.backends = r.fronts[:0], r.backends[:0]
+	r.pass = passIDs.Add(1)
+}
+
+// front is one client connection: a reader (serveFront) that forwards
+// request frames, and a writer that sends whatever responses the
+// backend readers have queued. The writer is the front's own so that a
+// client that reads slowly blocks nobody else's responses; what can
+// queue up behind it is bounded by the window.
+type front struct {
+	sender     // responses queue here; only writeLoop flushes
+	lane   int // which of each backend's connections this front uses
+	wake   chan struct{}
+
+	// Guarded by the sender's mutex.
+	room     sync.Cond // the reader waits here for the window, and to drain
+	inflight int       // frames read whose responses are not written (or given up) yet
+	dropped  int       // frames given up without a response since the last write
+	hangup   bool      // close the connection after the next write
+	stop     bool      // the reader is gone and nothing is in flight
+	pass     uint64    // the last round that queued here
+}
+
+// serveFront runs one client connection until it ends, then lets the
+// frames already read finish before closing it.
 func (p *Proxy) serveFront(nc net.Conn) {
-	defer p.forget(nc)
 	p.connGauge.Add(1)
 	defer p.connGauge.Add(-1)
 
-	order := make(chan *proxyCall, proxyWindow)
-	writerDone := make(chan struct{})
-	go p.frontWriter(nc, order, writerDone)
-	defer func() {
-		close(order)
-		<-writerDone // writer owns nc.Close after draining
-	}()
+	f := &front{sender: sender{nc: nc, frames: p.frontFrames}, wake: make(chan struct{}, 1)}
+	f.lane = int(p.accepted.Add(1) - 1)
+	f.room.L = &f.mu
+	written := make(chan struct{})
+	go f.writeLoop(written)
 
+	r := newRound()
 	br := bufio.NewReaderSize(nc, readBufSize)
-	var hdr [frameHeaderSize]byte
+	var in []byte
+	for {
+		if !frameBuffered(br) {
+			r.finish()
+		}
+		payload, err := readFrame(br, &in)
+		if err != nil {
+			break
+		}
+		// The whole payload is checked here, before any of it reaches a
+		// connection other fronts share. A malformed frame is a broken
+		// peer, same as on the server: hang up rather than guess at a
+		// sequence number.
+		h, err := walkRequest(payload, nil)
+		if err != nil {
+			break
+		}
+		p.requests.Inc()
+		f.admit(r)
+		e := relayPool.Get().(*relay)
+		e.f, e.start, e.seq, e.v, e.t = f, time.Now(), h.seq, h.v, h.t
+		e.req = append(e.req, payload[h.rest:]...)
+		p.send(e, p.route(h.id), r)
+	}
+	putBuf(in)
+	r.finish()
+
+	f.mu.Lock()
+	for f.inflight > 0 {
+		f.room.Wait()
+	}
+	f.stop = true
+	f.mu.Unlock()
+	f.kick()
+	<-written
+}
+
+// admit takes one slot of the front's window, waiting for the writer
+// to free one when it is full.
+func (f *front) admit(r *round) {
+	f.mu.Lock()
+	if f.inflight >= proxyWindow {
+		f.mu.Unlock()
+		r.finish() // what this round queued must leave, or the window never drains
+		f.mu.Lock()
+		for f.inflight >= proxyWindow {
+			f.room.Wait()
+		}
+	}
+	f.inflight++
+	f.mu.Unlock()
+}
+
+// kick wakes the writer; one pending wake-up is enough.
+func (f *front) kick() {
+	select {
+	case f.wake <- struct{}{}:
+	default:
+	}
+}
+
+// writeLoop sends queued responses, one writev per wake-up, and
+// returns their window slots. It owns closing the connection.
+func (f *front) writeLoop(done chan<- struct{}) {
+	defer close(done)
+	defer f.nc.Close()
+	for range f.wake {
+		// More answers are on their way than are queued here, and the
+		// readers bringing them may be runnable already: let them add to
+		// this write first (the client's yield-before-flush, mirrored).
+		// When everything in flight is queued there is nobody to wait for.
+		f.mu.Lock()
+		more := f.inflight > f.wq.frames+f.dropped
+		f.mu.Unlock()
+		if more {
+			runtime.Gosched()
+		}
+		n, err := f.flush()
+		f.mu.Lock()
+		n += f.dropped
+		f.dropped = 0
+		f.inflight -= n
+		hangup, stop := f.hangup || err != nil, f.stop
+		f.mu.Unlock()
+		if n > 0 {
+			f.room.Signal()
+		}
+		if hangup {
+			// The reader's next read fails; later flushes fail fast and
+			// keep returning slots until nothing is in flight.
+			f.nc.Close()
+		}
+		if stop {
+			return
+		}
+	}
+}
+
+// listed notes, under f.mu, that round r queued something here, and
+// adds the front to the round the first time.
+func (f *front) listed(r *round) {
+	if f.pass != r.pass {
+		f.pass = r.pass
+		r.fronts = append(r.fronts, f)
+	}
+}
+
+// answer queues e's response: the front's own version and seq, then
+// rest — the payload from the status byte on — verbatim.
+func (f *front) answer(e *relay, rest []byte, r *round) {
+	f.mu.Lock()
+	f.wq.relay(e.v, e.t, e.seq, rest)
+	f.listed(r)
+	f.mu.Unlock()
+}
+
+// abandon gives up one frame without a response and has the writer
+// hang up once what is already answered is on the wire.
+func (f *front) abandon(r *round) {
+	f.mu.Lock()
+	f.dropped++
+	f.hangup = true
+	f.listed(r)
+	f.mu.Unlock()
+}
+
+// send queues e on its front's lane to b, dialing a fresh connection
+// if the lane's last one has failed.
+func (p *Proxy) send(e *relay, b *backend, r *round) {
+	if b == nil {
+		p.giveUp(e, errors.New("no shard member owns the instance"), r)
+		return
+	}
+	e.b = b
+	l := &b.lanes[e.f.lane%len(b.lanes)]
+	for try := 0; try < 2; try++ {
+		bc := p.live(l, b)
+		if bc == nil {
+			break
+		}
+		if bc.enqueue(e, r) {
+			return
+		}
+	}
+	p.giveUp(e, errors.New("no connection"), r)
+}
+
+// live returns the lane's connection, replacing one that has failed.
+// It never blocks on the network: a new connection dials on its own
+// goroutine while frames queue behind it. nil means the proxy is
+// closing.
+func (p *Proxy) live(l *lane, b *backend) *backendConn {
+	if bc := l.bc.Load(); bc != nil && !bc.dead.Load() {
+		return bc
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if bc := l.bc.Load(); bc != nil && !bc.dead.Load() {
+		return bc
+	}
+	if p.hungUp.Load() {
+		return nil
+	}
+	bc := &backendConn{p: p, b: b, pending: make(map[uint64]*relay)}
+	bc.frames = p.backendFrames
+	bc.flushing = true // run holds the flush token until there is a socket to write to
+	bc.mu.Lock()       // checkAge reads the field it is being assigned to
+	bc.watchdog = time.AfterFunc(p.watchEvery(), bc.checkAge)
+	bc.mu.Unlock()
+	l.bc.Store(bc)
+	go bc.run()
+	return bc
+}
+
+// deliver relays a backend's response to the front that asked.
+func (p *Proxy) deliver(e *relay, rest []byte, r *round) {
+	p.hist.Observe(time.Since(e.start))
+	e.f.answer(e, rest, r)
+	putRelay(e)
+}
+
+// reject answers e with a status of the proxy's own making.
+func (p *Proxy) reject(e *relay, st Status, msg string, r *round) {
+	// Encoded at seq 0 the head is exactly three bytes; answer puts the
+	// front's own version and seq in its place.
+	payload, err := AppendResponse(nil, Response{Version: e.v, Type: e.t, Status: st, Msg: msg})
+	if err != nil {
+		panic("wire: proxy built an unencodable rejection: " + err.Error())
+	}
+	p.deliver(e, payload[3:], r)
+}
+
+// giveUp ends a frame whose backend could not be reached or died under
+// it. An idempotent read is answered StatusUnavailable — the "retry
+// me" category the HTTP plane's 502/503 occupies. An ApplyBatch may
+// have committed just before the connection died, so no retryable
+// status is honest: its front is hung up, which is the transport
+// failure wire.Client already refuses to retry.
+func (p *Proxy) giveUp(e *relay, cause error, r *round) {
+	p.upErrors.Inc()
+	if e.t != MsgApplyBatch {
+		name := "?"
+		if e.b != nil {
+			name = e.b.name
+		}
+		p.reject(e, StatusUnavailable, "ftproxy: upstream "+name+": "+cause.Error(), r)
+		return
+	}
+	p.hist.Observe(time.Since(e.start))
+	e.f.abandon(r)
+	putRelay(e)
+}
+
+// misrouted handles a StatusWrongShard answer: follow the hint once if
+// it names a configured peer other than the one that just refused,
+// otherwise pass the rejection on — downgraded for a front that
+// predates the status, as the server itself would have.
+func (p *Proxy) misrouted(e *relay, payload []byte, rest int, r *round) {
+	resp, _ := DecodeResponse(payload) // the caller walked it already
+	if hinted := p.byURL[resp.Owner]; hinted != nil && hinted != e.b && !e.bounced {
+		// The daemons know better than the ring mid-migration: learn the
+		// exception, retry once at the hinted owner.
+		p.setOverride(e.id(), hinted)
+		p.redirects.Inc()
+		e.bounced = true
+		p.send(e, hinted, r)
+		return
+	}
+	p.misroutes.Inc()
+	if e.v >= VersionShard {
+		p.deliver(e, payload[rest:], r)
+		return
+	}
+	if resp.Owner != "" {
+		resp.Msg += " (owner " + resp.Owner + ")"
+	}
+	p.reject(e, StatusReadOnly, resp.Msg, r)
+}
+
+// backendConn is one connection to a shard member, shared by every
+// front on its lane. Fronts' readers append rewritten request frames
+// to its sender and flush it once per round; its own goroutine dials,
+// then reads responses and relays each to its front. The sender's
+// mutex also guards seq, pending and err.
+type backendConn struct {
+	sender // nc is nil until run has dialed
+	p      *Proxy
+	b      *backend
+	dead   atomic.Bool // err != nil, readable without the lock
+
+	seq      uint64
+	pending  map[uint64]*relay
+	err      error
+	pass     uint64      // the last round that queued here
+	watchdog *time.Timer // checkAge, re-armed while the connection lives
+}
+
+// enqueue appends e's request under a sequence number of this
+// connection and registers it as pending. It reports false when the
+// connection has failed; nothing was queued then.
+func (bc *backendConn) enqueue(e *relay, r *round) bool {
+	bc.mu.Lock()
+	defer bc.mu.Unlock()
+	if bc.err != nil {
+		return false
+	}
+	bc.seq++
+	// Backends are always asked at VersionShard, whatever the front
+	// speaks, so their wrong-shard hints reach the proxy intact.
+	bc.wq.relay(VersionShard, e.t, bc.seq, e.req)
+	bc.pending[bc.seq] = e
+	if bc.pass != r.pass {
+		bc.pass = r.pass
+		r.backends = append(r.backends, bc)
+	}
+	return true
+}
+
+// kick flushes what rounds have queued; while the connection is still
+// dialing that is run's job and this returns at once.
+func (bc *backendConn) kick() {
+	if _, err := bc.flush(); err != nil {
+		bc.fail(err)
+	}
+}
+
+// fail marks the connection dead, once, and closes it, which ends
+// run's read; run then re-routes what was pending.
+func (bc *backendConn) fail(err error) {
+	bc.mu.Lock()
+	if bc.err == nil {
+		bc.err = err
+		bc.dead.Store(true)
+		bc.watchdog.Stop()
+		if bc.nc != nil {
+			bc.nc.Close()
+		}
+	}
+	bc.mu.Unlock()
+}
+
+// watchEvery is how often a connection's watchdog looks: often enough
+// that a stalled backend is cut off soon after Timeout.
+func (p *Proxy) watchEvery() time.Duration { return max(p.timeout/4, time.Millisecond) }
+
+// checkAge is the connection's watchdog: a backend that leaves any
+// frame unanswered for Timeout is treated as dead. One timer per
+// connection stands in for a deadline per call.
+func (bc *backendConn) checkAge() {
+	bc.mu.Lock()
+	stale, now := false, time.Now()
+	for _, e := range bc.pending {
+		if now.Sub(e.start) >= bc.p.timeout {
+			stale = true
+			break
+		}
+	}
+	if !stale && bc.err == nil {
+		bc.watchdog.Reset(bc.p.watchEvery())
+	}
+	bc.mu.Unlock()
+	if stale {
+		bc.fail(fmt.Errorf("no response within %v", bc.p.timeout))
+	}
+}
+
+// run is the connection's goroutine: dial, send what queued up
+// meanwhile, relay responses until the connection fails, then deal
+// with the frames it leaves unanswered.
+func (bc *backendConn) run() {
+	nc, err := net.DialTimeout("tcp", bc.b.addr, bc.p.timeout)
+	bc.mu.Lock()
+	if err == nil && bc.err != nil { // failed while dialing: closed, or the watchdog
+		nc.Close()
+		err = bc.err
+	}
+	if err == nil {
+		bc.nc = nc
+		bc.flushing = false
+	}
+	bc.mu.Unlock()
+	if err == nil {
+		if _, err = bc.flush(); err == nil {
+			err = bc.readLoop()
+		}
+	}
+	bc.fail(err)
+
+	// Nothing can be enqueued once err is set, so this is everything the
+	// connection still owed. An idempotent read goes out once more on a
+	// fresh connection while its time is not up; an ApplyBatch may have
+	// been applied and is never sent twice.
+	bc.mu.Lock()
+	orphans := make([]*relay, 0, len(bc.pending))
+	for seq, e := range bc.pending {
+		orphans = append(orphans, e)
+		delete(bc.pending, seq)
+	}
+	err = bc.err
+	bc.mu.Unlock()
+	r := newRound()
+	for _, e := range orphans {
+		if e.t != MsgApplyBatch && !e.resent && time.Since(e.start) < bc.p.timeout {
+			e.resent = true
+			bc.p.send(e, e.b, r)
+		} else {
+			bc.p.giveUp(e, err, r)
+		}
+	}
+	r.finish()
+}
+
+// readLoop relays response frames until the connection fails.
+func (bc *backendConn) readLoop() error {
+	r := newRound()
+	defer r.finish()
+	br := bufio.NewReaderSize(bc.nc, readBufSize)
 	var in []byte
 	defer func() { putBuf(in) }()
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return
+		if !frameBuffered(br) {
+			r.finish()
 		}
-		size := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if size > MaxFrame {
-			return
-		}
-		in = growRecv(in, int(size))
-		if _, err := io.ReadFull(br, in); err != nil {
-			return
-		}
-		if crc32.Checksum(in, castagnoli) != want {
-			return
-		}
-		req, err := DecodeRequest(in)
-		if err != nil {
-			// A malformed frame is a broken peer, same as on the server:
-			// hang up rather than guess at a sequence number.
-			return
-		}
-		pc := &proxyCall{done: make(chan struct{}), v: req.Version}
-		order <- pc // blocks at proxyWindow: TCP backpressure
-		go p.dispatch(req, pc)
-	}
-}
-
-// frontWriter merges responses back in request order and writes them
-// coalesced: it keeps appending completed responses while more slots
-// are immediately available, and pays for a writev only when the run
-// dries up (or the coalesce cap is hit) — the server's log-round
-// discipline applied to the proxy's merge point.
-func (p *Proxy) frontWriter(nc net.Conn, order <-chan *proxyCall, done chan<- struct{}) {
-	defer close(done)
-	defer nc.Close()
-	var wq writeQueue
-	var chunks [][]byte
-	var vecs net.Buffers
-	defer func() {
-		chunks, _, _ = wq.take(chunks)
-		recycle(chunks)
-	}()
-	flush := func() bool {
-		if wq.queued == 0 {
-			return true
-		}
-		var err error
-		chunks, _, _ = wq.take(chunks)
-		err = writeBuffers(nc, &vecs, chunks)
-		recycle(chunks)
-		return err == nil
-	}
-	for pc := range order {
-		<-pc.done
-		if pc.fatal {
-			// The backend connection died under an ApplyBatch: the burst
-			// may or may not have committed, and StatusUnavailable would
-			// promise "nothing applied". The only honest answer is the
-			// one wire.Client already refuses to retry — a transport
-			// failure — so flush what is answered and hang up.
-			flush()
-			for pc := range order {
-				<-pc.done
-			}
-			return
-		}
-		mark := wq.mark()
-		buf, err := AppendResponse(appendFrameHeader(wq.active), pc.resp)
-		if err != nil {
-			// Response encode failures are proxy bugs; drop the frame and
-			// let the client's deadline surface it.
-			wq.active = wq.active[:mark]
-			continue
-		}
-		wq.sealFrameAt(buf, mark)
-		if len(order) > 0 && wq.queued < maxCoalesce {
-			continue
-		}
-		if !flush() {
-			// The client hung up; keep draining completions so dispatch
-			// goroutines never leak, but stop writing.
-			for pc := range order {
-				<-pc.done
-			}
-			return
-		}
-	}
-	flush()
-}
-
-// dispatch routes one decoded request to its owner's backend, chasing
-// at most one wrong-shard hint, and completes the order slot with the
-// response to merge.
-func (p *Proxy) dispatch(req Request, pc *proxyCall) {
-	defer close(pc.done)
-	start := time.Now()
-	p.requests.Inc()
-	owner := p.lookupOverride(req.ID)
-	if owner == "" {
-		owner = p.ring.Owner(req.ID)
-	}
-	for attempt := 0; ; attempt++ {
-		err := p.callBackend(owner, req, pc)
-		if err == nil {
-			break
-		}
-		var we *Error
-		if errors.As(err, &we) && we.Status == StatusWrongShard {
-			hinted, ok := p.ownerByURL[we.Owner]
-			if ok && hinted != owner && attempt == 0 {
-				// The daemons know better than the ring mid-migration:
-				// learn the exception, retry once at the hinted owner.
-				p.setOverride(req.ID, hinted)
-				p.redirects.Inc()
-				owner = hinted
-				continue
-			}
-			p.misroutes.Inc()
-			p.fillError(pc, req, we)
-			break
-		}
-		if errors.As(err, &we) {
-			p.fillError(pc, req, we)
-			break
-		}
-		// Backend transport failure. For idempotent reads, surface as
-		// unavailable — the "retry me" category the HTTP plane's
-		// 502/503 occupies; nothing is at stake in a re-issue. For
-		// ApplyBatch the fate is ambiguous (the burst may have committed
-		// just before the connection died), so no retryable status is
-		// honest: mark the slot fatal and let the writer hang up.
-		p.upErrors.Inc()
-		if req.Type == MsgApplyBatch {
-			pc.fatal = true
-		} else {
-			pc.resp = Response{Version: pc.v, Type: req.Type, Seq: req.Seq,
-				Status: StatusUnavailable, Msg: "ftproxy: upstream " + owner + ": " + err.Error()}
-		}
-		break
-	}
-	p.hist.Observe(time.Since(start))
-}
-
-// callBackend performs req against one owner's client and fills pc's
-// response on success.
-func (p *Proxy) callBackend(owner string, req Request, pc *proxyCall) error {
-	cl, err := p.client(owner)
-	if err != nil {
-		return err
-	}
-	switch req.Type {
-	case MsgLookup:
-		phi, epoch, err := cl.Lookup(req.ID, req.X)
+		payload, err := readFrame(br, &in)
 		if err != nil {
 			return err
 		}
-		pc.resp = Response{Version: pc.v, Type: req.Type, Seq: req.Seq, Phi: phi, Epoch: epoch}
-	case MsgLookupBatch:
-		phis := make([]int, len(req.Xs))
-		epoch, err := cl.LookupBatch(req.ID, req.Xs, phis)
+		// Checked against the whole response grammar before any of it is
+		// relayed: a front never receives what a client would reject.
+		h, err := walkResponse(payload, nil)
 		if err != nil {
 			return err
 		}
-		pc.resp = Response{Version: pc.v, Type: req.Type, Seq: req.Seq, Epoch: epoch, Phis: phis}
-	case MsgApplyBatch:
-		res, err := cl.ApplyBatch(req.ID, req.Events)
-		if err != nil {
-			return err
+		bc.mu.Lock()
+		e := bc.pending[h.seq]
+		if e != nil && e.t == h.t {
+			delete(bc.pending, h.seq)
 		}
-		pc.resp = Response{Version: pc.v, Type: req.Type, Seq: req.Seq, Result: res}
-	default:
-		pc.resp = Response{Version: pc.v, Type: req.Type, Seq: req.Seq,
-			Status: StatusInvalid, Msg: "ftproxy: unroutable message type"}
-	}
-	return nil
-}
-
-// fillError re-encodes a backend rejection at the front's version,
-// applying the same v1 downgrade as the server: StatusWrongShard did
-// not exist before VersionShard, so older clients get StatusReadOnly
-// with the owner folded into the message.
-func (p *Proxy) fillError(pc *proxyCall, req Request, we *Error) {
-	resp := Response{Version: pc.v, Type: req.Type, Seq: req.Seq, Status: we.Status, Msg: we.Msg}
-	if we.Status == StatusWrongShard {
-		if pc.v < VersionShard {
-			resp.Status = StatusReadOnly
-			if we.Owner != "" {
-				resp.Msg += " (owner " + we.Owner + ")"
-			}
-		} else {
-			resp.Owner = we.Owner
+		bc.mu.Unlock()
+		switch {
+		case e == nil:
+			return fmt.Errorf("response to seq %d, which is not pending", h.seq)
+		case e.t != h.t:
+			return fmt.Errorf("response type %v to a %v request", h.t, e.t) // e stays pending and is re-routed
+		case h.status == StatusWrongShard:
+			bc.p.misrouted(e, payload, h.rest, r)
+		default:
+			bc.p.deliver(e, payload[h.rest:], r)
 		}
 	}
-	pc.resp = resp
 }

@@ -3,10 +3,7 @@ package wire
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -59,10 +56,7 @@ type Server struct {
 	flushes     *obs.Counter
 	connGauge   *obs.Gauge
 
-	mu     sync.Mutex
-	lns    map[net.Listener]struct{}
-	conns  map[net.Conn]struct{}
-	closed bool
+	acc acceptor
 }
 
 // NewServer builds a server over mgr. Call Serve with a listener to
@@ -98,59 +92,17 @@ func NewServer(mgr *fleet.Manager, opts ServerOptions) *Server {
 			"Response frames per coalesced write (unit: frames — the log-round batching factor distribution)."),
 		connGauge: reg.Gauge("ftnet_rpc_connections",
 			"RPC connections currently open."),
-		lns:   make(map[net.Listener]struct{}),
-		conns: make(map[net.Conn]struct{}),
+		acc: newAcceptor(),
 	}
 }
 
 // Serve accepts connections on ln until Close (or a listener error)
 // and serves each on its own goroutine. It returns nil after Close.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return errors.New("wire: server closed")
-	}
-	s.lns[ln] = struct{}{}
-	s.mu.Unlock()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			delete(s.lns, ln)
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			nc.Close()
-			return nil
-		}
-		s.conns[nc] = struct{}{}
-		s.mu.Unlock()
-		go s.serveConn(nc)
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.acc.serve(ln, s.serveConn) }
 
 // Close stops the listeners and hangs up every open connection.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	for ln := range s.lns {
-		ln.Close()
-		delete(s.lns, ln)
-	}
-	for nc := range s.conns {
-		nc.Close()
-		delete(s.conns, nc)
-	}
-	s.mu.Unlock()
+	s.acc.close()
 	return nil
 }
 
@@ -160,196 +112,208 @@ func (s *Server) Close() error {
 // request it has already read, then exits on its next blocking read
 // instead of being cut mid-frame. Connections still open when ctx
 // expires are closed hard, and the context's error returned.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.closed = true
-	for ln := range s.lns {
+func (s *Server) Shutdown(ctx context.Context) error { return s.acc.shutdown(ctx) }
+
+// acceptor is the accept-side bookkeeping Server and Proxy share:
+// which listeners and connections are open, and how Close and Shutdown
+// end them.
+type acceptor struct {
+	mu     sync.Mutex
+	lns    map[net.Listener]struct{}
+	conns  map[net.Conn]struct{}
+	closed bool
+}
+
+func newAcceptor() acceptor {
+	return acceptor{lns: make(map[net.Listener]struct{}), conns: make(map[net.Conn]struct{})}
+}
+
+// serve accepts on ln until close or shutdown (nil) or a listener error,
+// running handle for each connection on its own goroutine; the
+// connection is tracked until handle returns.
+func (a *acceptor) serve(ln net.Listener, handle func(net.Conn)) error {
+	a.mu.Lock()
+	if a.closed {
+		a.mu.Unlock()
 		ln.Close()
-		delete(s.lns, ln)
+		return errors.New("wire: Serve after Close")
 	}
-	for nc := range s.conns {
-		nc.SetReadDeadline(time.Now())
+	a.lns[ln] = struct{}{}
+	a.mu.Unlock()
+	for {
+		nc, err := ln.Accept()
+		a.mu.Lock()
+		closed := a.closed
+		if err != nil {
+			delete(a.lns, ln)
+		} else if !closed {
+			a.conns[nc] = struct{}{}
+		}
+		a.mu.Unlock()
+		switch {
+		case err != nil && closed:
+			return nil
+		case err != nil:
+			return err
+		case closed:
+			nc.Close()
+			return nil
+		}
+		go func() {
+			defer a.forget(nc)
+			handle(nc)
+		}()
 	}
-	s.mu.Unlock()
+}
+
+func (a *acceptor) forget(nc net.Conn) {
+	a.mu.Lock()
+	delete(a.conns, nc)
+	a.mu.Unlock()
+}
+
+// stopAccepting closes the listeners and runs each on every open
+// connection.
+func (a *acceptor) stopAccepting(each func(net.Conn)) {
+	a.mu.Lock()
+	a.closed = true
+	for ln := range a.lns {
+		ln.Close()
+		delete(a.lns, ln)
+	}
+	for nc := range a.conns {
+		each(nc)
+	}
+	a.mu.Unlock()
+}
+
+func (a *acceptor) close() { a.stopAccepting(func(nc net.Conn) { nc.Close() }) }
+
+// shutdown nudges every connection's read deadline and waits for the
+// handlers to return; when ctx expires first it closes what is left.
+func (a *acceptor) shutdown(ctx context.Context) error {
+	a.stopAccepting(func(nc net.Conn) { nc.SetReadDeadline(time.Now()) })
 	ticker := time.NewTicker(5 * time.Millisecond)
 	defer ticker.Stop()
 	for {
-		s.mu.Lock()
-		n := len(s.conns)
-		s.mu.Unlock()
+		a.mu.Lock()
+		n := len(a.conns)
+		a.mu.Unlock()
 		if n == 0 {
 			return nil
 		}
 		select {
 		case <-ctx.Done():
-			s.Close()
+			a.close()
 			return ctx.Err()
 		case <-ticker.C:
 		}
 	}
 }
 
-func (s *Server) forget(nc net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, nc)
-	s.mu.Unlock()
-}
-
 // srvConn is the per-connection state: the pooled receive buffer, the
-// chunked response queue, and the decode scratch slices, so a
+// response queue (a sender only this goroutine appends to and
+// flushes), and the decode scratch (req's slices and phis), so a
 // steady-state Lookup handles with zero allocations.
 type srvConn struct {
-	s      *Server
-	in     []byte
-	wq     writeQueue
-	chunks [][]byte
-	vecs   net.Buffers
-	xs     []int
-	phis   []int
-	events []fleet.Event
+	s *Server
+	sender
+	in   []byte
+	req  Request
+	phis []int
 }
 
 func (s *Server) serveConn(nc net.Conn) {
 	defer nc.Close()
-	defer s.forget(nc)
 	s.connGauge.Add(1)
 	defer s.connGauge.Add(-1)
-	c := &srvConn{s: s}
-	defer func() {
-		// Recirculate the connection's pooled buffers: the receive
-		// buffer and whatever the write queue still holds (a failed
-		// flush leaves chunks taken; a mid-coalesce hangup leaves them
-		// queued).
-		putBuf(c.in)
-		c.chunks, _, _ = c.wq.take(c.chunks)
-		recycle(c.chunks)
-	}()
+	c := &srvConn{s: s, sender: sender{nc: nc, frames: s.flushFrames}}
+	// Every way out of the loop flushes first, so only the receive
+	// buffer is left to recirculate.
+	defer func() { putBuf(c.in) }()
 	br := bufio.NewReaderSize(nc, readBufSize)
-	var hdr [frameHeaderSize]byte
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		// The log-round drain: answer every request already queued on
+		// this connection before paying for a write, so a pipelining
+		// client's whole in-flight window shares one syscall pair. But
+		// only whole frames count as queued — before any read that can
+		// block (and before leaving on a read error, Shutdown's nudge
+		// included) everything answered so far goes out, so a committed
+		// burst is never left un-acked behind half a frame.
+		if !frameBuffered(br) || c.wq.queued >= maxCoalesce {
+			if !c.flush() {
+				return
+			}
+		}
+		payload, err := readFrame(br, &c.in)
+		if err != nil {
+			c.flush()
 			return
 		}
-		size := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if size > MaxFrame {
-			return
-		}
-		c.in = growRecv(c.in, int(size))
-		if _, err := io.ReadFull(br, c.in); err != nil {
-			return
-		}
-		if crc32.Checksum(c.in, castagnoli) != want {
-			return
-		}
-		s.bytesIn.Add(frameHeaderSize + uint64(size))
+		s.bytesIn.Add(frameHeaderSize + uint64(len(payload)))
 		mark := c.wq.mark()
-		out, ok := c.handle(c.in, c.wq.active)
+		out, ok := c.handle(payload, c.wq.active)
 		if !ok {
 			// A malformed payload is a broken or hostile peer, not a bad
 			// argument: hang up rather than guess at a sequence number to
 			// answer on.
+			c.flush()
 			return
 		}
 		// handle framed (and sealed) the response itself via appendOK;
 		// the queue only needs the accounting and chunk rotation.
 		c.wq.sealAt(out, mark)
 		s.requests.Inc()
-		// The log-round drain: answer every request already queued on
-		// this connection before paying for a write, so a pipelining
-		// client's whole in-flight window shares one syscall pair —
-		// and the queued chunks leave as one vectored write (writev),
-		// never re-copied into a contiguous staging buffer.
-		if br.Buffered() > 0 && c.wq.queued < maxCoalesce {
-			continue
-		}
-		chunks, bytes, frames := c.wq.take(c.chunks)
-		err := writeBuffers(nc, &c.vecs, chunks)
-		recycle(chunks)
-		c.chunks = chunks
-		if err != nil {
-			return
-		}
-		s.bytesOut.Add(uint64(bytes))
-		s.flushes.Inc()
-		s.flushFrames.Observe(time.Duration(frames))
 	}
+}
+
+// flush sends the queued responses as one vectored write (writev),
+// never re-copied into a contiguous staging buffer. It reports false
+// when the write failed and the connection is done.
+func (c *srvConn) flush() bool {
+	bytes := c.wq.queued
+	if bytes == 0 {
+		return true
+	}
+	if _, err := c.sender.flush(); err != nil {
+		return false
+	}
+	c.s.bytesOut.Add(uint64(bytes))
+	c.s.flushes.Inc()
+	return true
 }
 
 // handle decodes one request payload, executes it against the manager,
 // and appends the framed response to out. It reports ok=false only for
-// payloads that don't parse far enough to answer (the caller hangs
-// up); application failures become non-OK responses.
+// payloads that are not canonical requests (the caller hangs up);
+// application failures become non-OK responses.
 func (c *srvConn) handle(payload, out []byte) ([]byte, bool) {
-	d, v, t, seq, id, err := decodeHeader(payload)
+	start := time.Now()
+	h, err := walkRequest(payload, &c.req)
 	if err != nil {
 		return out, false
 	}
-	start := time.Now()
-	switch t {
+	resp := Response{Version: h.v, Type: h.t, Seq: h.seq}
+	var hist *obs.Histogram
+	switch h.t {
 	case MsgLookup:
-		x, err := d.intVal()
-		if err != nil || !d.done() {
-			return out, false
-		}
-		phi, epoch, lerr := c.s.mgr.LookupEpochBytes(id, x)
-		if lerr != nil {
-			out = c.appendError(out, v, t, seq, lerr)
-		} else {
-			out = c.appendOK(out, Response{Version: v, Type: t, Seq: seq, Phi: phi, Epoch: epoch})
-		}
-		c.s.lookupHist.Observe(time.Since(start))
+		hist = c.s.lookupHist
+		resp.Phi, resp.Epoch, err = c.s.mgr.LookupEpochBytes(h.id, c.req.X)
 	case MsgLookupBatch:
-		n, err := d.count()
-		if err != nil {
-			return out, false
-		}
-		if cap(c.xs) < n {
-			c.xs = make([]int, n)
-			c.phis = make([]int, n)
-		}
-		c.xs, c.phis = c.xs[:n], c.phis[:n]
-		for i := range c.xs {
-			if c.xs[i], err = d.intVal(); err != nil {
-				return out, false
-			}
-		}
-		if !d.done() {
-			return out, false
-		}
-		epoch, lerr := c.s.mgr.LookupBatchBytes(id, c.xs, c.phis)
-		if lerr != nil {
-			out = c.appendError(out, v, t, seq, lerr)
-		} else {
-			out = c.appendOK(out, Response{Version: v, Type: t, Seq: seq, Epoch: epoch, Phis: c.phis})
-		}
-		c.s.batchHist.Observe(time.Since(start))
+		hist = c.s.batchHist
+		c.phis = sized(c.phis, len(c.req.Xs))
+		resp.Phis = c.phis
+		resp.Epoch, err = c.s.mgr.LookupBatchBytes(h.id, c.req.Xs, c.phis)
 	case MsgApplyBatch:
-		n, err := d.count()
-		if err != nil {
-			return out, false
-		}
-		if cap(c.events) < n {
-			c.events = make([]fleet.Event, n)
-		}
-		c.events = c.events[:n]
-		for i := range c.events {
-			if c.events[i], err = d.event(); err != nil {
-				return out, false
-			}
-		}
-		if !d.done() {
-			return out, false
-		}
-		if res, aerr := c.s.mgr.EventBatchBytes(id, c.events); aerr != nil {
-			out = c.appendError(out, v, t, seq, aerr)
-		} else {
-			out = c.appendOK(out, Response{Version: v, Type: t, Seq: seq, Result: res})
-		}
-		c.s.applyHist.Observe(time.Since(start))
-	default:
-		return out, false
+		hist = c.s.applyHist
+		resp.Result, err = c.s.mgr.EventBatchBytes(h.id, c.req.Events)
 	}
+	if err != nil {
+		out = c.appendError(out, h.v, h.t, h.seq, err)
+	} else {
+		out = c.appendOK(out, resp)
+	}
+	hist.Observe(time.Since(start))
 	return out, true
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -252,5 +253,44 @@ func TestWireServerClose(t *testing.T) {
 	_, _, err := c.Lookup("prod", 0)
 	if err == nil || !IsTransport(err) {
 		t.Fatalf("lookup against a closed server: %v, want a transport error", err)
+	}
+}
+
+// TestWireShutdownAcksBeforePartialFrame pins the coalescing rule: the
+// server may hold an answered request back only while a complete next
+// frame is already buffered. With one whole ApplyBatch frame followed
+// by the first bytes of another, the committed burst's ack must be on
+// the wire before the server blocks on the rest — and Shutdown, which
+// wakes that blocked read, must not lose it.
+func TestWireShutdownAcksBeforePartialFrame(t *testing.T) {
+	mgr := newTestManager(t, "prod", 2)
+	addr, srv := startServer(t, mgr, ServerOptions{})
+	front := dialRaw(t, addr)
+
+	payload, err := AppendRequest(nil, Request{Type: MsgApplyBatch, Seq: 1, ID: "prod",
+		Events: []fleet.Event{{Kind: fleet.EventFault, Node: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := append(appendFrameHeader(nil), payload...)
+	sealFrame(frame, 0)
+	if _, err := front.nc.Write(append(frame, frame[:5]...)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); mgr.Stats().Events == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the whole frame was never applied")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	resp := front.recv(5 * time.Second)
+	if resp.Seq != 1 || resp.Status != StatusOK || resp.Result.Epoch != 1 {
+		t.Fatalf("committed burst acked with %+v", resp)
 	}
 }
