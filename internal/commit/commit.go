@@ -14,12 +14,15 @@
 // checkpoint compaction are all just consumers of this one log.
 //
 // Concurrency shape: sequence numbers and WAL buffering happen under
-// one small mutex, but the durability wait happens outside it, so
-// concurrent committers still share fsyncs via the journal writer's
-// group commit. Fan-out is then re-serialized: each committer marks
-// its entry ready and delivers the in-order ready prefix, so
-// subscribers never observe entry n+1 before entry n, and never
-// observe an entry that is not yet durable (per the fsync policy).
+// one small mutex (Begin), but the durability wait happens outside it
+// (Complete), so concurrent committers still share fsyncs via the
+// journal writer's group commit — and one committer shares its own: a
+// round of entries begun one after another completes behind a single
+// wait on the last of them. Fan-out is then re-serialized: each
+// committer marks its entries ready and delivers the in-order ready
+// prefix, so subscribers never observe entry n+1 before entry n, and
+// never observe an entry that is not yet durable (per the fsync
+// policy). Commit is a round of one.
 //
 // Subscriptions are bounded and gap-free. Subscribe(fromSeq) first
 // catches up — from the in-memory tail, the installed checkpoint, or
@@ -154,13 +157,15 @@ type Log struct {
 
 	// Stage histograms, resolved once at construction — hot-path
 	// recording is branch-free atomic adds. The four stages partition
-	// one Commit call: sequencing + WAL buffering under the lock,
-	// the group-commit durability wait, the caller's snapshot publish,
-	// and the ready-prefix fan-out to subscribers.
+	// one commit: sequencing + WAL buffering under the lock (one sample
+	// per record, in Begin), then — one sample per round, in Complete —
+	// the group-commit durability wait, the callers' snapshot
+	// publishes, and the ready-prefix fan-out to subscribers.
 	appendHist *obs.Histogram
 	fsyncHist  *obs.Histogram
 	pubHist    *obs.Histogram
 	fanoutHist *obs.Histogram
+	roundHist  *obs.Histogram // records per Complete (unit: records)
 
 	done chan struct{} // closed by Close; unblocks catch-up pumps
 
@@ -196,6 +201,11 @@ func NewLog(cfg Config) *Log {
 		"Time in the caller's publish callback (snapshot pointer store).")
 	l.fanoutHist = reg.Histogram("ftnet_commit_fanout_seconds",
 		"Time delivering the in-order ready prefix to live subscribers.")
+	// The unit is records, not seconds (the shape of
+	// ftnet_rpc_flush_frames): each durability wait observes how many
+	// records it covered for its own committer.
+	l.roundHist = reg.Histogram("ftnet_commit_round_records",
+		"Records per commit round, i.e. per durability wait (unit: records — the commit-side batching factor distribution).")
 	if cfg.Writer != nil {
 		l.SetWriter(cfg.Writer)
 	}
@@ -299,25 +309,33 @@ func (l *Log) histBaseLocked() uint64 {
 	return l.flushed - uint64(len(l.hist)) + 1
 }
 
-// Commit runs one transition through the pipeline: assign the next
-// sequence number and buffer the WAL frame (under the ordering lock),
-// wait until the record is durable per the fsync policy (outside it,
-// sharing group commits with concurrent committers), call publish —
-// the caller's snapshot-pointer store — and finally fan the entry out
-// to subscribers, in sequence order. A non-nil error means the
-// transition must not be acknowledged: nothing was published or fanned
-// out, and the pipeline is poisoned exactly like the journal writer.
-func (l *Log) Commit(rec journal.Record, publish func()) (uint64, error) {
+// Pending is one entry between Begin and Complete: sequenced and
+// buffered in the WAL, not yet durable, published or fanned out.
+type Pending struct {
+	Seq     uint64          // the commit sequence number Begin assigned
+	w       *journal.Writer // nil on a memory-only log
+	wseq    uint64          // w's record number, what WaitDurable takes
+	publish func()
+}
+
+// Begin is the first half of a commit: under the ordering lock it
+// checks the term fence, buffers rec's WAL frame and assigns the next
+// sequence number. The entry then sits in the pipeline — invisible to
+// readers, subscribers and Collect — until a Complete that includes it
+// returns. Every successful Begin must be followed by exactly one such
+// Complete; Install refuses while any entry is in between. A non-nil
+// error means nothing was sequenced.
+func (l *Log) Begin(rec journal.Record, publish func()) (Pending, error) {
 	start := time.Now()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return 0, ErrClosed
+		return Pending{}, ErrClosed
 	}
 	if l.failed != nil {
 		err := l.failed
 		l.mu.Unlock()
-		return 0, err
+		return Pending{}, err
 	}
 	// The term fence: a bump must move the term strictly forward
 	// (multi-term jumps are fine — elections can skip terms), checked
@@ -326,15 +344,16 @@ func (l *Log) Commit(rec journal.Record, publish func()) (uint64, error) {
 	if rec.Op == journal.OpTermBump && rec.Term <= l.term {
 		cur := l.term
 		l.mu.Unlock()
-		return 0, fmt.Errorf("%w: bump to %d but term %d is in force", ErrStaleTerm, rec.Term, cur)
+		return Pending{}, fmt.Errorf("%w: bump to %d but term %d is in force", ErrStaleTerm, rec.Term, cur)
 	}
+	w := l.w
 	var wseq uint64
-	if l.w != nil {
+	if w != nil {
 		var err error
-		if wseq, err = l.w.AppendAsync(rec); err != nil {
+		if wseq, err = w.AppendAsync(rec); err != nil {
 			l.failed = err
 			l.mu.Unlock()
-			return 0, err
+			return Pending{}, err
 		}
 	}
 	l.lastSeq++
@@ -344,66 +363,117 @@ func (l *Log) Commit(rec journal.Record, publish func()) (uint64, error) {
 		l.termSeq = seq
 	}
 	l.pending = append(l.pending, pendingEntry{e: Entry{Seq: seq, Rec: rec, At: start.UnixNano()}})
-	w := l.w
 	l.mu.Unlock()
-	appended := time.Now()
-	l.appendHist.Observe(appended.Sub(start))
+	l.appendHist.Observe(time.Since(start))
+	return Pending{Seq: seq, w: w, wseq: wseq, publish: publish}, nil
+}
 
-	if w != nil {
-		if err := w.WaitDurable(wseq); err != nil {
-			// Not durable, not acknowledged. Durability is
-			// prefix-ordered, so failures strike a contiguous pending
-			// tail: removing our own entry cannot strand a later ready
-			// one behind it.
+// Complete is the second half, for a whole round at once: round holds
+// the entries one goroutine began, in Begin order. It waits until the
+// last of them is durable per the fsync policy — durability is
+// prefix-ordered, so that one wait (outside the ordering lock, sharing
+// group commits with concurrent committers) covers them all — then
+// calls every publish in order, and finally fans the entries out to
+// subscribers, in sequence order. A non-nil error means no transition
+// of the round may be acknowledged: none was published or fanned out,
+// and the pipeline is poisoned exactly like the journal writer.
+//
+// The fsync-wait, publish and fan-out histograms record one sample per
+// round; ftnet_commit_round_records says how many records shared it.
+func (l *Log) Complete(round []Pending) error {
+	if len(round) == 0 {
+		return nil
+	}
+	start := time.Now()
+	if last := round[len(round)-1]; last.w != nil {
+		if err := last.w.WaitDurable(last.wseq); err != nil {
+			// Not durable, not acknowledged. The writer is poisoned, so
+			// nothing sequenced after the round's last entry can become
+			// durable either; an entry another committer slipped between
+			// two of ours may have, and then stays behind the hole we
+			// leave — acknowledged to its client, never fanned out. That
+			// is the poisoned log's contract: subscribers see silence,
+			// not a gap.
 			l.mu.Lock()
 			l.failed = err
-			for i := len(l.pending) - 1; i >= 0; i-- {
-				if l.pending[i].e.Seq == seq {
-					l.pending = slices.Delete(l.pending, i, i+1)
-					break
+			i := 0 // both lists ascend by seq
+			l.pending = slices.DeleteFunc(l.pending, func(pe pendingEntry) bool {
+				ours := i < len(round) && pe.e.Seq == round[i].Seq
+				if ours {
+					i++
 				}
-			}
+				return ours
+			})
 			l.mu.Unlock()
-			return 0, err
+			return err
 		}
 	}
 	durable := time.Now()
-	l.fsyncHist.Observe(durable.Sub(appended))
-	if publish != nil {
-		publish()
+	l.fsyncHist.Observe(durable.Sub(start))
+	for i := range round {
+		if round[i].publish != nil {
+			round[i].publish()
+		}
 	}
 	published := time.Now()
 	l.pubHist.Observe(published.Sub(durable))
 
 	l.mu.Lock()
-	for i := range l.pending {
-		if l.pending[i].e.Seq == seq {
-			l.pending[i].ready = true
-			break
+	// Both lists ascend by seq, so one pass marks the whole round.
+	i := 0
+	for j := range l.pending {
+		if l.pending[j].e.Seq == round[i].Seq {
+			l.pending[j].ready = true
+			if i++; i == len(round) {
+				break
+			}
 		}
 	}
 	l.flushReadyLocked()
 	l.mu.Unlock()
 	l.fanoutHist.Observe(time.Since(published))
-	return seq, nil
+	l.roundHist.Observe(time.Duration(len(round)))
+	return nil
+}
+
+// Commit runs one transition through the pipeline, as a round of one:
+// Begin, then Complete. A non-nil error means the transition must not
+// be acknowledged.
+func (l *Log) Commit(rec journal.Record, publish func()) (uint64, error) {
+	p, err := l.Begin(rec, publish)
+	if err != nil {
+		return 0, err
+	}
+	one := [1]Pending{p}
+	if err := l.Complete(one[:]); err != nil {
+		return 0, err
+	}
+	return p.Seq, nil
 }
 
 // flushReadyLocked moves the in-order ready prefix of pending into the
 // history tail and delivers it to live subscribers. Caller holds l.mu.
+// Neither list gives up its buffer: slices.Delete copies the rest down
+// and clears what it vacates, for pending on every pop and for the
+// tail once it is half as long again as the history it keeps, so the
+// copy amortizes to O(1) per commit and a steady state allocates
+// nothing. (Catch-up and Collect copy out of hist under the lock, so
+// moving entries within it is safe.)
 func (l *Log) flushReadyLocked() {
-	for len(l.pending) > 0 && l.pending[0].ready && l.pending[0].e.Seq == l.flushed+1 {
-		e := l.pending[0].e
-		l.pending = l.pending[1:]
+	n := 0
+	for n < len(l.pending) && l.pending[n].ready && l.pending[n].e.Seq == l.flushed+1 {
+		e := l.pending[n].e
+		n++
 		l.flushed = e.Seq
 		l.hist = append(l.hist, e)
-		// Trim in chunks so the copy amortizes to O(1) per commit.
 		if len(l.hist) > l.history+l.history/2 {
-			l.hist = append([]Entry(nil), l.hist[len(l.hist)-l.history:]...)
+			l.hist = slices.Delete(l.hist, 0, len(l.hist)-l.history)
 		}
 		for s := range l.subs {
 			s.pushLocked(e)
 		}
 	}
+	l.pending = slices.Delete(l.pending, 0, n)
 }
 
 // Close shuts the pipeline down: further commits fail with ErrClosed
@@ -479,7 +549,8 @@ func (l *Log) Install(seq uint64, cps []journal.Record) error {
 	// the checkpoint (strictly bounded, the point of compacting) and a
 	// subscriber resuming inside the dropped range resynchronizes from
 	// it — the same reset it would see after a restart.
-	l.hist = nil
+	clear(l.hist)
+	l.hist = l.hist[:0]
 	l.compactions++
 	return nil
 }

@@ -46,10 +46,11 @@ import (
 //
 //	ftnet_http_request_seconds{route=...}   per-route request latency
 //	ftnet_http_inflight                     requests being served now
-//	ftnet_commit_append_seconds             seq assign + WAL buffer stage
-//	ftnet_commit_fsync_wait_seconds         group-commit durability wait
-//	ftnet_commit_publish_seconds            snapshot publish stage
-//	ftnet_commit_fanout_seconds             subscriber fan-out stage
+//	ftnet_commit_append_seconds             seq assign + WAL buffer stage (per record)
+//	ftnet_commit_fsync_wait_seconds         group-commit durability wait (per round)
+//	ftnet_commit_publish_seconds            snapshot publish stage (per round)
+//	ftnet_commit_fanout_seconds             subscriber fan-out stage (per round)
+//	ftnet_commit_round_records              records per commit round (unit: records)
 //	ftnet_compaction_pause_seconds          commits-gated compaction pause
 //	ftnet_replication_lag_seqs              follower: seqs behind leader
 //	ftnet_replication_entry_age_seconds     follower: leader-commit-to-apply age

@@ -16,9 +16,17 @@ import (
 // pipeline is the manager-wide commit machinery every instance shares:
 // the ordered commit log (journal + snapshot publish + subscriber
 // fan-out) and the compaction gate. Writers hold the gate shared for
-// the duration of one commit; Compact holds it exclusive, so a
-// checkpoint always captures a drained, fully-flushed fleet. Lock
-// order: gate, then shard/writer mutexes, then the log's own lock.
+// the duration of one commit round — taken once per Round, not once
+// per transition; Compact holds it exclusive, so a checkpoint always
+// captures a drained, fully-flushed fleet. Lock order: gate, then
+// writer mutexes (a round waits for its first, only tries the later
+// ones), then shard locks, then the log's own lock. An open round
+// resolves its next instance through the shard maps while it holds the
+// staged ones, so nothing may wait under a shard lock for a writer
+// mutex a round can be holding: Delete and the replication applier
+// tombstone first and lock the shard after (under a shard lock only a
+// tombstoned or fenced instance's mutex is taken, which a round gives
+// back at once).
 type pipeline struct {
 	gate sync.RWMutex
 	log  *commit.Log
@@ -59,6 +67,12 @@ type Instance struct {
 	snap    atomic.Pointer[ft.Snapshot] // current state; never nil
 	writeMu sync.Mutex                  // serializes event application only
 	deleted bool                        // set by Manager.Delete; guarded by writeMu
+
+	// next is the snapshot staged in an open Round, which holds writeMu
+	// from Stage to Commit; publishNext, the commit's publish step,
+	// stores it. Built once so that staging allocates no closure.
+	next        *ft.Snapshot // guarded by writeMu
+	publishNext func()
 
 	// Migration state. migrating is the outbound write fence: set under
 	// writeMu when the journal suffix is captured, so a write that
@@ -130,6 +144,7 @@ func newInstance(id string, spec Spec, cache *Cache, pipe *pipeline) (*Instance,
 		return nil, err
 	}
 	in.snap.Store(s)
+	in.publishNext = func() { in.snap.Store(in.next) }
 	return in, nil
 }
 
@@ -152,8 +167,29 @@ func (in *Instance) Apply(ev Event) (EventResult, error) {
 // either every event applies and the epoch advances by exactly one, or
 // the first invalid event rejects the entire batch and the published
 // snapshot is unchanged. Readers concurrently observe either the old
-// epoch or the new one, never a partial burst.
+// epoch or the new one, never a partial burst. It is a round of one:
+// Stage, then Commit.
 func (in *Instance) ApplyBatch(events []Event) (EventResult, error) {
+	var one roundOfOne
+	r := one.round()
+	res, err := r.Stage(in, events) // an empty round waits: never ErrRoundBusy
+	if err != nil {
+		return res, err
+	}
+	if err := r.Commit(); err != nil {
+		return EventResult{}, err
+	}
+	return res, nil
+}
+
+// Stage is the first half of ApplyBatch: the burst is validated and
+// applied copy-on-write, and its record sequenced and buffered in the
+// journal, under the instance's writer mutex — which the round keeps
+// until Commit, where the transition becomes durable and visible. The
+// result is what ApplyBatch will have returned once Commit succeeds. A
+// refused burst (any error) leaves the instance unlocked and the round
+// as it was; ErrRoundBusy means "Commit the round, then Stage again".
+func (r *Round) Stage(in *Instance, events []Event) (EventResult, error) {
 	if len(events) == 0 {
 		return in.reject(&in.rejectedInvalid, nil, "empty event batch")
 	}
@@ -168,11 +204,18 @@ func (in *Instance) ApplyBatch(events []Event) (EventResult, error) {
 			return in.reject(&in.rejectedInvalid, nil, "unknown event kind %q", ev.Kind)
 		}
 	}
+	if !r.acquire(in) {
+		return EventResult{}, ErrRoundBusy
+	}
+	res, err := r.stageLocked(in, batch)
+	if err != nil {
+		r.release(in)
+	}
+	return res, err
+}
 
-	in.pipe.gate.RLock()
-	defer in.pipe.gate.RUnlock()
-	in.writeMu.Lock()
-	defer in.writeMu.Unlock()
+// stageLocked is Stage under in's writer mutex.
+func (r *Round) stageLocked(in *Instance, batch []ft.Change) (EventResult, error) {
 	// A writer that raced Manager.Delete (it held this *Instance from
 	// before the removal) must not apply — and above all must not
 	// commit a transition record after the instance's delete record,
@@ -204,29 +247,29 @@ func (in *Instance) ApplyBatch(events []Event) (EventResult, error) {
 			return in.reject(&in.rejectedInvalid, nil, "%v", err)
 		}
 	}
-	// One ordered commit, still under the writer mutex: the pipeline
-	// journals the record, waits until it is durable (per the writer's
-	// fsync policy), publishes the snapshot pointer, and only then fans
-	// the entry out to subscribers — so an acknowledged transition is
-	// never lost, a recovered journal never trails an epoch a client
-	// saw, and no watcher or follower observes an epoch before readers
-	// can.
+	// One ordered commit, the writer mutex held across both halves: the
+	// pipeline journals the record now and, at the round's Commit, waits
+	// until it is durable (per the writer's fsync policy), publishes the
+	// snapshot pointer, and only then fans the entry out to subscribers
+	// — so an acknowledged transition is never lost, a recovered journal
+	// never trails an epoch a client saw, and no watcher or follower
+	// observes an epoch before readers can.
 	rec := journal.Record{
 		Op:      journal.OpTransition,
 		ID:      in.id,
 		Epoch:   next.Epoch(),
-		Applied: len(events),
+		Applied: len(batch),
 		Faults:  next.Mapping().Faults,
 	}
-	if _, err := in.pipe.log.Commit(rec, func() { in.snap.Store(next) }); err != nil {
-		return EventResult{}, errorf(ErrUnavailable,
-			"fleet: instance %s: commit: %v", in.id, err)
+	if err := r.begin(in, rec, next); err != nil {
+		return EventResult{}, err
 	}
+	r.events += len(batch)
 	return EventResult{
 		Epoch:     next.Epoch(),
 		NumFaults: next.NumFaults(),
 		Budget:    in.spec.K,
-		Applied:   len(events),
+		Applied:   len(batch),
 	}, nil
 }
 
@@ -297,10 +340,17 @@ func (in *Instance) restoreCheckpoint(epoch uint64, faults []int) error {
 // and fanned out to the follower's own subscribers (so watch streams
 // chain).
 func (in *Instance) replicate(rec journal.Record) error {
-	in.pipe.gate.RLock()
-	defer in.pipe.gate.RUnlock()
-	in.writeMu.Lock()
-	defer in.writeMu.Unlock()
+	var one roundOfOne
+	r := one.round()
+	r.acquire(in)
+	if err := r.replicateLocked(in, rec); err != nil {
+		r.release(in)
+		return err
+	}
+	return r.Commit()
+}
+
+func (r *Round) replicateLocked(in *Instance, rec journal.Record) error {
 	if in.deleted {
 		return errorf(ErrNotFound, "fleet: instance %s deleted", in.id)
 	}
@@ -313,10 +363,7 @@ func (in *Instance) replicate(rec journal.Record) error {
 	if err != nil {
 		return err
 	}
-	if _, err := in.pipe.log.Commit(rec, func() { in.snap.Store(next) }); err != nil {
-		return errorf(ErrUnavailable, "fleet: instance %s: commit: %v", in.id, err)
-	}
-	return nil
+	return r.begin(in, rec, next)
 }
 
 func (in *Instance) reject(counter *atomic.Uint64, category error, format string, args ...any) (EventResult, error) {

@@ -344,7 +344,9 @@ func (m *Manager) GetBytes(id []byte) (*Instance, bool) {
 // mutex: any ApplyBatch that raced the delete has either already
 // finished (its record precedes the delete record) or will see the
 // tombstone and reject — so no transition record can ever trail its
-// instance's delete record, and a reused id recovers cleanly.
+// instance's delete record, and a reused id recovers cleanly. The
+// tombstone also settles racing deletes: the loser reports "no such
+// instance" without waiting for the winner's commit.
 func (m *Manager) Delete(id string) (bool, error) {
 	if m.readOnly.Load() {
 		return false, m.errReadOnly("delete")
@@ -354,14 +356,19 @@ func (m *Manager) Delete(id string) (bool, error) {
 	}
 	m.pipe.gate.RLock()
 	defer m.pipe.gate.RUnlock()
-	s := m.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	in, ok := s.instances[id]
+	in, ok := m.Get(id)
 	if !ok {
 		return false, nil
 	}
+	// The tombstone goes up before the shard lock is taken, never under
+	// it: an open commit round holds staged instances' writer mutexes
+	// while it resolves its next instance through the shard maps.
 	in.writeMu.Lock()
+	if in.deleted {
+		// Another delete (or a reset) got here first.
+		in.writeMu.Unlock()
+		return false, nil
+	}
 	if in.staged.Load() {
 		// A staged inbound copy is not journaled yet: tombstoning it here
 		// would commit an OpDelete for an id this journal never created
@@ -377,6 +384,9 @@ func (m *Manager) Delete(id string) (bool, error) {
 	}
 	in.deleted = true
 	in.writeMu.Unlock()
+	s := m.shardFor(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	rec := journal.Record{Op: journal.OpDelete, ID: id}
 	if _, err := m.pipe.log.Commit(rec, func() { delete(s.instances, id) }); err != nil {
 		m.journalFailed.Add(1)
@@ -428,30 +438,73 @@ func (m *Manager) EventBatchBytes(id []byte, events []Event) (EventResult, error
 	return m.applyBatch(in, events)
 }
 
-// applyBatch applies a burst to a resolved instance and maintains the
-// fleet-wide accept/reject counters — the shared tail of EventBatch
-// and EventBatchBytes.
+// StageBatchBytes is the first half of EventBatchBytes, for callers
+// that commit several bursts as one round (a wire connection's drain
+// pass): the burst is routed, validated, applied and journaled, and
+// joins r; CommitRound makes the whole round durable and visible. The
+// result is final once CommitRound succeeds. Any error means the burst
+// is not part of the round; ErrRoundBusy asks for CommitRound first,
+// then the same call again.
+func (m *Manager) StageBatchBytes(r *Round, id []byte, events []Event) (EventResult, error) {
+	if err := m.checkOwnedBytes(id); err != nil {
+		return EventResult{}, err
+	}
+	in, ok := m.GetBytes(id)
+	if !ok {
+		return EventResult{}, errorf(ErrNotFound, "fleet: no instance %q", id)
+	}
+	return m.stage(r, in, events)
+}
+
+// CommitRound commits r (see Round.Commit) and moves the fleet-wide
+// counters: applied events and transitions count here, at completion,
+// and a round whose durability wait failed counts every staged burst
+// as a journal failure.
+func (m *Manager) CommitRound(r *Round) error {
+	n, events := r.Len(), r.events
+	if err := r.Commit(); err != nil {
+		m.journalFailed.Add(uint64(n))
+		return err
+	}
+	m.events.Add(uint64(events))
+	m.batches.Add(uint64(n))
+	return nil
+}
+
+// applyBatch applies a burst to a resolved instance as a round of one
+// — the shared tail of EventBatch and EventBatchBytes.
 func (m *Manager) applyBatch(in *Instance, events []Event) (EventResult, error) {
+	var one roundOfOne
+	r := one.round()
+	res, err := m.stage(&r, in, events) // an empty round waits: never ErrRoundBusy
+	if err == nil {
+		err = m.CommitRound(&r)
+	}
+	if err != nil {
+		return EventResult{}, err
+	}
+	return res, nil
+}
+
+// stage stages a burst of a resolved instance in r, filing a refusal
+// under its cause.
+func (m *Manager) stage(r *Round, in *Instance, events []Event) (EventResult, error) {
 	if m.readOnly.Load() {
 		return EventResult{}, m.errReadOnly("event batch")
 	}
-	res, err := in.ApplyBatch(events)
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrUnavailable):
-			m.journalFailed.Add(1)
-		case errors.Is(err, ErrBudget):
-			m.rejectedBudget.Add(1)
-		case errors.Is(err, ErrConflict):
-			m.rejectedConflict.Add(1)
-		default:
-			m.rejectedInvalid.Add(1)
-		}
-		return res, err
+	res, err := r.Stage(in, events)
+	switch {
+	case err == nil, err == ErrRoundBusy:
+	case errors.Is(err, ErrUnavailable):
+		m.journalFailed.Add(1)
+	case errors.Is(err, ErrBudget):
+		m.rejectedBudget.Add(1)
+	case errors.Is(err, ErrConflict):
+		m.rejectedConflict.Add(1)
+	default:
+		m.rejectedInvalid.Add(1)
 	}
-	m.events.Add(uint64(len(events)))
-	m.batches.Add(1)
-	return res, nil
+	return res, err
 }
 
 // Lookup answers where target node x of the named instance runs now.
@@ -784,14 +837,10 @@ func (m *Manager) replicateMigrate(rec journal.Record) error {
 	}
 	m.pipe.gate.RLock()
 	defer m.pipe.gate.RUnlock()
+	m.tombstone(rec.ID)
 	s := m.shardFor(rec.ID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.instances[rec.ID]; ok {
-		old.writeMu.Lock()
-		old.deleted = true
-		old.writeMu.Unlock()
-	}
 	if _, err := m.pipe.log.Commit(rec, func() { s.instances[rec.ID] = in }); err != nil {
 		return errorf(ErrUnavailable, "fleet: commit replicated migrate %s: %v", rec.ID, err)
 	}
@@ -837,19 +886,28 @@ func (m *Manager) replicateCreate(id string, spec Spec) error {
 	return nil
 }
 
+// tombstone marks the registered copy of id, if any, deleted ahead of
+// a forwarded record that retires it. Like Delete it takes the writer
+// mutex before, not under, the shard lock; the replication applier is
+// the only mutator of a follower's registry, so the copy it marks is
+// the one the record then removes.
+func (m *Manager) tombstone(id string) {
+	if in, ok := m.Get(id); ok {
+		in.writeMu.Lock()
+		in.deleted = true
+		in.writeMu.Unlock()
+	}
+}
+
 // replicateDelete mirrors Delete for a forwarded record (a missing id
 // is tolerated: the commit keeps the streams aligned either way).
 func (m *Manager) replicateDelete(id string) error {
 	m.pipe.gate.RLock()
 	defer m.pipe.gate.RUnlock()
+	m.tombstone(id)
 	s := m.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if in, ok := s.instances[id]; ok {
-		in.writeMu.Lock()
-		in.deleted = true
-		in.writeMu.Unlock()
-	}
 	rec := journal.Record{Op: journal.OpDelete, ID: id}
 	if _, err := m.pipe.log.Commit(rec, func() { delete(s.instances, id) }); err != nil {
 		return errorf(ErrUnavailable, "fleet: commit replicated delete %s: %v", id, err)

@@ -37,8 +37,8 @@ func TestHotPathAllocBudgetsWithObservability(t *testing.T) {
 		}
 	}
 	pair() // warm the mapping cache
-	if allocs := testing.AllocsPerRun(50, pair) / 2; allocs > 5 {
-		t.Errorf("ApplyBatch costs %.1f allocs/op with observability enabled, budget is 5", allocs)
+	if allocs := testing.AllocsPerRun(50, pair) / 2; allocs > 4 {
+		t.Errorf("ApplyBatch costs %.1f allocs/op with observability enabled, budget is 4", allocs)
 	}
 	if _, err := m.EventBatch("i0", fault); err != nil {
 		t.Fatal(err)

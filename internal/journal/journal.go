@@ -9,10 +9,15 @@
 //
 //	[4-byte payload length][4-byte CRC32C of payload][payload]
 //
-// Writers append frames through a shared buffer with group commit:
-// concurrent appenders that request durability while an fsync is in
-// flight wait for the next one, so a storm of writers costs one fsync
-// per batch, not one per record. The fsync policy is explicit:
+// Writers append frames through a shared buffer with group commit: one
+// fsync covers every record buffered before it. A group forms in two
+// ways — concurrent appenders that request durability while an fsync
+// is in flight wait for the next one and share it, and a single
+// appender may buffer several records (AppendAsync) and wait once, for
+// the last: the commit round, which is how one connection's burst of
+// writes costs one fsync. A caller that waits for each record before
+// appending the next gets one fsync per record, however many callers
+// there are in turn. The fsync policy is explicit:
 // SyncAlways acknowledges nothing before the data is on disk,
 // SyncInterval syncs on a timer, SyncNever leaves flushing to the OS.
 //
@@ -118,9 +123,10 @@ type Stats struct {
 type Writer struct {
 	opts Options
 
-	mu     sync.Mutex // guards bw, seq, werr, closed
+	mu     sync.Mutex // guards bw, frame, seq, werr, closed
 	w      io.Writer
 	bw     *bufio.Writer
+	frame  []byte // AppendAsync's encode scratch, reused across records
 	f      syncer // non-nil when the stream can fsync
 	file   *os.File
 	seq    uint64 // records buffered so far
@@ -214,40 +220,39 @@ func (w *Writer) Append(rec Record) error {
 // lock and then waits for durability outside it — so concurrent
 // committers still share fsyncs via group commit. Pair every
 // successful AppendAsync with a WaitDurable before acknowledging.
+//
+// The frame is built in the writer's own scratch buffer under w.mu and
+// copied once, into the write buffer: no allocation per record. (The
+// commit pipeline already serializes its appends, so encoding inside
+// the lock costs it nothing.)
 func (w *Writer) AppendAsync(rec Record) (uint64, error) {
-	payload, err := AppendRecord(make([]byte, frameHeaderSize, frameHeaderSize+64), rec)
-	if err != nil {
-		return 0, err
-	}
-	body := payload[frameHeaderSize:]
-	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(payload[4:8], crc32.Checksum(body, castagnoli))
-
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return 0, ErrClosed
 	}
 	if w.werr != nil {
-		err := w.werr
-		w.mu.Unlock()
-		return 0, err
+		return 0, w.werr
 	}
-	if _, err := w.bw.Write(payload); err != nil {
+	frame, err := AppendRecord(append(w.frame[:0], make([]byte, frameHeaderSize)...), rec)
+	if err != nil {
+		return 0, err // a record that does not encode never touched the stream
+	}
+	w.frame = frame[:0]
+	body := frame[frameHeaderSize:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(body, castagnoli))
+	if _, err := w.bw.Write(frame); err != nil {
 		w.werr = err
-		w.mu.Unlock()
 		return 0, err
 	}
 	w.seq++
-	seq := w.seq
-	w.mu.Unlock()
-
 	w.records.Add(1)
-	w.bytes.Add(uint64(len(payload)))
+	w.bytes.Add(uint64(len(frame)))
 	if rec.Op == OpTransition {
 		w.lastEpoch.Store(rec.Epoch)
 	}
-	return seq, nil
+	return w.seq, nil
 }
 
 // WaitDurable blocks until the record AppendAsync numbered seq is

@@ -217,6 +217,41 @@ func TestSyncPolicies(t *testing.T) {
 	})
 }
 
+// TestAppendAsyncReusesItsFrame pins the append path's allocation
+// budget — the frame is built in the writer's scratch buffer, so a
+// steady-state AppendAsync allocates nothing — and that a record which
+// does not encode leaves the stream untouched and the writer usable.
+func TestAppendAsyncReusesItsFrame(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf, Options{Sync: SyncNever})
+	rec := Record{Op: OpTransition, ID: "prod", Epoch: 1, Applied: 2, Faults: []int{3, 9, 27}}
+	if _, err := w.AppendAsync(rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.AppendAsync(Record{Op: OpTransition, ID: "prod", Epoch: 2, Applied: 1, Faults: []int{5, 2}}); err == nil {
+		t.Fatal("AppendAsync accepted an invalid record")
+	}
+	if allocs := testing.AllocsPerRun(500, func() {
+		if _, err := w.AppendAsync(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("AppendAsync: %.1f allocs/op, want 0", allocs)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := ReadAll(bytes.NewReader(buf.Bytes()))
+	if err != nil || len(got) != 502 {
+		t.Fatalf("read back %d records (err %v), want 502", len(got), err)
+	}
+	for _, r := range got {
+		if !reflect.DeepEqual(r, rec) {
+			t.Fatalf("read back %+v, want %+v", r, rec)
+		}
+	}
+}
+
 // TestGroupCommit storms one SyncAlways writer from many goroutines:
 // every append must come back durable, and group commit must batch the
 // fsyncs (strictly fewer syncs than records under contention is the

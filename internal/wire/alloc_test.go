@@ -53,17 +53,18 @@ func TestWireLookupServerAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []byte
-	if out, _ = c.handle(payload, out[:0]); out == nil {
+	// answered runs one frame through handle and empties the response
+	// queue the way a flush would, reporting the bytes it held.
+	answered := func(payload []byte) int {
+		if !c.handle(payload) {
+			t.Fatal("handle rejected a valid request")
+		}
+		return drainQueue(c)
+	}
+	if answered(payload) == 0 {
 		t.Fatal("handle produced no response")
 	}
-	allocs = testing.AllocsPerRun(1000, func() {
-		o, ok := c.handle(payload, out[:0])
-		if !ok {
-			t.Fatal("handle rejected a valid lookup")
-		}
-		out = o
-	})
+	allocs = testing.AllocsPerRun(1000, func() { answered(payload) })
 	if allocs != 0 {
 		t.Errorf("srvConn.handle(Lookup): %.1f allocs/op, want 0", allocs)
 	}
@@ -72,18 +73,90 @@ func TestWireLookupServerAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out, _ = c.handle(bpayload, out[:0]); out == nil {
+	if answered(bpayload) == 0 {
 		t.Fatal("handle produced no response")
 	}
-	allocs = testing.AllocsPerRun(1000, func() {
-		o, ok := c.handle(bpayload, out[:0])
-		if !ok {
-			t.Fatal("handle rejected a valid lookup batch")
-		}
-		out = o
-	})
+	allocs = testing.AllocsPerRun(1000, func() { answered(bpayload) })
 	if allocs != 0 {
 		t.Errorf("srvConn.handle(LookupBatch): %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// drainQueue discards c's queued responses as a flush would (chunks
+// back to their pools) and returns how many bytes there were.
+func drainQueue(c *srvConn) int {
+	chunks, bytes, _ := c.wq.take(c.chunks)
+	recycle(chunks)
+	c.chunks = chunks
+	return bytes
+}
+
+// TestWireApplyRoundAllocs pins the cost of the commit round on the
+// server: staging an ApplyBatch frame, committing the round and
+// queueing the deferred acks must allocate nothing beyond what the
+// manager's own in-process apply of the same burst does — the Round,
+// the staged-answer slice and the publish step are all reused.
+func TestWireApplyRoundAllocs(t *testing.T) {
+	mgr := fleet.NewManager(fleet.Options{})
+	spec := fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 8, K: 4}
+	const instances = 8
+	var frames [2][instances][]byte // [fault|repair][instance] ApplyBatch payloads
+	var events [2][]fleet.Event
+	for phase, kind := range []fleet.EventKind{fleet.EventFault, fleet.EventRepair} {
+		events[phase] = []fleet.Event{{Kind: kind, Node: 3}, {Kind: kind, Node: 9}}
+	}
+	ids := make([][]byte, instances)
+	for i := range ids {
+		id := string(rune('a' + i))
+		ids[i] = []byte(id)
+		if _, err := mgr.Create(id, spec); err != nil {
+			t.Fatal(err)
+		}
+		for phase := range frames {
+			p, err := AppendRequest(nil, Request{Type: MsgApplyBatch, Seq: uint64(i + 1), ID: id, Events: events[phase]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames[phase][i] = p
+		}
+	}
+
+	// The baseline: the same bursts applied in-process, one round each.
+	phase := 0
+	direct := func() {
+		for _, id := range ids {
+			if _, err := mgr.EventBatchBytes(id, events[phase]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		phase ^= 1
+	}
+	direct()
+	direct() // warm the mapping cache and the commit log's buffers
+	base := testing.AllocsPerRun(200, direct)
+
+	// One round of eight frames per run through the server's handle.
+	srv := NewServer(mgr, ServerOptions{Metrics: obs.New()})
+	c := &srvConn{s: srv}
+	round := func() {
+		for _, p := range frames[phase] {
+			if !c.handle(p) {
+				t.Fatal("handle rejected a valid ApplyBatch")
+			}
+		}
+		if c.round.Len() != instances || c.wq.queued != 0 {
+			t.Fatalf("round holds %d writes with %d bytes answered, want %d and 0", c.round.Len(), c.wq.queued, instances)
+		}
+		c.commitRound()
+		if drainQueue(c) == 0 {
+			t.Fatal("the round's commit queued no acks")
+		}
+		phase ^= 1
+	}
+	round()
+	round()
+	if got := testing.AllocsPerRun(200, round); got > base {
+		t.Errorf("a round of %d ApplyBatch frames costs %.0f allocs, the same bursts in-process %.0f: the round machinery allocates", instances, got, base)
 	}
 }
 

@@ -42,7 +42,18 @@ type ServerOptions struct {
 // them against the manager, and coalesces all responses for the
 // requests drained in one read pass into a single write — the
 // log-round batching that makes a pipelining client pay ~one syscall
-// pair per batch instead of per request.
+// pair per batch instead of per request. Durability is batched the
+// same way: the ApplyBatch frames of one pass are staged in a commit
+// round (fleet.Round) and share one journal write and fsync.
+//
+// A staged write is answered when its round commits, so responses
+// leave in completion order — reads and refusals at once, writes at
+// the end of their round; the sequence number is what pairs a response
+// with its request. The round commits before any read that can block,
+// before the connection's loop ends for any reason, when it holds
+// fleet.RoundCap writes, and before a Lookup or LookupBatch of an
+// instance staged in it — so a client that pipelines a write and then
+// a read of the same instance reads its write.
 type Server struct {
 	mgr *fleet.Manager
 
@@ -213,14 +224,28 @@ func (a *acceptor) shutdown(ctx context.Context) error {
 
 // srvConn is the per-connection state: the pooled receive buffer, the
 // response queue (a sender only this goroutine appends to and
-// flushes), and the decode scratch (req's slices and phis), so a
-// steady-state Lookup handles with zero allocations.
+// flushes), the decode scratch (req's slices and phis), and the open
+// commit round with the responses it owes — all reused, so a
+// steady-state Lookup handles with zero allocations and a staged
+// ApplyBatch adds none to what the manager's own apply costs.
 type srvConn struct {
 	s *Server
 	sender
 	in   []byte
 	req  Request
 	phis []int
+
+	round  fleet.Round
+	staged []stagedWrite // round's transitions, in stage order
+}
+
+// stagedWrite is the answer owed to one ApplyBatch staged in the open
+// round: final if the round commits, StatusUnavailable if it fails.
+type stagedWrite struct {
+	v     byte
+	seq   uint64
+	start time.Time
+	res   fleet.EventResult
 }
 
 func (s *Server) serveConn(nc net.Conn) {
@@ -235,36 +260,57 @@ func (s *Server) serveConn(nc net.Conn) {
 	for {
 		// The log-round drain: answer every request already queued on
 		// this connection before paying for a write, so a pipelining
-		// client's whole in-flight window shares one syscall pair. But
-		// only whole frames count as queued — before any read that can
-		// block (and before leaving on a read error, Shutdown's nudge
-		// included) everything answered so far goes out, so a committed
-		// burst is never left un-acked behind half a frame.
+		// client's whole in-flight window shares one syscall pair — and
+		// its writes one fsync. But only whole frames count as queued —
+		// before any read that can block (and before leaving on a read
+		// error, Shutdown's nudge included) the open round is committed
+		// and everything answered so far goes out, so a committed burst
+		// is never left un-acked behind half a frame, and a round never
+		// stays open across a socket wait.
 		if !frameBuffered(br) || c.wq.queued >= maxCoalesce {
-			if !c.flush() {
+			if !c.finish() {
 				return
 			}
 		}
 		payload, err := readFrame(br, &c.in)
 		if err != nil {
-			c.flush()
+			c.finish()
 			return
 		}
 		s.bytesIn.Add(frameHeaderSize + uint64(len(payload)))
-		mark := c.wq.mark()
-		out, ok := c.handle(payload, c.wq.active)
-		if !ok {
+		if !c.handle(payload) {
 			// A malformed payload is a broken or hostile peer, not a bad
 			// argument: hang up rather than guess at a sequence number to
 			// answer on.
-			c.flush()
+			c.finish()
 			return
 		}
-		// handle framed (and sealed) the response itself via appendOK;
-		// the queue only needs the accounting and chunk rotation.
-		c.wq.sealAt(out, mark)
 		s.requests.Inc()
 	}
+}
+
+// finish closes the open commit round and flushes; false means the
+// write failed and the connection is done.
+func (c *srvConn) finish() bool {
+	c.commitRound()
+	return c.flush()
+}
+
+// commitRound commits the open round and queues the answers it owes:
+// one durability wait, then every staged ApplyBatch is acked — or, had
+// the wait failed, refused as unavailable, none of them applied.
+func (c *srvConn) commitRound() {
+	if len(c.staged) == 0 {
+		return
+	}
+	err := c.s.mgr.CommitRound(&c.round)
+	now := time.Now()
+	for i := range c.staged {
+		st := &c.staged[i]
+		c.respond(Response{Version: st.v, Type: MsgApplyBatch, Seq: st.seq, Result: st.res}, err)
+		c.s.applyHist.Observe(now.Sub(st.start))
+	}
+	c.staged = c.staged[:0]
 }
 
 // flush sends the queued responses as one vectored write (writev),
@@ -284,14 +330,18 @@ func (c *srvConn) flush() bool {
 }
 
 // handle decodes one request payload, executes it against the manager,
-// and appends the framed response to out. It reports ok=false only for
+// and queues the framed response — except for an ApplyBatch that joined
+// the open round, which commitRound answers. It reports false only for
 // payloads that are not canonical requests (the caller hangs up);
 // application failures become non-OK responses.
-func (c *srvConn) handle(payload, out []byte) ([]byte, bool) {
+func (c *srvConn) handle(payload []byte) bool {
 	start := time.Now()
 	h, err := walkRequest(payload, &c.req)
 	if err != nil {
-		return out, false
+		return false
+	}
+	if h.t != MsgApplyBatch && c.round.Has(h.id) {
+		c.commitRound() // read your pipelined write
 	}
 	resp := Response{Version: h.v, Type: h.t, Seq: h.seq}
 	var hist *obs.Histogram
@@ -306,15 +356,40 @@ func (c *srvConn) handle(payload, out []byte) ([]byte, bool) {
 		resp.Epoch, err = c.s.mgr.LookupBatchBytes(h.id, c.req.Xs, c.phis)
 	case MsgApplyBatch:
 		hist = c.s.applyHist
-		resp.Result, err = c.s.mgr.EventBatchBytes(h.id, c.req.Events)
+		resp.Result, err = c.s.mgr.StageBatchBytes(&c.round, h.id, c.req.Events)
+		if err == fleet.ErrRoundBusy {
+			// The instance's writer is taken — by this very round, if the
+			// client wrote it twice — or the round is full: close the
+			// round, then wait in line like any writer.
+			c.commitRound()
+			resp.Result, err = c.s.mgr.StageBatchBytes(&c.round, h.id, c.req.Events)
+		}
+		if err == nil {
+			c.staged = append(c.staged, stagedWrite{v: h.v, seq: h.seq, start: start, res: resp.Result})
+			if c.round.Len() == fleet.RoundCap {
+				c.commitRound()
+			}
+			return true
+		}
 	}
+	c.respond(resp, err)
+	hist.Observe(time.Since(start))
+	return true
+}
+
+// respond queues one framed response: resp when err is nil, otherwise
+// err's status under resp's head. appendOK frames and seals it in the
+// queue's active chunk; the queue only needs the accounting and chunk
+// rotation.
+func (c *srvConn) respond(resp Response, err error) {
+	mark := c.wq.mark()
+	out := c.wq.active
 	if err != nil {
-		out = c.appendError(out, h.v, h.t, h.seq, err)
+		out = c.appendError(out, resp.Version, resp.Type, resp.Seq, err)
 	} else {
 		out = c.appendOK(out, resp)
 	}
-	hist.Observe(time.Since(start))
-	return out, true
+	c.wq.sealAt(out, mark)
 }
 
 // appendOK frames an OK response. The encode cannot fail for

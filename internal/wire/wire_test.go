@@ -259,9 +259,10 @@ func TestWireServerClose(t *testing.T) {
 // TestWireShutdownAcksBeforePartialFrame pins the coalescing rule: the
 // server may hold an answered request back only while a complete next
 // frame is already buffered. With one whole ApplyBatch frame followed
-// by the first bytes of another, the committed burst's ack must be on
-// the wire before the server blocks on the rest — and Shutdown, which
-// wakes that blocked read, must not lose it.
+// by the first bytes of another, the burst — staged in the connection's
+// commit round — must be committed and its ack on the wire before the
+// server blocks on the rest, and Shutdown, which wakes that blocked
+// read, must not lose it.
 func TestWireShutdownAcksBeforePartialFrame(t *testing.T) {
 	mgr := newTestManager(t, "prod", 2)
 	addr, srv := startServer(t, mgr, ServerOptions{})
