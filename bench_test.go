@@ -9,7 +9,6 @@ package ftnet
 import (
 	"io"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"ftnet/internal/ascend"
@@ -76,7 +75,7 @@ func BenchmarkConstructB4h5k2(b *testing.B)  { benchConstruct(b, ft.Params{M: 4,
 
 // Micro-benchmarks: reconfiguration map for a large machine.
 
-func BenchmarkReconfigure64k(b *testing.B) {
+func BenchmarkReconfigure(b *testing.B) {
 	p := ft.Params{M: 2, H: 16, K: 8}
 	rng := rand.New(rand.NewSource(1))
 	faultSets := make([][]int, 64)
@@ -87,51 +86,6 @@ func BenchmarkReconfigure64k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ft.NewMapping(p.NTarget(), p.NHost(), faultSets[i%len(faultSets)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Micro-benchmarks: the fleet's mapping cache against one-shot
-// recomputation on the same recurring fault patterns. The cached path
-// is the ftnetd Lookup fast path once a fleet keeps revisiting a
-// working set of fault sets.
-
-func recurringFaultSets(p ft.Params, n int) [][]int {
-	rng := rand.New(rand.NewSource(1))
-	sets := make([][]int, n)
-	for i := range sets {
-		sets[i] = num.RandomSubset(rng, p.NHost(), p.K)
-		sort.Ints(sets[i])
-	}
-	return sets
-}
-
-func BenchmarkReconfigureUncached(b *testing.B) {
-	p := ft.Params{M: 2, H: 16, K: 8}
-	sets := recurringFaultSets(p, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ft.NewMapping(p.NTarget(), p.NHost(), sets[i%len(sets)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReconfigureCached(b *testing.B) {
-	p := ft.Params{M: 2, H: 16, K: 8}
-	sets := recurringFaultSets(p, 64)
-	c := fleet.NewCache(128)
-	for _, f := range sets { // warm: every set computed once
-		if _, err := c.Get(p.NTarget(), p.NHost(), f); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Get(p.NTarget(), p.NHost(), sets[i%len(sets)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,7 +117,7 @@ func BenchmarkFleetLookup(b *testing.B) {
 
 // BenchmarkFleetEventBatch measures the write path ftnetd performs per
 // events:batch POST: one atomic snapshot transition applying a
-// four-event burst through the shared cache.
+// four-event burst.
 func BenchmarkFleetEventBatch(b *testing.B) {
 	m := fleet.NewManager(fleet.Options{})
 	spec := fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 12, K: 6}

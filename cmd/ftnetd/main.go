@@ -3,15 +3,15 @@
 //
 // Usage:
 //
-//	ftnetd -addr :8080 -cache 4096 -journal /var/lib/ftnet/epochs.wal -fsync always
+//	ftnetd -addr :8080 -journal /var/lib/ftnet/epochs.wal -fsync always
 //
 // With -journal set, every accepted transition (instance create/delete,
 // fault/repair event, atomic batch) commits one O(k) CRC32C-framed
 // record — epoch plus the sorted fault set — through the ordered commit
 // pipeline before the state change becomes visible, and a restart
 // replays the log: every instance comes back at its exact pre-kill
-// epoch, fault set, and mapping (verified bit-identically against a
-// fresh recomputation), with any torn tail from a crash mid-append
+// epoch, fault set, and mapping (every record validated and its
+// mapping computed afresh), with any torn tail from a crash mid-append
 // detected, logged, and truncated. -fsync picks the durability point:
 // "always" (fsync before acknowledging, group-committed across
 // concurrent writers), "interval" (timer-driven), or "never" (OS
@@ -20,13 +20,11 @@
 // The same commit stream feeds live consumers: GET /v1/watch streams
 // every transition as resumable NDJSON; -follow <leader-url> turns the
 // daemon into a read-only replica that tails a leader's watch stream,
-// verifies every record against a fresh recomputation, and serves
+// validates every record and computes its mapping afresh, and serves
 // lock-free lookups with its own journal for restart; -compact-every
 // periodically checkpoints the fleet state and truncates the journal
 // prefix (also on demand via POST /v1/compact), bounding replay length
-// and disk. -cache-admission guards the mapping cache with a
-// doorkeeper so one-off fault patterns are not admitted until seen
-// twice. -pprof-addr serves net/http/pprof on a second, separate
+// and disk. -pprof-addr serves net/http/pprof on a second, separate
 // listener (keep it loopback-only); the API mux never exposes it.
 // -rpc-addr additionally serves the hot path (Lookup, LookupBatch,
 // ApplyBatch) over the length-prefixed binary RPC plane
@@ -86,9 +84,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	cacheSize := flag.Int("cache", fleet.DefaultCacheSize, "mapping cache capacity")
-	cacheAdmission := flag.Bool("cache-admission", true, "doorkeeper admission: cache a fault pattern only once it recurs")
-	cacheDoorAge := flag.Int("cache-door-age", fleet.DefaultDoorAgePeriod, "doorkeeper reset interval: misses per cache shard between counter halvings")
 	journalPath := flag.String("journal", "", "append-only epoch journal path (empty disables durability)")
 	fsyncMode := flag.String("fsync", "always", `journal fsync policy: "always", "interval" or "never"`)
 	fsyncEvery := flag.Duration("fsync-interval", journal.DefaultSyncInterval, `sync period for -fsync interval`)
@@ -105,7 +100,7 @@ func main() {
 		log.Fatalf("ftnetd: -term promotes this daemon to leader and cannot be combined with -follow")
 	}
 
-	mgr := fleet.NewManager(fleet.Options{CacheSize: *cacheSize, CacheAdmission: *cacheAdmission, CacheDoorAgePeriod: *cacheDoorAge})
+	mgr := fleet.NewManager(fleet.Options{})
 	if _, err := openJournal(mgr, *journalPath, *fsyncMode, *fsyncEvery, log.Printf); err != nil {
 		log.Fatalf("ftnetd: %v", err)
 	}

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -181,8 +183,9 @@ func TestDaemonShufflePhiSlice(t *testing.T) {
 
 // TestDaemonEventBatch drives the events:batch endpoint end to end:
 // an atomic burst advances the epoch exactly once, a partially-invalid
-// burst changes nothing, and /v1/stats reports the rejection causes
-// and the per-shard cache breakdown.
+// burst changes nothing, and /v1/stats reports the rejection causes —
+// and, there being no mapping cache, no cache section or ftnet_cache_
+// metric family.
 func TestDaemonEventBatch(t *testing.T) {
 	ts := newTestDaemon(t)
 	base := ts.URL
@@ -233,8 +236,13 @@ func TestDaemonEventBatch(t *testing.T) {
 		fleet.BatchRequest{Events: []fleet.Event{{Kind: fleet.EventFault, Node: 0}}},
 		http.StatusNotFound, nil)
 
-	// Stats carry the batch counter, the rejection causes, and the
-	// per-shard cache breakdown.
+	// Stats carry the batch counter and the rejection causes, and no
+	// "cache" key.
+	var raw map[string]json.RawMessage
+	do(t, "GET", base+"/v1/stats", nil, http.StatusOK, &raw)
+	if _, ok := raw["cache"]; ok {
+		t.Errorf("stats still carry a cache section: %s", raw["cache"])
+	}
 	var st fleet.Stats
 	do(t, "GET", base+"/v1/stats", nil, http.StatusOK, &st)
 	if st.Batches != 1 || st.Events != 3 {
@@ -242,9 +250,6 @@ func TestDaemonEventBatch(t *testing.T) {
 	}
 	if st.RejectedBy.Budget != 1 || st.Rejected != 1 {
 		t.Errorf("rejected = %d by %+v, want budget 1", st.Rejected, st.RejectedBy)
-	}
-	if len(st.Cache.Shards) == 0 {
-		t.Errorf("stats missing per-shard cache breakdown: %+v", st.Cache)
 	}
 
 	resp, err := http.Get(base + "/metrics")
@@ -256,10 +261,36 @@ func TestDaemonEventBatch(t *testing.T) {
 	for _, want := range []string{
 		"ftnet_event_batches_total 1",
 		`ftnet_events_rejected_by_cause_total{cause="budget"} 1`,
-		`ftnet_cache_shard_size{shard="0"}`,
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+	if strings.Contains(string(metrics), "ftnet_cache_") {
+		t.Errorf("metrics still carry an ftnet_cache_ family")
+	}
+}
+
+// TestDaemonRemovedCacheFlags: there is no mapping cache to configure,
+// and a flag for one must fail loudly — the flag package's usage error
+// and exit status 2 — not be silently accepted. The test re-executes its
+// own binary as ftnetd.
+func TestDaemonRemovedCacheFlags(t *testing.T) {
+	if args := os.Getenv("FTNETD_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"ftnetd"}, strings.Fields(args)...)
+		main()
+		os.Exit(0) // unreachable when the flag is rejected
+	}
+	for _, args := range []string{"-cache 1", "-cache-admission=false"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestDaemonRemovedCacheFlags$")
+		cmd.Env = append(os.Environ(), "FTNETD_TEST_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("ftnetd %s: err %v, want exit status 2 (output %s)", args, err, out)
+		}
+		if !strings.Contains(string(out), "flag provided but not defined: -cache") {
+			t.Errorf("ftnetd %s: output lacks the flag package's usage error: %s", args, out)
 		}
 	}
 }

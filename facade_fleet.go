@@ -10,8 +10,8 @@ import (
 // This file exposes the online reconfiguration service: a Manager owns
 // live network instances, absorbs streams of fault/repair events
 // (singly or as atomic bursts), and answers "where does target node x
-// run now?" lock-free from an immutable epoch snapshot, backed by a
-// shared, sharded, single-flight LRU mapping cache. Every accepted
+// run now?" lock-free from an immutable epoch snapshot; each
+// transition builds its O(k) mapping in place. Every accepted
 // transition flows through one ordered commit pipeline — journal
 // append, durability wait, snapshot publish, subscriber fan-out — so
 // the WAL, the live watch stream, follower replication, and checkpoint
@@ -60,8 +60,10 @@ type (
 	// [seq marker, one checkpoint record per instance], bounding replay.
 	FleetCompactStats = fleet.CompactStats
 	// FleetFollower tails another daemon's /v1/watch stream and turns
-	// the local manager into a verified replica (every forwarded record
-	// is checked bit-identically against a fresh recomputation).
+	// the local manager into a verified replica: every forwarded record
+	// is validated on receipt and its mapping computed by NewMapping, so
+	// the replica is bit-identical to a fresh recomputation by
+	// construction.
 	FleetFollower = fleet.Follower
 	// FleetFollowerOptions tunes the replication loop.
 	FleetFollowerOptions = fleet.FollowerOptions

@@ -19,6 +19,10 @@
 //
 // The contrast with package ft is the entire point of the paper:
 // ft needs only N + k nodes (optimal), at a degree only slightly larger.
+//
+// Kept because it backs tracked experiment T5
+// (BenchmarkT5_BaselineComparison in the root bench_test.go), its only
+// importer.
 package baseline
 
 import (

@@ -60,9 +60,9 @@ func L2(w io.Writer) error {
 		nHost := num.MustIPow(2, h) + k
 
 		// One transition = an atomic 4-fault burst plus its repair, the
-		// recurring-rack shape that exercises both the snapshot Apply and
-		// the mapping cache. Warm up once so steady-state allocations are
-		// measured (cache hits, not first-time mapping computation).
+		// recurring-rack shape that exercises the snapshot Apply in both
+		// directions. Warm up once so steady-state allocations are
+		// measured (the commit log's tail grown, not first touch).
 		fault := []fleet.Event{{Kind: fleet.EventFault, Node: 0}, {Kind: fleet.EventFault, Node: 1},
 			{Kind: fleet.EventFault, Node: 2}, {Kind: fleet.EventFault, Node: 3}}
 		repair := []fleet.Event{{Kind: fleet.EventRepair, Node: 0}, {Kind: fleet.EventRepair, Node: 1},

@@ -32,7 +32,7 @@ import (
 //	GET    /v1/watch?from=n           NDJSON commit stream: catch-up, then live tail
 //	POST   /v1/promote                take leadership: bump the term, enable writes
 //	POST   /v1/compact                checkpoint state, truncate the journal prefix
-//	GET    /v1/stats                  fleet-wide counters (incl. per-shard cache stats)
+//	GET    /v1/stats                  fleet-wide counters
 //	GET    /healthz                   liveness probe
 //	GET    /metrics                   Prometheus text exposition
 //
@@ -504,10 +504,6 @@ func (s *apiServer) metrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "ftnet_events_rejected_by_cause_total{cause=\"conflict\"} %d\n", st.RejectedBy.Conflict)
 	fmt.Fprintf(w, "ftnet_events_rejected_by_cause_total{cause=\"invalid\"} %d\n", st.RejectedBy.Invalid)
 	fmt.Fprintf(w, "# TYPE ftnet_lookups_total counter\nftnet_lookups_total %d\n", st.Lookups)
-	fmt.Fprintf(w, "# TYPE ftnet_cache_size gauge\nftnet_cache_size %d\n", st.Cache.Size)
-	fmt.Fprintf(w, "# TYPE ftnet_cache_hits_total counter\nftnet_cache_hits_total %d\n", st.Cache.Hits)
-	fmt.Fprintf(w, "# TYPE ftnet_cache_misses_total counter\nftnet_cache_misses_total %d\n", st.Cache.Misses)
-	fmt.Fprintf(w, "# TYPE ftnet_cache_evictions_total counter\nftnet_cache_evictions_total %d\n", st.Cache.Evictions)
 	fmt.Fprintf(w, "# TYPE ftnet_journal_enabled gauge\nftnet_journal_enabled %d\n", boolGauge(st.Journal.Enabled))
 	fmt.Fprintf(w, "# TYPE ftnet_journal_records_total counter\nftnet_journal_records_total %d\n", st.Journal.Records)
 	fmt.Fprintf(w, "# TYPE ftnet_journal_bytes_total counter\nftnet_journal_bytes_total %d\n", st.Journal.Bytes)
@@ -527,7 +523,6 @@ func (s *apiServer) metrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE ftnet_watch_subscribers gauge\nftnet_watch_subscribers %d\n", st.Commit.Subscribers)
 	fmt.Fprintf(w, "# TYPE ftnet_watch_overflows_total counter\nftnet_watch_overflows_total %d\n", st.Commit.Overflows)
 	fmt.Fprintf(w, "# TYPE ftnet_compactions_total counter\nftnet_compactions_total %d\n", st.Commit.Compactions)
-	fmt.Fprintf(w, "# TYPE ftnet_cache_admission_rejected_total counter\nftnet_cache_admission_rejected_total %d\n", st.Cache.AdmissionRejected)
 	if f := s.opts.Follower; f != nil {
 		fs := f.Stats()
 		fmt.Fprintf(w, "# TYPE ftnet_follower_connected gauge\nftnet_follower_connected %d\n", boolGauge(fs.Connected))
@@ -538,20 +533,6 @@ func (s *apiServer) metrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# TYPE ftnet_follower_discarded_total counter\nftnet_follower_discarded_total %d\n", fs.Discarded)
 		fmt.Fprintf(w, "# TYPE ftnet_follower_promoted gauge\nftnet_follower_promoted %d\n", boolGauge(fs.Promoted))
 		fmt.Fprintf(w, "# TYPE ftnet_follower_last_seq gauge\nftnet_follower_last_seq %d\n", fs.LastSeq)
-	}
-	// Each metric family's samples must be contiguous under its # TYPE
-	// line, per the text exposition format.
-	fmt.Fprintf(w, "# TYPE ftnet_cache_shard_size gauge\n")
-	for i, sh := range st.Cache.Shards {
-		fmt.Fprintf(w, "ftnet_cache_shard_size{shard=\"%d\"} %d\n", i, sh.Size)
-	}
-	fmt.Fprintf(w, "# TYPE ftnet_cache_shard_hits_total counter\n")
-	for i, sh := range st.Cache.Shards {
-		fmt.Fprintf(w, "ftnet_cache_shard_hits_total{shard=\"%d\"} %d\n", i, sh.Hits)
-	}
-	fmt.Fprintf(w, "# TYPE ftnet_cache_shard_misses_total counter\n")
-	for i, sh := range st.Cache.Shards {
-		fmt.Fprintf(w, "ftnet_cache_shard_misses_total{shard=\"%d\"} %d\n", i, sh.Misses)
 	}
 	// The service-level registry: request-latency, commit-stage,
 	// replication-lag and compaction-pause families, histograms as

@@ -6,8 +6,8 @@ import (
 )
 
 // Scale benchmarks for the compact rank-based mapping representation:
-// Apply (the write path: atomic burst -> next snapshot, through the
-// mapping cache) and Lookup (the read path: pointer load + rank
+// Apply (the write path: atomic burst -> next snapshot, its mapping
+// built in place) and Lookup (the read path: pointer load + rank
 // search) swept over host sizes 2^10 .. 2^20 — about 10^3 to 10^6
 // nodes. The acceptance criterion is in the allocs/op column: both
 // paths must be flat in nHost, which TestApplyAllocsIndependentOfN
@@ -22,7 +22,7 @@ var scaleSizes = []int{10, 14, 17, 20} // h: nTarget = 2^h, nHost = 2^h + k
 func scaleInstance(b testing.TB, h int) *Instance {
 	b.Helper()
 	in, err := newInstance(fmt.Sprintf("scale-h%d", h),
-		Spec{Kind: KindDeBruijn, M: 2, H: h, K: scaleK}, NewCache(0), newPipeline())
+		Spec{Kind: KindDeBruijn, M: 2, H: h, K: scaleK}, newPipeline())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -30,8 +30,8 @@ func scaleInstance(b testing.TB, h int) *Instance {
 }
 
 // applyScalePair returns the steady-state transition pair: a 4-event
-// rack burst and its repair, the recurring pattern that exercises both
-// the snapshot derivation and the mapping cache hit path.
+// rack burst and its repair, the recurring pattern that exercises the
+// snapshot derivation in both directions.
 func applyScalePair() (fault, repair []Event) {
 	for n := 0; n < 4; n++ {
 		fault = append(fault, Event{Kind: EventFault, Node: n})
@@ -105,7 +105,7 @@ func TestApplyAllocsIndependentOfN(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		pair() // warm the mapping cache: steady state, not first touch
+		pair() // warm the commit log's tail: steady state, not first touch
 		return testing.AllocsPerRun(50, pair) / 2
 	}
 	small := allocsAt(10)

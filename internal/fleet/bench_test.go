@@ -8,16 +8,14 @@ import (
 	"ftnet/internal/ft"
 )
 
-// Benchmarks for the two contention points the snapshot refactor
-// removed: the read lock on Instance.Lookup and the global mutex on
-// the mapping cache.
+// Benchmarks for the contention point the snapshot refactor removed:
+// the read lock on Instance.Lookup.
 //
 // mutexInstance replicates the pre-refactor read path — an RWMutex
 // around the current mapping — so the win is measured against the
 // real alternative, not a straw man:
 //
 //	go test ./internal/fleet -bench 'Lookup.*Parallel' -cpu 1,4,8
-//	go test ./internal/fleet -bench 'CacheGet' -cpu 8
 
 type mutexInstance struct {
 	mu      sync.RWMutex
@@ -67,7 +65,7 @@ func BenchmarkLookupMutexParallel(b *testing.B) {
 // atomic pointer load plus an array index, nothing shared but the
 // lookup counter.
 func BenchmarkLookupSnapshotParallel(b *testing.B) {
-	in, err := newInstance("bench", Spec{Kind: KindDeBruijn, M: 2, H: benchH, K: benchK}, NewCache(0), newPipeline())
+	in, err := newInstance("bench", Spec{Kind: KindDeBruijn, M: 2, H: benchH, K: benchK}, newPipeline())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -91,7 +89,7 @@ func BenchmarkLookupSnapshotParallel(b *testing.B) {
 // continuously applies fault/repair transitions: the snapshot path
 // must not degrade, because readers never wait on the writer.
 func BenchmarkLookupSnapshotWithWriter(b *testing.B) {
-	in, err := newInstance("bench", Spec{Kind: KindDeBruijn, M: 2, H: benchH, K: benchK}, NewCache(0), newPipeline())
+	in, err := newInstance("bench", Spec{Kind: KindDeBruijn, M: 2, H: benchH, K: benchK}, newPipeline())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -126,45 +124,10 @@ func BenchmarkLookupSnapshotWithWriter(b *testing.B) {
 	wg.Wait()
 }
 
-// benchCacheGet hammers a warmed cache from parallel goroutines over a
-// recurring working set of fault patterns — the shape a fleet
-// revisiting the same rack failures produces.
-func benchCacheGet(b *testing.B, shards int) {
-	p := ft.Params{M: 2, H: benchH, K: benchK}
-	c := NewCacheShards(256, shards)
-	sets := make([][]int, 32)
-	for i := range sets {
-		sets[i] = []int{i, i + 64, i + 512}
-		if _, err := c.Get(p.NTarget(), p.NHost(), sets[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if _, err := c.Get(p.NTarget(), p.NHost(), sets[i%len(sets)]); err != nil {
-				b.Fail()
-			}
-			i++
-		}
-	})
-}
-
-// BenchmarkCacheGetSingleShard is the pre-refactor cache: one mutex
-// serializes every probe.
-func BenchmarkCacheGetSingleShard(b *testing.B) { benchCacheGet(b, 1) }
-
-// BenchmarkCacheGetSharded spreads the same working set over 16
-// independently-locked shards.
-func BenchmarkCacheGetSharded(b *testing.B) { benchCacheGet(b, 16) }
-
 // BenchmarkApplyBatch measures the write path: one atomic transition
-// applying a 4-event burst (computing or re-fetching the mapping
-// through the cache).
+// applying a 4-event burst, its mapping built in place.
 func BenchmarkApplyBatch(b *testing.B) {
-	in, err := newInstance("bench", Spec{Kind: KindDeBruijn, M: 2, H: benchH, K: benchK}, NewCache(0), newPipeline())
+	in, err := newInstance("bench", Spec{Kind: KindDeBruijn, M: 2, H: benchH, K: benchK}, newPipeline())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -14,13 +14,9 @@
 //     blocks event application. Writers validate Fault/Repair events
 //     (singly or as atomic all-or-nothing bursts) against the spare
 //     budget k and derive the next snapshot copy-on-write; the
-//     monotone rank mapping of Section III-A comes from the shared
-//     cache, so repeated fault patterns cost one map lookup.
-//   - Cache: a sharded mapping cache keyed by the canonical (sorted)
-//     fault set — the key hash picks an independently-locked shard
-//     with its own LRU list and stats — with single-flight computation
-//     so a stampede of instances hitting the same fault pattern
-//     computes ft.NewMapping exactly once.
+//     monotone rank mapping of Section III-A is the sorted fault set
+//     itself, so each transition builds its O(k) mapping in place.
+//     There is one way to obtain a mapping, and it is to compute it.
 //   - Manager: a sharded registry owning many instances behind one API
 //     (Create, Event, EventBatch, Lookup, Stats), safe under
 //     `go test -race`.
@@ -74,6 +70,13 @@ var (
 	// 403 + X-Ftnet-Owner / StatusWrongShard so clients re-route
 	// instead of retrying here.
 	ErrWrongShard = errors.New("fleet: wrong shard")
+
+	// ErrCorruptRecord marks state arriving from outside the process —
+	// a journal, checkpoint, replicated or migrated record — refused on
+	// receipt: its epoch breaks the gap-free chain, or its fault set is
+	// out of range, duplicated or over budget. The instance keeps
+	// serving the snapshot it had.
+	ErrCorruptRecord = errors.New("fleet: corrupt record")
 )
 
 // fleetError carries a human message plus an errors.Is-matchable

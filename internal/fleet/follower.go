@@ -20,9 +20,11 @@ import (
 
 // Follower tails a leader's GET /v1/watch commit stream and turns the
 // local Manager into a verified replica: every forwarded record is
-// checked (transitions bit-identically against a fresh ft.NewMapping —
-// the cheap receiver-side verification of a forwarded record stream)
-// and re-committed through the local pipeline, so the follower has its
+// checked on receipt (epoch chain, fault set in range, distinct and
+// within budget — the cheap receiver-side verification of a forwarded
+// record stream) and its mapping computed with ft.NewMapping, so the
+// replica's phi is bit-identical to a fresh ft.NewMapping by
+// construction: there is no memo to diverge from. It is re-committed through the local pipeline, so the follower has its
 // own journal for restart, serves the same lock-free lookups, and even
 // exposes its own watch stream for chaining.
 //

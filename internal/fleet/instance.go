@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -45,15 +44,14 @@ func newPipeline() *pipeline {
 // the write path (and vice versa): Lookup is a pointer load plus an
 // array index — no mutex, no read lock.
 //
-// Writers serialize on a small mutex, derive the next snapshot
-// copy-on-write (one O(k) sorted insert or delete per event), and
-// fetch the full mapping through the shared sharded Cache, so
-// instances that see the same fault pattern share one ft.NewMapping
-// computation. A whole batch of events is validated and applied as one
-// atomic transition: all-or-nothing, epoch +1, committed through the
-// manager's shared commit pipeline — which journals the record, waits
-// for durability, publishes the snapshot pointer, and fans the entry
-// out to watch/replication subscribers, in that order.
+// Writers serialize on a small mutex and derive the next snapshot
+// copy-on-write (one O(k) sorted insert or delete per event); the
+// validated fault slice is the next mapping, built in place by
+// ft.Snapshot.Apply. A whole batch of events is validated and applied
+// as one atomic transition: all-or-nothing, epoch +1, committed
+// through the manager's shared commit pipeline — which journals the
+// record, waits for durability, publishes the snapshot pointer, and
+// fans the entry out to watch/replication subscribers, in that order.
 type Instance struct {
 	id      string
 	spec    Spec
@@ -61,8 +59,7 @@ type Instance struct {
 	nHost   int
 	psi     []int // SE->dB embedding for KindShuffle, nil otherwise
 
-	cache *Cache
-	pipe  *pipeline // shared commit pipeline; never nil
+	pipe *pipeline // shared commit pipeline; never nil
 
 	snap    atomic.Pointer[ft.Snapshot] // current state; never nil
 	writeMu sync.Mutex                  // serializes event application only
@@ -118,14 +115,14 @@ func (c *stripedCounter) Load() uint64 {
 	return sum
 }
 
-// newInstance builds the instance in its zero-fault state. The cache
-// and pipeline must be non-nil; both are shared across the manager's
+// newInstance builds the instance in its zero-fault state. The
+// pipeline must be non-nil; it is shared across the manager's
 // instances.
-func newInstance(id string, spec Spec, cache *Cache, pipe *pipeline) (*Instance, error) {
+func newInstance(id string, spec Spec, pipe *pipeline) (*Instance, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	in := &Instance{id: id, spec: spec, cache: cache, pipe: pipe}
+	in := &Instance{id: id, spec: spec, pipe: pipe}
 	switch spec.Kind {
 	case KindDeBruijn:
 		p := ft.Params{M: spec.M, H: spec.H, K: spec.K}
@@ -139,7 +136,7 @@ func newInstance(id string, spec Spec, cache *Cache, pipe *pipeline) (*Instance,
 		}
 		in.psi = psi
 	}
-	s, err := ft.NewSnapshot(in.nTarget, in.nHost, spec.K, cache.Get)
+	s, err := ft.NewSnapshot(in.nTarget, in.nHost, spec.K)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +233,7 @@ func (r *Round) stageLocked(in *Instance, batch []ft.Change) (EventResult, error
 		return EventResult{}, errorf(ErrUnavailable,
 			"fleet: instance %s is arriving (migration staged)", in.id)
 	}
-	next, err := in.snap.Load().Apply(batch, in.cache.Get)
+	next, err := in.snap.Load().Apply(batch)
 	if err != nil {
 		switch {
 		case errors.Is(err, ft.ErrBudget):
@@ -274,24 +271,16 @@ func (r *Round) stageLocked(in *Instance, batch []ft.Change) (EventResult, error
 }
 
 // restoredSnapshot rebuilds the snapshot a journaled (epoch, faults)
-// state encodes and verifies it bit-identically against a freshly
-// computed ft.NewMapping — the cheap receiver-side check Patra &
-// Rangan style record forwarding relies on: corrupted or forged state
-// is detected, never accepted. The caller holds writeMu and decides
-// whether to publish.
+// state encodes. The fault set comes from outside this process, so it
+// goes through ft.Restore's full validation (range, duplicates,
+// budget) — the cheap receiver-side check Patra & Rangan style record
+// forwarding relies on: corrupted or forged state is detected, never
+// accepted. What it returns is a fresh ft.NewMapping by construction.
+// The caller holds writeMu and decides whether to publish.
 func (in *Instance) restoredSnapshot(epoch uint64, faults []int) (*ft.Snapshot, error) {
-	next, err := ft.Restore(in.nTarget, in.nHost, in.spec.K, epoch, faults, in.cache.Get)
+	next, err := ft.Restore(in.nTarget, in.nHost, in.spec.K, epoch, faults)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: instance %s: restore epoch %d: %w", in.id, epoch, err)
-	}
-	fresh, err := ft.NewMapping(in.nTarget, in.nHost, faults)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: instance %s: recompute epoch %d: %w", in.id, epoch, err)
-	}
-	got := next.Mapping()
-	if got.NTarget != fresh.NTarget || got.NHost != fresh.NHost || !slices.Equal(got.Faults, fresh.Faults) {
-		return nil, fmt.Errorf("fleet: instance %s: recovered mapping at epoch %d diverges from recomputation",
-			in.id, epoch)
+		return nil, errorf(ErrCorruptRecord, "fleet: instance %s: restore epoch %d: %v", in.id, epoch, err)
 	}
 	return next, nil
 }
@@ -299,7 +288,7 @@ func (in *Instance) restoredSnapshot(epoch uint64, faults []int) (*ft.Snapshot, 
 // restore installs the journaled state of one transition record during
 // recovery: the epoch must be exactly the successor of the current one
 // (accepted transitions advance it by one, so a gap means a corrupt or
-// reordered log), and the mapping is verified via restoredSnapshot
+// reordered log), and the fault set is validated via restoredSnapshot
 // before the snapshot is published. Recovery-path only — it does not
 // re-commit the record.
 func (in *Instance) restore(epoch uint64, faults []int) error {
@@ -307,7 +296,7 @@ func (in *Instance) restore(epoch uint64, faults []int) error {
 	defer in.writeMu.Unlock()
 	cur := in.snap.Load()
 	if epoch != cur.Epoch()+1 {
-		return fmt.Errorf("fleet: instance %s: journal epoch %d follows epoch %d (gap or reorder)",
+		return errorf(ErrCorruptRecord, "fleet: instance %s: journal epoch %d follows epoch %d (gap or reorder)",
 			in.id, epoch, cur.Epoch())
 	}
 	next, err := in.restoredSnapshot(epoch, faults)
@@ -321,7 +310,7 @@ func (in *Instance) restore(epoch uint64, faults []int) error {
 // restoreCheckpoint installs a checkpoint record's state: unlike
 // restore it accepts any epoch (a checkpoint captures an instance
 // mid-history, after the preceding records were compacted away), with
-// the same bit-identical mapping verification.
+// the same fault-set validation.
 func (in *Instance) restoreCheckpoint(epoch uint64, faults []int) error {
 	in.writeMu.Lock()
 	defer in.writeMu.Unlock()
@@ -334,8 +323,8 @@ func (in *Instance) restoreCheckpoint(epoch uint64, faults []int) error {
 }
 
 // replicate applies one forwarded transition record on a follower: the
-// strict epoch chain is enforced, the mapping is verified against a
-// fresh recomputation, and the record is committed through the
+// strict epoch chain is enforced, the fault set is validated and its
+// mapping computed afresh, and the record is committed through the
 // follower's own pipeline — journaled locally for restart, published,
 // and fanned out to the follower's own subscribers (so watch streams
 // chain).
@@ -356,7 +345,7 @@ func (r *Round) replicateLocked(in *Instance, rec journal.Record) error {
 	}
 	cur := in.snap.Load()
 	if rec.Epoch != cur.Epoch()+1 {
-		return fmt.Errorf("fleet: instance %s: replicated epoch %d follows epoch %d (gap or reorder)",
+		return errorf(ErrCorruptRecord, "fleet: instance %s: replicated epoch %d follows epoch %d (gap or reorder)",
 			in.id, rec.Epoch, cur.Epoch())
 	}
 	next, err := in.restoredSnapshot(rec.Epoch, rec.Faults)

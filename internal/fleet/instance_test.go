@@ -9,7 +9,7 @@ import (
 
 func newTestInstance(t *testing.T, spec Spec) *Instance {
 	t.Helper()
-	in, err := newInstance("test", spec, NewCache(0), newPipeline())
+	in, err := newInstance("test", spec, newPipeline())
 	if err != nil {
 		t.Fatal(err)
 	}

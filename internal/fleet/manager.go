@@ -21,25 +21,11 @@ const numShards = 16
 
 // Options configures a Manager.
 type Options struct {
-	// CacheSize caps the shared mapping cache (<= 0 selects
-	// DefaultCacheSize).
-	CacheSize int
-	// CacheShards sets the mapping cache's shard count (<= 0 selects
-	// DefaultCacheShards).
-	CacheShards int
 	// Journal, when non-nil, makes every accepted transition durable:
 	// instance creates/deletes and applied event batches each append
 	// one O(k) record before the state change becomes visible.
 	// Manager.Recover replays such a log after a restart.
 	Journal *journal.Writer
-	// CacheAdmission enables the mapping cache's doorkeeper: a fault
-	// pattern is only admitted to the LRU once it has been seen before,
-	// so one-off patterns cannot wash the working set out.
-	CacheAdmission bool
-	// CacheDoorAgePeriod sets the doorkeeper's reset interval — misses
-	// per cache shard between counter halvings (<= 0 selects
-	// DefaultDoorAgePeriod).
-	CacheDoorAgePeriod int
 	// CommitHistory caps the commit log's in-memory catch-up tail
 	// (<= 0 selects commit.DefaultHistory).
 	CommitHistory int
@@ -55,7 +41,6 @@ type Options struct {
 type Manager struct {
 	shards [numShards]shard
 	seed   maphash.Seed
-	cache  *Cache
 	pipe   *pipeline // the shared commit pipeline; never nil
 
 	events  atomic.Uint64  // applied events, fleet-wide
@@ -105,8 +90,7 @@ type shard struct {
 	instances map[string]*Instance
 }
 
-// NewManager returns an empty manager with its shared mapping cache
-// and commit pipeline.
+// NewManager returns an empty manager with its commit pipeline.
 func NewManager(opts Options) *Manager {
 	reg := opts.Metrics
 	if reg == nil {
@@ -114,12 +98,6 @@ func NewManager(opts Options) *Manager {
 	}
 	m := &Manager{
 		seed: maphash.MakeSeed(),
-		cache: NewCacheConfig(CacheConfig{
-			Capacity:      opts.CacheSize,
-			Shards:        opts.CacheShards,
-			Admission:     opts.CacheAdmission,
-			DoorAgePeriod: opts.CacheDoorAgePeriod,
-		}),
 		pipe: &pipeline{log: commit.NewLog(commit.Config{History: opts.CommitHistory, Obs: reg})},
 		obs:  reg,
 		pauseHist: reg.Histogram("ftnet_compaction_pause_seconds",
@@ -271,7 +249,7 @@ func (m *Manager) Create(id string, spec Spec) (*Instance, error) {
 	if err := m.checkOwned(id); err != nil {
 		return nil, err
 	}
-	in, err := newInstance(id, spec, m.cache, m.pipe)
+	in, err := newInstance(id, spec, m.pipe)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +275,7 @@ func (m *Manager) createRaw(id string, spec Spec) (*Instance, error) {
 	if id == "" {
 		return nil, fmt.Errorf("fleet: empty instance id")
 	}
-	in, err := newInstance(id, spec, m.cache, m.pipe)
+	in, err := newInstance(id, spec, m.pipe)
 	if err != nil {
 		return nil, err
 	}
@@ -603,7 +581,6 @@ type Stats struct {
 	LeaderHint string        `json:"leader_hint,omitempty"` // advertised leader URL, if known
 	Shard      *ShardStats   `json:"shard,omitempty"`       // ring state, when sharded
 	Lookups    uint64        `json:"lookups"`
-	Cache      CacheStats    `json:"cache"`
 	Journal    JournalStats  `json:"journal"`
 	Commit     commit.Stats  `json:"commit"`
 }
@@ -633,7 +610,7 @@ type JournalStats struct {
 	Recovery     *RecoverStats `json:"recovery,omitempty"`
 }
 
-// Stats returns a snapshot of the manager's counters and its cache.
+// Stats returns a snapshot of the manager's counters.
 func (m *Manager) Stats() Stats {
 	n := 0
 	for i := range m.shards {
@@ -678,15 +655,10 @@ func (m *Manager) Stats() Stats {
 		LeaderHint: m.LeaderHint(),
 		Shard:      ss,
 		Lookups:    m.lookups.Load(),
-		Cache:      m.cache.Stats(),
 		Journal:    js,
 		Commit:     m.pipe.log.Stats(),
 	}
 }
-
-// Cache exposes the shared mapping cache (read-mostly; used by the
-// facade and benchmarks).
-func (m *Manager) Cache() *Cache { return m.cache }
 
 // Metrics exposes the manager's service-metrics registry — the commit
 // pipeline's stage histograms and compaction pauses live here, and the
@@ -789,8 +761,8 @@ var ErrSeqGap = errors.New("fleet: replicated entry ahead of expected sequence")
 // order: the entry's seq must be exactly the follower's next expected
 // one (an entry behind it is a reconnect duplicate, skipped silently;
 // one ahead is ErrSeqGap). Each record re-commits through the
-// follower's own pipeline — journaled locally for restart, verified
-// bit-identically against a fresh ft.NewMapping for transitions — so a
+// follower's own pipeline — journaled locally for restart, transitions
+// validated and their mapping computed by ft.NewMapping — so a
 // follower is a full replica whose own watch stream chains.
 func (m *Manager) ReplicateEntry(e commit.Entry) error {
 	expected := m.pipe.log.NextSeq()
@@ -823,12 +795,12 @@ func (m *Manager) ReplicateEntry(e commit.Entry) error {
 
 // replicateMigrate applies a forwarded ownership-handoff record: the
 // instance arrived on the leader with the carried state, so the
-// follower rebuilds it from scratch — bit-identical verification
+// follower rebuilds it from scratch — fault-set validation
 // included — replacing any existing copy (the leader's stream is
 // authoritative, as with replicateCreate duplicates).
 func (m *Manager) replicateMigrate(rec journal.Record) error {
 	spec := Spec{Kind: Kind(rec.Spec.Kind), M: rec.Spec.M, H: rec.Spec.H, K: rec.Spec.K}
-	in, err := newInstance(rec.ID, spec, m.cache, m.pipe)
+	in, err := newInstance(rec.ID, spec, m.pipe)
 	if err != nil {
 		return err
 	}
@@ -870,7 +842,7 @@ func (m *Manager) replicateCreate(id string, spec Spec) error {
 	if id == "" {
 		return fmt.Errorf("fleet: empty instance id")
 	}
-	in, err := newInstance(id, spec, m.cache, m.pipe)
+	in, err := newInstance(id, spec, m.pipe)
 	if err != nil {
 		return err
 	}
@@ -917,7 +889,7 @@ func (m *Manager) replicateDelete(id string) error {
 
 // ResetFromCheckpoint wipes the follower's fleet and installs the
 // forwarded checkpoint: every instance in cps is rebuilt (with the
-// bit-identical mapping verification) and the local commit log is
+// same fault-set validation) and the local commit log is
 // rebased to seq via Install, truncating the local journal to
 // [seq marker, checkpoint] — exactly what the leader's compacted file
 // looks like. Instances absent from cps are dropped: the checkpoint is

@@ -129,7 +129,7 @@ func TestManagerStress(t *testing.T) {
 		opsPerG   = 400
 		k         = 6
 	)
-	m := NewManager(Options{CacheSize: 64})
+	m := NewManager(Options{})
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 6, K: k}
 	ids := make([]string, instances)
 	for i := range ids {

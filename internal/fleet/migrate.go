@@ -20,8 +20,8 @@ import (
 // pure O(k) function of its fault set, so the handoff is two pushes:
 //
 //	phase 1 (unfenced): capture (snapshot, baseSeq) and push the O(k)
-//	  checkpoint record to the new owner, which rebuilds and verifies
-//	  it bit-identically — in memory only, not journaled.
+//	  checkpoint record to the new owner, which validates it and
+//	  rebuilds the mapping — in memory only, not journaled.
 //	phase 2 (fenced):   set the write fence, capture fenceSeq, collect
 //	  the journal suffix in (baseSeq, fenceSeq] for this instance, and
 //	  push it. The target replays it under the strict epoch chain,
@@ -322,14 +322,14 @@ func (m *Manager) StageMigration(mig sharding.Migration) error {
 	}
 	rec := mig.Records[0]
 	spec := Spec{Kind: Kind(rec.Spec.Kind), M: rec.Spec.M, H: rec.Spec.H, K: rec.Spec.K}
-	in, err := newInstance(mig.ID, spec, m.cache, m.pipe)
+	in, err := newInstance(mig.ID, spec, m.pipe)
 	if err != nil {
 		return err
 	}
 	in.staged.Store(true)
 	in.stagedAt = mig.BaseSeq
-	// Bit-identical verification happens before the instance becomes
-	// visible at all: a forged or corrupted checkpoint never registers.
+	// Validation happens before the instance becomes visible at all: a
+	// forged or corrupted checkpoint never registers.
 	if err := in.restoreCheckpoint(rec.Epoch, rec.Faults); err != nil {
 		return err
 	}
@@ -380,7 +380,7 @@ func (m *Manager) CommitMigration(mig sharding.Migration) (uint64, error) {
 				continue // overlap with the staged checkpoint
 			}
 			if rec.Epoch != cur+1 {
-				return 0, fmt.Errorf("fleet: instance %s: suffix epoch %d follows epoch %d (gap)",
+				return 0, errorf(ErrCorruptRecord, "fleet: instance %s: suffix epoch %d follows epoch %d (gap)",
 					mig.ID, rec.Epoch, cur)
 			}
 		case journal.OpCheckpoint, journal.OpMigrate:

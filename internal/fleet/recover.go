@@ -43,10 +43,11 @@ type RecoverStats struct {
 
 // Recover replays a journal into the manager, rebuilding every
 // instance to its exact pre-crash epoch, fault set, and mapping. Each
-// transition record is verified bit-identically against a freshly
-// computed ft.NewMapping before its snapshot is published — a log that
-// decodes but encodes an impossible state (epoch gap, budget overflow,
-// mapping divergence) fails recovery rather than being accepted.
+// transition record is validated and its mapping computed by
+// ft.NewMapping before its snapshot is published — a log that decodes
+// but encodes an impossible state (epoch gap, budget overflow, fault
+// out of range or duplicated) fails recovery rather than being
+// accepted.
 //
 // A torn tail (ErrTorn from the reader) is not an error: it is the
 // expected residue of a crash mid-append. Replay keeps every complete

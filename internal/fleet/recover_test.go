@@ -8,8 +8,10 @@ import (
 	"slices"
 	"testing"
 
+	"ftnet/internal/commit"
 	"ftnet/internal/ft"
 	"ftnet/internal/journal"
+	sharding "ftnet/internal/shard"
 )
 
 // The crash-recovery property: a journaled Manager's on-disk log,
@@ -97,7 +99,7 @@ func driveRandom(t *testing.T, rng *rand.Rand, m *Manager, nOps int) (perRecord 
 				t.Fatalf("create %s: %v", id, err)
 			}
 			nTarget, nHost := TargetHostSizesSpec(spec)
-			s, err := ft.NewSnapshot(nTarget, nHost, spec.K, nil)
+			s, err := ft.NewSnapshot(nTarget, nHost, spec.K)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +133,7 @@ func driveRandom(t *testing.T, rng *rand.Rand, m *Manager, nOps int) (perRecord 
 				events[i] = Event{Kind: kind, Node: node}
 				batch[i] = ft.Change{Node: node, Repair: repair}
 			}
-			wantNext, wantErr := cur.Apply(batch, nil)
+			wantNext, wantErr := cur.Apply(batch)
 			res, err := m.EventBatch(id, events)
 			if wantErr != nil {
 				if err == nil {
@@ -310,7 +312,7 @@ func TestRecoverAfterInjectedCrash(t *testing.T) {
 					case err != nil:
 						t.Fatal(err)
 					}
-					s, _ := ft.NewSnapshot(nTarget, nHost, spec.K, nil)
+					s, _ := ft.NewSnapshot(nTarget, nHost, spec.K)
 					model[id] = s
 					specs[id] = spec
 					acked = snapshotModel(model)
@@ -329,7 +331,7 @@ func TestRecoverAfterInjectedCrash(t *testing.T) {
 					events[i] = Event{Kind: kind, Node: node}
 					batch[i] = ft.Change{Node: node, Repair: repair}
 				}
-				wantNext, wantErr := model[id].Apply(batch, nil)
+				wantNext, wantErr := model[id].Apply(batch)
 				before := mustGet(t, m, id).Snapshot()
 				_, err := m.EventBatch(id, events)
 				switch {
@@ -505,5 +507,107 @@ func TestRecoverRejectsCorruptSemantics(t *testing.T) {
 	}
 	if st.Orphaned != 1 || len(m.List()) != 0 {
 		t.Fatalf("stats %+v, instances %v; want 1 orphaned, none live", st, m.List())
+	}
+}
+
+// TestInstallPathsRejectCorruptRecords is the receiver-side half of
+// "phi is bit-identical to a fresh ft.NewMapping": state from outside
+// the process is installed through ft.Restore — ft.NewMapping plus the
+// budget check, so what it accepts is correct by construction — and
+// what it must refuse is refused on all four install paths with
+// ErrCorruptRecord, the instance left on the snapshot it was serving.
+func TestInstallPathsRejectCorruptRecords(t *testing.T) {
+	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2} // 16 targets, 18 hosts
+	// Every path's setup leaves its instance at (epoch 1, faults {3}).
+	cases := map[string]struct {
+		epoch  uint64
+		faults []int
+	}{
+		"fault out of range": {2, []int{3, 18}},
+		"duplicate fault":    {2, []int{3, 3}},
+		"over budget":        {2, []int{1, 2, 3}},
+		"epoch gap":          {3, []int{3, 5}},
+		"epoch reorder":      {1, []int{5}},
+	}
+	type install func(epoch uint64, faults []int) error
+	paths := map[string]struct {
+		skip  []string // cases the path accepts by design
+		setup func(t *testing.T) (*Instance, install, error)
+	}{
+		"restore": {setup: func(t *testing.T) (*Instance, install, error) {
+			in := newTestInstance(t, spec)
+			return in, in.restore, in.restore(1, []int{3})
+		}},
+		// A checkpoint captures an instance mid-history: any epoch goes.
+		"restoreCheckpoint": {skip: []string{"epoch gap", "epoch reorder"}, setup: func(t *testing.T) (*Instance, install, error) {
+			in := newTestInstance(t, spec)
+			return in, in.restoreCheckpoint, in.restoreCheckpoint(1, []int{3})
+		}},
+		"replicateLocked": {setup: func(t *testing.T) (*Instance, install, error) {
+			m := NewManager(Options{})
+			t.Cleanup(func() { m.Close() })
+			replicate := func(rec journal.Record) error {
+				return m.ReplicateEntry(commit.Entry{Seq: m.NextSeq(), Rec: rec})
+			}
+			if err := replicate(journal.Record{Op: journal.OpCreate, ID: "a", Spec: journalSpec(spec)}); err != nil {
+				t.Fatal(err)
+			}
+			transition := func(epoch uint64, faults []int) error {
+				return replicate(journal.Record{Op: journal.OpTransition, ID: "a", Epoch: epoch, Applied: 1, Faults: faults})
+			}
+			return mustGet(t, m, "a"), transition, transition(1, []int{3})
+		}},
+		// The migrate install: a staged checkpoint, then the fenced
+		// suffix. A suffix record at or below the staged epoch overlaps
+		// the checkpoint and is skipped, not refused.
+		"migrate": {skip: []string{"epoch reorder"}, setup: func(t *testing.T) (*Instance, install, error) {
+			p := newShardPair(t)
+			p.installTopology(t)
+			id := idOwnedBy(t, "b")
+			frame := func(op journal.Op, epoch uint64, faults []int) sharding.Migration {
+				return sharding.Migration{ID: id, BaseSeq: 7, Records: []journal.Record{
+					{Op: op, ID: id, Spec: journalSpec(spec), Epoch: epoch, Applied: 1, Faults: faults}}}
+			}
+			// A forged checkpoint never registers at all.
+			if err := p.b.StageMigration(frame(journal.OpCheckpoint, 1, []int{3, 3})); !errors.Is(err, ErrCorruptRecord) {
+				t.Fatalf("stage of a forged checkpoint: err %v, want ErrCorruptRecord", err)
+			}
+			if _, ok := p.b.Get(id); ok {
+				t.Fatal("a forged checkpoint registered the instance")
+			}
+			err := p.b.StageMigration(frame(journal.OpCheckpoint, 1, []int{3}))
+			return mustGet(t, p.b, id), func(epoch uint64, faults []int) error {
+				_, err := p.b.CommitMigration(frame(journal.OpTransition, epoch, faults))
+				return err
+			}, err
+		}},
+	}
+	for pathName, p := range paths {
+		t.Run(pathName, func(t *testing.T) {
+			in, install, err := p.setup(t)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := in.Snapshot()
+			for name, c := range cases {
+				if slices.Contains(p.skip, name) {
+					continue
+				}
+				if err := install(c.epoch, slices.Clone(c.faults)); !errors.Is(err, ErrCorruptRecord) {
+					t.Errorf("%s: err %v, want ErrCorruptRecord", name, err)
+				}
+				if in.Snapshot() != before {
+					t.Fatalf("%s: instance moved to epoch %d faults %v", name, in.Snapshot().Epoch(), in.Snapshot().Faults())
+				}
+			}
+			// The path still works: the true successor, unsorted as a
+			// foreign sender might ship it, installs as a fresh NewMapping.
+			if err := install(2, []int{9, 3}); err != nil {
+				t.Fatalf("valid successor after the refusals: %v", err)
+			}
+			if got := in.Snapshot(); got.Epoch() != 2 || !slices.Equal(got.Mapping().Faults, []int{3, 9}) {
+				t.Fatalf("after valid install: epoch %d faults %v", got.Epoch(), got.Mapping().Faults)
+			}
+		})
 	}
 }

@@ -176,7 +176,7 @@ func TestCompactMatchesDenseSequences(t *testing.T) {
 	nHost := nTarget + budget
 	rng := rand.New(rand.NewSource(7))
 
-	s, err := NewSnapshot(nTarget, nHost, budget, nil)
+	s, err := NewSnapshot(nTarget, nHost, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestCompactMatchesDenseSequences(t *testing.T) {
 	for s.NumFaults() < budget {
 		for {
 			n := rng.Intn(nHost)
-			next, err := s.Apply([]Change{{Node: n}}, nil)
+			next, err := s.Apply([]Change{{Node: n}})
 			if err != nil {
 				continue // double fault; redraw
 			}
@@ -223,7 +223,7 @@ func TestCompactMatchesDenseSequences(t *testing.T) {
 				Change{Node: fresh},
 				Change{Node: second, Repair: true})
 		}
-		next, err := s.Apply(batch, nil)
+		next, err := s.Apply(batch)
 		if err != nil {
 			t.Fatalf("repair batch %v from faults %v: %v", batch, faults, err)
 		}

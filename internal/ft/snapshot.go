@@ -30,62 +30,43 @@ type Change struct {
 	Repair bool
 }
 
-// Mapper produces the reconfiguration map for a sorted fault set.
-// NewSnapshot and Apply call it exactly once per successful
-// transition; passing nil selects NewMapping. The fleet layer passes
-// its shared cache's Get so that snapshots of equal fault sets share
-// one mapping computation.
-type Mapper func(nTarget, nHost int, sortedFaults []int) (*Mapping, error)
-
 // Snapshot is the immutable state of a fault-tolerant network at one
 // epoch. All methods are safe for unsynchronized concurrent use; the
 // value never changes after construction.
 type Snapshot struct {
-	nTarget int
-	nHost   int
-	budget  int // max faults (k); <= nHost - nTarget
+	budget  int // max faults (k); <= NHost - NTarget
 	epoch   uint64
-	mapping *Mapping
+	mapping Mapping
 }
 
 // NewSnapshot returns the epoch-0, zero-fault snapshot of a network
 // with the given sizes and fault budget.
-func NewSnapshot(nTarget, nHost, budget int, mapper Mapper) (*Snapshot, error) {
-	if mapper == nil {
-		mapper = NewMapping
-	}
-	if budget < 0 || budget > nHost-nTarget {
-		return nil, fmt.Errorf("ft: budget %d outside [0,%d]", budget, nHost-nTarget)
-	}
-	m, err := mapper(nTarget, nHost, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{nTarget: nTarget, nHost: nHost, budget: budget, mapping: m}, nil
+func NewSnapshot(nTarget, nHost, budget int) (*Snapshot, error) {
+	return Restore(nTarget, nHost, budget, 0, nil)
 }
 
 // Restore reconstructs the snapshot of an arbitrary epoch directly
-// from its journaled state: the epoch counter and the sorted fault set
-// a transition record carries. It is the recovery-path dual of Apply —
+// from its journaled state: the epoch counter and the fault set a
+// transition record carries. It is the recovery-path dual of Apply —
 // because the paper's reconfiguration map is a pure function of the
 // fault set, the O(k) record is enough to rebuild the entire snapshot
 // bit-identically, and replaying a journal is one Restore per record
-// rather than one event-by-event re-derivation.
-func Restore(nTarget, nHost, budget int, epoch uint64, faults []int, mapper Mapper) (*Snapshot, error) {
-	if mapper == nil {
-		mapper = NewMapping
-	}
+// rather than one event-by-event re-derivation. The fault set comes
+// from outside the process (journal, checkpoint, replication or
+// migration stream), so it gets NewMapping's full validation: any
+// order accepted; out-of-range, duplicate or over-budget sets rejected.
+func Restore(nTarget, nHost, budget int, epoch uint64, faults []int) (*Snapshot, error) {
 	if budget < 0 || budget > nHost-nTarget {
 		return nil, fmt.Errorf("ft: budget %d outside [0,%d]", budget, nHost-nTarget)
 	}
 	if len(faults) > budget {
 		return nil, fmt.Errorf("%w: restoring %d faults over budget k=%d", ErrBudget, len(faults), budget)
 	}
-	m, err := mapper(nTarget, nHost, faults)
+	m, err := NewMapping(nTarget, nHost, faults)
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{nTarget: nTarget, nHost: nHost, budget: budget, epoch: epoch, mapping: m}, nil
+	return &Snapshot{budget: budget, epoch: epoch, mapping: *m}, nil
 }
 
 // Apply derives the snapshot after a whole batch of changes. The batch
@@ -95,17 +76,24 @@ func Restore(nTarget, nHost, budget int, epoch uint64, faults []int, mapper Mapp
 // rejects the entire batch, returning a nil snapshot and leaving the
 // receiver untouched. On success the epoch advances by exactly one,
 // however many changes the batch carried.
-func (s *Snapshot) Apply(batch []Change, mapper Mapper) (*Snapshot, error) {
-	if mapper == nil {
-		mapper = NewMapping
-	}
+//
+// Validating every change keeps the working fault slice sorted,
+// distinct, in range and within budget, so it already is the next
+// mapping: Apply builds Mapping{NTarget, NHost, Faults} in place, with
+// no second sort or re-check. The slice is allocated once with room
+// for the whole batch and published clipped — journal records, watch
+// entries and Mapping().Faults all alias it, and an append through any
+// of them must reallocate rather than write into shared memory.
+func (s *Snapshot) Apply(batch []Change) (*Snapshot, error) {
 	if len(batch) == 0 {
 		return nil, errors.New("ft: empty change batch")
 	}
-	faults := slices.Clone(s.mapping.Faults)
+	m := s.mapping
+	faults := make([]int, len(m.Faults), len(m.Faults)+len(batch))
+	copy(faults, m.Faults)
 	for _, ch := range batch {
-		if ch.Node < 0 || ch.Node >= s.nHost {
-			return nil, fmt.Errorf("ft: node %d out of range [0,%d)", ch.Node, s.nHost)
+		if ch.Node < 0 || ch.Node >= m.NHost {
+			return nil, fmt.Errorf("ft: node %d out of range [0,%d)", ch.Node, m.NHost)
 		}
 		i := sort.SearchInts(faults, ch.Node)
 		present := i < len(faults) && faults[i] == ch.Node
@@ -125,24 +113,15 @@ func (s *Snapshot) Apply(batch []Change, mapper Mapper) (*Snapshot, error) {
 			faults[i] = ch.Node
 		}
 	}
-	m, err := mapper(s.nTarget, s.nHost, faults)
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{
-		nTarget: s.nTarget,
-		nHost:   s.nHost,
-		budget:  s.budget,
-		epoch:   s.epoch + 1,
-		mapping: m,
-	}, nil
+	m.Faults = slices.Clip(faults)
+	return &Snapshot{budget: s.budget, epoch: s.epoch + 1, mapping: m}, nil
 }
 
 // NTarget returns the number of target nodes.
-func (s *Snapshot) NTarget() int { return s.nTarget }
+func (s *Snapshot) NTarget() int { return s.mapping.NTarget }
 
 // NHost returns the number of host nodes.
-func (s *Snapshot) NHost() int { return s.nHost }
+func (s *Snapshot) NHost() int { return s.mapping.NHost }
 
 // Budget returns the fault budget k the snapshot enforces.
 func (s *Snapshot) Budget() int { return s.budget }
@@ -164,4 +143,4 @@ func (s *Snapshot) Faults() []int { return slices.Clone(s.mapping.Faults) }
 func (s *Snapshot) Phi(x int) int { return s.mapping.Phi(x) }
 
 // Mapping returns the snapshot's reconfiguration map (immutable).
-func (s *Snapshot) Mapping() *Mapping { return s.mapping }
+func (s *Snapshot) Mapping() *Mapping { return &s.mapping }

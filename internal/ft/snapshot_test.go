@@ -2,12 +2,13 @@ package ft
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
 func mustSnapshot(t *testing.T, nTarget, nHost, budget int) *Snapshot {
 	t.Helper()
-	s, err := NewSnapshot(nTarget, nHost, budget, nil)
+	s, err := NewSnapshot(nTarget, nHost, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,17 +25,17 @@ func TestSnapshotZeroFault(t *testing.T) {
 			t.Fatalf("healthy Phi(%d) = %d, want identity", x, s.Phi(x))
 		}
 	}
-	if _, err := NewSnapshot(16, 18, 3, nil); err == nil {
+	if _, err := NewSnapshot(16, 18, 3); err == nil {
 		t.Error("budget above spare count accepted")
 	}
-	if _, err := NewSnapshot(16, 18, -1, nil); err == nil {
+	if _, err := NewSnapshot(16, 18, -1); err == nil {
 		t.Error("negative budget accepted")
 	}
 }
 
 func TestSnapshotApplyBatchMatchesOneShot(t *testing.T) {
 	s := mustSnapshot(t, 16, 20, 4)
-	next, err := s.Apply([]Change{{Node: 3}, {Node: 11}, {Node: 7}}, nil)
+	next, err := s.Apply([]Change{{Node: 3}, {Node: 11}, {Node: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestSnapshotApplyBatchMatchesOneShot(t *testing.T) {
 	}
 
 	// Repair inside a batch, including a node faulted by the same batch.
-	again, err := next.Apply([]Change{{Node: 3, Repair: true}, {Node: 0}, {Node: 0, Repair: true}}, nil)
+	again, err := next.Apply([]Change{{Node: 3, Repair: true}, {Node: 0}, {Node: 0, Repair: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestSnapshotApplyAllOrNothing(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			next, err := s.Apply(c.batch, nil)
+			next, err := s.Apply(c.batch)
 			if err == nil {
 				t.Fatalf("batch %v accepted (snapshot %v)", c.batch, next.Faults())
 			}
@@ -96,30 +97,76 @@ func TestSnapshotApplyAllOrNothing(t *testing.T) {
 	}
 	// Budget rejections are not conflicts of the ErrConflict kind and
 	// vice versa, so callers can count the causes separately.
-	_, err := s.Apply([]Change{{Node: 1}, {Node: 2}, {Node: 3}}, nil)
+	_, err := s.Apply([]Change{{Node: 1}, {Node: 2}, {Node: 3}})
 	if errors.Is(err, ErrConflict) {
 		t.Errorf("budget error %v matches ErrConflict", err)
 	}
 }
 
-func TestSnapshotApplyUsesMapper(t *testing.T) {
-	calls := 0
-	mapper := func(nTarget, nHost int, faults []int) (*Mapping, error) {
-		calls++
-		return NewMapping(nTarget, nHost, faults)
+// TestSnapshotApplyFaultsImmutableUnderAliasing pins the contract that
+// lets journal records, watch entries and Mapping().Faults alias the
+// slice Apply publishes: it is clipped, so an append through any alias
+// reallocates instead of writing where another holder (or a later
+// Apply) can see, and a rejected batch — even one whose valid prefix
+// already spliced the working copy — leaves the receiver as it was.
+func TestSnapshotApplyFaultsImmutableUnderAliasing(t *testing.T) {
+	const nTarget, budget = 32, 6
+	apply := func(s *Snapshot, batch ...Change) *Snapshot {
+		t.Helper()
+		next, err := s.Apply(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return next
 	}
-	s, err := NewSnapshot(16, 18, 2, mapper)
+	old := apply(mustSnapshot(t, nTarget, nTarget+budget, budget), Change{Node: 5}, Change{Node: 20}, Change{Node: 9})
+	// Fault + repair nets zero: a batch smaller than its reservation,
+	// where an unclipped slice would keep spare capacity.
+	cur := apply(old, Change{Node: 30}, Change{Node: 9, Repair: true}, Change{Node: 2}, Change{Node: 30, Repair: true})
+	oldPhi, curPhi := old.Mapping().PhiSlice(), cur.Mapping().PhiSlice()
+
+	record := cur.Mapping().Faults // what the committed journal record carries
+	a, b := append(record, 1), append(cur.Mapping().Faults, 0)
+	_ = append(old.Mapping().Faults, 0, 1, 2)
+	if a[len(record)] != 1 || b[len(record)] != 0 {
+		t.Fatalf("two appends through aliases of one fault slice share memory: %v %v", a, b)
+	}
+	if _, err := cur.Apply([]Change{{Node: 5, Repair: true}, {Node: 0}, {Node: 99}}); err == nil {
+		t.Fatal("out-of-range change accepted")
+	}
+	next := apply(cur, Change{Node: 2, Repair: true}, Change{Node: 0}, Change{Node: 37})
+
+	if !slices.Equal(old.Mapping().Faults, []int{5, 9, 20}) || !slices.Equal(old.Mapping().PhiSlice(), oldPhi) {
+		t.Errorf("older snapshot changed: faults %v", old.Mapping().Faults)
+	}
+	if !slices.Equal(cur.Mapping().Faults, []int{2, 5, 20}) || !slices.Equal(cur.Mapping().PhiSlice(), curPhi) {
+		t.Errorf("receiver changed: faults %v", cur.Mapping().Faults)
+	}
+	fresh, err := NewMapping(nTarget, nTarget+budget, []int{37, 0, 5, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply([]Change{{Node: 4}, {Node: 9}}, mapper); err != nil {
-		t.Fatal(err)
+	if !slices.Equal(next.Mapping().Faults, fresh.Faults) || !slices.Equal(next.Mapping().PhiSlice(), fresh.PhiSlice()) {
+		t.Errorf("after apply: faults %v, fresh NewMapping has %v", next.Mapping().Faults, fresh.Faults)
 	}
-	if calls != 2 {
-		t.Fatalf("mapper called %d times, want 2 (once per transition)", calls)
+}
+
+// TestSnapshotApplyAllocs pins the in-place construction: a transition
+// allocates the fault slice (once, with room for the whole batch) and
+// the snapshot that holds the mapping by value — nothing else, even on
+// a burst that fills the budget from empty.
+func TestSnapshotApplyAllocs(t *testing.T) {
+	const budget = 8
+	empty := mustSnapshot(t, 64, 64+budget, budget)
+	fill := make([]Change, budget)
+	for i := range fill {
+		fill[i] = Change{Node: 7 * i}
 	}
-	// A rejected batch must not call the mapper at all.
-	if _, err := s.Apply([]Change{{Node: 99}}, mapper); err == nil || calls != 2 {
-		t.Fatalf("rejected batch reached the mapper (calls %d, err %v)", calls, err)
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := empty.Apply(fill); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 2 {
+		t.Errorf("full-budget burst: Apply allocates %v times, want 2 (fault slice + snapshot)", allocs)
 	}
 }

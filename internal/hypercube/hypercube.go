@@ -9,6 +9,10 @@
 // tables across machine sizes, and Ascend-class workload costs on each
 // topology (hypercube: h cycles; shuffle-exchange emulation: 2h cycles —
 // the "small constant factor slowdown").
+//
+// Kept because it backs tracked experiment M1
+// (BenchmarkM1_TopologyComparison in the root bench_test.go), its only
+// importer.
 package hypercube
 
 import (

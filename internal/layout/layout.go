@@ -15,6 +15,9 @@
 // buses win by construction) and the maximum single-wire length
 // (capacitance pressure — where buses pay, because a block spans 2k+2
 // consecutive positions but its owner sits near 2i, far away).
+//
+// Kept because it backs tracked experiment T6 (BenchmarkT6_LayoutModel
+// in the root bench_test.go), its only importer.
 package layout
 
 import (

@@ -367,8 +367,8 @@ func TargetHostSizes(spec fleet.Spec) (nTarget, nHost int) {
 // POST for batch 1, an atomic events:batch burst otherwise. Single
 // events are fault or repair 50/50 on a random node. Bursts model
 // correlated failures: a whole "rack" of adjacent nodes (drawn from a
-// small working set, so fault patterns recur and hit the mapping
-// cache) fails together or is repaired together. Rejected operations
+// small working set, so fault patterns recur) fails together or is
+// repaired together. Rejected operations
 // (budget exhausted, repairing a healthy node, a burst with one bad
 // event) are the daemon correctly enforcing the paper's k-fault
 // precondition, not failures.
@@ -425,7 +425,7 @@ func driveLookup(client *http.Client, addr, id string, x int, st *opStats) {
 // makeEvents builds one reconfiguration op's events — the traffic
 // shape shared by both planes: a random single event for batch 1, a
 // whole "rack" of adjacent nodes for bursts, drawn from a small
-// working set so fault patterns recur and hit the mapping cache.
+// working set so fault patterns recur.
 func makeEvents(rng *rand.Rand, nHost, batch int) []fleet.Event {
 	events := make([]fleet.Event, batch)
 	kind := fleet.EventFault

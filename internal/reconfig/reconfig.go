@@ -9,6 +9,10 @@
 //
 // The package simulates that protocol synchronously and proves the
 // outcome identical to the centralized ft.Mapping.
+//
+// Kept because it backs tracked experiment S4
+// (BenchmarkS4_DistributedReconfig in the root bench_test.go) and the
+// facade's DeBruijnNet.DistributedReconfigure, its only importers.
 package reconfig
 
 import (

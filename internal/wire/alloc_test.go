@@ -132,7 +132,7 @@ func TestWireApplyRoundAllocs(t *testing.T) {
 		phase ^= 1
 	}
 	direct()
-	direct() // warm the mapping cache and the commit log's buffers
+	direct() // warm the commit log's buffers
 	base := testing.AllocsPerRun(200, direct)
 
 	// One round of eight frames per run through the server's handle.
