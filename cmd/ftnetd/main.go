@@ -323,8 +323,8 @@ func openJournal(mgr *fleet.Manager, path, fsyncMode string, interval time.Durat
 		logf("ftnetd: journal %s: torn tail dropped at byte %d (%s)", path, st.Offset, st.TornReason)
 	}
 	if st.Records > 0 {
-		logf("ftnetd: recovered %d journal records (%d instances, %d transitions, %d checkpoints, last epoch %d, next seq %d) in %.3fs from %s",
-			st.Records, st.Created+st.Checkpoints-st.Deleted, st.Transitions, st.Checkpoints, st.LastEpoch, st.NextSeq, st.Seconds, path)
+		logf("ftnetd: recovered %d journal records (%d instances, %d transitions, %d snapshots built, %d checkpoints, last epoch %d, next seq %d) in %.3fs from %s",
+			st.Records, st.Created+st.Checkpoints-st.Deleted, st.Transitions, st.Built, st.Checkpoints, st.LastEpoch, st.NextSeq, st.Seconds, path)
 	}
 	jw, err := journal.Create(path, journal.Options{Sync: policy, Interval: interval})
 	if err != nil {

@@ -383,6 +383,12 @@ func TestDaemonJournalCrashRecovery(t *testing.T) {
 	if st.Journal.Recovery == nil || st.Journal.Recovery.Records != 7 || st.Journal.Recovery.Torn {
 		t.Errorf("recovery stats %+v, want 7 clean records", st.Journal.Recovery)
 	}
+	// Replay verified all 3 transitions and built one snapshot for each
+	// instance they left standing — prod's two cost one build.
+	if rec := st.Journal.Recovery; rec != nil && (rec.Transitions != 3 || rec.Built != 2 || rec.Built > st.Instances) {
+		t.Errorf("recovery replayed %d transitions and built %d snapshots for %d instances, want 3, 2 and 2",
+			rec.Transitions, rec.Built, st.Instances)
+	}
 	resp, err := http.Get(ts2.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -618,7 +618,9 @@ func syncDir(path string) {
 // returns the seq the scan reached (the next unseen seq). Sequence
 // numbers are positional — OpSeqBase records reset the counter,
 // checkpoint records carry the seq before the base, every other record
-// consumes one — mirroring how the records were committed. A torn tail
+// consumes one — mirroring how the records were committed. Records
+// outside the range are scanned in place (verified and counted, never
+// copied), so resuming near the tail costs what it emits. A torn tail
 // ends the scan cleanly: under a live writer it is just the flush
 // frontier, and entries past limit are not yet flushed anyway.
 func scanFile(path string, from, limit uint64, emit func(Entry) bool) (uint64, error) {
@@ -628,22 +630,23 @@ func scanFile(path string, from, limit uint64, emit func(Entry) bool) (uint64, e
 	}
 	defer f.Close()
 	jr := journal.NewReader(f)
+	var v journal.View
 	next := uint64(1)
 	for {
-		rec, err := jr.Next()
+		err := jr.Scan(&v)
 		if err == io.EOF || errors.Is(err, journal.ErrTorn) {
 			return next, nil
 		}
 		if err != nil {
 			return next, err
 		}
-		switch rec.Op {
+		switch v.Op {
 		case journal.OpSeqBase:
-			next = rec.Seq
+			next = v.Seq
 		case journal.OpCheckpoint:
 			seq := next - 1
 			if seq >= from && seq <= limit {
-				if !emit(Entry{Seq: seq, Rec: rec}) {
+				if !emit(Entry{Seq: seq, Rec: v.Record()}) {
 					return next, nil
 				}
 			}
@@ -652,7 +655,7 @@ func scanFile(path string, from, limit uint64, emit func(Entry) bool) (uint64, e
 				return next, nil
 			}
 			if next >= from {
-				if !emit(Entry{Seq: next, Rec: rec}) {
+				if !emit(Entry{Seq: next, Rec: v.Record()}) {
 					return next + 1, nil
 				}
 			}

@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
+
+	"ftnet/internal/journal"
 )
 
 // Scale benchmarks for the compact rank-based mapping representation:
@@ -131,5 +134,77 @@ func TestLookupAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Lookup allocates %.1f objects per call on a 2^20 instance, want 0", allocs)
+	}
+}
+
+// replayJournal frames an in-memory journal of exactly `records`
+// records: one create per instance, then transitions dealt round-robin,
+// each carrying the whole fault set after it (1 to 8 faults, the first
+// the largest, so every buffer replay reuses reaches its size at once).
+func replayJournal(tb testing.TB, instances, records int) []byte {
+	tb.Helper()
+	spec := Spec{Kind: KindDeBruijn, M: 2, H: 12, K: scaleK}
+	recs := make([]journal.Record, 0, records)
+	for i := 0; i < instances; i++ {
+		recs = append(recs, journal.Record{Op: journal.OpCreate, ID: fmt.Sprintf("scale-%03d", i), Spec: journalSpec(spec)})
+	}
+	for n := 0; len(recs) < records; n++ {
+		i, epoch := n%instances, n/instances+1
+		faults := make([]int, 8-(epoch-1)%8)
+		for j := range faults {
+			faults[j] = (i*131+epoch*17)%3000 + j*40
+		}
+		recs = append(recs, journal.Record{Op: journal.OpTransition, ID: recs[i].ID,
+			Epoch: uint64(epoch), Applied: 1, Faults: faults})
+	}
+	return encodeJournal(tb, recs...)
+}
+
+// BenchmarkRecoverScale is the restart path: one op replays a whole
+// journal of n records over 256 instances into a fresh manager. Replay
+// verifies every record and builds one snapshot per instance, so
+// allocs/op is flat in n (the CI -check) and ns/record is the figure to
+// read.
+//
+//	go test ./internal/fleet -bench RecoverScale -benchtime 200x -benchmem
+func BenchmarkRecoverScale(b *testing.B) {
+	for _, n := range []int{1024, 16384, 131072} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			raw := replayJournal(b, 256, n)
+			rd := bytes.NewReader(raw)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := NewManager(Options{})
+				rd.Reset(raw)
+				b.StartTimer()
+				if st, err := m.Recover(rd); err != nil || st.Records != n {
+					b.Fatalf("recovered %d of %d records: %v", st.Records, n, err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/record")
+		})
+	}
+}
+
+// TestRecoverAllocsPerRecord is the guard on the fold: replaying 20,000
+// transitions over 16 instances allocates per instance, not per record
+// (the eager replay it replaced cost 7 objects a record).
+func TestRecoverAllocsPerRecord(t *testing.T) {
+	const instances, transitions = 16, 20000
+	raw := replayJournal(t, instances, instances+transitions)
+	rd := bytes.NewReader(raw)
+	allocs := testing.AllocsPerRun(5, func() {
+		rd.Reset(raw)
+		st, err := NewManager(Options{}).Recover(rd)
+		if err != nil || st.Transitions != transitions || st.Built != instances {
+			t.Fatalf("recover: %+v, %v", st, err)
+		}
+	})
+	if perRecord := allocs / transitions; perRecord >= 0.05 {
+		t.Fatalf("replay allocates %.3f objects per transition record (%.0f in all), want < 0.05", perRecord, allocs)
+	} else {
+		t.Logf("%.4f allocations per transition record (%.0f per replay)", perRecord, allocs)
 	}
 }

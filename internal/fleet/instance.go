@@ -285,32 +285,13 @@ func (in *Instance) restoredSnapshot(epoch uint64, faults []int) (*ft.Snapshot, 
 	return next, nil
 }
 
-// restore installs the journaled state of one transition record during
-// recovery: the epoch must be exactly the successor of the current one
-// (accepted transitions advance it by one, so a gap means a corrupt or
-// reordered log), and the fault set is validated via restoredSnapshot
-// before the snapshot is published. Recovery-path only — it does not
-// re-commit the record.
-func (in *Instance) restore(epoch uint64, faults []int) error {
-	in.writeMu.Lock()
-	defer in.writeMu.Unlock()
-	cur := in.snap.Load()
-	if epoch != cur.Epoch()+1 {
-		return errorf(ErrCorruptRecord, "fleet: instance %s: journal epoch %d follows epoch %d (gap or reorder)",
-			in.id, epoch, cur.Epoch())
-	}
-	next, err := in.restoredSnapshot(epoch, faults)
-	if err != nil {
-		return err
-	}
-	in.snap.Store(next)
-	return nil
-}
-
-// restoreCheckpoint installs a checkpoint record's state: unlike
-// restore it accepts any epoch (a checkpoint captures an instance
-// mid-history, after the preceding records were compacted away), with
-// the same fault-set validation.
+// restoreCheckpoint installs a complete journaled state — a checkpoint
+// or migrate record's, or the last of an instance's transition records
+// when Recover's walk ends. It accepts any epoch (a checkpoint captures
+// an instance mid-history, after the preceding records were compacted
+// away; Recover chains transition epochs itself, record by record),
+// with restoredSnapshot's fault-set validation. Recovery-path only — it
+// does not re-commit the record.
 func (in *Instance) restoreCheckpoint(epoch uint64, faults []int) error {
 	in.writeMu.Lock()
 	defer in.writeMu.Unlock()

@@ -294,6 +294,12 @@ func journalSpec(spec Spec) journal.Spec {
 	return journal.Spec{Kind: string(spec.Kind), M: spec.M, H: spec.H, K: spec.K}
 }
 
+// fleetSpec is journalSpec's inverse. The kind is not checked here:
+// newInstance validates the spec.
+func fleetSpec(spec journal.Spec) Spec {
+	return Spec{Kind: Kind(spec.Kind), M: spec.M, H: spec.H, K: spec.K}
+}
+
 // Get returns the instance with the given id.
 func (m *Manager) Get(id string) (*Instance, bool) {
 	s := m.shardFor(id)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"time"
 
+	"ftnet/internal/ft"
 	"ftnet/internal/journal"
 )
 
@@ -29,6 +30,7 @@ type RecoverStats struct {
 	Checkpoints int     `json:"checkpoints"` // compaction checkpoints restored
 	Migrated    int     `json:"migrated"`    // migration arrivals restored
 	Orphaned    int     `json:"orphaned"`    // transitions for deleted instances, skipped
+	Built       int     `json:"built"`       // snapshots constructed: one per instance with transitions, one per checkpoint/migrate record
 	LastEpoch   uint64  `json:"last_epoch"`  // highest epoch restored
 	BaseSeq     uint64  `json:"base_seq"`    // commit seq of the file's first ordinary record
 	NextSeq     uint64  `json:"next_seq"`    // commit seq the next transition will carry
@@ -42,12 +44,19 @@ type RecoverStats struct {
 }
 
 // Recover replays a journal into the manager, rebuilding every
-// instance to its exact pre-crash epoch, fault set, and mapping. Each
-// transition record is validated and its mapping computed by
-// ft.NewMapping before its snapshot is published — a log that decodes
-// but encodes an impossible state (epoch gap, budget overflow, fault
-// out of range or duplicated) fails recovery rather than being
-// accepted.
+// instance to its exact pre-crash epoch, fault set, and mapping. A
+// record carries the whole fault set after its transition, so replay is
+// a fold: every record is verified where it stands — CRC and canonical
+// decode by the reader, then the epoch chain (exactly the successor of
+// the instance's last replayed epoch) and ft.CheckRestore (budget,
+// range, order) — but only the last one per instance is built, by one
+// ft.Restore when the walk ends. A log that decodes but encodes an
+// impossible state (epoch gap, budget overflow, fault out of range)
+// fails recovery at that record rather than being accepted, and the
+// manager is then left in exactly the state of the valid prefix before
+// it, for post-mortem: the build step runs on every return. Creates,
+// deletes, checkpoints and migrate arrivals are applied as they are
+// read.
 //
 // A torn tail (ErrTorn from the reader) is not an error: it is the
 // expected residue of a crash mid-append. Replay keeps every complete
@@ -56,124 +65,20 @@ type RecoverStats struct {
 //
 // Recover never journals its own replayed operations; it is meant to
 // run on boot, before traffic — and before SetJournal attaches the
-// append writer to the recovered file.
+// append writer to the recovered file. Nothing may read the manager
+// while it runs: between a transition record and the end of the walk an
+// instance still serves the snapshot it had before.
 func (m *Manager) Recover(r io.Reader) (RecoverStats, error) {
 	start := time.Now()
-	st := RecoverStats{BaseSeq: 1, NextSeq: 1}
+	rp := replay{m: m, slots: make(map[string]*replaySlot), st: RecoverStats{BaseSeq: 1, NextSeq: 1}}
 	jr := journal.NewReader(r)
-	deleted := make(map[string]bool)
-	for {
-		rec, err := jr.Next()
-		if err == io.EOF {
-			break
-		}
-		if errors.Is(err, journal.ErrTorn) {
-			st.Torn = true
-			st.TornReason = err.Error()
-			break
-		}
-		if err != nil {
-			return st, fmt.Errorf("fleet: recover: %w", err)
-		}
-		st.Records++
-		switch rec.Op {
-		case journal.OpSeqBase:
-			// Metadata, not a transition: a compacted file leads with the
-			// commit seq of its first post-checkpoint record — and the
-			// leadership term in force at the cut — so both survive the
-			// checkpoint-and-truncate swap.
-			st.BaseSeq = rec.Seq
-			st.NextSeq = rec.Seq
-			if rec.Term < st.Term {
-				return st, fmt.Errorf("fleet: recover record %d: seq base term %d below term %d in force",
-					st.Records, rec.Term, st.Term)
-			}
-			st.Term = rec.Term
-			st.TermSeq = 0
-		case journal.OpCheckpoint:
-			// One instance's complete state at the compaction cut; does
-			// not consume a commit seq (it summarizes the dropped prefix).
-			spec := Spec{Kind: Kind(rec.Spec.Kind), M: rec.Spec.M, H: rec.Spec.H, K: rec.Spec.K}
-			m.deleteRaw(rec.ID) // the checkpoint is authoritative
-			in, err := m.createRaw(rec.ID, spec)
-			if err != nil {
-				return st, fmt.Errorf("fleet: recover record %d: %w", st.Records, err)
-			}
-			if err := in.restoreCheckpoint(rec.Epoch, rec.Faults); err != nil {
-				return st, fmt.Errorf("fleet: recover record %d: %w", st.Records, err)
-			}
-			delete(deleted, rec.ID)
-			st.Checkpoints++
-			if rec.Epoch > st.LastEpoch {
-				st.LastEpoch = rec.Epoch
-			}
-		case journal.OpMigrate:
-			// An instance that arrived via checkpoint-streamed migration:
-			// same complete-state shape as a checkpoint, but it consumes a
-			// commit seq — it is an ordinary entry this daemon's followers
-			// replicated, not a summary of a dropped prefix.
-			spec := Spec{Kind: Kind(rec.Spec.Kind), M: rec.Spec.M, H: rec.Spec.H, K: rec.Spec.K}
-			m.deleteRaw(rec.ID) // the arrival record is authoritative
-			in, err := m.createRaw(rec.ID, spec)
-			if err != nil {
-				return st, fmt.Errorf("fleet: recover record %d: %w", st.Records, err)
-			}
-			if err := in.restoreCheckpoint(rec.Epoch, rec.Faults); err != nil {
-				return st, fmt.Errorf("fleet: recover record %d: %w", st.Records, err)
-			}
-			delete(deleted, rec.ID)
-			st.Migrated++
-			st.NextSeq++
-			if rec.Epoch > st.LastEpoch {
-				st.LastEpoch = rec.Epoch
-			}
-		case journal.OpCreate:
-			spec := Spec{Kind: Kind(rec.Spec.Kind), M: rec.Spec.M, H: rec.Spec.H, K: rec.Spec.K}
-			if _, err := m.createRaw(rec.ID, spec); err != nil {
-				return st, fmt.Errorf("fleet: recover record %d: %w", st.Records, err)
-			}
-			delete(deleted, rec.ID) // ids may be reused after a delete
-			st.Created++
-			st.NextSeq++
-		case journal.OpDelete:
-			m.deleteRaw(rec.ID)
-			deleted[rec.ID] = true
-			st.Deleted++
-			st.NextSeq++
-		case journal.OpTermBump:
-			// The leadership fence consumes a commit seq like any ordinary
-			// record, and the chain must be strictly increasing — a log
-			// where the term goes backwards is a deposed leader's suffix
-			// that should have been discarded, so replay refuses it.
-			if rec.Term <= st.Term {
-				return st, fmt.Errorf("fleet: recover record %d: term bump to %d but term %d already in force",
-					st.Records, rec.Term, st.Term)
-			}
-			st.Term = rec.Term
-			st.TermSeq = st.NextSeq
-			st.NextSeq++
-			st.TermBumps++
-		case journal.OpTransition:
-			st.NextSeq++
-			in, ok := m.Get(rec.ID)
-			if !ok {
-				if deleted[rec.ID] {
-					st.Orphaned++
-					continue
-				}
-				return st, fmt.Errorf("fleet: recover record %d: transition for unknown instance %q",
-					st.Records, rec.ID)
-			}
-			if err := in.restore(rec.Epoch, rec.Faults); err != nil {
-				return st, fmt.Errorf("fleet: recover record %d: %w", st.Records, err)
-			}
-			st.Transitions++
-			if rec.Epoch > st.LastEpoch {
-				st.LastEpoch = rec.Epoch
-			}
-		default:
-			return st, fmt.Errorf("fleet: recover record %d: unknown op %v", st.Records, rec.Op)
-		}
+	err := rp.walk(jr)
+	if berr := rp.build(); err == nil {
+		err = berr
+	}
+	st := rp.st
+	if err != nil {
+		return st, err
 	}
 	st.Offset = jr.Offset()
 	st.Seconds = time.Since(start).Seconds()
@@ -184,6 +89,212 @@ func (m *Manager) Recover(r io.Reader) (RecoverStats, error) {
 	m.pipe.log.SetTerm(st.Term, st.TermSeq)
 	m.recovered.Store(&st)
 	return st, nil
+}
+
+// replay is the state of one Recover: the stats so far and, per
+// instance id the log has named, its replay slot.
+type replay struct {
+	m     *Manager
+	st    RecoverStats
+	slots map[string]*replaySlot
+}
+
+// replaySlot is one instance's place in the fold. in is the live
+// instance, or nil once a delete record has removed the id (a later
+// transition for it is an orphan); epoch is the last epoch replayed
+// for it, published or staged; faults, when staged is set, is the
+// fault set of that epoch, verified and waiting for build. The buffer
+// is reused from record to record, so staging a transition allocates
+// nothing.
+type replaySlot struct {
+	in     *Instance
+	epoch  uint64
+	faults []int
+	staged bool
+}
+
+// replace points id's slot at a new incarnation of the instance (nil
+// for none), dropping whatever was staged for the old one.
+func (rp *replay) replace(id string, in *Instance, epoch uint64) *replaySlot {
+	s := rp.slots[id]
+	if s == nil {
+		s = new(replaySlot)
+		rp.slots[id] = s
+	}
+	s.in, s.epoch, s.staged = in, epoch, false
+	return s
+}
+
+// slot returns the slot of the instance a transition record names. An
+// instance the manager held before Recover began gets its slot on first
+// sight.
+func (rp *replay) slot(id []byte) *replaySlot {
+	if s := rp.slots[string(id)]; s != nil {
+		return s
+	}
+	in, ok := rp.m.GetBytes(id)
+	if !ok {
+		return nil
+	}
+	return rp.replace(in.id, in, in.snap.Load().Epoch())
+}
+
+// build constructs and publishes the snapshot of every instance with a
+// staged transition. The fault sets passed ft.CheckRestore when they
+// were staged, so ft.Restore accepts them.
+func (rp *replay) build() error {
+	for _, s := range rp.slots {
+		if !s.staged {
+			continue
+		}
+		if err := s.in.restoreCheckpoint(s.epoch, s.faults); err != nil {
+			return fmt.Errorf("fleet: recover: %w", err)
+		}
+		s.staged = false
+		rp.st.Built++
+	}
+	return nil
+}
+
+// complete applies a checkpoint or migrate-arrival record: the
+// instance's complete state, authoritative over anything replayed for
+// the id so far.
+func (rp *replay) complete(v *journal.View) error {
+	id := string(v.ID)
+	rp.m.deleteRaw(id)
+	rp.replace(id, nil, 0)
+	in, err := rp.m.createRaw(id, fleetSpec(v.Spec))
+	if err != nil {
+		return err
+	}
+	if err := in.restoreCheckpoint(v.Epoch, v.Faults); err != nil {
+		return err
+	}
+	rp.replace(id, in, v.Epoch)
+	rp.st.Built++
+	if v.Epoch > rp.st.LastEpoch {
+		rp.st.LastEpoch = v.Epoch
+	}
+	return nil
+}
+
+// transition verifies one transition record against its instance's
+// slot and stages its fault set there.
+func (rp *replay) transition(v *journal.View) error {
+	s := rp.slot(v.ID)
+	if s == nil {
+		return fmt.Errorf("transition for unknown instance %q", v.ID)
+	}
+	in := s.in
+	if in == nil {
+		rp.st.Orphaned++
+		return nil
+	}
+	// Accepted transitions advance the epoch by one, so anything else is
+	// a corrupt or reordered log.
+	if v.Epoch != s.epoch+1 {
+		return errorf(ErrCorruptRecord, "fleet: instance %s: journal epoch %d follows epoch %d (gap or reorder)",
+			in.id, v.Epoch, s.epoch)
+	}
+	if err := ft.CheckRestore(in.nTarget, in.nHost, in.spec.K, v.Faults); err != nil {
+		return errorf(ErrCorruptRecord, "fleet: instance %s: restore epoch %d: %v", in.id, v.Epoch, err)
+	}
+	s.faults = append(s.faults[:0], v.Faults...)
+	s.epoch, s.staged = v.Epoch, true
+	rp.st.Transitions++
+	if v.Epoch > rp.st.LastEpoch {
+		rp.st.LastEpoch = v.Epoch
+	}
+	return nil
+}
+
+// walk reads the journal to its end, a torn tail, or the first record
+// it must refuse.
+func (rp *replay) walk(jr *journal.Reader) error {
+	st := &rp.st
+	var v journal.View
+	for {
+		err := jr.Scan(&v)
+		if err == io.EOF {
+			return nil
+		}
+		if errors.Is(err, journal.ErrTorn) {
+			st.Torn = true
+			st.TornReason = err.Error()
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("fleet: recover: %w", err)
+		}
+		st.Records++
+		switch v.Op {
+		case journal.OpSeqBase:
+			// Metadata, not a transition: a compacted file leads with the
+			// commit seq of its first post-checkpoint record — and the
+			// leadership term in force at the cut — so both survive the
+			// checkpoint-and-truncate swap.
+			st.BaseSeq = v.Seq
+			st.NextSeq = v.Seq
+			if v.Term < st.Term {
+				err = fmt.Errorf("seq base term %d below term %d in force", v.Term, st.Term)
+				break
+			}
+			st.Term = v.Term
+			st.TermSeq = 0
+		case journal.OpCheckpoint:
+			// One instance's complete state at the compaction cut; does
+			// not consume a commit seq (it summarizes the dropped prefix).
+			if err = rp.complete(&v); err != nil {
+				break
+			}
+			st.Checkpoints++
+		case journal.OpMigrate:
+			// An instance that arrived via checkpoint-streamed migration:
+			// same complete-state shape as a checkpoint, but it consumes a
+			// commit seq — it is an ordinary entry this daemon's followers
+			// replicated, not a summary of a dropped prefix.
+			if err = rp.complete(&v); err != nil {
+				break
+			}
+			st.Migrated++
+			st.NextSeq++
+		case journal.OpCreate:
+			var in *Instance
+			if in, err = rp.m.createRaw(string(v.ID), fleetSpec(v.Spec)); err != nil {
+				break
+			}
+			rp.replace(in.id, in, 0) // ids may be reused after a delete
+			st.Created++
+			st.NextSeq++
+		case journal.OpDelete:
+			id := string(v.ID)
+			rp.m.deleteRaw(id)
+			rp.replace(id, nil, 0)
+			st.Deleted++
+			st.NextSeq++
+		case journal.OpTermBump:
+			// The leadership fence consumes a commit seq like any ordinary
+			// record, and the chain must be strictly increasing — a log
+			// where the term goes backwards is a deposed leader's suffix
+			// that should have been discarded, so replay refuses it.
+			if v.Term <= st.Term {
+				err = fmt.Errorf("term bump to %d but term %d already in force", v.Term, st.Term)
+				break
+			}
+			st.Term = v.Term
+			st.TermSeq = st.NextSeq
+			st.NextSeq++
+			st.TermBumps++
+		case journal.OpTransition:
+			st.NextSeq++
+			err = rp.transition(&v)
+		default:
+			err = fmt.Errorf("unknown op %v", v.Op)
+		}
+		if err != nil {
+			return fmt.Errorf("fleet: recover record %d: %w", st.Records, err)
+		}
+	}
 }
 
 // RecoverFile replays the journal at path (a missing file is an empty

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"ftnet/internal/commit"
@@ -427,6 +431,22 @@ func TestDeleteTombstonesInFlightWriter(t *testing.T) {
 	}
 }
 
+// encodeJournal frames recs as a journal file's bytes.
+func encodeJournal(t testing.TB, recs ...journal.Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := journal.NewWriter(&buf, journal.Options{})
+	for _, rec := range recs {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func mustGet(t *testing.T, m *Manager, id string) *Instance {
 	t.Helper()
 	in, ok := m.Get(id)
@@ -438,48 +458,56 @@ func mustGet(t *testing.T, m *Manager, id string) *Instance {
 
 // TestRecoverRejectsCorruptSemantics pins that recovery fails loudly —
 // rather than accepting impossible state — on logs that frame cleanly
-// but encode epoch gaps, unknown instances, or over-budget fault sets.
+// but encode epoch gaps, unknown instances, or over-budget fault sets,
+// and that it fails at the offending record: the mid-log rows follow
+// the bad record with records that are valid for the same instance
+// (successors of the last good epoch, and of the bad one had it been
+// accepted), and replay — which builds only an instance's last staged
+// state — must still stop there, on the state of the prefix before it.
 func TestRecoverRejectsCorruptSemantics(t *testing.T) {
 	spec := journal.Spec{Kind: "debruijn", M: 2, H: 4, K: 2}
-	cases := map[string][]journal.Record{
-		"epoch gap": {
-			{Op: journal.OpCreate, ID: "a", Spec: spec},
-			{Op: journal.OpTransition, ID: "a", Epoch: 2, Applied: 1, Faults: []int{1}},
-		},
-		"epoch replay": {
-			{Op: journal.OpCreate, ID: "a", Spec: spec},
-			{Op: journal.OpTransition, ID: "a", Epoch: 1, Applied: 1, Faults: []int{1}},
-			{Op: journal.OpTransition, ID: "a", Epoch: 1, Applied: 1, Faults: []int{2}},
-		},
-		"unknown instance": {
-			{Op: journal.OpTransition, ID: "ghost", Epoch: 1, Applied: 1, Faults: []int{1}},
-		},
-		"over budget": {
-			{Op: journal.OpCreate, ID: "a", Spec: spec},
-			{Op: journal.OpTransition, ID: "a", Epoch: 1, Applied: 3, Faults: []int{1, 2, 3}},
-		},
-		"fault out of range": {
-			{Op: journal.OpCreate, ID: "a", Spec: spec},
-			{Op: journal.OpTransition, ID: "a", Epoch: 1, Applied: 1, Faults: []int{999}},
-		},
-		"duplicate create": {
-			{Op: journal.OpCreate, ID: "a", Spec: spec},
-			{Op: journal.OpCreate, ID: "a", Spec: spec},
-		},
+	create := journal.Record{Op: journal.OpCreate, ID: "a", Spec: spec}
+	tr := func(epoch uint64, faults ...int) journal.Record {
+		return journal.Record{Op: journal.OpTransition, ID: "a", Epoch: epoch, Applied: 1, Faults: faults}
 	}
-	for name, recs := range cases {
+	cases := map[string]struct {
+		recs     []journal.Record
+		failAt   int   // the 1-based record replay must refuse
+		category error // what the refusal must wrap; nil for any error
+		epoch    uint64
+		faults   []int // where "a" must sit afterwards
+	}{
+		"epoch gap":          {recs: []journal.Record{create, tr(2, 1)}, failAt: 2, category: ErrCorruptRecord},
+		"epoch replay":       {recs: []journal.Record{create, tr(1, 1), tr(1, 2)}, failAt: 3, category: ErrCorruptRecord, epoch: 1, faults: []int{1}},
+		"unknown instance":   {recs: []journal.Record{{Op: journal.OpTransition, ID: "ghost", Epoch: 1, Applied: 1, Faults: []int{1}}}, failAt: 1},
+		"over budget":        {recs: []journal.Record{create, {Op: journal.OpTransition, ID: "a", Epoch: 1, Applied: 3, Faults: []int{1, 2, 3}}}, failAt: 2, category: ErrCorruptRecord},
+		"fault out of range": {recs: []journal.Record{create, tr(1, 999)}, failAt: 2, category: ErrCorruptRecord},
+		"duplicate create":   {recs: []journal.Record{create, create}, failAt: 2, category: ErrConflict},
+
+		"over budget mid-log": {recs: []journal.Record{create, tr(1, 1), tr(2, 1, 2, 3), tr(2, 1, 2), tr(3, 2)},
+			failAt: 3, category: ErrCorruptRecord, epoch: 1, faults: []int{1}},
+		"fault out of range mid-log": {recs: []journal.Record{create, tr(1, 1), tr(2, 1, 999), tr(2, 1, 2), tr(3, 2)},
+			failAt: 3, category: ErrCorruptRecord, epoch: 1, faults: []int{1}},
+		"epoch gap mid-log": {recs: []journal.Record{create, tr(1, 1), tr(3, 1, 2), tr(2, 1, 2), tr(4, 2)},
+			failAt: 3, category: ErrCorruptRecord, epoch: 1, faults: []int{1}},
+		"epoch replay mid-log": {recs: []journal.Record{create, tr(1, 1), tr(2, 1, 2), tr(2, 2), tr(3, 2)},
+			failAt: 4, category: ErrCorruptRecord, epoch: 2, faults: []int{1, 2}},
+	}
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			w := journal.NewWriter(&buf, journal.Options{})
-			for _, rec := range recs {
-				if err := w.Append(rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			w.Close()
 			m := NewManager(Options{})
-			if _, err := m.Recover(bytes.NewReader(buf.Bytes())); err == nil {
+			st, err := m.Recover(bytes.NewReader(encodeJournal(t, c.recs...)))
+			if err == nil {
 				t.Fatalf("recovery accepted a %s log", name)
+			}
+			if c.category != nil && !errors.Is(err, c.category) {
+				t.Errorf("err %v, want it to wrap %v", err, c.category)
+			}
+			if st.Records != c.failAt || !strings.Contains(err.Error(), fmt.Sprintf("recover record %d:", c.failAt)) {
+				t.Errorf("failed at record %d (%v), want record %d", st.Records, err, c.failAt)
+			}
+			if in, ok := m.Get("a"); ok {
+				checkRecovered(t, m, map[string]expectedState{"a": {epoch: c.epoch, faults: c.faults}}, map[string]Spec{"a": in.Spec()})
 			}
 		})
 	}
@@ -487,26 +515,13 @@ func TestRecoverRejectsCorruptSemantics(t *testing.T) {
 	// The one tolerated out-of-order shape: a transition that trails its
 	// instance's delete (in-flight writer vs delete race) is skipped,
 	// not fatal.
-	var buf bytes.Buffer
-	w := journal.NewWriter(&buf, journal.Options{})
-	for _, rec := range []journal.Record{
-		{Op: journal.OpCreate, ID: "a", Spec: spec},
-		{Op: journal.OpTransition, ID: "a", Epoch: 1, Applied: 1, Faults: []int{1}},
-		{Op: journal.OpDelete, ID: "a"},
-		{Op: journal.OpTransition, ID: "a", Epoch: 2, Applied: 1, Faults: []int{1, 2}},
-	} {
-		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Close()
 	m := NewManager(Options{})
-	st, err := m.Recover(bytes.NewReader(buf.Bytes()))
+	st, err := m.Recover(bytes.NewReader(encodeJournal(t, create, tr(1, 1), journal.Record{Op: journal.OpDelete, ID: "a"}, tr(2, 1, 2))))
 	if err != nil {
 		t.Fatalf("orphaned transition should be skipped, got %v", err)
 	}
-	if st.Orphaned != 1 || len(m.List()) != 0 {
-		t.Fatalf("stats %+v, instances %v; want 1 orphaned, none live", st, m.List())
+	if st.Orphaned != 1 || st.Built != 0 || len(m.List()) != 0 {
+		t.Fatalf("stats %+v, instances %v; want 1 orphaned, nothing built, none live", st, m.List())
 	}
 }
 
@@ -534,9 +549,26 @@ func TestInstallPathsRejectCorruptRecords(t *testing.T) {
 		skip  []string // cases the path accepts by design
 		setup func(t *testing.T) (*Instance, install, error)
 	}{
-		"restore": {setup: func(t *testing.T) (*Instance, install, error) {
-			in := newTestInstance(t, spec)
-			return in, in.restore, in.restore(1, []int{3})
+		// Recover's fold, one journal per install into a manager that
+		// keeps its instance: the setup's two records create it and take
+		// it to epoch 1, every later journal is the one transition. A
+		// journal holds canonical fault sets only, so the successor is
+		// written sorted, and a duplicate cannot reach Recover as a record
+		// at all (the encoder refuses it, the decoder tears the log there).
+		"restore": {skip: []string{"duplicate fault"}, setup: func(t *testing.T) (*Instance, install, error) {
+			m := NewManager(Options{})
+			replay := func(recs ...journal.Record) error {
+				_, err := m.Recover(bytes.NewReader(encodeJournal(t, recs...)))
+				return err
+			}
+			transition := func(epoch uint64, faults []int) error {
+				slices.Sort(faults)
+				return replay(journal.Record{Op: journal.OpTransition, ID: "a", Epoch: epoch, Applied: 1, Faults: faults})
+			}
+			err := replay(
+				journal.Record{Op: journal.OpCreate, ID: "a", Spec: journalSpec(spec)},
+				journal.Record{Op: journal.OpTransition, ID: "a", Epoch: 1, Applied: 1, Faults: []int{3}})
+			return mustGet(t, m, "a"), transition, err
 		}},
 		// A checkpoint captures an instance mid-history: any epoch goes.
 		"restoreCheckpoint": {skip: []string{"epoch gap", "epoch reorder"}, setup: func(t *testing.T) (*Instance, install, error) {
@@ -610,4 +642,439 @@ func TestInstallPathsRejectCorruptRecords(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRecoverStagedStateLifecycle pins what becomes of a transition
+// replay has verified but not yet built when a later record replaces
+// its instance: the staged state goes with the old incarnation.
+func TestRecoverStagedStateLifecycle(t *testing.T) {
+	db := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 3}
+	se := Spec{Kind: KindShuffle, H: 4, K: 2}
+	create := func(spec Spec) journal.Record {
+		return journal.Record{Op: journal.OpCreate, ID: "a", Spec: journalSpec(spec)}
+	}
+	tr := func(epoch uint64, faults ...int) journal.Record {
+		return journal.Record{Op: journal.OpTransition, ID: "a", Epoch: epoch, Applied: 1, Faults: faults}
+	}
+	complete := func(op journal.Op, spec Spec, epoch uint64, faults ...int) journal.Record {
+		return journal.Record{Op: op, ID: "a", Spec: journalSpec(spec), Epoch: epoch, Faults: faults}
+	}
+	del := journal.Record{Op: journal.OpDelete, ID: "a"}
+	cases := map[string]struct {
+		recs   []journal.Record
+		spec   Spec
+		epoch  uint64
+		faults []int
+		built  int
+	}{
+		// The new incarnation starts over at epoch 1; the old one's two
+		// transitions are counted and never built.
+		"delete and re-create": {recs: []journal.Record{create(db), tr(1, 4), tr(2, 4, 9), del, create(se), tr(1, 7)},
+			spec: se, epoch: 1, faults: []int{7}, built: 1},
+		"re-created and untouched": {recs: []journal.Record{create(db), tr(1, 4), del, create(se)},
+			spec: se, epoch: 0, built: 0},
+		// A complete-state record is authoritative over whatever was
+		// staged, at any epoch, and the chain continues from it.
+		"checkpoint over staged":      {recs: []journal.Record{create(db), tr(1, 4), complete(journal.OpCheckpoint, se, 40, 2, 5)}, spec: se, epoch: 40, faults: []int{2, 5}, built: 1},
+		"checkpoint, then transition": {recs: []journal.Record{create(db), tr(1, 4), complete(journal.OpCheckpoint, db, 40, 2, 5), tr(41, 5)}, spec: db, epoch: 41, faults: []int{5}, built: 2},
+		"migrate over staged":         {recs: []journal.Record{create(db), tr(1, 4), complete(journal.OpMigrate, se, 0)}, spec: se, epoch: 0, built: 1},
+		"migrate, then transition":    {recs: []journal.Record{create(db), tr(1, 4), complete(journal.OpMigrate, db, 9, 1), tr(10, 1, 2)}, spec: db, epoch: 10, faults: []int{1, 2}, built: 2},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			m := NewManager(Options{})
+			st, err := m.Recover(bytes.NewReader(encodeJournal(t, c.recs...)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Built != c.built {
+				t.Errorf("built %d snapshots, want %d (stats %+v)", st.Built, c.built, st)
+			}
+			checkRecovered(t, m, map[string]expectedState{"a": {epoch: c.epoch, faults: c.faults}}, map[string]Spec{"a": c.spec})
+		})
+	}
+	// The chain restarts with the incarnation: epoch 3 would have
+	// followed the deleted instance's epoch 2, and is a gap for the new.
+	m := NewManager(Options{})
+	if _, err := m.Recover(bytes.NewReader(encodeJournal(t, create(db), tr(1, 4), tr(2, 4, 9), del, create(db), tr(3, 9)))); !errors.Is(err, ErrCorruptRecord) {
+		t.Fatalf("a re-created instance continued its predecessor's epoch chain: err %v", err)
+	}
+}
+
+// eagerRecover is the replay this package had before Recover became a
+// fold, kept as its reference: every transition record costs one
+// ft.Restore and publishes one snapshot, so the manager is up to date
+// after each record and an error simply stops the loop. Recover must be
+// indistinguishable from it by anything but speed. Built, which an
+// eager replay has no use for, is derived at the end from what the fold
+// promises: one build per complete-state record, one per instance that
+// is still registered and had a transition replayed.
+func eagerRecover(m *Manager, r io.Reader) (st RecoverStats, err error) {
+	st = RecoverStats{BaseSeq: 1, NextSeq: 1}
+	jr := journal.NewReader(r)
+	deleted := make(map[string]bool)
+	touched := make(map[*Instance]bool)
+	defer func() {
+		for in := range touched {
+			if cur, ok := m.Get(in.id); ok && cur == in {
+				st.Built++
+			}
+		}
+	}()
+	restore := func(in *Instance, epoch uint64, faults []int) error {
+		cur := in.snap.Load()
+		if epoch != cur.Epoch()+1 {
+			return errorf(ErrCorruptRecord, "fleet: instance %s: journal epoch %d follows epoch %d (gap or reorder)",
+				in.id, epoch, cur.Epoch())
+		}
+		next, err := in.restoredSnapshot(epoch, faults)
+		if err != nil {
+			return err
+		}
+		in.snap.Store(next)
+		return nil
+	}
+	complete := func(rec journal.Record) error {
+		m.deleteRaw(rec.ID)
+		in, err := m.createRaw(rec.ID, fleetSpec(rec.Spec))
+		if err != nil {
+			return err
+		}
+		if err := in.restoreCheckpoint(rec.Epoch, rec.Faults); err != nil {
+			return err
+		}
+		delete(deleted, rec.ID)
+		st.Built++
+		if rec.Epoch > st.LastEpoch {
+			st.LastEpoch = rec.Epoch
+		}
+		return nil
+	}
+	fail := func(err error) (RecoverStats, error) {
+		return st, fmt.Errorf("fleet: recover record %d: %w", st.Records, err)
+	}
+	for {
+		rec, err := jr.Next()
+		if err == io.EOF {
+			break
+		}
+		if errors.Is(err, journal.ErrTorn) {
+			st.Torn = true
+			st.TornReason = err.Error()
+			break
+		}
+		if err != nil {
+			return st, fmt.Errorf("fleet: recover: %w", err)
+		}
+		st.Records++
+		switch rec.Op {
+		case journal.OpSeqBase:
+			st.BaseSeq = rec.Seq
+			st.NextSeq = rec.Seq
+			if rec.Term < st.Term {
+				return fail(fmt.Errorf("seq base term %d below term %d in force", rec.Term, st.Term))
+			}
+			st.Term = rec.Term
+			st.TermSeq = 0
+		case journal.OpCheckpoint:
+			if err := complete(rec); err != nil {
+				return fail(err)
+			}
+			st.Checkpoints++
+		case journal.OpMigrate:
+			if err := complete(rec); err != nil {
+				return fail(err)
+			}
+			st.Migrated++
+			st.NextSeq++
+		case journal.OpCreate:
+			if _, err := m.createRaw(rec.ID, fleetSpec(rec.Spec)); err != nil {
+				return fail(err)
+			}
+			delete(deleted, rec.ID)
+			st.Created++
+			st.NextSeq++
+		case journal.OpDelete:
+			m.deleteRaw(rec.ID)
+			deleted[rec.ID] = true
+			st.Deleted++
+			st.NextSeq++
+		case journal.OpTermBump:
+			if rec.Term <= st.Term {
+				return fail(fmt.Errorf("term bump to %d but term %d already in force", rec.Term, st.Term))
+			}
+			st.Term = rec.Term
+			st.TermSeq = st.NextSeq
+			st.NextSeq++
+			st.TermBumps++
+		case journal.OpTransition:
+			st.NextSeq++
+			in, ok := m.Get(rec.ID)
+			if !ok {
+				if deleted[rec.ID] {
+					st.Orphaned++
+					continue
+				}
+				return fail(fmt.Errorf("transition for unknown instance %q", rec.ID))
+			}
+			if err := restore(in, rec.Epoch, rec.Faults); err != nil {
+				return fail(err)
+			}
+			touched[in] = true
+			st.Transitions++
+			if rec.Epoch > st.LastEpoch {
+				st.LastEpoch = rec.Epoch
+			}
+		default:
+			return fail(fmt.Errorf("unknown op %v", rec.Op))
+		}
+	}
+	st.Offset = jr.Offset()
+	return st, nil
+}
+
+// randomJournal frames nRecs records of every kind against a model of
+// the fleet, so that most are valid where they stand: creates (of new
+// and of deleted ids), deletes, transitions, checkpoints and migrate
+// arrivals over live and unknown ids, term bumps, seq bases, orphaned
+// transitions. About one record in eighty is one replay must refuse —
+// and the records after it go on as if nothing had happened, so a
+// refusal is always followed by records valid for the same instances.
+func randomJournal(t *testing.T, rng *rand.Rand, nRecs int) []byte {
+	t.Helper()
+	specPool := []Spec{
+		{Kind: KindDeBruijn, M: 2, H: 4, K: 3},
+		{Kind: KindDeBruijn, M: 3, H: 3, K: 2},
+		{Kind: KindShuffle, H: 4, K: 2},
+	}
+	type inst struct {
+		spec  Spec
+		epoch uint64
+	}
+	live := map[string]*inst{}
+	var ids, dead []string // every id created so far; ids deleted and not re-created
+	term := uint64(0)
+	pick := func(from []string) string { return from[rng.Intn(len(from))] }
+	liveIDs := func() []string {
+		var out []string
+		for _, id := range ids {
+			if live[id] != nil {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+	faultSet := func(spec Spec, n int) []int {
+		_, nHost := TargetHostSizesSpec(spec)
+		set := rng.Perm(nHost)[:n]
+		slices.Sort(set)
+		return set
+	}
+	transition := func(id string, in *inst, epoch uint64) journal.Record {
+		return journal.Record{Op: journal.OpTransition, ID: id, Epoch: epoch, Applied: 1 + rng.Intn(3),
+			Faults: faultSet(in.spec, rng.Intn(in.spec.K+1))}
+	}
+	var recs []journal.Record
+	for len(recs) < nRecs {
+		alive := liveIDs()
+		switch r := rng.Float64(); {
+		case r < 0.10 || len(alive) == 0: // create: a new id, or a deleted one again
+			id := fmt.Sprintf("i%d", len(ids))
+			if len(dead) > 0 && rng.Intn(2) == 0 {
+				i := rng.Intn(len(dead))
+				id = dead[i]
+				dead = slices.Delete(dead, i, i+1)
+			} else {
+				ids = append(ids, id)
+			}
+			live[id] = &inst{spec: specPool[rng.Intn(len(specPool))]}
+			recs = append(recs, journal.Record{Op: journal.OpCreate, ID: id, Spec: journalSpec(live[id].spec)})
+		case r < 0.16: // delete
+			id := pick(alive)
+			delete(live, id)
+			dead = append(dead, id)
+			recs = append(recs, journal.Record{Op: journal.OpDelete, ID: id})
+		case r < 0.22 && len(dead) > 0: // a transition that trails its instance's delete
+			recs = append(recs, transition(pick(dead), &inst{spec: specPool[0]}, 1+uint64(rng.Intn(5))))
+		case r < 0.30: // checkpoint or migrate arrival, over a live id or out of nowhere
+			id := fmt.Sprintf("i%d", len(ids))
+			if rng.Intn(4) > 0 {
+				id = pick(alive)
+			} else {
+				ids = append(ids, id)
+			}
+			op := journal.OpCheckpoint
+			if rng.Intn(2) == 0 {
+				op = journal.OpMigrate
+			}
+			live[id] = &inst{spec: specPool[rng.Intn(len(specPool))], epoch: uint64(rng.Intn(1000))}
+			recs = append(recs, journal.Record{Op: op, ID: id, Spec: journalSpec(live[id].spec), Epoch: live[id].epoch,
+				Faults: faultSet(live[id].spec, rng.Intn(live[id].spec.K+1))})
+		case r < 0.34:
+			term += 1 + uint64(rng.Intn(2))
+			recs = append(recs, journal.Record{Op: journal.OpTermBump, ID: journal.SeqBaseID, Term: term})
+		case r < 0.36:
+			term += uint64(rng.Intn(2))
+			recs = append(recs, journal.Record{Op: journal.OpSeqBase, ID: journal.SeqBaseID, Seq: 1 + uint64(rng.Intn(5000)), Term: term})
+		case r < 0.372: // a record replay must refuse; the model does not move
+			id := pick(alive)
+			in := live[id]
+			_, nHost := TargetHostSizesSpec(in.spec)
+			bad := transition(id, in, in.epoch+1)
+			switch rng.Intn(9) {
+			case 0:
+				bad.Epoch = in.epoch + 2 + uint64(rng.Intn(3)) // gap
+			case 1:
+				bad.Epoch = in.epoch - min(in.epoch, uint64(rng.Intn(3))) // replayed epoch
+				if bad.Epoch == 0 {
+					continue // not encodable: epoch 0 is creation
+				}
+			case 2:
+				bad.Faults = faultSet(in.spec, in.spec.K+1) // over budget
+			case 3:
+				bad.Faults = append(bad.Faults[:min(len(bad.Faults), in.spec.K-1)], nHost+rng.Intn(3)) // out of range
+			case 4:
+				bad.ID = "never-created"
+			case 5:
+				bad = journal.Record{Op: journal.OpCreate, ID: id, Spec: journalSpec(in.spec)} // duplicate create
+			case 6:
+				if term == 0 {
+					continue
+				}
+				bad = journal.Record{Op: journal.OpTermBump, ID: journal.SeqBaseID, Term: 1 + uint64(rng.Intn(int(term)))}
+			case 7:
+				bad = journal.Record{Op: journal.OpCheckpoint, ID: id, Spec: journal.Spec{Kind: "torus", M: 2, H: 4, K: 1}}
+			case 8: // a complete-state record whose fault set is over budget
+				bad = journal.Record{Op: journal.OpMigrate, ID: id, Spec: journalSpec(in.spec), Epoch: 5, Faults: faultSet(in.spec, in.spec.K+1)}
+			}
+			recs = append(recs, bad)
+		default:
+			id := pick(alive)
+			live[id].epoch++
+			recs = append(recs, transition(id, live[id], live[id].epoch))
+		}
+	}
+	return encodeJournal(t, recs...)
+}
+
+// TestRecoverMatchesEagerOracle is the proof that deferring the build
+// weakened no check: over random journals — whole, and torn at every
+// byte offset — Recover and the eager reference agree on the error to
+// the letter (so on the failing record and its category), on every
+// stats field, and on every instance's spec, epoch, fault set and phi
+// over all targets — after a refusal too, where both must hold exactly
+// the valid prefix.
+func TestRecoverMatchesEagerOracle(t *testing.T) {
+	refused, clean := 0, 0
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		raw := randomJournal(t, rng, 40+rng.Intn(40))
+		for cut := len(raw); cut >= 0; cut-- {
+			want, got := NewManager(Options{}), NewManager(Options{})
+			wantSt, wantErr := eagerRecover(want, bytes.NewReader(raw[:cut]))
+			gotSt, gotErr := got.Recover(bytes.NewReader(raw[:cut]))
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || errors.Is(gotErr, ErrCorruptRecord) != errors.Is(wantErr, ErrCorruptRecord) {
+				t.Fatalf("seed %d, %d of %d bytes: Recover says %v, the eager replay %v", seed, cut, len(raw), gotErr, wantErr)
+			}
+			gotSt.Seconds = 0
+			if gotSt != wantSt {
+				t.Fatalf("seed %d, %d of %d bytes:\n stats %+v\noracle %+v", seed, cut, len(raw), gotSt, wantSt)
+			}
+			state, specs := map[string]expectedState{}, map[string]Spec{}
+			for _, id := range want.List() {
+				in := mustGet(t, want, id)
+				state[id], specs[id] = expectedState{epoch: in.Snapshot().Epoch(), faults: in.Snapshot().Faults()}, in.Spec()
+				other, ok := got.Get(id)
+				if !ok {
+					t.Fatalf("seed %d, %d bytes: Recover lost %s", seed, cut, id)
+				}
+				if !slices.Equal(other.PhiSlice(), in.PhiSlice()) {
+					t.Fatalf("seed %d, %d bytes: %s: phi differs from the eager replay's", seed, cut, id)
+				}
+			}
+			checkRecovered(t, got, state, specs)
+			if cut == len(raw) {
+				if gotErr != nil {
+					refused++
+				} else {
+					clean++
+				}
+			}
+		}
+	}
+	t.Logf("%d refused, %d clean", refused, clean)
+	if refused < 3 || clean < 3 {
+		t.Fatalf("%d journals refused and %d replayed clean; the sweep must see both", refused, clean)
+	}
+}
+
+// parentFormatRecords is the log testdata/parent_format.wal holds,
+// framed by the journal writer of the commit before the in-place scan:
+// every record kind, a reused id, a checkpoint and a migrate arrival
+// over live instances, an orphaned transition, multi-byte varints.
+func parentFormatRecords() []journal.Record {
+	db := journal.Spec{Kind: "debruijn", M: 2, H: 4, K: 3}
+	se := journal.Spec{Kind: "shuffle", H: 4, K: 2}
+	big := journal.Spec{Kind: "debruijn", M: 2, H: 12, K: 16}
+	tr := func(id string, epoch uint64, applied int, faults ...int) journal.Record {
+		return journal.Record{Op: journal.OpTransition, ID: id, Epoch: epoch, Applied: applied, Faults: faults}
+	}
+	return []journal.Record{
+		{Op: journal.OpSeqBase, ID: journal.SeqBaseID, Seq: 300, Term: 2},
+		{Op: journal.OpCheckpoint, ID: "alpha", Spec: db, Epoch: 130, Faults: []int{2, 17}},
+		{Op: journal.OpCheckpoint, ID: "fresh", Spec: se, Epoch: 0},
+		tr("alpha", 131, 1, 2, 9, 17),
+		{Op: journal.OpCreate, ID: "beta", Spec: se},
+		tr("beta", 1, 2, 0, 5),
+		tr("alpha", 132, 2, 9),
+		{Op: journal.OpTermBump, ID: journal.SeqBaseID, Term: 3},
+		{Op: journal.OpCreate, ID: "wide", Spec: big},
+		tr("wide", 1, 4, 0, 127, 128, 4099),
+		tr("wide", 2, 1, 0, 127, 128, 300, 4099),
+		{Op: journal.OpDelete, ID: "beta"},
+		tr("beta", 2, 1, 5),
+		{Op: journal.OpCreate, ID: "beta", Spec: db},
+		tr("beta", 1, 1, 18),
+		{Op: journal.OpMigrate, ID: "fresh", Spec: db, Epoch: 70000, Faults: []int{1, 2, 3}},
+		tr("fresh", 70001, 1, 1, 3),
+		tr("wide", 3, 2, 127, 300, 4099),
+		tr("alpha", 133, 1),
+	}
+}
+
+// TestRecoverParentFormatLog pins that the in-place scan changed how
+// the journal is read and nothing about what it is: a log framed by the
+// previous commit's writer replays here to the stats and state that
+// commit recovered from it, and today's writer frames the same records
+// to the same bytes — so either side reads the other's files.
+func TestRecoverParentFormatLog(t *testing.T) {
+	golden, err := os.ReadFile("testdata/parent_format.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := parentFormatRecords()
+	if got := encodeJournal(t, recs...); !bytes.Equal(got, golden) {
+		t.Fatalf("the writer frames the records as %d bytes that differ from the %d-byte parent-format log", len(got), len(golden))
+	}
+	if got, off, err := journal.ReadAll(bytes.NewReader(golden)); err != nil || off != int64(len(golden)) || !reflect.DeepEqual(got, recs) {
+		t.Fatalf("read %d records to offset %d of %d (%v); want all %d", len(got), off, len(golden), err, len(recs))
+	}
+	m := NewManager(Options{})
+	st, err := m.Recover(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Seconds = 0
+	want := RecoverStats{Records: 19, Created: 3, Deleted: 1, Transitions: 9, Checkpoints: 2, Migrated: 1, Orphaned: 1,
+		Built: 3 + 4, LastEpoch: 70001, BaseSeq: 300, NextSeq: 316, Term: 3, TermSeq: 304, TermBumps: 1, Offset: 440}
+	if st != want {
+		t.Fatalf("stats %+v\n want %+v", st, want)
+	}
+	db := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 3}
+	checkRecovered(t, m, map[string]expectedState{
+		"alpha": {epoch: 133},
+		"beta":  {epoch: 1, faults: []int{18}},
+		"fresh": {epoch: 70001, faults: []int{1, 3}},
+		"wide":  {epoch: 3, faults: []int{127, 300, 4099}},
+	}, map[string]Spec{"alpha": db, "beta": db, "fresh": db, "wide": {Kind: KindDeBruijn, M: 2, H: 12, K: 16}})
 }

@@ -56,17 +56,55 @@ func NewSnapshot(nTarget, nHost, budget int) (*Snapshot, error) {
 // migration stream), so it gets NewMapping's full validation: any
 // order accepted; out-of-range, duplicate or over-budget sets rejected.
 func Restore(nTarget, nHost, budget int, epoch uint64, faults []int) (*Snapshot, error) {
-	if budget < 0 || budget > nHost-nTarget {
-		return nil, fmt.Errorf("ft: budget %d outside [0,%d]", budget, nHost-nTarget)
-	}
-	if len(faults) > budget {
-		return nil, fmt.Errorf("%w: restoring %d faults over budget k=%d", ErrBudget, len(faults), budget)
+	if err := checkBudget(nTarget, nHost, budget, len(faults)); err != nil {
+		return nil, err
 	}
 	m, err := NewMapping(nTarget, nHost, faults)
 	if err != nil {
 		return nil, err
 	}
 	return &Snapshot{budget: budget, epoch: epoch, mapping: *m}, nil
+}
+
+// checkBudget is the budget half of Restore's validation: the budget
+// within the spares, the fault count within the budget.
+func checkBudget(nTarget, nHost, budget, numFaults int) error {
+	if budget < 0 || budget > nHost-nTarget {
+		return fmt.Errorf("ft: budget %d outside [0,%d]", budget, nHost-nTarget)
+	}
+	if numFaults > budget {
+		return fmt.Errorf("%w: restoring %d faults over budget k=%d", ErrBudget, numFaults, budget)
+	}
+	return nil
+}
+
+// CheckRestore reports what Restore would say about a fault set that is
+// already strictly ascending, and builds nothing: nil exactly when
+// Restore accepts it, an error of the same category (ErrBudget or plain
+// invalid input) when Restore refuses it. It is how a journal replay
+// verifies every record yet constructs only each instance's last
+// snapshot. Restore sorts before it checks, so a set out of order is
+// outside this function's domain, and it refuses one outright — a
+// descending or equal pair never passes as something Restore would have
+// sorted and accepted.
+func CheckRestore(nTarget, nHost, budget int, sortedFaults []int) error {
+	if err := checkBudget(nTarget, nHost, budget, len(sortedFaults)); err != nil {
+		return err
+	}
+	if nTarget < 0 {
+		return fmt.Errorf("ft: invalid sizes nTarget=%d nHost=%d", nTarget, nHost)
+	}
+	prev := -1
+	for _, v := range sortedFaults {
+		if v < 0 || v >= nHost {
+			return fmt.Errorf("ft: fault %d out of range [0,%d)", v, nHost)
+		}
+		if v <= prev {
+			return fmt.Errorf("ft: fault %d not above its predecessor %d (set must be strictly ascending)", v, prev)
+		}
+		prev = v
+	}
+	return nil
 }
 
 // Apply derives the snapshot after a whole batch of changes. The batch

@@ -2,6 +2,7 @@ package ft
 
 import (
 	"errors"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -168,5 +169,55 @@ func TestSnapshotApplyAllocs(t *testing.T) {
 		}
 	}); allocs != 2 {
 		t.Errorf("full-budget burst: Apply allocates %v times, want 2 (fault slice + snapshot)", allocs)
+	}
+}
+
+// TestCheckRestoreMatchesRestore pins CheckRestore to Restore over
+// random strictly ascending fault sets — valid ones, sets over the
+// budget, faults out of range, budgets beyond the spares: both accept
+// or both refuse, with the same error category. A set that is not
+// strictly ascending is refused outright, so nothing Restore would have
+// sorted first can pass the check; and the check allocates nothing.
+func TestCheckRestoreMatchesRestore(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	accepted, refused := 0, 0
+	for trial := 0; trial < 20000; trial++ {
+		nTarget := rng.Intn(64)
+		nHost := nTarget + rng.Intn(10)
+		budget := rng.Intn(12) - 1 // -1 .. 10: below zero, within and beyond the spares
+		faults := make([]int, rng.Intn(12))
+		v := rng.Intn(6) - 2 // may start below 0 and run past nHost
+		for i := range faults {
+			faults[i] = v
+			v += 1 + rng.Intn(nHost/4+2)
+		}
+		_, want := Restore(nTarget, nHost, budget, 1, faults)
+		got := CheckRestore(nTarget, nHost, budget, faults)
+		if (got == nil) != (want == nil) || errors.Is(got, ErrBudget) != errors.Is(want, ErrBudget) {
+			t.Fatalf("nTarget %d nHost %d budget %d faults %v: CheckRestore says %v, Restore says %v",
+				nTarget, nHost, budget, faults, got, want)
+		}
+		if got == nil {
+			accepted++
+		} else {
+			refused++
+		}
+	}
+	if accepted < 1000 || refused < 1000 {
+		t.Fatalf("the sweep accepted %d and refused %d sets; it must exercise both", accepted, refused)
+	}
+
+	for _, faults := range [][]int{{3, 3}, {5, 3}, {1, 4, 4}, {1, 4, 2}} {
+		if err := CheckRestore(16, 20, 4, faults); err == nil {
+			t.Errorf("CheckRestore accepted %v, which is not strictly ascending", faults)
+		}
+	}
+	sorted := []int{1, 4, 9, 17}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := CheckRestore(16, 20, 4, sorted); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("CheckRestore allocated %.0f objects, want 0", allocs)
 	}
 }

@@ -15,7 +15,11 @@ import (
 //  2. Anything DecodeRecord accepts re-encodes to the EXACT input
 //     bytes (the canonical-encoding property: accepted language ==
 //     encoder image), and decodes again to an equal record.
-//  3. The frame reader never panics and never surfaces a record from
+//  3. The in-place decode into a used view — stale fields, a fault
+//     slice with capacity left over — accepts and rejects exactly what
+//     DecodeRecord does and yields the same record: nothing of the
+//     previous record leaks into the next.
+//  4. The frame reader never panics and never surfaces a record from
 //     a frame whose CRC does not verify.
 //
 // Seeds are real encoded records, so the fuzzer starts from the
@@ -44,8 +48,28 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{recordVersion, byte(OpTransition), 1, 'x', 0x80, 0x00}) // non-minimal uvarint
 
+	// What invariant 3 decodes over: every field set, faults to spare.
+	stale, err := AppendRecord(nil, Record{Op: OpCheckpoint, ID: "stale", Spec: Spec{Kind: "debruijn", M: 2, H: 9, K: 8},
+		Epoch: 77, Faults: []int{2, 3, 5, 7, 11, 13, 17, 19}})
+	if err != nil {
+		f.Fatal(err)
+	}
+
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec, err := DecodeRecord(b)
+		var v View
+		if serr := v.decode(stale); serr != nil {
+			t.Fatal(serr)
+		}
+		if verr := v.decode(b); (verr == nil) != (err == nil) {
+			t.Fatalf("in-place decode says %v, DecodeRecord says %v", verr, err)
+		} else if verr == nil {
+			got := v.Record()
+			enc, eerr := AppendRecord(nil, got)
+			if !reflect.DeepEqual(got, rec) || eerr != nil || !bytes.Equal(enc, b) {
+				t.Fatalf("in-place decode over a used view = %+v (re-encodes to %x, %v); DecodeRecord = %+v from %x", got, enc, eerr, rec, b)
+			}
+		}
 		if err == nil {
 			enc, err := AppendRecord(nil, rec)
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Op is the kind of state transition a record describes.
@@ -222,6 +223,43 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// View is one decoded record whose variable-length fields are not
+// owned: ID aliases the payload it was decoded from and Faults is a
+// slice the view reuses from one decode to the next. It is what
+// Reader.Scan fills in place, so a scan that only counts, checks or
+// folds records allocates nothing per record; Record makes the owning
+// copy for anything that outlives the next decode. The fields mean what
+// Record's fields mean.
+type View struct {
+	Op      Op
+	ID      []byte // aliases the decoded payload
+	Spec    Spec
+	Epoch   uint64
+	Applied int
+	Faults  []int // reused by the next decode; empty, not nil, for no faults
+	Seq     uint64
+	Term    uint64
+}
+
+// Record returns an owning copy of the view: the id as a string and the
+// fault set cloned (nil when empty), safe to keep after the view is
+// decoded into again.
+func (v *View) Record() Record {
+	rec := Record{
+		Op:      v.Op,
+		ID:      string(v.ID),
+		Spec:    v.Spec,
+		Epoch:   v.Epoch,
+		Applied: v.Applied,
+		Seq:     v.Seq,
+		Term:    v.Term,
+	}
+	if len(v.Faults) > 0 {
+		rec.Faults = slices.Clone(v.Faults)
+	}
+	return rec
+}
+
 // decoder is a strict cursor over a record payload. Every read is
 // bounds-checked and every uvarint must be minimally encoded, so the
 // accepted language is exactly the canonical encodings — the property
@@ -260,10 +298,11 @@ func (d *decoder) intVal() (int, error) {
 // spec reads the four-field topology spec (kind, m, h, k).
 func (d *decoder) spec() (Spec, error) {
 	var spec Spec
-	var err error
-	if spec.Kind, err = d.str(); err != nil {
+	kind, err := d.str()
+	if err != nil {
 		return Spec{}, err
 	}
+	spec.Kind = string(kind)
 	if spec.M, err = d.intVal(); err != nil {
 		return Spec{}, err
 	}
@@ -276,8 +315,9 @@ func (d *decoder) spec() (Spec, error) {
 	return spec, nil
 }
 
-// faults reads a delta-coded strictly-ascending fault set.
-func (d *decoder) faults() ([]int, error) {
+// faults reads a delta-coded strictly-ascending fault set into dst's
+// backing array, growing it only when the set does not fit.
+func (d *decoder) faults(dst []int) ([]int, error) {
 	k, err := d.intVal()
 	if err != nil {
 		return nil, err
@@ -287,10 +327,7 @@ func (d *decoder) faults() ([]int, error) {
 	if k > len(d.b)-d.off {
 		return nil, fmt.Errorf("journal: fault count %d exceeds %d remaining bytes", k, len(d.b)-d.off)
 	}
-	if k == 0 {
-		return nil, nil
-	}
-	faults := make([]int, k)
+	faults := slices.Grow(dst[:0], k)[:k]
 	prev := 0
 	for i := range faults {
 		v, err := d.intVal()
@@ -313,15 +350,16 @@ func (d *decoder) faults() ([]int, error) {
 	return faults, nil
 }
 
-func (d *decoder) str() (string, error) {
+// str reads a length-prefixed string as a sub-slice of the payload.
+func (d *decoder) str() ([]byte, error) {
 	n, err := d.intVal()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > len(d.b)-d.off {
-		return "", fmt.Errorf("journal: string length %d exceeds %d remaining bytes", n, len(d.b)-d.off)
+		return nil, fmt.Errorf("journal: string length %d exceeds %d remaining bytes", n, len(d.b)-d.off)
 	}
-	s := string(d.b[d.off : d.off+n])
+	s := d.b[d.off : d.off+n]
 	d.off += n
 	return s, nil
 }
@@ -332,76 +370,87 @@ func (d *decoder) str() (string, error) {
 // non-minimal uvarint, non-ascending fault set, trailing bytes — is an
 // error.
 func DecodeRecord(b []byte) (Record, error) {
-	d := &decoder{b: b}
-	if len(b) < 2 {
-		return Record{}, fmt.Errorf("journal: payload of %d bytes is shorter than the version+op header", len(b))
-	}
-	if b[0] != recordVersion {
-		return Record{}, fmt.Errorf("journal: unknown record version %d", b[0])
-	}
-	rec := Record{Op: Op(b[1])}
-	d.off = 2
-	var err error
-	if rec.ID, err = d.str(); err != nil {
+	var v View
+	if err := v.decode(b); err != nil {
 		return Record{}, err
 	}
-	if rec.ID == "" {
-		return Record{}, fmt.Errorf("journal: empty instance id")
+	return v.Record(), nil
+}
+
+// decode is the one record decoder: it parses the canonical payload b
+// into v in place — v.ID a sub-slice of b, the faults written into
+// v.Faults' backing array — and allocates only for a spec's kind string
+// or a fault set larger than any v has held. On error v is unspecified.
+func (v *View) decode(b []byte) error {
+	if len(b) < 2 {
+		return fmt.Errorf("journal: payload of %d bytes is shorter than the version+op header", len(b))
 	}
-	switch rec.Op {
+	if b[0] != recordVersion {
+		return fmt.Errorf("journal: unknown record version %d", b[0])
+	}
+	*v = View{Op: Op(b[1]), Faults: v.Faults[:0]}
+	d := decoder{b: b, off: 2}
+	var err error
+	if v.ID, err = d.str(); err != nil {
+		return err
+	}
+	if len(v.ID) == 0 {
+		return fmt.Errorf("journal: empty instance id")
+	}
+	switch v.Op {
 	case OpCreate:
-		if rec.Spec, err = d.spec(); err != nil {
-			return Record{}, err
+		if v.Spec, err = d.spec(); err != nil {
+			return err
 		}
 	case OpDelete:
 	case OpTransition:
-		if rec.Epoch, err = d.uvarint(); err != nil {
-			return Record{}, err
+		if v.Epoch, err = d.uvarint(); err != nil {
+			return err
 		}
-		if rec.Epoch == 0 {
-			return Record{}, fmt.Errorf("journal: transition epoch 0")
+		if v.Epoch == 0 {
+			return fmt.Errorf("journal: transition epoch 0")
 		}
-		if rec.Applied, err = d.intVal(); err != nil {
-			return Record{}, err
+		if v.Applied, err = d.intVal(); err != nil {
+			return err
 		}
-		if rec.Applied < 1 {
-			return Record{}, fmt.Errorf("journal: transition applied %d < 1", rec.Applied)
+		if v.Applied < 1 {
+			return fmt.Errorf("journal: transition applied %d < 1", v.Applied)
 		}
-		if rec.Faults, err = d.faults(); err != nil {
-			return Record{}, err
+		if v.Faults, err = d.faults(v.Faults); err != nil {
+			return err
 		}
 	case OpSeqBase:
-		if rec.Seq, err = d.uvarint(); err != nil {
-			return Record{}, err
+		if v.Seq, err = d.uvarint(); err != nil {
+			return err
 		}
-		if rec.Seq == 0 {
-			return Record{}, fmt.Errorf("journal: seq base 0")
+		if v.Seq == 0 {
+			return fmt.Errorf("journal: seq base 0")
 		}
-		if rec.Term, err = d.uvarint(); err != nil {
-			return Record{}, err
+		if v.Term, err = d.uvarint(); err != nil {
+			return err
 		}
 	case OpCheckpoint, OpMigrate:
-		if rec.Spec, err = d.spec(); err != nil {
-			return Record{}, err
+		if v.Spec, err = d.spec(); err != nil {
+			return err
 		}
-		if rec.Epoch, err = d.uvarint(); err != nil {
-			return Record{}, err
+		if v.Epoch, err = d.uvarint(); err != nil {
+			return err
 		}
-		if rec.Faults, err = d.faults(); err != nil {
-			return Record{}, err
+		if v.Faults, err = d.faults(v.Faults); err != nil {
+			return err
 		}
 	case OpTermBump:
-		if rec.Term, err = d.uvarint(); err != nil {
-			return Record{}, err
+		if v.Term, err = d.uvarint(); err != nil {
+			return err
 		}
-		if rec.Term == 0 {
-			return Record{}, fmt.Errorf("journal: term bump to 0")
+		if v.Term == 0 {
+			return fmt.Errorf("journal: term bump to 0")
 		}
 	default:
-		return Record{}, fmt.Errorf("journal: unknown op %d", b[1])
+		return fmt.Errorf("journal: unknown op %d", b[1])
 	}
 	if d.off != len(b) {
-		return Record{}, fmt.Errorf("journal: %d trailing bytes after record", len(b)-d.off)
+		return fmt.Errorf("journal: %d trailing bytes after record", len(b)-d.off)
 	}
-	return rec, nil
+	return nil
 }

@@ -38,7 +38,7 @@ func TestTornTailTruncation(t *testing.T) {
 		t.Fatalf("offsets end at %d, raw is %d bytes", end, len(raw))
 	}
 	for cut := lastStart; cut <= end; cut++ {
-		got, off, err := ReadAll(bytes.NewReader(raw[:cut]))
+		got, off, err := readBoth(t, raw[:cut])
 		wantRecs := recs[:len(recs)-1]
 		wantOff := lastStart
 		switch cut {
@@ -78,7 +78,7 @@ func TestTornTailBitFlips(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			mut := bytes.Clone(raw)
 			mut[pos] ^= 1 << bit
-			got, off, err := ReadAll(bytes.NewReader(mut))
+			got, off, err := readBoth(t, mut)
 			if err == nil || !errors.Is(err, ErrTorn) {
 				t.Fatalf("flip bit %d at byte %d: err = %v, want ErrTorn", bit, pos, err)
 			}
@@ -106,7 +106,7 @@ func TestMidLogBitFlips(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			mut := bytes.Clone(raw)
 			mut[pos] ^= 1 << bit
-			got, _, err := ReadAll(bytes.NewReader(mut))
+			got, _, err := readBoth(t, mut)
 			if !errors.Is(err, ErrTorn) {
 				t.Fatalf("flip bit %d at byte %d: err = %v, want ErrTorn", bit, pos, err)
 			}
@@ -127,12 +127,33 @@ func TestTornGarbage(t *testing.T) {
 	short := []byte{0x40, 0, 0, 0, 0, 0, 0, 0}         // plausible length, body missing
 	zero := []byte{0, 0, 0, 0, 0, 0, 0, 0}             // zero-length record
 	for _, b := range [][]byte{{1}, {1, 2, 3}, huge, short, zero, bytes.Repeat([]byte{0xAA}, 100)} {
-		got, off, err := ReadAll(bytes.NewReader(b))
+		got, off, err := readBoth(t, b)
 		if len(got) != 0 || off != 0 || !errors.Is(err, ErrTorn) {
 			t.Errorf("garbage %x: got %d records, off %d, err %v", b[:min(8, len(b))], len(got), off, err)
 		}
 	}
-	if got, off, err := ReadAll(bytes.NewReader(nil)); len(got) != 0 || off != 0 || err != nil {
+	if got, off, err := readBoth(t, nil); len(got) != 0 || off != 0 || err != nil {
 		t.Errorf("empty log: %d records, off %d, err %v", len(got), off, err)
+	}
+}
+
+// TestTornSpilledRecord tears a final record too large for the reader's
+// buffer: cut anywhere, it is dropped as a torn tail and the prefix
+// before it stands.
+func TestTornSpilledRecord(t *testing.T) {
+	recs := sampleRecords()
+	raw := encodeLog(t, append(recs, spillCheckpoint(t)))
+	offs := frameOffsets(t, raw)
+	lastStart, end := offs[len(offs)-2], int64(len(raw))
+	for _, cut := range []int64{lastStart + 3, lastStart + frameHeaderSize, lastStart + frameHeaderSize + 1, (lastStart + end) / 2, end - 1} {
+		got, off, err := readBoth(t, raw[:cut])
+		if !errors.Is(err, ErrTorn) || off != lastStart || !reflect.DeepEqual(got, recs) {
+			t.Fatalf("cut %d: %d records to offset %d, err %v; want %d records to %d and ErrTorn", cut, len(got), off, err, len(recs), lastStart)
+		}
+	}
+	mut := bytes.Clone(raw)
+	mut[end-2] ^= 0x10
+	if got, off, err := readBoth(t, mut); !errors.Is(err, ErrTorn) || off != lastStart || len(got) != len(recs) {
+		t.Fatalf("bit flip in the spilled body: %d records to offset %d, err %v", len(got), off, err)
 	}
 }
