@@ -1,33 +1,39 @@
 // Command ftproxy is the cluster's routing front door: it maps each
-// instance id onto its owning daemon with the same consistent-hash
-// ring the daemons use (internal/shard) and forwards the request
-// there, so clients keep a single endpoint while the instance space is
-// sharded — and rebalanced — behind it.
+// instance id onto its owning daemon and forwards the request there, so
+// clients keep a single endpoint while the instance space is sharded —
+// and rebalanced — behind it.
 //
 // Usage:
 //
 //	ftproxy -addr :8200 -peers a=http://h1:8100,b=http://h2:8100,c=http://h3:8100
 //
-// The ring answer is a hint, not the truth: during a migration the
-// pinned source, and after a cutover the new owner, may disagree with
-// it. The proxy trusts the daemons — on a 403 carrying X-Ftnet-Owner
-// it caches the id->owner override, retries the request once at the
-// hinted URL, and keeps the override until a daemon's hint changes it
-// again. Routing therefore converges on whatever the daemons say
-// without any shared state or coordination; a proxy restart merely
-// re-learns the overrides from the next few redirects.
+// It is one routing core and two codec adapters. The core is
+// shard.Router (internal/shard): the same consistent-hash ring the
+// daemons use, plus a bounded table of exceptions learned from the
+// daemons. The ring answer is a hint, not the truth — during a
+// migration the pinned source, and after a cutover the new owner, may
+// disagree with it — so a daemon that refuses a request names the
+// owner, and the router follows and remembers a hint that names a
+// configured peer (and only such a hint: it arrived in a response).
+// Routing therefore converges on whatever the daemons say without any
+// shared state or coordination; a proxy restart merely re-learns the
+// overrides from the next few redirects.
 //
-// Routes with an instance id in the path (or in a create body) are
-// forwarded to the owner; /healthz, /metrics and /v1/ring are answered
-// locally; everything else is refused — fan-in endpoints like /v1/stats
-// belong to the individual daemons.
+// The HTTP adapter (proxy.go) reads the instance id out of the path or
+// the create body, sends the buffered request to the member the router
+// names, and on a 403 carrying X-Ftnet-Owner asks the router where the
+// hint leads and retries there once; a second bounce is surfaced as it
+// came. Routes with an instance id are forwarded; /healthz, /metrics
+// and /v1/ring are answered locally; everything else is refused —
+// fan-in endpoints like /v1/stats belong to the individual daemons.
 //
-// With -rpc-addr and -rpc-peers the proxy additionally fronts the
-// binary RPC plane: it speaks internal/wire to clients, fans frames
-// out to per-owner pooled wire clients, and merges responses back in
-// request order. Wrong-shard rejections on that plane re-teach the
-// same kind of override cache the HTTP path uses, and the RPC plane's
-// metrics land on this proxy's /metrics endpoint.
+// With -rpc-addr and -rpc-peers the wire adapter (wire.Proxy) fronts
+// the binary RPC plane the same way, with a router of its own over the
+// same members: it checks each frame against the protocol grammar,
+// forwards it verbatim to the owner's connection under a sequence
+// number of that connection, and relays answers back in completion
+// order; StatusWrongShard is its 403. Its ftproxy_rpc_* metrics land on
+// this proxy's /metrics beside the HTTP adapter's ftproxy_* ones.
 package main
 
 import (

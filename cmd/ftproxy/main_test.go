@@ -142,6 +142,9 @@ func TestProxyLearnsFromRedirect(t *testing.T) {
 	if got := metricValue(t, px.URL, "ftproxy_redirects_total"); got != "1" {
 		t.Errorf("redirects after create = %s, want 1", got)
 	}
+	if n := ringOverrides(t, px.URL); n != 1 {
+		t.Errorf("router holds %d overrides after one followed hint, want 1", n)
+	}
 	resp = postJSON(t, px.URL+"/v1/instances/"+id+"/events", fleet.Event{Kind: fleet.EventFault, Node: 0})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("event after learned override = %d", resp.StatusCode)
@@ -217,49 +220,24 @@ func TestProxyIgnoresForeignOwnerHint(t *testing.T) {
 	}
 	// Nothing cached: the poisoned hint must not survive to steer the
 	// next request either.
-	ringResp, err := http.Get(px.URL + "/v1/ring")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ringResp.Body.Close()
-	var ring struct {
-		Overrides int `json:"overrides"`
-	}
-	if err := json.NewDecoder(ringResp.Body).Decode(&ring); err != nil {
-		t.Fatal(err)
-	}
-	if ring.Overrides != 0 {
-		t.Errorf("override cache holds %d entries, want 0", ring.Overrides)
+	if n := ringOverrides(t, px.URL); n != 0 {
+		t.Errorf("override cache holds %d entries, want 0", n)
 	}
 }
 
-// TestProxyOverrideCacheBounded: the learned-override map is fed by
-// upstream responses, so without a cap a churning cluster (or a
-// hostile daemon) grows it without limit. Past maxOverrides an entry
-// is evicted; correctness survives because an evicted id is re-taught
-// by its next bounce.
-func TestProxyOverrideCacheBounded(t *testing.T) {
-	peers := map[string]string{"a": "http://a.example:1", "b": "http://b.example:1"}
-	p := newProxy(peers, 0, time.Second)
-	other := map[string]string{"a": peers["b"], "b": peers["a"]}
-	for i := 0; i < maxOverrides+64; i++ {
-		id := fmt.Sprintf("ov-%d", i)
-		// Pin away from the ring answer so the entry is stored, not
-		// treated as "exception over" and dropped.
-		p.setOverride(id, other[p.ring.Owner(id)])
+// ringOverrides reads the router's override count off GET /v1/ring.
+func ringOverrides(t *testing.T, base string) int {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/ring")
+	if err != nil {
+		t.Fatal(err)
 	}
-	p.mu.RLock()
-	n := len(p.override)
-	p.mu.RUnlock()
-	if n > maxOverrides {
-		t.Fatalf("override cache grew to %d entries, cap is %d", n, maxOverrides)
+	defer resp.Body.Close()
+	var ring struct {
+		Overrides int `json:"overrides"`
 	}
-	if n != maxOverrides {
-		t.Fatalf("override cache holds %d entries, want full at %d", n, maxOverrides)
+	if err := json.NewDecoder(resp.Body).Decode(&ring); err != nil {
+		t.Fatal(err)
 	}
-	// The cache still learns after hitting the cap.
-	p.setOverride("ov-fresh", other[p.ring.Owner("ov-fresh")])
-	if got := p.lookupOverride("ov-fresh"); got != other[p.ring.Owner("ov-fresh")] {
-		t.Fatalf("post-cap learn: override = %q, want the hinted peer", got)
-	}
+	return ring.Overrides
 }

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"ftnet/internal/obs"
@@ -20,22 +18,14 @@ import (
 // the single retry after a redirect possible.
 const maxBodyBytes = 8 << 20
 
-// maxOverrides caps the learned-override cache. Past the cap an
-// arbitrary entry is evicted: overrides are a latency optimization,
-// not correctness — a dropped entry just means one extra bounce the
-// next time that id is touched, which re-teaches it.
-const maxOverrides = 4096
-
-// proxy is the routing handler: ring + override cache + one shared
-// upstream transport with persistent connections per daemon.
+// proxy is the HTTP codec adapter over a shard.Router: the router says
+// which member to ask and what to make of a redirect hint, the proxy
+// moves the request there over one shared upstream transport with
+// persistent connections per daemon.
 type proxy struct {
 	peers  map[string]string // member name -> base URL
-	valid  map[string]bool   // configured peer base URLs: the only hints honored
-	ring   *shard.Ring
+	router *shard.Router
 	client *http.Client
-
-	mu       sync.RWMutex
-	override map[string]string // id -> base URL learned from X-Ftnet-Owner
 
 	requests  *obs.Counter
 	redirects *obs.Counter
@@ -46,24 +36,16 @@ type proxy struct {
 }
 
 func newProxy(peers map[string]string, replicas int, timeout time.Duration) *proxy {
-	members := make([]string, 0, len(peers))
-	valid := make(map[string]bool, len(peers))
-	for name, url := range peers {
-		members = append(members, name)
-		valid[url] = true
-	}
 	reg := obs.New()
 	p := &proxy{
-		peers: peers,
-		valid: valid,
-		ring:  shard.New(members, replicas),
+		peers:  peers,
+		router: shard.NewRouter(peers, replicas),
 		client: &http.Client{
 			Timeout: timeout,
 			// Redirect-following is the proxy's job (with override
 			// learning), never the HTTP client's.
 			CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
 		},
-		override:  make(map[string]string),
 		reg:       reg,
 		requests:  reg.Counter("ftproxy_requests_total", "Requests routed to a shard owner."),
 		redirects: reg.Counter("ftproxy_redirects_total", "Requests re-routed after a wrong-shard hint."),
@@ -147,33 +129,27 @@ func (p *proxy) routeKey(r *http.Request) (string, []byte, error) {
 }
 
 // forward sends the request to the id's owner; on a wrong-shard bounce
-// it learns the daemon's hint and retries exactly once. Two bounces in
+// whose hint the router follows it retries exactly once. Two bounces in
 // a row mean the cluster is mid-cutover faster than we can chase —
 // surface the second answer (with its hint) and let the client retry.
 func (p *proxy) forward(w http.ResponseWriter, r *http.Request, id string, body []byte) {
-	target := p.lookupOverride(id)
-	if target == "" {
-		target = p.peers[p.ring.Owner(id)]
-	}
+	member := p.router.Owner(id)
 	for attempt := 0; ; attempt++ {
-		resp, err := p.send(r, target, body)
+		resp, err := p.send(r, p.peers[member], body)
 		if err != nil {
 			p.upErrors.Inc()
-			writeErr(w, http.StatusBadGateway, fmt.Sprintf("ftproxy: upstream %s: %v", target, err))
+			writeErr(w, http.StatusBadGateway, fmt.Sprintf("ftproxy: upstream %s: %v", p.peers[member], err))
 			return
 		}
-		// Only hints naming a configured peer are honored: the header
-		// comes from an upstream response, and following (or caching) an
-		// arbitrary URL would let one bad daemon steer traffic anywhere.
 		owner := resp.Header.Get("X-Ftnet-Owner")
-		hintOK := owner != "" && p.valid[owner]
-		if resp.StatusCode == http.StatusForbidden && hintOK && owner != target && attempt == 0 {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			p.setOverride(id, owner)
-			p.redirects.Inc()
-			target = owner
-			continue
+		if resp.StatusCode == http.StatusForbidden && attempt == 0 {
+			if next, ok := p.router.Learn(id, owner, member); ok {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				p.redirects.Inc()
+				member = next
+				continue
+			}
 		}
 		if resp.StatusCode == http.StatusForbidden && owner != "" {
 			p.misroutes.Inc()
@@ -208,45 +184,16 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	io.Copy(w, resp.Body)
 }
 
-func (p *proxy) lookupOverride(id string) string {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.override[id]
-}
-
-func (p *proxy) setOverride(id, url string) {
-	p.mu.Lock()
-	// A hint that matches the ring again means the exception is over.
-	if p.peers[p.ring.Owner(id)] == url {
-		delete(p.override, id)
-	} else {
-		if _, ok := p.override[id]; !ok && len(p.override) >= maxOverrides {
-			// Evict an arbitrary entry (map iteration order): the next
-			// bounce for the evicted id re-teaches it.
-			for victim := range p.override {
-				delete(p.override, victim)
-				break
-			}
-		}
-		p.override[id] = url
-	}
-	p.mu.Unlock()
-}
-
 // serveRing reports the proxy's routing view: members, vnode count,
 // and how many ids are currently overridden away from the ring.
 func (p *proxy) serveRing(w http.ResponseWriter) {
-	p.mu.RLock()
-	n := len(p.override)
-	p.mu.RUnlock()
-	members := append([]string(nil), p.ring.Members()...)
-	sort.Strings(members)
+	ring := p.router.Ring()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
-		"members":   members,
+		"members":   ring.Members(), // sorted by the ring
 		"peers":     p.peers,
-		"replicas":  p.ring.Replicas(),
-		"overrides": n,
+		"replicas":  ring.Replicas(),
+		"overrides": p.router.Overrides(),
 	})
 }
 

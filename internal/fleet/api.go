@@ -235,6 +235,41 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, errCode(err), apiError{Error: err.Error()})
 }
 
+// ResponseError is writeError read backwards, for clients of this API:
+// the error a non-2xx response stands for, in the category errCode
+// mapped it from, so errors.Is and WrongShardOwner work on it as on the
+// in-process error. Three rows lose detail on the way: 409 comes back
+// as ErrConflict whether or not it was ErrBudget (which wraps it), and
+// a 403 without an owner header — read-only posture, a stale term, a
+// wrong shard nobody could name — comes back as ErrReadOnly; the
+// message still says which. A status the API never sends is an error
+// of no category. It reads what it needs of the body; the caller
+// closes it.
+func ResponseError(resp *http.Response) error {
+	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	var body apiError
+	if json.Unmarshal(raw, &body) != nil || body.Error == "" {
+		body.Error = fmt.Sprintf("status %d: %s", resp.StatusCode, raw)
+	}
+	var category error // stays nil for a status the API never sends
+	switch resp.StatusCode {
+	case http.StatusNotFound:
+		category = ErrNotFound
+	case http.StatusForbidden:
+		if owner := resp.Header.Get("X-Ftnet-Owner"); owner != "" {
+			return WrongShardError(owner, body.Error)
+		}
+		category = ErrReadOnly
+	case http.StatusConflict:
+		category = ErrConflict
+	case http.StatusServiceUnavailable:
+		category = ErrUnavailable
+	case http.StatusBadRequest:
+		category = ErrInvalid
+	}
+	return &fleetError{category: category, msg: body.Error}
+}
+
 // CreateRequest is the body of POST /v1/instances.
 type CreateRequest struct {
 	ID   string `json:"id"`
@@ -260,18 +295,9 @@ func (s *apiServer) listInstances(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *apiServer) getInstance(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if err := s.mgr.checkOwned(id); err != nil {
+	in, err := resolve(s.mgr, r.PathValue("id"))
+	if err != nil {
 		writeError(w, err)
-		return
-	}
-	in, ok := s.mgr.Get(id)
-	if !ok {
-		writeError(w, errorf(ErrNotFound, "fleet: no instance %q", id))
-		return
-	}
-	if in.staged.Load() {
-		writeError(w, errorf(ErrUnavailable, "fleet: instance %q is arriving (migration staged)", id))
 		return
 	}
 	writeJSON(w, http.StatusOK, in.Info())
@@ -350,20 +376,12 @@ func (s *apiServer) getPhi(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, PhiResponse{X: x, Phi: phi})
 		return
 	}
-	// The dense path bypasses Manager.Lookup, so it carries its own
-	// ownership and arrival fences: a migrated-away instance redirects,
-	// a staged one answers 503 until its handoff record is durable.
-	if err := s.mgr.checkOwned(id); err != nil {
+	// The dense path bypasses Manager.Lookup but not its fences: a
+	// migrated-away instance redirects, a staged one answers 503 until
+	// its handoff record is durable.
+	in, err := resolve(s.mgr, id)
+	if err != nil {
 		writeError(w, err)
-		return
-	}
-	in, ok := s.mgr.Get(id)
-	if !ok {
-		writeError(w, errorf(ErrNotFound, "fleet: no instance %q", id))
-		return
-	}
-	if in.staged.Load() {
-		writeError(w, errorf(ErrUnavailable, "fleet: instance %q is arriving (migration staged)", id))
 		return
 	}
 	// ?from=&count= selects a window of the dense embedding — the

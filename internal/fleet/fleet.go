@@ -39,6 +39,15 @@ var (
 	ErrNotFound = errors.New("fleet: not found")
 	ErrConflict = errors.New("fleet: conflict")
 
+	// ErrInvalid is that "everything else" once it has crossed a
+	// transport. In-process, invalid input (node out of range, unknown
+	// kind, empty batch) is the error with no category, which is how
+	// errCode and wire's statusOf recognize it; the decode side of each
+	// transport (ResponseError, wire.Error) rebuilds it under this
+	// sentinel, so a remote caller can tell the daemon refusing bad
+	// input from a failure that has no category at all.
+	ErrInvalid = errors.New("fleet: invalid input")
+
 	// ErrUnavailable marks transitions refused because the durability
 	// layer failed: the journal append did not complete, so the state
 	// change was not applied (the snapshot pointer is only published

@@ -213,21 +213,24 @@ func (r *Round) Stage(in *Instance, events []Event) (EventResult, error) {
 
 // stageLocked is Stage under in's writer mutex.
 func (r *Round) stageLocked(in *Instance, batch []ft.Change) (EventResult, error) {
+	// The migration write fence: a writer that resolved ownership before
+	// the cutover re-checks here, under the same mutex the fence was
+	// taken under — so a write is either fully applied before the fence
+	// (acked, in the shipped suffix) or redirected, never silently
+	// dropped or double-applied. The fence is tested before the
+	// tombstone: the cutover tombstones a copy that is still fenced, and
+	// a writer that held it from before is owed the redirect, not "not
+	// found".
+	if in.migrating {
+		return EventResult{}, wrongShardf(in.migrateTo,
+			"fleet: instance %s migrated to %s", in.id, in.migrateTo)
+	}
 	// A writer that raced Manager.Delete (it held this *Instance from
 	// before the removal) must not apply — and above all must not
 	// commit a transition record after the instance's delete record,
 	// which would poison recovery of a reused id.
 	if in.deleted {
 		return EventResult{}, errorf(ErrNotFound, "fleet: instance %s deleted", in.id)
-	}
-	// The migration write fence: a writer that resolved ownership before
-	// the cutover re-checks here, under the same mutex the fence was
-	// taken under — so a write is either fully applied before the fence
-	// (acked, in the shipped suffix) or redirected, never silently
-	// dropped or double-applied.
-	if in.migrating {
-		return EventResult{}, wrongShardf(in.migrateTo,
-			"fleet: instance %s migrated to %s", in.id, in.migrateTo)
 	}
 	if in.staged.Load() {
 		return EventResult{}, errorf(ErrUnavailable,

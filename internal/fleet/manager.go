@@ -66,13 +66,14 @@ type Manager struct {
 	rejectedRO atomic.Uint64 // mutations refused while read-only
 
 	// Shard-ring state. topo is nil for unsharded deployments, so the
-	// single-daemon path pays one atomic load per request. moved pins
-	// per-id owners away from the ring's answer while instances are in
-	// flight (see topology.go); movedN mirrors len(moved) so the hot
-	// path skips the map lock when there are no pins.
+	// single-daemon path pays one atomic load per request. moved is the
+	// set of ids pinned to this daemon against the ring's answer until
+	// their migration cuts over (see topology.go); movedN mirrors
+	// len(moved) so the hot path skips the map lock when there are no
+	// pins.
 	topo          atomic.Pointer[topology]
 	movedMu       sync.RWMutex
-	moved         map[string]string
+	moved         map[string]struct{}
 	movedN        atomic.Int64
 	rejectedShard atomic.Uint64 // requests refused: instance owned elsewhere
 	migrateMu     sync.Mutex    // serializes outbound migrations
@@ -158,8 +159,53 @@ func (m *Manager) Close() error { return m.pipe.log.Close() }
 // before the final journal flush+fsync in Close.
 func (m *Manager) Quiesce() { m.pipe.log.Quiesce() }
 
-func (m *Manager) shardFor(id string) *shard {
-	return &m.shards[maphash.String(m.seed, id)%numShards]
+// key is an instance id in either form the API takes it: a string, or
+// the payload subslice the binary wire plane decodes ids as. The
+// generic bodies below serve both without allocating: the shard hash is
+// picked by a type switch (hashing through string(id) would copy a
+// []byte), and a map index on string(id) copies neither.
+type key interface{ string | []byte }
+
+func shardOf[T key](m *Manager, id T) *shard {
+	var h uint64
+	switch id := any(id).(type) {
+	case string:
+		h = maphash.String(m.seed, id)
+	case []byte:
+		h = maphash.Bytes(m.seed, id) // matches maphash.String
+	}
+	return &m.shards[h%numShards]
+}
+
+func (m *Manager) shardFor(id string) *shard { return shardOf(m, id) }
+
+func get[T key](m *Manager, id T) (*Instance, bool) {
+	s := shardOf(m, id)
+	s.mu.RLock()
+	in, ok := s.instances[string(id)]
+	s.mu.RUnlock()
+	return in, ok
+}
+
+// resolve is the prologue of every id-taking entry point: the instance
+// called id, provided this daemon owns it and it is open for traffic.
+// The instance is looked up before ownership is checked, and that order
+// is what makes a racing migration cutover answer with a redirect: the
+// cutover erases the pin first and removes the instance second, so a
+// request that misses the instance because of it finds the pin gone
+// too — ErrNotFound is only ever said about an id this daemon owns.
+func resolve[T key](m *Manager, id T) (*Instance, error) {
+	in, ok := get(m, id)
+	if err := checkOwned(m, id); err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, errorf(ErrNotFound, "fleet: no instance %q", id)
+	}
+	if in.staged.Load() {
+		return nil, errorf(ErrUnavailable, "fleet: instance %q is arriving (migration staged); retry shortly", id)
+	}
+	return in, nil
 }
 
 // SetReadOnly flips the manager's write posture. Read-only refuses
@@ -246,7 +292,7 @@ func (m *Manager) Create(id string, spec Spec) (*Instance, error) {
 	if id == "" {
 		return nil, fmt.Errorf("fleet: empty instance id")
 	}
-	if err := m.checkOwned(id); err != nil {
+	if err := checkOwned(m, id); err != nil {
 		return nil, err
 	}
 	in, err := newInstance(id, spec, m.pipe)
@@ -301,25 +347,12 @@ func fleetSpec(spec journal.Spec) Spec {
 }
 
 // Get returns the instance with the given id.
-func (m *Manager) Get(id string) (*Instance, bool) {
-	s := m.shardFor(id)
-	s.mu.RLock()
-	in, ok := s.instances[id]
-	s.mu.RUnlock()
-	return in, ok
-}
+func (m *Manager) Get(id string) (*Instance, bool) { return get(m, id) }
 
 // GetBytes is Get for an id held as a byte slice — the binary wire
 // plane's path, which decodes ids as payload subslices. It performs no
-// allocation: maphash.Bytes matches maphash.String, and the map index
-// conversion does not escape.
-func (m *Manager) GetBytes(id []byte) (*Instance, bool) {
-	s := &m.shards[maphash.Bytes(m.seed, id)%numShards]
-	s.mu.RLock()
-	in, ok := s.instances[string(id)]
-	s.mu.RUnlock()
-	return in, ok
-}
+// allocation.
+func (m *Manager) GetBytes(id []byte) (*Instance, bool) { return get(m, id) }
 
 // Delete removes the instance with the given id, reporting whether it
 // existed. The delete record is committed first; if that fails the
@@ -335,19 +368,26 @@ func (m *Manager) Delete(id string) (bool, error) {
 	if m.readOnly.Load() {
 		return false, m.errReadOnly("delete")
 	}
-	if err := m.checkOwned(id); err != nil {
-		return false, err
-	}
 	m.pipe.gate.RLock()
 	defer m.pipe.gate.RUnlock()
-	in, ok := m.Get(id)
-	if !ok {
-		return false, nil
+	in, err := resolve(m, id)
+	if err != nil {
+		if errors.Is(err, ErrNotFound) {
+			err = nil
+		}
+		return false, err
 	}
 	// The tombstone goes up before the shard lock is taken, never under
 	// it: an open commit round holds staged instances' writer mutexes
 	// while it resolves its next instance through the shard maps.
 	in.writeMu.Lock()
+	if in.migrating {
+		// Before the tombstone check: a cutover that raced the resolve
+		// above leaves both flags up, and the caller is owed the redirect.
+		owner := in.migrateTo
+		in.writeMu.Unlock()
+		return false, wrongShardf(owner, "fleet: instance %q is migrating; delete it at its new owner", id)
+	}
 	if in.deleted {
 		// Another delete (or a reset) got here first.
 		in.writeMu.Unlock()
@@ -356,15 +396,10 @@ func (m *Manager) Delete(id string) (bool, error) {
 	if in.staged.Load() {
 		// A staged inbound copy is not journaled yet: tombstoning it here
 		// would commit an OpDelete for an id this journal never created
-		// and race the source's CommitMigration. Same answer as reads and
-		// ApplyBatch give.
+		// and race the source's CommitMigration. resolve refused it once
+		// already; this is the same answer under the writer mutex.
 		in.writeMu.Unlock()
 		return false, errorf(ErrUnavailable, "fleet: instance %q is arriving (migration staged); retry shortly", id)
-	}
-	if in.migrating {
-		owner := in.migrateTo
-		in.writeMu.Unlock()
-		return false, wrongShardf(owner, "fleet: instance %q is migrating; delete it at its new owner", id)
 	}
 	in.deleted = true
 	in.writeMu.Unlock()
@@ -399,12 +434,9 @@ func (m *Manager) Event(id string, ev Event) (EventResult, error) {
 // atomic transition: either every event applies and the epoch advances
 // by exactly one, or none do.
 func (m *Manager) EventBatch(id string, events []Event) (EventResult, error) {
-	if err := m.checkOwned(id); err != nil {
+	in, err := resolve(m, id)
+	if err != nil {
 		return EventResult{}, err
-	}
-	in, ok := m.Get(id)
-	if !ok {
-		return EventResult{}, errorf(ErrNotFound, "fleet: no instance %q", id)
 	}
 	return m.applyBatch(in, events)
 }
@@ -412,12 +444,9 @@ func (m *Manager) EventBatch(id string, events []Event) (EventResult, error) {
 // EventBatchBytes is EventBatch for an id held as bytes (the wire
 // plane's path).
 func (m *Manager) EventBatchBytes(id []byte, events []Event) (EventResult, error) {
-	if err := m.checkOwnedBytes(id); err != nil {
+	in, err := resolve(m, id)
+	if err != nil {
 		return EventResult{}, err
-	}
-	in, ok := m.GetBytes(id)
-	if !ok {
-		return EventResult{}, errorf(ErrNotFound, "fleet: no instance %q", id)
 	}
 	return m.applyBatch(in, events)
 }
@@ -430,12 +459,9 @@ func (m *Manager) EventBatchBytes(id []byte, events []Event) (EventResult, error
 // is not part of the round; ErrRoundBusy asks for CommitRound first,
 // then the same call again.
 func (m *Manager) StageBatchBytes(r *Round, id []byte, events []Event) (EventResult, error) {
-	if err := m.checkOwnedBytes(id); err != nil {
+	in, err := resolve(m, id)
+	if err != nil {
 		return EventResult{}, err
-	}
-	in, ok := m.GetBytes(id)
-	if !ok {
-		return EventResult{}, errorf(ErrNotFound, "fleet: no instance %q", id)
 	}
 	return m.stage(r, in, events)
 }
@@ -493,15 +519,9 @@ func (m *Manager) stage(r *Round, in *Instance, events []Event) (EventResult, er
 
 // Lookup answers where target node x of the named instance runs now.
 func (m *Manager) Lookup(id string, x int) (int, error) {
-	if err := m.checkOwned(id); err != nil {
+	in, err := resolve(m, id)
+	if err != nil {
 		return 0, err
-	}
-	in, ok := m.Get(id)
-	if !ok {
-		return 0, errorf(ErrNotFound, "fleet: no instance %q", id)
-	}
-	if in.staged.Load() {
-		return 0, errorf(ErrUnavailable, "fleet: instance %q is arriving (migration staged)", id)
 	}
 	phi, err := in.Lookup(x)
 	if err != nil {
@@ -515,15 +535,9 @@ func (m *Manager) Lookup(id string, x int) (int, error) {
 // payload subslice, and the answer carries the epoch of the snapshot
 // that produced it. Allocation-free on the happy path.
 func (m *Manager) LookupEpochBytes(id []byte, x int) (int, uint64, error) {
-	if err := m.checkOwnedBytes(id); err != nil {
+	in, err := resolve(m, id)
+	if err != nil {
 		return 0, 0, err
-	}
-	in, ok := m.GetBytes(id)
-	if !ok {
-		return 0, 0, errorf(ErrNotFound, "fleet: no instance %q", id)
-	}
-	if in.staged.Load() {
-		return 0, 0, errorf(ErrUnavailable, "fleet: instance %q is arriving (migration staged)", id)
 	}
 	phi, epoch, err := in.LookupEpoch(x)
 	if err != nil {
@@ -537,15 +551,9 @@ func (m *Manager) LookupEpochBytes(id []byte, x int) (int, uint64, error) {
 // snapshot of the named instance, filling phis (len(xs)) and returning
 // that snapshot's epoch. Allocation-free on the happy path.
 func (m *Manager) LookupBatchBytes(id []byte, xs, phis []int) (uint64, error) {
-	if err := m.checkOwnedBytes(id); err != nil {
+	in, err := resolve(m, id)
+	if err != nil {
 		return 0, err
-	}
-	in, ok := m.GetBytes(id)
-	if !ok {
-		return 0, errorf(ErrNotFound, "fleet: no instance %q", id)
-	}
-	if in.staged.Load() {
-		return 0, errorf(ErrUnavailable, "fleet: instance %q is arriving (migration staged)", id)
 	}
 	epoch, err := in.LookupBatch(xs, phis)
 	if err != nil {

@@ -262,18 +262,22 @@ func (m *Manager) collectSuffix(id string, stagedEpoch, baseSeq, fenceSeq uint64
 
 // completeMigration retires the source copy after a committed handoff:
 // erase the routing pin first (requests redirect to the new owner from
-// this instant), then journal the OpDelete so a restart does not
-// resurrect a stale replica.
+// this instant — resolve leans on the pin going before the instance),
+// then journal the OpDelete so a restart does not resurrect a stale
+// replica. Like Delete it tombstones before the shard lock, never under
+// it: ReconcilePins calls this on an unfenced instance while the daemon
+// serves, and an open commit round that has staged a burst for it goes
+// through this same shard to resolve its next instance.
 func (m *Manager) completeMigration(id string, in *Instance) error {
-	m.setMoved(id, "")
+	m.unpin(id)
 	m.pipe.gate.RLock()
 	defer m.pipe.gate.RUnlock()
-	s := m.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	in.writeMu.Lock()
 	in.deleted = true
 	in.writeMu.Unlock()
+	s := m.shardFor(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	rec := journal.Record{Op: journal.OpDelete, ID: id}
 	if _, err := m.pipe.log.Commit(rec, func() { delete(s.instances, id) }); err != nil {
 		m.journalFailed.Add(1)
@@ -460,8 +464,8 @@ func (m *Manager) MigrationState(id string) (string, uint64) {
 	}
 }
 
-// pushMigration POSTs one encoded migration frame and decodes the
-// JSON error body on rejection.
+// pushMigration POSTs one encoded migration frame; a rejection comes
+// back with the peer's message.
 func pushMigration(url string, mig sharding.Migration) error {
 	body, err := sharding.AppendMigration(nil, mig)
 	if err != nil {
@@ -476,18 +480,9 @@ func pushMigration(url string, mig sharding.Migration) error {
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	var apiErr struct {
-		Error string `json:"error"`
-	}
-	msg := ""
-	if b, rerr := io.ReadAll(io.LimitReader(resp.Body, 4096)); rerr == nil {
-		if json.Unmarshal(b, &apiErr) == nil && apiErr.Error != "" {
-			msg = apiErr.Error
-		} else {
-			msg = string(b)
-		}
-	}
-	return fmt.Errorf("peer returned %d: %s", resp.StatusCode, msg)
+	// %v, not %w: the peer's category is about the peer's request, not
+	// about the one this daemon is serving.
+	return fmt.Errorf("peer returned %d: %v", resp.StatusCode, ResponseError(resp))
 }
 
 // abortRemote asks the target to drop a staged instance, reporting

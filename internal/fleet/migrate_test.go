@@ -297,6 +297,137 @@ func TestMigrateWriteRaceLosesNothing(t *testing.T) {
 	}
 }
 
+// TestMigrateStaleWriterIsRedirected is the first way the race above
+// used to lose: a writer resolved the instance before the cutover and
+// reaches its writer mutex after it, when the copy is both fenced and
+// tombstoned. The fence speaks first — the writer is owed the new
+// owner's address, not "deleted".
+func TestMigrateStaleWriterIsRedirected(t *testing.T) {
+	p := newShardPair(t)
+	id := idOwnedBy(t, "b")
+	in, err := p.a.Create(id, Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.installTopology(t)
+	if _, err := p.a.MigrateOut(id, "b"); err != nil {
+		t.Fatal(err)
+	}
+	_, err = in.ApplyBatch([]Event{{EventFault, 0}})
+	if !errors.Is(err, ErrWrongShard) || WrongShardOwner(err) != p.peers["b"] {
+		t.Fatalf("write through a pre-cutover *Instance: %v (owner %q), want ErrWrongShard naming %s",
+			err, WrongShardOwner(err), p.peers["b"])
+	}
+}
+
+// TestMigrateCutoverMissIsRedirected is the second way: the request
+// passed the ownership check while the id was still pinned here, and
+// finds the instance gone. The requests are parked on the shard lock —
+// at the parent of this fix that is past their ownership check — while
+// the cutover's two effects land in completeMigration's order, pin
+// first. Every entry point shares one prologue; a string form, a bytes
+// form and Delete stand for them.
+func TestMigrateCutoverMissIsRedirected(t *testing.T) {
+	p := newShardPair(t)
+	id := idOwnedBy(t, "b")
+	in, err := p.a.Create(id, Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.installTopology(t) // pins id to a
+
+	s := p.a.shardFor(id)
+	s.mu.Lock()
+	requests := map[string]func() error{
+		"Lookup": func() error { _, err := p.a.Lookup(id, 0); return err },
+		"LookupBatchBytes": func() error {
+			_, err := p.a.LookupBatchBytes([]byte(id), []int{0, 1}, make([]int, 2))
+			return err
+		},
+		"EventBatchBytes": func() error {
+			_, err := p.a.EventBatchBytes([]byte(id), []Event{{EventFault, 0}})
+			return err
+		},
+		"Delete": func() error {
+			ok, err := p.a.Delete(id)
+			if err == nil {
+				err = fmt.Errorf("answered (%v, nil), as if the id were this daemon's to miss", ok)
+			}
+			return err
+		},
+	}
+	type answer struct {
+		name string
+		err  error
+	}
+	answers := make(chan answer, len(requests))
+	for name, do := range requests {
+		go func() { answers <- answer{name, do()} }()
+	}
+	time.Sleep(50 * time.Millisecond) // let them reach the shard lock
+	p.a.unpin(id)
+	in.writeMu.Lock()
+	in.deleted = true
+	in.writeMu.Unlock()
+	delete(s.instances, id)
+	s.mu.Unlock()
+
+	for range requests {
+		a := <-answers
+		if !errors.Is(a.err, ErrWrongShard) || WrongShardOwner(a.err) != p.peers["b"] {
+			t.Errorf("%s across the cutover: %v, want ErrWrongShard naming %s", a.name, a.err, p.peers["b"])
+		}
+	}
+}
+
+// TestResolveAllocs pins the shared prologue at zero allocations for
+// both id forms, on an unsharded daemon and on a sharded one that
+// holds pins (so the pin set is consulted, not skipped).
+func TestResolveAllocs(t *testing.T) {
+	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}
+	ring := sharding.New([]string{"a", "b"}, 0)
+	for _, sharded := range []bool{false, true} {
+		m := NewManager(Options{})
+		var mine, pinned string
+		for i := 0; mine == "" || pinned == ""; i++ {
+			id := fmt.Sprintf("inst-%d", i)
+			if _, err := m.Create(id, spec); err != nil {
+				t.Fatal(err)
+			}
+			if ring.Owner(id) == "a" {
+				mine = id
+			} else {
+				pinned = id
+			}
+		}
+		if sharded {
+			m.SetTopology("a", map[string]string{"a": "http://a.example", "b": "http://b.example"}, 0)
+			if info, _ := m.Topology(); info.Moved == 0 {
+				t.Fatal("no pins installed")
+			}
+		}
+		for _, id := range []string{mine, pinned} {
+			idBytes, xs, phis := []byte(id), []int{0, 1, 2}, make([]int, 3)
+			if n := testing.AllocsPerRun(200, func() {
+				if _, err := m.Lookup(id, 1); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := m.LookupEpochBytes(idBytes, 1); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.LookupBatchBytes(idBytes, xs, phis); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := m.GetBytes(idBytes); !ok {
+					t.Fatal("GetBytes missed")
+				}
+			}); n != 0 {
+				t.Errorf("sharded=%v id=%s: the lookups allocate %v times, want 0", sharded, id, n)
+			}
+		}
+	}
+}
+
 // TestMigrateHTTPRedirect pins the JSON plane's cutover contract:
 // after the handoff the old owner answers 403 with the new owner's
 // URL in X-Ftnet-Owner, and a client that follows it succeeds.

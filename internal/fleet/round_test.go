@@ -419,10 +419,34 @@ func TestRoundsUnderCompactAndMigrate(t *testing.T) {
 // tombstone taken under the shard lock, as it used to be, this test
 // deadlocks.)
 func TestDeleteWaitsForRoundOutsideShardLock(t *testing.T) {
+	checkRetireWaitsForRoundOutsideShardLock(t, func(m *Manager, id string, _ *Instance) error {
+		ok, err := m.Delete(id)
+		if err == nil && !ok {
+			err = errors.New("delete found no instance")
+		}
+		return err
+	})
+}
+
+// TestReconcileRetireWaitsForRoundOutsideShardLock is the same order
+// for the other way an instance leaves a serving daemon:
+// completeMigration, which ReconcilePins runs on an unfenced, writable
+// instance while commit rounds are open.
+func TestReconcileRetireWaitsForRoundOutsideShardLock(t *testing.T) {
+	checkRetireWaitsForRoundOutsideShardLock(t, func(m *Manager, id string, in *Instance) error {
+		return m.completeMigration(id, in)
+	})
+}
+
+// checkRetireWaitsForRoundOutsideShardLock stages x in an open round,
+// starts retire(x), then has the round resolve a second instance of
+// x's shard and commit: both must finish.
+func checkRetireWaitsForRoundOutsideShardLock(t *testing.T, retire func(m *Manager, id string, in *Instance) error) {
 	m := NewManager(Options{})
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 5, K: 4}
 	const x = "x"
-	if _, err := m.Create(x, spec); err != nil {
+	inX, err := m.Create(x, spec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var y string // a second instance in x's shard
@@ -439,15 +463,9 @@ func TestDeleteWaitsForRoundOutsideShardLock(t *testing.T) {
 	if _, err := m.StageBatchBytes(&r, []byte(x), []Event{{Kind: EventFault, Node: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	deleted := make(chan error, 1)
-	go func() {
-		ok, err := m.Delete(x)
-		if err == nil && !ok {
-			err = errors.New("delete found no instance")
-		}
-		deleted <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the delete reach x's writer mutex
+	retired := make(chan error, 1)
+	go func() { retired <- retire(m, x, inX) }()
+	time.Sleep(20 * time.Millisecond) // let the retirement reach x's writer mutex
 	staged := make(chan error, 1)
 	go func() {
 		_, err := m.StageBatchBytes(&r, []byte(y), []Event{{Kind: EventFault, Node: 1}})
@@ -456,18 +474,18 @@ func TestDeleteWaitsForRoundOutsideShardLock(t *testing.T) {
 		}
 		staged <- err
 	}()
-	for _, c := range []chan error{staged, deleted} {
+	for _, c := range []chan error{staged, retired} {
 		select {
 		case err := <-c:
 			if err != nil {
 				t.Fatal(err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatal("an open round and a delete of its staged instance deadlocked")
+			t.Fatal("an open round and the retirement of its staged instance deadlocked")
 		}
 	}
 	if _, ok := m.Get(x); ok {
-		t.Fatal("x survived its delete")
+		t.Fatal("x survived its retirement")
 	}
 	if e := epochOf(t, m, []byte(y)); e != 1 {
 		t.Fatalf("y at epoch %d, want 1", e)

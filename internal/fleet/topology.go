@@ -7,20 +7,20 @@ import (
 )
 
 // This file is the manager's view of the shard ring: which daemon owns
-// which instance id, and the per-id overrides that keep service
-// seamless while an instance is in flight between daemons.
+// which instance id, and the per-id pins that keep service seamless
+// while an instance is in flight between daemons.
 //
 // Ownership resolution, in order:
 //
 //  1. No topology installed -> this daemon owns everything (the
 //     single-daemon deployments every prior PR built; they pay one
 //     atomic load).
-//  2. The moved-override map -> an id pinned to a daemon regardless of
-//     the ring. SetTopology pins every local instance the new ring
-//     assigns elsewhere to *this* daemon ("still mine until
-//     migrated"), so installing a new ring never drops service;
-//     completeMigration erases the pin, at which point the ring's
-//     answer (the new owner) takes over and clients are redirected.
+//  2. The moved set -> an id pinned to this daemon regardless of the
+//     ring. SetTopology pins every local instance the new ring
+//     assigns elsewhere ("still mine until migrated"), so installing
+//     a new ring never drops service; completeMigration erases the
+//     pin, at which point the ring's answer (the new owner) takes
+//     over and clients are redirected.
 //  3. The ring.
 //
 // A request for an id owned elsewhere is refused with ErrWrongShard
@@ -50,8 +50,7 @@ type RingInfo struct {
 // base URL, replicas is the virtual-node count (<= 0 selects the
 // default). Installing a topology never interrupts service: every
 // local instance the new ring assigns to another daemon is pinned to
-// this daemon in the moved-override map until a migration actually
-// moves it. An empty peers map (or empty self) clears sharding
+// this daemon in the moved set until a migration actually moves it. An empty peers map (or empty self) clears sharding
 // entirely.
 //
 // Concurrent requests resolve ownership against either the old or the
@@ -79,13 +78,13 @@ func (m *Manager) SetTopology(self string, peers map[string]string, replicas int
 	// crash mid-handoff the rebuilt copy may be stale; ReconcilePins
 	// audits every pin against the ring owner and retires the ones a
 	// committed handoff already moved.
-	pins := make(map[string]string)
+	pins := make(map[string]struct{})
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.RLock()
 		for id, in := range s.instances {
 			if !in.staged.Load() && t.ring.Owner(id) != self {
-				pins[id] = self
+				pins[id] = struct{}{}
 			}
 		}
 		s.mu.RUnlock()
@@ -128,7 +127,7 @@ func (m *Manager) ReconcilePins() ReconcileStats {
 	m.migrateMu.Lock()
 	defer m.migrateMu.Unlock()
 	for _, id := range m.Displaced() {
-		if m.ownerName(t, id) != t.self {
+		if ownerName(m, t, id) != t.self {
 			continue // not pinned here (already retired or re-routed)
 		}
 		in, ok := m.Get(id)
@@ -196,75 +195,45 @@ func (m *Manager) Displaced() []string {
 }
 
 // ownerName resolves the owning member name for id under t, honoring
-// the moved-override pins. Caller has checked t != nil.
-func (m *Manager) ownerName(t *topology, id string) string {
+// the pins. Caller has checked t != nil.
+func ownerName[T key](m *Manager, t *topology, id T) string {
 	if m.movedN.Load() != 0 {
 		m.movedMu.RLock()
-		owner, ok := m.moved[id]
+		_, pinned := m.moved[string(id)] // no alloc: map index on conversion
 		m.movedMu.RUnlock()
-		if ok {
-			return owner
+		if pinned {
+			return t.self
 		}
 	}
-	return t.ring.Owner(id)
+	switch id := any(id).(type) {
+	case string:
+		return t.ring.Owner(id)
+	case []byte:
+		return t.ring.OwnerBytes(id)
+	}
+	panic("unreachable: a key is a string or a []byte")
 }
 
-// setMoved pins id's owner ("" erases the pin).
-func (m *Manager) setMoved(id, owner string) {
+// unpin erases id's pin: from here on the ring's answer routes it.
+func (m *Manager) unpin(id string) {
 	m.movedMu.Lock()
-	if owner == "" {
-		if _, ok := m.moved[id]; ok {
-			delete(m.moved, id)
-			m.movedN.Add(-1)
-		}
-	} else {
-		if m.moved == nil {
-			m.moved = make(map[string]string)
-		}
-		if _, ok := m.moved[id]; !ok {
-			m.movedN.Add(1)
-		}
-		m.moved[id] = owner
+	if _, ok := m.moved[id]; ok {
+		delete(m.moved, id)
+		m.movedN.Add(-1)
 	}
 	m.movedMu.Unlock()
 }
 
 // checkOwned returns nil when this daemon owns id (or is unsharded),
-// and ErrWrongShard with the owner's URL otherwise.
-func (m *Manager) checkOwned(id string) error {
+// and ErrWrongShard with the owner's URL otherwise. The owned case —
+// every request on a correctly-routed daemon — allocates nothing for
+// either form of id.
+func checkOwned[T key](m *Manager, id T) error {
 	t := m.topo.Load()
 	if t == nil {
 		return nil
 	}
-	owner := m.ownerName(t, id)
-	if owner == t.self {
-		return nil
-	}
-	m.rejectedShard.Add(1)
-	m.wrongShardTotal.Inc()
-	return wrongShardf(t.peers[owner], "fleet: instance %q owned by shard %s", id, owner)
-}
-
-// checkOwnedBytes is checkOwned for an id held as a byte slice (the
-// wire plane's zero-copy path): the owned case — every request on a
-// correctly-routed daemon — allocates nothing.
-func (m *Manager) checkOwnedBytes(id []byte) error {
-	t := m.topo.Load()
-	if t == nil {
-		return nil
-	}
-	var owner string
-	if m.movedN.Load() != 0 {
-		m.movedMu.RLock()
-		pinned, ok := m.moved[string(id)] // no alloc: map index on conversion
-		m.movedMu.RUnlock()
-		if ok {
-			owner = pinned
-		}
-	}
-	if owner == "" {
-		owner = t.ring.OwnerBytes(id)
-	}
+	owner := ownerName(m, t, id)
 	if owner == t.self {
 		return nil
 	}

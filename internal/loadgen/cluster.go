@@ -3,7 +3,6 @@ package loadgen
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,22 +11,22 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ftnet/internal/cluster"
 	"ftnet/internal/fleet"
 	"ftnet/internal/ft"
 	"ftnet/internal/obs"
 	sharding "ftnet/internal/shard"
-	"ftnet/internal/wire"
 )
 
 // The cluster scenario is the scale-out probe: storm a sharded fleet
-// of daemons through a shard-aware client while a new member joins the
+// of daemons through a cluster.Client while a new member joins the
 // ring mid-storm and the displaced instances are checkpoint-streamed
 // to it. The client routes by the same consistent-hash ring the
 // daemons use, but treats the ring as a hint exactly like ftproxy
-// does: a 403 carrying X-Ftnet-Owner teaches it the instance's real
-// home, a 503 (the instance is staged mid-migration) is ridden out
-// with backoff. No manual retry logic leaks to the workers — the
-// client converges on its own, which is the acceptance contract.
+// does: a wrong-shard refusal teaches it the instance's real home, an
+// "unavailable" one (the instance is staged mid-migration) is ridden
+// out with backoff. No retry logic leaks to the workers — the client
+// converges on its own, which is the acceptance contract.
 //
 // After the storm, verification holds the cluster to the single-daemon
 // invariants across the ownership handoff: every instance lives on
@@ -65,10 +64,10 @@ type ClusterConfig struct {
 	// (lookups and event bursts) over the binary RPC protocol through
 	// an ftproxy RPC front at this address instead of HTTP direct to
 	// the daemons. The proxy owns the routing then — wrong-shard
-	// redirect chasing happens inside it — while the storm client keeps
-	// only the retry discipline the HTTP path has: ride out
-	// staged/unavailable windows with backoff, and re-issue the rare
-	// double-bounce the proxy could not chase mid-cutover. Control
+	// redirect chasing happens inside it — and the storm client is the
+	// same cluster.Client over a single member: it rides out
+	// staged/unavailable windows with backoff, and re-issues the rare
+	// double bounce the proxy could not chase mid-cutover. Control
 	// plane (creates, ring installs, rebalances, verification) stays on
 	// HTTP. Config.RPCLookupBatch and Config.RPCConns apply.
 	ProxyRPCAddr string
@@ -154,16 +153,38 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		return ClusterResult{}, err
 	}
 
-	// The storm client's ring deliberately stays on the initial
-	// membership: every post-rebalance request to a moved instance must
-	// converge through daemon redirects alone.
-	sc := newShardClient(initial, cfg.Replicas, cfg.HealthTimeout)
+	// Instances are created where the initial ring puts them.
+	initialRing := sharding.New(memberNames(initial), cfg.Replicas)
 	ids := cfg.InstanceIDs()
 	for _, id := range ids {
-		if err := sc.create(id, cfg.Spec); err != nil {
+		if err := createInstance(hc, initial[initialRing.Owner(id)], id, cfg.Spec); err != nil {
 			return ClusterResult{}, err
 		}
 	}
+
+	// The storm client is never told about the join. Over HTTP it is a
+	// router over the full membership, like a proxy configured ahead of
+	// the join: what the ring gives the joiner bounces off the spectator
+	// to its real home before the join, and off the old home back to the
+	// ring's answer after the cutover — it converges through the
+	// daemons' hints alone. Over RPC it is a router over one member, the
+	// proxy front, which does the chasing.
+	t, lookupBatch, hangUp, err := cfg.dataPlane(cfg.ProxyRPCAddr, nil)
+	if err != nil {
+		return ClusterResult{}, err
+	}
+	defer hangUp()
+	routed := cfg.Peers
+	members := make(map[string]cluster.Transport, len(cfg.Peers))
+	if cfg.ProxyRPCAddr != "" {
+		routed = map[string]string{"proxy": ""}
+		members["proxy"] = t
+	} else {
+		for name, url := range cfg.Peers {
+			members[name] = cluster.HTTP{Client: hc, Base: url}
+		}
+	}
+	storm := cluster.New(sharding.NewRouter(routed, cfg.Replicas), members, cfg.HealthTimeout)
 
 	acked := make(map[string]*atomic.Uint64, len(ids))
 	for _, id := range ids {
@@ -205,22 +226,6 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		rebalanceWall = time.Since(joinedAt)
 	}
 
-	// The RPC data plane: one pooled wire client to the proxy front,
-	// shared by every worker (callers pipeline down its connections).
-	var rpc *rpcStormClient
-	if cfg.ProxyRPCAddr != "" {
-		rc, err := wire.Dial(cfg.ProxyRPCAddr, wire.Options{Conns: cfg.RPCConns})
-		if err != nil {
-			return ClusterResult{}, fmt.Errorf("loadgen: dial RPC proxy: %w", err)
-		}
-		defer rc.Close()
-		rpc = &rpcStormClient{rc: rc, hops: len(cfg.Peers), stagedGrace: cfg.HealthTimeout}
-	}
-	lookupBatch := cfg.RPCLookupBatch
-	if lookupBatch <= 0 {
-		lookupBatch = DefaultRPCLookupBatch
-	}
-
 	nTarget, nHost := TargetHostSizes(cfg.Spec)
 	perWorker := make([]opStats, cfg.Workers)
 	var wg sync.WaitGroup
@@ -236,18 +241,13 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 			st := &perWorker[w]
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)))
 			writer := w < cfg.Scenario.Writers
-			var scratch rpcScratch
+			var scratch lookupScratch
 			for i := 0; i < n; i++ {
 				id := ids[rng.Intn(len(ids))]
-				switch {
-				case rpc != nil && writer:
-					rpc.driveBatch(id, rng, nHost, cfg.Scenario.Batch, st, acked[id])
-				case rpc != nil:
-					rpc.driveLookup(id, rng, nTarget, lookupBatch, &scratch, st)
-				case writer:
-					sc.driveBatch(id, rng, nHost, cfg.Scenario.Batch, st, acked[id])
-				default:
-					sc.driveLookup(id, rng.Intn(nTarget), st)
+				if writer {
+					driveBatch(storm, id, rng, nHost, cfg.Scenario.Batch, st, acked[id])
+				} else {
+					driveLookup(storm, id, rng, nTarget, lookupBatch, &scratch, st)
 				}
 				// The worker that crosses the threshold performs the
 				// join + rebalance inline — the storm keeps running on
@@ -265,16 +265,12 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		Acked:         make(map[string]uint64, len(ids)),
 		Migrated:      migrated,
 		RebalanceWall: rebalanceWall,
-		Redirects:     sc.redirects.Load(),
-		StagedWaits:   sc.stagedWaits.Load(),
+		Redirects:     storm.Redirects(),
+		StagedWaits:   storm.StagedWaits(),
 		Exports:       make(map[string]*obs.Export, len(cfg.Peers)),
 	}
 	res.Storm = mergeStats(perWorker, time.Since(start))
-	if rpc != nil {
-		res.Storm.RPC = true
-		res.Redirects += rpc.redirects.Load()
-		res.StagedWaits += rpc.stagedWaits.Load()
-	}
+	res.Storm.RPC = cfg.ProxyRPCAddr != ""
 	for _, id := range ids {
 		res.Acked[id] = acked[id].Load()
 	}
@@ -306,11 +302,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 	// Verify against the final ring. Epoch equality is the zero
 	// lost/double-applied proof — but only when every storm response
 	// was seen (a transport failure could hide an applied write).
-	members := make([]string, 0, len(cfg.Peers))
-	for name := range cfg.Peers {
-		members = append(members, name)
-	}
-	finalRing := sharding.New(members, cfg.Replicas)
+	finalRing := sharding.New(memberNames(cfg.Peers), cfg.Replicas)
 	strict := res.Storm.Transport == 0 && res.Storm.Errors == 0
 	for _, id := range ids {
 		if err := verifyClusterInstance(hc, cfg, finalRing, id, res.Acked[id], strict, &res); err != nil {
@@ -375,249 +367,12 @@ func verifyClusterInstance(hc *http.Client, cfg ClusterConfig, ring *sharding.Ri
 	return nil
 }
 
-// rpcStormClient drives the storm's data plane over the binary RPC
-// protocol through an ftproxy RPC front. Routing convergence belongs
-// to the proxy (it chases wrong-shard hints and re-teaches its
-// override cache); the storm client keeps only the ride-out rules the
-// HTTP shardClient has: StatusUnavailable (staged mid-migration, or a
-// proxy that lost its backend for a beat) retries the same frame with
-// backoff until the grace deadline, and a wrong-shard answer — the
-// proxy's single retry also bounced, a cutover racing faster than one
-// hop — is re-issued a bounded number of times, by which point the
-// proxy has learned the new owner. Both retried statuses guarantee
-// nothing was applied, so re-issuing ApplyBatch is safe.
-type rpcStormClient struct {
-	rc          *wire.Client
-	hops        int // wrong-shard re-issues allowed per op
-	stagedGrace time.Duration
-
-	redirects   atomic.Uint64
-	stagedWaits atomic.Uint64
-}
-
-// retry reports whether err is a ride-out case, sleeping the backoff
-// itself. deadline bounds staged waits; *hops bounds redirect chases.
-func (rpc *rpcStormClient) retry(err error, deadline time.Time, hops *int) bool {
-	switch {
-	case errors.Is(err, fleet.ErrWrongShard) && *hops > 0:
-		*hops--
-		rpc.redirects.Add(1)
-		return true
-	case errors.Is(err, fleet.ErrUnavailable) && time.Now().Before(deadline):
-		rpc.stagedWaits.Add(1)
-		time.Sleep(2 * time.Millisecond)
-		return true
-	}
-	return false
-}
-
-func (rpc *rpcStormClient) driveLookup(id string, rng *rand.Rand, nTarget, batch int, scratch *rpcScratch, st *opStats) {
-	scratch.size(batch)
-	for i := range scratch.xs {
-		scratch.xs[i] = rng.Intn(nTarget)
-	}
-	deadline := time.Now().Add(rpc.stagedGrace)
-	hops := rpc.hops
-	t0 := time.Now()
-	for {
-		_, err := rpc.rc.LookupBatch(id, scratch.xs, scratch.phis)
-		if err == nil {
-			st.lookups += batch
-			st.lookupLats = append(st.lookupLats, time.Since(t0))
-			return
-		}
-		if !rpc.retry(err, deadline, &hops) {
-			countRPCFailure(err, st)
-			return
-		}
-	}
-}
-
-func (rpc *rpcStormClient) driveBatch(id string, rng *rand.Rand, nHost, batch int, st *opStats, acked *atomic.Uint64) {
-	events := makeEvents(rng, nHost, batch)
-	deadline := time.Now().Add(rpc.stagedGrace)
-	hops := rpc.hops
-	t0 := time.Now()
-	for {
-		res, err := rpc.rc.ApplyBatch(id, events)
-		switch {
-		case err == nil:
-			ackMax(acked, res.Epoch)
-			st.batches++
-			st.events += batch
-			st.eventLats = append(st.eventLats, time.Since(t0))
-			return
-		case rejectedByStateMachine(err):
-			st.rejected++
-			st.eventLats = append(st.eventLats, time.Since(t0))
-			return
-		}
-		if !rpc.retry(err, deadline, &hops) {
-			countRPCFailure(err, st)
-			return
-		}
-	}
-}
-
-// shardClient is the client-side routing layer: it resolves each
-// instance to a daemon by consistent hash, learns exceptions from
-// X-Ftnet-Owner redirect hints, and rides out 503-staged windows —
-// the same convergence rules as ftproxy, embedded in the load driver.
-type shardClient struct {
-	hc          *http.Client
-	peers       map[string]string
-	ring        *sharding.Ring
-	stagedGrace time.Duration
-
-	mu       sync.RWMutex
-	override map[string]string // id -> base URL learned from hints
-
-	redirects   atomic.Uint64
-	stagedWaits atomic.Uint64
-}
-
-func newShardClient(peers map[string]string, replicas int, stagedGrace time.Duration) *shardClient {
-	members := make([]string, 0, len(peers))
+func memberNames(peers map[string]string) []string {
+	names := make([]string, 0, len(peers))
 	for name := range peers {
-		members = append(members, name)
+		names = append(names, name)
 	}
-	return &shardClient{
-		hc:          &http.Client{Timeout: 30 * time.Second},
-		peers:       peers,
-		ring:        sharding.New(members, replicas),
-		stagedGrace: stagedGrace,
-		override:    make(map[string]string),
-	}
-}
-
-// do routes one request for id: ring (or learned override) picks the
-// daemon, a 403 with an owner hint re-routes, a 503 (staged
-// mid-migration) retries the same target with backoff until the
-// cutover commits. The returned response is terminal; the caller
-// closes its body.
-func (sc *shardClient) do(method, id, pathAndQuery string, body []byte) (*http.Response, error) {
-	sc.mu.RLock()
-	target := sc.override[id]
-	sc.mu.RUnlock()
-	if target == "" {
-		target = sc.peers[sc.ring.Owner(id)]
-	}
-	deadline := time.Now().Add(sc.stagedGrace)
-	hops := 0
-	for {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequest(method, target+pathAndQuery, rd)
-		if err != nil {
-			return nil, err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := sc.hc.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		owner := resp.Header.Get("X-Ftnet-Owner")
-		switch {
-		case resp.StatusCode == http.StatusForbidden && owner != "" && owner != target && hops < len(sc.peers):
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			sc.learn(id, owner)
-			sc.redirects.Add(1)
-			target = owner
-			hops++
-			continue
-		case resp.StatusCode == http.StatusServiceUnavailable && time.Now().Before(deadline):
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			sc.stagedWaits.Add(1)
-			time.Sleep(2 * time.Millisecond)
-			continue
-		}
-		return resp, nil
-	}
-}
-
-// learn caches (or, when the hint re-agrees with the ring, clears) an
-// ownership exception.
-func (sc *shardClient) learn(id, url string) {
-	sc.mu.Lock()
-	if sc.peers[sc.ring.Owner(id)] == url {
-		delete(sc.override, id)
-	} else {
-		sc.override[id] = url
-	}
-	sc.mu.Unlock()
-}
-
-// create makes one instance on its ring owner (tolerating leftovers
-// from a prior run, like createFleet).
-func (sc *shardClient) create(id string, spec fleet.Spec) error {
-	body, _ := json.Marshal(fleet.CreateRequest{ID: id, Spec: spec})
-	resp, err := sc.do(http.MethodPost, id, "/v1/instances", body)
-	if err != nil {
-		return fmt.Errorf("loadgen: create %s: %v", id, err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusConflict {
-		return fmt.Errorf("loadgen: create %s: status %d", id, resp.StatusCode)
-	}
-	return nil
-}
-
-// driveBatch is driveBatchAcked through the routing client: one atomic
-// rack burst, with the acknowledged epoch recorded — the watermark the
-// post-rebalance verification holds the new owner to.
-func (sc *shardClient) driveBatch(id string, rng *rand.Rand, nHost, batch int, st *opStats, acked *atomic.Uint64) {
-	events := makeEvents(rng, nHost, batch)
-	body, _ := json.Marshal(fleet.BatchRequest{Events: events})
-	t0 := time.Now()
-	resp, err := sc.do(http.MethodPost, id, "/v1/instances/"+id+"/events:batch", body)
-	if err != nil {
-		st.transport++
-		return
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		var evr fleet.EventResult
-		if err := json.NewDecoder(resp.Body).Decode(&evr); err != nil {
-			st.errors++
-			return
-		}
-		ackMax(acked, evr.Epoch)
-		st.batches++
-		st.events += batch
-		st.eventLats = append(st.eventLats, time.Since(t0))
-	case resp.StatusCode == http.StatusConflict || resp.StatusCode == http.StatusBadRequest:
-		io.Copy(io.Discard, resp.Body)
-		st.rejected++
-		st.eventLats = append(st.eventLats, time.Since(t0))
-	default:
-		io.Copy(io.Discard, resp.Body)
-		st.errors++
-	}
-}
-
-func (sc *shardClient) driveLookup(id string, x int, st *opStats) {
-	t0 := time.Now()
-	resp, err := sc.do(http.MethodGet, id, fmt.Sprintf("/v1/instances/%s/phi?x=%d", id, x), nil)
-	if err != nil {
-		st.transport++
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		st.errors++
-		return
-	}
-	st.lookups++
-	st.lookupLats = append(st.lookupLats, time.Since(t0))
+	return names
 }
 
 func postRing(hc *http.Client, url string, req fleet.RingRequest) error {

@@ -1,13 +1,17 @@
 package loadgen
 
 import (
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"ftnet/internal/cluster"
 	"ftnet/internal/fleet"
+	sharding "ftnet/internal/shard"
 	"ftnet/internal/wire"
 )
 
@@ -202,47 +206,57 @@ func TestRunClusterGuards(t *testing.T) {
 	}
 }
 
-// TestShardClientRidesOutStagedWindow pins the 503 path in isolation:
-// a request that lands mid-migration (instance staged on the target,
+// TestShardClientRidesOutStagedWindow pins the 503 path over the real
+// HTTP transport (cluster's own tests script it on a fake one): a
+// request that lands mid-migration (instance staged on the target,
 // cutover not yet committed) is retried with backoff until the daemon
-// serves it — the caller never sees the window.
+// serves it — the worker never sees the window.
 func TestShardClientRidesOutStagedWindow(t *testing.T) {
 	m := fleet.NewManager(fleet.Options{})
+	if _, err := m.Create("inst-0", fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2}); err != nil {
+		t.Fatal(err)
+	}
 	inner := fleet.NewHTTPHandler(m)
 	// The first few requests hit the staged window; then the "cutover
 	// commits" and the daemon answers normally.
-	staged := 3
+	var staged atomic.Int64
+	staged.Store(3)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if staged > 0 {
-			staged--
+		if staged.Add(-1) >= 0 {
 			http.Error(w, `{"error":"instance is mid-migration"}`, http.StatusServiceUnavailable)
 			return
 		}
 		inner.ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts.Close)
-	peers := map[string]string{"a": ts.URL}
-
-	sc := newShardClient(peers, 0, 2*time.Second)
-	if err := sc.create("inst-0", fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2}); err != nil {
-		t.Fatalf("create through staged window: %v", err)
+	newClient := func(grace time.Duration) *cluster.Client {
+		peers := map[string]string{"a": ts.URL}
+		return cluster.New(sharding.NewRouter(peers, 0),
+			map[string]cluster.Transport{"a": cluster.HTTP{Client: ts.Client(), Base: ts.URL}}, grace)
 	}
-	if got := sc.stagedWaits.Load(); got != 3 {
+	rng := rand.New(rand.NewSource(1))
+	var scratch lookupScratch
+
+	sc := newClient(2 * time.Second)
+	var st opStats
+	driveLookup(sc, "inst-0", rng, 16, 1, &scratch, &st)
+	if st.lookups != 1 || st.errors != 0 || st.transport != 0 {
+		t.Fatalf("lookup through the staged window: %+v", st)
+	}
+	if got := sc.StagedWaits(); got != 3 {
 		t.Fatalf("staged waits = %d, want 3", got)
 	}
-	var st opStats
-	sc.driveLookup("inst-0", 0, &st)
-	if st.lookups != 1 || st.errors != 0 {
-		t.Fatalf("lookup after staged window: %+v", st)
+	driveBatch(sc, "inst-0", rng, 18, 1, &st, nil)
+	if st.batches+st.rejected != 1 || st.errors != 0 {
+		t.Fatalf("burst after the staged window: %+v", st)
 	}
 
 	// With the grace window elapsed, a persistent 503 surfaces as the
 	// daemon's answer instead of hanging the client forever.
-	staged = 1 << 30
-	impatient := newShardClient(peers, 0, 10*time.Millisecond)
+	staged.Store(1 << 30)
 	var st2 opStats
-	impatient.driveLookup("inst-0", 0, &st2)
-	if st2.errors != 1 {
+	driveLookup(newClient(10*time.Millisecond), "inst-0", rng, 16, 1, &scratch, &st2)
+	if st2.errors != 1 || st2.lookups != 0 {
 		t.Fatalf("persistent 503 past the grace window: %+v", st2)
 	}
 }

@@ -1,8 +1,8 @@
 package loadgen
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ftnet/internal/cluster"
 	"ftnet/internal/fleet"
 )
 
@@ -116,6 +117,8 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	if err != nil {
 		return FailoverResult{}, err
 	}
+	leader := cluster.HTTP{Client: client, Base: cfg.Addr}
+	promoted := cluster.HTTP{Client: client, Base: cfg.FollowerAddr}
 	// The follower must have replicated the fleet before the partition,
 	// or the promoted leader would be missing instances rather than
 	// merely trailing epochs.
@@ -159,7 +162,7 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)))
 			for i := 0; i < n && !stopped.Load(); i++ {
 				id := ids[rng.Intn(len(ids))]
-				driveBatchAcked(client, cfg.Addr, id, rng, nHost, cfg.Scenario.Batch, st, acked[id])
+				driveBatch(leader, id, rng, nHost, cfg.Scenario.Batch, st, acked[id])
 				done := ops.Add(1)
 				if done >= partThreshold {
 					partOnce.Do(func() {
@@ -209,7 +212,7 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 		return res, err
 	}
 	res.Term = term
-	if err := awaitWritable(client, cfg.FollowerAddr, ids[0], cfg.HealthTimeout); err != nil {
+	if err := awaitWritable(promoted, ids[0], cfg.HealthTimeout); err != nil {
 		return res, err
 	}
 	res.FailoverDowntime = time.Since(killedAt)
@@ -220,7 +223,7 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
 	var st opStats
 	for i := 0; i < 32; i++ {
-		driveBatchAcked(client, cfg.FollowerAddr, ids[rng.Intn(len(ids))], rng, nHost, cfg.Scenario.Batch, &st, acked[ids[0]])
+		driveBatch(promoted, ids[rng.Intn(len(ids))], rng, nHost, cfg.Scenario.Batch, &st, nil)
 	}
 
 	if cfg.RestartOld == nil {
@@ -243,7 +246,7 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 		return res, err
 	}
 	// ... refuse direct writes — zero stale-term writes accepted ...
-	if err := requireReadOnly(client, oldAddr, ids[0], nHost); err != nil {
+	if err := requireReadOnly(cluster.HTTP{Client: client, Base: oldAddr}, ids[0], nHost); err != nil {
 		return res, err
 	}
 	// ... and converge bit-identically with the promoted leader.
@@ -278,25 +281,18 @@ func promote(client *http.Client, addr string, timeout time.Duration) (uint64, e
 }
 
 // awaitWritable polls until the promoted replica accepts a mutation.
-// A 200 proves the write path open; so does a 409/400 (the request got
-// past the posture check into the state machine). A 403 means the
-// replica is still read-only.
-func awaitWritable(client *http.Client, addr, id string, timeout time.Duration) error {
-	body, _ := json.Marshal(fleet.BatchRequest{Events: []fleet.Event{{Kind: fleet.EventRepair, Node: 0}}})
+// An applied burst proves the write path open; so does one the state
+// machine rejected (the request got past the posture check). Anything
+// else — read-only above all — means not yet.
+func awaitWritable(promoted cluster.HTTP, id string, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		resp, err := client.Post(addr+"/v1/instances/"+id+"/events:batch", "application/json", bytes.NewReader(body))
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			switch resp.StatusCode {
-			case http.StatusOK, http.StatusConflict, http.StatusBadRequest:
-				return nil
-			}
-			err = fmt.Errorf("status %d", resp.StatusCode)
+		_, err := promoted.ApplyBatch(id, []fleet.Event{{Kind: fleet.EventRepair, Node: 0}})
+		if err == nil || rejectedByStateMachine(err) {
+			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("loadgen: promoted replica %s not writable: %v", addr, err)
+			return fmt.Errorf("loadgen: promoted replica %s not writable: %v", promoted.Base, err)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -361,19 +357,13 @@ func awaitDemotion(client *http.Client, addr string, timeout time.Duration) (dem
 }
 
 // requireReadOnly fires one direct write at the deposed leader and
-// requires the 403 fence — any acceptance is a stale-term write, the
-// split-brain failure the term plane exists to prevent.
-func requireReadOnly(client *http.Client, addr, id string, nHost int) error {
-	body, _ := json.Marshal(fleet.BatchRequest{Events: []fleet.Event{{Kind: fleet.EventFault, Node: nHost - 1}}})
-	resp, err := client.Post(addr+"/v1/instances/"+id+"/events:batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("loadgen: stale-write probe: %v", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusForbidden {
-		return fmt.Errorf("loadgen: deposed leader %s answered a direct write with status %d, want 403 — stale-term write accepted",
-			addr, resp.StatusCode)
+// requires the read-only fence — any acceptance is a stale-term write,
+// the split-brain failure the term plane exists to prevent.
+func requireReadOnly(deposed cluster.HTTP, id string, nHost int) error {
+	_, err := deposed.ApplyBatch(id, []fleet.Event{{Kind: fleet.EventFault, Node: nHost - 1}})
+	if !errors.Is(err, fleet.ErrReadOnly) {
+		return fmt.Errorf("loadgen: deposed leader %s answered a direct write with %v, want the read-only refusal — stale-term write accepted",
+			deposed.Base, err)
 	}
 	return nil
 }

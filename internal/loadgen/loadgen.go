@@ -1,8 +1,12 @@
-// Package loadgen is the shared HTTP load driver for the ftnetd
+// Package loadgen is the shared load driver for the ftnetd
 // reconfiguration daemon: it creates a fleet of instances, drives them
-// with a configurable mix of phi lookups and fault/repair events
-// (single or atomic bursts via events:batch) from concurrent workers,
-// and reports throughput and latency percentiles.
+// with a configurable mix of phi lookups and fault/repair bursts from
+// concurrent workers, and reports throughput and latency percentiles.
+// A run picks its data plane once — a cluster.Transport: the JSON API,
+// the binary RPC plane, or a cluster.Client routing over either — and
+// one driveLookup and one driveBatch serve every scenario over it; the
+// control plane (creates, health, verification, scrapes) is always the
+// JSON API.
 //
 // cmd/ftload wraps it on the command line; internal/experiments runs
 // its named scenarios against an in-process daemon so service
@@ -19,8 +23,10 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"ftnet/internal/cluster"
 	"ftnet/internal/fleet"
 	"ftnet/internal/ft"
 	"ftnet/internal/obs"
@@ -29,8 +35,8 @@ import (
 
 // Scenario names a traffic shape: what fraction of operations are
 // reconfiguration events and how many events each reconfiguration op
-// carries (Batch 1 posts single events; Batch > 1 posts atomic bursts
-// through events:batch). Writers > 0 switches to role-split mode: that
+// carries (one atomic burst of Batch events; Batch 1 is a random single
+// event, Batch > 1 a whole rack). Writers > 0 switches to role-split mode: that
 // many workers become dedicated writers issuing nothing but sustained
 // events:batch bursts, every remaining worker issues nothing but
 // lookups, and EventFrac is ignored — the shape that measures read
@@ -142,14 +148,14 @@ func (cfg Config) Validate() error {
 // sorted; LookupLatencies is the read-side subset, the distribution a
 // write-storm run exists to measure.
 type Result struct {
-	Lookups   int // successful phi queries
-	Events    int // individual events applied (bursts count each event)
-	Batches   int // accepted event transitions
-	Rejected  int // rejected transitions (budget/state enforcement)
-	Errors    int // unexpected application failures (bad status, not connection trouble)
-	Transport int // connection-level failures: dial, reset, timeout
-	RPC       bool // the run drove the binary RPC plane
-	Elapsed   time.Duration
+	Lookups         int  // successful phi queries
+	Events          int  // individual events applied (bursts count each event)
+	Batches         int  // accepted event transitions
+	Rejected        int  // rejected transitions (budget/state enforcement)
+	Errors          int  // unexpected application failures (bad status, not connection trouble)
+	Transport       int  // connection-level failures: dial, reset, timeout
+	RPC             bool // the run drove the binary RPC plane
+	Elapsed         time.Duration
 	Latencies       []time.Duration // every successful operation, sorted
 	LookupLatencies []time.Duration // lookups only, sorted
 	// Service is the daemon's server-side metrics snapshot (request,
@@ -258,22 +264,11 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	// The RPC plane shares one pooled wire client across all workers:
-	// a few persistent connections carrying everyone's pipelined
-	// requests is the shape the plane is built for, not a connection
-	// per worker.
-	var rc *wire.Client
-	if cfg.RPCAddr != "" {
-		rc, err = wire.Dial(cfg.RPCAddr, wire.Options{Conns: cfg.RPCConns})
-		if err != nil {
-			return Result{}, fmt.Errorf("loadgen: rpc plane unreachable: %v", err)
-		}
-		defer rc.Close()
+	t, lookupBatch, hangUp, err := cfg.dataPlane(cfg.RPCAddr, cluster.HTTP{Client: client, Base: cfg.Addr})
+	if err != nil {
+		return Result{}, err
 	}
-	lookupBatch := cfg.RPCLookupBatch
-	if lookupBatch == 0 {
-		lookupBatch = DefaultRPCLookupBatch
-	}
+	defer hangUp()
 
 	nTarget, nHost := TargetHostSizes(cfg.Spec)
 	perWorker := make([]opStats, cfg.Workers)
@@ -291,20 +286,14 @@ func Run(cfg Config) (Result, error) {
 			defer wg.Done()
 			st := &perWorker[w]
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)))
-			var scratch rpcScratch
+			var scratch lookupScratch
 			writer := w < cfg.Scenario.Writers // role-split mode: first workers are dedicated writers
 			for i := 0; i < n; i++ {
 				id := ids[rng.Intn(len(ids))]
-				events := writer || (cfg.Scenario.Writers == 0 && rng.Float64() < cfg.Scenario.EventFrac)
-				switch {
-				case events && rc != nil:
-					driveEventsRPC(rc, id, rng, nHost, cfg.Scenario.Batch, st)
-				case events:
-					driveEvents(client, cfg.Addr, id, rng, nHost, cfg.Scenario.Batch, st)
-				case rc != nil:
-					driveLookupRPC(rc, id, rng, nTarget, lookupBatch, &scratch, st)
-				default:
-					driveLookup(client, cfg.Addr, id, rng.Intn(nTarget), st)
+				if writer || (cfg.Scenario.Writers == 0 && rng.Float64() < cfg.Scenario.EventFrac) {
+					driveBatch(t, id, rng, nHost, cfg.Scenario.Batch, st, nil)
+				} else {
+					driveLookup(t, id, rng, nTarget, lookupBatch, &scratch, st)
 				}
 			}
 		}(w, n)
@@ -312,7 +301,7 @@ func Run(cfg Config) (Result, error) {
 	wg.Wait()
 
 	res := mergeStats(perWorker, time.Since(start))
-	res.RPC = rc != nil
+	res.RPC = cfg.RPCAddr != ""
 	if cfg.ScrapeObs {
 		e, err := FetchObs(cfg.Addr)
 		if err != nil {
@@ -339,18 +328,49 @@ func createFleet(client *http.Client, cfg Config) ([]string, error) {
 	ids := make([]string, cfg.Instances)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("%s-%d", cfg.IDPrefix, i)
-		body, _ := json.Marshal(fleet.CreateRequest{ID: ids[i], Spec: cfg.Spec})
-		resp, err := client.Post(cfg.Addr+"/v1/instances", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: create %s: %v", ids[i], err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusConflict {
-			return nil, fmt.Errorf("loadgen: create %s: status %d", ids[i], resp.StatusCode)
+		if err := createInstance(client, cfg.Addr, ids[i], cfg.Spec); err != nil {
+			return nil, err
 		}
 	}
 	return ids, nil
+}
+
+// createInstance creates one instance on the daemon at addr; one left
+// over from a prior run (409) is as good.
+func createInstance(client *http.Client, addr, id string, spec fleet.Spec) error {
+	body, _ := json.Marshal(fleet.CreateRequest{ID: id, Spec: spec})
+	resp, err := client.Post(addr+"/v1/instances", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return fmt.Errorf("loadgen: create %s: %v", id, err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusConflict {
+		return fmt.Errorf("loadgen: create %s: status %d", id, resp.StatusCode)
+	}
+	return nil
+}
+
+// dataPlane picks where a run's lookups and bursts go, once. With an
+// RPC address it is the binary plane: one pooled wire client shared by
+// every worker — a few persistent connections carrying everyone's
+// pipelined requests is the shape the plane is built for, not a
+// connection per worker — and lookup ops of cfg.RPCLookupBatch targets.
+// Without one it is jsonPlane, one target per lookup op. hangUp closes
+// whatever was dialed.
+func (cfg Config) dataPlane(rpcAddr string, jsonPlane cluster.Transport) (t cluster.Transport, lookupBatch int, hangUp func(), err error) {
+	if rpcAddr == "" {
+		return jsonPlane, 1, func() {}, nil
+	}
+	rc, err := wire.Dial(rpcAddr, wire.Options{Conns: cfg.RPCConns})
+	if err != nil {
+		return nil, 0, nil, fmt.Errorf("loadgen: rpc plane unreachable: %v", err)
+	}
+	lookupBatch = cfg.RPCLookupBatch
+	if lookupBatch == 0 {
+		lookupBatch = DefaultRPCLookupBatch
+	}
+	return rc, lookupBatch, func() { rc.Close() }, nil
 }
 
 // TargetHostSizes returns the node counts the spec induces.
@@ -363,63 +383,53 @@ func TargetHostSizes(spec fleet.Spec) (nTarget, nHost int) {
 	return p.NTarget(), p.NHost()
 }
 
-// driveEvents issues one reconfiguration operation: a single event
-// POST for batch 1, an atomic events:batch burst otherwise. Single
-// events are fault or repair 50/50 on a random node. Bursts model
-// correlated failures: a whole "rack" of adjacent nodes (drawn from a
-// small working set, so fault patterns recur) fails together or is
-// repaired together. Rejected operations
-// (budget exhausted, repairing a healthy node, a burst with one bad
-// event) are the daemon correctly enforcing the paper's k-fault
-// precondition, not failures.
-func driveEvents(client *http.Client, addr, id string, rng *rand.Rand, nHost, batch int, st *opStats) {
+// driveBatch issues one reconfiguration operation: an atomic burst of
+// batch events on the run's data plane. Single events are fault or
+// repair 50/50 on a random node. Bursts model correlated failures: a
+// whole "rack" of adjacent nodes (drawn from a small working set, so
+// fault patterns recur) fails together or is repaired together. A
+// rejected operation (budget exhausted, repairing a healthy node, a
+// burst with one bad event) is the daemon correctly enforcing the
+// paper's k-fault precondition, not a failure. acked, when non-nil, is
+// raised to the epoch the daemon acknowledged — the watermark a
+// kill/recover or handoff verification holds the fleet to. A burst
+// that fails in transport is neither acked nor sent again (every
+// transport guarantees the latter), which is exactly that contract:
+// only confirmed epochs must survive.
+func driveBatch(t cluster.Transport, id string, rng *rand.Rand, nHost, batch int, st *opStats, acked *atomic.Uint64) {
 	events := makeEvents(rng, nHost, batch)
-	var url string
-	var body []byte
-	if batch == 1 {
-		url = addr + "/v1/instances/" + id + "/events"
-		body, _ = json.Marshal(events[0])
-	} else {
-		url = addr + "/v1/instances/" + id + "/events:batch"
-		body, _ = json.Marshal(fleet.BatchRequest{Events: events})
-	}
 	t0 := time.Now()
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		st.transport++
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	res, err := t.ApplyBatch(id, events)
 	switch {
-	case resp.StatusCode == http.StatusOK:
+	case err == nil:
+		if acked != nil {
+			ackMax(acked, res.Epoch)
+		}
 		st.batches++
 		st.events += batch
 		st.eventLats = append(st.eventLats, time.Since(t0))
-	case resp.StatusCode == http.StatusConflict || resp.StatusCode == http.StatusBadRequest:
-		// The daemon enforcing the budget / state machine: expected.
+	case rejectedByStateMachine(err):
 		st.rejected++
 		st.eventLats = append(st.eventLats, time.Since(t0))
 	default:
-		st.errors++
+		countFailure(err, st)
 	}
 }
 
-func driveLookup(client *http.Client, addr, id string, x int, st *opStats) {
-	t0 := time.Now()
-	resp, err := client.Get(fmt.Sprintf("%s/v1/instances/%s/phi?x=%d", addr, id, x))
-	if err != nil {
+// rejectedByStateMachine is the expected-enforcement bucket: budget
+// (which wraps conflict), conflict and invalid-input refusals.
+func rejectedByStateMachine(err error) bool {
+	return errors.Is(err, fleet.ErrConflict) || errors.Is(err, fleet.ErrInvalid)
+}
+
+// countFailure files an operation that failed: a connection that gave
+// no answer apart from an answer that was a refusal.
+func countFailure(err error, st *opStats) {
+	if wire.IsTransport(err) {
 		st.transport++
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	} else {
 		st.errors++
-		return
 	}
-	st.lookups++
-	st.lookupLats = append(st.lookupLats, time.Since(t0))
 }
 
 // makeEvents builds one reconfiguration op's events — the traffic
@@ -447,14 +457,14 @@ func makeEvents(rng *rand.Rand, nHost, batch int) []fleet.Event {
 	return events
 }
 
-// rpcScratch is a worker's reusable lookup vectors, so the RPC read
-// loop allocates nothing per op.
-type rpcScratch struct {
+// lookupScratch is a worker's reusable lookup vectors, so the read loop
+// allocates nothing per op.
+type lookupScratch struct {
 	xs   []int
 	phis []int
 }
 
-func (s *rpcScratch) size(n int) {
+func (s *lookupScratch) size(n int) {
 	if cap(s.xs) < n {
 		s.xs = make([]int, n)
 		s.phis = make([]int, n)
@@ -462,71 +472,25 @@ func (s *rpcScratch) size(n int) {
 	s.xs, s.phis = s.xs[:n], s.phis[:n]
 }
 
-// driveEventsRPC is driveEvents over the wire plane: one ApplyBatch
-// frame per op, classified exactly like the HTTP status mapping —
-// conflict/budget/invalid are the daemon enforcing the paper's k-fault
-// precondition, transport failures are counted apart.
-func driveEventsRPC(rc *wire.Client, id string, rng *rand.Rand, nHost, batch int, st *opStats) {
-	events := makeEvents(rng, nHost, batch)
-	t0 := time.Now()
-	_, err := rc.ApplyBatch(id, events)
-	switch {
-	case err == nil:
-		st.batches++
-		st.events += batch
-		st.eventLats = append(st.eventLats, time.Since(t0))
-	case wire.IsTransport(err):
-		st.transport++
-	case rejectedByStateMachine(err):
-		st.rejected++
-		st.eventLats = append(st.eventLats, time.Since(t0))
-	default:
-		st.errors++
-	}
-}
-
-// rejectedByStateMachine mirrors the HTTP plane's 409/400 bucket:
-// budget, conflict, and invalid-input rejections are expected
-// enforcement, not failures.
-func rejectedByStateMachine(err error) bool {
-	if errors.Is(err, fleet.ErrConflict) { // covers ErrBudget, which wraps it
-		return true
-	}
-	var werr *wire.Error
-	return errors.As(err, &werr) && werr.Status == wire.StatusInvalid
-}
-
-// driveLookupRPC issues one vectorized read: a LookupBatch frame of
-// `batch` random targets against one instance (one latency sample,
-// `batch` lookups), or a single Lookup frame when batch <= 1.
-func driveLookupRPC(rc *wire.Client, id string, rng *rand.Rand, nTarget, batch int, scratch *rpcScratch, st *opStats) {
-	if batch <= 1 {
-		t0 := time.Now()
-		if _, _, err := rc.Lookup(id, rng.Intn(nTarget)); err != nil {
-			countRPCFailure(err, st)
-			return
-		}
-		st.lookups++
-		st.lookupLats = append(st.lookupLats, time.Since(t0))
-		return
-	}
-	scratch.size(batch)
+// driveLookup issues one read of batch random targets of one instance:
+// one latency sample, batch lookups. Above one target it is a
+// LookupBatch, at one (or below) a scalar Lookup.
+func driveLookup(t cluster.Transport, id string, rng *rand.Rand, nTarget, batch int, scratch *lookupScratch, st *opStats) {
+	scratch.size(max(batch, 1))
 	for i := range scratch.xs {
 		scratch.xs[i] = rng.Intn(nTarget)
 	}
 	t0 := time.Now()
-	if _, err := rc.LookupBatch(id, scratch.xs, scratch.phis); err != nil {
-		countRPCFailure(err, st)
+	var err error
+	if batch <= 1 {
+		_, _, err = t.Lookup(id, scratch.xs[0])
+	} else {
+		_, err = t.LookupBatch(id, scratch.xs, scratch.phis)
+	}
+	if err != nil {
+		countFailure(err, st)
 		return
 	}
-	st.lookups += batch
+	st.lookups += len(scratch.xs)
 	st.lookupLats = append(st.lookupLats, time.Since(t0))
-}
-
-func countRPCFailure(err error, st *opStats) {
-	if wire.IsTransport(err) {
-		st.transport++
-	} else {
-		st.errors++
-	}
 }

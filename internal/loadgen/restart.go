@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,9 +10,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ftnet/internal/cluster"
 	"ftnet/internal/fleet"
 	"ftnet/internal/ft"
-	"ftnet/internal/wire"
 )
 
 // The restart scenario is the durability probe: storm a journaled
@@ -85,16 +84,13 @@ func RunRestart(cfg RestartConfig) (RestartResult, error) {
 	}
 	// With RPCAddr set the storm travels the binary RPC plane; the
 	// ack-watermark contract is identical (ApplyBatch returns the
-	// committed epoch), and the kill manifests as transport errors on
-	// the wire client instead of failed POSTs.
-	var rc *wire.Client
-	if cfg.RPCAddr != "" {
-		rc, err = wire.Dial(cfg.RPCAddr, wire.Options{Conns: cfg.RPCConns})
-		if err != nil {
-			return RestartResult{}, fmt.Errorf("loadgen: rpc plane unreachable: %v", err)
-		}
-		defer rc.Close()
+	// committed epoch), and the kill manifests as transport errors
+	// either way.
+	t, _, hangUp, err := cfg.dataPlane(cfg.RPCAddr, cluster.HTTP{Client: client, Base: cfg.Addr})
+	if err != nil {
+		return RestartResult{}, err
 	}
+	defer hangUp()
 
 	// Storm: every worker posts atomic bursts and records the highest
 	// epoch the daemon acknowledged per instance. Any worker crossing
@@ -128,11 +124,7 @@ func RunRestart(cfg RestartConfig) (RestartResult, error) {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)))
 			for i := 0; i < n && !stopped.Load(); i++ {
 				id := ids[rng.Intn(len(ids))]
-				if rc != nil {
-					driveBatchAckedRPC(rc, id, rng, nHost, cfg.Scenario.Batch, st, acked[id])
-				} else {
-					driveBatchAcked(client, cfg.Addr, id, rng, nHost, cfg.Scenario.Batch, st, acked[id])
-				}
+				driveBatch(t, id, rng, nHost, cfg.Scenario.Batch, st, acked[id])
 				if ops.Add(1) >= threshold {
 					killOnce.Do(func() {
 						stopped.Store(true)
@@ -248,65 +240,6 @@ func verifyRecovered(client *http.Client, addr, id string, spec fleet.Spec, acke
 	}
 	res.Verified++
 	return nil
-}
-
-// driveBatchAcked posts one atomic rack burst (the driveEvents shape)
-// and records the acknowledged epoch. Transport errors are expected
-// once the daemon is killed, so they are counted but not fatal.
-func driveBatchAcked(client *http.Client, addr, id string, rng *rand.Rand, nHost, batch int, st *opStats, acked *atomic.Uint64) {
-	events := makeEvents(rng, nHost, batch)
-	body, _ := json.Marshal(fleet.BatchRequest{Events: events})
-	t0 := time.Now()
-	resp, err := client.Post(addr+"/v1/instances/"+id+"/events:batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		st.transport++
-		return
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		var evr fleet.EventResult
-		if err := json.NewDecoder(resp.Body).Decode(&evr); err != nil {
-			st.errors++
-			return
-		}
-		ackMax(acked, evr.Epoch)
-		st.batches++
-		st.events += batch
-		st.eventLats = append(st.eventLats, time.Since(t0))
-	case resp.StatusCode == http.StatusConflict || resp.StatusCode == http.StatusBadRequest:
-		io.Copy(io.Discard, resp.Body)
-		st.rejected++
-		st.eventLats = append(st.eventLats, time.Since(t0))
-	default:
-		io.Copy(io.Discard, resp.Body)
-		st.errors++
-	}
-}
-
-// driveBatchAckedRPC is driveBatchAcked over the wire plane. An
-// ApplyBatch that dies in transport is NOT acked and NOT replayed (the
-// client guarantees the latter), which is exactly the durability
-// contract the verification phase checks: only confirmed epochs must
-// survive.
-func driveBatchAckedRPC(rc *wire.Client, id string, rng *rand.Rand, nHost, batch int, st *opStats, acked *atomic.Uint64) {
-	events := makeEvents(rng, nHost, batch)
-	t0 := time.Now()
-	res, err := rc.ApplyBatch(id, events)
-	switch {
-	case err == nil:
-		ackMax(acked, res.Epoch)
-		st.batches++
-		st.events += batch
-		st.eventLats = append(st.eventLats, time.Since(t0))
-	case wire.IsTransport(err):
-		st.transport++
-	case rejectedByStateMachine(err):
-		st.rejected++
-		st.eventLats = append(st.eventLats, time.Since(t0))
-	default:
-		st.errors++
-	}
 }
 
 // ackMax CAS-maxes the ack watermark: any epoch the daemon confirmed

@@ -11,6 +11,30 @@
 // new ring — which is what makes the minimal-movement property easy to
 // state and test: between New(members) and New(members ∪ {x}), the
 // only keys whose owner changes are those x now owns.
+//
+// Router is what a client or proxy routes by: the ring plus a small
+// set of learned exceptions, the same shape as the paper's
+// reconfiguration map (identity plus a displacement read off a small
+// sorted set). Its contract:
+//
+//   - A hint is the advertised URL of the daemon that owns an id right
+//     now, sent by a daemon that refuses a request for it (HTTP 403 +
+//     X-Ftnet-Owner, wire StatusWrongShard). Mid-migration the daemons
+//     know better than the ring, so a hint overrides it.
+//   - A hint arrives in a response, so it is checked on receipt: only
+//     one naming a configured member is followed or remembered.
+//     Anything else would let one misbehaving daemon steer traffic to
+//     an address nobody configured.
+//   - Overrides are a latency cache and nothing more. Dropping one —
+//     eviction at the cap, a restart — costs the next request for that
+//     id one bounce, which teaches it again; no request is ever
+//     answered from an override.
+//   - That is what sets them apart from the pins in fleet's topology:
+//     a pin says "this daemon still holds the only copy", and a pin
+//     lost early is a daemon bouncing requests for state nobody else
+//     has. Pins live with the daemon that owns the copy, unbounded and
+//     retired only by a committed handoff; they are not overrides and
+//     do not belong here.
 package shard
 
 import (

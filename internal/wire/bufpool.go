@@ -136,11 +136,11 @@ func (q *writeQueue) sealFrameAt(buf []byte, mark int) {
 }
 
 // relay queues one forwarded frame: a head of the forwarder's choosing
-// (version, type, seq), then rest — the original payload past its own
-// head — verbatim.
-func (q *writeQueue) relay(v byte, t MsgType, seq uint64, rest []byte) {
+// (type, seq), then rest — the original payload past its own head —
+// verbatim.
+func (q *writeQueue) relay(t MsgType, seq uint64, rest []byte) {
 	mark := q.mark()
-	buf := append(appendFrameHeader(q.active), v, byte(t))
+	buf := append(appendFrameHeader(q.active), VersionShard, byte(t))
 	buf = binary.AppendUvarint(buf, seq)
 	q.sealFrameAt(append(buf, rest...), mark)
 }

@@ -35,6 +35,8 @@ func (e *Error) Unwrap() error {
 		return fleet.ErrBudget
 	case StatusUnavailable:
 		return fleet.ErrUnavailable
+	case StatusInvalid:
+		return fleet.ErrInvalid
 	case StatusReadOnly:
 		return fleet.ErrReadOnly
 	case StatusStaleTerm:

@@ -18,8 +18,15 @@ import (
 // rest verbatim — decodes to the same message under the new head.
 func FuzzWireDecode(f *testing.F) {
 	seed := [][]byte{
-		{}, {Version}, {Version, byte(MsgLookup)},
+		{}, {VersionShard}, {VersionShard, byte(MsgLookup)},
 		{0xff, 0xff, 0xff, 0xff},
+	}
+	// asV1 is a canonical payload under the retired version byte: the
+	// decoders must refuse it whatever follows.
+	asV1 := func(b []byte) []byte {
+		b = bytes.Clone(b)
+		b[0] = 1
+		return b
 	}
 	reqs := []Request{
 		{Type: MsgLookup, Seq: 1, ID: "prod", X: 7},
@@ -28,12 +35,15 @@ func FuzzWireDecode(f *testing.F) {
 		{Type: MsgApplyBatch, Seq: 1 << 40, ID: "x", Events: []fleet.Event{
 			{Kind: fleet.EventFault, Node: 3}, {Kind: fleet.EventRepair, Node: 0},
 		}},
-		{Version: Version, Type: MsgLookup, Seq: 2, ID: "pre-shard", X: 1},
+		{Type: MsgLookup, Seq: 2, ID: "pre-shard", X: 1},
 	}
-	for _, r := range reqs {
+	for i, r := range reqs {
 		b, err := AppendRequest(nil, r)
 		if err != nil {
 			f.Fatal(err)
+		}
+		if i == len(reqs)-1 {
+			b = asV1(b)
 		}
 		seed = append(seed, b)
 	}
@@ -44,13 +54,16 @@ func FuzzWireDecode(f *testing.F) {
 		{Type: MsgApplyBatch, Seq: 4, Result: fleet.EventResult{Epoch: 2, NumFaults: 1, Budget: 3, Applied: 2}},
 		{Type: MsgApplyBatch, Seq: 5, Status: StatusReadOnly, Msg: "read-only follower"},
 		{Type: MsgApplyBatch, Seq: 6, Status: StatusWrongShard, Msg: "owned by shard b", Owner: "http://b:8100"},
-		{Version: Version, Type: MsgLookup, Seq: 7, Status: StatusReadOnly, Msg: "owned by shard b (owner http://b:8100)"},
-		{Version: Version, Type: MsgLookup, Seq: 8, Phi: 2, Epoch: 1},
+		{Type: MsgLookup, Seq: 7, Status: StatusReadOnly, Msg: "owned by shard b (owner http://b:8100)"},
+		{Type: MsgLookup, Seq: 8, Phi: 2, Epoch: 1},
 	}
-	for _, r := range resps {
+	for i, r := range resps {
 		b, err := AppendResponse(nil, r)
 		if err != nil {
 			f.Fatal(err)
+		}
+		if i >= len(resps)-2 {
+			b = asV1(b)
 		}
 		seed = append(seed, b)
 	}
@@ -73,8 +86,8 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("request round-trip mismatch:\n in  %x\n out %x", b, out)
 			}
 			var q writeQueue
-			q.relay(VersionShard, h.t, h.seq+1, b[h.rest:])
-			req.Version, req.Seq = VersionShard, h.seq+1
+			q.relay(h.t, h.seq+1, b[h.rest:])
+			req.Seq = h.seq + 1
 			want, _ := AppendRequest(nil, req)
 			if got := q.active[frameHeaderSize:]; !bytes.Equal(got, want) {
 				t.Fatalf("relayed request mismatch:\n got  %x\n want %x", got, want)
@@ -96,10 +109,9 @@ func FuzzWireDecode(f *testing.F) {
 			if rh.status != resp.Status || rh.seq != resp.Seq {
 				t.Fatalf("walker head %+v disagrees with %+v", rh, resp)
 			}
-			// Relayed as the proxy does: same version (the status set
-			// depends on it), another seq.
+			// Relayed as the proxy does: under another seq.
 			var q writeQueue
-			q.relay(rh.v, rh.t, rh.seq+1, b[rh.rest:])
+			q.relay(rh.t, rh.seq+1, b[rh.rest:])
 			resp.Seq = rh.seq + 1
 			want, _ := AppendResponse(nil, resp)
 			if got := q.active[frameHeaderSize:]; !bytes.Equal(got, want) {
@@ -160,7 +172,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeRequest(append(good, 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	nonMinimal := []byte{Version, byte(MsgLookup), 0x80, 0x00, 1, 'a', 0}
+	nonMinimal := []byte{VersionShard, byte(MsgLookup), 0x80, 0x00, 1, 'a', 0}
 	if _, err := DecodeRequest(nonMinimal); err == nil {
 		t.Fatal("non-minimal uvarint accepted")
 	}

@@ -33,19 +33,12 @@ import (
 	"ftnet/internal/fleet"
 )
 
-// Version is the original payload format version byte. VersionShard
-// is the sharding-aware revision: it changes no encoding, but a
-// request carrying it advertises that the sender understands
-// StatusWrongShard, and the server answers at the request's version —
-// a v1 request never receives status codes its decoder would reject
-// (wrong-shard rejections are downgraded to StatusReadOnly with the
-// owner URL folded into the message). Decoding rejects anything else.
-// Clients encode VersionShard, so daemons must be upgraded before
-// clients during a rolling upgrade.
-const (
-	Version      = 1
-	VersionShard = 2
-)
+// VersionShard is the payload format version byte, the one version the
+// plane speaks: the sharding-aware revision, whose responses may carry
+// StatusWrongShard and an owner hint. Decoding rejects anything else —
+// version 1, the pre-sharding revision, included — and a peer that
+// sends it is hung up on like any other that breaks the grammar.
+const VersionShard = 2
 
 // frameHeaderSize is the length + CRC32C prefix of every frame.
 const frameHeaderSize = 8
@@ -145,9 +138,7 @@ type Request struct {
 // fields are meaningful: Msg accompanies every non-OK status; an OK
 // Lookup carries Phi+Epoch, an OK LookupBatch carries Phis+Epoch, an
 // OK ApplyBatch carries Result. Version is the protocol version the
-// payload carries (servers echo the request's; a zero Version encodes
-// as VersionShard). StatusWrongShard exists only at VersionShard and
-// above — a v1 payload carrying it is rejected as non-canonical.
+// payload carries (a zero Version encodes as VersionShard).
 type Response struct {
 	Version byte
 	Type    MsgType
@@ -161,16 +152,13 @@ type Response struct {
 	Result  fleet.EventResult
 }
 
-// resolveVersion maps the zero value to the current version and
-// rejects anything outside the supported range.
-func resolveVersion(v byte) (byte, error) {
-	if v == 0 {
-		return VersionShard, nil
+// checkVersion accepts the version a message to be encoded may name:
+// the current one, or zero, which stands for it.
+func checkVersion(v byte) error {
+	if v != 0 && v != VersionShard {
+		return fmt.Errorf("wire: unknown version %d", v)
 	}
-	if v < Version || v > VersionShard {
-		return 0, fmt.Errorf("wire: unknown version %d", v)
-	}
-	return v, nil
+	return nil
 }
 
 // AppendRequest appends the canonical payload encoding of req to dst.
@@ -182,11 +170,10 @@ func AppendRequest(dst []byte, req Request) ([]byte, error) {
 	if req.ID == "" {
 		return nil, fmt.Errorf("wire: empty instance id")
 	}
-	v, err := resolveVersion(req.Version)
-	if err != nil {
+	if err := checkVersion(req.Version); err != nil {
 		return nil, err
 	}
-	dst = append(dst, v, byte(req.Type))
+	dst = append(dst, VersionShard, byte(req.Type))
 	dst = binary.AppendUvarint(dst, req.Seq)
 	dst = binary.AppendUvarint(dst, uint64(len(req.ID)))
 	dst = append(dst, req.ID...)
@@ -241,7 +228,6 @@ func DecodeRequest(b []byte) (Request, error) {
 // seq varint — everything from there on is what a relay forwards
 // verbatim under a sequence number of its own.
 type reqHead struct {
-	v    byte
 	t    MsgType
 	seq  uint64
 	id   []byte
@@ -259,7 +245,7 @@ func walkRequest(b []byte, into *Request) (reqHead, error) {
 	if len(b) < 2 {
 		return reqHead{}, fmt.Errorf("wire: request payload of %d bytes is shorter than the header", len(b))
 	}
-	if b[0] != Version && b[0] != VersionShard {
+	if b[0] != VersionShard {
 		return reqHead{}, fmt.Errorf("wire: unknown version %d", b[0])
 	}
 	var scratch Request
@@ -267,7 +253,7 @@ func walkRequest(b []byte, into *Request) (reqHead, error) {
 	if !store {
 		into = &scratch
 	}
-	h := reqHead{v: b[0], t: MsgType(b[1])}
+	h := reqHead{t: MsgType(b[1])}
 	d := cursor{b: b, off: 2}
 	var err error
 	if h.seq, err = d.uvarint(); err != nil {
@@ -280,7 +266,7 @@ func walkRequest(b []byte, into *Request) (reqHead, error) {
 	if len(h.id) == 0 {
 		return h, fmt.Errorf("wire: empty instance id")
 	}
-	into.Version, into.Type, into.Seq = h.v, h.t, h.seq
+	into.Version, into.Type, into.Seq = VersionShard, h.t, h.seq
 	switch h.t {
 	case MsgLookup:
 		if into.X, err = d.intVal(); err != nil {
@@ -345,21 +331,19 @@ func sized[T any](s []T, n int) []T {
 // per-type body. Every numeric field must be representable as a
 // non-negative varint.
 func AppendResponse(dst []byte, resp Response) ([]byte, error) {
-	v, err := resolveVersion(resp.Version)
-	if err != nil {
+	if err := checkVersion(resp.Version); err != nil {
 		return nil, err
 	}
-	dst = append(dst, v, byte(resp.Type))
+	dst = append(dst, VersionShard, byte(resp.Type))
 	dst = binary.AppendUvarint(dst, resp.Seq)
 	dst = append(dst, byte(resp.Status))
 	if resp.Status != StatusOK {
-		if !validStatus(resp.Status, v) {
-			return nil, fmt.Errorf("wire: status %d not valid at version %d", resp.Status, v)
+		if resp.Status > StatusWrongShard {
+			return nil, fmt.Errorf("wire: unknown status %d", resp.Status)
 		}
 		dst = binary.AppendUvarint(dst, uint64(len(resp.Msg)))
 		dst = append(dst, resp.Msg...)
-		// The owner hint rides only on wrong-shard rejections, so every
-		// other status keeps its exact pre-sharding encoding.
+		// The owner hint rides only on wrong-shard rejections.
 		if resp.Status == StatusWrongShard {
 			dst = binary.AppendUvarint(dst, uint64(len(resp.Owner)))
 			dst = append(dst, resp.Owner...)
@@ -411,9 +395,8 @@ func DecodeResponse(b []byte) (Response, error) {
 
 // respHead is what every response carries ahead of its body. rest is
 // the offset of the status byte: from there on a relay forwards the
-// payload verbatim under the requester's own version and seq.
+// payload verbatim under the requester's own seq.
 type respHead struct {
-	v      byte
 	t      MsgType
 	seq    uint64
 	status Status
@@ -428,10 +411,10 @@ func walkResponse(b []byte, into *Response) (respHead, error) {
 	if len(b) < 3 {
 		return respHead{}, fmt.Errorf("wire: response payload of %d bytes is shorter than the header", len(b))
 	}
-	if b[0] != Version && b[0] != VersionShard {
+	if b[0] != VersionShard {
 		return respHead{}, fmt.Errorf("wire: unknown version %d", b[0])
 	}
-	h := respHead{v: b[0], t: MsgType(b[1])}
+	h := respHead{t: MsgType(b[1])}
 	if h.t != MsgLookup && h.t != MsgLookupBatch && h.t != MsgApplyBatch {
 		return h, fmt.Errorf("wire: unknown message type %d", b[1])
 	}
@@ -451,11 +434,11 @@ func walkResponse(b []byte, into *Response) (respHead, error) {
 		return h, err
 	}
 	h.status = Status(st)
-	into.Version, into.Type, into.Seq, into.Status = h.v, h.t, h.seq, h.status
+	into.Version, into.Type, into.Seq, into.Status = VersionShard, h.t, h.seq, h.status
 	switch {
 	case h.status != StatusOK:
-		if !validStatus(h.status, h.v) {
-			return h, fmt.Errorf("wire: status %d not valid at version %d", st, h.v)
+		if h.status > StatusWrongShard {
+			return h, fmt.Errorf("wire: unknown status %d", st)
 		}
 		msg, err := d.bytesVal()
 		if err != nil {
@@ -517,18 +500,6 @@ func walkResponse(b []byte, into *Response) (respHead, error) {
 		return h, fmt.Errorf("wire: %d trailing bytes after response", len(b)-d.off)
 	}
 	return h, nil
-}
-
-// validStatus reports whether a status byte is legal at a protocol
-// version. StatusWrongShard arrived with VersionShard; emitting (or
-// accepting) it on a v1 payload would hand a pre-sharding decoder a
-// byte it treats as corruption, so the canonical-encoding rule is
-// per-version.
-func validStatus(s Status, v byte) bool {
-	if v < VersionShard {
-		return s <= StatusStaleTerm
-	}
-	return s <= StatusWrongShard
 }
 
 func eventKindByte(k fleet.EventKind) (byte, bool) {

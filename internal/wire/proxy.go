@@ -15,11 +15,6 @@ import (
 	"ftnet/internal/shard"
 )
 
-// proxyMaxOverrides caps the learned-override cache, matching the HTTP
-// proxy's bound: overrides are a latency optimization, not correctness
-// — an evicted entry costs one extra bounce that re-teaches it.
-const proxyMaxOverrides = 4096
-
 // proxyWindow bounds one front connection's in-flight window: frames
 // read from it whose responses have not been written back yet. Past
 // the window the reader stops pulling frames, which backpressures the
@@ -34,9 +29,8 @@ type ProxyOptions struct {
 	RPCPeers map[string]string
 	// HTTPPeers maps member name -> advertised HTTP base URL.
 	// StatusWrongShard hints carry the owner's HTTP URL (the hint
-	// format both planes share), so the proxy needs this map to
-	// translate a hint back into a backend — and, as on the HTTP path,
-	// only hints naming a configured peer are honored.
+	// format both planes share), so the router needs this map to
+	// translate a hint back into a member.
 	HTTPPeers map[string]string
 	// Replicas is the ring's virtual-node count (0 selects the default).
 	Replicas int
@@ -58,8 +52,8 @@ type ProxyOptions struct {
 // grammar, given a sequence number of the backend connection's own,
 // and otherwise appended verbatim to the write queue of its owner's
 // connection; the response comes back through the response grammar,
-// gets the front's version and sequence number restored, and is queued
-// on the front it belongs to. Every reader — one per front, one per
+// gets the front's sequence number restored, and is queued on the
+// front it belongs to. Every reader — one per front, one per
 // backend connection — works in rounds: it handles every whole frame
 // already buffered, then flushes each connection it queued something
 // on exactly once (Bruck-style log rounds: everything bound for one
@@ -70,17 +64,14 @@ type ProxyOptions struct {
 // so a frame for a slow or dead owner never holds back the answers of
 // frames behind it.
 //
-// StatusWrongShard rejections re-teach the id->owner override cache
-// exactly like the HTTP 403 path: learn the hint, retry once, keep the
-// override until a daemon changes it again.
+// Where a frame goes is the shard.Router's decision — the ring, or
+// what a StatusWrongShard hint taught it — exactly as on the HTTP 403
+// path; the proxy's own rule is only "one bounce, then surface the
+// answer".
 type Proxy struct {
-	ring     *shard.Ring
+	router   *shard.Router
 	backends map[string]*backend // by member name, fixed at NewProxy
-	byURL    map[string]*backend // by HTTP base URL, the form hints take
 	timeout  time.Duration
-
-	omu      sync.RWMutex
-	override map[string]*backend // id -> owner learned from hints
 
 	requests      *obs.Counter
 	redirects     *obs.Counter
@@ -126,22 +117,16 @@ func NewProxy(opts ProxyOptions) *Proxy {
 	if reg == nil {
 		reg = obs.New()
 	}
-	members := make([]string, 0, len(opts.RPCPeers))
+	urls := make(map[string]string, len(opts.RPCPeers))
 	backends := make(map[string]*backend, len(opts.RPCPeers))
-	byURL := make(map[string]*backend, len(opts.RPCPeers))
 	for name, addr := range opts.RPCPeers {
-		members = append(members, name)
+		urls[name] = opts.HTTPPeers[name]
 		backends[name] = &backend{name: name, addr: addr, lanes: make([]lane, opts.Conns)}
-		if url, ok := opts.HTTPPeers[name]; ok {
-			byURL[url] = backends[name]
-		}
 	}
 	return &Proxy{
-		ring:     shard.New(members, opts.Replicas),
+		router:   shard.NewRouter(urls, opts.Replicas),
 		backends: backends,
-		byURL:    byURL,
 		timeout:  opts.Timeout,
-		override: make(map[string]*backend),
 		requests: reg.Counter("ftproxy_rpc_requests_total",
 			"RPC frames routed to a shard owner."),
 		redirects: reg.Counter("ftproxy_rpc_redirects_total",
@@ -199,48 +184,15 @@ func (p *Proxy) hangUpBackends() {
 	}
 }
 
-// route picks the backend for an instance id: a learned exception if
-// there is one, the ring's owner otherwise (nil on an empty ring).
-func (p *Proxy) route(id []byte) *backend {
-	p.omu.RLock()
-	b := p.override[string(id)]
-	p.omu.RUnlock()
-	if b == nil {
-		b = p.backends[p.ring.OwnerBytes(id)]
-	}
-	return b
-}
-
-// setOverride learns (or clears) an id's owner exception, with the
-// same discipline as the HTTP proxy: a hint that agrees with the ring
-// again ends the exception, and past the cap an arbitrary entry is
-// evicted — the next bounce re-teaches it.
-func (p *Proxy) setOverride(id string, owner *backend) {
-	p.omu.Lock()
-	if p.ring.Owner(id) == owner.name {
-		delete(p.override, id)
-	} else {
-		if _, ok := p.override[id]; !ok && len(p.override) >= proxyMaxOverrides {
-			for victim := range p.override {
-				delete(p.override, victim)
-				break
-			}
-		}
-		p.override[id] = owner
-	}
-	p.omu.Unlock()
-}
-
 // relay is one front frame on its way through the proxy, pooled. It
-// keeps what the response needs restored (the front's version and seq)
-// and the request from the id on, so the frame can be sent again after
+// keeps what the response needs restored (the front's seq) and the
+// request from the id on, so the frame can be sent again after
 // a wrong-shard bounce or a dead backend connection.
 type relay struct {
 	f       *front
 	b       *backend // where it was last sent
 	start   time.Time
 	seq     uint64
-	v       byte
 	t       MsgType
 	bounced bool   // followed a wrong-shard hint already
 	resent  bool   // re-sent after a backend connection died already
@@ -352,9 +304,9 @@ func (p *Proxy) serveFront(nc net.Conn) {
 		p.requests.Inc()
 		f.admit(r)
 		e := relayPool.Get().(*relay)
-		e.f, e.start, e.seq, e.v, e.t = f, time.Now(), h.seq, h.v, h.t
+		e.f, e.start, e.seq, e.t = f, time.Now(), h.seq, h.t
 		e.req = append(e.req, payload[h.rest:]...)
-		p.send(e, p.route(h.id), r)
+		p.send(e, p.backends[p.router.OwnerBytes(h.id)], r) // nil on an empty ring
 	}
 	putBuf(in)
 	r.finish()
@@ -439,11 +391,11 @@ func (f *front) listed(r *round) {
 	}
 }
 
-// answer queues e's response: the front's own version and seq, then
-// rest — the payload from the status byte on — verbatim.
+// answer queues e's response: the front's own seq, then rest — the
+// payload from the status byte on — verbatim.
 func (f *front) answer(e *relay, rest []byte, r *round) {
 	f.mu.Lock()
-	f.wq.relay(e.v, e.t, e.seq, rest)
+	f.wq.relay(e.t, e.seq, rest)
 	f.listed(r)
 	f.mu.Unlock()
 }
@@ -516,8 +468,8 @@ func (p *Proxy) deliver(e *relay, rest []byte, r *round) {
 // reject answers e with a status of the proxy's own making.
 func (p *Proxy) reject(e *relay, st Status, msg string, r *round) {
 	// Encoded at seq 0 the head is exactly three bytes; answer puts the
-	// front's own version and seq in its place.
-	payload, err := AppendResponse(nil, Response{Version: e.v, Type: e.t, Status: st, Msg: msg})
+	// front's own seq in its place.
+	payload, err := AppendResponse(nil, Response{Type: e.t, Status: st, Msg: msg})
 	if err != nil {
 		panic("wire: proxy built an unencodable rejection: " + err.Error())
 	}
@@ -545,30 +497,21 @@ func (p *Proxy) giveUp(e *relay, cause error, r *round) {
 	putRelay(e)
 }
 
-// misrouted handles a StatusWrongShard answer: follow the hint once if
-// it names a configured peer other than the one that just refused,
-// otherwise pass the rejection on — downgraded for a front that
-// predates the status, as the server itself would have.
+// misrouted handles a StatusWrongShard answer: go where the router
+// says the hint leads, once; a second bounce, or a hint the router does
+// not follow, is passed on as it came.
 func (p *Proxy) misrouted(e *relay, payload []byte, rest int, r *round) {
-	resp, _ := DecodeResponse(payload) // the caller walked it already
-	if hinted := p.byURL[resp.Owner]; hinted != nil && hinted != e.b && !e.bounced {
-		// The daemons know better than the ring mid-migration: learn the
-		// exception, retry once at the hinted owner.
-		p.setOverride(e.id(), hinted)
-		p.redirects.Inc()
-		e.bounced = true
-		p.send(e, hinted, r)
-		return
+	if !e.bounced {
+		resp, _ := DecodeResponse(payload) // the caller walked it already
+		if member, ok := p.router.Learn(e.id(), resp.Owner, e.b.name); ok {
+			p.redirects.Inc()
+			e.bounced = true
+			p.send(e, p.backends[member], r)
+			return
+		}
 	}
 	p.misroutes.Inc()
-	if e.v >= VersionShard {
-		p.deliver(e, payload[rest:], r)
-		return
-	}
-	if resp.Owner != "" {
-		resp.Msg += " (owner " + resp.Owner + ")"
-	}
-	p.reject(e, StatusReadOnly, resp.Msg, r)
+	p.deliver(e, payload[rest:], r)
 }
 
 // backendConn is one connection to a shard member, shared by every
@@ -599,9 +542,7 @@ func (bc *backendConn) enqueue(e *relay, r *round) bool {
 		return false
 	}
 	bc.seq++
-	// Backends are always asked at VersionShard, whatever the front
-	// speaks, so their wrong-shard hints reach the proxy intact.
-	bc.wq.relay(VersionShard, e.t, bc.seq, e.req)
+	bc.wq.relay(e.t, bc.seq, e.req)
 	bc.pending[bc.seq] = e
 	if bc.pass != r.pass {
 		bc.pass = r.pass

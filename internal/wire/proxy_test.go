@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -317,7 +316,7 @@ func (fb *fakeBackend) serve(nc net.Conn) {
 		case fakeStall:
 			continue
 		}
-		resp.Version, resp.Type, resp.Seq = req.Version, req.Type, req.Seq
+		resp.Type, resp.Seq = req.Type, req.Seq
 		out, err := AppendResponse(nil, resp)
 		if err != nil {
 			panic(err) // a test scripted an unencodable response
@@ -545,11 +544,12 @@ func TestWireProxyNeverResendsApplyBatch(t *testing.T) {
 	}
 }
 
-// TestWireProxyHintDiscipline is the wire twin of the HTTP proxy's
-// foreign-hint and cache-bound tests: a hint naming a URL that is not
-// a configured peer is neither followed nor cached; learned overrides
-// stay bounded at proxyMaxOverrides; and a hint that agrees with the
-// ring again clears the exception.
+// TestWireProxyHintDiscipline is the end-to-end proof that this front
+// routes by shard.Router's policy (router_test.go has the policy
+// itself): a hint naming a URL that is not a configured peer is
+// neither followed nor cached; learned overrides stay bounded at
+// shard.MaxOverrides; and a hint that agrees with the ring again
+// clears the exception.
 func TestWireProxyHintDiscipline(t *testing.T) {
 	members := []string{"a", "b"}
 	fa := startFakeBackend(t, wrongShard("http://evil.example:8100"))
@@ -558,13 +558,9 @@ func TestWireProxyHintDiscipline(t *testing.T) {
 	cl := dialTest(t, addr, Options{Conns: 1, Timeout: 5 * time.Second})
 	redirects := reg.Counter("ftproxy_rpc_redirects_total", "")
 	misroutes := reg.Counter("ftproxy_rpc_misroutes_total", "")
-	overrides := func() int {
-		px.omu.RLock()
-		defer px.omu.RUnlock()
-		return len(px.override)
-	}
+	overrides := px.router.Overrides
 
-	ids := idsOwnedBy(t, members, "a", proxyMaxOverrides+1)
+	ids := idsOwnedBy(t, members, "a", sharding.MaxOverrides+1)
 	_, _, err := cl.Lookup(ids[0], 0)
 	var we *Error
 	if !errors.As(err, &we) || we.Status != StatusWrongShard || we.Owner != "http://evil.example:8100" {
@@ -589,8 +585,8 @@ func TestWireProxyHintDiscipline(t *testing.T) {
 	if got := redirects.Value(); got != uint64(len(ids)) {
 		t.Fatalf("redirects = %d, want %d", got, len(ids))
 	}
-	if n := overrides(); n != proxyMaxOverrides {
-		t.Fatalf("%d overrides after %d distinct bounces, want the cap %d", n, len(ids), proxyMaxOverrides)
+	if n := overrides(); n != sharding.MaxOverrides {
+		t.Fatalf("%d overrides after %d distinct bounces, want the cap %d", n, len(ids), sharding.MaxOverrides)
 	}
 	if misroutes.Value() != 1 {
 		t.Fatalf("misroutes = %d, want 1", misroutes.Value())
@@ -604,37 +600,12 @@ func TestWireProxyHintDiscipline(t *testing.T) {
 	if phi, _, err := cl.Lookup(last, 2); err != nil || phi != 3 {
 		t.Fatalf("Lookup(%s) bounced back to the ring owner = (%d, %v)", last, phi, err)
 	}
-	px.omu.RLock()
-	_, still := px.override[last]
-	px.omu.RUnlock()
-	if still {
-		t.Fatalf("override for %s survived a hint that agrees with the ring", last)
+	if n := overrides(); n != sharding.MaxOverrides-1 {
+		t.Fatalf("%d overrides after a hint that agrees with the ring, want %d (the exception for %s ended)",
+			n, sharding.MaxOverrides-1, last)
 	}
-}
-
-// TestWireProxyDowngradesForV1Front pins the rolling-upgrade contract
-// across the hop: a pre-sharding client must never see
-// StatusWrongShard, whatever the backend said — it gets StatusReadOnly
-// at version 1 with the owner folded into the message.
-func TestWireProxyDowngradesForV1Front(t *testing.T) {
-	const owner = "http://elsewhere.example:8100"
-	fb := startFakeBackend(t, wrongShard(owner))
-	_, addr, _ := startTestProxy(t, map[string]string{"a": fb.addr()}, ProxyOptions{Timeout: 2 * time.Second})
-	front := dialRaw(t, addr)
-
-	front.send(Request{Version: Version, Type: MsgLookup, Seq: 11, ID: "prod", X: 0})
-	resp := front.recv(5 * time.Second)
-	if resp.Version != Version || resp.Seq != 11 || resp.Type != MsgLookup {
-		t.Fatalf("v1 front answered with %+v", resp)
-	}
-	if resp.Status != StatusReadOnly || !strings.Contains(resp.Msg, owner) || resp.Owner != "" {
-		t.Fatalf("v1 front got status %v msg %q owner %q, want StatusReadOnly naming %s", resp.Status, resp.Msg, resp.Owner, owner)
-	}
-
-	front.send(Request{Version: VersionShard, Type: MsgLookup, Seq: 12, ID: "prod", X: 0})
-	resp = front.recv(5 * time.Second)
-	if resp.Version != VersionShard || resp.Seq != 12 || resp.Status != StatusWrongShard || resp.Owner != owner {
-		t.Fatalf("v2 front on the same connection answered with %+v", resp)
+	if got := px.router.Owner(last); got != "a" {
+		t.Fatalf("%s routed to %q after the exception ended, want the ring owner a", last, got)
 	}
 }
 
@@ -643,6 +614,21 @@ func TestWireProxyDowngradesForV1Front(t *testing.T) {
 // that sent it and is never relayed, so fronts sharing the backend
 // connection keep every pipelined frame.
 func TestWireProxyMalformedFrontIsolated(t *testing.T) {
+	// A trailing byte: CRC fine, body not canonical.
+	checkBadFrontIsolated(t, func(payload []byte) []byte { return append(payload, 0) })
+}
+
+// TestWireProxyRefusesV1Front: a frame at the retired version 1 is one
+// more payload outside the grammar — the front is hung up, nothing is
+// relayed, nobody else on the shared backend connection notices.
+func TestWireProxyRefusesV1Front(t *testing.T) {
+	checkBadFrontIsolated(t, func(payload []byte) []byte { return asVersion(payload, 1) })
+}
+
+// checkBadFrontIsolated sends corrupt(a canonical Lookup) from one
+// front while eight callers pipeline through another front that shares
+// its one backend connection.
+func checkBadFrontIsolated(t *testing.T, corrupt func(payload []byte) []byte) {
 	fb := startFakeBackend(t, okReply)
 	_, addr, _ := startTestProxy(t, map[string]string{"a": fb.addr()}, ProxyOptions{Conns: 1, Timeout: 2 * time.Second})
 	good := dialTest(t, addr, Options{Conns: 1, Timeout: 5 * time.Second})
@@ -668,7 +654,7 @@ func TestWireProxyMalformedFrontIsolated(t *testing.T) {
 		t.Fatalf("well-formed frame before the bad one answered %+v", resp)
 	}
 	payload, _ := AppendRequest(nil, Request{Type: MsgLookup, Seq: 2, ID: "prod", X: 1})
-	if err := writeTestFrame(bad.nc, append(payload, 0)); err != nil { // trailing byte: CRC fine, body not canonical
+	if err := writeTestFrame(bad.nc, corrupt(payload)); err != nil {
 		t.Fatal(err)
 	}
 	bad.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -683,6 +669,9 @@ func TestWireProxyMalformedFrontIsolated(t *testing.T) {
 	}
 	if n := fb.malformed(); n != 0 {
 		t.Fatalf("%d malformed frames reached the backend", n)
+	}
+	if n := fb.count(MsgLookup); n != 8*200+1 {
+		t.Fatalf("the backend saw %d lookups, want the %d well-formed ones", n, 8*200+1)
 	}
 }
 

@@ -242,7 +242,6 @@ type srvConn struct {
 // stagedWrite is the answer owed to one ApplyBatch staged in the open
 // round: final if the round commits, StatusUnavailable if it fails.
 type stagedWrite struct {
-	v     byte
 	seq   uint64
 	start time.Time
 	res   fleet.EventResult
@@ -307,7 +306,7 @@ func (c *srvConn) commitRound() {
 	now := time.Now()
 	for i := range c.staged {
 		st := &c.staged[i]
-		c.respond(Response{Version: st.v, Type: MsgApplyBatch, Seq: st.seq, Result: st.res}, err)
+		c.respond(Response{Type: MsgApplyBatch, Seq: st.seq, Result: st.res}, err)
 		c.s.applyHist.Observe(now.Sub(st.start))
 	}
 	c.staged = c.staged[:0]
@@ -343,7 +342,7 @@ func (c *srvConn) handle(payload []byte) bool {
 	if h.t != MsgApplyBatch && c.round.Has(h.id) {
 		c.commitRound() // read your pipelined write
 	}
-	resp := Response{Version: h.v, Type: h.t, Seq: h.seq}
+	resp := Response{Type: h.t, Seq: h.seq}
 	var hist *obs.Histogram
 	switch h.t {
 	case MsgLookup:
@@ -365,7 +364,7 @@ func (c *srvConn) handle(payload []byte) bool {
 			resp.Result, err = c.s.mgr.StageBatchBytes(&c.round, h.id, c.req.Events)
 		}
 		if err == nil {
-			c.staged = append(c.staged, stagedWrite{v: h.v, seq: h.seq, start: start, res: resp.Result})
+			c.staged = append(c.staged, stagedWrite{seq: h.seq, start: start, res: resp.Result})
 			if c.round.Len() == fleet.RoundCap {
 				c.commitRound()
 			}
@@ -385,7 +384,7 @@ func (c *srvConn) respond(resp Response, err error) {
 	mark := c.wq.mark()
 	out := c.wq.active
 	if err != nil {
-		out = c.appendError(out, resp.Version, resp.Type, resp.Seq, err)
+		out = c.appendError(out, resp.Type, resp.Seq, err)
 	} else {
 		out = c.appendOK(out, resp)
 	}
@@ -407,23 +406,10 @@ func (c *srvConn) appendOK(out []byte, resp Response) []byte {
 	return body
 }
 
-func (c *srvConn) appendError(out []byte, v byte, t MsgType, seq uint64, err error) []byte {
-	st := statusOf(err)
-	resp := Response{Version: v, Type: t, Seq: seq, Status: st, Msg: err.Error()}
-	if st == StatusWrongShard {
-		if v < VersionShard {
-			// The requester predates StatusWrongShard; a byte it can't
-			// decode would kill its connection. Downgrade to the posture
-			// status it does know, folding the owner URL into the message
-			// so an operator (or log line) still sees where the instance
-			// went.
-			resp.Status = StatusReadOnly
-			if owner := fleet.WrongShardOwner(err); owner != "" {
-				resp.Msg += " (owner " + owner + ")"
-			}
-		} else {
-			resp.Owner = fleet.WrongShardOwner(err)
-		}
+func (c *srvConn) appendError(out []byte, t MsgType, seq uint64, err error) []byte {
+	resp := Response{Type: t, Seq: seq, Status: statusOf(err), Msg: err.Error()}
+	if resp.Status == StatusWrongShard {
+		resp.Owner = fleet.WrongShardOwner(err)
 	}
 	return c.appendOK(out, resp)
 }

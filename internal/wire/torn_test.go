@@ -193,7 +193,7 @@ func TestWireCorruptResponseFailsConnection(t *testing.T) {
 		payload := make([]byte, size)
 		io.ReadFull(nc, payload)
 		// Answer with a frame whose CRC does not match its payload.
-		resp := []byte{Version, byte(MsgLookup), 1, byte(StatusOK), 0, 0}
+		resp := []byte{VersionShard, byte(MsgLookup), 1, byte(StatusOK), 0, 0}
 		var out []byte
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(resp)))
 		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(resp, castagnoli)+1)

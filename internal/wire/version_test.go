@@ -1,125 +1,94 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
+	"errors"
 	"io"
-	"net"
-	"strings"
 	"testing"
-
-	"ftnet/internal/fleet"
-	sharding "ftnet/internal/shard"
+	"time"
 )
 
-// TestWireVersionDowngrade pins the rolling-upgrade contract: a
-// pre-sharding (v1) client asking a sharded daemon about a foreign
-// instance must get a status byte its decoder knows — StatusReadOnly
-// with the owner URL folded into the message — never StatusWrongShard,
-// which would kill its connection as "unknown status". The response
-// must also echo the request's version.
-func TestWireVersionDowngrade(t *testing.T) {
-	ring := sharding.New([]string{"a", "b"}, 0)
-	foreign := ""
-	for i := 0; i < 1000 && foreign == ""; i++ {
-		if id := fmt.Sprintf("inst-%d", i); ring.Owner(id) == "b" {
-			foreign = id
-		}
-	}
-	if foreign == "" {
-		t.Fatal("no probe id owned by b")
-	}
+// asVersion returns a copy of a canonical payload under another
+// version byte.
+func asVersion(payload []byte, v byte) []byte {
+	payload = bytes.Clone(payload)
+	payload[0] = v
+	return payload
+}
 
-	mgr := fleet.NewManager(fleet.Options{})
-	ownerURL := "http://daemon-b.example:8100"
-	mgr.SetTopology("a", map[string]string{"a": "http://daemon-a.example:8100", "b": ownerURL}, 0)
+// TestWireServerRefusesV1 pins what became of the pre-sharding
+// revision: a frame at version 1 — good CRC, canonical body — is
+// refused by the same path as any unknown version. The server hangs up
+// without answering it, and other connections are not disturbed.
+func TestWireServerRefusesV1(t *testing.T) {
+	mgr := newTestManager(t, "prod", 2)
 	addr, _ := startServer(t, mgr, ServerOptions{})
+	other := dialTest(t, addr, Options{Conns: 1})
+	front := dialRaw(t, addr)
 
-	nc, err := net.Dial("tcp", addr)
+	front.send(Request{Type: MsgLookup, Seq: 1, ID: "prod", X: 1})
+	if resp := front.recv(5 * time.Second); resp.Status != StatusOK || resp.Version != VersionShard {
+		t.Fatalf("well-formed frame before the v1 one answered %+v", resp)
+	}
+	before := mgr.Stats().Lookups
+	payload, err := AppendRequest(nil, Request{Type: MsgLookup, Seq: 2, ID: "prod", X: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.Close()
-
-	send := func(version byte, seq uint64) Response {
-		t.Helper()
-		payload, err := AppendRequest(nil, Request{Version: version, Type: MsgLookup, Seq: seq, ID: foreign, X: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		frame := appendFrameHeader(nil)
-		frame = append(frame, payload...)
-		sealFrame(frame, 0)
-		if _, err := nc.Write(frame); err != nil {
-			t.Fatal(err)
-		}
-		var hdr [frameHeaderSize]byte
-		if _, err := io.ReadFull(nc, hdr[:]); err != nil {
-			t.Fatal(err)
-		}
-		size := binary.LittleEndian.Uint32(hdr[0:4])
-		body := make([]byte, size)
-		if _, err := io.ReadFull(nc, body); err != nil {
-			t.Fatal(err)
-		}
-		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			t.Fatal("response frame CRC mismatch")
-		}
-		resp, err := DecodeResponse(body)
-		if err != nil {
-			t.Fatalf("decode response: %v", err)
-		}
-		return resp
+	if err := writeTestFrame(front.nc, asVersion(payload, 1)); err != nil {
+		t.Fatal(err)
 	}
-
-	// v1 requester: wrong-shard downgraded to the read-only posture
-	// status, owner readable in the message, no owner field.
-	resp := send(Version, 1)
-	if resp.Version != Version {
-		t.Errorf("v1 request answered at version %d", resp.Version)
+	front.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := readTestFrame(front.br); !errors.Is(err, io.EOF) {
+		t.Fatalf("after a v1 frame the connection read %v, want EOF (hung up, nothing answered)", err)
 	}
-	if resp.Status != StatusReadOnly {
-		t.Fatalf("v1 wrong-shard status = %v, want StatusReadOnly", resp.Status)
+	if after := mgr.Stats().Lookups; after != before {
+		t.Fatalf("the v1 frame was handled: lookups %d -> %d", before, after)
 	}
-	if !strings.Contains(resp.Msg, ownerURL) {
-		t.Errorf("v1 downgrade message %q does not carry the owner URL", resp.Msg)
-	}
-	if resp.Owner != "" {
-		t.Errorf("v1 response carries owner field %q", resp.Owner)
-	}
-
-	// v2 requester on the same connection: full wrong-shard answer.
-	resp = send(VersionShard, 2)
-	if resp.Version != VersionShard {
-		t.Errorf("v2 request answered at version %d", resp.Version)
-	}
-	if resp.Status != StatusWrongShard {
-		t.Fatalf("v2 wrong-shard status = %v, want StatusWrongShard", resp.Status)
-	}
-	if resp.Owner != ownerURL {
-		t.Errorf("v2 owner hint = %q, want %q", resp.Owner, ownerURL)
+	if _, _, err := other.Lookup("prod", 1); err != nil {
+		t.Fatalf("another connection after the hang-up: %v", err)
 	}
 }
 
-// TestWireStatusVersionGate pins the per-version canonical-status rule
-// on both codec directions: StatusWrongShard cannot be encoded into or
-// decoded out of a v1 payload.
+// TestWireStatusVersionGate pins the codec's two closed sets on both
+// directions: the version byte is VersionShard or the payload is not
+// canonical, and a status byte past StatusWrongShard is not one.
 func TestWireStatusVersionGate(t *testing.T) {
-	bad := Response{Version: Version, Type: MsgLookup, Seq: 1,
-		Status: StatusWrongShard, Msg: "owned elsewhere", Owner: "http://b:8100"}
-	if _, err := AppendResponse(nil, bad); err == nil {
-		t.Error("AppendResponse encoded StatusWrongShard at version 1")
+	req := Request{Type: MsgLookup, Seq: 1, ID: "prod", X: 3}
+	resp := Response{Type: MsgLookup, Seq: 1, Status: StatusWrongShard, Msg: "owned elsewhere", Owner: "http://b:8100"}
+	reqBytes, err := AppendRequest(nil, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	respBytes, err := AppendResponse(nil, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []byte{1, VersionShard + 1} {
+		req.Version, resp.Version = v, v
+		if _, err := AppendRequest(nil, req); err == nil {
+			t.Errorf("AppendRequest encoded version %d", v)
+		}
+		if _, err := AppendResponse(nil, resp); err == nil {
+			t.Errorf("AppendResponse encoded version %d", v)
+		}
+		if _, err := DecodeRequest(asVersion(reqBytes, v)); err == nil {
+			t.Errorf("DecodeRequest accepted version %d", v)
+		}
+		if _, err := DecodeResponse(asVersion(respBytes, v)); err == nil {
+			t.Errorf("DecodeResponse accepted version %d", v)
+		}
 	}
 
-	// Hand-craft the same payload: v1 header, status byte 8.
-	payload := []byte{Version, byte(MsgLookup)}
+	const unknown = StatusWrongShard + 1
+	if _, err := AppendResponse(nil, Response{Type: MsgLookup, Seq: 1, Status: unknown, Msg: "?"}); err == nil {
+		t.Errorf("AppendResponse encoded status %d", unknown)
+	}
+	payload := []byte{VersionShard, byte(MsgLookup)}
 	payload = binary.AppendUvarint(payload, 1)
-	payload = append(payload, byte(StatusWrongShard))
-	msg := "owned elsewhere"
-	payload = binary.AppendUvarint(payload, uint64(len(msg)))
-	payload = append(payload, msg...)
+	payload = append(payload, byte(unknown), 1, '?')
 	if _, err := DecodeResponse(payload); err == nil {
-		t.Error("DecodeResponse accepted StatusWrongShard in a v1 payload")
+		t.Errorf("DecodeResponse accepted status %d", unknown)
 	}
 }
