@@ -172,6 +172,17 @@ func (s Spec) Validate() error {
 	}
 }
 
+// sizes returns the node counts of the target and of the host a valid
+// spec induces.
+func (s Spec) sizes() (nTarget, nHost int) {
+	if s.Kind == KindShuffle {
+		p := ft.SEParams{H: s.H, K: s.K}
+		return p.NTarget(), p.NHost()
+	}
+	p := ft.Params{M: s.M, H: s.H, K: s.K}
+	return p.NTarget(), p.NHost()
+}
+
 // EventKind is the type of a reconfiguration event.
 type EventKind string
 

@@ -22,10 +22,11 @@ import (
 // ones), then shard locks, then the log's own lock. An open round
 // resolves its next instance through the shard maps while it holds the
 // staged ones, so nothing may wait under a shard lock for a writer
-// mutex a round can be holding: Delete and the replication applier
-// tombstone first and lock the shard after (under a shard lock only a
-// tombstoned or fenced instance's mutex is taken, which a round gives
-// back at once).
+// mutex a round can be holding: a copy is retired before the shard lock
+// is taken, never under it. Two function bodies keep that order for
+// every record that changes the registry — Manager.enter, which retires
+// the copy it supersedes and then locks the shard, and Manager.leave,
+// which locks the shard for a copy its caller has already retired.
 type pipeline struct {
 	gate sync.RWMutex
 	log  *commit.Log
@@ -62,8 +63,7 @@ type Instance struct {
 	pipe *pipeline // shared commit pipeline; never nil
 
 	snap    atomic.Pointer[ft.Snapshot] // current state; never nil
-	writeMu sync.Mutex                  // serializes event application only
-	deleted bool                        // set by Manager.Delete; guarded by writeMu
+	writeMu sync.Mutex                  // serializes event application and the lifecycle
 
 	// next is the snapshot staged in an open Round, which holds writeMu
 	// from Stage to Commit; publishNext, the commit's publish step,
@@ -71,17 +71,13 @@ type Instance struct {
 	next        *ft.Snapshot // guarded by writeMu
 	publishNext func()
 
-	// Migration state. migrating is the outbound write fence: set under
-	// writeMu when the journal suffix is captured, so a write that
-	// passed the manager's ownership check before the cutover still
-	// cannot apply — it is redirected to migrateTo (the new owner's
-	// URL) instead. staged marks an inbound instance whose checkpoint
-	// arrived but whose handoff has not committed: reads and writes get
-	// ErrUnavailable (retry shortly), never a stale answer.
-	migrating bool   // guarded by writeMu
-	migrateTo string // owner URL for fenced writes; guarded by writeMu
-	staged    atomic.Bool
-	stagedAt  uint64 // source commit seq of the staged checkpoint; guarded by writeMu
+	// The lifecycle: see phase. peer is the new owner's URL while the
+	// copy is fenced or moved; stagedAt the source commit seq of the
+	// checkpoint an arriving copy was staged from. Both guarded by
+	// writeMu.
+	phase    atomic.Uint32
+	peer     string
+	stagedAt uint64
 
 	rejectedBudget   atomic.Uint64 // events refused: budget exhausted
 	rejectedConflict atomic.Uint64 // events refused: double fault / repair healthy
@@ -115,21 +111,136 @@ func (c *stripedCounter) Load() uint64 {
 	return sum
 }
 
-// newInstance builds the instance in its zero-fault state. The
-// pipeline must be non-nil; it is shared across the manager's
-// instances.
+// phase is where one copy of an instance stands in its lifecycle: one
+// word, assigned only under writeMu and only by the four transitions
+// below (and by Manager.restore, for a copy nothing else can reach yet),
+// readable with one atomic load — which is how resolve, SetTopology and
+// Displaced test for an arriving copy without the mutex.
+//
+//	phase     a write or delete is owed     moves on by
+//	live      nil: it applies               fence(peer) -> fenced, retire("") -> gone
+//	arriving  ErrUnavailable: retry         open() -> live, retire("") -> gone
+//	fenced    ErrWrongShard naming peer     unfence() -> live, retire(peer) -> moved
+//	moved     ErrWrongShard naming peer     nothing: it is on its way out of the registry
+//	gone      ErrNotFound                   nothing, bar the undo of the retire that got it there
+//
+// StageMigration registers an arriving copy (through the raw door: it is
+// never journaled), CommitMigration opens it in the publish step of its
+// OpMigrate record, AbortMigration retires it instead. MigrateOut fences
+// a live copy when it captures the journal suffix and unfences it when
+// the handoff provably did not commit; otherwise completeMigration
+// retires it toward the peer. moved is its own state, so a writer that
+// held the pointer from before the cutover is owed the redirect whatever
+// order anyone tests things in. Delete, a forwarded record that replaces
+// or deletes a follower's copy, and a reset retire a copy to gone — as
+// does ReconcilePins, live to gone with no fenced in between: a write
+// acked on that already stale copy between its probe and the retire goes
+// with it (fencing a pin that turns out to be kept would bounce its
+// writes to an owner that has no copy). Reads look at the phase for the
+// arriving test only: until leave unregisters it, a fenced, moved or
+// gone copy answers lookups from the last snapshot it published.
+type phase uint32
+
+const (
+	phaseLive     phase = iota // in service; what newInstance builds
+	phaseArriving              // staged inbound copy: checkpoint received, handoff not committed
+	phaseFenced                // outbound write fence up: the suffix is captured, peer may own the id already
+	phaseMoved                 // cut over to peer
+	phaseGone                  // deleted, aborted, superseded or wiped
+)
+
+// at returns the copy's phase; it needs no lock.
+func (in *Instance) at() phase { return phase(in.phase.Load()) }
+
+func (in *Instance) arriving() bool { return in.at() == phaseArriving }
+
+// errArriving is what a request for a staged copy is told, by refuse
+// under the writer mutex and by resolve without it.
+func errArriving[T key](id T) error {
+	return errorf(ErrUnavailable, "fleet: instance %q is arriving (migration staged); retry shortly", id)
+}
+
+// refuse says what a write or delete that holds this pointer is owed:
+// nil when it may go ahead. The caller holds writeMu — the mutex every
+// transition is made under — so a write is either fully applied before
+// a fence (acked, in the shipped suffix) or redirected, never silently
+// dropped or double-applied, and a writer that raced a delete can never
+// commit a transition record after its instance's delete record, which
+// would poison recovery of a reused id.
+func (in *Instance) refuse() error {
+	switch in.at() {
+	case phaseLive:
+		return nil
+	case phaseArriving:
+		return errArriving(in.id)
+	case phaseFenced, phaseMoved:
+		return wrongShardf(in.peer, "fleet: instance %q migrated to %s", in.id, in.peer)
+	default:
+		return errorf(ErrNotFound, "fleet: instance %q deleted", in.id)
+	}
+}
+
+// The four transitions, each called with writeMu held. One that does
+// not apply from the copy's phase (see the table) leaves it as it is.
+
+// fence puts a live copy's write fence up: from here its writes are
+// redirected to peer, not applied. Any other copy is refused with what
+// refuse says about it.
+func (in *Instance) fence(peer string) error {
+	if err := in.refuse(); err != nil {
+		return err
+	}
+	in.peer = peer
+	in.phase.Store(uint32(phaseFenced))
+	return nil
+}
+
+// unfence lifts the fence: the copy is live again.
+func (in *Instance) unfence() {
+	if in.at() == phaseFenced {
+		in.peer = ""
+		in.phase.Store(uint32(phaseLive))
+	}
+}
+
+// open puts an arriving copy in service.
+func (in *Instance) open() {
+	if in.arriving() {
+		in.phase.Store(uint32(phaseLive))
+	}
+}
+
+// retire takes the copy out of service for good: moved when to names
+// the owner its holders should be sent to, gone otherwise. undo puts
+// back what retire found, for the one caller whose record can fail to
+// commit with the copy still this daemon's to serve (Delete); it too
+// runs under writeMu.
+func (in *Instance) retire(to string) (undo func()) {
+	was, wasPeer := in.at(), in.peer
+	switch {
+	case was == phaseMoved || was == phaseGone:
+	case to != "":
+		in.peer = to
+		in.phase.Store(uint32(phaseMoved))
+	default:
+		in.phase.Store(uint32(phaseGone))
+	}
+	return func() {
+		in.peer = wasPeer
+		in.phase.Store(uint32(was))
+	}
+}
+
+// newInstance builds the instance in its zero-fault state, live and
+// unregistered. The pipeline must be non-nil; it is shared across the
+// manager's instances.
 func newInstance(id string, spec Spec, pipe *pipeline) (*Instance, error) {
-	if err := spec.Validate(); err != nil {
+	if err := checkNew(id, spec); err != nil {
 		return nil, err
 	}
 	in := &Instance{id: id, spec: spec, pipe: pipe}
-	switch spec.Kind {
-	case KindDeBruijn:
-		p := ft.Params{M: spec.M, H: spec.H, K: spec.K}
-		in.nTarget, in.nHost = p.NTarget(), p.NHost()
-	case KindShuffle:
-		p := ft.SEParams{H: spec.H, K: spec.K}
-		in.nTarget, in.nHost = p.NTarget(), p.NHost()
+	in.nTarget, in.nHost = spec.sizes()
+	if spec.Kind == KindShuffle {
 		psi, err := shuffle.EmbedIntoDeBruijn(spec.H)
 		if err != nil {
 			return nil, err
@@ -143,6 +254,15 @@ func newInstance(id string, spec Spec, pipe *pipeline) (*Instance, error) {
 	in.snap.Store(s)
 	in.publishNext = func() { in.snap.Store(in.next) }
 	return in, nil
+}
+
+// checkNew is what newInstance asks of an id and a spec before it
+// builds anything.
+func checkNew(id string, spec Spec) error {
+	if id == "" {
+		return fmt.Errorf("fleet: empty instance id")
+	}
+	return spec.Validate()
 }
 
 // ID returns the instance identifier.
@@ -213,28 +333,8 @@ func (r *Round) Stage(in *Instance, events []Event) (EventResult, error) {
 
 // stageLocked is Stage under in's writer mutex.
 func (r *Round) stageLocked(in *Instance, batch []ft.Change) (EventResult, error) {
-	// The migration write fence: a writer that resolved ownership before
-	// the cutover re-checks here, under the same mutex the fence was
-	// taken under — so a write is either fully applied before the fence
-	// (acked, in the shipped suffix) or redirected, never silently
-	// dropped or double-applied. The fence is tested before the
-	// tombstone: the cutover tombstones a copy that is still fenced, and
-	// a writer that held it from before is owed the redirect, not "not
-	// found".
-	if in.migrating {
-		return EventResult{}, wrongShardf(in.migrateTo,
-			"fleet: instance %s migrated to %s", in.id, in.migrateTo)
-	}
-	// A writer that raced Manager.Delete (it held this *Instance from
-	// before the removal) must not apply — and above all must not
-	// commit a transition record after the instance's delete record,
-	// which would poison recovery of a reused id.
-	if in.deleted {
-		return EventResult{}, errorf(ErrNotFound, "fleet: instance %s deleted", in.id)
-	}
-	if in.staged.Load() {
-		return EventResult{}, errorf(ErrUnavailable,
-			"fleet: instance %s is arriving (migration staged)", in.id)
+	if err := in.refuse(); err != nil {
+		return EventResult{}, err
 	}
 	next, err := in.snap.Load().Apply(batch)
 	if err != nil {
@@ -279,30 +379,28 @@ func (r *Round) stageLocked(in *Instance, batch []ft.Change) (EventResult, error
 // budget) — the cheap receiver-side check Patra & Rangan style record
 // forwarding relies on: corrupted or forged state is detected, never
 // accepted. What it returns is a fresh ft.NewMapping by construction.
-// The caller holds writeMu and decides whether to publish.
+// The caller decides whether, and under what lock, to publish it.
 func (in *Instance) restoredSnapshot(epoch uint64, faults []int) (*ft.Snapshot, error) {
 	next, err := ft.Restore(in.nTarget, in.nHost, in.spec.K, epoch, faults)
 	if err != nil {
-		return nil, errorf(ErrCorruptRecord, "fleet: instance %s: restore epoch %d: %v", in.id, epoch, err)
+		return nil, corruptStatef(in.id, epoch, err)
 	}
 	return next, nil
 }
 
-// restoreCheckpoint installs a complete journaled state — a checkpoint
-// or migrate record's, or the last of an instance's transition records
-// when Recover's walk ends. It accepts any epoch (a checkpoint captures
-// an instance mid-history, after the preceding records were compacted
-// away; Recover chains transition epochs itself, record by record),
-// with restoredSnapshot's fault-set validation. Recovery-path only — it
-// does not re-commit the record.
-func (in *Instance) restoreCheckpoint(epoch uint64, faults []int) error {
-	in.writeMu.Lock()
-	defer in.writeMu.Unlock()
-	next, err := in.restoredSnapshot(epoch, faults)
-	if err != nil {
-		return err
+// corruptStatef is the refusal of a state record's fault set, by
+// ft.Restore or by ft.CheckRestore.
+func corruptStatef[T key](id T, epoch uint64, err error) error {
+	return errorf(ErrCorruptRecord, "fleet: instance %s: restore epoch %d: %v", id, epoch, err)
+}
+
+// successor is the chain rule every forwarded or replayed transition
+// record is held to: accepted transitions advance their instance's epoch
+// by exactly one, so anything else is a gap, a replay or a reorder.
+func successor[T key](id T, cur, next uint64) error {
+	if next != cur+1 {
+		return errorf(ErrCorruptRecord, "fleet: instance %s: epoch %d follows epoch %d (gap or reorder)", id, next, cur)
 	}
-	in.snap.Store(next)
 	return nil
 }
 
@@ -324,13 +422,11 @@ func (in *Instance) replicate(rec journal.Record) error {
 }
 
 func (r *Round) replicateLocked(in *Instance, rec journal.Record) error {
-	if in.deleted {
-		return errorf(ErrNotFound, "fleet: instance %s deleted", in.id)
+	if err := in.refuse(); err != nil {
+		return err
 	}
-	cur := in.snap.Load()
-	if rec.Epoch != cur.Epoch()+1 {
-		return errorf(ErrCorruptRecord, "fleet: instance %s: replicated epoch %d follows epoch %d (gap or reorder)",
-			in.id, rec.Epoch, cur.Epoch())
+	if err := successor(in.id, in.snap.Load().Epoch(), rec.Epoch); err != nil {
+		return err
 	}
 	next, err := in.restoredSnapshot(rec.Epoch, rec.Faults)
 	if err != nil {
@@ -355,15 +451,8 @@ func (in *Instance) Snapshot() *ft.Snapshot { return in.snap.Load() }
 // ApplyBatch and performs no mutex acquisition — one atomic pointer
 // load, then an array index into the immutable snapshot.
 func (in *Instance) Lookup(x int) (int, error) {
-	if x < 0 || x >= in.nTarget {
-		return 0, fmt.Errorf("fleet: instance %s: target node %d out of range [0,%d)",
-			in.id, x, in.nTarget)
-	}
-	in.lookups.Add(x)
-	if in.psi != nil {
-		x = in.psi[x]
-	}
-	return in.snap.Load().Phi(x), nil
+	phi, _, err := in.LookupEpoch(x)
+	return phi, err
 }
 
 // LookupEpoch is Lookup plus the epoch of the snapshot that answered —
@@ -419,45 +508,23 @@ func (in *Instance) NTarget() int { return in.nTarget }
 // Mapping returns the current reconfiguration map over host identities.
 // Mappings are immutable, so the result stays valid (for its epoch)
 // after later events. Note that for KindShuffle the map is indexed by
-// de Bruijn identity; use PhiSlice or Lookup for target-indexed
+// de Bruijn identity; use RangePhi or Lookup for target-indexed
 // answers.
 func (in *Instance) Mapping() *ft.Mapping { return in.snap.Load().Mapping() }
 
-// PhiSlice returns the full current embedding indexed by target node:
-// PhiSlice()[x] is where target node x runs now. For KindShuffle this
-// composes the SE->dB embedding psi, agreeing with Lookup.
-func (in *Instance) PhiSlice() []int {
-	m := in.Mapping()
-	if in.psi == nil {
-		return m.PhiSlice()
-	}
-	// Materialize the de Bruijn embedding once, then permute through
-	// psi: two O(n) passes instead of n rank searches.
-	dense := m.PhiSlice()
-	out := make([]int, in.nTarget)
-	for x := range out {
-		out[x] = dense[in.psi[x]]
-	}
-	return out
-}
-
 // RangePhi calls fn(x, phi) for x = 0, 1, ... in target order against
-// one immutable snapshot, stopping early if fn returns false. Unlike
-// PhiSlice it materializes nothing — the iterator transports use to
-// stream a million-node embedding without building the dense slice.
-// For KindShuffle each element costs one O(log k) rank search through
-// psi; for KindDeBruijn the whole sweep is O(n + k).
+// one immutable snapshot, stopping early if fn returns false. It
+// materializes nothing — the iterator transports use to stream a
+// million-node embedding without building a dense slice. What sets it
+// apart from a window over everything is the KindDeBruijn sweep, O(n + k)
+// for the whole instance; through psi (KindShuffle) there is no such
+// sweep and it is that window, one O(log k) rank search an element.
 func (in *Instance) RangePhi(fn func(x, phi int) bool) {
-	m := in.Mapping()
 	if in.psi == nil {
-		m.RangePhi(fn)
+		in.Mapping().RangePhi(fn)
 		return
 	}
-	for x := 0; x < in.nTarget; x++ {
-		if !fn(x, m.Phi(in.psi[x])) {
-			return
-		}
-	}
+	in.RangePhiWindow(0, in.nTarget, fn)
 }
 
 // RangePhiWindow calls fn(x, phi) for x = from, from+1, ...,

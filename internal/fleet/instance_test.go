@@ -252,10 +252,22 @@ func TestInstanceShuffleMatchesSEMapViaDB(t *testing.T) {
 	}
 }
 
-// TestInstancePhiSliceAgreesWithLookup pins the target-indexed
-// contract: PhiSlice()[x] == Lookup(x) for both kinds — in particular
-// for shuffle, where the slice must compose the psi embedding.
-func TestInstancePhiSliceAgreesWithLookup(t *testing.T) {
+// phiOf collects the instance's whole embedding through RangePhi: the
+// dense view tests compare copies of an instance by.
+func phiOf(in *Instance) []int {
+	phi := make([]int, 0, in.NTarget())
+	in.RangePhi(func(_, v int) bool {
+		phi = append(phi, v)
+		return true
+	})
+	return phi
+}
+
+// TestInstanceRangePhiAgreesWithLookup pins the target-indexed
+// contract of the dense readers: the full sweep and any window answer
+// x with Lookup(x), for both kinds — in particular for shuffle, where
+// they must compose the psi embedding — and stop when told to.
+func TestInstanceRangePhiAgreesWithLookup(t *testing.T) {
 	specs := []Spec{
 		{Kind: KindDeBruijn, M: 2, H: 4, K: 2},
 		{Kind: KindShuffle, H: 4, K: 2},
@@ -267,16 +279,39 @@ func TestInstancePhiSliceAgreesWithLookup(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		slice := in.PhiSlice()
-		for x := range slice {
+		check := func(reader string, x, got int) {
+			t.Helper()
 			phi, err := in.Lookup(x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if slice[x] != phi {
-				t.Fatalf("%s: PhiSlice()[%d] = %d but Lookup(%d) = %d",
-					spec.Kind, x, slice[x], x, phi)
+			if got != phi {
+				t.Fatalf("%s: %s answers %d with %d but Lookup(%d) = %d", spec.Kind, reader, x, got, x, phi)
 			}
+		}
+		slice := phiOf(in)
+		if len(slice) != in.NTarget() {
+			t.Fatalf("%s: RangePhi visited %d targets, want %d", spec.Kind, len(slice), in.NTarget())
+		}
+		for x, phi := range slice {
+			check("RangePhi", x, phi)
+		}
+		seen := 0
+		in.RangePhiWindow(3, 5, func(x, phi int) bool {
+			if x != 3+seen {
+				t.Fatalf("%s: window visited %d, want %d", spec.Kind, x, 3+seen)
+			}
+			check("RangePhiWindow", x, phi)
+			seen++
+			return true
+		})
+		if seen != 5 {
+			t.Fatalf("%s: window of 5 visited %d targets", spec.Kind, seen)
+		}
+		seen = 0
+		in.RangePhi(func(int, int) bool { seen++; return seen < 4 })
+		if seen != 4 {
+			t.Fatalf("%s: RangePhi went on for %d targets after fn said stop at 4", spec.Kind, seen)
 		}
 	}
 }

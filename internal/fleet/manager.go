@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ftnet/internal/commit"
+	"ftnet/internal/ft"
 	"ftnet/internal/journal"
 	"ftnet/internal/obs"
 )
@@ -71,12 +72,11 @@ type Manager struct {
 	// their migration cuts over (see topology.go); movedN mirrors
 	// len(moved) so the hot path skips the map lock when there are no
 	// pins.
-	topo          atomic.Pointer[topology]
-	movedMu       sync.RWMutex
-	moved         map[string]struct{}
-	movedN        atomic.Int64
-	rejectedShard atomic.Uint64 // requests refused: instance owned elsewhere
-	migrateMu     sync.Mutex    // serializes outbound migrations
+	topo      atomic.Pointer[topology]
+	movedMu   sync.RWMutex
+	moved     map[string]struct{}
+	movedN    atomic.Int64
+	migrateMu sync.Mutex // serializes outbound migrations
 
 	obs             *obs.Registry  // service metrics registry; never nil
 	pauseHist       *obs.Histogram // compaction pause (commits gated) duration
@@ -202,8 +202,8 @@ func resolve[T key](m *Manager, id T) (*Instance, error) {
 	if !ok {
 		return nil, errorf(ErrNotFound, "fleet: no instance %q", id)
 	}
-	if in.staged.Load() {
-		return nil, errorf(ErrUnavailable, "fleet: instance %q is arriving (migration staged); retry shortly", id)
+	if in.arriving() {
+		return nil, errArriving(id)
 	}
 	return in, nil
 }
@@ -257,40 +257,41 @@ func (m *Manager) Term() (term, termSeq uint64) { return m.pipe.log.Term() }
 // current+1. The caller (fleet.Follower, or ftnetd's signal handler)
 // must have stopped tailing the old leader first.
 func (m *Manager) Promote(term uint64) (uint64, error) {
-	m.pipe.gate.RLock()
-	defer m.pipe.gate.RUnlock()
-	cur, _ := m.pipe.log.Term()
 	if term == 0 {
+		cur, _ := m.pipe.log.Term()
 		term = cur + 1
 	}
-	rec := journal.Record{Op: journal.OpTermBump, ID: journal.SeqBaseID, Term: term}
-	if _, err := m.pipe.log.Commit(rec, nil); err != nil {
-		if errors.Is(err, commit.ErrStaleTerm) {
-			return 0, errorf(ErrStaleTerm, "fleet: promote to term %d: %v", term, err)
-		}
-		m.journalFailed.Add(1)
-		return 0, errorf(ErrUnavailable, "fleet: commit term bump: %v", err)
+	if err := m.bumpTerm(journal.Record{Op: journal.OpTermBump, ID: journal.SeqBaseID, Term: term}); err != nil {
+		return 0, err
 	}
 	m.readOnly.Store(false)
 	m.leaderHint.Store(nil)
 	return term, nil
 }
 
+// bumpTerm commits a leadership fence record, a promotion's own or one
+// forwarded by the leader. The commit plane re-verifies the chain either
+// way: a bump that does not move the term forward — a lost promotion
+// race, or the signature of a stale leader's stream — fails with
+// ErrStaleTerm rather than landing.
+func (m *Manager) bumpTerm(rec journal.Record) error {
+	m.pipe.gate.RLock()
+	defer m.pipe.gate.RUnlock()
+	if _, err := m.pipe.log.Commit(rec, nil); err != nil {
+		if errors.Is(err, commit.ErrStaleTerm) {
+			return errorf(ErrStaleTerm, "fleet: term bump to %d: %v", rec.Term, err)
+		}
+		m.journalFailed.Add(1)
+		return errorf(ErrUnavailable, "fleet: commit term bump: %v", err)
+	}
+	return nil
+}
+
 // Create registers a new instance under id. The id must be non-empty
-// and unused; the spec must satisfy the paper's preconditions. The
-// create record is committed under the shard lock before the instance
-// becomes visible, so no transition record can ever precede its
-// instance's create record in the commit stream. Holding the shard
-// lock across the (possibly fsynced) commit briefly stalls that
-// shard's lookups; that is a deliberate trade — create/delete are rare
-// control-plane operations, and the hot transition path fsyncs only
-// under its own instance's writer mutex.
+// and unused; the spec must satisfy the paper's preconditions.
 func (m *Manager) Create(id string, spec Spec) (*Instance, error) {
 	if m.readOnly.Load() {
 		return nil, m.errReadOnly("create")
-	}
-	if id == "" {
-		return nil, fmt.Errorf("fleet: empty instance id")
 	}
 	if err := checkOwned(m, id); err != nil {
 		return nil, err
@@ -299,40 +300,110 @@ func (m *Manager) Create(id string, spec Spec) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.pipe.gate.RLock()
-	defer m.pipe.gate.RUnlock()
-	s := m.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.instances[id]; dup {
-		return nil, errorf(ErrConflict, "fleet: instance %q already exists", id)
-	}
 	rec := journal.Record{Op: journal.OpCreate, ID: id, Spec: journalSpec(spec)}
-	if _, err := m.pipe.log.Commit(rec, func() { s.instances[id] = in }); err != nil {
-		m.journalFailed.Add(1)
-		return nil, errorf(ErrUnavailable, "fleet: commit create %s: %v", id, err)
+	if err := m.enter(rec, in, false); err != nil {
+		return nil, err
 	}
 	return in, nil
 }
 
-// createRaw registers an instance without committing — the recovery
-// path, replaying records that are already in the log.
-func (m *Manager) createRaw(id string, spec Spec) (*Instance, error) {
-	if id == "" {
-		return nil, fmt.Errorf("fleet: empty instance id")
+// The registry has one door each way for a change a record of this log
+// announces, and a raw door for the changes none does. Nothing else
+// writes a shard map.
+
+// enter commits rec — a create or a migrate arrival — and registers in,
+// the instance it describes, in the commit's publish step under the
+// shard lock: no transition record can precede its instance's first
+// record in the commit stream. Holding the shard lock across the
+// (possibly fsynced) commit briefly stalls that shard's lookups, a
+// deliberate trade: registry changes are rare control-plane operations.
+// A registered id is ErrConflict, unless supersede says rec is
+// authoritative (the replication applier's stream is): then the
+// registered copy is stale and is retired first — before the shard
+// lock, see pipeline.
+func (m *Manager) enter(rec journal.Record, in *Instance, supersede bool) error {
+	m.pipe.gate.RLock()
+	defer m.pipe.gate.RUnlock()
+	if supersede {
+		// The applier is the only mutator of a follower's registry, so the
+		// copy retired here is the one the publish step replaces.
+		if old, ok := m.Get(in.id); ok {
+			old.writeMu.Lock()
+			old.retire("")
+			old.writeMu.Unlock()
+		}
 	}
-	in, err := newInstance(id, spec, m.pipe)
-	if err != nil {
-		return nil, err
+	s := m.shardFor(in.id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.instances[in.id]; dup && !supersede {
+		return errorf(ErrConflict, "fleet: instance %q already exists", in.id)
 	}
+	if _, err := m.pipe.log.Commit(rec, func() { s.instances[in.id] = in }); err != nil {
+		m.journalFailed.Add(1)
+		return errorf(ErrUnavailable, "fleet: commit %v %s: %v", rec.Op, in.id, err)
+	}
+	return nil
+}
+
+// leave commits the OpDelete of id and unregisters it in the publish
+// step; if the commit fails the copy stays registered, so memory never
+// gets ahead of the log. The caller holds the gate shared and has
+// retired the copy already — under its writer mutex, before this takes
+// the shard lock — so a write that raced it has either finished (its
+// record precedes the delete record) or will be refused: no transition
+// record trails its instance's delete record, and a reused id recovers
+// cleanly.
+func (m *Manager) leave(id string) error {
 	s := m.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.instances[id]; dup {
-		return nil, errorf(ErrConflict, "fleet: instance %q already exists", id)
+	rec := journal.Record{Op: journal.OpDelete, ID: id}
+	if _, err := m.pipe.log.Commit(rec, func() { delete(s.instances, id) }); err != nil {
+		m.journalFailed.Add(1)
+		return errorf(ErrUnavailable, "fleet: commit delete %s: %v", id, err)
 	}
-	s.instances[id] = in
-	return in, nil
+	return nil
+}
+
+// setRaw, unsetRaw and wipeRaw are the raw door: registry changes that
+// commit nothing, because the record is already in the log (recovery),
+// the log is about to be rebased onto them (a reset), or the copy is not
+// this log's business yet (a staged migration and its abort).
+
+// setRaw registers in under its id. A copy that is in service is only
+// replaced when supersede allows it; an arriving one is a stage its
+// source is free to send again.
+func (m *Manager) setRaw(in *Instance, supersede bool) error {
+	s := m.shardFor(in.id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old, ok := s.instances[in.id]; ok && !supersede && !old.arriving() {
+		return errorf(ErrConflict, "fleet: instance %q already exists", in.id)
+	}
+	s.instances[in.id] = in
+	return nil
+}
+
+// unsetRaw unregisters id; an id that is not registered is fine.
+func (m *Manager) unsetRaw(id string) {
+	s := m.shardFor(id)
+	s.mu.Lock()
+	delete(s.instances, id)
+	s.mu.Unlock()
+}
+
+// wipeRaw retires and unregisters every instance. The caller holds the
+// gate exclusive, so nothing is entering meanwhile.
+func (m *Manager) wipeRaw() {
+	for _, id := range m.List() {
+		if in, ok := m.Get(id); ok {
+			in.writeMu.Lock()
+			in.retire("")
+			in.writeMu.Unlock()
+		}
+		m.unsetRaw(id)
+	}
 }
 
 // journalSpec converts a fleet spec to its journal representation.
@@ -355,15 +426,14 @@ func (m *Manager) Get(id string) (*Instance, bool) { return get(m, id) }
 func (m *Manager) GetBytes(id []byte) (*Instance, bool) { return get(m, id) }
 
 // Delete removes the instance with the given id, reporting whether it
-// existed. The delete record is committed first; if that fails the
-// instance stays registered, so memory never gets ahead of the log.
-// Before the commit, the instance is tombstoned under its writer
-// mutex: any ApplyBatch that raced the delete has either already
-// finished (its record precedes the delete record) or will see the
-// tombstone and reject — so no transition record can ever trail its
-// instance's delete record, and a reused id recovers cleanly. The
-// tombstone also settles racing deletes: the loser reports "no such
-// instance" without waiting for the winner's commit.
+// existed. The instance is retired under its writer mutex and then
+// leaves the registry with its delete record; if that commit fails the
+// retirement is undone and the instance stays live. The retirement also
+// settles racing deletes: the loser reports "no such instance" without
+// waiting for the winner's commit. A copy that is not this daemon's to
+// delete — arriving (not journaled yet: an OpDelete would be an orphan
+// and race the source's CommitMigration), fenced or cut over — is
+// refused with what refuse says about it.
 func (m *Manager) Delete(id string) (bool, error) {
 	if m.readOnly.Load() {
 		return false, m.errReadOnly("delete")
@@ -371,58 +441,27 @@ func (m *Manager) Delete(id string) (bool, error) {
 	m.pipe.gate.RLock()
 	defer m.pipe.gate.RUnlock()
 	in, err := resolve(m, id)
+	var undo func()
+	if err == nil {
+		in.writeMu.Lock()
+		if err = in.refuse(); err == nil {
+			undo = in.retire("")
+		}
+		in.writeMu.Unlock()
+	}
 	if err != nil {
 		if errors.Is(err, ErrNotFound) {
-			err = nil
+			err = nil // nothing here by that name, or another delete got to it first
 		}
 		return false, err
 	}
-	// The tombstone goes up before the shard lock is taken, never under
-	// it: an open commit round holds staged instances' writer mutexes
-	// while it resolves its next instance through the shard maps.
-	in.writeMu.Lock()
-	if in.migrating {
-		// Before the tombstone check: a cutover that raced the resolve
-		// above leaves both flags up, and the caller is owed the redirect.
-		owner := in.migrateTo
-		in.writeMu.Unlock()
-		return false, wrongShardf(owner, "fleet: instance %q is migrating; delete it at its new owner", id)
-	}
-	if in.deleted {
-		// Another delete (or a reset) got here first.
-		in.writeMu.Unlock()
-		return false, nil
-	}
-	if in.staged.Load() {
-		// A staged inbound copy is not journaled yet: tombstoning it here
-		// would commit an OpDelete for an id this journal never created
-		// and race the source's CommitMigration. resolve refused it once
-		// already; this is the same answer under the writer mutex.
-		in.writeMu.Unlock()
-		return false, errorf(ErrUnavailable, "fleet: instance %q is arriving (migration staged); retry shortly", id)
-	}
-	in.deleted = true
-	in.writeMu.Unlock()
-	s := m.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec := journal.Record{Op: journal.OpDelete, ID: id}
-	if _, err := m.pipe.log.Commit(rec, func() { delete(s.instances, id) }); err != nil {
-		m.journalFailed.Add(1)
+	if err := m.leave(id); err != nil {
 		in.writeMu.Lock()
-		in.deleted = false // the delete did not happen
+		undo() // the delete did not happen
 		in.writeMu.Unlock()
-		return false, errorf(ErrUnavailable, "fleet: commit delete %s: %v", id, err)
+		return false, err
 	}
 	return true, nil
-}
-
-// deleteRaw removes an instance without journaling (recovery path).
-func (m *Manager) deleteRaw(id string) {
-	s := m.shardFor(id)
-	s.mu.Lock()
-	delete(s.instances, id)
-	s.mu.Unlock()
 }
 
 // Event routes one fault/repair event to the named instance.
@@ -653,7 +692,7 @@ func (m *Manager) Stats() Stats {
 			Self:          t.self,
 			Members:       len(t.ring.Members()),
 			Moved:         int(m.movedN.Load()),
-			WrongShard:    m.rejectedShard.Load(),
+			WrongShard:    m.wrongShardTotal.Value(),
 			MigrationsOut: m.migrationsOut.Value(),
 			MigrationsIn:  m.migrationsIn.Value(),
 		}
@@ -710,14 +749,7 @@ func (m *Manager) Compact() (CompactStats, error) {
 		s := &m.shards[i]
 		s.mu.RLock()
 		for id, in := range s.instances {
-			snap := in.snap.Load()
-			cps = append(cps, journal.Record{
-				Op:     journal.OpCheckpoint,
-				ID:     id,
-				Spec:   journalSpec(in.spec),
-				Epoch:  snap.Epoch(),
-				Faults: snap.Faults(),
-			})
+			cps = append(cps, checkpointRecord(id, in.spec, in.snap.Load()))
 		}
 		s.mu.RUnlock()
 	}
@@ -745,17 +777,7 @@ func (m *Manager) DemoteAndReset(leaderHint string) error {
 	m.SetLeaderHint(leaderHint)
 	m.pipe.gate.Lock()
 	defer m.pipe.gate.Unlock()
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for id, in := range s.instances {
-			in.writeMu.Lock()
-			in.deleted = true
-			in.writeMu.Unlock()
-			delete(s.instances, id)
-		}
-		s.mu.Unlock()
-	}
+	m.wipeRaw()
 	// Zero the term BEFORE Install stamps the seq-base marker: the
 	// rewritten journal must replay from term 0 so the leader's own
 	// term-bump history (which we are about to re-commit during the
@@ -786,117 +808,85 @@ func (m *Manager) ReplicateEntry(e commit.Entry) error {
 	if e.Seq > expected {
 		return fmt.Errorf("%w: got seq %d, expected %d", ErrSeqGap, e.Seq, expected)
 	}
-	switch e.Rec.Op {
+	switch rec := e.Rec; rec.Op {
 	case journal.OpCreate:
-		spec := Spec{Kind: Kind(e.Rec.Spec.Kind), M: e.Rec.Spec.M, H: e.Rec.Spec.H, K: e.Rec.Spec.K}
-		return m.replicateCreate(e.Rec.ID, spec)
-	case journal.OpDelete:
-		return m.replicateDelete(e.Rec.ID)
-	case journal.OpTransition:
-		in, ok := m.Get(e.Rec.ID)
-		if !ok {
-			return errorf(ErrNotFound, "fleet: replicated transition for unknown instance %q", e.Rec.ID)
+		// Create's record for a forwarded one: same commit ordering, but a
+		// duplicate id replaces the existing instance.
+		in, err := newInstance(rec.ID, fleetSpec(rec.Spec), m.pipe)
+		if err != nil {
+			return err
 		}
-		return in.replicate(e.Rec)
-	case journal.OpTermBump:
-		return m.replicateTermBump(e.Rec)
+		return m.enter(journal.Record{Op: journal.OpCreate, ID: rec.ID, Spec: rec.Spec}, in, true)
 	case journal.OpMigrate:
-		return m.replicateMigrate(e.Rec)
-	default:
-		return fmt.Errorf("fleet: cannot replicate %v record", e.Rec.Op)
-	}
-}
-
-// replicateMigrate applies a forwarded ownership-handoff record: the
-// instance arrived on the leader with the carried state, so the
-// follower rebuilds it from scratch — fault-set validation
-// included — replacing any existing copy (the leader's stream is
-// authoritative, as with replicateCreate duplicates).
-func (m *Manager) replicateMigrate(rec journal.Record) error {
-	spec := Spec{Kind: Kind(rec.Spec.Kind), M: rec.Spec.M, H: rec.Spec.H, K: rec.Spec.K}
-	in, err := newInstance(rec.ID, spec, m.pipe)
-	if err != nil {
-		return err
-	}
-	if err := in.restoreCheckpoint(rec.Epoch, rec.Faults); err != nil {
-		return err
-	}
-	m.pipe.gate.RLock()
-	defer m.pipe.gate.RUnlock()
-	m.tombstone(rec.ID)
-	s := m.shardFor(rec.ID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := m.pipe.log.Commit(rec, func() { s.instances[rec.ID] = in }); err != nil {
-		return errorf(ErrUnavailable, "fleet: commit replicated migrate %s: %v", rec.ID, err)
-	}
-	return nil
-}
-
-// replicateTermBump re-commits a forwarded leadership fence through the
-// local pipeline. The local commit plane re-verifies the chain: a bump
-// that does not move the term forward is the signature of a stale
-// leader's stream and fails with ErrStaleTerm rather than landing.
-func (m *Manager) replicateTermBump(rec journal.Record) error {
-	m.pipe.gate.RLock()
-	defer m.pipe.gate.RUnlock()
-	if _, err := m.pipe.log.Commit(rec, nil); err != nil {
-		if errors.Is(err, commit.ErrStaleTerm) {
-			return errorf(ErrStaleTerm, "fleet: replicated term bump: %v", err)
+		// The instance arrived on the leader with the carried state: the
+		// follower rebuilds it from scratch, fault-set validation included.
+		in, err := m.restore(rec, phaseLive)
+		if err != nil {
+			return err
 		}
-		return errorf(ErrUnavailable, "fleet: commit replicated term bump: %v", err)
-	}
-	return nil
-}
-
-// replicateCreate mirrors Create for a forwarded record: same commit
-// ordering, but a duplicate id resets the existing instance (the
-// leader's stream is authoritative).
-func (m *Manager) replicateCreate(id string, spec Spec) error {
-	if id == "" {
-		return fmt.Errorf("fleet: empty instance id")
-	}
-	in, err := newInstance(id, spec, m.pipe)
-	if err != nil {
-		return err
-	}
-	m.pipe.gate.RLock()
-	defer m.pipe.gate.RUnlock()
-	s := m.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec := journal.Record{Op: journal.OpCreate, ID: id, Spec: journalSpec(spec)}
-	if _, err := m.pipe.log.Commit(rec, func() { s.instances[id] = in }); err != nil {
-		return errorf(ErrUnavailable, "fleet: commit replicated create %s: %v", id, err)
-	}
-	return nil
-}
-
-// tombstone marks the registered copy of id, if any, deleted ahead of
-// a forwarded record that retires it. Like Delete it takes the writer
-// mutex before, not under, the shard lock; the replication applier is
-// the only mutator of a follower's registry, so the copy it marks is
-// the one the record then removes.
-func (m *Manager) tombstone(id string) {
-	if in, ok := m.Get(id); ok {
-		in.writeMu.Lock()
-		in.deleted = true
-		in.writeMu.Unlock()
+		return m.enter(rec, in, true)
+	case journal.OpDelete:
+		return m.replicateDelete(rec.ID)
+	case journal.OpTransition:
+		in, ok := m.Get(rec.ID)
+		if !ok {
+			return errorf(ErrNotFound, "fleet: replicated transition for unknown instance %q", rec.ID)
+		}
+		return in.replicate(rec)
+	case journal.OpTermBump:
+		return m.bumpTerm(rec)
+	default:
+		return fmt.Errorf("fleet: cannot replicate %v record", rec.Op)
 	}
 }
 
-// replicateDelete mirrors Delete for a forwarded record (a missing id
-// is tolerated: the commit keeps the streams aligned either way).
+// replicateDelete is Delete for a forwarded record: whatever copy is
+// registered is retired, and a missing id is tolerated — the commit
+// keeps the streams aligned either way.
 func (m *Manager) replicateDelete(id string) error {
 	m.pipe.gate.RLock()
 	defer m.pipe.gate.RUnlock()
-	m.tombstone(id)
-	s := m.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec := journal.Record{Op: journal.OpDelete, ID: id}
-	if _, err := m.pipe.log.Commit(rec, func() { delete(s.instances, id) }); err != nil {
-		return errorf(ErrUnavailable, "fleet: commit replicated delete %s: %v", id, err)
+	if in, ok := m.Get(id); ok {
+		in.writeMu.Lock()
+		in.retire("")
+		in.writeMu.Unlock()
+	}
+	return m.leave(id)
+}
+
+// restore is the one way in for a complete-state record — a checkpoint
+// or a migrate arrival, which carry (spec, epoch, faults) and so are the
+// instance: it builds the instance rec describes and returns it
+// unregistered, in the phase its caller names. The record comes from
+// outside this process, so the state goes through restoredSnapshot's
+// full validation, and every caller registers what this returns only
+// afterwards: a forged or corrupted record is never visible, and what it
+// would have replaced is untouched.
+func (m *Manager) restore(rec journal.Record, p phase) (*Instance, error) {
+	in, err := newInstance(rec.ID, fleetSpec(rec.Spec), m.pipe)
+	if err != nil {
+		return nil, err
+	}
+	snap, err := in.restoredSnapshot(rec.Epoch, rec.Faults)
+	if err != nil {
+		return nil, err
+	}
+	in.snap.Store(snap)
+	in.phase.Store(uint32(p))
+	return in, nil
+}
+
+// checkRestore is restore without the build: what restore would say
+// about rec, provided its fault set is in the canonical ascending order
+// journal records hold (any other order is refused).
+func checkRestore(rec journal.Record) error {
+	spec := fleetSpec(rec.Spec)
+	if err := checkNew(rec.ID, spec); err != nil {
+		return err
+	}
+	nTarget, nHost := spec.sizes()
+	if err := ft.CheckRestore(nTarget, nHost, spec.K, rec.Faults); err != nil {
+		return corruptStatef(rec.ID, rec.Epoch, err)
 	}
 	return nil
 }
@@ -914,30 +904,29 @@ func (m *Manager) replicateDelete(id string) error {
 func (m *Manager) ResetFromCheckpoint(seq, term uint64, cps []journal.Record) error {
 	m.pipe.gate.Lock()
 	defer m.pipe.gate.Unlock()
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for id, in := range s.instances {
-			in.writeMu.Lock()
-			in.deleted = true
-			in.writeMu.Unlock()
-			delete(s.instances, id)
-		}
-		s.mu.Unlock()
-	}
+	// The whole group is verified before the first instance is dropped: a
+	// group this refuses leaves the fleet, the log position and the
+	// journal exactly as they were.
+	ids := make(map[string]struct{}, len(cps))
 	for _, rec := range cps {
 		if rec.Op != journal.OpCheckpoint {
 			return fmt.Errorf("fleet: reset with a %v record in the checkpoint", rec.Op)
 		}
-		spec := Spec{Kind: Kind(rec.Spec.Kind), M: rec.Spec.M, H: rec.Spec.H, K: rec.Spec.K}
-		in, err := m.createRaw(rec.ID, spec)
-		if err != nil {
+		if _, dup := ids[rec.ID]; dup {
+			return errorf(ErrConflict, "fleet: reset checkpoint names instance %q twice", rec.ID)
+		}
+		ids[rec.ID] = struct{}{}
+		if err := checkRestore(rec); err != nil {
 			return fmt.Errorf("fleet: reset checkpoint %s: %w", rec.ID, err)
 		}
-		if err := in.restoreCheckpoint(rec.Epoch, rec.Faults); err != nil {
-			m.deleteRaw(rec.ID)
-			return err
+	}
+	m.wipeRaw()
+	for _, rec := range cps {
+		in, err := m.restore(rec, phaseLive)
+		if err != nil {
+			return fmt.Errorf("fleet: reset checkpoint %s: %w", rec.ID, err) // checkRestore passed it
 		}
+		m.setRaw(in, true)
 	}
 	// Adopt the leader's term BEFORE Install stamps the seq-base
 	// marker, so the truncated journal replays with the checkpoint's

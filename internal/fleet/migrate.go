@@ -17,16 +17,24 @@ import (
 // This file is checkpoint-streamed migration: the rebalance unit that
 // moves one instance between daemons with a write fence only as wide
 // as the journal suffix. The paper makes an instance's entire state a
-// pure O(k) function of its fault set, so the handoff is two pushes:
+// pure O(k) function of its fault set, so the handoff is two pushes,
+// and each step is one transition of the lifecycle in instance.go:
 //
-//	phase 1 (unfenced): capture (snapshot, baseSeq) and push the O(k)
-//	  checkpoint record to the new owner, which validates it and
-//	  rebuilds the mapping — in memory only, not journaled.
-//	phase 2 (fenced):   set the write fence, capture fenceSeq, collect
-//	  the journal suffix in (baseSeq, fenceSeq] for this instance, and
-//	  push it. The target replays it under the strict epoch chain,
-//	  journals ONE OpMigrate record carrying the final state, and opens
-//	  for traffic. The source then journals its OpDelete and redirects.
+//	phase 1 (unfenced): the source captures (snapshot, baseSeq) and
+//	  pushes the O(k) checkpoint record to the new owner, which
+//	  validates it, rebuilds the mapping and registers the copy
+//	  arriving — through the raw door: in memory only, not journaled,
+//	  refusing traffic.
+//	phase 2 (fenced):   the source fences its copy (live -> fenced),
+//	  captures fenceSeq, collects the journal suffix in (baseSeq,
+//	  fenceSeq] for this instance, and pushes it. The target replays it
+//	  under the strict epoch chain, journals ONE OpMigrate record
+//	  carrying the final state, and opens the copy in that record's
+//	  publish step (arriving -> live). The source then erases its pin,
+//	  retires its copy toward the peer (fenced -> moved) and leaves the
+//	  registry with its OpDelete. If the push provably did not commit,
+//	  the target's copy was retired by the abort (arriving -> gone, the
+//	  raw door again) and the source unfences (fenced -> live).
 //
 // Crash safety is asymmetric by construction. Target crash before the
 // OpMigrate commit: its journal never mentions the instance, the stage
@@ -63,6 +71,10 @@ var migrateClient = &http.Client{Timeout: 30 * time.Second}
 // up, and a retry loop sits above it.
 var probeClient = &http.Client{Timeout: 5 * time.Second}
 
+// checkpointRecord is the complete-state record of one instance at snap:
+// what Compact writes per instance, what a migration stages, and — as
+// an OpMigrate — what its arrival journals. Manager.restore is its
+// inverse.
 func checkpointRecord(id string, spec Spec, snap *ft.Snapshot) journal.Record {
 	return journal.Record{
 		Op:     journal.OpCheckpoint,
@@ -104,12 +116,11 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 	// A fence left up by an earlier unresolved handoff is settled before
 	// anything else: either that commit actually landed (finish its
 	// cutover and report it) or it provably did not (lift the fence and
-	// run a fresh handoff below). migrateMu means nobody else is
-	// flipping these flags.
+	// run a fresh handoff below). migrateMu means nobody else is fencing.
 	in.writeMu.Lock()
-	pending, pendingTo := in.migrating, in.migrateTo
+	p, pendingTo := in.at(), in.peer
 	in.writeMu.Unlock()
-	if pending {
+	if p == phaseFenced || p == phaseMoved {
 		if pendingTo != url {
 			return MigrateStats{}, errorf(ErrConflict,
 				"fleet: instance %q is already migrating to %s", id, pendingTo)
@@ -127,8 +138,7 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 			return MigrateStats{ID: id, Peer: peer, Epoch: epoch}, nil
 		}
 		in.writeMu.Lock()
-		in.migrating = false
-		in.migrateTo = ""
+		in.unfence()
 		in.writeMu.Unlock()
 	}
 
@@ -137,9 +147,9 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 	// every one of its records is either reflected in snap0 (seq <=
 	// baseSeq) or will be assigned a seq > baseSeq and ride the suffix.
 	in.writeMu.Lock()
-	if in.deleted || in.staged.Load() {
+	if err := in.refuse(); err != nil {
 		in.writeMu.Unlock()
-		return MigrateStats{}, errorf(ErrNotFound, "fleet: no instance %q", id)
+		return MigrateStats{}, err
 	}
 	snap0 := in.snap.Load()
 	baseSeq := m.pipe.log.LastSeq()
@@ -162,13 +172,11 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 	// rebalance_pause SLO tracks.
 	fenceStart := time.Now()
 	in.writeMu.Lock()
-	if in.deleted {
+	if err := in.fence(url); err != nil {
 		in.writeMu.Unlock()
 		abortRemote(url, id) // best effort; the stage was never durable
-		return MigrateStats{}, errorf(ErrNotFound, "fleet: instance %q deleted mid-migration", id)
+		return MigrateStats{}, err
 	}
-	in.migrating = true
-	in.migrateTo = url
 	fenceSeq := m.pipe.log.LastSeq()
 	in.writeMu.Unlock()
 
@@ -197,8 +205,7 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 		if !committed {
 			// Provably not handed off: the source is still the owner.
 			in.writeMu.Lock()
-			in.migrating = false
-			in.migrateTo = ""
+			in.unfence()
 			in.writeMu.Unlock()
 			return MigrateStats{}, err
 		}
@@ -263,27 +270,18 @@ func (m *Manager) collectSuffix(id string, stagedEpoch, baseSeq, fenceSeq uint64
 // completeMigration retires the source copy after a committed handoff:
 // erase the routing pin first (requests redirect to the new owner from
 // this instant — resolve leans on the pin going before the instance),
-// then journal the OpDelete so a restart does not resurrect a stale
-// replica. Like Delete it tombstones before the shard lock, never under
-// it: ReconcilePins calls this on an unfenced instance while the daemon
-// serves, and an open commit round that has staged a burst for it goes
-// through this same shard to resolve its next instance.
+// then retire the copy toward the peer it was fenced for and leave the
+// registry with the OpDelete, so a restart does not resurrect a stale
+// replica. ReconcilePins calls this on an unfenced copy while the
+// daemon serves: that one has no peer and goes from live to gone.
 func (m *Manager) completeMigration(id string, in *Instance) error {
 	m.unpin(id)
 	m.pipe.gate.RLock()
 	defer m.pipe.gate.RUnlock()
 	in.writeMu.Lock()
-	in.deleted = true
+	in.retire(in.peer)
 	in.writeMu.Unlock()
-	s := m.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec := journal.Record{Op: journal.OpDelete, ID: id}
-	if _, err := m.pipe.log.Commit(rec, func() { delete(s.instances, id) }); err != nil {
-		m.journalFailed.Add(1)
-		return errorf(ErrUnavailable, "fleet: commit migration cutover %s: %v", id, err)
-	}
-	return nil
+	return m.leave(id)
 }
 
 // Rebalance migrates every displaced local instance (the ids the
@@ -324,27 +322,14 @@ func (m *Manager) StageMigration(mig sharding.Migration) error {
 	if len(mig.Records) != 1 || mig.Records[0].Op != journal.OpCheckpoint {
 		return fmt.Errorf("fleet: migration stage wants exactly one checkpoint record, got %d", len(mig.Records))
 	}
-	rec := mig.Records[0]
-	spec := Spec{Kind: Kind(rec.Spec.Kind), M: rec.Spec.M, H: rec.Spec.H, K: rec.Spec.K}
-	in, err := newInstance(mig.ID, spec, m.pipe)
+	// Validation happens before the copy becomes visible at all: a forged
+	// or corrupted checkpoint never registers.
+	in, err := m.restore(mig.Records[0], phaseArriving)
 	if err != nil {
 		return err
 	}
-	in.staged.Store(true)
 	in.stagedAt = mig.BaseSeq
-	// Validation happens before the instance becomes visible at all: a
-	// forged or corrupted checkpoint never registers.
-	if err := in.restoreCheckpoint(rec.Epoch, rec.Faults); err != nil {
-		return err
-	}
-	s := m.shardFor(mig.ID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.instances[mig.ID]; ok && !old.staged.Load() {
-		return errorf(ErrConflict, "fleet: instance %q already exists on this shard", mig.ID)
-	}
-	s.instances[mig.ID] = in
-	return nil
+	return m.setRaw(in, false)
 }
 
 // CommitMigration is the target half of phase 2: replay the fenced
@@ -358,18 +343,18 @@ func (m *Manager) CommitMigration(mig sharding.Migration) (uint64, error) {
 		return 0, m.errReadOnly("migration commit")
 	}
 	in, ok := m.Get(mig.ID)
-	if !ok || !in.staged.Load() {
+	if !ok || !in.arriving() {
 		return 0, errorf(ErrNotFound, "fleet: no staged migration for %q", mig.ID)
 	}
 	m.pipe.gate.RLock()
 	defer m.pipe.gate.RUnlock()
 	in.writeMu.Lock()
 	defer in.writeMu.Unlock()
-	// Re-check under writeMu: a successful AbortMigration (which
-	// tombstones under this same mutex) is a definitive fence — no
-	// commit may land after it, or the source could resume ownership of
-	// an id this daemon also serves.
-	if in.deleted || !in.staged.Load() {
+	// Re-check under writeMu: a successful AbortMigration (which retires
+	// under this same mutex) is a definitive fence — no commit may land
+	// after it, or the source could resume ownership of an id this daemon
+	// also serves.
+	if !in.arriving() {
 		return 0, errorf(ErrNotFound, "fleet: no staged migration for %q", mig.ID)
 	}
 	if in.stagedAt != mig.BaseSeq {
@@ -383,9 +368,8 @@ func (m *Manager) CommitMigration(mig sharding.Migration) (uint64, error) {
 			if rec.Epoch <= cur {
 				continue // overlap with the staged checkpoint
 			}
-			if rec.Epoch != cur+1 {
-				return 0, errorf(ErrCorruptRecord, "fleet: instance %s: suffix epoch %d follows epoch %d (gap)",
-					mig.ID, rec.Epoch, cur)
+			if err := successor(mig.ID, cur, rec.Epoch); err != nil {
+				return 0, err
 			}
 		case journal.OpCheckpoint, journal.OpMigrate:
 			if rec.Epoch < cur {
@@ -401,14 +385,9 @@ func (m *Manager) CommitMigration(mig sharding.Migration) (uint64, error) {
 		in.snap.Store(next)
 	}
 	snap := in.snap.Load()
-	rec := journal.Record{
-		Op:     journal.OpMigrate,
-		ID:     mig.ID,
-		Spec:   journalSpec(in.spec),
-		Epoch:  snap.Epoch(),
-		Faults: snap.Faults(),
-	}
-	if _, err := m.pipe.log.Commit(rec, func() { in.staged.Store(false) }); err != nil {
+	rec := checkpointRecord(mig.ID, in.spec, snap)
+	rec.Op = journal.OpMigrate
+	if _, err := m.pipe.log.Commit(rec, in.open); err != nil {
 		m.journalFailed.Add(1)
 		return 0, errorf(ErrUnavailable, "fleet: commit migration arrival %s: %v", mig.ID, err)
 	}
@@ -419,7 +398,7 @@ func (m *Manager) CommitMigration(mig sharding.Migration) (uint64, error) {
 // AbortMigration drops a staged (never-committed) inbound instance,
 // reporting whether one existed. The source calls it when phase 2
 // fails; since the stage was never journaled, dropping it from memory
-// is the entire rollback. The staged check happens under writeMu — the
+// is the entire rollback. The arriving test happens under writeMu — the
 // mutex CommitMigration replays and journals under — so a true answer
 // is a fence: the commit for this stage either already happened
 // (answer false) or can never happen (answer true), never "is about
@@ -430,22 +409,23 @@ func (m *Manager) AbortMigration(id string) bool {
 		return false
 	}
 	in.writeMu.Lock()
-	if !in.staged.Load() || in.deleted {
-		in.writeMu.Unlock()
-		return false
+	staged := in.arriving()
+	if staged {
+		in.retire("")
 	}
-	in.deleted = true
 	in.writeMu.Unlock()
-	m.deleteRaw(id)
-	return true
+	if staged {
+		m.unsetRaw(id)
+	}
+	return staged
 }
 
 // MigrationState reports this daemon's view of id for a peer resolving
 // an ambiguous handoff (or reconciling pins after a restart):
-// "absent" (no live copy — never arrived, aborted, or deleted),
-// "staged" (arrived but not committed; still refusing traffic), or
-// "committed" (a live, journaled copy; epoch is its current epoch).
-// The flags are read under writeMu so the answer never observes a
+// "absent" (no copy in service — never arrived, aborted, deleted or cut
+// over), "staged" (arrived but not committed; still refusing traffic),
+// or "committed" (a journaled copy, fenced or not; epoch is its current
+// epoch). The phase is read under writeMu so the answer never observes a
 // commit or abort halfway through.
 func (m *Manager) MigrationState(id string) (string, uint64) {
 	in, ok := m.Get(id)
@@ -454,13 +434,13 @@ func (m *Manager) MigrationState(id string) (string, uint64) {
 	}
 	in.writeMu.Lock()
 	defer in.writeMu.Unlock()
-	switch {
-	case in.deleted:
-		return "absent", 0
-	case in.staged.Load():
+	switch in.at() {
+	case phaseArriving:
 		return "staged", 0
-	default:
+	case phaseLive, phaseFenced:
 		return "committed", in.snap.Load().Epoch()
+	default:
+		return "absent", 0
 	}
 }
 

@@ -85,7 +85,7 @@ func phiSliceOf(t *testing.T, m *Manager, id string) []int {
 	if !ok {
 		t.Fatalf("no instance %q", id)
 	}
-	return in.PhiSlice()
+	return phiOf(in)
 }
 
 func TestMigrateMovesInstanceBitIdentically(t *testing.T) {
@@ -367,7 +367,7 @@ func TestMigrateCutoverMissIsRedirected(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // let them reach the shard lock
 	p.a.unpin(id)
 	in.writeMu.Lock()
-	in.deleted = true
+	in.retire("")
 	in.writeMu.Unlock()
 	delete(s.instances, id)
 	s.mu.Unlock()

@@ -19,7 +19,7 @@ import (
 // fresh appends continue from clean state. Orphaned counts transition
 // records that trail their instance's delete record with no re-create
 // in between. Current writers cannot produce such records (Delete
-// tombstones the instance under its writer mutex before appending the
+// retires the instance under its writer mutex before appending the
 // delete record), so this is defense in depth for logs from older
 // writers or external tooling; replay skips them instead of failing.
 type RecoverStats struct {
@@ -147,9 +147,11 @@ func (rp *replay) build() error {
 		if !s.staged {
 			continue
 		}
-		if err := s.in.restoreCheckpoint(s.epoch, s.faults); err != nil {
+		snap, err := s.in.restoredSnapshot(s.epoch, s.faults)
+		if err != nil {
 			return fmt.Errorf("fleet: recover: %w", err)
 		}
+		s.in.snap.Store(snap)
 		s.staged = false
 		rp.st.Built++
 	}
@@ -158,19 +160,16 @@ func (rp *replay) build() error {
 
 // complete applies a checkpoint or migrate-arrival record: the
 // instance's complete state, authoritative over anything replayed for
-// the id so far.
+// the id so far. The new incarnation is built before it replaces the
+// old one, so a record that is refused leaves the old one registered and
+// whatever was staged for it in its slot, for build.
 func (rp *replay) complete(v *journal.View) error {
-	id := string(v.ID)
-	rp.m.deleteRaw(id)
-	rp.replace(id, nil, 0)
-	in, err := rp.m.createRaw(id, fleetSpec(v.Spec))
+	in, err := rp.m.restore(journal.Record{ID: string(v.ID), Spec: v.Spec, Epoch: v.Epoch, Faults: v.Faults}, phaseLive)
 	if err != nil {
 		return err
 	}
-	if err := in.restoreCheckpoint(v.Epoch, v.Faults); err != nil {
-		return err
-	}
-	rp.replace(id, in, v.Epoch)
+	rp.m.setRaw(in, true)
+	rp.replace(in.id, in, v.Epoch)
 	rp.st.Built++
 	if v.Epoch > rp.st.LastEpoch {
 		rp.st.LastEpoch = v.Epoch
@@ -190,14 +189,11 @@ func (rp *replay) transition(v *journal.View) error {
 		rp.st.Orphaned++
 		return nil
 	}
-	// Accepted transitions advance the epoch by one, so anything else is
-	// a corrupt or reordered log.
-	if v.Epoch != s.epoch+1 {
-		return errorf(ErrCorruptRecord, "fleet: instance %s: journal epoch %d follows epoch %d (gap or reorder)",
-			in.id, v.Epoch, s.epoch)
+	if err := successor(in.id, s.epoch, v.Epoch); err != nil {
+		return err
 	}
 	if err := ft.CheckRestore(in.nTarget, in.nHost, in.spec.K, v.Faults); err != nil {
-		return errorf(ErrCorruptRecord, "fleet: instance %s: restore epoch %d: %v", in.id, v.Epoch, err)
+		return corruptStatef(in.id, v.Epoch, err)
 	}
 	s.faults = append(s.faults[:0], v.Faults...)
 	s.epoch, s.staged = v.Epoch, true
@@ -260,7 +256,10 @@ func (rp *replay) walk(jr *journal.Reader) error {
 			st.NextSeq++
 		case journal.OpCreate:
 			var in *Instance
-			if in, err = rp.m.createRaw(string(v.ID), fleetSpec(v.Spec)); err != nil {
+			if in, err = newInstance(string(v.ID), fleetSpec(v.Spec), rp.m.pipe); err != nil {
+				break
+			}
+			if err = rp.m.setRaw(in, false); err != nil {
 				break
 			}
 			rp.replace(in.id, in, 0) // ids may be reused after a delete
@@ -268,7 +267,7 @@ func (rp *replay) walk(jr *journal.Reader) error {
 			st.NextSeq++
 		case journal.OpDelete:
 			id := string(v.ID)
-			rp.m.deleteRaw(id)
+			rp.m.unsetRaw(id)
 			rp.replace(id, nil, 0)
 			st.Deleted++
 			st.NextSeq++

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"os"
 	"reflect"
@@ -246,16 +247,9 @@ func specsAtEachRecord(t *testing.T, recs []journal.Record) []map[string]Spec {
 	return out
 }
 
-// TargetHostSizesSpec mirrors loadgen.TargetHostSizes without the
-// import cycle (loadgen imports fleet).
-func TargetHostSizesSpec(spec Spec) (nTarget, nHost int) {
-	if spec.Kind == KindShuffle {
-		p := ft.SEParams{H: spec.H, K: spec.K}
-		return p.NTarget(), p.NHost()
-	}
-	p := ft.Params{M: spec.M, H: spec.H, K: spec.K}
-	return p.NTarget(), p.NHost()
-}
+// TargetHostSizesSpec is the node counts a spec induces, as the tests
+// have always asked for them.
+func TargetHostSizesSpec(spec Spec) (nTarget, nHost int) { return spec.sizes() }
 
 var errInjected = errors.New("injected write failure")
 
@@ -464,11 +458,16 @@ func mustGet(t *testing.T, m *Manager, id string) *Instance {
 // (successors of the last good epoch, and of the bad one had it been
 // accepted), and replay — which builds only an instance's last staged
 // state — must still stop there, on the state of the prefix before it.
+// A refused complete-state record is held to the same: the incarnation
+// it would have replaced stays, with the transition staged for it built.
 func TestRecoverRejectsCorruptSemantics(t *testing.T) {
 	spec := journal.Spec{Kind: "debruijn", M: 2, H: 4, K: 2}
 	create := journal.Record{Op: journal.OpCreate, ID: "a", Spec: spec}
 	tr := func(epoch uint64, faults ...int) journal.Record {
 		return journal.Record{Op: journal.OpTransition, ID: "a", Epoch: epoch, Applied: 1, Faults: faults}
+	}
+	complete := func(op journal.Op, spec journal.Spec, epoch uint64, faults ...int) journal.Record {
+		return journal.Record{Op: op, ID: "a", Spec: spec, Epoch: epoch, Faults: faults}
 	}
 	cases := map[string]struct {
 		recs     []journal.Record
@@ -492,6 +491,15 @@ func TestRecoverRejectsCorruptSemantics(t *testing.T) {
 			failAt: 3, category: ErrCorruptRecord, epoch: 1, faults: []int{1}},
 		"epoch replay mid-log": {recs: []journal.Record{create, tr(1, 1), tr(2, 1, 2), tr(2, 2), tr(3, 2)},
 			failAt: 4, category: ErrCorruptRecord, epoch: 2, faults: []int{1, 2}},
+
+		"checkpoint fault out of range": {recs: []journal.Record{create, tr(1, 3), complete(journal.OpCheckpoint, spec, 7, 99)},
+			failAt: 3, category: ErrCorruptRecord, epoch: 1, faults: []int{3}},
+		"migrate fault out of range": {recs: []journal.Record{create, tr(1, 3), complete(journal.OpMigrate, spec, 7, 99)},
+			failAt: 3, category: ErrCorruptRecord, epoch: 1, faults: []int{3}},
+		"checkpoint over budget": {recs: []journal.Record{create, tr(1, 3), complete(journal.OpCheckpoint, spec, 7, 1, 2, 3), tr(2, 3, 4)},
+			failAt: 3, category: ErrCorruptRecord, epoch: 1, faults: []int{3}},
+		"migrate of an unknown kind": {recs: []journal.Record{create, tr(1, 3), complete(journal.OpMigrate, journal.Spec{Kind: "torus", M: 2, H: 4, K: 2}, 7)},
+			failAt: 3, epoch: 1, faults: []int{3}},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -508,6 +516,8 @@ func TestRecoverRejectsCorruptSemantics(t *testing.T) {
 			}
 			if in, ok := m.Get("a"); ok {
 				checkRecovered(t, m, map[string]expectedState{"a": {epoch: c.epoch, faults: c.faults}}, map[string]Spec{"a": in.Spec()})
+			} else if c.epoch > 0 {
+				t.Errorf("the valid prefix holds a at epoch %d, and recovery lost it", c.epoch)
 			}
 		})
 	}
@@ -525,12 +535,32 @@ func TestRecoverRejectsCorruptSemantics(t *testing.T) {
 	}
 }
 
+// registered is what a manager's registry holds, by identity: which
+// copy is registered under each id, in what phase, serving which
+// snapshot. Two of them are equal only if nothing was replaced, moved
+// or published in between.
+type registered struct {
+	in   *Instance
+	at   phase
+	snap *ft.Snapshot
+}
+
+func registryOf(m *Manager) map[string]registered {
+	out := make(map[string]registered)
+	for _, id := range m.List() {
+		in, _ := m.Get(id)
+		out[id] = registered{in, in.at(), in.Snapshot()}
+	}
+	return out
+}
+
 // TestInstallPathsRejectCorruptRecords is the receiver-side half of
 // "phi is bit-identical to a fresh ft.NewMapping": state from outside
 // the process is installed through ft.Restore — ft.NewMapping plus the
 // budget check, so what it accepts is correct by construction — and
-// what it must refuse is refused on all four install paths with
-// ErrCorruptRecord, the instance left on the snapshot it was serving.
+// what it must refuse is refused on all six install paths with
+// ErrCorruptRecord, the registry and the log position left as they
+// were: same copies, same phases, same snapshots.
 func TestInstallPathsRejectCorruptRecords(t *testing.T) {
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2} // 16 targets, 18 hosts
 	// Every path's setup leaves its instance at (epoch 1, faults {3}).
@@ -545,37 +575,33 @@ func TestInstallPathsRejectCorruptRecords(t *testing.T) {
 		"epoch reorder":      {1, []int{5}},
 	}
 	type install func(epoch uint64, faults []int) error
-	paths := map[string]struct {
-		skip  []string // cases the path accepts by design
-		setup func(t *testing.T) (*Instance, install, error)
-	}{
-		// Recover's fold, one journal per install into a manager that
-		// keeps its instance: the setup's two records create it and take
-		// it to epoch 1, every later journal is the one transition. A
-		// journal holds canonical fault sets only, so the successor is
-		// written sorted, and a duplicate cannot reach Recover as a record
-		// at all (the encoder refuses it, the decoder tears the log there).
-		"restore": {skip: []string{"duplicate fault"}, setup: func(t *testing.T) (*Instance, install, error) {
+	// A complete-state record captures an instance mid-history: any
+	// epoch goes.
+	anyEpoch := []string{"epoch gap", "epoch reorder"}
+	// Recover reads a journal, which holds canonical fault sets only: the
+	// successor is written sorted, and a duplicate cannot reach Recover
+	// as a record at all (the encoder refuses it, the decoder tears the
+	// log there). One journal per install, into a manager that keeps its
+	// instance.
+	recoverPath := func(record func(epoch uint64, faults []int) journal.Record) func(t *testing.T) (*Manager, string, install, error) {
+		return func(t *testing.T) (*Manager, string, install, error) {
 			m := NewManager(Options{})
 			replay := func(recs ...journal.Record) error {
 				_, err := m.Recover(bytes.NewReader(encodeJournal(t, recs...)))
 				return err
 			}
-			transition := func(epoch uint64, faults []int) error {
-				slices.Sort(faults)
-				return replay(journal.Record{Op: journal.OpTransition, ID: "a", Epoch: epoch, Applied: 1, Faults: faults})
-			}
 			err := replay(
 				journal.Record{Op: journal.OpCreate, ID: "a", Spec: journalSpec(spec)},
 				journal.Record{Op: journal.OpTransition, ID: "a", Epoch: 1, Applied: 1, Faults: []int{3}})
-			return mustGet(t, m, "a"), transition, err
-		}},
-		// A checkpoint captures an instance mid-history: any epoch goes.
-		"restoreCheckpoint": {skip: []string{"epoch gap", "epoch reorder"}, setup: func(t *testing.T) (*Instance, install, error) {
-			in := newTestInstance(t, spec)
-			return in, in.restoreCheckpoint, in.restoreCheckpoint(1, []int{3})
-		}},
-		"replicateLocked": {setup: func(t *testing.T) (*Instance, install, error) {
+			return m, "a", func(epoch uint64, faults []int) error {
+				slices.Sort(faults)
+				return replay(record(epoch, faults))
+			}, err
+		}
+	}
+	// A follower applying its leader's entries, the setup's two included.
+	replicatePath := func(record func(epoch uint64, faults []int) journal.Record) func(t *testing.T) (*Manager, string, install, error) {
+		return func(t *testing.T) (*Manager, string, install, error) {
 			m := NewManager(Options{})
 			t.Cleanup(func() { m.Close() })
 			replicate := func(rec journal.Record) error {
@@ -584,15 +610,41 @@ func TestInstallPathsRejectCorruptRecords(t *testing.T) {
 			if err := replicate(journal.Record{Op: journal.OpCreate, ID: "a", Spec: journalSpec(spec)}); err != nil {
 				t.Fatal(err)
 			}
-			transition := func(epoch uint64, faults []int) error {
-				return replicate(journal.Record{Op: journal.OpTransition, ID: "a", Epoch: epoch, Applied: 1, Faults: faults})
+			err := replicate(journal.Record{Op: journal.OpTransition, ID: "a", Epoch: 1, Applied: 1, Faults: []int{3}})
+			return m, "a", func(epoch uint64, faults []int) error { return replicate(record(epoch, faults)) }, err
+		}
+	}
+	transition := func(epoch uint64, faults []int) journal.Record {
+		return journal.Record{Op: journal.OpTransition, ID: "a", Epoch: epoch, Applied: 1, Faults: faults}
+	}
+	complete := func(op journal.Op) func(epoch uint64, faults []int) journal.Record {
+		return func(epoch uint64, faults []int) journal.Record {
+			return journal.Record{Op: op, ID: "a", Spec: journalSpec(spec), Epoch: epoch, Faults: faults}
+		}
+	}
+	paths := map[string]struct {
+		skip  []string // cases the path accepts by design
+		setup func(t *testing.T) (*Manager, string, install, error)
+	}{
+		"restore":           {skip: []string{"duplicate fault"}, setup: recoverPath(transition)},
+		"restoreCheckpoint": {skip: append([]string{"duplicate fault"}, anyEpoch...), setup: recoverPath(complete(journal.OpCheckpoint))},
+		"replicateLocked":   {setup: replicatePath(transition)},
+		"replicateMigrate":  {skip: anyEpoch, setup: replicatePath(complete(journal.OpMigrate))},
+		// A checkpoint group of one. Its records are journal records: the
+		// fault set is held to the canonical order.
+		"ResetFromCheckpoint": {skip: anyEpoch, setup: func(t *testing.T) (*Manager, string, install, error) {
+			m := NewManager(Options{})
+			t.Cleanup(func() { m.Close() })
+			reset := func(epoch uint64, faults []int) error {
+				slices.Sort(faults)
+				return m.ResetFromCheckpoint(m.NextSeq()-1, 0, []journal.Record{complete(journal.OpCheckpoint)(epoch, faults)})
 			}
-			return mustGet(t, m, "a"), transition, transition(1, []int{3})
+			return m, "a", reset, reset(1, []int{3})
 		}},
 		// The migrate install: a staged checkpoint, then the fenced
 		// suffix. A suffix record at or below the staged epoch overlaps
 		// the checkpoint and is skipped, not refused.
-		"migrate": {skip: []string{"epoch reorder"}, setup: func(t *testing.T) (*Instance, install, error) {
+		"migrate": {skip: []string{"epoch reorder"}, setup: func(t *testing.T) (*Manager, string, install, error) {
 			p := newShardPair(t)
 			p.installTopology(t)
 			id := idOwnedBy(t, "b")
@@ -608,7 +660,7 @@ func TestInstallPathsRejectCorruptRecords(t *testing.T) {
 				t.Fatal("a forged checkpoint registered the instance")
 			}
 			err := p.b.StageMigration(frame(journal.OpCheckpoint, 1, []int{3}))
-			return mustGet(t, p.b, id), func(epoch uint64, faults []int) error {
+			return p.b, id, func(epoch uint64, faults []int) error {
 				_, err := p.b.CommitMigration(frame(journal.OpTransition, epoch, faults))
 				return err
 			}, err
@@ -616,11 +668,14 @@ func TestInstallPathsRejectCorruptRecords(t *testing.T) {
 	}
 	for pathName, p := range paths {
 		t.Run(pathName, func(t *testing.T) {
-			in, install, err := p.setup(t)
+			m, id, install, err := p.setup(t)
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := in.Snapshot()
+			before, seq := registryOf(m), m.NextSeq()
+			if got := before[id]; got.in == nil || got.snap.Epoch() != 1 || !slices.Equal(got.snap.Faults(), []int{3}) {
+				t.Fatalf("setup left %s at %+v", id, got)
+			}
 			for name, c := range cases {
 				if slices.Contains(p.skip, name) {
 					continue
@@ -628,8 +683,9 @@ func TestInstallPathsRejectCorruptRecords(t *testing.T) {
 				if err := install(c.epoch, slices.Clone(c.faults)); !errors.Is(err, ErrCorruptRecord) {
 					t.Errorf("%s: err %v, want ErrCorruptRecord", name, err)
 				}
-				if in.Snapshot() != before {
-					t.Fatalf("%s: instance moved to epoch %d faults %v", name, in.Snapshot().Epoch(), in.Snapshot().Faults())
+				if after := registryOf(m); !maps.Equal(after, before) || m.NextSeq() != seq {
+					t.Fatalf("%s: the refused record moved the registry from %+v (next seq %d) to %+v (next seq %d)",
+						name, before, seq, after, m.NextSeq())
 				}
 			}
 			// The path still works: the true successor, unsorted as a
@@ -637,8 +693,9 @@ func TestInstallPathsRejectCorruptRecords(t *testing.T) {
 			if err := install(2, []int{9, 3}); err != nil {
 				t.Fatalf("valid successor after the refusals: %v", err)
 			}
-			if got := in.Snapshot(); got.Epoch() != 2 || !slices.Equal(got.Mapping().Faults, []int{3, 9}) {
-				t.Fatalf("after valid install: epoch %d faults %v", got.Epoch(), got.Mapping().Faults)
+			got := mustGet(t, m, id)
+			if s := got.Snapshot(); got.at() != phaseLive || s.Epoch() != 2 || !slices.Equal(s.Mapping().Faults, []int{3, 9}) {
+				t.Fatalf("after valid install: phase %d, epoch %d, faults %v", got.at(), s.Epoch(), s.Mapping().Faults)
 			}
 		})
 	}
@@ -724,7 +781,7 @@ func eagerRecover(m *Manager, r io.Reader) (st RecoverStats, err error) {
 	restore := func(in *Instance, epoch uint64, faults []int) error {
 		cur := in.snap.Load()
 		if epoch != cur.Epoch()+1 {
-			return errorf(ErrCorruptRecord, "fleet: instance %s: journal epoch %d follows epoch %d (gap or reorder)",
+			return errorf(ErrCorruptRecord, "fleet: instance %s: epoch %d follows epoch %d (gap or reorder)",
 				in.id, epoch, cur.Epoch())
 		}
 		next, err := in.restoredSnapshot(epoch, faults)
@@ -734,15 +791,19 @@ func eagerRecover(m *Manager, r io.Reader) (st RecoverStats, err error) {
 		in.snap.Store(next)
 		return nil
 	}
+	// Build, then replace: a record that is refused leaves the id as the
+	// valid prefix had it.
 	complete := func(rec journal.Record) error {
-		m.deleteRaw(rec.ID)
-		in, err := m.createRaw(rec.ID, fleetSpec(rec.Spec))
+		in, err := newInstance(rec.ID, fleetSpec(rec.Spec), m.pipe)
 		if err != nil {
 			return err
 		}
-		if err := in.restoreCheckpoint(rec.Epoch, rec.Faults); err != nil {
+		next, err := in.restoredSnapshot(rec.Epoch, rec.Faults)
+		if err != nil {
 			return err
 		}
+		in.snap.Store(next)
+		m.setRaw(in, true)
 		delete(deleted, rec.ID)
 		st.Built++
 		if rec.Epoch > st.LastEpoch {
@@ -788,14 +849,18 @@ func eagerRecover(m *Manager, r io.Reader) (st RecoverStats, err error) {
 			st.Migrated++
 			st.NextSeq++
 		case journal.OpCreate:
-			if _, err := m.createRaw(rec.ID, fleetSpec(rec.Spec)); err != nil {
+			in, err := newInstance(rec.ID, fleetSpec(rec.Spec), m.pipe)
+			if err == nil {
+				err = m.setRaw(in, false)
+			}
+			if err != nil {
 				return fail(err)
 			}
 			delete(deleted, rec.ID)
 			st.Created++
 			st.NextSeq++
 		case journal.OpDelete:
-			m.deleteRaw(rec.ID)
+			m.unsetRaw(rec.ID)
 			deleted[rec.ID] = true
 			st.Deleted++
 			st.NextSeq++
@@ -944,8 +1009,14 @@ func randomJournal(t *testing.T, rng *rand.Rand, nRecs int) []byte {
 				bad = journal.Record{Op: journal.OpTermBump, ID: journal.SeqBaseID, Term: 1 + uint64(rng.Intn(int(term)))}
 			case 7:
 				bad = journal.Record{Op: journal.OpCheckpoint, ID: id, Spec: journal.Spec{Kind: "torus", M: 2, H: 4, K: 1}}
-			case 8: // a complete-state record whose fault set is over budget
+			case 8: // a complete-state record, of either op, whose fault set is over budget or out of range
 				bad = journal.Record{Op: journal.OpMigrate, ID: id, Spec: journalSpec(in.spec), Epoch: 5, Faults: faultSet(in.spec, in.spec.K+1)}
+				if rng.Intn(2) == 0 {
+					bad.Op = journal.OpCheckpoint
+				}
+				if rng.Intn(2) == 0 {
+					bad.Faults = []int{nHost + rng.Intn(3)}
+				}
 			}
 			recs = append(recs, bad)
 		default:
@@ -988,7 +1059,7 @@ func TestRecoverMatchesEagerOracle(t *testing.T) {
 				if !ok {
 					t.Fatalf("seed %d, %d bytes: Recover lost %s", seed, cut, id)
 				}
-				if !slices.Equal(other.PhiSlice(), in.PhiSlice()) {
+				if !slices.Equal(phiOf(other), phiOf(in)) {
 					t.Fatalf("seed %d, %d bytes: %s: phi differs from the eager replay's", seed, cut, id)
 				}
 			}

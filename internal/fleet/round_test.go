@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ftnet/internal/commit"
 	"ftnet/internal/journal"
 )
 
@@ -438,12 +439,37 @@ func TestReconcileRetireWaitsForRoundOutsideShardLock(t *testing.T) {
 	})
 }
 
+// TestDoorEnterSupersedeWaitsForRoundOutsideShardLock is that order
+// for the way a copy is replaced rather than removed: a follower's
+// applier handed a create or a migrate arrival for an id it already
+// holds retires the stale copy in enter, before enter locks the shard.
+func TestDoorEnterSupersedeWaitsForRoundOutsideShardLock(t *testing.T) {
+	for _, op := range []journal.Op{journal.OpCreate, journal.OpMigrate} {
+		t.Run(op.String(), func(t *testing.T) {
+			m := checkRetireWaitsForRoundOutsideShardLock(t, func(m *Manager, id string, _ *Instance) error {
+				rec := journal.Record{Op: op, ID: id, Spec: journalSpec(roundLockSpec), Epoch: 6, Faults: []int{2}}
+				return m.ReplicateEntry(commit.Entry{Seq: m.NextSeq(), Rec: rec})
+			})
+			want := uint64(0)
+			if op == journal.OpMigrate {
+				want = 6
+			}
+			if e := epochOf(t, m, []byte("x")); e != want {
+				t.Fatalf("the copy that superseded x is at epoch %d, want %d", e, want)
+			}
+		})
+	}
+}
+
+var roundLockSpec = Spec{Kind: KindDeBruijn, M: 2, H: 5, K: 4}
+
 // checkRetireWaitsForRoundOutsideShardLock stages x in an open round,
 // starts retire(x), then has the round resolve a second instance of
-// x's shard and commit: both must finish.
-func checkRetireWaitsForRoundOutsideShardLock(t *testing.T, retire func(m *Manager, id string, in *Instance) error) {
+// x's shard and commit: both must finish, and the copy of x the round
+// wrote to must be out of the registry.
+func checkRetireWaitsForRoundOutsideShardLock(t *testing.T, retire func(m *Manager, id string, in *Instance) error) *Manager {
 	m := NewManager(Options{})
-	spec := Spec{Kind: KindDeBruijn, M: 2, H: 5, K: 4}
+	spec := roundLockSpec
 	const x = "x"
 	inX, err := m.Create(x, spec)
 	if err != nil {
@@ -484,10 +510,14 @@ func checkRetireWaitsForRoundOutsideShardLock(t *testing.T, retire func(m *Manag
 			t.Fatal("an open round and the retirement of its staged instance deadlocked")
 		}
 	}
-	if _, ok := m.Get(x); ok {
+	if cur, ok := m.Get(x); ok && cur == inX {
 		t.Fatal("x survived its retirement")
+	}
+	if inX.at() != phaseGone {
+		t.Fatalf("the retired copy of x is in phase %d, want gone", inX.at())
 	}
 	if e := epochOf(t, m, []byte(y)); e != 1 {
 		t.Fatalf("y at epoch %d, want 1", e)
 	}
+	return m
 }

@@ -83,7 +83,7 @@ func (m *Manager) SetTopology(self string, peers map[string]string, replicas int
 		s := &m.shards[i]
 		s.mu.RLock()
 		for id, in := range s.instances {
-			if !in.staged.Load() && t.ring.Owner(id) != self {
+			if !in.arriving() && t.ring.Owner(id) != self {
 				pins[id] = struct{}{}
 			}
 		}
@@ -184,7 +184,7 @@ func (m *Manager) Displaced() []string {
 		s := &m.shards[i]
 		s.mu.RLock()
 		for id, in := range s.instances {
-			if !in.staged.Load() && t.ring.Owner(id) != t.self {
+			if !in.arriving() && t.ring.Owner(id) != t.self {
 				ids = append(ids, id)
 			}
 		}
@@ -237,7 +237,6 @@ func checkOwned[T key](m *Manager, id T) error {
 	if owner == t.self {
 		return nil
 	}
-	m.rejectedShard.Add(1)
 	m.wrongShardTotal.Inc()
 	return wrongShardf(t.peers[owner], "fleet: instance %q owned by shard %s", id, owner)
 }

@@ -56,7 +56,7 @@ func watchEntryFrom(e commit.Entry) WatchEntry {
 		Ts:      e.At,
 	}
 	if e.Rec.Op == journal.OpCreate || e.Rec.Op == journal.OpCheckpoint || e.Rec.Op == journal.OpMigrate {
-		spec := Spec{Kind: Kind(e.Rec.Spec.Kind), M: e.Rec.Spec.M, H: e.Rec.Spec.H, K: e.Rec.Spec.K}
+		spec := fleetSpec(e.Rec.Spec)
 		we.Spec = &spec
 	}
 	return we
@@ -84,7 +84,7 @@ func (we WatchEntry) Entry() (commit.Entry, error) {
 		return commit.Entry{}, fmt.Errorf("fleet: unknown watch op %q", we.Op)
 	}
 	if we.Spec != nil {
-		rec.Spec = journal.Spec{Kind: string(we.Spec.Kind), M: we.Spec.M, H: we.Spec.H, K: we.Spec.K}
+		rec.Spec = journalSpec(*we.Spec)
 	}
 	return commit.Entry{Seq: we.Seq, Rec: rec, At: we.Ts}, nil
 }

@@ -260,32 +260,37 @@ func (v *View) Record() Record {
 	return rec
 }
 
-// decoder is a strict cursor over a record payload. Every read is
-// bounds-checked and every uvarint must be minimally encoded, so the
-// accepted language is exactly the canonical encodings — the property
-// FuzzJournalDecode leans on.
-type decoder struct {
-	b   []byte
-	off int
+// Cursor is the strict reader the binary codecs share — this package's
+// records, the wire plane's frames, the shard package's migration
+// stream. Every read is bounds-checked, every uvarint must be minimally
+// encoded and every count must fit an int, so the language a codec built
+// on it accepts is exactly its canonical encodings: the property
+// FuzzJournalDecode, FuzzWireDecode and FuzzMigrationDecode lean on.
+// Uvarint and Int are the two core reads; each codec adds the readers of
+// its own fields around them.
+type Cursor struct {
+	B   []byte
+	Off int
 }
 
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.b[d.off:])
+// Uvarint reads one minimally-encoded uvarint.
+func (d *Cursor) Uvarint() (uint64, error) {
+	v, n := binary.Uvarint(d.B[d.Off:])
 	if n <= 0 {
-		return 0, fmt.Errorf("journal: truncated or overlong uvarint at offset %d", d.off)
+		return 0, fmt.Errorf("journal: truncated or overlong uvarint at offset %d", d.Off)
 	}
 	// Reject non-minimal encodings (e.g. 0x80 0x00 for zero): the last
 	// byte of a minimal multi-byte uvarint is never zero.
-	if n > 1 && d.b[d.off+n-1] == 0 {
-		return 0, fmt.Errorf("journal: non-minimal uvarint at offset %d", d.off)
+	if n > 1 && d.B[d.Off+n-1] == 0 {
+		return 0, fmt.Errorf("journal: non-minimal uvarint at offset %d", d.Off)
 	}
-	d.off += n
+	d.Off += n
 	return v, nil
 }
 
-// intVal reads a uvarint that must fit a non-negative int.
-func (d *decoder) intVal() (int, error) {
-	v, err := d.uvarint()
+// Int reads a uvarint that must fit a non-negative int.
+func (d *Cursor) Int() (int, error) {
+	v, err := d.Uvarint()
 	if err != nil {
 		return 0, err
 	}
@@ -296,20 +301,20 @@ func (d *decoder) intVal() (int, error) {
 }
 
 // spec reads the four-field topology spec (kind, m, h, k).
-func (d *decoder) spec() (Spec, error) {
+func (d *Cursor) spec() (Spec, error) {
 	var spec Spec
 	kind, err := d.str()
 	if err != nil {
 		return Spec{}, err
 	}
 	spec.Kind = string(kind)
-	if spec.M, err = d.intVal(); err != nil {
+	if spec.M, err = d.Int(); err != nil {
 		return Spec{}, err
 	}
-	if spec.H, err = d.intVal(); err != nil {
+	if spec.H, err = d.Int(); err != nil {
 		return Spec{}, err
 	}
-	if spec.K, err = d.intVal(); err != nil {
+	if spec.K, err = d.Int(); err != nil {
 		return Spec{}, err
 	}
 	return spec, nil
@@ -317,20 +322,20 @@ func (d *decoder) spec() (Spec, error) {
 
 // faults reads a delta-coded strictly-ascending fault set into dst's
 // backing array, growing it only when the set does not fit.
-func (d *decoder) faults(dst []int) ([]int, error) {
-	k, err := d.intVal()
+func (d *Cursor) faults(dst []int) ([]int, error) {
+	k, err := d.Int()
 	if err != nil {
 		return nil, err
 	}
 	// Each fault costs at least one byte, so a count beyond the
 	// remaining payload is corrupt — checked before allocating.
-	if k > len(d.b)-d.off {
-		return nil, fmt.Errorf("journal: fault count %d exceeds %d remaining bytes", k, len(d.b)-d.off)
+	if k > len(d.B)-d.Off {
+		return nil, fmt.Errorf("journal: fault count %d exceeds %d remaining bytes", k, len(d.B)-d.Off)
 	}
 	faults := slices.Grow(dst[:0], k)[:k]
 	prev := 0
 	for i := range faults {
-		v, err := d.intVal()
+		v, err := d.Int()
 		if err != nil {
 			return nil, err
 		}
@@ -351,16 +356,16 @@ func (d *decoder) faults(dst []int) ([]int, error) {
 }
 
 // str reads a length-prefixed string as a sub-slice of the payload.
-func (d *decoder) str() ([]byte, error) {
-	n, err := d.intVal()
+func (d *Cursor) str() ([]byte, error) {
+	n, err := d.Int()
 	if err != nil {
 		return nil, err
 	}
-	if n > len(d.b)-d.off {
-		return nil, fmt.Errorf("journal: string length %d exceeds %d remaining bytes", n, len(d.b)-d.off)
+	if n > len(d.B)-d.Off {
+		return nil, fmt.Errorf("journal: string length %d exceeds %d remaining bytes", n, len(d.B)-d.Off)
 	}
-	s := d.b[d.off : d.off+n]
-	d.off += n
+	s := d.B[d.Off : d.Off+n]
+	d.Off += n
 	return s, nil
 }
 
@@ -389,7 +394,7 @@ func (v *View) decode(b []byte) error {
 		return fmt.Errorf("journal: unknown record version %d", b[0])
 	}
 	*v = View{Op: Op(b[1]), Faults: v.Faults[:0]}
-	d := decoder{b: b, off: 2}
+	d := Cursor{B: b, Off: 2}
 	var err error
 	if v.ID, err = d.str(); err != nil {
 		return err
@@ -404,13 +409,13 @@ func (v *View) decode(b []byte) error {
 		}
 	case OpDelete:
 	case OpTransition:
-		if v.Epoch, err = d.uvarint(); err != nil {
+		if v.Epoch, err = d.Uvarint(); err != nil {
 			return err
 		}
 		if v.Epoch == 0 {
 			return fmt.Errorf("journal: transition epoch 0")
 		}
-		if v.Applied, err = d.intVal(); err != nil {
+		if v.Applied, err = d.Int(); err != nil {
 			return err
 		}
 		if v.Applied < 1 {
@@ -420,27 +425,27 @@ func (v *View) decode(b []byte) error {
 			return err
 		}
 	case OpSeqBase:
-		if v.Seq, err = d.uvarint(); err != nil {
+		if v.Seq, err = d.Uvarint(); err != nil {
 			return err
 		}
 		if v.Seq == 0 {
 			return fmt.Errorf("journal: seq base 0")
 		}
-		if v.Term, err = d.uvarint(); err != nil {
+		if v.Term, err = d.Uvarint(); err != nil {
 			return err
 		}
 	case OpCheckpoint, OpMigrate:
 		if v.Spec, err = d.spec(); err != nil {
 			return err
 		}
-		if v.Epoch, err = d.uvarint(); err != nil {
+		if v.Epoch, err = d.Uvarint(); err != nil {
 			return err
 		}
 		if v.Faults, err = d.faults(v.Faults); err != nil {
 			return err
 		}
 	case OpTermBump:
-		if v.Term, err = d.uvarint(); err != nil {
+		if v.Term, err = d.Uvarint(); err != nil {
 			return err
 		}
 		if v.Term == 0 {
@@ -449,8 +454,8 @@ func (v *View) decode(b []byte) error {
 	default:
 		return fmt.Errorf("journal: unknown op %d", b[1])
 	}
-	if d.off != len(b) {
-		return fmt.Errorf("journal: %d trailing bytes after record", len(b)-d.off)
+	if d.Off != len(b) {
+		return fmt.Errorf("journal: %d trailing bytes after record", len(b)-d.Off)
 	}
 	return nil
 }

@@ -13,7 +13,6 @@ import (
 
 	"ftnet/internal/cluster"
 	"ftnet/internal/fleet"
-	"ftnet/internal/ft"
 	"ftnet/internal/obs"
 	sharding "ftnet/internal/shard"
 )
@@ -313,42 +312,13 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 }
 
 // verifyClusterInstance holds one instance to the handoff contract:
-// served by exactly its ring owner, epoch equal to the acknowledged
-// watermark, phi bit-identical to a client-side recomputation.
+// its ring owner serves it and passes verifyInstance, and no other
+// member serves it at all.
 func verifyClusterInstance(hc *http.Client, cfg ClusterConfig, ring *sharding.Ring, id string, acked uint64, strict bool, res *ClusterResult) error {
 	owner := ring.Owner(id)
-	info, err := fetchInstance(hc, cfg.Peers[owner], id)
-	if err != nil {
-		return fmt.Errorf("loadgen: %s not served by ring owner %s: %w", id, owner, err)
+	if _, err := verifyInstance(hc, cfg.Peers[owner], id, acked, strict); err != nil {
+		return fmt.Errorf("%w (ring owner %s, after the handoff)", err, owner)
 	}
-	switch {
-	case info.Epoch < acked:
-		return fmt.Errorf("loadgen: %s on %s at epoch %d, below acknowledged epoch %d — transition lost in the handoff",
-			id, owner, info.Epoch, acked)
-	case strict && info.Epoch != acked:
-		return fmt.Errorf("loadgen: %s on %s at epoch %d, acknowledged watermark is %d — transition double-applied in the handoff",
-			id, owner, info.Epoch, acked)
-	}
-	if cfg.Spec.Kind == fleet.KindDeBruijn {
-		want, err := ft.NewMapping(info.NTarget, info.NHost, info.Faults)
-		if err != nil {
-			return fmt.Errorf("loadgen: %s recovered an invalid fault set %v: %v", id, info.Faults, err)
-		}
-		phi, err := fetchPhi(hc, cfg.Peers[owner], id)
-		if err != nil {
-			return fmt.Errorf("loadgen: %s phi on %s: %w", id, owner, err)
-		}
-		if len(phi) != info.NTarget {
-			return fmt.Errorf("loadgen: %s phi slice has %d entries, want %d", id, len(phi), info.NTarget)
-		}
-		for x, got := range phi {
-			if got != want.Phi(x) {
-				return fmt.Errorf("loadgen: %s phi(%d) = %d on %s, recomputation says %d — mapping corrupted in the handoff",
-					id, x, got, owner, want.Phi(x))
-			}
-		}
-	}
-	// Exactly one owner: every other member must refuse to serve it.
 	for name, url := range cfg.Peers {
 		if name == owner {
 			continue

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ftnet/internal/fleet"
+	"ftnet/internal/ft"
 )
 
 // The replication probe: after a load run against a leader, verify
@@ -85,6 +86,50 @@ func VerifyFollower(leaderAddr, followerAddr string, ids []string, timeout time.
 	}
 	res.Waited = time.Since(start)
 	return res, nil
+}
+
+// verifyInstance holds the copy of id that addr serves to what its
+// clients were acknowledged and to the paper: its epoch covers the acked
+// watermark — and, when strict (every response of the storm was seen),
+// equals it: nothing lost, nothing applied twice — and, for de Bruijn
+// instances, where the client can recompute the map directly, the full
+// phi slice is bit-identical to a fresh ft.NewMapping over the fault set
+// it reports. The info comes back whenever the daemon produced it, so a
+// caller can report the epoch it saw alongside the error.
+func verifyInstance(client *http.Client, addr, id string, acked uint64, strict bool) (fleet.InstanceInfo, error) {
+	info, err := fetchInstance(client, addr, id)
+	if err != nil {
+		return info, fmt.Errorf("loadgen: %s not served by %s: %w", id, addr, err)
+	}
+	switch {
+	case info.Epoch < acked:
+		return info, fmt.Errorf("loadgen: %s on %s at epoch %d, below acknowledged epoch %d — an acknowledged transition was lost",
+			id, addr, info.Epoch, acked)
+	case strict && info.Epoch != acked:
+		return info, fmt.Errorf("loadgen: %s on %s at epoch %d, acknowledged watermark is %d — a transition was applied twice",
+			id, addr, info.Epoch, acked)
+	}
+	if info.Spec.Kind != fleet.KindDeBruijn {
+		return info, nil
+	}
+	want, err := ft.NewMapping(info.NTarget, info.NHost, info.Faults)
+	if err != nil {
+		return info, fmt.Errorf("loadgen: %s on %s holds an invalid fault set %v: %v", id, addr, info.Faults, err)
+	}
+	phi, err := fetchPhi(client, addr, id)
+	if err != nil {
+		return info, fmt.Errorf("loadgen: %s phi on %s: %w", id, addr, err)
+	}
+	if len(phi) != info.NTarget {
+		return info, fmt.Errorf("loadgen: %s phi slice has %d entries, want %d", id, len(phi), info.NTarget)
+	}
+	for x, got := range phi {
+		if got != want.Phi(x) {
+			return info, fmt.Errorf("loadgen: %s phi(%d) = %d on %s, recomputation says %d — mapping corrupted",
+				id, x, got, addr, want.Phi(x))
+		}
+	}
+	return info, nil
 }
 
 func fetchInstance(client *http.Client, addr, id string) (fleet.InstanceInfo, error) {

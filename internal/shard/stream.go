@@ -3,7 +3,6 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"ftnet/internal/journal"
 )
@@ -67,37 +66,6 @@ func AppendMigration(dst []byte, m Migration) ([]byte, error) {
 	return dst, nil
 }
 
-// mcursor is a strict cursor over a migration payload: bounds-checked,
-// minimal uvarints only — the same accepted-language-is-exactly-the-
-// canonical-encodings discipline as the journal and wire codecs.
-type mcursor struct {
-	b   []byte
-	off int
-}
-
-func (c *mcursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.b[c.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("shard: truncated or overlong uvarint at offset %d", c.off)
-	}
-	if n > 1 && c.b[c.off+n-1] == 0 {
-		return 0, fmt.Errorf("shard: non-minimal uvarint at offset %d", c.off)
-	}
-	c.off += n
-	return v, nil
-}
-
-func (c *mcursor) intVal() (int, error) {
-	v, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt {
-		return 0, fmt.Errorf("shard: value %d overflows int", v)
-	}
-	return int(v), nil
-}
-
 // DecodeMigration parses one canonical migration payload. It never
 // panics on arbitrary input; any deviation — unknown version, truncated
 // field, record naming another instance, trailing bytes — is an error.
@@ -111,62 +79,63 @@ func DecodeMigration(b []byte) (Migration, error) {
 	if b[0] != migrationVersion {
 		return Migration{}, fmt.Errorf("shard: unknown migration version %d", b[0])
 	}
-	c := &mcursor{b: b, off: 1}
+	// journal.Cursor: the strict reader the journal and wire codecs use.
+	c := journal.Cursor{B: b, Off: 1}
 	var m Migration
-	idLen, err := c.intVal()
+	idLen, err := c.Int()
 	if err != nil {
 		return Migration{}, err
 	}
 	if idLen == 0 {
 		return Migration{}, fmt.Errorf("shard: empty migration id")
 	}
-	if idLen > len(b)-c.off {
-		return Migration{}, fmt.Errorf("shard: id length %d exceeds %d remaining bytes", idLen, len(b)-c.off)
+	if idLen > len(b)-c.Off {
+		return Migration{}, fmt.Errorf("shard: id length %d exceeds %d remaining bytes", idLen, len(b)-c.Off)
 	}
-	m.ID = string(b[c.off : c.off+idLen])
-	c.off += idLen
-	if m.BaseSeq, err = c.uvarint(); err != nil {
+	m.ID = string(b[c.Off : c.Off+idLen])
+	c.Off += idLen
+	if m.BaseSeq, err = c.Uvarint(); err != nil {
 		return Migration{}, err
 	}
-	if m.FenceSeq, err = c.uvarint(); err != nil {
+	if m.FenceSeq, err = c.Uvarint(); err != nil {
 		return Migration{}, err
 	}
-	count, err := c.intVal()
+	count, err := c.Int()
 	if err != nil {
 		return Migration{}, err
 	}
 	// Each record costs at least two bytes (length prefix + version), so
 	// a count beyond the remaining payload is corrupt — checked before
 	// allocating.
-	if count > len(b)-c.off {
-		return Migration{}, fmt.Errorf("shard: record count %d exceeds %d remaining bytes", count, len(b)-c.off)
+	if count > len(b)-c.Off {
+		return Migration{}, fmt.Errorf("shard: record count %d exceeds %d remaining bytes", count, len(b)-c.Off)
 	}
 	if count > 0 {
 		m.Records = make([]journal.Record, 0, count)
 	}
 	for i := 0; i < count; i++ {
-		recLen, err := c.intVal()
+		recLen, err := c.Int()
 		if err != nil {
 			return Migration{}, err
 		}
 		if recLen > journal.MaxRecordSize {
 			return Migration{}, fmt.Errorf("shard: record of %d bytes exceeds max %d", recLen, journal.MaxRecordSize)
 		}
-		if recLen > len(b)-c.off {
-			return Migration{}, fmt.Errorf("shard: record length %d exceeds %d remaining bytes", recLen, len(b)-c.off)
+		if recLen > len(b)-c.Off {
+			return Migration{}, fmt.Errorf("shard: record length %d exceeds %d remaining bytes", recLen, len(b)-c.Off)
 		}
-		rec, err := journal.DecodeRecord(b[c.off : c.off+recLen])
+		rec, err := journal.DecodeRecord(b[c.Off : c.Off+recLen])
 		if err != nil {
 			return Migration{}, fmt.Errorf("shard: record %d: %w", i, err)
 		}
 		if rec.ID != m.ID {
 			return Migration{}, fmt.Errorf("shard: record %d for %q in migration of %q", i, rec.ID, m.ID)
 		}
-		c.off += recLen
+		c.Off += recLen
 		m.Records = append(m.Records, rec)
 	}
-	if c.off != len(b) {
-		return Migration{}, fmt.Errorf("shard: %d trailing bytes after migration", len(b)-c.off)
+	if c.Off != len(b) {
+		return Migration{}, fmt.Errorf("shard: %d trailing bytes after migration", len(b)-c.Off)
 	}
 	return m, nil
 }

@@ -344,8 +344,8 @@ func (cc *clientConn) readLoop() {
 func (cc *clientConn) dispatch(payload []byte) error {
 	// Only the seq is read ahead of the walk: it says whose memory the
 	// body is to land in.
-	d := cursor{b: payload, off: min(2, len(payload))}
-	seq, err := d.uvarint()
+	d := cursorAt(payload, min(2, len(payload)))
+	seq, err := d.Uvarint()
 	if err != nil {
 		return err
 	}

@@ -28,9 +28,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"ftnet/internal/fleet"
+	"ftnet/internal/journal"
 )
 
 // VersionShard is the payload format version byte, the one version the
@@ -254,12 +254,12 @@ func walkRequest(b []byte, into *Request) (reqHead, error) {
 		into = &scratch
 	}
 	h := reqHead{t: MsgType(b[1])}
-	d := cursor{b: b, off: 2}
+	d := cursorAt(b, 2)
 	var err error
-	if h.seq, err = d.uvarint(); err != nil {
+	if h.seq, err = d.Uvarint(); err != nil {
 		return h, err
 	}
-	h.rest = d.off
+	h.rest = d.Off
 	if h.id, err = d.bytesVal(); err != nil {
 		return h, err
 	}
@@ -269,7 +269,7 @@ func walkRequest(b []byte, into *Request) (reqHead, error) {
 	into.Version, into.Type, into.Seq = VersionShard, h.t, h.seq
 	switch h.t {
 	case MsgLookup:
-		if into.X, err = d.intVal(); err != nil {
+		if into.X, err = d.Int(); err != nil {
 			return h, err
 		}
 	case MsgLookupBatch:
@@ -281,7 +281,7 @@ func walkRequest(b []byte, into *Request) (reqHead, error) {
 			into.Xs = sized(into.Xs, n)
 		}
 		for i := 0; i < n; i++ {
-			x, err := d.intVal()
+			x, err := d.Int()
 			if err != nil {
 				return h, err
 			}
@@ -310,7 +310,7 @@ func walkRequest(b []byte, into *Request) (reqHead, error) {
 		return h, fmt.Errorf("wire: unknown message type %d", b[1])
 	}
 	if !d.done() {
-		return h, fmt.Errorf("wire: %d trailing bytes after request", len(b)-d.off)
+		return h, fmt.Errorf("wire: %d trailing bytes after request", len(b)-d.Off)
 	}
 	return h, nil
 }
@@ -423,12 +423,12 @@ func walkResponse(b []byte, into *Response) (respHead, error) {
 	if !store {
 		into = &scratch
 	}
-	d := cursor{b: b, off: 2}
+	d := cursorAt(b, 2)
 	var err error
-	if h.seq, err = d.uvarint(); err != nil {
+	if h.seq, err = d.Uvarint(); err != nil {
 		return h, err
 	}
-	h.rest = d.off
+	h.rest = d.Off
 	st, err := d.byteVal()
 	if err != nil {
 		return h, err
@@ -455,14 +455,14 @@ func walkResponse(b []byte, into *Response) (respHead, error) {
 			into.Msg, into.Owner = string(msg), string(owner)
 		}
 	case h.t == MsgLookup:
-		if into.Phi, err = d.intVal(); err != nil {
+		if into.Phi, err = d.Int(); err != nil {
 			return h, err
 		}
-		if into.Epoch, err = d.uvarint(); err != nil {
+		if into.Epoch, err = d.Uvarint(); err != nil {
 			return h, err
 		}
 	case h.t == MsgLookupBatch:
-		if into.Epoch, err = d.uvarint(); err != nil {
+		if into.Epoch, err = d.Uvarint(); err != nil {
 			return h, err
 		}
 		n, err := d.count()
@@ -473,7 +473,7 @@ func walkResponse(b []byte, into *Response) (respHead, error) {
 			into.Phis = sized(into.Phis, n)
 		}
 		for i := 0; i < n; i++ {
-			phi, err := d.intVal()
+			phi, err := d.Int()
 			if err != nil {
 				return h, err
 			}
@@ -483,21 +483,21 @@ func walkResponse(b []byte, into *Response) (respHead, error) {
 		}
 	case h.t == MsgApplyBatch:
 		r := &into.Result
-		if r.Epoch, err = d.uvarint(); err != nil {
+		if r.Epoch, err = d.Uvarint(); err != nil {
 			return h, err
 		}
-		if r.NumFaults, err = d.intVal(); err != nil {
+		if r.NumFaults, err = d.Int(); err != nil {
 			return h, err
 		}
-		if r.Budget, err = d.intVal(); err != nil {
+		if r.Budget, err = d.Int(); err != nil {
 			return h, err
 		}
-		if r.Applied, err = d.intVal(); err != nil {
+		if r.Applied, err = d.Int(); err != nil {
 			return h, err
 		}
 	}
 	if !d.done() {
-		return h, fmt.Errorf("wire: %d trailing bytes after response", len(b)-d.off)
+		return h, fmt.Errorf("wire: %d trailing bytes after response", len(b)-d.Off)
 	}
 	return h, nil
 }
@@ -513,76 +513,48 @@ func eventKindByte(k fleet.EventKind) (byte, bool) {
 	}
 }
 
-// cursor is a strict decoder over a payload: every read is
-// bounds-checked and every uvarint must be minimally encoded, so the
-// accepted language is exactly the canonical encodings (the journal
-// decoder's discipline).
-type cursor struct {
-	b   []byte
-	off int
-}
+// cursor is journal.Cursor — the strict reader every binary codec here
+// shares: bounds-checked, minimal uvarints only — plus the readers of
+// this protocol's own fields.
+type cursor struct{ journal.Cursor }
 
-func (d *cursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("wire: truncated or overlong uvarint at offset %d", d.off)
-	}
-	// Reject non-minimal encodings (e.g. 0x80 0x00 for zero): the last
-	// byte of a minimal multi-byte uvarint is never zero.
-	if n > 1 && d.b[d.off+n-1] == 0 {
-		return 0, fmt.Errorf("wire: non-minimal uvarint at offset %d", d.off)
-	}
-	d.off += n
-	return v, nil
-}
-
-// intVal reads a uvarint that must fit a non-negative int.
-func (d *cursor) intVal() (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt {
-		return 0, fmt.Errorf("wire: value %d overflows int", v)
-	}
-	return int(v), nil
-}
+func cursorAt(b []byte, off int) cursor { return cursor{journal.Cursor{B: b, Off: off}} }
 
 // count reads an element count; each element costs at least one byte,
 // so a count beyond the remaining payload is corrupt — checked before
 // the caller allocates.
 func (d *cursor) count() (int, error) {
-	n, err := d.intVal()
+	n, err := d.Int()
 	if err != nil {
 		return 0, err
 	}
-	if n > len(d.b)-d.off {
-		return 0, fmt.Errorf("wire: count %d exceeds %d remaining bytes", n, len(d.b)-d.off)
+	if n > len(d.B)-d.Off {
+		return 0, fmt.Errorf("wire: count %d exceeds %d remaining bytes", n, len(d.B)-d.Off)
 	}
 	return n, nil
 }
 
 func (d *cursor) byteVal() (byte, error) {
-	if d.off >= len(d.b) {
-		return 0, fmt.Errorf("wire: truncated payload at offset %d", d.off)
+	if d.Off >= len(d.B) {
+		return 0, fmt.Errorf("wire: truncated payload at offset %d", d.Off)
 	}
-	b := d.b[d.off]
-	d.off++
+	b := d.B[d.Off]
+	d.Off++
 	return b, nil
 }
 
 // bytesVal reads a length-prefixed byte string as a subslice (no
 // copy).
 func (d *cursor) bytesVal() ([]byte, error) {
-	n, err := d.intVal()
+	n, err := d.Int()
 	if err != nil {
 		return nil, err
 	}
-	if n > len(d.b)-d.off {
-		return nil, fmt.Errorf("wire: string length %d exceeds %d remaining bytes", n, len(d.b)-d.off)
+	if n > len(d.B)-d.Off {
+		return nil, fmt.Errorf("wire: string length %d exceeds %d remaining bytes", n, len(d.B)-d.Off)
 	}
-	b := d.b[d.off : d.off+n]
-	d.off += n
+	b := d.B[d.Off : d.Off+n]
+	d.Off += n
 	return b, nil
 }
 
@@ -601,14 +573,14 @@ func (d *cursor) event() (fleet.Event, error) {
 	default:
 		return fleet.Event{}, fmt.Errorf("wire: unknown event kind byte %d", k)
 	}
-	node, err := d.intVal()
+	node, err := d.Int()
 	if err != nil {
 		return fleet.Event{}, err
 	}
 	return fleet.Event{Kind: kind, Node: node}, nil
 }
 
-func (d *cursor) done() bool { return d.off == len(d.b) }
+func (d *cursor) done() bool { return d.Off == len(d.B) }
 
 // appendFrameHeader reserves the 8-byte frame header; sealFrame fills
 // it in once the payload is appended after it.

@@ -212,7 +212,7 @@ func putRelay(e *relay) {
 
 // id returns the instance id at the head of the kept request.
 func (e *relay) id() string {
-	d := cursor{b: e.req}
+	d := cursorAt(e.req, 0)
 	id, _ := d.bytesVal() // validated when the frame was read
 	return string(id)
 }
