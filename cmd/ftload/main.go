@@ -77,7 +77,9 @@
 // owner, epoch equal to the acknowledged watermark (zero lost or
 // double-applied transitions), phi slice bit-identical to a fresh
 // recomputation. With -obs-json it emits the rebalance_pause and
-// cluster_lookups_per_sec SLO families:
+// cluster_lookups_per_sec SLO families (with -rpc, through an ftproxy
+// RPC front, proxy_lookups_per_sec and proxy_lookup_p99 in place of the
+// latter):
 //
 //	ftload -scenario cluster -instances 24 -requests 30000 \
 //	    -peers a=http://127.0.0.1:18110,b=http://127.0.0.1:18111,c=http://127.0.0.1:18112 \
@@ -103,7 +105,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/exec"
 	"sort"
@@ -309,7 +310,7 @@ func runRestart(cfg config, out io.Writer) error {
 		return fmt.Errorf("start daemon: %v", err)
 	}
 	defer d.kill()
-	if err := waitHealthy(cfg.Addr, 15*time.Second); err != nil {
+	if err := loadgen.AwaitHealthy(cfg.Addr, 15*time.Second); err != nil {
 		return err
 	}
 
@@ -353,14 +354,14 @@ func runFailover(cfg config, out io.Writer) error {
 	}
 	defer rejoin.kill() // the leader's journal is owned by rejoin after RestartOld
 	defer leader.kill()
-	if err := waitHealthy(cfg.Addr, 15*time.Second); err != nil {
+	if err := loadgen.AwaitHealthy(cfg.Addr, 15*time.Second); err != nil {
 		return err
 	}
 	if err := replica.start(); err != nil {
 		return fmt.Errorf("start follower: %v", err)
 	}
 	defer replica.kill()
-	if err := waitHealthy(cfg.follower, 15*time.Second); err != nil {
+	if err := loadgen.AwaitHealthy(cfg.follower, 15*time.Second); err != nil {
 		return err
 	}
 
@@ -454,23 +455,6 @@ func runCluster(cfg config, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func waitHealthy(addr string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(addr + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("daemon not healthy on %s after %v", addr, timeout)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }
 
 func sortedKeys(m map[string]uint64) []string {

@@ -190,10 +190,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("ftnetd: rpc listen: %v", err)
 		}
-		rpcSrv = wire.NewServer(mgr, wire.ServerOptions{
-			ReadOnly: *follow != "",
-			Metrics:  mgr.Metrics(),
-		})
+		rpcSrv = wire.NewServer(mgr, wire.ServerOptions{Metrics: mgr.Metrics()})
 		go func() {
 			if err := rpcSrv.Serve(ln); err != nil {
 				log.Printf("ftnetd: rpc server: %v", err)
@@ -204,7 +201,7 @@ func main() {
 
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           newServerOpts(mgr, fleet.HandlerOptions{ReadOnly: *follow != "", Follower: follower}),
+		Handler:           newServerOpts(mgr, fleet.HandlerOptions{Follower: follower}),
 		ReadHeaderTimeout: 5 * time.Second,
 		// Request bodies and responses are bounded — except /v1/watch,
 		// which streams and lifts these per-connection deadlines itself

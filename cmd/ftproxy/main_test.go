@@ -111,6 +111,50 @@ func TestProxyRoutesByRing(t *testing.T) {
 	}
 }
 
+// TestProxyEscapedIDRoutesWhole is the misrouting regression: the name
+// in the request is the routing key, whole. An id with path syntax in
+// it, created through the proxy, lands on the ring's owner of that id —
+// not of the part before its first "/" — and reads and writes through
+// the proxy reach it there, because the proxy forwards the path as the
+// client escaped it.
+func TestProxyEscapedIDRoutesWhole(t *testing.T) {
+	px, mA, mB, _ := twoShardCluster(t, 0)
+	spec := fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2}
+	ring := shard.New([]string{"a", "b"}, 0)
+	byMember := map[string]*fleet.Manager{"a": mA, "b": mB}
+	c := fleet.Client{HTTP: px.Client(), Base: px.URL}
+
+	// A "rack/N" the ring places away from "rack", so routing by the
+	// truncated id shows as a miss, not as luck.
+	slashed := ""
+	for i := 0; slashed == ""; i++ {
+		if id := fmt.Sprintf("rack/%d", i); ring.Owner(id) != ring.Owner("rack") {
+			slashed = id
+		}
+	}
+	for node, id := range []string{slashed, "rack?7", "rack#7", "rack%7", "rack%2F7", "rack 7"} {
+		if info, err := c.Create(id, spec); err != nil || info.ID != id {
+			t.Fatalf("create %q via proxy = (%+v, %v)", id, info, err)
+		}
+		owner := ring.Owner(id)
+		if _, ok := byMember[owner].Get(id); !ok {
+			t.Fatalf("instance %q not on its ring owner %s", id, owner)
+		}
+		if res, err := c.EventBatch(id, []fleet.Event{{Kind: fleet.EventFault, Node: node}}); err != nil || res.Epoch != 1 {
+			t.Errorf("event on %q via proxy = (%+v, %v), want epoch 1", id, res, err)
+		}
+		if info, err := c.Instance(id); err != nil || info.ID != id || info.Epoch != 1 {
+			t.Errorf("read %q back via proxy = (%+v, %v), want it at epoch 1", id, info, err)
+		}
+		if phi, err := c.Lookup(id, node); err != nil || phi != node+1 {
+			t.Errorf("phi(%d) of %q via proxy = (%d, %v), want %d", node, id, phi, err, node+1)
+		}
+	}
+	if got := metricValue(t, px.URL, "ftproxy_redirects_total"); got != "0" {
+		t.Errorf("redirects = %s, want 0: every request went straight to its owner", got)
+	}
+}
+
 // TestProxyLearnsFromRedirect drives the redirect-learn-retry path
 // with a real daemon-generated hint: the daemons shard with a
 // different vnode count than the proxy, so for some id the proxy's

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -88,7 +89,9 @@ func (p *proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // routeKey extracts the routing instance id and buffers the body (the
 // body must be replayable for the redirect retry). An empty id with a
-// nil error means the path carries none.
+// nil error means the path carries none. The id is one segment of the
+// path as the client escaped it, unescaped the way the daemon's mux
+// will: "rack%2F7" routes as "rack/7", not as "rack".
 func (p *proxy) routeKey(r *http.Request) (string, []byte, error) {
 	var body []byte
 	if r.Body != nil && r.Body != http.NoBody {
@@ -101,7 +104,7 @@ func (p *proxy) routeKey(r *http.Request) (string, []byte, error) {
 		}
 		body = b
 	}
-	rest, ok := strings.CutPrefix(r.URL.Path, "/v1/instances")
+	rest, ok := strings.CutPrefix(r.URL.EscapedPath(), "/v1/instances")
 	if !ok {
 		return "", body, nil
 	}
@@ -118,12 +121,10 @@ func (p *proxy) routeKey(r *http.Request) (string, []byte, error) {
 		}
 		return req.ID, body, nil
 	}
-	id := strings.TrimPrefix(rest, "/")
-	if i := strings.IndexByte(id, '/'); i >= 0 {
-		id = id[:i]
-	}
-	if id == "" {
-		return "", nil, fmt.Errorf("ftproxy: empty instance id in path")
+	seg, _, _ := strings.Cut(strings.TrimPrefix(rest, "/"), "/")
+	id, err := url.PathUnescape(seg)
+	if err != nil || id == "" {
+		return "", nil, fmt.Errorf("ftproxy: no instance id in path segment %q", seg)
 	}
 	return id, body, nil
 }
@@ -159,12 +160,14 @@ func (p *proxy) forward(w http.ResponseWriter, r *http.Request, id string, body 
 	}
 }
 
+// send forwards the request as it came: the escaped path and the raw
+// query verbatim, so the daemon reads the same id the router hashed.
 func (p *proxy) send(r *http.Request, baseURL string, body []byte) (*http.Response, error) {
-	url := baseURL + r.URL.Path
+	target := baseURL + r.URL.EscapedPath()
 	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
+		target += "?" + r.URL.RawQuery
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, target, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}

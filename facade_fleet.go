@@ -103,9 +103,9 @@ func OpenFleetJournal(path string, opts FleetJournalOptions) (*FleetJournal, err
 }
 
 // NewFleetFollower wires a replication loop from a leader daemon's
-// base URL into mgr; drive it with its Run method. The manager should
-// be served read-only (its state comes from the leader's commit
-// stream).
+// base URL into mgr; drive it with its Run method. It puts the manager
+// in the read-only posture — its state comes from the leader's commit
+// stream, so direct writes are refused until it is promoted.
 func NewFleetFollower(mgr *FleetManager, leaderURL string, opts FleetFollowerOptions) (*FleetFollower, error) {
 	return fleet.NewFollower(mgr, leaderURL, opts)
 }

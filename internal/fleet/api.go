@@ -16,25 +16,41 @@ import (
 )
 
 // This file is the HTTP/JSON surface of the Manager API, served by
-// cmd/ftnetd and driven by cmd/ftload. It lives next to the Manager so
-// both commands (and their tests) share one implementation.
+// cmd/ftnetd; Client (client.go) is its one client. JSON is the control
+// plane and the curl-able debugging surface: creating and inspecting
+// instances, promotion, topology, migration, stats. It is not the data
+// plane — lookups and event bursts at volume travel the binary RPC
+// plane (internal/wire), the one the performance ledger measures. The
+// lookup and event routes here are the same operations one request at a
+// time, for scripts and debugging; POST .../events is the curl form of
+// an events:batch of one.
 //
-// Routes:
+// Routes, with the types that are their bodies (request -> answer;
+// every refusal is {"error":...} under the status errCode picks, and
+// ResponseError reads it back):
 //
-//	POST   /v1/instances              {"id":...,"spec":{...}}
+//	POST   /v1/instances              CreateRequest -> 201 InstanceInfo
 //	GET    /v1/instances              list instance ids
-//	GET    /v1/instances/{id}         instance snapshot
-//	DELETE /v1/instances/{id}         drop an instance
-//	POST   /v1/instances/{id}/events  {"kind":"fault"|"repair","node":n}
-//	POST   /v1/instances/{id}/events:batch  {"events":[{"kind":...,"node":...},...]}
-//	GET    /v1/instances/{id}/phi?x=n single lookup (omit x for the slice;
-//	                                  the slice gzips when Accept-Encoding allows)
-//	GET    /v1/watch?from=n           NDJSON commit stream: catch-up, then live tail
-//	POST   /v1/promote                take leadership: bump the term, enable writes
-//	POST   /v1/compact                checkpoint state, truncate the journal prefix
-//	GET    /v1/stats                  fleet-wide counters
+//	GET    /v1/instances/{id}         -> InstanceInfo
+//	DELETE /v1/instances/{id}         -> 204
+//	POST   /v1/instances/{id}/events  Event -> EventResult
+//	POST   /v1/instances/{id}/events:batch  BatchRequest -> EventResult
+//	GET    /v1/instances/{id}/phi?x=n -> PhiResponse (omit x for the slice,
+//	                                  PhiSliceResponse; it gzips when
+//	                                  Accept-Encoding allows)
+//	GET    /v1/watch?from=n           NDJSON commit stream of WatchEntry:
+//	                                  catch-up, then live tail
+//	POST   /v1/promote                -> PromoteResponse: take leadership,
+//	                                  bump the term, enable writes
+//	POST   /v1/compact                -> CompactStats: checkpoint state,
+//	                                  truncate the journal prefix
+//	GET    /v1/stats                  -> StatsResponse
 //	GET    /healthz                   liveness probe
 //	GET    /metrics                   Prometheus text exposition
+//
+// An {id} is one path segment: a client escapes it (url.PathEscape) and
+// the mux unescapes it, so an id may contain "/", "?", "#", "%" or a
+// space and still name one instance.
 //
 // events:batch applies a whole fault burst as one atomic transition:
 // either every event in the batch applies and the epoch advances by
@@ -61,14 +77,6 @@ import (
 
 // HandlerOptions tunes NewHTTPHandlerOpts.
 type HandlerOptions struct {
-	// ReadOnly sets the manager's initial write posture: every
-	// state-mutating route (create, delete, events) rejects with 403 —
-	// the follower posture: its state comes from the leader's commit
-	// stream, not from clients. Watch, lookups, stats and compaction
-	// (of its own local journal) stay available. The posture is
-	// per-request dynamic — POST /v1/promote (or Manager.Promote)
-	// flips it off without rewiring the handler.
-	ReadOnly bool
 	// Follower, when non-nil, adds the replication loop's counters to
 	// /v1/stats and /metrics, and routes POST /v1/promote through its
 	// stream-draining Promote.
@@ -83,9 +91,6 @@ func NewHTTPHandler(mgr *Manager) http.Handler {
 // NewHTTPHandlerOpts returns the HTTP/JSON API with explicit options.
 func NewHTTPHandlerOpts(mgr *Manager, opts HandlerOptions) http.Handler {
 	s := &apiServer{mgr: mgr, opts: opts}
-	if opts.ReadOnly {
-		mgr.SetReadOnly(true)
-	}
 	reg := mgr.Metrics()
 	reqHist := reg.HistogramVec("ftnet_http_request_seconds",
 		"HTTP request latency by route.", "route")
@@ -144,9 +149,11 @@ type apiServer struct {
 	inflight *obs.Gauge
 }
 
-// mutating guards a state-changing route against the read-only
-// (follower / deposed-leader) posture, consulted per request so a
-// promotion flips the whole surface at once. The Manager re-checks on
+// mutating guards a state-changing route (create, delete, events)
+// against the read-only posture — a follower's, whose state comes from
+// the leader's commit stream, or a deposed leader's — consulted per
+// request so a promotion flips the whole surface at once. Watch,
+// lookups, stats and compaction (of the local journal) stay available. The Manager re-checks on
 // every mutation as the authoritative backstop; this wrapper just
 // rejects before the body is even parsed.
 func (s *apiServer) mutating(h http.HandlerFunc) http.HandlerFunc {
@@ -357,6 +364,15 @@ func (s *apiServer) postEventBatch(w http.ResponseWriter, r *http.Request) {
 type PhiResponse struct {
 	X   int `json:"x"`
 	Phi int `json:"phi"`
+}
+
+// PhiSliceResponse is the body of GET /v1/instances/{id}/phi without x,
+// which getPhi streams by hand: the whole embedding, or the window
+// ?from=&count= selects (From and Count are only present then).
+type PhiSliceResponse struct {
+	From  int   `json:"from,omitempty"`
+	Count int   `json:"count,omitempty"`
+	Phi   []int `json:"phi"`
 }
 
 func (s *apiServer) getPhi(w http.ResponseWriter, r *http.Request) {

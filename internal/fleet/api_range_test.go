@@ -39,9 +39,7 @@ func TestGetPhiRanged(t *testing.T) {
 		return resp.StatusCode, buf[:n]
 	}
 
-	var full struct {
-		Phi []int `json:"phi"`
-	}
+	var full PhiSliceResponse // the type that names what getPhi streams by hand
 	code, body := get(t, ts.URL+"/v1/instances/a/phi")
 	if code != http.StatusOK {
 		t.Fatalf("full dump: status %d: %s", code, body)
@@ -54,11 +52,7 @@ func TestGetPhiRanged(t *testing.T) {
 		t.Fatalf("full dump has %d entries, want %d", len(full.Phi), n)
 	}
 
-	type window struct {
-		From  int   `json:"from"`
-		Count int   `json:"count"`
-		Phi   []int `json:"phi"`
-	}
+	type window = PhiSliceResponse
 	getWindow := func(t *testing.T, query string) (window, int, []byte) {
 		t.Helper()
 		code, body := get(t, ts.URL+"/v1/instances/a/phi?"+query)

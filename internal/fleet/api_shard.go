@@ -12,10 +12,11 @@ import (
 // The shard-plane routes, served next to the instance API so every
 // daemon is simultaneously a data node and a migration endpoint:
 //
-//	GET  /v1/ring            installed topology (404 when unsharded)
-//	POST /v1/ring            install a topology {"self","peers","replicas"}
-//	POST /v1/rebalance       migrate every displaced instance to its owner
-//	POST /v1/migrate         migrate one instance {"id","peer"}
+//	GET  /v1/ring            -> RingInfo (404 when unsharded)
+//	POST /v1/ring            RingRequest -> RingInfo: install a topology
+//	POST /v1/rebalance       -> RebalanceResponse: migrate every displaced
+//	                         instance to its owner
+//	POST /v1/migrate         MigrateRequest -> MigrateStats: migrate one
 //	POST /v1/migrate/stage   (daemon-to-daemon) binary checkpoint frame
 //	POST /v1/migrate/commit  (daemon-to-daemon) binary suffix frame
 //	POST /v1/migrate/abort   (daemon-to-daemon) drop a staged instance
@@ -26,7 +27,19 @@ import (
 //
 // stage/commit bodies are the canonical shard.Migration encoding
 // (application/octet-stream), the same bytes FuzzMigrationDecode
-// hammers; everything else is JSON.
+// hammers; everything else is JSON, and all four daemon-to-daemon
+// routes answer a MigrationAnswer.
+
+// MigrationAnswer is what the four daemon-to-daemon migrate routes
+// answer, each filling in its own part — and, with only ID set, the
+// body abort takes.
+type MigrationAnswer struct {
+	ID      string `json:"id"`
+	Staged  bool   `json:"staged,omitempty"`  // stage: the checkpoint is held
+	Aborted bool   `json:"aborted,omitempty"` // abort: a staged copy existed and was dropped
+	State   string `json:"state,omitempty"`   // state: absent | staged | committed
+	Epoch   uint64 `json:"epoch,omitempty"`   // commit, state: the copy's epoch
+}
 
 func (s *apiServer) getRing(w http.ResponseWriter, r *http.Request) {
 	info, ok := s.mgr.Topology()
@@ -122,7 +135,7 @@ func (s *apiServer) migrateStage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": mig.ID, "staged": true})
+	writeJSON(w, http.StatusOK, MigrationAnswer{ID: mig.ID, Staged: true})
 }
 
 func (s *apiServer) migrateCommit(w http.ResponseWriter, r *http.Request) {
@@ -136,18 +149,16 @@ func (s *apiServer) migrateCommit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": mig.ID, "epoch": epoch})
+	writeJSON(w, http.StatusOK, MigrationAnswer{ID: mig.ID, Epoch: epoch})
 }
 
 func (s *apiServer) migrateAbort(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		ID string `json:"id"`
-	}
+	var req MigrationAnswer
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, fmt.Errorf("bad request body: %v", err))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": req.ID, "aborted": s.mgr.AbortMigration(req.ID)})
+	writeJSON(w, http.StatusOK, MigrationAnswer{ID: req.ID, Aborted: s.mgr.AbortMigration(req.ID)})
 }
 
 func (s *apiServer) migrateState(w http.ResponseWriter, r *http.Request) {
@@ -157,5 +168,5 @@ func (s *apiServer) migrateState(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	state, epoch := s.mgr.MigrationState(id)
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "state": state, "epoch": epoch})
+	writeJSON(w, http.StatusOK, MigrationAnswer{ID: id, State: state, Epoch: epoch})
 }

@@ -122,7 +122,7 @@ func TestPromoteFailoverAndDeposedLeaderSelfHeals(t *testing.T) {
 	defer fcancel()
 	fdone := make(chan struct{})
 	go func() { defer close(fdone); f.Run(fctx) }()
-	tsB := httptest.NewServer(NewHTTPHandlerOpts(fm, HandlerOptions{ReadOnly: true, Follower: f}))
+	tsB := httptest.NewServer(NewHTTPHandlerOpts(fm, HandlerOptions{Follower: f}))
 	t.Cleanup(tsB.Close)
 	waitConverged(t, leader, fm, 15*time.Second)
 
@@ -250,7 +250,7 @@ func TestDeposedLeaderResyncsFromCheckpointAfterTermBump(t *testing.T) {
 	defer fcancel()
 	fdone := make(chan struct{})
 	go func() { defer close(fdone); f.Run(fctx) }()
-	tsB := httptest.NewServer(NewHTTPHandlerOpts(fm, HandlerOptions{ReadOnly: true, Follower: f}))
+	tsB := httptest.NewServer(NewHTTPHandlerOpts(fm, HandlerOptions{Follower: f}))
 	t.Cleanup(tsB.Close)
 	waitConverged(t, leader, fm, 15*time.Second)
 

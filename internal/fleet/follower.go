@@ -107,7 +107,10 @@ type FollowerStats struct {
 }
 
 // NewFollower wires a replication loop from leader (a base URL like
-// http://host:8080) into mgr. Start it with Run.
+// http://host:8080) into mgr, and puts mgr in the read-only posture: a
+// follower's state comes from the leader's commit stream, and a direct
+// write it acked would be overwritten by the leader's entry at the same
+// seq. Promotion lifts it. Start the loop with Run.
 func NewFollower(mgr *Manager, leader string, opts FollowerOptions) (*Follower, error) {
 	u, err := url.Parse(leader)
 	if err != nil || u.Scheme == "" || u.Host == "" {
@@ -134,6 +137,7 @@ func NewFollower(mgr *Manager, leader string, opts FollowerOptions) (*Follower, 
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
+	mgr.SetReadOnly(true)
 	// Rejected writers should learn where the leader is.
 	mgr.SetLeaderHint(leader)
 	reg := mgr.Metrics()

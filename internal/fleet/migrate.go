@@ -1,12 +1,8 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	neturl "net/url"
 	"time"
 
 	"ftnet/internal/ft"
@@ -106,6 +102,7 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 	if peer == t.self {
 		return MigrateStats{}, fmt.Errorf("fleet: migrate %q to self", id)
 	}
+	push, probe := Client{HTTP: migrateClient, Base: url}, Client{HTTP: probeClient, Base: url}
 	m.migrateMu.Lock()
 	defer m.migrateMu.Unlock()
 	in, ok := m.Get(id)
@@ -125,7 +122,7 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 			return MigrateStats{}, errorf(ErrConflict,
 				"fleet: instance %q is already migrating to %s", id, pendingTo)
 		}
-		committed, epoch, rerr := resolveHandoff(url, id)
+		committed, epoch, rerr := resolveHandoff(probe, id)
 		if rerr != nil {
 			return MigrateStats{}, errorf(ErrUnavailable,
 				"fleet: %v; write fence held, re-run the migration to resolve", rerr)
@@ -160,11 +157,13 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 		BaseSeq: baseSeq,
 		Records: []journal.Record{checkpointRecord(id, in.spec, snap0)},
 	}
-	if err := pushMigration(url+"/v1/migrate/stage", stage); err != nil {
+	if err := push.StageMigration(stage); err != nil {
 		// The push may have staged despite the lost answer; a leftover
 		// stage refuses traffic until dropped, so clean up best-effort.
-		abortRemote(url, id)
-		return MigrateStats{}, fmt.Errorf("fleet: stage %q on %s: %w", id, peer, err)
+		probe.AbortMigration(id)
+		// %v, not %w, here and for the commit push: the peer's category is
+		// about the peer's request, not about the one this daemon is serving.
+		return MigrateStats{}, fmt.Errorf("fleet: stage %q on %s: %v", id, peer, err)
 	}
 
 	// Phase 2: fence, ship the suffix, cut over. The fence window —
@@ -174,7 +173,7 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 	in.writeMu.Lock()
 	if err := in.fence(url); err != nil {
 		in.writeMu.Unlock()
-		abortRemote(url, id) // best effort; the stage was never durable
+		probe.AbortMigration(id) // best effort; the stage was never durable
 		return MigrateStats{}, err
 	}
 	fenceSeq := m.pipe.log.LastSeq()
@@ -183,8 +182,8 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 	suffix, err := m.collectSuffix(id, snap0.Epoch(), baseSeq, fenceSeq)
 	if err == nil {
 		frame := sharding.Migration{ID: id, BaseSeq: baseSeq, FenceSeq: fenceSeq, Records: suffix}
-		if perr := pushMigration(url+"/v1/migrate/commit", frame); perr != nil {
-			err = fmt.Errorf("fleet: commit %q on %s: %w", id, peer, perr)
+		if perr := push.CommitMigration(frame); perr != nil {
+			err = fmt.Errorf("fleet: commit %q on %s: %v", id, peer, perr)
 		}
 	}
 	if err != nil {
@@ -197,7 +196,7 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 		// cannot, the fence stays up — writes bounce with a redirect,
 		// never land on a maybe-stale copy — and a re-run of the
 		// migration resumes the resolution.
-		committed, _, rerr := resolveHandoff(url, id)
+		committed, _, rerr := resolveHandoff(probe, id)
 		if rerr != nil {
 			return MigrateStats{}, errorf(ErrUnavailable,
 				"fleet: %v (commit push: %v); write fence held, re-run the migration to resolve", rerr, err)
@@ -444,74 +443,6 @@ func (m *Manager) MigrationState(id string) (string, uint64) {
 	}
 }
 
-// pushMigration POSTs one encoded migration frame; a rejection comes
-// back with the peer's message.
-func pushMigration(url string, mig sharding.Migration) error {
-	body, err := sharding.AppendMigration(nil, mig)
-	if err != nil {
-		return err
-	}
-	resp, err := migrateClient.Post(url, "application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 == 2 {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	// %v, not %w: the peer's category is about the peer's request, not
-	// about the one this daemon is serving.
-	return fmt.Errorf("peer returned %d: %v", resp.StatusCode, ResponseError(resp))
-}
-
-// abortRemote asks the target to drop a staged instance, reporting
-// whether one was actually dropped. Thanks to AbortMigration's
-// writeMu discipline, aborted=true proves the handoff's commit can
-// never land; aborted=false says nothing by itself (already committed,
-// or never staged) and is disambiguated by a state probe.
-func abortRemote(url, id string) (bool, error) {
-	body, _ := json.Marshal(map[string]string{"id": id})
-	resp, err := probeClient.Post(url+"/v1/migrate/abort", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		io.Copy(io.Discard, resp.Body)
-		return false, fmt.Errorf("peer returned %d to abort", resp.StatusCode)
-	}
-	var out struct {
-		Aborted bool `json:"aborted"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&out); err != nil {
-		return false, fmt.Errorf("decode abort answer: %v", err)
-	}
-	return out.Aborted, nil
-}
-
-// remoteMigrationState probes the target's view of id: "absent",
-// "staged", or "committed" (with the live epoch).
-func remoteMigrationState(url, id string) (string, uint64, error) {
-	resp, err := probeClient.Get(url + "/v1/migrate/state?id=" + neturl.QueryEscape(id))
-	if err != nil {
-		return "", 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		io.Copy(io.Discard, resp.Body)
-		return "", 0, fmt.Errorf("peer returned %d to state probe", resp.StatusCode)
-	}
-	var out struct {
-		State string `json:"state"`
-		Epoch uint64 `json:"epoch"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&out); err != nil {
-		return "", 0, fmt.Errorf("decode state answer: %v", err)
-	}
-	return out.State, out.Epoch, nil
-}
-
 // resolveHandoff decides the fate of a handoff whose commit push got no
 // usable answer — the split-brain hinge. The order is what makes it
 // sound: abort FIRST. A successful abort is a fence (see
@@ -522,13 +453,13 @@ func remoteMigrationState(url, id string) (string, uint64, error) {
 // commit — which requires a stage — is impossible. Anything else, or
 // any transport failure, leaves the handoff unresolved and the caller
 // MUST keep the write fence up.
-func resolveHandoff(url, id string) (committed bool, epoch uint64, err error) {
+func resolveHandoff(probe Client, id string) (committed bool, epoch uint64, err error) {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		if attempt > 0 {
 			time.Sleep(time.Duration(attempt) * 200 * time.Millisecond)
 		}
-		aborted, aerr := abortRemote(url, id)
+		aborted, aerr := probe.AbortMigration(id)
 		if aerr != nil {
 			lastErr = aerr
 			continue
@@ -536,7 +467,7 @@ func resolveHandoff(url, id string) (committed bool, epoch uint64, err error) {
 		if aborted {
 			return false, 0, nil
 		}
-		state, e, serr := remoteMigrationState(url, id)
+		state, e, serr := probe.MigrationState(id)
 		if serr != nil {
 			lastErr = serr
 			continue

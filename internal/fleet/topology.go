@@ -136,7 +136,7 @@ func (m *Manager) ReconcilePins() ReconcileStats {
 		}
 		st.Checked++
 		owner := t.ring.Owner(id)
-		state, epoch, err := remoteMigrationState(t.peers[owner], id)
+		state, epoch, err := Client{HTTP: probeClient, Base: t.peers[owner]}.MigrationState(id)
 		if err != nil {
 			st.Unresolved++
 			continue

@@ -443,7 +443,8 @@ func TestReadOnlyHandlerRejectsMutations(t *testing.T) {
 	if _, err := m.Create("a", Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(NewHTTPHandlerOpts(m, HandlerOptions{ReadOnly: true}))
+	m.SetReadOnly(true)
+	ts := httptest.NewServer(NewHTTPHandler(m))
 	defer ts.Close()
 
 	resp, _ := http.Post(ts.URL+"/v1/instances", "application/json",

@@ -1,14 +1,8 @@
 package loadgen
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"math/rand"
-	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ftnet/internal/cluster"
@@ -124,39 +118,36 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 	if err := cfg.Config.Validate(); err != nil {
 		return ClusterResult{}, err
 	}
-	if cfg.IDPrefix == "" {
-		cfg.IDPrefix = "load-cluster"
-	}
 
-	hc := &http.Client{Timeout: 30 * time.Second}
 	for name, url := range cfg.Peers {
-		if err := awaitHealthy(hc, url, cfg.HealthTimeout); err != nil {
+		if err := AwaitHealthy(url, cfg.HealthTimeout); err != nil {
 			return ClusterResult{}, fmt.Errorf("loadgen: cluster member %s: %w", name, err)
 		}
 	}
-	// Install the initial topology (joiner stays out: it gets its ring
-	// at join time, first, so it can accept migrations the instant the
-	// initial members learn the new membership).
-	for name, url := range initial {
-		if err := postRing(hc, url, fleet.RingRequest{Self: name, Peers: initial, Replicas: cfg.Replicas}); err != nil {
-			return ClusterResult{}, err
+	setRing := func(name string, members map[string]string) error {
+		err := control(cfg.Peers[name]).SetRing(fleet.RingRequest{Self: name, Peers: members, Replicas: cfg.Replicas})
+		if err != nil {
+			return fmt.Errorf("install ring on %s: %w", name, err)
 		}
+		return nil
 	}
-	// The joiner boots as a spectator on the same ring: it owns nothing
-	// yet, so anything misdirected to it (an RPC proxy whose ring
-	// already names the full membership) bounces to the real owner with
-	// a hint instead of 404ing.
-	if err := postRing(hc, cfg.Peers[cfg.Joiner], fleet.RingRequest{
-		Self: cfg.Joiner, Peers: initial, Replicas: cfg.Replicas,
-	}); err != nil {
-		return ClusterResult{}, err
+	// Install the initial topology. The joiner boots as a spectator on
+	// the same ring: it owns nothing yet, so anything misdirected to it
+	// (an RPC proxy whose ring already names the full membership) bounces
+	// to the real owner with a hint instead of 404ing. It gets the grown
+	// ring at join time, first, so it can accept migrations the instant
+	// the initial members learn the new membership.
+	for name := range cfg.Peers {
+		if err := setRing(name, initial); err != nil {
+			return ClusterResult{}, fmt.Errorf("loadgen: %w", err)
+		}
 	}
 
 	// Instances are created where the initial ring puts them.
 	initialRing := sharding.New(memberNames(initial), cfg.Replicas)
 	ids := cfg.InstanceIDs()
 	for _, id := range ids {
-		if err := createInstance(hc, initial[initialRing.Owner(id)], id, cfg.Spec); err != nil {
+		if err := createInstance(control(initial[initialRing.Owner(id)]), id, cfg.Spec); err != nil {
 			return ClusterResult{}, err
 		}
 	}
@@ -180,104 +171,42 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		members["proxy"] = t
 	} else {
 		for name, url := range cfg.Peers {
-			members[name] = cluster.HTTP{Client: hc, Base: url}
+			members[name] = cluster.HTTP(control(url))
 		}
 	}
-	storm := cluster.New(sharding.NewRouter(routed, cfg.Replicas), members, cfg.HealthTimeout)
+	client := cluster.New(sharding.NewRouter(routed, cfg.Replicas), members, cfg.HealthTimeout)
 
-	acked := make(map[string]*atomic.Uint64, len(ids))
-	for _, id := range ids {
-		acked[id] = new(atomic.Uint64)
-	}
-	var (
-		ops           atomic.Int64
-		joinOnce      sync.Once
-		joinErr       error
-		joinedAt      time.Time
-		rebalanceWall time.Duration
-		migrated      int
-		threshold     = int64(float64(cfg.Requests) * cfg.JoinAfterFrac)
-	)
-	join := func() {
-		joinedAt = time.Now()
+	// The worker that crosses the threshold performs the join +
+	// rebalance inline — the storm keeps running on the other workers
+	// while instances are fenced, streamed and cut over underneath it.
+	res := ClusterResult{Exports: make(map[string]*obs.Export, len(cfg.Peers))}
+	join := &trigger{after: cfg.JoinAfterFrac, fire: func() error {
+		start := time.Now()
 		// Joiner first: its ring must name it owner before any stage
 		// frame arrives.
-		if joinErr = postRing(hc, cfg.Peers[cfg.Joiner], fleet.RingRequest{
-			Self: cfg.Joiner, Peers: cfg.Peers, Replicas: cfg.Replicas,
-		}); joinErr != nil {
-			return
+		if err := setRing(cfg.Joiner, cfg.Peers); err != nil {
+			return err
 		}
-		for name, url := range initial {
-			if joinErr = postRing(hc, url, fleet.RingRequest{
-				Self: name, Peers: cfg.Peers, Replicas: cfg.Replicas,
-			}); joinErr != nil {
-				return
+		for name := range initial {
+			if err := setRing(name, cfg.Peers); err != nil {
+				return err
 			}
 		}
 		for name, url := range initial {
-			n, err := postRebalance(hc, url)
+			rr, err := control(url).Rebalance()
 			if err != nil {
-				joinErr = fmt.Errorf("loadgen: rebalance %s: %w", name, err)
-				return
+				return fmt.Errorf("rebalance %s: %w", name, err)
 			}
-			migrated += n
+			res.Migrated += rr.Count
 		}
-		rebalanceWall = time.Since(joinedAt)
-	}
-
-	nTarget, nHost := TargetHostSizes(cfg.Spec)
-	perWorker := make([]opStats, cfg.Workers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
-		n := cfg.Requests / cfg.Workers
-		if w < cfg.Requests%cfg.Workers {
-			n++
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			st := &perWorker[w]
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)))
-			writer := w < cfg.Scenario.Writers
-			var scratch lookupScratch
-			for i := 0; i < n; i++ {
-				id := ids[rng.Intn(len(ids))]
-				if writer {
-					driveBatch(storm, id, rng, nHost, cfg.Scenario.Batch, st, acked[id])
-				} else {
-					driveLookup(storm, id, rng, nTarget, lookupBatch, &scratch, st)
-				}
-				// The worker that crosses the threshold performs the
-				// join + rebalance inline — the storm keeps running on
-				// the other workers while instances are fenced,
-				// streamed and cut over underneath it.
-				if ops.Add(1) >= threshold {
-					joinOnce.Do(join)
-				}
-			}
-		}(w, n)
-	}
-	wg.Wait()
-
-	res := ClusterResult{
-		Acked:         make(map[string]uint64, len(ids)),
-		Migrated:      migrated,
-		RebalanceWall: rebalanceWall,
-		Redirects:     storm.Redirects(),
-		StagedWaits:   storm.StagedWaits(),
-		Exports:       make(map[string]*obs.Export, len(cfg.Peers)),
-	}
-	res.Storm = mergeStats(perWorker, time.Since(start))
+		res.RebalanceWall = time.Since(start)
+		return nil
+	}}
+	res.Storm, res.Acked = cfg.storm(client, lookupBatch, ids, join)
 	res.Storm.RPC = cfg.ProxyRPCAddr != ""
-	for _, id := range ids {
-		res.Acked[id] = acked[id].Load()
-	}
-	if joinErr != nil {
-		return res, joinErr
-	}
-	if joinedAt.IsZero() {
-		return res, fmt.Errorf("loadgen: storm finished before the join threshold (%d ops) was reached", threshold)
+	res.Redirects, res.StagedWaits = client.Redirects(), client.StagedWaits()
+	if err := join.fired("join"); err != nil {
+		return res, err
 	}
 	if res.Migrated == 0 {
 		return res, fmt.Errorf("loadgen: the join displaced no instances — nothing was rebalanced")
@@ -304,36 +233,33 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 	finalRing := sharding.New(memberNames(cfg.Peers), cfg.Replicas)
 	strict := res.Storm.Transport == 0 && res.Storm.Errors == 0
 	for _, id := range ids {
-		if err := verifyClusterInstance(hc, cfg, finalRing, id, res.Acked[id], strict, &res); err != nil {
+		if err := verifyClusterInstance(cfg, finalRing, id, res.Acked[id], strict); err != nil {
 			return res, err
 		}
+		res.Verified++
 	}
 	return res, nil
 }
 
 // verifyClusterInstance holds one instance to the handoff contract:
-// its ring owner serves it and passes verifyInstance, and no other
-// member serves it at all.
-func verifyClusterInstance(hc *http.Client, cfg ClusterConfig, ring *sharding.Ring, id string, acked uint64, strict bool, res *ClusterResult) error {
+// its ring owner serves it and passes verifyInstance, and every other
+// member says it is not theirs (redirects, or has never heard of it).
+func verifyClusterInstance(cfg ClusterConfig, ring *sharding.Ring, id string, acked uint64, strict bool) error {
 	owner := ring.Owner(id)
-	if _, err := verifyInstance(hc, cfg.Peers[owner], id, acked, strict); err != nil {
+	if _, err := verifyInstance(control(cfg.Peers[owner]), id, acked, strict); err != nil {
 		return fmt.Errorf("%w (ring owner %s, after the handoff)", err, owner)
 	}
 	for name, url := range cfg.Peers {
 		if name == owner {
 			continue
 		}
-		resp, err := hc.Get(url + "/v1/instances/" + id)
-		if err != nil {
-			return fmt.Errorf("loadgen: probe %s on %s: %v", id, name, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
+		switch _, err := control(url).Instance(id); {
+		case err == nil:
 			return fmt.Errorf("loadgen: %s also served by non-owner %s — double ownership after the rebalance", id, name)
+		case !errors.Is(err, fleet.ErrWrongShard) && !errors.Is(err, fleet.ErrNotFound):
+			return fmt.Errorf("loadgen: probe %s on %s: %w", id, name, err)
 		}
 	}
-	res.Verified++
 	return nil
 }
 
@@ -343,36 +269,4 @@ func memberNames(peers map[string]string) []string {
 		names = append(names, name)
 	}
 	return names
-}
-
-func postRing(hc *http.Client, url string, req fleet.RingRequest) error {
-	body, _ := json.Marshal(req)
-	resp, err := hc.Post(url+"/v1/ring", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("loadgen: install ring on %s: %v", url, err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("loadgen: install ring on %s: status %d", url, resp.StatusCode)
-	}
-	return nil
-}
-
-// postRebalance triggers one daemon's rebalance and returns how many
-// instances it migrated away.
-func postRebalance(hc *http.Client, url string) (int, error) {
-	resp, err := hc.Post(url+"/v1/rebalance", "application/json", nil)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	var rr fleet.RebalanceResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return rr.Count, fmt.Errorf("status %d: %s", resp.StatusCode, rr.Error)
-	}
-	return rr.Count, nil
 }

@@ -173,18 +173,22 @@ func TestRunClusterRebalanceMidStormRPC(t *testing.T) {
 		t.Fatalf("degenerate storm: %d batches, %d lookups", res.Storm.Batches, res.Storm.Lookups)
 	}
 
-	// The artifact grows the proxy-plane SLO families the CI shard job
-	// gates, alongside the families the HTTP run produces.
+	// The artifact carries the proxy-plane SLO families the CI shard job
+	// gates — and not the same throughput a second time under the HTTP
+	// run's name.
 	art := ServiceArtifact{Kind: "service", Scenario: "cluster"}
 	AppendCluster(&art, res)
 	families := make(map[string]bool)
 	for _, b := range art.Benchmarks {
 		families[b.Family] = true
 	}
-	for _, want := range []string{"rebalance_pause", "cluster_lookups_per_sec", "proxy_lookups_per_sec", "proxy_lookup_p99"} {
+	for _, want := range []string{"rebalance_pause", "proxy_lookups_per_sec", "proxy_lookup_p99"} {
 		if !families[want] {
 			t.Errorf("artifact families = %v, missing %s", families, want)
 		}
+	}
+	if families["cluster_lookups_per_sec"] {
+		t.Errorf("artifact families = %v: an RPC run reports its lookup throughput twice", families)
 	}
 }
 
@@ -232,7 +236,7 @@ func TestShardClientRidesOutStagedWindow(t *testing.T) {
 	newClient := func(grace time.Duration) *cluster.Client {
 		peers := map[string]string{"a": ts.URL}
 		return cluster.New(sharding.NewRouter(peers, 0),
-			map[string]cluster.Transport{"a": cluster.HTTP{Client: ts.Client(), Base: ts.URL}}, grace)
+			map[string]cluster.Transport{"a": cluster.HTTP{HTTP: ts.Client(), Base: ts.URL}}, grace)
 	}
 	rng := rand.New(rand.NewSource(1))
 	var scratch lookupScratch

@@ -39,10 +39,7 @@ func bootDaemon(t *testing.T, path, followURL string) (*fleet.Manager, *fleet.Fo
 		}
 		go f.Run(ctx)
 	}
-	srv := httptest.NewServer(fleet.NewHTTPHandlerOpts(mgr, fleet.HandlerOptions{
-		ReadOnly: followURL != "",
-		Follower: f,
-	}))
+	srv := httptest.NewServer(fleet.NewHTTPHandlerOpts(mgr, fleet.HandlerOptions{Follower: f}))
 	t.Cleanup(func() { cancel(); srv.Close() })
 	return mgr, f, srv, cancel
 }

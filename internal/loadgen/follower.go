@@ -1,9 +1,7 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"time"
 
 	"ftnet/internal/fleet"
@@ -32,30 +30,25 @@ func VerifyFollower(leaderAddr, followerAddr string, ids []string, timeout time.
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	client := &http.Client{Timeout: 30 * time.Second}
+	leaderAPI, followerAPI := control(leaderAddr), control(followerAddr)
 	start := time.Now()
 	deadline := start.Add(timeout)
 	var res FollowerVerify
 	for _, id := range ids {
-		leader, err := fetchInstance(client, leaderAddr, id)
+		leader, err := leaderAPI.Instance(id)
 		if err != nil {
 			return res, fmt.Errorf("loadgen: leader %s: %w", id, err)
 		}
 		// Wait for the follower to reach the leader's epoch.
 		var follower fleet.InstanceInfo
-		for {
-			follower, err = fetchInstance(client, followerAddr, id)
-			if err == nil && follower.Epoch >= leader.Epoch {
-				break
+		if err := fleet.Poll(time.Until(deadline), func() (err error) {
+			follower, err = followerAPI.Instance(id)
+			if err == nil && follower.Epoch < leader.Epoch {
+				err = fmt.Errorf("stuck at epoch %d, leader at %d", follower.Epoch, leader.Epoch)
 			}
-			if time.Now().After(deadline) {
-				if err != nil {
-					return res, fmt.Errorf("loadgen: follower %s: %w", id, err)
-				}
-				return res, fmt.Errorf("loadgen: follower %s stuck at epoch %d, leader at %d",
-					id, follower.Epoch, leader.Epoch)
-			}
-			time.Sleep(20 * time.Millisecond)
+			return err
+		}); err != nil {
+			return res, fmt.Errorf("loadgen: follower %s: %w", id, err)
 		}
 		if follower.Epoch != leader.Epoch {
 			return res, fmt.Errorf("loadgen: follower %s at epoch %d, ahead of leader's %d",
@@ -65,11 +58,11 @@ func VerifyFollower(leaderAddr, followerAddr string, ids []string, timeout time.
 			return res, fmt.Errorf("loadgen: %s fault sets diverge: leader %v, follower %v",
 				id, leader.Faults, follower.Faults)
 		}
-		lphi, err := fetchPhi(client, leaderAddr, id)
+		lphi, err := leaderAPI.Phi(id)
 		if err != nil {
 			return res, fmt.Errorf("loadgen: leader %s phi: %w", id, err)
 		}
-		fphi, err := fetchPhi(client, followerAddr, id)
+		fphi, err := followerAPI.Phi(id)
 		if err != nil {
 			return res, fmt.Errorf("loadgen: follower %s phi: %w", id, err)
 		}
@@ -88,7 +81,7 @@ func VerifyFollower(leaderAddr, followerAddr string, ids []string, timeout time.
 	return res, nil
 }
 
-// verifyInstance holds the copy of id that addr serves to what its
+// verifyInstance holds the copy of id that the daemon serves to what its
 // clients were acknowledged and to the paper: its epoch covers the acked
 // watermark — and, when strict (every response of the storm was seen),
 // equals it: nothing lost, nothing applied twice — and, for de Bruijn
@@ -96,8 +89,9 @@ func VerifyFollower(leaderAddr, followerAddr string, ids []string, timeout time.
 // phi slice is bit-identical to a fresh ft.NewMapping over the fault set
 // it reports. The info comes back whenever the daemon produced it, so a
 // caller can report the epoch it saw alongside the error.
-func verifyInstance(client *http.Client, addr, id string, acked uint64, strict bool) (fleet.InstanceInfo, error) {
-	info, err := fetchInstance(client, addr, id)
+func verifyInstance(api fleet.Client, id string, acked uint64, strict bool) (fleet.InstanceInfo, error) {
+	addr := api.Base
+	info, err := api.Instance(id)
 	if err != nil {
 		return info, fmt.Errorf("loadgen: %s not served by %s: %w", id, addr, err)
 	}
@@ -116,7 +110,7 @@ func verifyInstance(client *http.Client, addr, id string, acked uint64, strict b
 	if err != nil {
 		return info, fmt.Errorf("loadgen: %s on %s holds an invalid fault set %v: %v", id, addr, info.Faults, err)
 	}
-	phi, err := fetchPhi(client, addr, id)
+	phi, err := api.Phi(id)
 	if err != nil {
 		return info, fmt.Errorf("loadgen: %s phi on %s: %w", id, addr, err)
 	}
@@ -130,33 +124,4 @@ func verifyInstance(client *http.Client, addr, id string, acked uint64, strict b
 		}
 	}
 	return info, nil
-}
-
-func fetchInstance(client *http.Client, addr, id string) (fleet.InstanceInfo, error) {
-	var info fleet.InstanceInfo
-	resp, err := client.Get(addr + "/v1/instances/" + id)
-	if err != nil {
-		return info, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return info, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return info, json.NewDecoder(resp.Body).Decode(&info)
-}
-
-func fetchPhi(client *http.Client, addr, id string) ([]int, error) {
-	resp, err := client.Get(addr + "/v1/instances/" + id + "/phi")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	var body struct{ Phi []int }
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, err
-	}
-	return body.Phi, nil
 }

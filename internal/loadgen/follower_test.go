@@ -21,7 +21,7 @@ func TestVerifyFollowerConverges(t *testing.T) {
 
 	followerMgr := fleet.NewManager(fleet.Options{})
 	defer followerMgr.Close()
-	follower := httptest.NewServer(fleet.NewHTTPHandlerOpts(followerMgr, fleet.HandlerOptions{ReadOnly: true}))
+	follower := httptest.NewServer(fleet.NewHTTPHandler(followerMgr))
 	t.Cleanup(follower.Close)
 
 	f, err := fleet.NewFollower(followerMgr, leader.URL, fleet.FollowerOptions{

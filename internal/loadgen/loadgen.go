@@ -4,9 +4,12 @@
 // concurrent workers, and reports throughput and latency percentiles.
 // A run picks its data plane once — a cluster.Transport: the JSON API,
 // the binary RPC plane, or a cluster.Client routing over either — and
-// one driveLookup and one driveBatch serve every scenario over it; the
-// control plane (creates, health, verification, scrapes) is always the
-// JSON API.
+// one storm drives it: the only worker loop, with one driveLookup and
+// one driveBatch. The scenarios that own a daemon's lifecycle (restart,
+// partition-torture, cluster) are scripts over that storm — triggers
+// that fire at a fraction of its budget — and over fleet.Client, the
+// control plane (creates, health, promotion, topology, verification,
+// scrapes), which is always the JSON API.
 //
 // cmd/ftload wraps it on the command line; internal/experiments runs
 // its named scenarios against an in-process daemon so service
@@ -14,11 +17,8 @@
 package loadgen
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -214,7 +214,7 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 }
 
 // opStats accumulates one worker's measurements; workers keep their
-// own and Run merges, so the hot loop takes no locks. Lookup latencies
+// own and storm merges, so the hot loop takes no locks. Lookup latencies
 // are kept apart from event latencies so the read-side distribution
 // survives the merge.
 type opStats struct {
@@ -246,33 +246,94 @@ func (cfg Config) InstanceIDs() []string {
 	return ids
 }
 
+// controlHTTP carries every control-plane request of every scenario.
+var controlHTTP = &http.Client{Timeout: 30 * time.Second}
+
+// control returns the control-plane client of the daemon at addr.
+func control(addr string) fleet.Client { return fleet.Client{HTTP: controlHTTP, Base: addr} }
+
 // Run executes the configured load against the daemon and merges the
 // per-worker measurements.
 func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if cfg.IDPrefix == "" {
-		cfg.IDPrefix = "load"
-		if cfg.Scenario.Name != "" {
-			cfg.IDPrefix += "-" + cfg.Scenario.Name
-		}
-	}
-	client := &http.Client{Timeout: 30 * time.Second}
-	ids, err := createFleet(client, cfg)
+	api := control(cfg.Addr)
+	ids, err := createFleet(api, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-
-	t, lookupBatch, hangUp, err := cfg.dataPlane(cfg.RPCAddr, cluster.HTTP{Client: client, Base: cfg.Addr})
+	t, lookupBatch, hangUp, err := cfg.dataPlane(cfg.RPCAddr, cluster.HTTP(api))
 	if err != nil {
 		return Result{}, err
 	}
 	defer hangUp()
 
+	res, _ := cfg.storm(t, lookupBatch, ids)
+	res.RPC = cfg.RPCAddr != ""
+	if cfg.ScrapeObs {
+		e, err := FetchObs(cfg.Addr)
+		if err != nil {
+			return res, err
+		}
+		res.Service = e
+	}
+	return res, nil
+}
+
+// trigger is one scripted step of a storm: the worker that completes
+// the operation taking the storm past after (a fraction of the request
+// budget) runs fire, once, inline — the other workers keep storming
+// underneath it, which is why the claim is a flag and not a sync.Once
+// (whose other callers would wait the hook out). A stop trigger ends
+// the storm there: what it fired at is gone, and the workers drain out
+// instead of spending the rest of the budget on transport errors.
+type trigger struct {
+	after float64
+	stop  bool
+	fire  func() error
+
+	threshold int64 // after, in operations of the storm it is passed to
+	claimed   atomic.Bool
+	at        time.Time // when it fired; zero if the storm never reached it
+	err       error     // what fire returned
+}
+
+// fired reports how the trigger went: fire's error, or that the storm
+// ran out of budget before reaching it.
+func (tr *trigger) fired(what string) error {
+	switch {
+	case tr.err != nil:
+		return fmt.Errorf("loadgen: %s hook: %w", what, tr.err)
+	case tr.at.IsZero():
+		return fmt.Errorf("loadgen: storm finished before the %s threshold (%d ops) was reached", what, tr.threshold)
+	}
+	return nil
+}
+
+// storm is the worker loop of every scenario: cfg.Workers workers
+// spend cfg.Requests operations on ids over t, each drawing (id, role,
+// payload) from its own seeded rng — in role-split mode the first
+// Scenario.Writers workers only write and the rest only read — and
+// firing each trigger as the storm crosses it. It returns the merged
+// measurement and, per id, the highest epoch any write was acknowledged
+// at: the watermark a kill/recover or handoff verification holds the
+// fleet to.
+func (cfg Config) storm(t cluster.Transport, lookupBatch int, ids []string, triggers ...*trigger) (Result, map[string]uint64) {
 	nTarget, nHost := TargetHostSizes(cfg.Spec)
+	acked := make(map[string]*atomic.Uint64, len(ids))
+	for _, id := range ids {
+		acked[id] = new(atomic.Uint64)
+	}
+	for _, tr := range triggers {
+		tr.threshold = int64(float64(cfg.Requests) * tr.after)
+	}
+	var (
+		ops     atomic.Int64
+		stopped atomic.Bool
+		wg      sync.WaitGroup
+	)
 	perWorker := make([]opStats, cfg.Workers)
-	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < cfg.Workers; w++ {
 		// Spread the request budget over workers; the first few absorb
@@ -287,29 +348,60 @@ func Run(cfg Config) (Result, error) {
 			st := &perWorker[w]
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)))
 			var scratch lookupScratch
-			writer := w < cfg.Scenario.Writers // role-split mode: first workers are dedicated writers
-			for i := 0; i < n; i++ {
+			writer := w < cfg.Scenario.Writers
+			for i := 0; i < n && !stopped.Load(); i++ {
 				id := ids[rng.Intn(len(ids))]
 				if writer || (cfg.Scenario.Writers == 0 && rng.Float64() < cfg.Scenario.EventFrac) {
-					driveBatch(t, id, rng, nHost, cfg.Scenario.Batch, st, nil)
+					driveBatch(t, id, rng, nHost, cfg.Scenario.Batch, st, acked[id])
 				} else {
 					driveLookup(t, id, rng, nTarget, lookupBatch, &scratch, st)
+				}
+				done := ops.Add(1)
+				for _, tr := range triggers {
+					if done >= tr.threshold && tr.claimed.CompareAndSwap(false, true) {
+						if tr.stop {
+							stopped.Store(true)
+						}
+						tr.at = time.Now()
+						tr.err = tr.fire()
+					}
 				}
 			}
 		}(w, n)
 	}
 	wg.Wait()
 
-	res := mergeStats(perWorker, time.Since(start))
-	res.RPC = cfg.RPCAddr != ""
-	if cfg.ScrapeObs {
-		e, err := FetchObs(cfg.Addr)
-		if err != nil {
-			return res, err
-		}
-		res.Service = e
+	res := Result{Elapsed: time.Since(start)}
+	for i := range perWorker {
+		st := &perWorker[i]
+		res.Lookups += st.lookups
+		res.Events += st.events
+		res.Batches += st.batches
+		res.Rejected += st.rejected
+		res.Errors += st.errors
+		res.Transport += st.transport
+		res.Latencies = append(res.Latencies, st.eventLats...)
+		res.Latencies = append(res.Latencies, st.lookupLats...)
+		res.LookupLatencies = append(res.LookupLatencies, st.lookupLats...)
 	}
-	return res, nil
+	sortDurations(res.Latencies)
+	sortDurations(res.LookupLatencies)
+	watermark := make(map[string]uint64, len(ids))
+	for id, a := range acked {
+		watermark[id] = a.Load()
+	}
+	return res, watermark
+}
+
+// ackMax CAS-maxes the ack watermark: any epoch the daemon confirmed
+// must survive what the scenario does to it.
+func ackMax(acked *atomic.Uint64, epoch uint64) {
+	for {
+		cur := acked.Load()
+		if epoch <= cur || acked.CompareAndSwap(cur, epoch) {
+			return
+		}
+	}
 }
 
 func sortDurations(d []time.Duration) {
@@ -318,35 +410,32 @@ func sortDurations(d []time.Duration) {
 
 // createFleet health-checks the daemon and creates the run's instances
 // (tolerating ones left over from a prior run), returning their ids.
-func createFleet(client *http.Client, cfg Config) ([]string, error) {
-	resp, err := client.Get(cfg.Addr + "/healthz")
-	if err != nil {
+func createFleet(api fleet.Client, cfg Config) ([]string, error) {
+	if err := api.Healthz(); err != nil {
 		return nil, fmt.Errorf("loadgen: daemon unreachable: %v", err)
 	}
-	resp.Body.Close()
-
-	ids := make([]string, cfg.Instances)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("%s-%d", cfg.IDPrefix, i)
-		if err := createInstance(client, cfg.Addr, ids[i], cfg.Spec); err != nil {
+	ids := cfg.InstanceIDs()
+	for _, id := range ids {
+		if err := createInstance(api, id, cfg.Spec); err != nil {
 			return nil, err
 		}
 	}
 	return ids, nil
 }
 
-// createInstance creates one instance on the daemon at addr; one left
-// over from a prior run (409) is as good.
-func createInstance(client *http.Client, addr, id string, spec fleet.Spec) error {
-	body, _ := json.Marshal(fleet.CreateRequest{ID: id, Spec: spec})
-	resp, err := client.Post(addr+"/v1/instances", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("loadgen: create %s: %v", id, err)
+// createInstance creates one instance on the daemon; one left over from
+// a prior run (a conflict) is as good.
+func createInstance(api fleet.Client, id string, spec fleet.Spec) error {
+	if _, err := api.Create(id, spec); err != nil && !errors.Is(err, fleet.ErrConflict) {
+		return fmt.Errorf("loadgen: create %s: %w", id, err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusConflict {
-		return fmt.Errorf("loadgen: create %s: status %d", id, resp.StatusCode)
+	return nil
+}
+
+// AwaitHealthy polls /healthz of the daemon at addr until it answers.
+func AwaitHealthy(addr string, timeout time.Duration) error {
+	if err := fleet.Poll(timeout, control(addr).Healthz); err != nil {
+		return fmt.Errorf("loadgen: daemon %s not healthy within %v: %v", addr, timeout, err)
 	}
 	return nil
 }

@@ -1,11 +1,15 @@
 package loadgen
 
 import (
+	"errors"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ftnet/internal/fleet"
+	"ftnet/internal/wire"
 )
 
 func TestScenarioByName(t *testing.T) {
@@ -194,5 +198,127 @@ func TestRunWriteStormRoleSplit(t *testing.T) {
 	}
 	if p99 := res.LookupPercentile(99); p99 <= 0 {
 		t.Fatalf("read p99 = %v under storm", p99)
+	}
+}
+
+// scriptedTransport answers a storm from a script keyed on the call
+// count: every 5th write gets no answer, every 7th is refused by the
+// state machine, and the rest are acked at an epoch that jumps around,
+// so "the highest acked" and "the last acked" differ.
+type scriptedTransport struct {
+	calls    atomic.Int64
+	lost     atomic.Int64
+	rejected atomic.Int64
+	mu       sync.Mutex
+	maxAcked map[string]uint64
+}
+
+func (s *scriptedTransport) Lookup(id string, x int) (int, uint64, error) {
+	s.calls.Add(1)
+	return x, 0, nil
+}
+
+func (s *scriptedTransport) LookupBatch(id string, xs, phis []int) (uint64, error) {
+	s.calls.Add(1)
+	return 0, nil
+}
+
+func (s *scriptedTransport) ApplyBatch(id string, events []fleet.Event) (fleet.EventResult, error) {
+	n := s.calls.Add(1)
+	switch {
+	case n%5 == 0: // an epoch rides along that must not be acked
+		s.lost.Add(1)
+		return fleet.EventResult{Epoch: 1 << 40}, &wire.TransportError{Err: errors.New("scripted hang-up")}
+	case n%7 == 0:
+		s.rejected.Add(1)
+		return fleet.EventResult{Epoch: 1 << 41}, fleet.ErrConflict
+	}
+	epoch := uint64(n*7919%1000) + 1
+	s.mu.Lock()
+	s.maxAcked[id] = max(s.maxAcked[id], epoch)
+	s.mu.Unlock()
+	return fleet.EventResult{Epoch: epoch, Applied: len(events)}, nil
+}
+
+// TestStormTriggers drives the one worker loop over a scripted
+// transport: each trigger fires exactly once, no earlier than its
+// threshold, inline on one worker while the others keep going; a stop
+// trigger ends the run short of the budget; one past the budget never
+// fires and says so; the returned watermark is the max acked epoch per
+// id; and a write that got no answer is neither acked nor counted as a
+// rejection.
+func TestStormTriggers(t *testing.T) {
+	cfg := Config{
+		Instances: 3,
+		Spec:      fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2},
+		Workers:   4,
+		Requests:  400,
+		Scenario:  Scenario{Name: "storm", EventFrac: 0.5, Batch: 1},
+		Seed:      3,
+	}
+	st := &scriptedTransport{maxAcked: make(map[string]uint64)}
+	var fires [3]atomic.Int64
+	var callsAtFirst, callsAtStop int64
+	first := &trigger{after: 0.25, fire: func() error {
+		fires[0].Add(1)
+		callsAtFirst = st.calls.Load()
+		// This worker is parked here; the calls that follow are the others'.
+		for deadline := time.Now().Add(10 * time.Second); st.calls.Load() < callsAtFirst+10; {
+			if time.Now().After(deadline) {
+				return errors.New("the storm stood still while the trigger ran")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return nil
+	}}
+	stop := &trigger{after: 0.5, stop: true, fire: func() error {
+		fires[1].Add(1)
+		callsAtStop = st.calls.Load()
+		return errors.New("scripted hook failure")
+	}}
+	never := &trigger{after: 1.5, fire: func() error { fires[2].Add(1); return nil }}
+
+	res, acked := cfg.storm(st, 1, cfg.InstanceIDs(), first, stop, never)
+
+	if fires[0].Load() != 1 || fires[1].Load() != 1 || fires[2].Load() != 0 {
+		t.Fatalf("triggers fired %d, %d and %d times, want 1, 1 and 0", fires[0].Load(), fires[1].Load(), fires[2].Load())
+	}
+	if err := first.fired("first"); err != nil {
+		t.Errorf("first trigger: %v", err)
+	}
+	if err := stop.fired("stop"); err == nil || !errors.Is(err, stop.err) {
+		t.Errorf("stop trigger reported %v, want its hook's failure", err)
+	}
+	if err := never.fired("never"); err == nil || !never.at.IsZero() {
+		t.Errorf("a trigger past the budget reported %v (fired at %v), want never reached", err, never.at)
+	}
+	if callsAtFirst < 100 || callsAtStop < 200 || !stop.at.After(first.at) {
+		t.Errorf("triggers fired after %d and %d calls (at %v and %v), want >= 100 then >= 200",
+			callsAtFirst, callsAtStop, first.at, stop.at)
+	}
+	// Every worker finishes the operation it was in when the stop fired,
+	// and no more.
+	if total := st.calls.Load(); total < 200 || total >= int64(cfg.Requests) || total > callsAtStop+int64(cfg.Workers) {
+		t.Errorf("storm made %d calls (%d when the stop fired), want it to end there, short of %d",
+			total, callsAtStop, cfg.Requests)
+	}
+
+	if res.Transport != int(st.lost.Load()) || res.Rejected != int(st.rejected.Load()) || res.Errors != 0 {
+		t.Errorf("storm counted %d transport, %d rejected, %d errors; the script lost %d and rejected %d",
+			res.Transport, res.Rejected, res.Errors, st.lost.Load(), st.rejected.Load())
+	}
+	if res.Transport == 0 || res.Rejected == 0 || res.Batches == 0 || res.Lookups == 0 {
+		t.Errorf("degenerate storm: %+v", res)
+	}
+	if got := int64(res.Ops() + res.Transport); got != st.calls.Load() {
+		t.Errorf("storm accounts for %d operations, the transport saw %d", got, st.calls.Load())
+	}
+	if len(acked) != cfg.Instances {
+		t.Errorf("watermarks for %d ids, want %d", len(acked), cfg.Instances)
+	}
+	for id, epoch := range acked {
+		if epoch != st.maxAcked[id] || epoch == 0 || epoch > 1000 {
+			t.Errorf("%s: watermark %d, highest epoch the script acked is %d", id, epoch, st.maxAcked[id])
+		}
 	}
 }

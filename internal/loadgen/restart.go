@@ -2,11 +2,6 @@ package loadgen
 
 import (
 	"fmt"
-	"io"
-	"math/rand"
-	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ftnet/internal/cluster"
@@ -62,6 +57,7 @@ func RunRestart(cfg RestartConfig) (RestartResult, error) {
 	}
 	cfg.Scenario.Name = "restart"
 	cfg.Scenario.EventFrac = 1
+	cfg.Scenario.Writers = 0
 	if cfg.KillAfterFrac <= 0 || cfg.KillAfterFrac >= 1 {
 		cfg.KillAfterFrac = 0.5
 	}
@@ -71,11 +67,8 @@ func RunRestart(cfg RestartConfig) (RestartResult, error) {
 	if err := cfg.Config.Validate(); err != nil {
 		return RestartResult{}, err
 	}
-	if cfg.IDPrefix == "" {
-		cfg.IDPrefix = "load-restart"
-	}
-	client := &http.Client{Timeout: 30 * time.Second}
-	ids, err := createFleet(client, cfg.Config)
+	api := control(cfg.Addr)
+	ids, err := createFleet(api, cfg.Config)
 	if err != nil {
 		return RestartResult{}, err
 	}
@@ -83,70 +76,20 @@ func RunRestart(cfg RestartConfig) (RestartResult, error) {
 	// ack-watermark contract is identical (ApplyBatch returns the
 	// committed epoch), and the kill manifests as transport errors
 	// either way.
-	t, _, hangUp, err := cfg.dataPlane(cfg.RPCAddr, cluster.HTTP{Client: client, Base: cfg.Addr})
+	t, lookupBatch, hangUp, err := cfg.dataPlane(cfg.RPCAddr, cluster.HTTP(api))
 	if err != nil {
 		return RestartResult{}, err
 	}
 	defer hangUp()
 
-	// Storm: every worker posts atomic bursts and records the highest
-	// epoch the daemon acknowledged per instance. Any worker crossing
-	// the kill threshold pulls the trigger exactly once; after the kill,
-	// transport errors are the expected symptom and workers drain out.
-	acked := make(map[string]*atomic.Uint64, len(ids))
-	for _, id := range ids {
-		acked[id] = new(atomic.Uint64)
-	}
-	var (
-		ops       atomic.Int64
-		stopped   atomic.Bool
-		killOnce  sync.Once
-		killErr   error
-		killedAt  time.Time
-		threshold = int64(float64(cfg.Requests) * cfg.KillAfterFrac)
-	)
-	_, nHost := TargetHostSizes(cfg.Spec)
-	perWorker := make([]opStats, cfg.Workers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
-		n := cfg.Requests / cfg.Workers
-		if w < cfg.Requests%cfg.Workers {
-			n++
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			st := &perWorker[w]
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(w)))
-			for i := 0; i < n && !stopped.Load(); i++ {
-				id := ids[rng.Intn(len(ids))]
-				driveBatch(t, id, rng, nHost, cfg.Scenario.Batch, st, acked[id])
-				if ops.Add(1) >= threshold {
-					killOnce.Do(func() {
-						stopped.Store(true)
-						killedAt = time.Now()
-						killErr = cfg.Kill()
-					})
-				}
-			}
-		}(w, n)
-	}
-	wg.Wait()
-
-	res := RestartResult{
-		Acked:     make(map[string]uint64, len(ids)),
-		Recovered: make(map[string]uint64, len(ids)),
-	}
-	res.Storm = mergeStats(perWorker, time.Since(start))
-	for _, id := range ids {
-		res.Acked[id] = acked[id].Load()
-	}
-	if killErr != nil {
-		return res, fmt.Errorf("loadgen: kill hook: %v", killErr)
-	}
-	if killedAt.IsZero() {
-		return res, fmt.Errorf("loadgen: storm finished before the kill threshold (%d ops) was reached", threshold)
+	// Storm: every worker posts atomic bursts; the one that crosses the
+	// kill threshold pulls the trigger, after which transport errors are
+	// the expected symptom and the workers drain out.
+	kill := &trigger{after: cfg.KillAfterFrac, stop: true, fire: cfg.Kill}
+	res := RestartResult{Recovered: make(map[string]uint64, len(ids))}
+	res.Storm, res.Acked = cfg.storm(t, lookupBatch, ids, kill)
+	if err := kill.fired("kill"); err != nil {
+		return res, err
 	}
 
 	// Restart and wait for recovery to finish (the daemon only serves
@@ -155,25 +98,13 @@ func RunRestart(cfg RestartConfig) (RestartResult, error) {
 	if err != nil {
 		return res, fmt.Errorf("loadgen: start hook: %v", err)
 	}
-	if addr == "" {
-		addr = cfg.Addr
+	if addr != "" {
+		api = control(addr)
 	}
-	deadline := time.Now().Add(cfg.HealthTimeout)
-	for {
-		resp, err := client.Get(addr + "/healthz")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			return res, fmt.Errorf("loadgen: daemon not healthy %v after restart", cfg.HealthTimeout)
-		}
-		time.Sleep(20 * time.Millisecond)
+	if err := AwaitHealthy(api.Base, cfg.HealthTimeout); err != nil {
+		return res, err
 	}
-	res.Downtime = time.Since(killedAt)
+	res.Downtime = time.Since(kill.at)
 
 	// Verify every instance against the durability contract: it exists,
 	// its epoch covers every acknowledged transition (a write the kill
@@ -181,7 +112,7 @@ func RunRestart(cfg RestartConfig) (RestartResult, error) {
 	// watermark), its mapping is the paper's, and its fault set respects
 	// the budget.
 	for _, id := range ids {
-		info, err := verifyInstance(client, addr, id, res.Acked[id], false)
+		info, err := verifyInstance(api, id, res.Acked[id], false)
 		if info.ID != "" {
 			res.Recovered[id] = info.Epoch
 		}
@@ -194,36 +125,4 @@ func RunRestart(cfg RestartConfig) (RestartResult, error) {
 		res.Verified++
 	}
 	return res, nil
-}
-
-// ackMax CAS-maxes the ack watermark: any epoch the daemon confirmed
-// must survive the kill.
-func ackMax(acked *atomic.Uint64, epoch uint64) {
-	for {
-		cur := acked.Load()
-		if epoch <= cur || acked.CompareAndSwap(cur, epoch) {
-			return
-		}
-	}
-}
-
-// mergeStats folds per-worker measurements into one Result (the tail
-// of Run, shared with the restart storm).
-func mergeStats(perWorker []opStats, elapsed time.Duration) Result {
-	total := Result{Elapsed: elapsed}
-	for i := range perWorker {
-		st := &perWorker[i]
-		total.Lookups += st.lookups
-		total.Events += st.events
-		total.Batches += st.batches
-		total.Rejected += st.rejected
-		total.Errors += st.errors
-		total.Transport += st.transport
-		total.Latencies = append(total.Latencies, st.eventLats...)
-		total.Latencies = append(total.Latencies, st.lookupLats...)
-		total.LookupLatencies = append(total.LookupLatencies, st.lookupLats...)
-	}
-	sortDurations(total.Latencies)
-	sortDurations(total.LookupLatencies)
-	return total
 }

@@ -1,13 +1,9 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"strings"
-	"time"
 
-	"ftnet/internal/fleet"
 	"ftnet/internal/obs"
 )
 
@@ -39,18 +35,9 @@ type ServiceArtifact struct {
 // FetchObs scrapes addr's /v1/stats and returns its obs section (nil
 // when the daemon predates it).
 func FetchObs(addr string) (*obs.Export, error) {
-	client := &http.Client{Timeout: 30 * time.Second}
-	resp, err := client.Get(addr + "/v1/stats")
+	st, err := control(addr).Stats()
 	if err != nil {
-		return nil, fmt.Errorf("loadgen: scrape %s/v1/stats: %v", addr, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("loadgen: scrape %s/v1/stats: status %d", addr, resp.StatusCode)
-	}
-	var st fleet.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("loadgen: scrape %s/v1/stats: %v", addr, err)
+		return nil, fmt.Errorf("loadgen: scrape %s/v1/stats: %w", addr, err)
 	}
 	return st.Obs, nil
 }
@@ -133,33 +120,32 @@ func AppendFailover(art *ServiceArtifact, res FailoverResult) {
 }
 
 // AppendCluster folds a scale-out run into a service artifact, as the
-// two families the shard SLO gate watches:
+// families the shard SLO gates watch:
 //
 //	rebalance_pause          widest write-fence window of any migration
 //	                         — how long a client's writes to one
 //	                         instance stall during its handoff
 //	cluster_lookups_per_sec  routed lookup throughput while the ring
 //	                         changed underneath the storm (ops/s,
-//	                         higher is better)
+//	                         higher is better) — an HTTP run, routed by
+//	                         the client
+//	proxy_lookups_per_sec,   the same figure and the lookup p99 of an RPC
+//	proxy_lookup_p99         run, which went through the ftproxy front
+//	                         door: the proxy-plane families
 func AppendCluster(art *ServiceArtifact, res ClusterResult) {
+	add := func(family string, v float64, unit string) {
+		art.Benchmarks = append(art.Benchmarks, ServiceBenchmark{Name: family, Family: family, Value: v, Unit: unit})
+	}
 	if res.PauseMax > 0 {
-		art.Benchmarks = append(art.Benchmarks, ServiceBenchmark{
-			Name: "rebalance_pause", Family: "rebalance_pause",
-			Value: float64(res.PauseMax), Unit: "ns"})
+		add("rebalance_pause", float64(res.PauseMax), "ns")
 	}
-	if res.Storm.Lookups > 0 {
-		art.Benchmarks = append(art.Benchmarks, ServiceBenchmark{
-			Name: "cluster_lookups_per_sec", Family: "cluster_lookups_per_sec",
-			Value: res.Storm.LookupThroughput(), Unit: "ops/s"})
+	if res.Storm.Lookups == 0 {
+		return
 	}
-	// RPC runs went through the ftproxy front door, so the lookup
-	// figures are the proxy-plane SLO families the shard CI job gates.
-	if res.Storm.RPC && res.Storm.Lookups > 0 {
-		art.Benchmarks = append(art.Benchmarks, ServiceBenchmark{
-			Name: "proxy_lookups_per_sec", Family: "proxy_lookups_per_sec",
-			Value: res.Storm.LookupThroughput(), Unit: "ops/s"})
-		art.Benchmarks = append(art.Benchmarks, ServiceBenchmark{
-			Name: "proxy_lookup_p99", Family: "proxy_lookup_p99",
-			Value: float64(res.Storm.LookupPercentile(99)), Unit: "ns"})
+	if !res.Storm.RPC {
+		add("cluster_lookups_per_sec", res.Storm.LookupThroughput(), "ops/s")
+		return
 	}
+	add("proxy_lookups_per_sec", res.Storm.LookupThroughput(), "ops/s")
+	add("proxy_lookup_p99", float64(res.Storm.LookupPercentile(99)), "ns")
 }

@@ -24,12 +24,6 @@ const maxCoalesce = 256 << 10
 
 // ServerOptions tunes NewServer.
 type ServerOptions struct {
-	// ReadOnly sets the manager's initial write posture: ApplyBatch is
-	// rejected with StatusReadOnly, mirroring the HTTP plane's 403.
-	// The posture is consulted per request on the manager, so a
-	// promotion (POST /v1/promote) opens the RPC plane for writes too,
-	// with no rewiring.
-	ReadOnly bool
 	// Metrics, when non-nil, is the registry the RPC plane's
 	// histograms, byte counters and connection gauge land in (pass the
 	// manager's so /metrics and /v1/stats cover both planes). Nil
@@ -79,9 +73,6 @@ func NewServer(mgr *fleet.Manager, opts ServerOptions) *Server {
 	}
 	opHist := reg.HistogramVec("ftnet_rpc_op_seconds",
 		"RPC-plane handling latency by operation.", "op")
-	if opts.ReadOnly {
-		mgr.SetReadOnly(true)
-	}
 	return &Server{
 		mgr:        mgr,
 		lookupHist: opHist.With("lookup"),

@@ -155,7 +155,8 @@ func TestWireErrorMapping(t *testing.T) {
 // mutations are refused with StatusReadOnly.
 func TestWireReadOnly(t *testing.T) {
 	mgr := newTestManager(t, "prod", 2)
-	addr, _ := startServer(t, mgr, ServerOptions{ReadOnly: true})
+	mgr.SetReadOnly(true)
+	addr, _ := startServer(t, mgr, ServerOptions{})
 	c := dialTest(t, addr, Options{})
 
 	if _, _, err := c.Lookup("prod", 0); err != nil {
