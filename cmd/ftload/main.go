@@ -385,8 +385,12 @@ func runFailover(cfg config, out io.Writer) error {
 		res.DivergenceWindow.Round(time.Millisecond))
 	fmt.Fprintf(out, "  failover     %v downtime (kill to writable), new term %d\n",
 		res.FailoverDowntime.Round(time.Millisecond), res.Term)
-	fmt.Fprintf(out, "  self-heal    deposed leader demoted %d time(s), discarded %d stale entries, 0 stale writes accepted\n",
-		res.Demotions, res.Discarded)
+	if res.Demotions > 0 {
+		fmt.Fprintf(out, "  self-heal    divergent: deposed leader demoted %d time(s), discarded %d stale entries, 0 stale writes accepted\n",
+			res.Demotions, res.Discarded)
+	} else {
+		fmt.Fprintf(out, "  self-heal    no divergence: the old leader recovered nothing past the fence and rejoined without a reset, 0 stale writes accepted\n")
+	}
 	fmt.Fprintf(out, "  converged    %d/%d instances bit-identical after rejoin\n", res.Converged, cfg.Instances)
 
 	if cfg.obsJSON != "" {

@@ -12,10 +12,11 @@
 // replays the log: every instance comes back at its exact pre-kill
 // epoch, fault set, and mapping (every record validated and its
 // mapping computed afresh), with any torn tail from a crash mid-append
-// detected, logged, and truncated. -fsync picks the durability point:
-// "always" (fsync before acknowledging, group-committed across
-// concurrent writers), "interval" (timer-driven), or "never" (OS
-// decides).
+// detected, logged, and truncated. An acknowledged transition has been
+// handed to the kernel under every -fsync policy — it survives a kill of
+// the daemon — and the policy picks what follows: "always" (fsync before
+// acknowledging, group-committed across concurrent writers), "interval"
+// (fsync on a timer) or "never" (writeback is the OS's).
 //
 // The same commit stream feeds live consumers: GET /v1/watch streams
 // every transition as resumable NDJSON; -follow <leader-url> turns the
@@ -106,7 +107,7 @@ func main() {
 	}
 	if *term > 0 {
 		if cur, _ := mgr.Term(); *term > cur {
-			if _, err := mgr.Promote(*term); err != nil {
+			if _, err := mgr.Promote(context.Background(), *term); err != nil {
 				log.Fatalf("ftnetd: term fence: %v", err)
 			}
 			log.Printf("ftnetd: leadership term fenced at %d", *term)
@@ -146,13 +147,11 @@ func main() {
 		go reconcileLoop(ctx, mgr, log.Printf)
 	}
 
-	var follower *fleet.Follower
 	if *follow != "" {
-		f, err := fleet.NewFollower(mgr, *follow, fleet.FollowerOptions{Logf: log.Printf})
+		follower, err := fleet.NewFollower(mgr, *follow, fleet.FollowerOptions{Logf: log.Printf})
 		if err != nil {
 			log.Fatalf("ftnetd: %v", err)
 		}
-		follower = f
 		go follower.Run(ctx)
 		log.Printf("ftnetd: following %s (read-only replica)", *follow)
 	}
@@ -160,22 +159,15 @@ func main() {
 		go compactLoop(ctx, mgr, *compactEvery, log.Printf)
 	}
 
-	// SIGUSR1 promotes this daemon to leader: a follower drains its
-	// replication loop and fences its journal with a term bump; a
-	// daemon that is already the leader just reports its term.
+	// SIGUSR1 promotes this daemon to leader, the same call POST
+	// /v1/promote makes: a follower drains its replication loop and
+	// fences its journal with a term bump; a daemon that is already the
+	// leader just reports its term.
 	promoteSig := make(chan os.Signal, 1)
 	signal.Notify(promoteSig, syscall.SIGUSR1)
 	go func() {
 		for range promoteSig {
-			var (
-				t   uint64
-				err error
-			)
-			if follower != nil {
-				t, err = follower.Promote(ctx)
-			} else {
-				t, err = mgr.Promote(0)
-			}
+			t, err := mgr.Promote(ctx, 0)
 			if err != nil {
 				log.Printf("ftnetd: promote (SIGUSR1): %v", err)
 			} else {
@@ -201,7 +193,7 @@ func main() {
 
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           newServerOpts(mgr, fleet.HandlerOptions{Follower: follower}),
+		Handler:           newServer(mgr),
 		ReadHeaderTimeout: 5 * time.Second,
 		// Request bodies and responses are bounded — except /v1/watch,
 		// which streams and lifts these per-connection deadlines itself
@@ -351,9 +343,4 @@ func pprofMux() *http.ServeMux {
 // end-to-end test serves the exact handler the binary runs.
 func newServer(mgr *fleet.Manager) http.Handler {
 	return fleet.NewHTTPHandler(mgr)
-}
-
-// newServerOpts is newServer with the follower/read-only options.
-func newServerOpts(mgr *fleet.Manager, opts fleet.HandlerOptions) http.Handler {
-	return fleet.NewHTTPHandlerOpts(mgr, opts)
 }

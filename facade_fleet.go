@@ -85,8 +85,8 @@ const (
 // Journal fsync policies for FleetJournalOptions.Sync.
 const (
 	FleetSyncAlways   = journal.SyncAlways   // fsync before acknowledging (group-committed)
-	FleetSyncInterval = journal.SyncInterval // fsync on a timer
-	FleetSyncNever    = journal.SyncNever    // flush on Close only
+	FleetSyncInterval = journal.SyncInterval // hand to the kernel before acknowledging, fsync on a timer
+	FleetSyncNever    = journal.SyncNever    // hand to the kernel before acknowledging, fsync on Close only
 )
 
 // NewFleetManager returns an empty online-reconfiguration manager.
@@ -105,7 +105,8 @@ func OpenFleetJournal(path string, opts FleetJournalOptions) (*FleetJournal, err
 // NewFleetFollower wires a replication loop from a leader daemon's
 // base URL into mgr; drive it with its Run method. It puts the manager
 // in the read-only posture — its state comes from the leader's commit
-// stream, so direct writes are refused until it is promoted.
+// stream, so direct writes are refused until it is promoted
+// (FleetManager.Promote, which stops the loop itself).
 func NewFleetFollower(mgr *FleetManager, leaderURL string, opts FleetFollowerOptions) (*FleetFollower, error) {
 	return fleet.NewFollower(mgr, leaderURL, opts)
 }

@@ -60,15 +60,12 @@ func (l *Log) Collect(from, to uint64) ([]Entry, error) {
 			// Older than the tail: the journal file, the installed
 			// checkpoint, or — when neither can serve it — a reset jump to
 			// the oldest in-memory seq.
-			path, w := l.path, l.w
+			path := l.path
 			cp, cpSeq := l.cp, l.cpSeq
 			limit := min(to, l.flushed)
 			l.mu.Unlock()
 			served := false
 			if path != "" {
-				if w != nil {
-					w.Flush() // make buffered frames visible to the scan
-				}
 				reached, err := scanFile(path, next, limit, func(e Entry) bool {
 					out = append(out, e)
 					return true

@@ -563,14 +563,15 @@ func (l *Log) installFileLocked(seq uint64, cps []journal.Record) error {
 	if err != nil {
 		return fmt.Errorf("commit: checkpoint temp: %w", err)
 	}
-	// SyncNever: one explicit fsync below covers the whole checkpoint.
+	// Buffered appends: the one explicit Sync below writes and fsyncs the
+	// whole checkpoint, not a write per instance.
 	tw := journal.NewWriter(f, journal.Options{Sync: journal.SyncNever})
-	werr := tw.Append(journal.Record{Op: journal.OpSeqBase, ID: journal.SeqBaseID, Seq: seq + 1, Term: l.term})
+	_, werr := tw.AppendAsync(journal.Record{Op: journal.OpSeqBase, ID: journal.SeqBaseID, Seq: seq + 1, Term: l.term})
 	for _, rec := range cps {
 		if werr != nil {
 			break
 		}
-		werr = tw.Append(rec)
+		_, werr = tw.AppendAsync(rec)
 	}
 	if werr == nil {
 		werr = tw.Sync()

@@ -174,15 +174,14 @@ func (s *Sub) pump() {
 			// Older than the tail: the journal file, the installed
 			// checkpoint, or — when neither can serve it — a reset jump
 			// to the oldest available seq.
-			path, w := l.path, l.w
+			path := l.path
 			cp, cpSeq := l.cp, l.cpSeq
 			limit := l.flushed
 			l.mu.Unlock()
 			switch {
 			case path != "":
-				if w != nil {
-					w.Flush() // make buffered frames visible to the scan
-				}
+				// Entries at or below limit completed their round, so their
+				// frames are in the file.
 				reached, err := scanFile(path, s.next, limit, s.send)
 				if err != nil || reached <= s.next {
 					// Unreadable or raced past by compaction: fall back

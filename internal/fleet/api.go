@@ -75,22 +75,11 @@ import (
 // duration is the connection lifetime, not a latency) but counts
 // toward ftnet_http_inflight while the stream is open.
 
-// HandlerOptions tunes NewHTTPHandlerOpts.
-type HandlerOptions struct {
-	// Follower, when non-nil, adds the replication loop's counters to
-	// /v1/stats and /metrics, and routes POST /v1/promote through its
-	// stream-draining Promote.
-	Follower *Follower
-}
-
-// NewHTTPHandler returns the HTTP/JSON API over the given manager.
+// NewHTTPHandler returns the HTTP/JSON API over the given manager; one
+// that follows (NewFollower) reports its replication loop on /v1/stats
+// and /metrics and stops it on POST /v1/promote.
 func NewHTTPHandler(mgr *Manager) http.Handler {
-	return NewHTTPHandlerOpts(mgr, HandlerOptions{})
-}
-
-// NewHTTPHandlerOpts returns the HTTP/JSON API with explicit options.
-func NewHTTPHandlerOpts(mgr *Manager, opts HandlerOptions) http.Handler {
-	s := &apiServer{mgr: mgr, opts: opts}
+	s := &apiServer{mgr: mgr}
 	reg := mgr.Metrics()
 	reqHist := reg.HistogramVec("ftnet_http_request_seconds",
 		"HTTP request latency by route.", "route")
@@ -119,12 +108,12 @@ func NewHTTPHandlerOpts(mgr *Manager, opts HandlerOptions) http.Handler {
 		}
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/instances", timed("create", s.mutating(s.createInstance)))
+	mux.HandleFunc("POST /v1/instances", timed("create", s.createInstance))
 	mux.HandleFunc("GET /v1/instances", timed("list", s.listInstances))
 	mux.HandleFunc("GET /v1/instances/{id}", timed("get", s.getInstance))
-	mux.HandleFunc("DELETE /v1/instances/{id}", timed("delete", s.mutating(s.deleteInstance)))
-	mux.HandleFunc("POST /v1/instances/{id}/events", timed("events", s.mutating(s.postEvent)))
-	mux.HandleFunc("POST /v1/instances/{id}/events:batch", timed("events_batch", s.mutating(s.postEventBatch)))
+	mux.HandleFunc("DELETE /v1/instances/{id}", timed("delete", s.deleteInstance))
+	mux.HandleFunc("POST /v1/instances/{id}/events", timed("events", s.postEvent))
+	mux.HandleFunc("POST /v1/instances/{id}/events:batch", timed("events_batch", s.postEventBatch))
 	mux.HandleFunc("GET /v1/instances/{id}/phi", timed("phi", s.getPhi))
 	mux.HandleFunc("GET /v1/watch", inflightOnly(s.watch))
 	mux.HandleFunc("POST /v1/promote", timed("promote", s.promote))
@@ -145,29 +134,7 @@ func NewHTTPHandlerOpts(mgr *Manager, opts HandlerOptions) http.Handler {
 
 type apiServer struct {
 	mgr      *Manager
-	opts     HandlerOptions
 	inflight *obs.Gauge
-}
-
-// mutating guards a state-changing route (create, delete, events)
-// against the read-only posture — a follower's, whose state comes from
-// the leader's commit stream, or a deposed leader's — consulted per
-// request so a promotion flips the whole surface at once. Watch,
-// lookups, stats and compaction (of the local journal) stay available. The Manager re-checks on
-// every mutation as the authoritative backstop; this wrapper just
-// rejects before the body is even parsed.
-func (s *apiServer) mutating(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.mgr.ReadOnly() {
-			msg := "read-only replica: state mutations come from the leader's commit stream"
-			if hint := s.mgr.LeaderHint(); hint != "" {
-				msg += " (leader: " + hint + ")"
-			}
-			writeJSON(w, http.StatusForbidden, apiError{Error: msg})
-			return
-		}
-		h(w, r)
-	}
 }
 
 // PromoteResponse is the body of POST /v1/promote.
@@ -178,30 +145,19 @@ type PromoteResponse struct {
 	Discarded uint64 `json:"discarded,omitempty"` // (follower rejoin path) entries dropped
 }
 
-// promote serves POST /v1/promote: make this replica the leader. On a
-// follower it drains the in-flight stream first (Follower.Promote);
-// on a standalone read-only daemon it just bumps the term and enables
-// writes. Promoting a replica that is already the leader is a no-op
-// reporting the term in force.
+// promote serves POST /v1/promote: make this replica the leader
+// (Manager.Promote; the request's context bounds the wait for a
+// replication loop to drain). Promoting a replica that is already the
+// leader is a no-op reporting the term in force.
 func (s *apiServer) promote(w http.ResponseWriter, r *http.Request) {
-	if !s.mgr.ReadOnly() {
-		term, termSeq := s.mgr.Term()
-		writeJSON(w, http.StatusOK, PromoteResponse{Term: term, Seq: termSeq, WasLeader: true})
-		return
-	}
-	var term uint64
-	var err error
-	if f := s.opts.Follower; f != nil {
-		term, err = f.Promote(r.Context())
-	} else {
-		term, err = s.mgr.Promote(0)
-	}
+	wasLeader := !s.mgr.ReadOnly()
+	term, err := s.mgr.Promote(r.Context(), 0)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	_, termSeq := s.mgr.Term()
-	writeJSON(w, http.StatusOK, PromoteResponse{Term: term, Seq: termSeq})
+	writeJSON(w, http.StatusOK, PromoteResponse{Term: term, Seq: termSeq, WasLeader: wasLeader})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -504,8 +460,8 @@ type StatsResponse struct {
 
 func (s *apiServer) getStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{Stats: s.mgr.Stats()}
-	if s.opts.Follower != nil {
-		fs := s.opts.Follower.Stats()
+	if f := s.mgr.follower.Load(); f != nil {
+		fs := f.Stats()
 		resp.Follower = &fs
 	}
 	e := s.mgr.Metrics().Export()
@@ -557,7 +513,7 @@ func (s *apiServer) metrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE ftnet_watch_subscribers gauge\nftnet_watch_subscribers %d\n", st.Commit.Subscribers)
 	fmt.Fprintf(w, "# TYPE ftnet_watch_overflows_total counter\nftnet_watch_overflows_total %d\n", st.Commit.Overflows)
 	fmt.Fprintf(w, "# TYPE ftnet_compactions_total counter\nftnet_compactions_total %d\n", st.Commit.Compactions)
-	if f := s.opts.Follower; f != nil {
+	if f := s.mgr.follower.Load(); f != nil {
 		fs := f.Stats()
 		fmt.Fprintf(w, "# TYPE ftnet_follower_connected gauge\nftnet_follower_connected %d\n", boolGauge(fs.Connected))
 		fmt.Fprintf(w, "# TYPE ftnet_follower_entries_total counter\nftnet_follower_entries_total %d\n", fs.Entries)

@@ -305,7 +305,7 @@ func TestFollowerPostureRefusesDirectWrites(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go f.Run(ctx)
-	fts := httptest.NewServer(NewHTTPHandlerOpts(fm, HandlerOptions{Follower: f}))
+	fts := httptest.NewServer(NewHTTPHandler(fm))
 	t.Cleanup(fts.Close)
 	fc := Client{HTTP: fts.Client(), Base: fts.URL}
 	waitConverged(t, leader, fm, 15*time.Second)

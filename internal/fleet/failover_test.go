@@ -122,7 +122,7 @@ func TestPromoteFailoverAndDeposedLeaderSelfHeals(t *testing.T) {
 	defer fcancel()
 	fdone := make(chan struct{})
 	go func() { defer close(fdone); f.Run(fctx) }()
-	tsB := httptest.NewServer(NewHTTPHandlerOpts(fm, HandlerOptions{Follower: f}))
+	tsB := httptest.NewServer(NewHTTPHandler(fm))
 	t.Cleanup(tsB.Close)
 	waitConverged(t, leader, fm, 15*time.Second)
 
@@ -250,7 +250,7 @@ func TestDeposedLeaderResyncsFromCheckpointAfterTermBump(t *testing.T) {
 	defer fcancel()
 	fdone := make(chan struct{})
 	go func() { defer close(fdone); f.Run(fctx) }()
-	tsB := httptest.NewServer(NewHTTPHandlerOpts(fm, HandlerOptions{Follower: f}))
+	tsB := httptest.NewServer(NewHTTPHandler(fm))
 	t.Cleanup(tsB.Close)
 	waitConverged(t, leader, fm, 15*time.Second)
 
@@ -265,7 +265,7 @@ func TestDeposedLeaderResyncsFromCheckpointAfterTermBump(t *testing.T) {
 	// Promote, write past the bump, then compact: the checkpoint's
 	// seq-base record is now the only carrier of the term across a
 	// fresh catch-up.
-	term, err := f.Promote(context.Background())
+	term, err := fm.Promote(context.Background(), 0)
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
@@ -338,7 +338,7 @@ func TestManagerPromoteAndTermFence(t *testing.T) {
 		t.Errorf("rejection %q does not carry the leader hint", err)
 	}
 
-	term, err := m.Promote(0)
+	term, err := m.Promote(context.Background(), 0)
 	if err != nil || term != 1 {
 		t.Fatalf("Promote(0) = %d, %v, want term 1", term, err)
 	}
@@ -350,10 +350,10 @@ func TestManagerPromoteAndTermFence(t *testing.T) {
 	}
 
 	// The fence: terms only move forward.
-	if _, err := m.Promote(1); !errors.Is(err, ErrStaleTerm) {
+	if _, err := m.Promote(context.Background(), 1); !errors.Is(err, ErrStaleTerm) {
 		t.Fatalf("Promote(1) at term 1: %v, want ErrStaleTerm", err)
 	}
-	if term, err = m.Promote(5); err != nil || term != 5 {
+	if term, err = m.Promote(context.Background(), 5); err != nil || term != 5 {
 		t.Fatalf("Promote(5) = %d, %v", term, err)
 	}
 	if got, _ := m.Term(); got != 5 {
@@ -364,5 +364,233 @@ func TestManagerPromoteAndTermFence(t *testing.T) {
 	st := m.Stats()
 	if st.Commit.Term != 5 {
 		t.Errorf("stats term %d, want 5", st.Commit.Term)
+	}
+}
+
+// followingReplica boots a memory-only manager following leaderURL and
+// returns it with its loop and a channel that closes when Run returns.
+func followingReplica(t *testing.T, leaderURL string) (*Manager, *Follower, <-chan struct{}) {
+	t.Helper()
+	fm := NewManager(Options{})
+	t.Cleanup(func() { fm.Close() })
+	f, err := NewFollower(fm, leaderURL, FollowerOptions{
+		Heartbeat: 50 * time.Millisecond, Backoff: 20 * time.Millisecond, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	ended := make(chan struct{})
+	go func() { defer close(ended); f.Run(ctx) }()
+	return fm, f, ended
+}
+
+// TestPromoteStopsFollowing is the promotion hole: a replica wired with
+// nothing but NewFollower + Run + NewHTTPHandler — the only wiring a
+// facade user can build — is promoted, and the old leader, still alive,
+// keeps committing. The promoted replica's loop must have ended before
+// the fence was committed: its log ends at the fence, and nothing the old
+// leader sends afterwards is applied or swallowed behind it. (Unfixed,
+// the loop kept running: the old leader's first entry was dropped as a
+// duplicate of the fence's seq and its second committed at seq 5, a
+// term-0 write inside term-1 history.)
+func TestPromoteStopsFollowing(t *testing.T) {
+	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}
+	for name, promote := range map[string]func(fm *Manager, url string) (uint64, error){
+		"POST /v1/promote": func(_ *Manager, url string) (uint64, error) {
+			pr, err := Client{HTTP: http.DefaultClient, Base: url}.Promote()
+			return pr.Term, err
+		},
+		"Manager.Promote": func(fm *Manager, _ string) (uint64, error) {
+			return fm.Promote(context.Background(), 0)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			leader := NewManager(Options{})
+			defer leader.Close()
+			lts := httptest.NewServer(NewHTTPHandler(leader))
+			t.Cleanup(lts.Close)
+			for _, id := range []string{"a", "b"} {
+				if _, err := leader.Create(id, spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := leader.Event("a", Event{Kind: EventFault, Node: 1}); err != nil {
+				t.Fatal(err)
+			}
+			fm, f, ended := followingReplica(t, lts.URL)
+			fts := httptest.NewServer(NewHTTPHandler(fm))
+			t.Cleanup(fts.Close)
+			waitConverged(t, leader, fm, 15*time.Second)
+
+			term, err := promote(fm, fts.URL)
+			if err != nil || term != 1 {
+				t.Fatalf("promote = term %d, %v, want term 1", term, err)
+			}
+			select {
+			case <-ended:
+			default:
+				t.Fatal("the replication loop is still running after the promotion returned")
+			}
+			if st := f.Stats(); !st.Promoted || st.Connected {
+				t.Errorf("follower stats %+v, want promoted and disconnected", st)
+			}
+			_, fence := fm.Term()
+			if fence != 4 || fm.NextSeq() != 5 {
+				t.Fatalf("fence at seq %d, next seq %d, want 4 and 5", fence, fm.NextSeq())
+			}
+
+			// The old leader commits one entry per instance, at the fence's
+			// seq and the one after it.
+			for _, id := range []string{"a", "b"} {
+				if _, err := leader.Event(id, Event{Kind: EventFault, Node: 2}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			time.Sleep(100 * time.Millisecond) // two heartbeats of a stream that must not exist
+			if fm.NextSeq() != 5 {
+				t.Errorf("the promoted replica's log moved to next seq %d behind its fence at 4", fm.NextSeq())
+			}
+			for id, want := range map[string]uint64{"a": 1, "b": 0} {
+				if got := mustGet(t, fm, id).Snapshot().Epoch(); got != want {
+					t.Errorf("%s at epoch %d on the promoted replica, want %d (the old leader's write landed)", id, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestRacingPromotionsCommitOneFence races two promotions of a following
+// replica: the loop ends once, exactly one fence is committed, and the
+// promotion that lost the race finds it in force.
+func TestRacingPromotionsCommitOneFence(t *testing.T) {
+	leader := NewManager(Options{})
+	defer leader.Close()
+	lts := httptest.NewServer(NewHTTPHandler(leader))
+	t.Cleanup(lts.Close)
+	if _, err := leader.Create("a", Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}); err != nil {
+		t.Fatal(err)
+	}
+	fm, f, ended := followingReplica(t, lts.URL)
+	waitConverged(t, leader, fm, 15*time.Second)
+
+	type outcome struct {
+		term uint64
+		err  error
+	}
+	out := make(chan outcome, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			term, err := fm.Promote(context.Background(), 0)
+			out <- outcome{term, err}
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		if o := <-out; o.err != nil || o.term != 1 {
+			t.Errorf("racing promotion = term %d, %v, want term 1 from both", o.term, o.err)
+		}
+	}
+	select {
+	case <-ended:
+	case <-time.After(15 * time.Second):
+		t.Fatal("the replication loop is still running after both promotions returned")
+	}
+	if term, fence := fm.Term(); term != 1 || fence != 2 || fm.NextSeq() != 3 {
+		t.Errorf("term %d fenced at seq %d, next seq %d: want one fence, term 1 at seq 2", term, fence, fm.NextSeq())
+	}
+	if !f.Stats().Promoted || fm.ReadOnly() {
+		t.Errorf("promoted %v, read-only %v after the race", f.Stats().Promoted, fm.ReadOnly())
+	}
+}
+
+// TestFollowerResetsOnlyOnTheWordOfItsLeader swaps the upstream behind a
+// follower's URL for one with a shorter log — a leader that restarted
+// with less history than the replica holds, so the resume position is
+// past its end (416). At the replica's own term that is a reason to
+// distrust the local log: it resets and ends bit-identical to the
+// upstream, holding nothing the upstream never had. (Unfixed, the
+// "resync" streamed from 0, skipped both entries as duplicates and kept
+// serving the old fault set.) Below the replica's term the upstream is a
+// stale leader: the stream is refused before any reset is considered and
+// the replica's fleet is untouched.
+func TestFollowerResetsOnlyOnTheWordOfItsLeader(t *testing.T) {
+	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 3}
+	for name, tc := range map[string]struct {
+		term      uint64 // the first upstream's term, which the replica adopts
+		wantReset bool
+	}{
+		"416 at our term resets":      {term: 0, wantReset: true},
+		"416 below our term is stale": {term: 2, wantReset: false},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var upstream atomic.Pointer[http.Handler]
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				(*upstream.Load()).ServeHTTP(w, r)
+			}))
+			t.Cleanup(ts.Close)
+			serve := func(m *Manager) {
+				h := NewHTTPHandler(m)
+				upstream.Store(&h)
+				ts.CloseClientConnections()
+			}
+
+			first := NewManager(Options{})
+			defer first.Close()
+			if tc.term > 0 {
+				if _, err := first.Promote(context.Background(), tc.term); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := first.Create("a", spec); err != nil {
+				t.Fatal(err)
+			}
+			for node := 1; node <= 3; node++ {
+				if _, err := first.Event("a", Event{Kind: EventFault, Node: node}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			serve(first)
+			fm, f, _ := followingReplica(t, ts.URL)
+			waitConverged(t, first, fm, 15*time.Second)
+			assertSameFleet(t, first, fm)
+
+			// The upstream comes back with two entries and term 0.
+			second := NewManager(Options{})
+			defer second.Close()
+			if _, err := second.Create("a", spec); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := second.Event("a", Event{Kind: EventFault, Node: 7}); err != nil {
+				t.Fatal(err)
+			}
+			serve(second)
+
+			if tc.wantReset {
+				deadline := time.Now().Add(15 * time.Second)
+				for f.Stats().Resyncs == 0 || fm.NextSeq() != second.NextSeq() {
+					if time.Now().After(deadline) {
+						t.Fatalf("replica never reset onto the shorter upstream: stats %+v, next seq %d", f.Stats(), fm.NextSeq())
+					}
+					time.Sleep(2 * time.Millisecond)
+				}
+				assertSameFleet(t, second, fm)
+				if got := f.Stats().Resyncs; got != 1 {
+					t.Errorf("resyncs = %d, want 1", got)
+				}
+				return
+			}
+			deadline := time.Now().Add(15 * time.Second)
+			for !strings.Contains(f.Stats().LastError, "stale leader") {
+				if time.Now().After(deadline) {
+					t.Fatalf("the stale upstream was never refused: stats %+v", f.Stats())
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			assertSameFleet(t, first, fm)
+			if st := f.Stats(); st.Resyncs != 0 || fm.NextSeq() != first.NextSeq() {
+				t.Errorf("a stale upstream moved the replica: stats %+v, next seq %d", st, fm.NextSeq())
+			}
+		})
 	}
 }

@@ -30,10 +30,10 @@ import (
 //
 // The loop is resumable and self-healing: it always subscribes from
 // its own NextSeq, so a torn stream just reconnects and continues; a
-// sequence jump or a checkpoint entry (the leader compacted past us,
-// or we joined fresh) triggers a full resynchronization from the
-// forwarded checkpoint; heartbeats bound how long a dead connection
-// can go unnoticed.
+// checkpoint group (the leader compacted past us, or we joined fresh)
+// rebases the replica onto it; a local log that cannot be trusted is
+// reset (see reset) and rebuilt from seq 1; heartbeats bound how long a
+// dead connection can go unnoticed.
 type Follower struct {
 	mgr    *Manager
 	leader string
@@ -49,9 +49,10 @@ type Follower struct {
 	leaderSeq  atomic.Uint64 // highest seq the leader has shown us (entries + heartbeats)
 	lastErr    atomic.Pointer[string]
 
-	// Promotion handshake. promoted stops the Run loop from opening new
-	// streams; runCancel/runDone let Promote cut the in-flight stream
-	// and wait for the loop to fully drain before bumping the term.
+	// Promotion handshake (Manager.Promote drives it through halt).
+	// promoted stops the Run loop from opening new streams;
+	// runCancel/runDone let halt cut the in-flight stream and wait for
+	// the loop to fully drain before the term is bumped.
 	promoted  atomic.Bool
 	runMu     sync.Mutex
 	runCancel context.CancelFunc
@@ -96,7 +97,7 @@ type FollowerStats struct {
 	Entries    uint64 `json:"entries"`    // stream entries received
 	Heartbeats uint64 `json:"heartbeats"` // heartbeat lines received
 	Reconnects uint64 `json:"reconnects"` // streams (re)opened
-	Resyncs    uint64 `json:"resyncs"`    // checkpoint resynchronizations
+	Resyncs    uint64 `json:"resyncs"`    // resets of a local log that could not be trusted
 	Demotions  uint64 `json:"demotions"`  // deposed-leader resets (higher term upstream)
 	Discarded  uint64 `json:"discarded"`  // local entries dropped across demotions
 	Promoted   bool   `json:"promoted"`   // this replica took leadership; the loop stopped
@@ -110,7 +111,8 @@ type FollowerStats struct {
 // http://host:8080) into mgr, and puts mgr in the read-only posture: a
 // follower's state comes from the leader's commit stream, and a direct
 // write it acked would be overwritten by the leader's entry at the same
-// seq. Promotion lifts it. Start the loop with Run.
+// seq. The loop registers on mgr, whose Promote stops it and lifts the
+// posture and whose stats report it. Start the loop with Run.
 func NewFollower(mgr *Manager, leader string, opts FollowerOptions) (*Follower, error) {
 	u, err := url.Parse(leader)
 	if err != nil || u.Scheme == "" || u.Host == "" {
@@ -141,13 +143,15 @@ func NewFollower(mgr *Manager, leader string, opts FollowerOptions) (*Follower, 
 	// Rejected writers should learn where the leader is.
 	mgr.SetLeaderHint(leader)
 	reg := mgr.Metrics()
-	return &Follower{
+	f := &Follower{
 		mgr: mgr, leader: leader, opts: opts,
 		lagGauge: reg.Gauge("ftnet_replication_lag_seqs",
 			"Sequence numbers the local replica trails the leader's stream by."),
 		ageHist: reg.Histogram("ftnet_replication_entry_age_seconds",
 			"Age of each applied entry: leader commit wall-clock to local apply."),
-	}, nil
+	}
+	mgr.follower.Store(f)
+	return f, nil
 }
 
 // observeStream records the replication-lag metrics after one stream
@@ -207,7 +211,7 @@ func (f *Follower) Run(ctx context.Context) error {
 			return nil
 		}
 		before := f.reconnects.Load()
-		err := f.stream(ctx)
+		err := f.streamFrom(ctx, f.mgr.NextSeq())
 		f.connected.Store(false)
 		if f.promoted.Load() {
 			return nil
@@ -242,14 +246,12 @@ func jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int64N(int64(d)))
 }
 
-// Promote makes this replica the leader: stop opening new streams, cut
-// the in-flight one, wait for the loop to drain (every received entry
-// is applied synchronously, so a drained loop means the local log is
-// at its final replicated position), then commit the term-bump fence
-// and enable writes. Safe to call whether or not Run is active; a
-// second call after success fails with ErrStaleTerm-free semantics via
-// Manager.Promote (the replica is already writable, no bump races).
-func (f *Follower) Promote(ctx context.Context) (uint64, error) {
+// halt is the follower's half of Manager.Promote: stop opening new
+// streams, cut the in-flight one, and wait (as long as ctx allows) for
+// the loop to drain — every received entry is applied synchronously, so
+// a drained loop means the local log is at its final replicated
+// position. Safe whether or not Run is active.
+func (f *Follower) halt(ctx context.Context) error {
 	f.promoted.Store(true)
 	f.runMu.Lock()
 	cancel, done := f.runCancel, f.runDone
@@ -261,37 +263,38 @@ func (f *Follower) Promote(ctx context.Context) (uint64, error) {
 		select {
 		case <-done:
 		case <-ctx.Done():
-			return 0, ctx.Err()
+			return ctx.Err()
 		}
 	}
-	term, err := f.mgr.Promote(0)
-	if err != nil {
-		f.promoted.Store(false) // allow the loop to resume following
-		return 0, err
-	}
-	f.opts.Logf("follower: promoted to leader at term %d (seq %d)", term, f.mgr.CommitLog().LastSeq())
-	return term, nil
+	return nil
 }
 
-// errResync asks the outer loop to reconnect from scratch (from=0):
-// the leader's stream jumped past our position, so only its checkpoint
-// can restore us.
-var errResync = errors.New("fleet: follower needs a checkpoint resync")
-
-// stream opens one watch connection at the local resume position and
-// applies entries until it breaks.
-func (f *Follower) stream(ctx context.Context) error {
-	from := f.mgr.NextSeq()
-	err := f.streamFrom(ctx, from)
-	if errors.Is(err, errResync) && from > 0 {
-		f.resyncs.Add(1)
-		f.opts.Logf("follower: resynchronizing from %s (local seq %d is beyond the leader's compacted log)",
-			f.leader, from-1)
-		return f.streamFrom(ctx, 0)
+// settle ends what halt began: the promotion took and the loop stays
+// stopped, or it failed and a later Run may follow again.
+func (f *Follower) settle(term uint64, err error) {
+	f.promoted.Store(err == nil)
+	if err == nil {
+		f.opts.Logf("follower: promoted to leader at term %d (seq %d)", term, f.mgr.CommitLog().LastSeq())
 	}
-	return err
 }
 
+// reset is the one answer to a local log that cannot be trusted — we are
+// a deposed leader holding a suffix past the new leader's fence, the
+// upstream log ends before our position (416), or its stream stepped past
+// the seq we expect: wipe to the empty replica at seq 0, term 0, and let
+// the ordinary loop reconnect from seq 1 (after its backoff, which is what
+// keeps a reset that keeps recurring from spinning). Until the stream has
+// caught up the replica serves nothing it cannot prove.
+func (f *Follower) reset(why string) error {
+	f.resyncs.Add(1)
+	if err := f.mgr.resetFromCheckpoint(0, 0, nil); err != nil {
+		return fmt.Errorf("fleet: follower: reset: %w", err)
+	}
+	return fmt.Errorf("fleet: follower: %s: local log reset, resynchronizing from seq 1", why)
+}
+
+// streamFrom opens one watch connection at from, the local resume
+// position, and applies entries until it breaks.
 func (f *Follower) streamFrom(ctx context.Context, from uint64) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -313,12 +316,13 @@ func (f *Follower) streamFrom(ctx context.Context, from uint64) error {
 	//   - leader term < ours: the upstream is itself a stale leader
 	//     (deposed but not yet demoted). Never follow it — back off and
 	//     retry; it will demote or the config will change.
+	//     This is decided before any reset below: a replica never
+	//     discards state on the word of an upstream below its own term.
 	//   - leader term > ours AND our log extends past the fence seq: WE
 	//     are the deposed leader, holding a suffix that was acked
 	//     locally but never replicated before the promotion. Demote:
-	//     count and discard the suffix, reset the replica, and resync
-	//     from zero so the promoted leader's history lands
-	//     bit-identically.
+	//     count the suffix and reset, so the promoted leader's history
+	//     lands bit-identically.
 	//   - otherwise: normal lag; any term bump arrives in-stream and
 	//     re-commits through the local term chain.
 	var leaderTerm, leaderTermSeq uint64
@@ -338,18 +342,13 @@ func (f *Follower) streamFrom(ctx context.Context, from uint64) error {
 			dropped := from - leaderTermSeq
 			f.demotions.Add(1)
 			f.discarded.Add(dropped)
-			f.opts.Logf("follower: deposed by term %d (fenced at seq %d): discarding %d un-replicated local entries and resyncing",
-				leaderTerm, leaderTermSeq, dropped)
-			if err := f.mgr.DemoteAndReset(f.leader); err != nil {
-				return fmt.Errorf("fleet: follower: demote: %w", err)
-			}
-			return errResync
+			return f.reset(fmt.Sprintf("deposed by term %d (fenced at seq %d): discarding %d un-replicated local entries",
+				leaderTerm, leaderTermSeq, dropped))
 		}
 	}
 	if resp.StatusCode == http.StatusRequestedRangeNotSatisfiable {
-		// The leader's log ends before our position: it restarted with
-		// less history than we replicated. Resync from its checkpoint.
-		return errResync
+		// It restarted with less history than we replicated.
+		return f.reset(fmt.Sprintf("local seq %d is beyond the end of the leader's log", from-1))
 	}
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("fleet: follower: leader returned status %d", resp.StatusCode)
@@ -384,7 +383,7 @@ func (f *Follower) streamFrom(ctx context.Context, from uint64) error {
 		if leaderTermSeq > stagedSeq {
 			cpTerm, _ = f.mgr.Term()
 		}
-		if err := f.mgr.ResetFromCheckpoint(stagedSeq, cpTerm, staged); err != nil {
+		if err := f.mgr.resetFromCheckpoint(stagedSeq, cpTerm, staged); err != nil {
 			return err
 		}
 		f.opts.Logf("follower: installed checkpoint of %d instances at seq %d", len(staged), stagedSeq)
@@ -425,9 +424,9 @@ func (f *Follower) streamFrom(ctx context.Context, from uint64) error {
 		if err := applyStaged(); err != nil {
 			return err
 		}
-		if err := f.mgr.ReplicateEntry(e); err != nil {
+		if err := f.mgr.replicateEntry(e); err != nil {
 			if errors.Is(err, ErrSeqGap) {
-				return fmt.Errorf("%w: %v", errResync, err)
+				return f.reset(err.Error())
 			}
 			return err
 		}

@@ -256,7 +256,7 @@ func TestResetFromCheckpointRefusedGroupLeavesFleet(t *testing.T) {
 	m := NewManager(Options{})
 	t.Cleanup(func() { m.Close() })
 	replicate := func(rec journal.Record) error {
-		return m.ReplicateEntry(commit.Entry{Seq: m.NextSeq(), Rec: rec})
+		return m.replicateEntry(commit.Entry{Seq: m.NextSeq(), Rec: rec})
 	}
 	for _, rec := range []journal.Record{
 		{Op: journal.OpCreate, ID: "a", Spec: journalSpec(lifecycleSpec)},
@@ -280,7 +280,7 @@ func TestResetFromCheckpointRefusedGroupLeavesFleet(t *testing.T) {
 		"the same id twice":                    {cp("a", 9, 1), cp("a", 10)},
 	}
 	for name, group := range groups {
-		if err := m.ResetFromCheckpoint(40, 3, group); err == nil {
+		if err := m.resetFromCheckpoint(40, 3, group); err == nil {
 			t.Fatalf("%s: the group was installed", name)
 		}
 		if after := registryOf(m); !maps.Equal(after, before) || m.NextSeq() != seq {
@@ -295,7 +295,7 @@ func TestResetFromCheckpointRefusedGroupLeavesFleet(t *testing.T) {
 		t.Fatalf("the leader's next entry after the refused groups: %v", err)
 	}
 	// And a group that verifies replaces the fleet whole.
-	if err := m.ResetFromCheckpoint(40, 3, []journal.Record{cp("a", 9, 1), cp("c", 2, 5)}); err != nil {
+	if err := m.resetFromCheckpoint(40, 3, []journal.Record{cp("a", 9, 1), cp("c", 2, 5)}); err != nil {
 		t.Fatal(err)
 	}
 	checkRecovered(t, m, map[string]expectedState{"a": {epoch: 9, faults: []int{1}}, "c": {epoch: 2, faults: []int{5}}},

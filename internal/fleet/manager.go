@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -65,6 +66,12 @@ type Manager struct {
 	readOnly   atomic.Bool
 	leaderHint atomic.Pointer[string]
 	rejectedRO atomic.Uint64 // mutations refused while read-only
+
+	// follower is the loop NewFollower registered (nil if none): Promote
+	// stops it, stats report it. promoteMu makes stopping it, committing
+	// the fence and opening writes one step racing callers take in turn.
+	follower  atomic.Pointer[Follower]
+	promoteMu sync.Mutex
 
 	// Shard-ring state. topo is nil for unsharded deployments, so the
 	// single-daemon path pays one atomic load per request. moved is the
@@ -249,14 +256,28 @@ func (m *Manager) errReadOnly(verb string) error {
 // entry that established it.
 func (m *Manager) Term() (term, termSeq uint64) { return m.pipe.log.Term() }
 
-// Promote makes this replica the leader: it commits the OpTermBump
-// fence — every subsequent entry belongs to the new term, and the
-// commit plane rejects any bump that does not move the term forward,
-// so two racing promotions serialize and the loser gets ErrStaleTerm
-// — then drops read-only posture. term selects the new term; 0 means
-// current+1. The caller (fleet.Follower, or ftnetd's signal handler)
-// must have stopped tailing the old leader first.
-func (m *Manager) Promote(term uint64) (uint64, error) {
+// Promote makes this replica the leader, and is the one way to: a manager
+// that follows first stops following — no new stream is opened, the
+// in-flight one is cut, ctx bounds the wait for the loop to drain — so
+// nothing the old leader sends can land behind the fence; then the
+// OpTermBump fence is committed (the commit plane refuses a bump that does
+// not move the term forward: ErrStaleTerm) and read-only posture dropped.
+// term selects the new term; 0 means current+1, or, on a manager that
+// already accepts writes, nothing: of two racing promotions one commits
+// the fence and the other finds it in force.
+func (m *Manager) Promote(ctx context.Context, term uint64) (_ uint64, err error) {
+	m.promoteMu.Lock()
+	defer m.promoteMu.Unlock()
+	if term == 0 && !m.readOnly.Load() {
+		cur, _ := m.pipe.log.Term()
+		return cur, nil
+	}
+	if f := m.follower.Load(); f != nil {
+		defer func() { f.settle(term, err) }()
+		if err := f.halt(ctx); err != nil {
+			return 0, err
+		}
+	}
 	if term == 0 {
 		cur, _ := m.pipe.log.Term()
 		term = cur + 1
@@ -764,43 +785,20 @@ func (m *Manager) Compact() (CompactStats, error) {
 	return CompactStats{Instances: len(cps), Seq: seq, Seconds: pause.Seconds()}, nil
 }
 
-// DemoteAndReset turns a deposed leader back into an empty follower:
-// read-only posture (advertising leaderHint), every instance dropped,
-// and the commit log rebased to zero — the local journal is rewritten
-// as an empty [seq marker] file, which is what discards the
-// acked-locally-but-never-replicated suffix. The caller then resyncs
-// from the promoted leader's stream from seq 0 and rebuilds
-// bit-identically; the term resets with the log and is re-verified as
-// the leader's history (including its fence) replays.
-func (m *Manager) DemoteAndReset(leaderHint string) error {
-	m.SetReadOnly(true)
-	m.SetLeaderHint(leaderHint)
-	m.pipe.gate.Lock()
-	defer m.pipe.gate.Unlock()
-	m.wipeRaw()
-	// Zero the term BEFORE Install stamps the seq-base marker: the
-	// rewritten journal must replay from term 0 so the leader's own
-	// term-bump history (which we are about to re-commit during the
-	// resync) passes the strictly-increasing chain check even after a
-	// crash mid-resync.
-	m.pipe.log.SetTerm(0, 0)
-	return m.pipe.log.Install(0, nil)
-}
-
-// ErrSeqGap is returned by ReplicateEntry when the forwarded entry's
+// ErrSeqGap is returned by replicateEntry when the forwarded entry's
 // sequence number is ahead of the follower's next expected one — the
 // leader compacted past this follower (or lost history), and the
 // follower must resynchronize from a checkpoint.
 var ErrSeqGap = errors.New("fleet: replicated entry ahead of expected sequence")
 
-// ReplicateEntry applies one forwarded commit entry on a follower, in
+// replicateEntry applies one forwarded commit entry on a follower, in
 // order: the entry's seq must be exactly the follower's next expected
 // one (an entry behind it is a reconnect duplicate, skipped silently;
 // one ahead is ErrSeqGap). Each record re-commits through the
 // follower's own pipeline — journaled locally for restart, transitions
 // validated and their mapping computed by ft.NewMapping — so a
 // follower is a full replica whose own watch stream chains.
-func (m *Manager) ReplicateEntry(e commit.Entry) error {
+func (m *Manager) replicateEntry(e commit.Entry) error {
 	expected := m.pipe.log.NextSeq()
 	if e.Seq < expected {
 		return nil // duplicate from a resumed stream
@@ -891,17 +889,20 @@ func checkRestore(rec journal.Record) error {
 	return nil
 }
 
-// ResetFromCheckpoint wipes the follower's fleet and installs the
+// resetFromCheckpoint wipes the follower's fleet and installs the
 // forwarded checkpoint: every instance in cps is rebuilt (with the
 // same fault-set validation) and the local commit log is
 // rebased to seq via Install, truncating the local journal to
 // [seq marker, checkpoint] — exactly what the leader's compacted file
 // looks like. Instances absent from cps are dropped: the checkpoint is
 // the complete leader state. term is the leader's term in force at the
-// checkpoint; the local term chain is rebased to it (a deposed leader
-// resynchronizing adopts the promoted leader's higher term here, which
-// is what makes its own discarded suffix unreplayable).
-func (m *Manager) ResetFromCheckpoint(seq, term uint64, cps []journal.Record) error {
+// checkpoint; the local term chain is rebased to it. The empty group at
+// (0, 0) is the follower's one reset for a local log it cannot trust:
+// nothing is served, the journal is an empty [seq marker] file — which is
+// what discards a deposed leader's acked-but-never-replicated suffix —
+// and the leader's history, term bumps included, re-commits from seq 1
+// through the ordinary chain checks, even after a crash mid-resync.
+func (m *Manager) resetFromCheckpoint(seq, term uint64, cps []journal.Record) error {
 	m.pipe.gate.Lock()
 	defer m.pipe.gate.Unlock()
 	// The whole group is verified before the first instance is dropped: a

@@ -605,7 +605,7 @@ func TestInstallPathsRejectCorruptRecords(t *testing.T) {
 			m := NewManager(Options{})
 			t.Cleanup(func() { m.Close() })
 			replicate := func(rec journal.Record) error {
-				return m.ReplicateEntry(commit.Entry{Seq: m.NextSeq(), Rec: rec})
+				return m.replicateEntry(commit.Entry{Seq: m.NextSeq(), Rec: rec})
 			}
 			if err := replicate(journal.Record{Op: journal.OpCreate, ID: "a", Spec: journalSpec(spec)}); err != nil {
 				t.Fatal(err)
@@ -637,7 +637,7 @@ func TestInstallPathsRejectCorruptRecords(t *testing.T) {
 			t.Cleanup(func() { m.Close() })
 			reset := func(epoch uint64, faults []int) error {
 				slices.Sort(faults)
-				return m.ResetFromCheckpoint(m.NextSeq()-1, 0, []journal.Record{complete(journal.OpCheckpoint)(epoch, faults)})
+				return m.resetFromCheckpoint(m.NextSeq()-1, 0, []journal.Record{complete(journal.OpCheckpoint)(epoch, faults)})
 			}
 			return m, "a", reset, reset(1, []int{3})
 		}},

@@ -448,7 +448,7 @@ func TestDoorEnterSupersedeWaitsForRoundOutsideShardLock(t *testing.T) {
 		t.Run(op.String(), func(t *testing.T) {
 			m := checkRetireWaitsForRoundOutsideShardLock(t, func(m *Manager, id string, _ *Instance) error {
 				rec := journal.Record{Op: op, ID: id, Spec: journalSpec(roundLockSpec), Epoch: 6, Faults: []int{2}}
-				return m.ReplicateEntry(commit.Entry{Seq: m.NextSeq(), Rec: rec})
+				return m.replicateEntry(commit.Entry{Seq: m.NextSeq(), Rec: rec})
 			})
 			want := uint64(0)
 			if op == journal.OpMigrate {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -464,4 +465,47 @@ func TestReadOnlyHandlerRejectsMutations(t *testing.T) {
 		t.Errorf("lookup on follower: %v %d, want 200", err, resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestReadOnlyRefusalIsTheManagers pins that there is one refusal: a JSON
+// write to a read-only replica is refused by the Manager, not ahead of
+// it — the client reads the Manager's own message with the leader hint,
+// and rejected_read_only counts it as it counts a wire-plane refusal. An
+// event for an id the replica does not hold is not a posture question:
+// it answers 404, as on the wire plane.
+func TestReadOnlyRefusalIsTheManagers(t *testing.T) {
+	m := NewManager(Options{})
+	defer m.Close()
+	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}
+	if _, err := m.Create("a", spec); err != nil {
+		t.Fatal(err)
+	}
+	m.SetReadOnly(true)
+	m.SetLeaderHint("http://leader:8080")
+	ts := httptest.NewServer(NewHTTPHandler(m))
+	defer ts.Close()
+	c := Client{HTTP: ts.Client(), Base: ts.URL}
+	fault := Event{Kind: EventFault, Node: 1}
+	_, direct := m.EventBatch("a", []Event{fault})
+	for name, r := range map[string]struct {
+		method, path string
+		body         any
+	}{
+		"event":       {"POST", "/v1/instances/a/events", fault},
+		"event batch": {"POST", "/v1/instances/a/events:batch", BatchRequest{Events: []Event{fault, {Kind: EventFault, Node: 2}}}},
+		"create":      {"POST", "/v1/instances", CreateRequest{ID: "b", Spec: spec}},
+		"delete":      {"DELETE", "/v1/instances/a", nil},
+	} {
+		before := m.Stats().RejectedRO
+		err := c.do(r.method, r.path, r.body, nil)
+		if !errors.Is(err, ErrReadOnly) || !strings.Contains(err.Error(), "read-only replica (leader: http://leader:8080)") {
+			t.Errorf("JSON %s on a read-only replica = %v, want the Manager's refusal (%v)", name, err, direct)
+		}
+		if got := m.Stats().RejectedRO - before; got != 1 {
+			t.Errorf("JSON %s moved rejected_read_only by %d, want 1", name, got)
+		}
+	}
+	if err := c.do("POST", "/v1/instances/nope/events", fault, nil); !errors.Is(err, ErrNotFound) {
+		t.Errorf("JSON event for an unknown id on a read-only replica = %v, want ErrNotFound", err)
+	}
 }

@@ -17,9 +17,11 @@
 // the last: the commit round, which is how one connection's burst of
 // writes costs one fsync. A caller that waits for each record before
 // appending the next gets one fsync per record, however many callers
-// there are in turn. The fsync policy is explicit:
-// SyncAlways acknowledges nothing before the data is on disk,
-// SyncInterval syncs on a timer, SyncNever leaves flushing to the OS.
+// there are in turn. Under every policy an acknowledged record has been
+// handed to the kernel — the flush is the group-shared part — and the
+// fsync policy says what follows: SyncAlways acknowledges nothing before
+// the data is on disk, SyncInterval syncs on a timer, SyncNever leaves
+// writeback to the OS.
 //
 // Readers scan frames and treat any malformed suffix — a partial
 // header, an implausible length, a CRC mismatch, a non-canonical
@@ -56,10 +58,12 @@ const (
 	// transition survives a crash. Concurrent appenders share fsyncs
 	// via group commit.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a timer: a crash loses at most the last
-	// interval of acknowledged transitions.
+	// SyncInterval hands every record to the kernel before Append
+	// returns and fsyncs on a timer: a process kill loses nothing
+	// acknowledged, a power cut at most the last interval.
 	SyncInterval
-	// SyncNever only flushes on Close: durability is the OS's problem.
+	// SyncNever hands every record to the kernel before Append returns
+	// and fsyncs on Close only: writeback is the OS's problem.
 	SyncNever
 )
 
@@ -133,9 +137,9 @@ type Writer struct {
 	werr   error  // sticky write/flush/sync error
 	closed bool
 
-	// Group-commit state: appenders needing durability wait until
-	// syncedSeq covers their record; one of them runs the fsync for
-	// everyone buffered so far.
+	// Group-commit state: appenders wait until syncedSeq covers their
+	// record; one of them runs the flush (and, under SyncAlways, the
+	// fsync) for everyone buffered so far.
 	cmu       sync.Mutex
 	cond      *sync.Cond
 	syncing   bool
@@ -201,8 +205,9 @@ func (w *Writer) syncLoop() {
 	}
 }
 
-// Append encodes rec, writes one frame, and — under SyncAlways —
-// returns only after the record is on stable storage. A non-nil return
+// Append encodes rec, writes one frame, and returns only after the
+// record has been handed to the kernel — under SyncAlways, only after it
+// is on stable storage. A non-nil return
 // means the record must not be considered durable; after a write error
 // the writer is poisoned and every later Append fails, so a journaled
 // instance cannot silently diverge from its log.
@@ -255,17 +260,6 @@ func (w *Writer) AppendAsync(rec Record) (uint64, error) {
 	return w.seq, nil
 }
 
-// WaitDurable blocks until the record AppendAsync numbered seq is
-// durable per the writer's fsync policy: under SyncAlways it waits for
-// (or runs) the covering group-commit fsync; under SyncInterval and
-// SyncNever durability is deferred, so it returns immediately.
-func (w *Writer) WaitDurable(seq uint64) error {
-	if w.opts.Sync != SyncAlways {
-		return nil
-	}
-	return w.waitDurable(seq)
-}
-
 // Path returns the journal file path when the writer was opened with
 // Create, and "" for writers over arbitrary streams.
 func (w *Writer) Path() string {
@@ -280,21 +274,23 @@ func (w *Writer) Path() string {
 // compaction swap.
 func (w *Writer) Opts() Options { return w.opts }
 
-// waitDurable blocks until every record up to seq has been fsynced,
-// running the fsync itself if no one else is — the group-commit core:
-// all appenders buffered while one fsync runs are covered by the next
-// single fsync.
-func (w *Writer) waitDurable(seq uint64) error {
+// WaitDurable blocks until the record AppendAsync numbered seq has left
+// the process: flushed to the kernel under every policy, so an
+// acknowledged record survives a kill of this process, and fsynced first
+// under SyncAlways. The caller runs the round itself if no one else is —
+// the group-commit core: all appenders buffered while one round runs are
+// covered by the next single one (one write, one fsync).
+func (w *Writer) WaitDurable(seq uint64) error {
 	w.cmu.Lock()
 	defer w.cmu.Unlock()
 	for {
-		// Durability first: once a sync covered this record it succeeded,
+		// Durability first: once a round covered this record it succeeded,
 		// full stop — a later append poisoning the writer must not turn
-		// into a spurious failure for a record already on disk.
+		// into a spurious failure for a record already written.
 		if w.syncedSeq >= seq {
 			return nil
 		}
-		// Not yet durable and the writer is poisoned: no future sync can
+		// Not yet durable and the writer is poisoned: no future round can
 		// cover us, so fail (also breaks every waiter out of the loop).
 		w.mu.Lock()
 		err := w.werr
@@ -305,7 +301,7 @@ func (w *Writer) waitDurable(seq uint64) error {
 		if !w.syncing {
 			w.syncing = true
 			w.cmu.Unlock()
-			upto, serr := w.flushAndSync()
+			upto, serr := w.flushAndSync(w.opts.Sync == SyncAlways)
 			w.cmu.Lock()
 			w.syncing = false
 			if serr == nil && upto > w.syncedSeq {
@@ -320,9 +316,9 @@ func (w *Writer) waitDurable(seq uint64) error {
 	}
 }
 
-// flushAndSync flushes the buffer and fsyncs the file, reporting the
-// record sequence the sync covers.
-func (w *Writer) flushAndSync() (uint64, error) {
+// flushAndSync flushes the buffer and, when fsync says so, fsyncs the
+// file, reporting the record sequence the pass covers.
+func (w *Writer) flushAndSync(fsync bool) (uint64, error) {
 	w.mu.Lock()
 	upto := w.seq
 	err := w.werr
@@ -333,8 +329,8 @@ func (w *Writer) flushAndSync() (uint64, error) {
 		}
 	}
 	w.mu.Unlock()
-	if err != nil {
-		return 0, err
+	if err != nil || !fsync {
+		return upto, err
 	}
 	if w.f != nil {
 		if err := w.f.Sync(); err != nil {
@@ -348,24 +344,9 @@ func (w *Writer) flushAndSync() (uint64, error) {
 	return upto, nil
 }
 
-// Flush pushes buffered frames to the underlying stream without
-// forcing them to stable storage.
-func (w *Writer) Flush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.werr != nil {
-		return w.werr
-	}
-	if err := w.bw.Flush(); err != nil {
-		w.werr = err
-		return err
-	}
-	return nil
-}
-
 // Sync flushes and fsyncs regardless of policy.
 func (w *Writer) Sync() error {
-	_, err := w.flushAndSync()
+	_, err := w.flushAndSync(true)
 	return err
 }
 
@@ -383,7 +364,7 @@ func (w *Writer) Close() error {
 		close(w.stop)
 		w.wg.Wait()
 	}
-	_, err := w.flushAndSync()
+	_, err := w.flushAndSync(true)
 	if w.file != nil {
 		if cerr := w.file.Close(); err == nil {
 			err = cerr

@@ -15,11 +15,15 @@ import (
 // the leader keeps acknowledging writes the replica never sees, kill
 // the leader abruptly (T2), heal the follower and promote it, and
 // measure how long until the promoted replica accepts its first write
-// (T3). The run then restarts the deposed leader as a follower of the
-// new one and requires it to self-heal: detect the higher term on its
-// first watch frame, discard its unreplicated tail, resync from the new
-// leader's checkpoint, and refuse direct writes with 403 — zero
-// stale-term writes accepted.
+// (T3). The run then restarts the old leader as a follower of the new
+// one and requires it to self-heal: if it recovered anything past the
+// promotion fence it must detect the higher term on its first watch
+// frame, discard that tail and resync from the new leader (the
+// divergent case); if the partition dropped nothing — a SIGSTOPped
+// follower drains its socket buffer after the heal — there is nothing to
+// depose and it must simply resume (the no-divergence case). Either way
+// it converges bit-identically and refuses direct writes with 403 —
+// zero stale-term writes accepted.
 //
 // Two windows come out of it:
 //
@@ -70,15 +74,16 @@ type FailoverResult struct {
 	Term             uint64            // leadership term after promotion
 	DivergenceWindow time.Duration     // T2 − T1
 	FailoverDowntime time.Duration     // T2 → first write accepted by the promoted replica
-	Demotions        uint64            // deposed-leader resets observed on the rejoined daemon
+	Demotions        uint64            // deposed-leader resets on the rejoined daemon; 0 is the no-divergence case
 	Discarded        uint64            // entries the deposed leader dropped on rejoin
 	Converged        int               // instances bit-identical between new leader and rejoined replica
 }
 
 // RunFailover executes the partition-torture scenario. It returns an
-// error if promotion fails, the deposed leader fails to demote and
-// converge, or — the fencing contract — the deposed leader accepts
-// even one direct write after rejoining.
+// error if promotion fails, the old leader demotes when it has nothing
+// past the fence or fails to when it has, it fails to converge, or —
+// the fencing contract — it accepts even one direct write after
+// rejoining.
 func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	if cfg.Partition == nil || cfg.KillLeader == nil {
 		return FailoverResult{}, fmt.Errorf("loadgen: partition-torture needs Partition and KillLeader hooks")
@@ -149,9 +154,10 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 			return res, fmt.Errorf("loadgen: heal hook: %v", err)
 		}
 	}
+	var fence uint64 // seq of the promotion's term bump
 	if err := fleet.Poll(cfg.HealthTimeout, func() error {
 		pr, err := promoted.Promote()
-		res.Term = pr.Term
+		res.Term, fence = pr.Term, pr.Seq
 		return err
 	}); err != nil {
 		return res, fmt.Errorf("loadgen: promote %s: %w", cfg.FollowerAddr, err)
@@ -194,34 +200,45 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	if err := AwaitHealthy(deposed.Base, cfg.HealthTimeout); err != nil {
 		return res, err
 	}
-	// Self-healing contract: the rejoined daemon must demote (observe
-	// the higher term, discard its unreplicated tail: its replication
-	// loop reports a deposed-leader reset in /v1/stats) ...
-	if err := fleet.Poll(cfg.HealthTimeout, func() error {
-		st, err := deposed.Stats()
-		if err != nil {
+	// Self-healing contract: once its replication loop has made its first
+	// decision, the rejoined daemon has demoted (observed the higher term,
+	// discarded its unreplicated tail: /v1/stats reports a deposed-leader
+	// reset) exactly if it recovered anything past the fence — the
+	// comparison its own handshake makes ...
+	var ds fleet.StatsResponse
+	if err := fleet.Poll(cfg.HealthTimeout, func() (err error) {
+		if ds, err = deposed.Stats(); err != nil {
 			return err
 		}
-		if st.Follower == nil || st.Follower.Demotions == 0 {
-			return errors.New("no deposed-leader reset reported")
+		if ds.Follower == nil || ds.Follower.Demotions+ds.Follower.Reconnects == 0 {
+			return errors.New("its replication loop has not reached the new leader")
 		}
-		res.Demotions, res.Discarded = st.Follower.Demotions, st.Follower.Discarded
 		return nil
 	}); err != nil {
-		return res, fmt.Errorf("loadgen: rejoined leader %s never demoted (no higher-term detection) within %v: %w",
-			deposed.Base, cfg.HealthTimeout, err)
+		return res, fmt.Errorf("loadgen: rejoined leader %s: %w", deposed.Base, err)
 	}
-	// ... refuse direct writes: any acceptance is a stale-term write, the
-	// split-brain failure the term plane exists to prevent ...
+	res.Demotions, res.Discarded = ds.Follower.Demotions, ds.Follower.Discarded
+	var recovered uint64
+	if rec := ds.Journal.Recovery; rec != nil {
+		recovered = rec.NextSeq
+	}
+	if divergent := recovered > fence; divergent != (res.Demotions > 0) {
+		return res, fmt.Errorf("loadgen: rejoined leader %s recovered to next seq %d against the fence at seq %d and demoted %d times (divergent: %v)",
+			deposed.Base, recovered, fence, res.Demotions, divergent)
+	}
+	// ... converge bit-identically with the promoted leader ...
+	fv, err := VerifyFollower(cfg.FollowerAddr, deposed.Base, ids, cfg.HealthTimeout)
+	if err != nil {
+		return res, err
+	}
+	// ... and refuse direct writes: any acceptance is a stale-term write,
+	// the split-brain failure the term plane exists to prevent. (Asked
+	// after convergence: a replica that has just reset holds no instance
+	// to refuse the write for.)
 	_, err = deposed.EventBatch(ids[0], []fleet.Event{{Kind: fleet.EventFault, Node: nHost - 1}})
 	if !errors.Is(err, fleet.ErrReadOnly) {
 		return res, fmt.Errorf("loadgen: deposed leader %s answered a direct write with %v, want the read-only refusal — stale-term write accepted",
 			deposed.Base, err)
-	}
-	// ... and converge bit-identically with the promoted leader.
-	fv, err := VerifyFollower(cfg.FollowerAddr, deposed.Base, ids, cfg.HealthTimeout)
-	if err != nil {
-		return res, err
 	}
 	res.Converged = fv.Instances
 	return res, nil

@@ -39,7 +39,7 @@ func bootDaemon(t *testing.T, path, followURL string) (*fleet.Manager, *fleet.Fo
 		}
 		go f.Run(ctx)
 	}
-	srv := httptest.NewServer(fleet.NewHTTPHandlerOpts(mgr, fleet.HandlerOptions{Follower: f}))
+	srv := httptest.NewServer(fleet.NewHTTPHandler(mgr))
 	t.Cleanup(func() { cancel(); srv.Close() })
 	return mgr, f, srv, cancel
 }
