@@ -215,9 +215,8 @@ func writeBuffers(nc net.Conn, vecs *net.Buffers, chunks [][]byte) error {
 // empty, so a frame appended before flush was called is on the wire
 // (or the write has failed) without its caller waiting for a turn.
 type sender struct {
-	nc      net.Conn
-	timeout time.Duration  // write deadline of one flush; 0 sets none
-	frames  *obs.Histogram // frames per writev, when non-nil
+	nc     net.Conn
+	frames *obs.Histogram // frames per writev, when non-nil
 
 	mu       sync.Mutex
 	wq       writeQueue
@@ -240,9 +239,6 @@ func (s *sender) flush() (frames int, err error) {
 	for err == nil && s.wq.queued > 0 {
 		chunks, _, n := s.wq.take(s.chunks)
 		s.mu.Unlock()
-		if s.timeout > 0 {
-			s.nc.SetWriteDeadline(time.Now().Add(s.timeout))
-		}
 		err = writeBuffers(s.nc, &s.vecs, chunks)
 		recycle(chunks)
 		if s.frames != nil {

@@ -20,8 +20,11 @@ type Options struct {
 	// pipeline down each connection and complete out of order, so one
 	// connection sustains many in-flight callers.
 	Conns int
-	// Timeout bounds one round trip, send to matched response (default
-	// DefaultTimeout).
+	// Timeout is how long a connection may leave any request unanswered
+	// (default DefaultTimeout). It is a rule about the connection, not a
+	// deadline per call: a watchdog looks every Timeout/4, and a
+	// connection found owing an answer for Timeout is failed as a whole,
+	// so a call fails between Timeout and 1.25×Timeout after it was sent.
 	Timeout time.Duration
 	// DialTimeout bounds connection establishment (default Timeout).
 	DialTimeout time.Duration
@@ -38,30 +41,31 @@ const (
 // with sequence numbers and completed out of order by a reader
 // goroutine. Callers' encoded frames accumulate in a shared write
 // queue and are flushed in groups (the journal's group-commit shape):
-// a caller that is not the only one using the client yields once
-// before it flushes, so concurrent callers share one writev on the way
-// out the same way the server coalesces them on the way back.
+// the caller whose frame finds the queue empty owns the round's flush
+// and, unless it is the only one using the client, yields once first,
+// so concurrent callers share one writev on the way out the same way
+// the server coalesces them on the way back.
 //
-// A connection that fails is failed as a whole — every pending call
-// gets a TransportError — and is re-dialed lazily on next use.
+// A connection that fails — or that leaves any request unanswered for
+// Timeout, checked every Timeout/4 by one watchdog per connection — is
+// failed as a whole: every pending call gets a TransportError, and the
+// slot is re-dialed lazily on next use.
 // Idempotent reads (Lookup, LookupBatch) retry once on a fresh
 // connection; ApplyBatch is never resent after a transport failure,
 // because the burst may have been applied before the connection died.
 // All methods are safe for concurrent use.
 type Client struct {
-	addr  string
-	opts  Options
-	next  atomic.Uint64
-	calls atomic.Int32 // round trips in progress
-	pool  []*connSlot
-
-	mu     sync.Mutex
-	closed bool
+	addr   string
+	opts   Options
+	next   atomic.Uint64
+	calls  atomic.Int32 // round trips in progress
+	pool   []*connSlot
+	closed atomic.Bool
 }
 
 type connSlot struct {
-	mu sync.Mutex
-	cc *clientConn
+	mu sync.Mutex // held around the re-dial only
+	cc atomic.Pointer[clientConn]
 }
 
 // Dial connects to a wire server. The first connection is established
@@ -84,21 +88,18 @@ func Dial(addr string, opts Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.pool[0].cc = cc
+	c.pool[0].cc.Store(cc)
 	return c, nil
 }
 
 // Close hangs up every pooled connection; in-flight calls fail with a
 // TransportError.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
+	c.closed.Store(true)
 	for _, s := range c.pool {
 		s.mu.Lock()
-		if s.cc != nil {
-			s.cc.fail(errors.New("client closed"))
-			s.cc = nil
+		if cc := s.cc.Load(); cc != nil {
+			cc.fail(errors.New("client closed"))
 		}
 		s.mu.Unlock()
 	}
@@ -163,45 +164,41 @@ func (c *Client) roundTrip(req Request, ca *call, idempotent bool) error {
 }
 
 // conn returns a live pooled connection, re-dialing its slot if the
-// previous one failed.
+// previous one failed. The pick itself takes no lock. closed is read
+// under the slot lock, which Close takes only after setting it: a dial
+// that began before Close is hung up by Close's sweep of the slot, and
+// none begins after.
 func (c *Client) conn() (*clientConn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, transportErrf("client closed")
-	}
-	c.mu.Unlock()
 	s := c.pool[c.next.Add(1)%uint64(len(c.pool))]
+	if cc := s.cc.Load(); cc != nil && !cc.dead.Load() {
+		return cc, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cc != nil {
-		s.cc.mu.Lock()
-		dead := s.cc.err != nil
-		s.cc.mu.Unlock()
-		if !dead {
-			return s.cc, nil
-		}
-		s.cc = nil
+	if cc := s.cc.Load(); cc != nil && !cc.dead.Load() {
+		return cc, nil
+	}
+	if c.closed.Load() {
+		return nil, transportErrf("client closed")
 	}
 	cc, err := dialConn(c.addr, c.opts)
 	if err != nil {
 		return nil, err
 	}
-	s.cc = cc
+	s.cc.Store(cc)
 	return cc, nil
 }
 
 // call is one in-flight request's completion slot, pooled across
 // calls. done is buffered so the reader never blocks handing off a
-// result. The deadline timer is pooled with the call — a fresh
-// time.NewTimer per round trip is three allocations, and the pooled
-// Reset is what keeps the steady-state lookup path at zero.
+// result, and it is sent to exactly once per registration in pending —
+// by dispatch or by failLocked, whichever removes the entry — so a
+// call is quiescent when its one receive returns.
 type call struct {
-	done  chan error
-	timer *time.Timer
-	t     MsgType
-	phis  []int    // LookupBatch: caller-provided destination
-	resp  Response // the reader decodes the answer here before completing done
+	done chan error
+	t    MsgType
+	phis []int    // LookupBatch: caller-provided destination
+	resp Response // the reader decodes the answer here before completing done
 }
 
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan error, 1)} }}
@@ -213,25 +210,25 @@ func getCall(t MsgType) *call {
 }
 
 func putCall(ca *call) {
-	// Drain a result that raced in after its caller gave up (timeout),
-	// so a reused call never sees a stale completion.
-	select {
-	case <-ca.done:
-	default:
-	}
 	ca.phis, ca.resp = nil, Response{}
 	callPool.Put(ca)
 }
 
 // clientConn is one pooled connection: callers append to the sender's
-// write queue and flush it in groups, and a reader goroutine matches
-// response frames to pending calls by sequence number. The sender's
-// mutex also guards seq, pending and err.
+// write queue, the one whose frame found it empty flushes the round,
+// and a reader goroutine matches response frames to pending calls by
+// sequence number. The sender's mutex also guards seq, pending, err
+// and marks.
 type clientConn struct {
 	sender
-	seq     uint64
-	pending map[uint64]*call
-	err     error // first failure; set once, fails all pending
+	timeout time.Duration
+	dead    atomic.Bool // err != nil, readable without the lock
+
+	seq      uint64
+	pending  map[uint64]*call
+	err      error       // first failure; set once, fails all pending
+	watchdog *time.Timer // checkAge, re-armed while the connection lives
+	marks    [4]uint64   // seq at each of the last four checks, oldest first
 }
 
 func dialConn(addr string, opts Options) (*clientConn, error) {
@@ -239,14 +236,48 @@ func dialConn(addr string, opts Options) (*clientConn, error) {
 	if err != nil {
 		return nil, &TransportError{Err: err}
 	}
-	cc := &clientConn{sender: sender{nc: nc, timeout: opts.Timeout}, pending: make(map[uint64]*call)}
+	return newClientConn(nc, opts.Timeout), nil
+}
+
+func newClientConn(nc net.Conn, timeout time.Duration) *clientConn {
+	cc := &clientConn{sender: sender{nc: nc}, timeout: timeout, pending: make(map[uint64]*call)}
+	cc.mu.Lock() // checkAge reads the field it is being assigned to
+	cc.watchdog = time.AfterFunc(watchEvery(timeout), cc.checkAge)
+	cc.mu.Unlock()
 	go cc.readLoop()
-	return cc, nil
+	return cc
+}
+
+// checkAge is the connection's watchdog, the proxy's rule on the
+// client's side: a connection that leaves any request unanswered for
+// Timeout is failed as a whole. One timer per connection stands in for
+// a deadline per call, and no call reads a clock: a request whose seq
+// is at or below the seq four checks ago was sent at least Timeout ago.
+// Closing the socket also unblocks a flusher stuck in writev against a
+// peer that stopped reading.
+func (cc *clientConn) checkAge() {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	for seq := range cc.pending {
+		if seq <= cc.marks[0] {
+			cc.failLocked(fmt.Errorf("no response within %v", cc.timeout))
+			break
+		}
+	}
+	if cc.err == nil {
+		copy(cc.marks[:], cc.marks[1:])
+		cc.marks[len(cc.marks)-1] = cc.seq
+		cc.watchdog.Reset(watchEvery(cc.timeout))
+	}
 }
 
 // do encodes req into the shared write queue, registers ca under a fresh
-// sequence number, flushes, and waits for the reader (or a failure, or
-// the deadline) to complete ca.
+// sequence number and waits for the reader (or a failure of the
+// connection, the watchdog's included) to complete ca. The caller whose
+// frame finds the queue empty flushes the round; take() empties the
+// queue under the same lock, so the next appender elects itself, and a
+// frame appended while a writev is in the kernel leaves in that
+// flusher's next turn.
 func (cc *clientConn) do(req Request, ca *call, alone bool) error {
 	cc.mu.Lock()
 	if cc.err != nil {
@@ -256,6 +287,7 @@ func (cc *clientConn) do(req Request, ca *call, alone bool) error {
 	}
 	cc.seq++
 	req.Seq = cc.seq
+	elected := cc.wq.queued == 0
 	mark := cc.wq.mark()
 	buf, err := AppendRequest(appendFrameHeader(cc.wq.active), req)
 	if err != nil {
@@ -265,53 +297,25 @@ func (cc *clientConn) do(req Request, ca *call, alone bool) error {
 	}
 	cc.wq.sealFrameAt(buf, mark)
 	cc.pending[req.Seq] = ca
-	seq := req.Seq
 	cc.mu.Unlock()
-	if !alone {
-		// Other round trips are in progress on this client, and their
-		// callers tend to become runnable together (one read pass of a
-		// reader completes several). Yield once: every caller that is
-		// runnable right now appends to its round, and the first one
-		// back on each connection writes that whole round in one
-		// writev. A lone caller has nobody to wait for and flushes at
-		// once.
-		runtime.Gosched()
-	}
-	// A flush failure fails the whole connection, which delivers a
-	// TransportError to every pending call — including this one — so
-	// the wait below completes either way.
-	if _, err := cc.flush(); err != nil {
-		cc.fail(err)
-	}
-	return cc.wait(seq, ca)
-}
-
-// wait blocks until the reader completes ca or the round-trip deadline
-// passes. On timeout the pending entry is withdrawn under the lock; if
-// the reader already claimed it, the raced-in completion is taken
-// instead, so the call slot is always quiescent when wait returns.
-func (cc *clientConn) wait(seq uint64, ca *call) error {
-	if ca.timer == nil {
-		ca.timer = time.NewTimer(cc.timeout)
-	} else {
-		ca.timer.Reset(cc.timeout)
-	}
-	defer ca.timer.Stop()
-	select {
-	case err := <-ca.done:
-		return err
-	case <-ca.timer.C:
-		cc.mu.Lock()
-		_, still := cc.pending[seq]
-		if still {
-			delete(cc.pending, seq)
+	if elected {
+		if !alone {
+			// Other round trips are in progress on this client, and their
+			// callers tend to become runnable together (one read pass of a
+			// reader completes several). Yield once: every caller that is
+			// runnable right now appends to this round and goes straight to
+			// its receive, and one writev carries them all. A lone caller
+			// has nobody to wait for and flushes at once.
+			runtime.Gosched()
 		}
-		cc.mu.Unlock()
-		if !still {
-			return <-ca.done
+		// A flush failure fails the whole connection, which delivers a
+		// TransportError to every pending call — this one and the ones
+		// queued behind it — so the receive below completes either way.
+		if _, err := cc.flush(); err != nil {
+			cc.fail(err)
 		}
-		return transportErrf("no response to %v seq %d within %v", ca.t, seq, cc.timeout)
 	}
+	return <-ca.done
 }
 
 // readLoop is the connection's single reader: it decodes response
@@ -353,8 +357,8 @@ func (cc *clientConn) dispatch(payload []byte) error {
 	ca := cc.pending[seq]
 	delete(cc.pending, seq)
 	cc.mu.Unlock()
-	if ca == nil {
-		return nil // the caller timed out and withdrew; drop the late answer
+	if ca == nil { // no call ever withdraws, so nothing honest sends this
+		return fmt.Errorf("response to seq %d, which is not pending", seq)
 	}
 	// A LookupBatch answer lands directly in the caller's slice; the
 	// capacity is clipped so an over-long answer cannot spill past it.
@@ -391,6 +395,8 @@ func (cc *clientConn) failLocked(err error) {
 		return
 	}
 	cc.err = err
+	cc.dead.Store(true)
+	cc.watchdog.Stop()
 	cc.nc.Close()
 	for seq, ca := range cc.pending {
 		delete(cc.pending, seq)

@@ -451,7 +451,7 @@ func (p *Proxy) live(l *lane, b *backend) *backendConn {
 	bc.frames = p.backendFrames
 	bc.flushing = true // run holds the flush token until there is a socket to write to
 	bc.mu.Lock()       // checkAge reads the field it is being assigned to
-	bc.watchdog = time.AfterFunc(p.watchEvery(), bc.checkAge)
+	bc.watchdog = time.AfterFunc(watchEvery(p.timeout), bc.checkAge)
 	bc.mu.Unlock()
 	l.bc.Store(bc)
 	go bc.run()
@@ -574,9 +574,10 @@ func (bc *backendConn) fail(err error) {
 	bc.mu.Unlock()
 }
 
-// watchEvery is how often a connection's watchdog looks: often enough
-// that a stalled backend is cut off soon after Timeout.
-func (p *Proxy) watchEvery() time.Duration { return max(p.timeout/4, time.Millisecond) }
+// watchEvery is how often a connection's watchdog looks — the proxy's
+// for a backend, the client's for its server: often enough that a
+// stalled peer is cut off soon after Timeout.
+func watchEvery(timeout time.Duration) time.Duration { return max(timeout/4, time.Millisecond) }
 
 // checkAge is the connection's watchdog: a backend that leaves any
 // frame unanswered for Timeout is treated as dead. One timer per
@@ -591,7 +592,7 @@ func (bc *backendConn) checkAge() {
 		}
 	}
 	if !stale && bc.err == nil {
-		bc.watchdog.Reset(bc.p.watchEvery())
+		bc.watchdog.Reset(watchEvery(bc.p.timeout))
 	}
 	bc.mu.Unlock()
 	if stale {
