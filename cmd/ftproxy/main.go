@@ -37,10 +37,15 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"log"
 	"net"
 	"net/http"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"ftnet/internal/shard"
@@ -51,7 +56,7 @@ func main() {
 	addr := flag.String("addr", ":8200", "listen address")
 	peersFlag := flag.String("peers", "", `ring membership as "name=url,name=url,..."`)
 	replicas := flag.Int("replicas", 0, "virtual nodes per ring member (0 selects the default)")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-attempt upstream timeout")
+	timeout := flag.Duration("timeout", 30*time.Second, "per-attempt upstream timeout, and the bound on the shutdown drain")
 	rpcAddr := flag.String("rpc-addr", "", "binary RPC plane listen address (empty disables)")
 	rpcPeersFlag := flag.String("rpc-peers", "", `RPC addresses of the same members as "name=host:port,..."`)
 	rpcConns := flag.Int("rpc-conns", 0, "connections pooled per RPC backend (0 selects the default)")
@@ -63,6 +68,8 @@ func main() {
 	}
 	p := newProxy(peers, *replicas, *timeout)
 
+	var rp *wire.Proxy
+	var rpcLn net.Listener
 	if *rpcAddr != "" {
 		rpcPeers, err := shard.ParsePeers(*rpcPeersFlag)
 		if err != nil {
@@ -78,7 +85,7 @@ func main() {
 				log.Fatalf("ftproxy: member %q has no RPC address in -rpc-peers", name)
 			}
 		}
-		rp := wire.NewProxy(wire.ProxyOptions{
+		rp = wire.NewProxy(wire.ProxyOptions{
 			RPCPeers:  rpcPeers,
 			HTTPPeers: peers,
 			Replicas:  *replicas,
@@ -86,12 +93,10 @@ func main() {
 			Timeout:   *timeout,
 			Metrics:   p.reg, // one /metrics covers both planes
 		})
-		ln, err := net.Listen("tcp", *rpcAddr)
-		if err != nil {
+		if rpcLn, err = net.Listen("tcp", *rpcAddr); err != nil {
 			log.Fatalf("ftproxy: rpc listen: %v", err)
 		}
 		log.Printf("ftproxy: RPC plane routing %d shard members on %s", len(rpcPeers), *rpcAddr)
-		go func() { log.Fatal(rp.Serve(ln)) }()
 	}
 
 	srv := &http.Server{
@@ -103,5 +108,35 @@ func main() {
 		IdleTimeout:       2 * time.Minute,
 	}
 	log.Printf("ftproxy: routing %d shard members on %s", len(peers), *addr)
-	log.Fatal(srv.ListenAndServe())
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := serve(ctx, srv, rp, rpcLn, *timeout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// serve runs the HTTP front, and the RPC front when there is one, until
+// either fails or ctx is cancelled; then it drains both within drain:
+// every RPC frame already read is forwarded, answered and written back
+// before its connection closes, so a restart leaves no ApplyBatch's
+// fate unknown that a moment's patience would have told.
+func serve(ctx context.Context, srv *http.Server, rp *wire.Proxy, rpcLn net.Listener, drain time.Duration) error {
+	failed := make(chan error, 2)
+	if rp != nil {
+		go func() { failed <- rp.Serve(rpcLn) }()
+	}
+	go func() { failed <- srv.ListenAndServe() }()
+	select {
+	case err := <-failed:
+		return err
+	case <-ctx.Done():
+	}
+	log.Printf("ftproxy: shutting down")
+	sctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	var err error
+	if rp != nil {
+		err = rp.Shutdown(sctx)
+	}
+	return errors.Join(err, srv.Shutdown(sctx))
 }

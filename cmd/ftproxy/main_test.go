@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +16,7 @@ import (
 
 	"ftnet/internal/fleet"
 	"ftnet/internal/shard"
+	"ftnet/internal/wire"
 )
 
 // twoShardCluster boots two in-process daemons sharing a topology with
@@ -284,4 +287,97 @@ func ringOverrides(t *testing.T, base string) int {
 		t.Fatal(err)
 	}
 	return ring.Overrides
+}
+
+// TestProxyDrainsOnShutdown pins what SIGINT/SIGTERM do (main cancels
+// serve's context on either): an RPC frame the proxy has read when the
+// context is cancelled is still forwarded, answered and written back
+// before its connection closes, and serve returns nil.
+func TestProxyDrainsOnShutdown(t *testing.T) {
+	mgr := fleet.NewManager(fleet.Options{})
+	if _, err := mgr.Create("prod", fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2}); err != nil {
+		t.Fatal(err)
+	}
+	backend := wire.NewServer(mgr, wire.ServerOptions{})
+	backendLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go backend.Serve(backendLn)
+	t.Cleanup(func() { backend.Close() })
+
+	// The proxy reaches the daemon through a relay that holds what the
+	// proxy sends until release: that is the frame in flight.
+	release := make(chan struct{})
+	relayLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { relayLn.Close() })
+	go func() {
+		for {
+			down, err := relayLn.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", backendLn.Addr().String())
+			if err != nil {
+				down.Close()
+				return
+			}
+			go func() { io.Copy(down, up); down.Close() }()
+			go func() { <-release; io.Copy(up, down); up.Close() }()
+		}
+	}()
+
+	p := newProxy(map[string]string{"a": "http://daemon-a.example:8100"}, 0, 5*time.Second)
+	rp := wire.NewProxy(wire.ProxyOptions{
+		RPCPeers:  map[string]string{"a": relayLn.Addr().String()},
+		HTTPPeers: map[string]string{"a": "http://daemon-a.example:8100"},
+		Timeout:   5 * time.Second,
+		Metrics:   p.reg,
+	})
+	rpcLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() {
+		served <- serve(ctx, &http.Server{Addr: "127.0.0.1:0", Handler: p}, rp, rpcLn, 5*time.Second)
+	}()
+
+	cl, err := wire.Dial(rpcLn.Addr().String(), wire.Options{Conns: 1, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	type answer struct {
+		phi int
+		err error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		phi, _, err := cl.Lookup("prod", 3)
+		answered <- answer{phi, err}
+	}()
+	requests := p.reg.Counter("ftproxy_rpc_requests_total", "")
+	for deadline := time.Now().Add(5 * time.Second); requests.Value() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the proxy never read the frame")
+		}
+	}
+
+	cancel()
+	time.AfterFunc(50*time.Millisecond, func() { close(release) })
+	want, _ := mgr.Lookup("prod", 3)
+	if got := <-answered; got.err != nil || got.phi != want {
+		t.Fatalf("the frame in flight at shutdown = (%d, %v), want (%d, nil)", got.phi, got.err, want)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("serve after a drained shutdown: %v", err)
+	}
+	if _, _, err := cl.Lookup("prod", 3); !wire.IsTransport(err) {
+		t.Fatalf("Lookup after shutdown: %v, want a transport error (nobody listening)", err)
+	}
 }

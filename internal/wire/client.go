@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -22,12 +21,9 @@ type Options struct {
 	Conns int
 	// Timeout is how long a connection may leave any request unanswered
 	// (default DefaultTimeout). It is a rule about the connection, not a
-	// deadline per call: a watchdog looks every Timeout/4, and a
-	// connection found owing an answer for Timeout is failed as a whole,
-	// so a call fails between Timeout and 1.25×Timeout after it was sent.
+	// deadline per call (see conn.go): a call fails between Timeout and
+	// 1.25×Timeout after it was sent. It bounds the dial as well.
 	Timeout time.Duration
-	// DialTimeout bounds connection establishment (default Timeout).
-	DialTimeout time.Duration
 }
 
 // The option defaults.
@@ -37,35 +33,29 @@ const (
 )
 
 // Client speaks the binary RPC plane: a fixed pool of persistent
-// connections, each carrying many pipelined in-flight requests tagged
-// with sequence numbers and completed out of order by a reader
-// goroutine. Callers' encoded frames accumulate in a shared write
-// queue and are flushed in groups (the journal's group-commit shape):
-// the caller whose frame finds the queue empty owns the round's flush
-// and, unless it is the only one using the client, yields once first,
-// so concurrent callers share one writev on the way out the same way
-// the server coalesces them on the way back.
+// pipelined connections (conn.go), whose pending entries are its
+// callers' calls. Callers' encoded frames accumulate in a connection's
+// write queue and are flushed in groups (the journal's group-commit
+// shape): the caller whose frame finds the queue empty owns the round's
+// flush and, unless it is the only one using the client, yields once
+// first, so concurrent callers share one writev on the way out the same
+// way the server coalesces them on the way back.
 //
-// A connection that fails — or that leaves any request unanswered for
-// Timeout, checked every Timeout/4 by one watchdog per connection — is
-// failed as a whole: every pending call gets a TransportError, and the
-// slot is re-dialed lazily on next use.
+// A connection that fails is failed as a whole: every pending call gets
+// a TransportError, and the slot is re-dialed on next use — on the new
+// connection's own goroutine, so callers that find a server unreachable
+// wait out one dial together, not one each.
 // Idempotent reads (Lookup, LookupBatch) retry once on a fresh
 // connection; ApplyBatch is never resent after a transport failure,
-// because the burst may have been applied before the connection died.
+// because the burst may have been applied before the connection died —
+// unless the connection never had a socket to send it on.
 // All methods are safe for concurrent use.
 type Client struct {
-	addr   string
-	opts   Options
-	next   atomic.Uint64
-	calls  atomic.Int32 // round trips in progress
-	pool   []*connSlot
-	closed atomic.Bool
-}
-
-type connSlot struct {
-	mu sync.Mutex // held around the re-dial only
-	cc atomic.Pointer[clientConn]
+	opts  Options
+	dial  func() (net.Conn, error) // to the server, bounded by Timeout; tests put their own here
+	next  atomic.Uint64
+	calls atomic.Int32 // round trips in progress
+	pool  []*slot[*call]
 }
 
 // Dial connects to a wire server. The first connection is established
@@ -77,31 +67,40 @@ func Dial(addr string, opts Options) (*Client, error) {
 	if opts.Timeout <= 0 {
 		opts.Timeout = DefaultTimeout
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = opts.Timeout
-	}
-	c := &Client{addr: addr, opts: opts, pool: make([]*connSlot, opts.Conns)}
-	for i := range c.pool {
-		c.pool[i] = &connSlot{}
-	}
-	cc, err := dialConn(addr, opts)
+	c := newClient(opts, func() (net.Conn, error) { return net.DialTimeout("tcp", addr, opts.Timeout) })
+	nc, err := c.dial()
 	if err != nil {
-		return nil, err
+		return nil, &TransportError{Err: err}
 	}
-	c.pool[0].cc.Store(cc)
+	c.pool[0].u.Store(c.connect(nc))
 	return c, nil
+}
+
+func newClient(opts Options, dial func() (net.Conn, error)) *Client {
+	c := &Client{opts: opts, dial: dial, pool: make([]*slot[*call], opts.Conns)}
+	open := func() *upstream[*call] { return c.connect(nil) }
+	for i := range c.pool {
+		c.pool[i] = &slot[*call]{open: open}
+	}
+	return c
+}
+
+// connect starts a pooled connection over nc, or with nc nil over a
+// socket the connection dials itself. An orphaned call gets the
+// connection's failure as its TransportError.
+func (c *Client) connect(nc net.Conn) *upstream[*call] {
+	u := newUpstream[*call](nc, c.opts.Timeout, nil)
+	go u.run(c.dial, func() {},
+		func(payload []byte) error { return dispatch(u, payload) },
+		func(ca *call, sent bool, cause error) { ca.done <- &TransportError{Err: cause, unsent: !sent} })
+	return u
 }
 
 // Close hangs up every pooled connection; in-flight calls fail with a
 // TransportError.
 func (c *Client) Close() error {
-	c.closed.Store(true)
 	for _, s := range c.pool {
-		s.mu.Lock()
-		if cc := s.cc.Load(); cc != nil {
-			cc.fail(errors.New("client closed"))
-		}
-		s.mu.Unlock()
+		s.hangUp(errors.New("client closed"))
 	}
 	return nil
 }
@@ -141,58 +140,30 @@ func (c *Client) ApplyBatch(id string, events []fleet.Event) (fleet.EventResult,
 }
 
 // roundTrip sends req on a pooled connection and waits for its
-// response. Transport failures retry once on a fresh connection for
-// idempotent requests only; dial failures (nothing sent) retry for
-// everything.
+// response. A transport failure is retried once on a fresh connection
+// when the request is idempotent or was never sent (its connection's
+// dial failed, or had failed already).
 func (c *Client) roundTrip(req Request, ca *call, idempotent bool) error {
 	var err error
 	alone := c.calls.Add(1) == 1
 	defer c.calls.Add(-1)
 	for attempt := 0; attempt < 2; attempt++ {
-		var cc *clientConn
-		if cc, err = c.conn(); err != nil {
-			continue // nothing was sent; a retry is safe for any request
+		u := c.pool[c.next.Add(1)%uint64(len(c.pool))].live()
+		if u == nil {
+			return transportErrf("client closed")
 		}
-		if err = cc.do(req, ca, alone); err == nil || !IsTransport(err) {
-			return err
-		}
-		if !idempotent {
+		err = do(u, req, ca, alone)
+		if te, failed := err.(*TransportError); !failed || !(idempotent || te.unsent) {
 			return err
 		}
 	}
 	return err
 }
 
-// conn returns a live pooled connection, re-dialing its slot if the
-// previous one failed. The pick itself takes no lock. closed is read
-// under the slot lock, which Close takes only after setting it: a dial
-// that began before Close is hung up by Close's sweep of the slot, and
-// none begins after.
-func (c *Client) conn() (*clientConn, error) {
-	s := c.pool[c.next.Add(1)%uint64(len(c.pool))]
-	if cc := s.cc.Load(); cc != nil && !cc.dead.Load() {
-		return cc, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cc := s.cc.Load(); cc != nil && !cc.dead.Load() {
-		return cc, nil
-	}
-	if c.closed.Load() {
-		return nil, transportErrf("client closed")
-	}
-	cc, err := dialConn(c.addr, c.opts)
-	if err != nil {
-		return nil, err
-	}
-	s.cc.Store(cc)
-	return cc, nil
-}
-
 // call is one in-flight request's completion slot, pooled across
 // calls. done is buffered so the reader never blocks handing off a
 // result, and it is sent to exactly once per registration in pending —
-// by dispatch or by failLocked, whichever removes the entry — so a
+// by dispatch or as an orphan, whichever takes the entry — so a
 // call is quiescent when its one receive returns.
 type call struct {
 	done chan error
@@ -214,90 +185,23 @@ func putCall(ca *call) {
 	callPool.Put(ca)
 }
 
-// clientConn is one pooled connection: callers append to the sender's
-// write queue, the one whose frame found it empty flushes the round,
-// and a reader goroutine matches response frames to pending calls by
-// sequence number. The sender's mutex also guards seq, pending, err
-// and marks.
-type clientConn struct {
-	sender
-	timeout time.Duration
-	dead    atomic.Bool // err != nil, readable without the lock
-
-	seq      uint64
-	pending  map[uint64]*call
-	err      error       // first failure; set once, fails all pending
-	watchdog *time.Timer // checkAge, re-armed while the connection lives
-	marks    [4]uint64   // seq at each of the last four checks, oldest first
-}
-
-func dialConn(addr string, opts Options) (*clientConn, error) {
-	nc, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
-	if err != nil {
-		return nil, &TransportError{Err: err}
-	}
-	return newClientConn(nc, opts.Timeout), nil
-}
-
-func newClientConn(nc net.Conn, timeout time.Duration) *clientConn {
-	cc := &clientConn{sender: sender{nc: nc}, timeout: timeout, pending: make(map[uint64]*call)}
-	cc.mu.Lock() // checkAge reads the field it is being assigned to
-	cc.watchdog = time.AfterFunc(watchEvery(timeout), cc.checkAge)
-	cc.mu.Unlock()
-	go cc.readLoop()
-	return cc
-}
-
-// checkAge is the connection's watchdog, the proxy's rule on the
-// client's side: a connection that leaves any request unanswered for
-// Timeout is failed as a whole. One timer per connection stands in for
-// a deadline per call, and no call reads a clock: a request whose seq
-// is at or below the seq four checks ago was sent at least Timeout ago.
-// Closing the socket also unblocks a flusher stuck in writev against a
-// peer that stopped reading.
-func (cc *clientConn) checkAge() {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	for seq := range cc.pending {
-		if seq <= cc.marks[0] {
-			cc.failLocked(fmt.Errorf("no response within %v", cc.timeout))
-			break
+// do posts req on u and waits for the reader (or a failure of the
+// connection, the watchdog's included) to complete ca.
+func do(u *upstream[*call], req Request, ca *call, alone bool) error {
+	elected, err := u.post(ca, func(q *writeQueue, seq uint64) error {
+		req.Seq = seq
+		mark := q.mark()
+		buf, err := AppendRequest(appendFrameHeader(q.active), req)
+		if err != nil {
+			q.active = q.active[:mark]
+			return err // invalid input, not a transport failure
 		}
-	}
-	if cc.err == nil {
-		copy(cc.marks[:], cc.marks[1:])
-		cc.marks[len(cc.marks)-1] = cc.seq
-		cc.watchdog.Reset(watchEvery(cc.timeout))
-	}
-}
-
-// do encodes req into the shared write queue, registers ca under a fresh
-// sequence number and waits for the reader (or a failure of the
-// connection, the watchdog's included) to complete ca. The caller whose
-// frame finds the queue empty flushes the round; take() empties the
-// queue under the same lock, so the next appender elects itself, and a
-// frame appended while a writev is in the kernel leaves in that
-// flusher's next turn.
-func (cc *clientConn) do(req Request, ca *call, alone bool) error {
-	cc.mu.Lock()
-	if cc.err != nil {
-		err := cc.err
-		cc.mu.Unlock()
-		return &TransportError{Err: err}
-	}
-	cc.seq++
-	req.Seq = cc.seq
-	elected := cc.wq.queued == 0
-	mark := cc.wq.mark()
-	buf, err := AppendRequest(appendFrameHeader(cc.wq.active), req)
+		q.sealFrameAt(buf, mark)
+		return nil
+	})
 	if err != nil {
-		cc.wq.active = cc.wq.active[:mark]
-		cc.mu.Unlock()
-		return err // invalid input, not a transport failure
+		return err
 	}
-	cc.wq.sealFrameAt(buf, mark)
-	cc.pending[req.Seq] = ca
-	cc.mu.Unlock()
 	if elected {
 		if !alone {
 			// Other round trips are in progress on this client, and their
@@ -308,44 +212,18 @@ func (cc *clientConn) do(req Request, ca *call, alone bool) error {
 			// has nobody to wait for and flushes at once.
 			runtime.Gosched()
 		}
-		// A flush failure fails the whole connection, which delivers a
-		// TransportError to every pending call — this one and the ones
-		// queued behind it — so the receive below completes either way.
-		if _, err := cc.flush(); err != nil {
-			cc.fail(err)
-		}
+		u.kick()
 	}
 	return <-ca.done
 }
 
-// readLoop is the connection's single reader: it decodes response
-// frames and completes the matching pending call, in whatever order
-// the server answered. The receive buffer is a pooled class buffer
-// reused across frames (dispatch copies results into caller-owned
-// memory before the next read, so reuse is safe) and recirculated to
-// the pool when the connection dies.
-func (cc *clientConn) readLoop() {
-	br := bufio.NewReaderSize(cc.nc, readBufSize)
-	var buf []byte
-	defer func() { putBuf(buf) }()
-	for {
-		payload, err := readFrame(br, &buf)
-		if err == nil {
-			err = cc.dispatch(payload)
-		}
-		if err != nil {
-			cc.fail(err)
-			return
-		}
-	}
-}
-
 // dispatch decodes one response payload into its pending call and
-// completes it. A payload that does not decode, or answers with the
-// wrong type or entry count, is protocol corruption: the call gets a
-// TransportError and the connection is failed (the caller returns the
-// error).
-func (cc *clientConn) dispatch(payload []byte) error {
+// completes it, in whatever order the server answered; results are
+// copied into caller-owned memory before the next read. A payload that
+// does not decode, or answers with the wrong type or entry count, is
+// protocol corruption: the call gets a TransportError and the
+// connection is failed (the caller returns the error).
+func dispatch(u *upstream[*call], payload []byte) error {
 	// Only the seq is read ahead of the walk: it says whose memory the
 	// body is to land in.
 	d := cursorAt(payload, min(2, len(payload)))
@@ -353,12 +231,9 @@ func (cc *clientConn) dispatch(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	cc.mu.Lock()
-	ca := cc.pending[seq]
-	delete(cc.pending, seq)
-	cc.mu.Unlock()
-	if ca == nil { // no call ever withdraws, so nothing honest sends this
-		return fmt.Errorf("response to seq %d, which is not pending", seq)
+	ca, err := u.claim(seq)
+	if err != nil {
+		return err
 	}
 	// A LookupBatch answer lands directly in the caller's slice; the
 	// capacity is clipped so an over-long answer cannot spill past it.
@@ -380,26 +255,4 @@ func (cc *clientConn) dispatch(payload []byte) error {
 		ca.done <- nil
 	}
 	return err
-}
-
-func (cc *clientConn) fail(err error) {
-	cc.mu.Lock()
-	cc.failLocked(err)
-	cc.mu.Unlock()
-}
-
-// failLocked marks the connection dead exactly once, closes it (which
-// also stops the reader), and fails every pending call.
-func (cc *clientConn) failLocked(err error) {
-	if cc.err != nil {
-		return
-	}
-	cc.err = err
-	cc.dead.Store(true)
-	cc.watchdog.Stop()
-	cc.nc.Close()
-	for seq, ca := range cc.pending {
-		delete(cc.pending, seq)
-		ca.done <- &TransportError{Err: err}
-	}
 }

@@ -121,15 +121,14 @@ func (c *testConn) Write(p []byte) (int, error) {
 // all dialed eagerly.
 func dialWrapped(t *testing.T, addr string, opts Options, wrap func(net.Conn) net.Conn) *Client {
 	t.Helper()
-	c := &Client{addr: addr, opts: opts, pool: make([]*connSlot, opts.Conns)}
+	c := newClient(opts, func() (net.Conn, error) { return net.Dial("tcp", addr) })
 	t.Cleanup(func() { c.Close() })
 	for i := range c.pool {
-		nc, err := net.Dial("tcp", addr)
+		nc, err := c.dial()
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.pool[i] = &connSlot{}
-		c.pool[i].cc.Store(newClientConn(wrap(nc), opts.Timeout))
+		c.pool[i].u.Store(c.connect(wrap(nc)))
 	}
 	return c
 }
@@ -390,7 +389,7 @@ func TestWireElectedFlusherFailedFlushStrandsNobody(t *testing.T) {
 		tc.Conn = nc
 		return tc
 	})
-	cc := c.pool[0].cc.Load()
+	cc := c.pool[0].u.Load()
 
 	const callers = 8
 	done := make(chan error, callers)
@@ -424,5 +423,65 @@ func TestWireElectedFlusherFailedFlushStrandsNobody(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%d of %d calls still waiting after the flush failed", callers-i, callers)
 		}
+	}
+}
+
+// TestWireDialFailureFailsCallersTogether pins what an unreachable
+// server costs: a slot's re-dial runs on the new connection's own
+// goroutine with every caller's frame queued behind it, so callers wait
+// out one dial together, not one each in turn behind a lock. Nothing
+// was sent, so each — ApplyBatch included — goes out once more.
+func TestWireDialFailureFailsCallersTogether(t *testing.T) {
+	mgr := newTestManager(t, "prod", 2)
+	addr, _ := startServer(t, mgr, ServerOptions{})
+	c := dialTest(t, addr, Options{Conns: 1, Timeout: time.Minute})
+
+	var dials atomic.Int32
+	release := make(chan struct{})
+	c.dial = func() (net.Conn, error) {
+		if dials.Add(1) == 1 {
+			<-release
+			return nil, errors.New("no route to host")
+		}
+		return net.Dial("tcp", addr)
+	}
+	first := c.pool[0].u.Load()
+	first.fail(errors.New("cut by the test"))
+
+	const callers = 8
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		together(callers, func(i int) {
+			var err error
+			if i%2 == 0 {
+				_, _, err = c.Lookup("prod", 0)
+			} else {
+				_, err = c.ApplyBatch("prod", []fleet.Event{{Kind: fleet.EventFault, Node: i}, {Kind: fleet.EventRepair, Node: i}})
+			}
+			if err != nil {
+				t.Errorf("caller %d behind a failed dial: %v, want the answer of its one retry", i, err)
+			}
+		})
+	}()
+	if !eventually(func() bool {
+		u := c.pool[0].u.Load()
+		u.mu.Lock()
+		defer u.mu.Unlock()
+		return u != first && len(u.pending) == callers
+	}) {
+		t.Fatal("the callers never queued behind the one dial")
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("%d dials in flight for %d waiting callers, want 1", n, callers)
+	}
+	released := time.Now()
+	close(release)
+	<-done
+	if took := time.Since(released); took > time.Second {
+		t.Fatalf("the last caller returned %v after the dial failed: one by one, not together", took)
+	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("%d dials in all, want 2: the one that failed and the one every retry shared", n)
 	}
 }

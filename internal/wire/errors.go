@@ -57,7 +57,8 @@ func (e *Error) Unwrap() error {
 // (see Client.ApplyBatch), and load drivers count the two kinds
 // apart.
 type TransportError struct {
-	Err error
+	Err    error
+	unsent bool // the request provably never left: the client sends it again whatever it is
 }
 
 func (e *TransportError) Error() string { return "wire: transport: " + e.Err.Error() }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -38,7 +37,12 @@ type ProxyOptions struct {
 	// front connection uses one of them per backend, so its frames for
 	// one owner ride one connection.
 	Conns int
-	// Timeout bounds how long a frame may wait for its backend.
+	// Timeout is Options.Timeout for the proxy's backend connections
+	// (conn.go): one that leaves a frame unanswered for Timeout after it
+	// was posted there is failed as a whole, between Timeout and
+	// 1.25×Timeout after the posting. A read it orphans inside Timeout of
+	// its arrival is sent once more, so a frame for a backend that never
+	// answers is refused no later than 2.5×Timeout after it came in.
 	Timeout time.Duration
 	// Metrics, when non-nil, receives the proxy's RPC-plane counters
 	// and histograms (pass the HTTP proxy's registry so one /metrics
@@ -54,9 +58,10 @@ type ProxyOptions struct {
 // connection; the response comes back through the response grammar,
 // gets the front's sequence number restored, and is queued on the
 // front it belongs to. Every reader — one per front, one per
-// backend connection — works in rounds: it handles every whole frame
-// already buffered, then flushes each connection it queued something
-// on exactly once (Bruck-style log rounds: everything bound for one
+// backend connection (conn.go; its pending entries are relays) — works
+// in rounds: it handles every whole frame already buffered, then
+// flushes each connection whose write queue it was the first to put
+// something on (Bruck-style log rounds: everything bound for one
 // destination leaves in one write).
 //
 // Responses leave in completion order, not request order. The seq tag
@@ -84,24 +89,14 @@ type Proxy struct {
 
 	acc      acceptor
 	accepted atomic.Int64 // fronts so far; picks each one's lane
-
-	// hungUp is set once the backend connections are being closed for
-	// good: a failed one is not replaced after that.
-	hungUp atomic.Bool
 }
 
 // backend is one shard member: its connections are dialed on first
-// use and replaced when they fail.
+// use and replaced when they fail. A front uses the same lane number at
+// every backend.
 type backend struct {
-	name, addr string
-	lanes      []lane
-}
-
-// lane is one of a backend's connection slots. A front uses the same
-// lane number at every backend.
-type lane struct {
-	mu sync.Mutex // serializes replacing bc
-	bc atomic.Pointer[backendConn]
+	name  string
+	lanes []slot[*relay]
 }
 
 // NewProxy builds an RPC routing proxy over the configured peers.
@@ -117,15 +112,8 @@ func NewProxy(opts ProxyOptions) *Proxy {
 	if reg == nil {
 		reg = obs.New()
 	}
-	urls := make(map[string]string, len(opts.RPCPeers))
-	backends := make(map[string]*backend, len(opts.RPCPeers))
-	for name, addr := range opts.RPCPeers {
-		urls[name] = opts.HTTPPeers[name]
-		backends[name] = &backend{name: name, addr: addr, lanes: make([]lane, opts.Conns)}
-	}
-	return &Proxy{
-		router:   shard.NewRouter(urls, opts.Replicas),
-		backends: backends,
+	p := &Proxy{
+		backends: make(map[string]*backend, len(opts.RPCPeers)),
 		timeout:  opts.Timeout,
 		requests: reg.Counter("ftproxy_rpc_requests_total",
 			"RPC frames routed to a shard owner."),
@@ -145,6 +133,18 @@ func NewProxy(opts ProxyOptions) *Proxy {
 			"Response frames per write to a client connection (unit: frames)."),
 		acc: newAcceptor(),
 	}
+	urls := make(map[string]string, len(opts.RPCPeers))
+	for name, addr := range opts.RPCPeers {
+		urls[name] = opts.HTTPPeers[name]
+		dial := func() (net.Conn, error) { return net.DialTimeout("tcp", addr, p.timeout) }
+		b := &backend{name: name, lanes: make([]slot[*relay], opts.Conns)}
+		for i := range b.lanes {
+			b.lanes[i].open = func() *upstream[*relay] { return p.connect(dial) }
+		}
+		p.backends[name] = b
+	}
+	p.router = shard.NewRouter(urls, opts.Replicas)
+	return p
 }
 
 // Serve accepts client connections on ln until Close (or a listener
@@ -171,15 +171,9 @@ func (p *Proxy) Shutdown(ctx context.Context) error {
 }
 
 func (p *Proxy) hangUpBackends() {
-	p.hungUp.Store(true)
 	for _, b := range p.backends {
 		for i := range b.lanes {
-			l := &b.lanes[i]
-			l.mu.Lock()
-			if bc := l.bc.Load(); bc != nil {
-				bc.fail(errors.New("proxy closed"))
-			}
-			l.mu.Unlock()
+			b.lanes[i].hangUp(errors.New("proxy closed"))
 		}
 	}
 }
@@ -217,38 +211,27 @@ func (e *relay) id() string {
 	return string(id)
 }
 
-// passIDs numbers read passes across all rounds, so a connection can
-// tell whether the round appending to it has already listed it.
-var passIDs atomic.Uint64
-
-// round is one read pass of one reader goroutine: the connections it
-// has queued frames on since its last finish. Each is flushed (a
-// backend) or has its writer woken (a front) once per round, however
-// many frames the round put there.
+// round is one read pass of one reader goroutine: the connections
+// whose empty write queue it put a frame on since its last finish, and
+// so was elected to flush (a backend) or to wake the writer of (a
+// front); frames other rounds queue behind that one leave with it.
 type round struct {
-	pass     uint64
-	backends []*backendConn
+	backends []*upstream[*relay]
 	fronts   []*front
 }
-
-func newRound() *round { return &round{pass: passIDs.Add(1)} }
 
 // finish sends what the round queued. Every reader calls it before
 // anything that can block, so a queued frame never waits on a read.
 func (r *round) finish() {
-	if len(r.fronts) == 0 && len(r.backends) == 0 {
-		return
-	}
 	for i, f := range r.fronts {
 		f.kick()
 		r.fronts[i] = nil
 	}
-	for i, bc := range r.backends {
-		bc.kick()
+	for i, u := range r.backends {
+		u.kick()
 		r.backends[i] = nil
 	}
 	r.fronts, r.backends = r.fronts[:0], r.backends[:0]
-	r.pass = passIDs.Add(1)
 }
 
 // front is one client connection: a reader (serveFront) that forwards
@@ -267,7 +250,6 @@ type front struct {
 	dropped  int       // frames given up without a response since the last write
 	hangup   bool      // close the connection after the next write
 	stop     bool      // the reader is gone and nothing is in flight
-	pass     uint64    // the last round that queued here
 }
 
 // serveFront runs one client connection until it ends, then lets the
@@ -282,24 +264,15 @@ func (p *Proxy) serveFront(nc net.Conn) {
 	written := make(chan struct{})
 	go f.writeLoop(written)
 
-	r := newRound()
-	br := bufio.NewReaderSize(nc, readBufSize)
-	var in []byte
-	for {
-		if !frameBuffered(br) {
-			r.finish()
-		}
-		payload, err := readFrame(br, &in)
-		if err != nil {
-			break
-		}
+	r := new(round)
+	readFrames(nc, r.finish, func(payload []byte) error {
 		// The whole payload is checked here, before any of it reaches a
 		// connection other fronts share. A malformed frame is a broken
 		// peer, same as on the server: hang up rather than guess at a
 		// sequence number.
 		h, err := walkRequest(payload, nil)
 		if err != nil {
-			break
+			return err
 		}
 		p.requests.Inc()
 		f.admit(r)
@@ -307,8 +280,8 @@ func (p *Proxy) serveFront(nc net.Conn) {
 		e.f, e.start, e.seq, e.t = f, time.Now(), h.seq, h.t
 		e.req = append(e.req, payload[h.rest:]...)
 		p.send(e, p.backends[p.router.OwnerBytes(h.id)], r) // nil on an empty ring
-	}
-	putBuf(in)
+		return nil
+	})
 	r.finish()
 
 	f.mu.Lock()
@@ -382,22 +355,16 @@ func (f *front) writeLoop(done chan<- struct{}) {
 	}
 }
 
-// listed notes, under f.mu, that round r queued something here, and
-// adds the front to the round the first time.
-func (f *front) listed(r *round) {
-	if f.pass != r.pass {
-		f.pass = r.pass
-		r.fronts = append(r.fronts, f)
-	}
-}
-
 // answer queues e's response: the front's own seq, then rest — the
 // payload from the status byte on — verbatim.
 func (f *front) answer(e *relay, rest []byte, r *round) {
 	f.mu.Lock()
+	elected := f.wq.queued == 0
 	f.wq.relay(e.t, e.seq, rest)
-	f.listed(r)
 	f.mu.Unlock()
+	if elected {
+		r.fronts = append(r.fronts, f)
+	}
 }
 
 // abandon gives up one frame without a response and has the writer
@@ -406,56 +373,87 @@ func (f *front) abandon(r *round) {
 	f.mu.Lock()
 	f.dropped++
 	f.hangup = true
-	f.listed(r)
 	f.mu.Unlock()
+	r.fronts = append(r.fronts, f) // no frame was queued, so no other round wakes the writer for this
 }
 
-// send queues e on its front's lane to b, dialing a fresh connection
-// if the lane's last one has failed.
+// send posts e on its front's lane to b, on a fresh connection if the
+// lane's last one has failed.
 func (p *Proxy) send(e *relay, b *backend, r *round) {
 	if b == nil {
-		p.giveUp(e, errors.New("no shard member owns the instance"), r)
+		p.giveUp(e, false, errors.New("no shard member owns the instance"), r)
 		return
 	}
 	e.b = b
-	l := &b.lanes[e.f.lane%len(b.lanes)]
+	s := &b.lanes[e.f.lane%len(b.lanes)]
 	for try := 0; try < 2; try++ {
-		bc := p.live(l, b)
-		if bc == nil {
-			break
+		u := s.live()
+		if u == nil {
+			break // the proxy is closing
 		}
-		if bc.enqueue(e, r) {
+		elected, err := u.post(e, func(q *writeQueue, seq uint64) error {
+			q.relay(e.t, seq, e.req)
+			return nil
+		})
+		if err == nil {
+			if elected {
+				r.backends = append(r.backends, u)
+			}
 			return
 		}
 	}
-	p.giveUp(e, errors.New("no connection"), r)
+	p.giveUp(e, false, errors.New("no connection"), r)
 }
 
-// live returns the lane's connection, replacing one that has failed.
-// It never blocks on the network: a new connection dials on its own
-// goroutine while frames queue behind it. nil means the proxy is
-// closing.
-func (p *Proxy) live(l *lane, b *backend) *backendConn {
-	if bc := l.bc.Load(); bc != nil && !bc.dead.Load() {
-		return bc
+// connect starts a backend connection: it dials on its own goroutine
+// while frames queue behind it, and that goroutine is then the reader
+// whose rounds relay the answers.
+func (p *Proxy) connect(dial func() (net.Conn, error)) *upstream[*relay] {
+	u := newUpstream[*relay](nil, p.timeout, p.backendFrames)
+	go func() {
+		r := new(round)
+		u.run(dial, r.finish,
+			func(payload []byte) error { return p.answered(u, payload, r) },
+			func(e *relay, sent bool, cause error) { p.orphaned(e, sent, cause, r) })
+		r.finish()
+	}()
+	return u
+}
+
+// answered relays one backend response to the front that asked.
+func (p *Proxy) answered(u *upstream[*relay], payload []byte, r *round) error {
+	// Checked against the whole response grammar before any of it is
+	// relayed: a front never receives what a client would reject.
+	h, err := walkResponse(payload, nil)
+	if err != nil {
+		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if bc := l.bc.Load(); bc != nil && !bc.dead.Load() {
-		return bc
+	e, err := u.claim(h.seq)
+	switch {
+	case err != nil:
+	case e.t != h.t:
+		err = fmt.Errorf("response type %v to a %v request", h.t, e.t)
+		u.fail(err) // first: e is then re-routed to a fresh connection, like everything this one owes
+		p.orphaned(e, true, err, r)
+	case h.status == StatusWrongShard:
+		p.misrouted(e, payload, h.rest, r)
+	default:
+		p.deliver(e, payload[h.rest:], r)
 	}
-	if p.hungUp.Load() {
-		return nil
+	return err
+}
+
+// orphaned deals with a frame its backend connection failed under. An
+// idempotent read goes out once more on a fresh connection while its
+// time is not up; an ApplyBatch may have been applied and is never sent
+// twice.
+func (p *Proxy) orphaned(e *relay, sent bool, cause error, r *round) {
+	if e.t != MsgApplyBatch && !e.resent && time.Since(e.start) < p.timeout {
+		e.resent = true
+		p.send(e, e.b, r)
+	} else {
+		p.giveUp(e, sent, cause, r)
 	}
-	bc := &backendConn{p: p, b: b, pending: make(map[uint64]*relay)}
-	bc.frames = p.backendFrames
-	bc.flushing = true // run holds the flush token until there is a socket to write to
-	bc.mu.Lock()       // checkAge reads the field it is being assigned to
-	bc.watchdog = time.AfterFunc(watchEvery(p.timeout), bc.checkAge)
-	bc.mu.Unlock()
-	l.bc.Store(bc)
-	go bc.run()
-	return bc
 }
 
 // deliver relays a backend's response to the front that asked.
@@ -477,24 +475,26 @@ func (p *Proxy) reject(e *relay, st Status, msg string, r *round) {
 }
 
 // giveUp ends a frame whose backend could not be reached or died under
-// it. An idempotent read is answered StatusUnavailable — the "retry
-// me" category the HTTP plane's 502/503 occupies. An ApplyBatch may
-// have committed just before the connection died, so no retryable
-// status is honest: its front is hung up, which is the transport
-// failure wire.Client already refuses to retry.
-func (p *Proxy) giveUp(e *relay, cause error, r *round) {
+// it; sent says whether the frame can have been written to a backend
+// (one still in the write queue of a connection that had a socket
+// counts). It is answered StatusUnavailable — the "retry me" category
+// the HTTP plane's 502/503 occupies — except an ApplyBatch that may
+// have left: it may have committed just before the connection died, so
+// no retryable status is honest, and its front is hung up, which is the
+// transport failure wire.Client already refuses to retry.
+func (p *Proxy) giveUp(e *relay, sent bool, cause error, r *round) {
 	p.upErrors.Inc()
-	if e.t != MsgApplyBatch {
-		name := "?"
-		if e.b != nil {
-			name = e.b.name
-		}
-		p.reject(e, StatusUnavailable, "ftproxy: upstream "+name+": "+cause.Error(), r)
+	if e.t == MsgApplyBatch && sent {
+		p.hist.Observe(time.Since(e.start))
+		e.f.abandon(r)
+		putRelay(e)
 		return
 	}
-	p.hist.Observe(time.Since(e.start))
-	e.f.abandon(r)
-	putRelay(e)
+	name := "?"
+	if e.b != nil {
+		name = e.b.name
+	}
+	p.reject(e, StatusUnavailable, "ftproxy: upstream "+name+": "+cause.Error(), r)
 }
 
 // misrouted handles a StatusWrongShard answer: go where the router
@@ -512,176 +512,4 @@ func (p *Proxy) misrouted(e *relay, payload []byte, rest int, r *round) {
 	}
 	p.misroutes.Inc()
 	p.deliver(e, payload[rest:], r)
-}
-
-// backendConn is one connection to a shard member, shared by every
-// front on its lane. Fronts' readers append rewritten request frames
-// to its sender and flush it once per round; its own goroutine dials,
-// then reads responses and relays each to its front. The sender's
-// mutex also guards seq, pending and err.
-type backendConn struct {
-	sender // nc is nil until run has dialed
-	p      *Proxy
-	b      *backend
-	dead   atomic.Bool // err != nil, readable without the lock
-
-	seq      uint64
-	pending  map[uint64]*relay
-	err      error
-	pass     uint64      // the last round that queued here
-	watchdog *time.Timer // checkAge, re-armed while the connection lives
-}
-
-// enqueue appends e's request under a sequence number of this
-// connection and registers it as pending. It reports false when the
-// connection has failed; nothing was queued then.
-func (bc *backendConn) enqueue(e *relay, r *round) bool {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	if bc.err != nil {
-		return false
-	}
-	bc.seq++
-	bc.wq.relay(e.t, bc.seq, e.req)
-	bc.pending[bc.seq] = e
-	if bc.pass != r.pass {
-		bc.pass = r.pass
-		r.backends = append(r.backends, bc)
-	}
-	return true
-}
-
-// kick flushes what rounds have queued; while the connection is still
-// dialing that is run's job and this returns at once.
-func (bc *backendConn) kick() {
-	if _, err := bc.flush(); err != nil {
-		bc.fail(err)
-	}
-}
-
-// fail marks the connection dead, once, and closes it, which ends
-// run's read; run then re-routes what was pending.
-func (bc *backendConn) fail(err error) {
-	bc.mu.Lock()
-	if bc.err == nil {
-		bc.err = err
-		bc.dead.Store(true)
-		bc.watchdog.Stop()
-		if bc.nc != nil {
-			bc.nc.Close()
-		}
-	}
-	bc.mu.Unlock()
-}
-
-// watchEvery is how often a connection's watchdog looks — the proxy's
-// for a backend, the client's for its server: often enough that a
-// stalled peer is cut off soon after Timeout.
-func watchEvery(timeout time.Duration) time.Duration { return max(timeout/4, time.Millisecond) }
-
-// checkAge is the connection's watchdog: a backend that leaves any
-// frame unanswered for Timeout is treated as dead. One timer per
-// connection stands in for a deadline per call.
-func (bc *backendConn) checkAge() {
-	bc.mu.Lock()
-	stale, now := false, time.Now()
-	for _, e := range bc.pending {
-		if now.Sub(e.start) >= bc.p.timeout {
-			stale = true
-			break
-		}
-	}
-	if !stale && bc.err == nil {
-		bc.watchdog.Reset(watchEvery(bc.p.timeout))
-	}
-	bc.mu.Unlock()
-	if stale {
-		bc.fail(fmt.Errorf("no response within %v", bc.p.timeout))
-	}
-}
-
-// run is the connection's goroutine: dial, send what queued up
-// meanwhile, relay responses until the connection fails, then deal
-// with the frames it leaves unanswered.
-func (bc *backendConn) run() {
-	nc, err := net.DialTimeout("tcp", bc.b.addr, bc.p.timeout)
-	bc.mu.Lock()
-	if err == nil && bc.err != nil { // failed while dialing: closed, or the watchdog
-		nc.Close()
-		err = bc.err
-	}
-	if err == nil {
-		bc.nc = nc
-		bc.flushing = false
-	}
-	bc.mu.Unlock()
-	if err == nil {
-		if _, err = bc.flush(); err == nil {
-			err = bc.readLoop()
-		}
-	}
-	bc.fail(err)
-
-	// Nothing can be enqueued once err is set, so this is everything the
-	// connection still owed. An idempotent read goes out once more on a
-	// fresh connection while its time is not up; an ApplyBatch may have
-	// been applied and is never sent twice.
-	bc.mu.Lock()
-	orphans := make([]*relay, 0, len(bc.pending))
-	for seq, e := range bc.pending {
-		orphans = append(orphans, e)
-		delete(bc.pending, seq)
-	}
-	err = bc.err
-	bc.mu.Unlock()
-	r := newRound()
-	for _, e := range orphans {
-		if e.t != MsgApplyBatch && !e.resent && time.Since(e.start) < bc.p.timeout {
-			e.resent = true
-			bc.p.send(e, e.b, r)
-		} else {
-			bc.p.giveUp(e, err, r)
-		}
-	}
-	r.finish()
-}
-
-// readLoop relays response frames until the connection fails.
-func (bc *backendConn) readLoop() error {
-	r := newRound()
-	defer r.finish()
-	br := bufio.NewReaderSize(bc.nc, readBufSize)
-	var in []byte
-	defer func() { putBuf(in) }()
-	for {
-		if !frameBuffered(br) {
-			r.finish()
-		}
-		payload, err := readFrame(br, &in)
-		if err != nil {
-			return err
-		}
-		// Checked against the whole response grammar before any of it is
-		// relayed: a front never receives what a client would reject.
-		h, err := walkResponse(payload, nil)
-		if err != nil {
-			return err
-		}
-		bc.mu.Lock()
-		e := bc.pending[h.seq]
-		if e != nil && e.t == h.t {
-			delete(bc.pending, h.seq)
-		}
-		bc.mu.Unlock()
-		switch {
-		case e == nil:
-			return fmt.Errorf("response to seq %d, which is not pending", h.seq)
-		case e.t != h.t:
-			return fmt.Errorf("response type %v to a %v request", h.t, e.t) // e stays pending and is re-routed
-		case h.status == StatusWrongShard:
-			bc.p.misrouted(e, payload, h.rest, r)
-		default:
-			bc.p.deliver(e, payload[h.rest:], r)
-		}
-	}
 }

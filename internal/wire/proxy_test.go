@@ -815,3 +815,35 @@ func TestWireProxyShutdownDrains(t *testing.T) {
 		t.Fatalf("after Shutdown the front read %v, want EOF", err)
 	}
 }
+
+// TestWireProxyUnsentApplyBatchIsUnavailable pins the other side of
+// TestWireProxyNeverResendsApplyBatch: an ApplyBatch that provably
+// never left the proxy — its owner's address refuses connections, so
+// the connection it was posted on never had a socket — is refused with
+// the retryable status a read gets, and its front stays up.
+func TestWireProxyUnsentApplyBatchIsUnavailable(t *testing.T) {
+	members := []string{"a", "b"}
+	refuses, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuses.Close()
+	live := startFakeBackend(t, okReply)
+	px, addr, reg := startTestProxy(t, map[string]string{"a": refuses.Addr().String(), "b": live.addr()}, ProxyOptions{Timeout: 2 * time.Second})
+	cl := dialTest(t, addr, Options{Conns: 1, Timeout: 5 * time.Second})
+
+	_, err = cl.ApplyBatch(idsOwnedBy(t, members, "a", 1)[0], oneFault)
+	var we *Error
+	if !errors.As(err, &we) || we.Status != StatusUnavailable || !errors.Is(err, fleet.ErrUnavailable) {
+		t.Fatalf("ApplyBatch owned by a member that refuses connections: %v, want StatusUnavailable", err)
+	}
+	if n := reg.Counter("ftproxy_rpc_upstream_errors_total", "").Value(); n != 1 {
+		t.Fatalf("upstream errors = %d, want 1", n)
+	}
+	if phi, _, err := cl.Lookup(idsOwnedBy(t, members, "b", 1)[0], 4); err != nil || phi != 5 {
+		t.Fatalf("Lookup owned by the live member, after the refusal = (%d, %v), want 5", phi, err)
+	}
+	if n := px.accepted.Load(); n != 1 {
+		t.Fatalf("the proxy accepted %d front connections, want 1: the refused writer's front was hung up", n)
+	}
+}

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"net"
@@ -213,8 +212,7 @@ func (a *acceptor) shutdown(ctx context.Context) error {
 	}
 }
 
-// srvConn is the per-connection state: the pooled receive buffer, the
-// response queue (a sender only this goroutine appends to and
+// srvConn is the per-connection state: the response queue (a sender only this goroutine appends to and
 // flushes), the decode scratch (req's slices and phis), and the open
 // commit round with the responses it owes — all reused, so a
 // steady-state Lookup handles with zero allocations and a staged
@@ -222,7 +220,6 @@ func (a *acceptor) shutdown(ctx context.Context) error {
 type srvConn struct {
 	s *Server
 	sender
-	in   []byte
 	req  Request
 	phis []int
 
@@ -243,40 +240,32 @@ func (s *Server) serveConn(nc net.Conn) {
 	s.connGauge.Add(1)
 	defer s.connGauge.Add(-1)
 	c := &srvConn{s: s, sender: sender{nc: nc, frames: s.flushFrames}}
-	// Every way out of the loop flushes first, so only the receive
-	// buffer is left to recirculate.
-	defer func() { putBuf(c.in) }()
-	br := bufio.NewReaderSize(nc, readBufSize)
-	for {
-		// The log-round drain: answer every request already queued on
-		// this connection before paying for a write, so a pipelining
-		// client's whole in-flight window shares one syscall pair — and
-		// its writes one fsync. But only whole frames count as queued —
-		// before any read that can block (and before leaving on a read
-		// error, Shutdown's nudge included) the open round is committed
-		// and everything answered so far goes out, so a committed burst
-		// is never left un-acked behind half a frame, and a round never
-		// stays open across a socket wait.
-		if !frameBuffered(br) || c.wq.queued >= maxCoalesce {
-			if !c.finish() {
-				return
-			}
+	// readFrames' drain is the log round: a pipelining client's whole
+	// in-flight window shares one syscall pair, and its writes one fsync,
+	// and before any read that can block the open round is committed and
+	// everything answered so far goes out — a committed burst is never
+	// left un-acked behind half a frame, and a round never stays open
+	// across a socket wait.
+	readFrames(nc, func() {
+		if !c.finish() {
+			nc.Close() // the write failed: so will the read that follows
 		}
-		payload, err := readFrame(br, &c.in)
-		if err != nil {
-			c.finish()
-			return
-		}
+	}, func(payload []byte) error {
 		s.bytesIn.Add(frameHeaderSize + uint64(len(payload)))
 		if !c.handle(payload) {
 			// A malformed payload is a broken or hostile peer, not a bad
 			// argument: hang up rather than guess at a sequence number to
 			// answer on.
-			c.finish()
-			return
+			return errors.New("malformed request")
 		}
 		s.requests.Inc()
-	}
+		if c.wq.queued >= maxCoalesce && !c.finish() {
+			return errors.New("write failed")
+		}
+		return nil
+	})
+	// On the way out too, Shutdown's nudge included.
+	c.finish()
 }
 
 // finish closes the open commit round and flushes; false means the
