@@ -32,7 +32,10 @@
 // resubscribe from its last seen sequence number. When compaction has
 // dropped the requested prefix the stream instead begins with the
 // current checkpoint (entries carrying the checkpoint's sequence
-// number), which a consumer must treat as a state reset.
+// number), which a consumer must treat as a state reset. The
+// subscriber's pump is the log's only reader of its own past: nothing
+// else — a migration least of all, which ships an instance's current
+// state and no history — looks behind the flush frontier.
 package commit
 
 import (
@@ -131,7 +134,6 @@ type Log struct {
 	mu      sync.Mutex
 	w       *journal.Writer
 	path    string           // non-empty when w is file-backed
-	wopts   journal.Options  // to reopen the file after a compaction swap
 	base    uint64           // seq of the first ordinary record in the current file
 	lastSeq uint64           // highest assigned seq
 	flushed uint64           // highest seq delivered to history + subscribers
@@ -222,7 +224,6 @@ func (l *Log) SetWriter(w *journal.Writer) {
 	l.path = ""
 	if w != nil {
 		l.path = w.Path()
-		l.wopts = w.Opts()
 	}
 }
 
@@ -321,7 +322,7 @@ type Pending struct {
 // Begin is the first half of a commit: under the ordering lock it
 // checks the term fence, buffers rec's WAL frame and assigns the next
 // sequence number. The entry then sits in the pipeline — invisible to
-// readers, subscribers and Collect — until a Complete that includes it
+// readers and subscribers — until a Complete that includes it
 // returns. Every successful Begin must be followed by exactly one such
 // Complete; Install refuses while any entry is in between. A non-nil
 // error means nothing was sequenced.
@@ -457,8 +458,8 @@ func (l *Log) Commit(rec journal.Record, publish func()) (uint64, error) {
 // and clears what it vacates, for pending on every pop and for the
 // tail once it is half as long again as the history it keeps, so the
 // copy amortizes to O(1) per commit and a steady state allocates
-// nothing. (Catch-up and Collect copy out of hist under the lock, so
-// moving entries within it is safe.)
+// nothing. (Catch-up copies out of hist under the lock, so moving
+// entries within it is safe.)
 func (l *Log) flushReadyLocked() {
 	n := 0
 	for n < len(l.pending) && l.pending[n].ready && l.pending[n].e.Seq == l.flushed+1 {
@@ -593,10 +594,9 @@ func (l *Log) installFileLocked(seq uint64, cps []journal.Record) error {
 		return fmt.Errorf("commit: swap checkpoint: %w", err)
 	}
 	syncDir(l.path)
-	// The old writer's file is now unlinked; close it and append to the
-	// fresh checkpoint from here on.
-	l.w.Close()
-	nw, err := journal.Create(l.path, l.wopts)
+	// The old writer's file is now unlinked; append to the fresh
+	// checkpoint from here on.
+	nw, err := l.w.Reopen()
 	if err != nil {
 		l.failed = fmt.Errorf("commit: reopen journal after compaction: %w", err)
 		return l.failed

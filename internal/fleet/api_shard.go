@@ -17,8 +17,8 @@ import (
 //	POST /v1/rebalance       -> RebalanceResponse: migrate every displaced
 //	                         instance to its owner
 //	POST /v1/migrate         MigrateRequest -> MigrateStats: migrate one
-//	POST /v1/migrate/stage   (daemon-to-daemon) binary checkpoint frame
-//	POST /v1/migrate/commit  (daemon-to-daemon) binary suffix frame
+//	POST /v1/migrate/stage   (daemon-to-daemon) binary frame: the unfenced checkpoint
+//	POST /v1/migrate/commit  (daemon-to-daemon) binary frame: the fenced checkpoint
 //	POST /v1/migrate/abort   (daemon-to-daemon) drop a staged instance
 //	GET  /v1/migrate/state   (daemon-to-daemon) this daemon's view of an
 //	                         id: absent | staged | committed (+epoch) —

@@ -111,7 +111,7 @@ func TestClientAnswersInFleetCategories(t *testing.T) {
 	if state, _, err := c.MigrationState(inbound); err != nil || state != "staged" {
 		t.Errorf("MigrationState of a stage = (%q, %v)", state, err)
 	}
-	if err := c.CommitMigration(sharding.Migration{ID: inbound, BaseSeq: 7}); err != nil {
+	if err := c.CommitMigration(stageFrame(inbound, 7)); err != nil {
 		t.Errorf("CommitMigration: %v", err)
 	}
 	if state, epoch, err := c.MigrationState(inbound); err != nil || state != "committed" || epoch != 4 {
@@ -141,17 +141,17 @@ func TestClientAnswersInFleetCategories(t *testing.T) {
 		{"404 Phi", func() error { _, err := c.Phi(missing); return err }, ErrNotFound},
 		{"404 EventBatch", func() error { _, err := c.EventBatch(missing, fault(0)); return err }, ErrNotFound},
 		{"404 CommitMigration of nothing staged", func() error {
-			return c.CommitMigration(sharding.Migration{ID: missing})
+			return c.CommitMigration(stageFrame(missing, 7))
 		}, ErrNotFound},
 		{"409 duplicate Create", func() error { _, err := c.Create(mine, spec); return err }, ErrConflict},
 		{"409 double fault", func() error { _, err := c.EventBatch(mine, fault(0)); return err }, ErrConflict},
 		{"409 budget exhausted", func() error { _, err := c.EventBatch(mine, fault(1)); return err }, ErrConflict},
-		{"409 CommitMigration at another base", func() error {
+		{"409 CommitMigration of another attempt", func() error {
 			if err := c.StageMigration(stageFrame(dropped, 7)); err != nil {
 				return err
 			}
 			defer c.AbortMigration(dropped)
-			return c.CommitMigration(sharding.Migration{ID: dropped, BaseSeq: 8})
+			return c.CommitMigration(stageFrame(dropped, 8))
 		}, ErrConflict},
 		{"403 read-only EventBatch", func() error { _, err := ro.EventBatch(mine, fault(1)); return err }, ErrReadOnly},
 		{"403 read-only Create", func() error { _, err := ro.Create(created, spec); return err }, ErrReadOnly},

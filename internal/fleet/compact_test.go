@@ -108,7 +108,7 @@ func TestCompactRecoverEquivalence(t *testing.T) {
 func TestCompactUnderConcurrentWrites(t *testing.T) {
 	m := journaledManager(t, t.TempDir())
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 5, K: 4}
-	_, nHost := TargetHostSizesSpec(spec)
+	_, nHost := spec.Sizes()
 	ids := make([]string, 3)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("i%d", i)
@@ -232,5 +232,45 @@ func TestRecoverCleansStaleCompactionTemp(t *testing.T) {
 	}
 	if s := mustGet(t, m2, "a").Snapshot(); s.Epoch() != 1 || s.NumFaults() != 1 {
 		t.Errorf("recovered to epoch %d faults %v", s.Epoch(), s.Faults())
+	}
+}
+
+// TestCompactKeepsJournalCountersMonotone: the journal counters are
+// declared counters on /metrics and count the journal's life, so the
+// writer a compaction reopens over the swapped file carries on from
+// the old one's counts instead of starting at zero.
+func TestCompactKeepsJournalCountersMonotone(t *testing.T) {
+	m := journaledManager(t, t.TempDir())
+	if _, err := m.Create("a", Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}); err != nil {
+		t.Fatal(err)
+	}
+	toggle := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			kind := EventFault
+			if m.Stats().Journal.LastEpoch%2 == 1 {
+				kind = EventRepair
+			}
+			if _, err := m.Event("a", Event{kind, 3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	toggle(5)
+	before := m.Stats().Journal
+	if before.Records != 6 || before.LastEpoch != 5 || before.Bytes == 0 {
+		t.Fatalf("journal counters before the compaction = %+v, want 6 records up to epoch 5", before)
+	}
+	if _, err := m.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	after := m.Stats().Journal
+	if after.Records < before.Records || after.Bytes < before.Bytes ||
+		after.Syncs < before.Syncs || after.LastEpoch != before.LastEpoch {
+		t.Fatalf("journal counters went backwards across a compaction: %+v -> %+v", before, after)
+	}
+	toggle(2)
+	if end := m.Stats().Journal; end.Records != after.Records+2 || end.LastEpoch != 7 || end.Bytes <= after.Bytes {
+		t.Fatalf("journal counters after two more records = %+v, want %d records up to epoch 7", end, after.Records+2)
 	}
 }

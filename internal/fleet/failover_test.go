@@ -92,7 +92,7 @@ func TestPromoteFailoverAndDeposedLeaderSelfHeals(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 5, K: 4}
-	_, nHost := TargetHostSizesSpec(spec)
+	_, nHost := spec.Sizes()
 	// "div" stays out of the random storms so its toggle writes are
 	// always accepted — the divergence generator.
 	ids := []string{"a", "b", "c", "div"}
@@ -224,7 +224,7 @@ func TestDeposedLeaderResyncsFromCheckpointAfterTermBump(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 3}
-	_, nHost := TargetHostSizesSpec(spec)
+	_, nHost := spec.Sizes()
 	ids := []string{"a", "b", "div"}
 	stormIDs := ids[:2]
 	acked := make(map[string]*atomic.Uint64)

@@ -172,9 +172,9 @@ func (s Spec) Validate() error {
 	}
 }
 
-// sizes returns the node counts of the target and of the host a valid
+// Sizes returns the node counts of the target and of the host a valid
 // spec induces.
-func (s Spec) sizes() (nTarget, nHost int) {
+func (s Spec) Sizes() (nTarget, nHost int) {
 	if s.Kind == KindShuffle {
 		p := ft.SEParams{H: s.H, K: s.K}
 		return p.NTarget(), p.NHost()

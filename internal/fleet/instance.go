@@ -72,12 +72,12 @@ type Instance struct {
 	publishNext func()
 
 	// The lifecycle: see phase. peer is the new owner's URL while the
-	// copy is fenced or moved; stagedAt the source commit seq of the
-	// checkpoint an arriving copy was staged from. Both guarded by
-	// writeMu.
+	// copy is fenced or moved; stagedBy the token of the handoff attempt
+	// that staged an arriving copy, the only one whose commit it takes.
+	// Both guarded by writeMu.
 	phase    atomic.Uint32
 	peer     string
-	stagedAt uint64
+	stagedBy uint64
 
 	rejectedBudget   atomic.Uint64 // events refused: budget exhausted
 	rejectedConflict atomic.Uint64 // events refused: double fault / repair healthy
@@ -127,7 +127,7 @@ func (c *stripedCounter) Load() uint64 {
 // StageMigration registers an arriving copy (through the raw door: it is
 // never journaled), CommitMigration opens it in the publish step of its
 // OpMigrate record, AbortMigration retires it instead. MigrateOut fences
-// a live copy when it captures the journal suffix and unfences it when
+// a live copy to take the state it ships and unfences it when
 // the handoff provably did not commit; otherwise completeMigration
 // retires it toward the peer. moved is its own state, so a writer that
 // held the pointer from before the cutover is owed the redirect whatever
@@ -144,7 +144,7 @@ type phase uint32
 const (
 	phaseLive     phase = iota // in service; what newInstance builds
 	phaseArriving              // staged inbound copy: checkpoint received, handoff not committed
-	phaseFenced                // outbound write fence up: the suffix is captured, peer may own the id already
+	phaseFenced                // outbound write fence up: the final state is captured, peer may own the id already
 	phaseMoved                 // cut over to peer
 	phaseGone                  // deleted, aborted, superseded or wiped
 )
@@ -163,7 +163,7 @@ func errArriving[T key](id T) error {
 // refuse says what a write or delete that holds this pointer is owed:
 // nil when it may go ahead. The caller holds writeMu — the mutex every
 // transition is made under — so a write is either fully applied before
-// a fence (acked, in the shipped suffix) or redirected, never silently
+// a fence (acked, in the shipped state) or redirected, never silently
 // dropped or double-applied, and a writer that raced a delete can never
 // commit a transition record after its instance's delete record, which
 // would poison recovery of a reused id.
@@ -239,7 +239,7 @@ func newInstance(id string, spec Spec, pipe *pipeline) (*Instance, error) {
 		return nil, err
 	}
 	in := &Instance{id: id, spec: spec, pipe: pipe}
-	in.nTarget, in.nHost = spec.sizes()
+	in.nTarget, in.nHost = spec.Sizes()
 	if spec.Kind == KindShuffle {
 		psi, err := shuffle.EmbedIntoDeBruijn(spec.H)
 		if err != nil {

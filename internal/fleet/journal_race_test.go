@@ -37,7 +37,7 @@ func TestFleetJournalConcurrentWriters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, nHost := TargetHostSizesSpec(spec)
+	_, nHost := spec.Sizes()
 
 	// The tail: re-scan from the last clean offset whenever the tear
 	// (a record the interval flush has only half-written) or EOF moves

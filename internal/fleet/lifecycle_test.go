@@ -35,9 +35,9 @@ func lifecycleManager(t *testing.T) *Manager {
 	return m
 }
 
-func stageFrame(id string, baseSeq uint64) sharding.Migration {
-	return sharding.Migration{ID: id, BaseSeq: baseSeq, Records: []journal.Record{
-		{Op: journal.OpCheckpoint, ID: id, Spec: journalSpec(lifecycleSpec), Epoch: 4, Faults: []int{2}}}}
+func stageFrame(id string, token uint64) sharding.Migration {
+	return sharding.Migration{ID: id, Token: token, Record: journal.Record{
+		Op: journal.OpCheckpoint, ID: id, Spec: journalSpec(lifecycleSpec), Epoch: 4, Faults: []int{2}}}
 }
 
 // copyAt registers a copy of id in phase p, by the route the daemon
@@ -156,7 +156,7 @@ func TestLifecyclePhaseAnswers(t *testing.T) {
 			}
 		})
 		probe("CommitMigration", func(t *testing.T, m *Manager, id string, in *Instance) {
-			epoch, err := m.CommitMigration(sharding.Migration{ID: id, BaseSeq: 7})
+			epoch, err := m.CommitMigration(stageFrame(id, 7))
 			is(t, "commit", err, want.commit)
 			after := p
 			if want.commit == nil {
@@ -176,7 +176,7 @@ func TestLifecycleTransitions(t *testing.T) {
 	m := lifecycleManager(t)
 	// at builds an unregistered copy in phase p.
 	at := func(p phase) *Instance {
-		in, err := m.restore(stageFrame("x", 7).Records[0], p)
+		in, err := m.restore(stageFrame("x", 7).Record, p)
 		if err != nil {
 			t.Fatal(err)
 		}

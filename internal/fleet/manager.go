@@ -115,7 +115,7 @@ func NewManager(opts Options) *Manager {
 		migrationsOut: reg.Counter("ftnet_shard_migrations_out_total",
 			"Instances migrated away from this daemon."),
 		migrationsIn: reg.Counter("ftnet_shard_migrations_in_total",
-			"Instances migrated onto this daemon (stage + suffix committed)."),
+			"Instances migrated onto this daemon (staged, then committed)."),
 		migratePause: reg.Histogram("ftnet_shard_migration_pause_seconds",
 			"Per-migration write-fence window: writes to the instance were redirected, not applied."),
 	}
@@ -882,7 +882,7 @@ func checkRestore(rec journal.Record) error {
 	if err := checkNew(rec.ID, spec); err != nil {
 		return err
 	}
-	nTarget, nHost := spec.sizes()
+	nTarget, nHost := spec.Sizes()
 	if err := ft.CheckRestore(nTarget, nHost, spec.K, rec.Faults); err != nil {
 		return corruptStatef(rec.ID, rec.Epoch, err)
 	}

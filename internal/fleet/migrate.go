@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"time"
 
@@ -12,25 +13,32 @@ import (
 
 // This file is checkpoint-streamed migration: the rebalance unit that
 // moves one instance between daemons with a write fence only as wide
-// as the journal suffix. The paper makes an instance's entire state a
-// pure O(k) function of its fault set, so the handoff is two pushes,
-// and each step is one transition of the lifecycle in instance.go:
+// as one O(k) record and its commit on the target. The paper makes an
+// instance's entire state a pure O(k) function of its fault set, so a
+// handoff ships a state, never a history: two pushes of the same
+// complete-state record, and each step is one transition of the
+// lifecycle in instance.go:
 //
-//	phase 1 (unfenced): the source captures (snapshot, baseSeq) and
-//	  pushes the O(k) checkpoint record to the new owner, which
+//	phase 1 (unfenced): the source mints the attempt's token and
+//	  pushes the instance's checkpoint record to the new owner, which
 //	  validates it, rebuilds the mapping and registers the copy
 //	  arriving — through the raw door: in memory only, not journaled,
 //	  refusing traffic.
 //	phase 2 (fenced):   the source fences its copy (live -> fenced),
-//	  captures fenceSeq, collects the journal suffix in (baseSeq,
-//	  fenceSeq] for this instance, and pushes it. The target replays it
-//	  under the strict epoch chain, journals ONE OpMigrate record
-//	  carrying the final state, and opens the copy in that record's
+//	  takes the checkpoint record again under the same hold of the
+//	  writer mutex — the state it acknowledged last — and pushes it.
+//	  The target verifies that one record on receipt, journals ONE
+//	  OpMigrate record carrying it, and opens the copy in that record's
 //	  publish step (arriving -> live). The source then erases its pin,
 //	  retires its copy toward the peer (fenced -> moved) and leaves the
 //	  registry with its OpDelete. If the push provably did not commit,
 //	  the target's copy was retired by the abort (arriving -> gone, the
 //	  raw door again) and the source unfences (fenced -> live).
+//
+// Between the fence and the push the source reads nothing but its own
+// published snapshot: no journal, no commit log, no history — the
+// window is the same work whatever the journal's length, the tail it
+// keeps in memory or the write rate.
 //
 // Crash safety is asymmetric by construction. Target crash before the
 // OpMigrate commit: its journal never mentions the instance, the stage
@@ -48,17 +56,14 @@ import (
 
 // MigrateStats reports one completed migration.
 type MigrateStats struct {
-	ID       string  `json:"id"`
-	Peer     string  `json:"peer"`          // target member name
-	Epoch    uint64  `json:"epoch"`         // instance epoch at handoff
-	BaseSeq  uint64  `json:"base_seq"`      // source commit seq at the unfenced capture
-	FenceSeq uint64  `json:"fence_seq"`     // source commit seq writes were fenced at
-	Suffix   int     `json:"suffix"`        // records shipped after the checkpoint
-	Pause    float64 `json:"pause_seconds"` // write-fence window
+	ID    string  `json:"id"`
+	Peer  string  `json:"peer"`          // target member name
+	Epoch uint64  `json:"epoch"`         // instance epoch at handoff
+	Pause float64 `json:"pause_seconds"` // write-fence window
 }
 
 // migrateClient pushes migration frames between daemons. Generous
-// timeout: a frame is O(k) + a short suffix, but the target's commit
+// timeout: a frame is one O(k) record, but the target's commit
 // includes an fsync.
 var migrateClient = &http.Client{Timeout: 30 * time.Second}
 
@@ -139,25 +144,21 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 		in.writeMu.Unlock()
 	}
 
-	// Phase 1: unfenced capture. Holding writeMu for the two loads only
-	// guarantees no commit for THIS instance straddles the capture —
-	// every one of its records is either reflected in snap0 (seq <=
-	// baseSeq) or will be assigned a seq > baseSeq and ride the suffix.
+	// Phase 1: unfenced capture, under a token of this attempt's own: a
+	// commit frame from an attempt the target aborted must not land on
+	// the stage of a later one.
 	in.writeMu.Lock()
 	if err := in.refuse(); err != nil {
 		in.writeMu.Unlock()
 		return MigrateStats{}, err
 	}
-	snap0 := in.snap.Load()
-	baseSeq := m.pipe.log.LastSeq()
 	in.writeMu.Unlock()
-
-	stage := sharding.Migration{
-		ID:      id,
-		BaseSeq: baseSeq,
-		Records: []journal.Record{checkpointRecord(id, in.spec, snap0)},
+	frame := sharding.Migration{
+		ID:     id,
+		Token:  rand.Uint64(),
+		Record: checkpointRecord(id, in.spec, in.snap.Load()),
 	}
-	if err := push.StageMigration(stage); err != nil {
+	if err := push.StageMigration(frame); err != nil {
 		// The push may have staged despite the lost answer; a leftover
 		// stage refuses traffic until dropped, so clean up best-effort.
 		probe.AbortMigration(id)
@@ -166,9 +167,11 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 		return MigrateStats{}, fmt.Errorf("fleet: stage %q on %s: %v", id, peer, err)
 	}
 
-	// Phase 2: fence, ship the suffix, cut over. The fence window —
+	// Phase 2: fence, ship the state, cut over. The fence window —
 	// writes redirected rather than applied — is what the
-	// rebalance_pause SLO tracks.
+	// rebalance_pause SLO tracks. A writer keeps writeMu until its
+	// transition is published, so the snapshot read under the hold that
+	// puts the fence up is everything this copy ever acknowledged.
 	fenceStart := time.Now()
 	in.writeMu.Lock()
 	if err := in.fence(url); err != nil {
@@ -176,17 +179,10 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 		probe.AbortMigration(id) // best effort; the stage was never durable
 		return MigrateStats{}, err
 	}
-	fenceSeq := m.pipe.log.LastSeq()
+	frame.Record = checkpointRecord(id, in.spec, in.snap.Load())
 	in.writeMu.Unlock()
 
-	suffix, err := m.collectSuffix(id, snap0.Epoch(), baseSeq, fenceSeq)
-	if err == nil {
-		frame := sharding.Migration{ID: id, BaseSeq: baseSeq, FenceSeq: fenceSeq, Records: suffix}
-		if perr := push.CommitMigration(frame); perr != nil {
-			err = fmt.Errorf("fleet: commit %q on %s: %v", id, peer, perr)
-		}
-	}
-	if err != nil {
+	if perr := push.CommitMigration(frame); perr != nil {
 		// The commit push failed — but "failed" is ambiguous: a lost
 		// response or timeout may hide a commit the target durably
 		// journaled and is already serving. Lifting the fence on that
@@ -196,6 +192,7 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 		// cannot, the fence stays up — writes bounce with a redirect,
 		// never land on a maybe-stale copy — and a re-run of the
 		// migration resumes the resolution.
+		err := fmt.Errorf("fleet: commit %q on %s: %v", id, peer, perr)
 		committed, _, rerr := resolveHandoff(probe, id)
 		if rerr != nil {
 			return MigrateStats{}, errorf(ErrUnavailable,
@@ -220,50 +217,7 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 	pause := time.Since(fenceStart)
 	m.migratePause.Observe(pause)
 	m.migrationsOut.Inc()
-	epoch := snap0.Epoch()
-	for _, rec := range suffix {
-		if rec.Epoch > epoch {
-			epoch = rec.Epoch
-		}
-	}
-	return MigrateStats{
-		ID:       id,
-		Peer:     peer,
-		Epoch:    epoch,
-		BaseSeq:  baseSeq,
-		FenceSeq: fenceSeq,
-		Suffix:   len(suffix),
-		Pause:    pause.Seconds(),
-	}, nil
-}
-
-// collectSuffix exports this instance's committed records in
-// (baseSeq, fenceSeq] — everything the staged checkpoint at
-// stagedEpoch missed. Checkpoint entries from a racing compaction are
-// kept when they carry newer state (the target treats them as resets);
-// a create or delete in the window means the instance's lifecycle
-// changed under the migration and the handoff must not proceed.
-func (m *Manager) collectSuffix(id string, stagedEpoch, baseSeq, fenceSeq uint64) ([]journal.Record, error) {
-	entries, err := m.pipe.log.Collect(baseSeq+1, fenceSeq)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: collect suffix for %q: %w", id, err)
-	}
-	var recs []journal.Record
-	for _, e := range entries {
-		if e.Rec.ID != id {
-			continue
-		}
-		switch e.Rec.Op {
-		case journal.OpTransition, journal.OpCheckpoint, journal.OpMigrate:
-			if e.Rec.Epoch > stagedEpoch {
-				recs = append(recs, e.Rec)
-			}
-		default:
-			return nil, errorf(ErrConflict,
-				"fleet: instance %q saw a %v mid-migration", id, e.Rec.Op)
-		}
-	}
-	return recs, nil
+	return MigrateStats{ID: id, Peer: peer, Epoch: frame.Record.Epoch, Pause: pause.Seconds()}, nil
 }
 
 // completeMigration retires the source copy after a committed handoff:
@@ -305,8 +259,8 @@ func (m *Manager) Rebalance() ([]MigrateStats, error) {
 
 // StageMigration is the target half of phase 1: rebuild the pushed
 // checkpoint bit-identically and hold it staged — in memory, invisible
-// to the journal, refusing traffic — until the suffix commits. Staging
-// is idempotent: a source retry replaces the previous stage.
+// to the journal, refusing traffic — until the fenced state commits.
+// Staging is idempotent: a source retry replaces the previous stage.
 func (m *Manager) StageMigration(mig sharding.Migration) error {
 	if m.readOnly.Load() {
 		return m.errReadOnly("migration stage")
@@ -318,25 +272,27 @@ func (m *Manager) StageMigration(mig sharding.Migration) error {
 	if owner := t.ring.Owner(mig.ID); owner != t.self {
 		return wrongShardf(t.peers[owner], "fleet: staged instance %q belongs to shard %s", mig.ID, owner)
 	}
-	if len(mig.Records) != 1 || mig.Records[0].Op != journal.OpCheckpoint {
-		return fmt.Errorf("fleet: migration stage wants exactly one checkpoint record, got %d", len(mig.Records))
+	if mig.Record.Op != journal.OpCheckpoint {
+		return fmt.Errorf("fleet: migration stage wants a checkpoint record, got %v", mig.Record.Op)
 	}
 	// Validation happens before the copy becomes visible at all: a forged
 	// or corrupted checkpoint never registers.
-	in, err := m.restore(mig.Records[0], phaseArriving)
+	in, err := m.restore(mig.Record, phaseArriving)
 	if err != nil {
 		return err
 	}
-	in.stagedAt = mig.BaseSeq
+	in.stagedBy = mig.Token
 	return m.setRaw(in, false)
 }
 
-// CommitMigration is the target half of phase 2: replay the fenced
-// suffix onto the staged snapshot (strict epoch chain, every record
-// verified), journal ONE OpMigrate record carrying the final state,
-// and open the instance for traffic. The OpMigrate consumes a commit
-// seq like any ordinary record, so this daemon's followers receive the
-// arrival as a single atomic entry.
+// CommitMigration is the target half of phase 2: verify the fenced
+// state on receipt — the staged attempt's token, a checkpoint of the
+// staged spec at an epoch the staged one has not passed, a fault set
+// ft.Restore accepts — journal ONE OpMigrate record carrying it, and
+// open the instance for traffic. The OpMigrate consumes a commit seq
+// like any ordinary record, so this daemon's followers receive the
+// arrival as a single atomic entry. A refused frame leaves the copy
+// arriving at its staged snapshot, for the source's abort to retire.
 func (m *Manager) CommitMigration(mig sharding.Migration) (uint64, error) {
 	if m.readOnly.Load() {
 		return 0, m.errReadOnly("migration commit")
@@ -356,37 +312,22 @@ func (m *Manager) CommitMigration(mig sharding.Migration) (uint64, error) {
 	if !in.arriving() {
 		return 0, errorf(ErrNotFound, "fleet: no staged migration for %q", mig.ID)
 	}
-	if in.stagedAt != mig.BaseSeq {
+	if in.stagedBy != mig.Token {
 		return 0, errorf(ErrConflict,
-			"fleet: migration commit for %q at base seq %d, staged at %d", mig.ID, mig.BaseSeq, in.stagedAt)
+			"fleet: migration commit for %q is not of the staged handoff attempt", mig.ID)
 	}
-	for _, rec := range mig.Records {
-		cur := in.snap.Load().Epoch()
-		switch rec.Op {
-		case journal.OpTransition:
-			if rec.Epoch <= cur {
-				continue // overlap with the staged checkpoint
-			}
-			if err := successor(mig.ID, cur, rec.Epoch); err != nil {
-				return 0, err
-			}
-		case journal.OpCheckpoint, journal.OpMigrate:
-			if rec.Epoch < cur {
-				continue // stale reset
-			}
-		default:
-			return 0, fmt.Errorf("fleet: instance %s: %v record in migration suffix", mig.ID, rec.Op)
-		}
-		next, err := in.restoredSnapshot(rec.Epoch, rec.Faults)
-		if err != nil {
-			return 0, err
-		}
-		in.snap.Store(next)
+	rec := mig.Record
+	if staged := in.snap.Load().Epoch(); rec.Op != journal.OpCheckpoint || fleetSpec(rec.Spec) != in.spec || rec.Epoch < staged {
+		return 0, fmt.Errorf("fleet: migration commit for %q wants a checkpoint of %+v at epoch >= %d, got %v of %+v at epoch %d",
+			mig.ID, in.spec, staged, rec.Op, fleetSpec(rec.Spec), rec.Epoch)
 	}
-	snap := in.snap.Load()
-	rec := checkpointRecord(mig.ID, in.spec, snap)
-	rec.Op = journal.OpMigrate
-	if _, err := m.pipe.log.Commit(rec, in.open); err != nil {
+	snap, err := in.restoredSnapshot(rec.Epoch, rec.Faults)
+	if err != nil {
+		return 0, err
+	}
+	arrival := checkpointRecord(mig.ID, in.spec, snap)
+	arrival.Op = journal.OpMigrate
+	if _, err := m.pipe.log.Commit(arrival, func() { in.snap.Store(snap); in.open() }); err != nil {
 		m.journalFailed.Add(1)
 		return 0, errorf(ErrUnavailable, "fleet: commit migration arrival %s: %v", mig.ID, err)
 	}
@@ -398,7 +339,7 @@ func (m *Manager) CommitMigration(mig sharding.Migration) (uint64, error) {
 // reporting whether one existed. The source calls it when phase 2
 // fails; since the stage was never journaled, dropping it from memory
 // is the entire rollback. The arriving test happens under writeMu — the
-// mutex CommitMigration replays and journals under — so a true answer
+// mutex CommitMigration verifies and journals under — so a true answer
 // is a fence: the commit for this stage either already happened
 // (answer false) or can never happen (answer true), never "is about
 // to". resolveHandoff leans on exactly that.

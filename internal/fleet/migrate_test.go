@@ -10,10 +10,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ftnet/internal/ft"
 	"ftnet/internal/journal"
 	sharding "ftnet/internal/shard"
 )
@@ -200,7 +202,7 @@ func TestMigrateMovesInstanceBitIdentically(t *testing.T) {
 
 // TestMigrateWriteRaceLosesNothing is the cutover-race invariant: a
 // writer hammering the source during the migration either gets its
-// write applied (pre-fence, and the suffix carries it) or gets an
+// write applied (pre-fence, and the fenced state carries it) or gets an
 // explicit wrong-shard redirect — never a silent drop, never a double
 // apply. Epoch arithmetic is the proof: the epoch on the new owner
 // must equal the number of acknowledged writes exactly.
@@ -239,8 +241,7 @@ func TestMigrateWriteRaceLosesNothing(t *testing.T) {
 	}()
 
 	time.Sleep(5 * time.Millisecond) // let some pre-fence writes land
-	stats, err := p.a.MigrateOut(id, "b")
-	if err != nil {
+	if _, err := p.a.MigrateOut(id, "b"); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -291,9 +292,6 @@ func TestMigrateWriteRaceLosesNothing(t *testing.T) {
 		if got[x] != want[x] {
 			t.Fatalf("phi[%d] = %d, want %d after racing cutover", x, got[x], want[x])
 		}
-	}
-	if stats.FenceSeq < stats.BaseSeq {
-		t.Errorf("fence seq %d below base seq %d", stats.FenceSeq, stats.BaseSeq)
 	}
 }
 
@@ -495,14 +493,14 @@ func TestMigrateStageLifecycle(t *testing.T) {
 	id := idOwnedBy(t, "b")
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}
 	frame := sharding.Migration{
-		ID:      id,
-		BaseSeq: 7,
-		Records: []journal.Record{{
+		ID:    id,
+		Token: 7,
+		Record: journal.Record{
 			Op:    journal.OpCheckpoint,
 			ID:    id,
 			Spec:  journalSpec(spec),
 			Epoch: 0,
-		}},
+		},
 	}
 
 	// Staging on the wrong member bounces with a redirect.
@@ -512,12 +510,14 @@ func TestMigrateStageLifecycle(t *testing.T) {
 	if err := p.b.StageMigration(frame); err != nil {
 		t.Fatal(err)
 	}
-	// Staged = invisible to readers until the suffix commits.
+	// Staged = invisible to readers until the fenced state commits.
 	if _, err := p.b.Lookup(id, 0); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("lookup on staged instance err = %v, want ErrUnavailable", err)
 	}
-	// A commit that doesn't match the staged base seq is refused.
-	if _, err := p.b.CommitMigration(sharding.Migration{ID: id, BaseSeq: 99}); !errors.Is(err, ErrConflict) {
+	// A commit that doesn't carry the staged attempt's token is refused.
+	foreign := frame
+	foreign.Token = 99
+	if _, err := p.b.CommitMigration(foreign); !errors.Is(err, ErrConflict) {
 		t.Fatalf("mismatched commit err = %v, want ErrConflict", err)
 	}
 	// Re-staging (source retry) is idempotent.
@@ -566,6 +566,31 @@ func TestMigrateGuards(t *testing.T) {
 	if ok, err := p.a.Delete(id); !ok || err != nil {
 		t.Errorf("delete of pinned instance = %v, %v", ok, err)
 	}
+}
+
+// migrationTap fronts a daemon's handler and shows see every migration
+// frame pushed at it, before the daemon hears of it. An error from see
+// is an outage: the push is answered 502 and never forwarded.
+func migrationTap(t *testing.T, m *Manager, see func(path string, mig sharding.Migration) error) *httptest.Server {
+	t.Helper()
+	h := NewHTTPHandler(m)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/migrate/stage" || r.URL.Path == "/v1/migrate/commit" {
+			body, _ := io.ReadAll(r.Body)
+			mig, err := sharding.DecodeMigration(body)
+			if err != nil {
+				t.Errorf("%s: pushed frame does not decode: %v", r.URL.Path, err)
+			}
+			if err := see(r.URL.Path, mig); err != nil {
+				http.Error(w, err.Error(), http.StatusBadGateway)
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
 }
 
 // lossyFront fronts a daemon's HTTP server for fault injection: every
@@ -721,9 +746,9 @@ func TestDeleteStagedRefused(t *testing.T) {
 	id := idOwnedBy(t, "b")
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}
 	frame := sharding.Migration{
-		ID:      id,
-		BaseSeq: 3,
-		Records: []journal.Record{{Op: journal.OpCheckpoint, ID: id, Spec: journalSpec(spec), Epoch: 0}},
+		ID:     id,
+		Token:  3,
+		Record: journal.Record{Op: journal.OpCheckpoint, ID: id, Spec: journalSpec(spec), Epoch: 0},
 	}
 	if err := p.b.StageMigration(frame); err != nil {
 		t.Fatal(err)
@@ -736,7 +761,7 @@ func TestDeleteStagedRefused(t *testing.T) {
 	if state, _ := p.b.MigrationState(id); state != "staged" {
 		t.Fatalf("state after refused delete = %q, want staged", state)
 	}
-	if _, err := p.b.CommitMigration(sharding.Migration{ID: id, BaseSeq: 3}); err != nil {
+	if _, err := p.b.CommitMigration(frame); err != nil {
 		t.Fatalf("commit after refused delete: %v", err)
 	}
 }
@@ -751,9 +776,9 @@ func TestAbortCommitFence(t *testing.T) {
 	id := idOwnedBy(t, "b")
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}
 	frame := sharding.Migration{
-		ID:      id,
-		BaseSeq: 1,
-		Records: []journal.Record{{Op: journal.OpCheckpoint, ID: id, Spec: journalSpec(spec), Epoch: 0}},
+		ID:     id,
+		Token:  1,
+		Record: journal.Record{Op: journal.OpCheckpoint, ID: id, Spec: journalSpec(spec), Epoch: 0},
 	}
 
 	// Abort first: the commit must find nothing to land on.
@@ -763,7 +788,7 @@ func TestAbortCommitFence(t *testing.T) {
 	if !p.b.AbortMigration(id) {
 		t.Fatal("abort found nothing staged")
 	}
-	if _, err := p.b.CommitMigration(sharding.Migration{ID: id, BaseSeq: 1}); !errors.Is(err, ErrNotFound) {
+	if _, err := p.b.CommitMigration(frame); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("commit after abort err = %v, want ErrNotFound", err)
 	}
 	if state, _ := p.b.MigrationState(id); state != "absent" {
@@ -774,7 +799,7 @@ func TestAbortCommitFence(t *testing.T) {
 	if err := p.b.StageMigration(frame); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.b.CommitMigration(sharding.Migration{ID: id, BaseSeq: 1}); err != nil {
+	if _, err := p.b.CommitMigration(frame); err != nil {
 		t.Fatal(err)
 	}
 	if p.b.AbortMigration(id) {
@@ -823,24 +848,23 @@ func TestReconcilePinsRetiresStaleCopy(t *testing.T) {
 	// handedOff: the handoff committed on b at a's exact epoch (the
 	// crash-window state the OpDelete never recorded).
 	inA, _ := p.a.Get(handedOff)
-	if err := p.b.StageMigration(sharding.Migration{
-		ID: handedOff, BaseSeq: 5,
-		Records: []journal.Record{checkpointRecord(handedOff, spec, inA.snap.Load())},
-	}); err != nil {
+	frame := sharding.Migration{ID: handedOff, Token: 5, Record: checkpointRecord(handedOff, spec, inA.snap.Load())}
+	if err := p.b.StageMigration(frame); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.b.CommitMigration(sharding.Migration{ID: handedOff, BaseSeq: 5}); err != nil {
+	if _, err := p.b.CommitMigration(frame); err != nil {
 		t.Fatal(err)
 	}
 	// divergent: b holds an OLDER committed copy (epoch 0 < a's 1) — the
 	// local copy has history the owner lacks, so it must not be retired.
-	if err := p.b.StageMigration(sharding.Migration{
-		ID: divergent, BaseSeq: 6,
-		Records: []journal.Record{{Op: journal.OpCheckpoint, ID: divergent, Spec: journalSpec(spec), Epoch: 0}},
-	}); err != nil {
+	frame = sharding.Migration{
+		ID: divergent, Token: 6,
+		Record: journal.Record{Op: journal.OpCheckpoint, ID: divergent, Spec: journalSpec(spec), Epoch: 0},
+	}
+	if err := p.b.StageMigration(frame); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.b.CommitMigration(sharding.Migration{ID: divergent, BaseSeq: 6}); err != nil {
+	if _, err := p.b.CommitMigration(frame); err != nil {
 		t.Fatal(err)
 	}
 
@@ -867,5 +891,217 @@ func TestReconcilePinsRetiresStaleCopy(t *testing.T) {
 	// A second pass converges: nothing more to retire, nothing lost.
 	if st2 := p.a.ReconcilePins(); st2.Retired != 0 || st2.Unresolved != 0 {
 		t.Errorf("second reconcile pass = %+v, want no retirements", st2)
+	}
+}
+
+// TestMigrateShipsStateNotHistory: a handoff carries the instance's
+// state under the fence and nothing of how it got there. 80 commits land
+// on the source between the stage and the fence — 40 on the migrating
+// instance, 40 on a bystander — against a commit log that keeps four
+// entries in memory. Whether or not the source has a journal to look
+// them up in, the commit frame is one checkpoint record and the target
+// ends at epoch 40.
+func TestMigrateShipsStateNotHistory(t *testing.T) {
+	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}
+	for _, journaled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("journaled=%v", journaled), func(t *testing.T) {
+			src := NewManager(Options{CommitHistory: 4})
+			t.Cleanup(func() { src.Close() })
+			if journaled {
+				w, err := journal.Create(filepath.Join(t.TempDir(), "epochs.wal"), journal.Options{Sync: journal.SyncNever})
+				if err != nil {
+					t.Fatal(err)
+				}
+				src.SetJournal(w)
+			}
+			dst := newShardManager(t, t.TempDir())
+			moving, bystander := idOwnedBy(t, "b"), idOwnedBy(t, "a")
+			for _, id := range []string{moving, bystander} {
+				if _, err := src.Create(id, spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			var commits []sharding.Migration
+			tap := migrationTap(t, dst, func(path string, mig sharding.Migration) error {
+				if path == "/v1/migrate/commit" {
+					commits = append(commits, mig)
+					return nil
+				}
+				if mig.Record.Epoch != 0 {
+					t.Errorf("staged at epoch %d, want the unfenced 0", mig.Record.Epoch)
+				}
+				// The source is waiting for this stage's answer: the fence
+				// is not up yet, and all of this is history by the time it is.
+				for i := 0; i < 40; i++ {
+					ev := Event{EventFault, 0}
+					switch {
+					case i == 38:
+						ev.Node = 1
+					case i == 39:
+						ev.Node = 5
+					case i%2 == 1:
+						ev.Kind = EventRepair
+					}
+					for _, id := range []string{moving, bystander} {
+						if _, err := src.Event(id, ev); err != nil {
+							t.Errorf("write %d on %s before the fence: %v", i, id, err)
+						}
+					}
+				}
+				return nil
+			})
+			peers := map[string]string{"a": "http://a.example", "b": tap.URL}
+			src.SetTopology("a", peers, 0)
+			dst.SetTopology("b", peers, 0)
+
+			st, err := src.MigrateOut(moving, "b")
+			if err != nil {
+				t.Fatalf("handoff past 80 commits of history: %v", err)
+			}
+			if st.Epoch != 40 {
+				t.Errorf("handed off at epoch %d, want 40", st.Epoch)
+			}
+			if len(commits) != 1 || commits[0].Record.Op != journal.OpCheckpoint || commits[0].Record.Epoch != 40 {
+				t.Fatalf("commit frames = %+v, want one OpCheckpoint at epoch 40", commits)
+			}
+			in, ok := dst.Get(moving)
+			if !ok {
+				t.Fatal("instance missing on the target")
+			}
+			if info := in.Info(); info.Epoch != 40 || !slices.Equal(info.Faults, []int{1, 5}) {
+				t.Fatalf("target holds epoch %d faults %v, want epoch 40 faults [1 5]", info.Epoch, info.Faults)
+			}
+			nTarget, nHost := spec.Sizes()
+			fresh, err := ft.NewMapping(nTarget, nHost, []int{1, 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for x, phi := range phiOf(in) {
+				if phi != fresh.Phi(x) {
+					t.Fatalf("phi[%d] = %d on the target, a fresh mapping says %d", x, phi, fresh.Phi(x))
+				}
+			}
+			if _, ok := src.Get(moving); ok {
+				t.Error("the source still holds the instance")
+			}
+			if by, ok := src.Get(bystander); !ok || by.Info().Epoch != 40 {
+				t.Error("the bystander did not stay on the source at epoch 40")
+			}
+		})
+	}
+}
+
+// TestMigrateCommitRefusals: the target verifies the one record it is
+// asked to install, on receipt. Whatever it refuses leaves the arriving
+// copy arriving, at the snapshot it was staged with, and the journal
+// where it was.
+func TestMigrateCommitRefusals(t *testing.T) {
+	p := newShardPair(t)
+	p.installTopology(t)
+	id := idOwnedBy(t, "b")
+	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}
+	frame := func(edit func(*sharding.Migration)) sharding.Migration {
+		mig := sharding.Migration{ID: id, Token: 7, Record: journal.Record{
+			Op: journal.OpCheckpoint, ID: id, Spec: journalSpec(spec), Epoch: 2, Faults: []int{3, 5}}}
+		edit(&mig)
+		return mig
+	}
+	staged := frame(func(mig *sharding.Migration) { mig.Record.Epoch, mig.Record.Faults = 1, []int{3} })
+	if err := p.b.StageMigration(staged); err != nil {
+		t.Fatal(err)
+	}
+	in := mustGet(t, p.b, id)
+	snap, seq := in.snap.Load(), p.b.NextSeq()
+
+	for name, c := range map[string]struct {
+		edit func(*sharding.Migration)
+		want error // nil: any refusal
+	}{
+		"wrong op": {edit: func(mig *sharding.Migration) { mig.Record.Op, mig.Record.Applied = journal.OpTransition, 1 }},
+		"another spec": {edit: func(mig *sharding.Migration) {
+			mig.Record.Spec = journalSpec(Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 3})
+		}},
+		"epoch below the staged one": {edit: func(mig *sharding.Migration) { mig.Record.Epoch = 0 }},
+		"foreign token":              {edit: func(mig *sharding.Migration) { mig.Token = 8 }, want: ErrConflict},
+		"forged fault set":           {edit: func(mig *sharding.Migration) { mig.Record.Faults = []int{3, 3} }, want: ErrCorruptRecord},
+	} {
+		_, err := p.b.CommitMigration(frame(c.edit))
+		if err == nil || (c.want != nil && !errors.Is(err, c.want)) {
+			t.Errorf("%s: err %v, want a refusal (%v)", name, err, c.want)
+		}
+		if !in.arriving() || in.snap.Load() != snap || p.b.NextSeq() != seq {
+			t.Fatalf("%s: the refused frame left the copy %s at epoch %d, next seq %d; want arriving at the staged snapshot, next seq %d",
+				name, phaseNames[in.at()], in.snap.Load().Epoch(), p.b.NextSeq(), seq)
+		}
+	}
+
+	epoch, err := p.b.CommitMigration(frame(func(*sharding.Migration) {}))
+	if err != nil || epoch != 2 {
+		t.Fatalf("the genuine frame: epoch %d, err %v; want epoch 2", epoch, err)
+	}
+	if info := in.Info(); in.at() != phaseLive || info.Epoch != 2 || !slices.Equal(info.Faults, []int{3, 5}) {
+		t.Fatalf("after the commit the copy is %s at epoch %d faults %v", phaseNames[in.at()], info.Epoch, info.Faults)
+	}
+}
+
+// TestMigrateAttemptsHaveTheirOwnToken: an abort fences off the attempt
+// it answers, for good. The commit frame of an aborted attempt finds a
+// later attempt's stage and must not land on it — the source would read
+// "committed" as its own attempt's and drop what it acked in between —
+// so every MigrateOut attempt stages and commits under a token minted
+// for it alone.
+func TestMigrateAttemptsHaveTheirOwnToken(t *testing.T) {
+	p := newShardPair(t)
+	id := idOwnedBy(t, "b")
+	p.b.SetTopology("b", p.peers, 0)
+
+	// The target's half: stage A, abort, stage B, commit A.
+	if err := p.b.StageMigration(stageFrame(id, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if !p.b.AbortMigration(id) {
+		t.Fatal("abort found nothing staged")
+	}
+	if err := p.b.StageMigration(stageFrame(id, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.b.CommitMigration(stageFrame(id, 1)); !errors.Is(err, ErrConflict) {
+		t.Fatalf("commit of the aborted attempt on the next one's stage: err %v, want ErrConflict", err)
+	}
+	if state, _ := p.b.MigrationState(id); state != "staged" {
+		t.Fatalf("state after the refused commit = %q, want staged", state)
+	}
+	if epoch, err := p.b.CommitMigration(stageFrame(id, 2)); err != nil || epoch != 4 {
+		t.Fatalf("commit of the staged attempt: epoch %d, err %v", epoch, err)
+	}
+	if ok, err := p.b.Delete(id); !ok || err != nil {
+		t.Fatalf("delete = %v, %v", ok, err)
+	}
+
+	// The source's half: two attempts with no commit of its own in
+	// between (the first loses its commit push and is aborted).
+	if _, err := p.a.Create(id, lifecycleSpec); err != nil {
+		t.Fatal(err)
+	}
+	var tokens []uint64
+	outage := true
+	tap := migrationTap(t, p.b, func(path string, mig sharding.Migration) error {
+		tokens = append(tokens, mig.Token)
+		if outage && path == "/v1/migrate/commit" {
+			return errors.New("injected outage")
+		}
+		return nil
+	})
+	p.a.SetTopology("a", map[string]string{"a": p.tsA.URL, "b": tap.URL}, 0)
+	if _, err := p.a.MigrateOut(id, "b"); err == nil {
+		t.Fatal("the first attempt's commit push was lost, yet it succeeded")
+	}
+	outage = false
+	if _, err := p.a.MigrateOut(id, "b"); err != nil {
+		t.Fatal(err)
+	}
+	if len(tokens) != 4 || tokens[0] != tokens[1] || tokens[2] != tokens[3] || tokens[0] == tokens[2] {
+		t.Fatalf("tokens of (stage, commit, stage, commit) = %x, want one per attempt", tokens)
 	}
 }

@@ -152,7 +152,7 @@ func TestFollowerConvergesUnderWriteStorm(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 5, K: 4}
-	_, nHost := TargetHostSizesSpec(spec)
+	_, nHost := spec.Sizes()
 	ids := make([]string, 3)
 	acked := make(map[string]*atomic.Uint64)
 	for i := range ids {
@@ -245,7 +245,7 @@ func TestFollowerResumesTornStream(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 5, K: 6}
-	_, nHost := TargetHostSizesSpec(spec)
+	_, nHost := spec.Sizes()
 	ids := []string{"a", "b"}
 	acked := make(map[string]*atomic.Uint64)
 	for _, id := range ids {
@@ -282,7 +282,7 @@ func TestFreshFollowerAfterCompactionReplaysBounded(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 3}
-	_, nHost := TargetHostSizesSpec(spec)
+	_, nHost := spec.Sizes()
 	ids := []string{"a", "b", "c"}
 	acked := make(map[string]*atomic.Uint64)
 	for _, id := range ids {

@@ -269,10 +269,25 @@ func (w *Writer) Path() string {
 	return ""
 }
 
-// Opts returns the options the writer was built with (with defaults
-// filled in) — what Create needs to reopen the same journal after a
-// compaction swap.
-func (w *Writer) Opts() Options { return w.opts }
+// Reopen closes the writer and returns a fresh one appending to the
+// same path under the same options — what a compaction needs once it
+// has swapped a new file into place. The counters carry on from where
+// this writer's stopped: they count the journal's life, not one file's.
+func (w *Writer) Reopen() (*Writer, error) {
+	// What Close says is dropped: the file this writer holds is no
+	// longer the journal, so whether its tail reached it changes nothing.
+	_ = w.Close()
+	nw, err := Create(w.Path(), w.opts)
+	if err != nil {
+		return nil, err
+	}
+	st := w.Stats()
+	nw.records.Store(st.Records)
+	nw.bytes.Store(st.Bytes)
+	nw.syncs.Store(st.Syncs)
+	nw.lastEpoch.Store(st.LastEpoch)
+	return nw, nil
+}
 
 // WaitDurable blocks until the record AppendAsync numbered seq has left
 // the process: flushed to the kernel under every policy, so an

@@ -179,7 +179,7 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	// Advance the new leader past the promotion point so the rejoined
 	// deposed leader replicates post-failover history, not just the
 	// checkpoint.
-	_, nHost := TargetHostSizes(cfg.Spec)
+	_, nHost := cfg.Spec.Sizes()
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
 	var st opStats
 	for i := 0; i < 32; i++ {

@@ -28,7 +28,6 @@ import (
 
 	"ftnet/internal/cluster"
 	"ftnet/internal/fleet"
-	"ftnet/internal/ft"
 	"ftnet/internal/obs"
 	"ftnet/internal/wire"
 )
@@ -138,7 +137,7 @@ func (cfg Config) Validate() error {
 	if err := cfg.Spec.Validate(); err != nil {
 		return err
 	}
-	if _, nHost := TargetHostSizes(cfg.Spec); cfg.Scenario.Batch > nHost {
+	if _, nHost := cfg.Spec.Sizes(); cfg.Scenario.Batch > nHost {
 		return fmt.Errorf("loadgen: burst size %d exceeds the %d host nodes", cfg.Scenario.Batch, nHost)
 	}
 	return nil
@@ -320,7 +319,7 @@ func (tr *trigger) fired(what string) error {
 // at: the watermark a kill/recover or handoff verification holds the
 // fleet to.
 func (cfg Config) storm(t cluster.Transport, lookupBatch int, ids []string, triggers ...*trigger) (Result, map[string]uint64) {
-	nTarget, nHost := TargetHostSizes(cfg.Spec)
+	nTarget, nHost := cfg.Spec.Sizes()
 	acked := make(map[string]*atomic.Uint64, len(ids))
 	for _, id := range ids {
 		acked[id] = new(atomic.Uint64)
@@ -460,16 +459,6 @@ func (cfg Config) dataPlane(rpcAddr string, jsonPlane cluster.Transport) (t clus
 		lookupBatch = DefaultRPCLookupBatch
 	}
 	return rc, lookupBatch, func() { rc.Close() }, nil
-}
-
-// TargetHostSizes returns the node counts the spec induces.
-func TargetHostSizes(spec fleet.Spec) (nTarget, nHost int) {
-	if spec.Kind == fleet.KindShuffle {
-		p := ft.SEParams{H: spec.H, K: spec.K}
-		return p.NTarget(), p.NHost()
-	}
-	p := ft.Params{M: spec.M, H: spec.H, K: spec.K}
-	return p.NTarget(), p.NHost()
 }
 
 // driveBatch issues one reconfiguration operation: an atomic burst of

@@ -59,11 +59,11 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestTargetHostSizes(t *testing.T) {
-	n, h := TargetHostSizes(fleet.Spec{Kind: fleet.KindDeBruijn, M: 3, H: 4, K: 2})
+	n, h := fleet.Spec{Kind: fleet.KindDeBruijn, M: 3, H: 4, K: 2}.Sizes()
 	if n != 81 || h != 83 {
 		t.Errorf("debruijn m=3 h=4: %d/%d, want 81/83", n, h)
 	}
-	n, h = TargetHostSizes(fleet.Spec{Kind: fleet.KindShuffle, H: 5, K: 1})
+	n, h = fleet.Spec{Kind: fleet.KindShuffle, H: 5, K: 1}.Sizes()
 	if n != 32 || h != 33 {
 		t.Errorf("shuffle h=5: %d/%d, want 32/33", n, h)
 	}

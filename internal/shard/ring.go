@@ -1,8 +1,7 @@
 // Package shard maps the instance space onto a fleet of daemons: a
 // consistent-hash ring decides which daemon owns which instance id,
 // and a canonical migration-stream codec carries one instance's state
-// (checkpoint record + journal suffix) between daemons when ownership
-// moves.
+// (one checkpoint record) between daemons when ownership moves.
 //
 // Everything here must be deterministic across processes: every daemon
 // and every client builds the ring from the same member list and must

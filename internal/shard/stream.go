@@ -7,35 +7,34 @@ import (
 	"ftnet/internal/journal"
 )
 
-// Migration is one instance's state in flight between daemons. The
-// same frame carries both halves of the two-phase handoff:
+// Migration is one instance's state in flight between daemons. Both
+// halves of the two-phase handoff carry the same thing — one
+// complete-state record, the O(k) OpCheckpoint that is the instance's
+// entire state:
 //
-//   - stage: BaseSeq is the source's commit seq at capture and Records
-//     holds exactly one OpCheckpoint — the O(k) record that is the
-//     instance's entire state, taken without fencing writes.
-//   - commit: FenceSeq is the seq the source fenced writes at and
-//     Records holds the journal suffix for this instance in
-//     (BaseSeq, FenceSeq] — every transition the staged checkpoint
-//     missed, in commit order.
+//   - stage: Record was taken without fencing writes.
+//   - commit: Record was taken again under the write fence, so it is
+//     the state the source acknowledged last.
 //
-// Every record must name the migrating instance: the codec rejects a
-// frame that smuggles another instance's state.
+// Token names the handoff attempt: the source mints one per attempt,
+// and a commit lands only on the stage that carries the same one.
+//
+// Record must name the migrating instance: the codec rejects a frame
+// that smuggles another instance's state.
 type Migration struct {
-	ID       string
-	BaseSeq  uint64
-	FenceSeq uint64
-	Records  []journal.Record
+	ID     string
+	Token  uint64
+	Record journal.Record
 }
 
 // migrationVersion is the stream format version byte; decoding rejects
-// anything else.
-const migrationVersion = 1
+// anything else. Version 1 carried two commit seqs and a list of
+// records (a checkpoint to stage, a journal suffix to commit).
+const migrationVersion = 2
 
-// MaxMigrationSize bounds one encoded migration frame. A checkpoint is
-// O(k) and a fenced suffix is short by construction (the fence window
-// is the pause the rebalance SLO tracks), so this is generous while
-// keeping a corrupt count from asking the receiver for gigabytes.
-const MaxMigrationSize = 64 << 20
+// MaxMigrationSize bounds one encoded migration frame: an id, a token
+// and one record, which names the id again.
+const MaxMigrationSize = 2*journal.MaxRecordSize + 32
 
 // AppendMigration appends the canonical encoding of m to dst. It is
 // the exact inverse of DecodeMigration: decode(append(nil, m)) == m,
@@ -44,26 +43,14 @@ func AppendMigration(dst []byte, m Migration) ([]byte, error) {
 	if m.ID == "" {
 		return nil, fmt.Errorf("shard: empty migration id")
 	}
+	if m.Record.ID != m.ID {
+		return nil, fmt.Errorf("shard: record for %q in migration of %q", m.Record.ID, m.ID)
+	}
 	dst = append(dst, migrationVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(m.ID)))
 	dst = append(dst, m.ID...)
-	dst = binary.AppendUvarint(dst, m.BaseSeq)
-	dst = binary.AppendUvarint(dst, m.FenceSeq)
-	dst = binary.AppendUvarint(dst, uint64(len(m.Records)))
-	var scratch []byte
-	for _, rec := range m.Records {
-		if rec.ID != m.ID {
-			return nil, fmt.Errorf("shard: record for %q in migration of %q", rec.ID, m.ID)
-		}
-		payload, err := journal.AppendRecord(scratch[:0], rec)
-		if err != nil {
-			return nil, err
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(payload)))
-		dst = append(dst, payload...)
-		scratch = payload
-	}
-	return dst, nil
+	dst = binary.AppendUvarint(dst, m.Token)
+	return journal.AppendRecord(dst, m.Record)
 }
 
 // DecodeMigration parses one canonical migration payload. It never
@@ -94,48 +81,16 @@ func DecodeMigration(b []byte) (Migration, error) {
 	}
 	m.ID = string(b[c.Off : c.Off+idLen])
 	c.Off += idLen
-	if m.BaseSeq, err = c.Uvarint(); err != nil {
+	if m.Token, err = c.Uvarint(); err != nil {
 		return Migration{}, err
 	}
-	if m.FenceSeq, err = c.Uvarint(); err != nil {
-		return Migration{}, err
+	// The record is the rest of the frame: its own decoder refuses a
+	// truncated record and trailing bytes alike.
+	if m.Record, err = journal.DecodeRecord(b[c.Off:]); err != nil {
+		return Migration{}, fmt.Errorf("shard: record: %w", err)
 	}
-	count, err := c.Int()
-	if err != nil {
-		return Migration{}, err
-	}
-	// Each record costs at least two bytes (length prefix + version), so
-	// a count beyond the remaining payload is corrupt — checked before
-	// allocating.
-	if count > len(b)-c.Off {
-		return Migration{}, fmt.Errorf("shard: record count %d exceeds %d remaining bytes", count, len(b)-c.Off)
-	}
-	if count > 0 {
-		m.Records = make([]journal.Record, 0, count)
-	}
-	for i := 0; i < count; i++ {
-		recLen, err := c.Int()
-		if err != nil {
-			return Migration{}, err
-		}
-		if recLen > journal.MaxRecordSize {
-			return Migration{}, fmt.Errorf("shard: record of %d bytes exceeds max %d", recLen, journal.MaxRecordSize)
-		}
-		if recLen > len(b)-c.Off {
-			return Migration{}, fmt.Errorf("shard: record length %d exceeds %d remaining bytes", recLen, len(b)-c.Off)
-		}
-		rec, err := journal.DecodeRecord(b[c.Off : c.Off+recLen])
-		if err != nil {
-			return Migration{}, fmt.Errorf("shard: record %d: %w", i, err)
-		}
-		if rec.ID != m.ID {
-			return Migration{}, fmt.Errorf("shard: record %d for %q in migration of %q", i, rec.ID, m.ID)
-		}
-		c.Off += recLen
-		m.Records = append(m.Records, rec)
-	}
-	if c.Off != len(b) {
-		return Migration{}, fmt.Errorf("shard: %d trailing bytes after migration", len(b)-c.Off)
+	if m.Record.ID != m.ID {
+		return Migration{}, fmt.Errorf("shard: record for %q in migration of %q", m.Record.ID, m.ID)
 	}
 	return m, nil
 }

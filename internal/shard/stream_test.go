@@ -10,22 +10,17 @@ import (
 
 func sampleMigration() Migration {
 	return Migration{
-		ID:       "inst-7",
-		BaseSeq:  41,
-		FenceSeq: 44,
-		Records: []journal.Record{
-			{Op: journal.OpCheckpoint, ID: "inst-7", Spec: journal.Spec{Kind: "debruijn", M: 64, H: 60, K: 4}, Epoch: 9, Faults: []int{3, 17, 41}},
-			{Op: journal.OpTransition, ID: "inst-7", Epoch: 10, Applied: 2, Faults: []int{3, 17, 41, 52}},
-			{Op: journal.OpTransition, ID: "inst-7", Epoch: 11, Applied: 1, Faults: []int{3, 41, 52}},
-		},
+		ID:     "inst-7",
+		Token:  0x9e3779b97f4a7c15,
+		Record: journal.Record{Op: journal.OpCheckpoint, ID: "inst-7", Spec: journal.Spec{Kind: "debruijn", M: 64, H: 60, K: 4}, Epoch: 11, Faults: []int{3, 41, 52}},
 	}
 }
 
 func TestMigrationRoundTrip(t *testing.T) {
 	for name, m := range map[string]Migration{
-		"full":      sampleMigration(),
-		"stageOnly": {ID: "i", BaseSeq: 1, Records: []journal.Record{{Op: journal.OpCheckpoint, ID: "i", Spec: journal.Spec{Kind: "hypercube", M: 8, H: 8, K: 0}}}},
-		"empty":     {ID: "never-written", BaseSeq: 3, FenceSeq: 3},
+		"full":         sampleMigration(),
+		"neverWritten": {ID: "i", Token: 1, Record: journal.Record{Op: journal.OpCheckpoint, ID: "i", Spec: journal.Spec{Kind: "hypercube", M: 8, H: 8, K: 0}}},
+		"noToken":      {ID: "zz", Record: journal.Record{Op: journal.OpDelete, ID: "zz"}},
 	} {
 		enc, err := AppendMigration(nil, m)
 		if err != nil {
@@ -51,15 +46,15 @@ func TestMigrationRoundTrip(t *testing.T) {
 
 func TestMigrationRejectsForeignRecord(t *testing.T) {
 	m := sampleMigration()
-	m.Records[1].ID = "other-instance"
+	m.Record.ID = "other-instance"
 	if _, err := AppendMigration(nil, m); err == nil {
 		t.Fatal("encode accepted a record naming another instance")
 	}
 	// A hand-spliced frame must be caught on decode too: encode a valid
 	// frame for "other" and graft its id field onto our frame's body.
 	good, err := AppendMigration(nil, Migration{
-		ID:      "ab",
-		Records: []journal.Record{{Op: journal.OpDelete, ID: "ab"}},
+		ID:     "ab",
+		Record: journal.Record{Op: journal.OpDelete, ID: "ab"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +67,10 @@ func TestMigrationRejectsForeignRecord(t *testing.T) {
 		t.Fatal("decode accepted a record naming another instance")
 	}
 }
+
+// v1EmptyFrame is what the version 1 codec wrote for the id "i" with
+// its two seqs at 1 and 2 and no records.
+var v1EmptyFrame = []byte{1, 1, 'i', 1, 2, 0}
 
 func TestMigrationDecodeRejectsCorruption(t *testing.T) {
 	enc, err := AppendMigration(nil, sampleMigration())
@@ -88,11 +87,17 @@ func TestMigrationDecodeRejectsCorruption(t *testing.T) {
 	if _, err := DecodeMigration(append(append([]byte(nil), enc...), 0)); err == nil {
 		t.Fatal("decode accepted trailing byte")
 	}
-	// Wrong version byte must fail.
-	bad := append([]byte(nil), enc...)
-	bad[0] = 2
-	if _, err := DecodeMigration(bad); err == nil {
-		t.Fatal("decode accepted unknown version")
+	// Any other version byte must fail — the v1 frame (two seqs and a
+	// record list) included: it is refused by version, never parsed.
+	for _, v := range []byte{0, 1, 3} {
+		bad := append([]byte(nil), enc...)
+		bad[0] = v
+		if _, err := DecodeMigration(bad); err == nil {
+			t.Fatalf("decode accepted version %d", v)
+		}
+	}
+	if _, err := DecodeMigration(v1EmptyFrame); err == nil {
+		t.Fatal("decode accepted a v1 frame")
 	}
 }
 
@@ -104,8 +109,8 @@ func TestMigrationDecodeRejectsCorruption(t *testing.T) {
 func FuzzMigrationDecode(f *testing.F) {
 	for _, m := range []Migration{
 		sampleMigration(),
-		{ID: "i", BaseSeq: 1, FenceSeq: 2},
-		{ID: "zz", Records: []journal.Record{{Op: journal.OpCreate, ID: "zz", Spec: journal.Spec{Kind: "kautz", M: 3, H: 2, K: 1}}}},
+		{ID: "i", Token: 1, Record: journal.Record{Op: journal.OpCheckpoint, ID: "i", Spec: journal.Spec{Kind: "hypercube", M: 8, H: 8, K: 0}}},
+		{ID: "zz", Record: journal.Record{Op: journal.OpCreate, ID: "zz", Spec: journal.Spec{Kind: "kautz", M: 3, H: 2, K: 1}}},
 	} {
 		enc, err := AppendMigration(nil, m)
 		if err != nil {
@@ -115,6 +120,7 @@ func FuzzMigrationDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{migrationVersion})
+	f.Add(v1EmptyFrame)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMigration(data)
 		if err != nil {
