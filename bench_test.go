@@ -1,6 +1,6 @@
 package ftnet
 
-// One benchmark per paper figure/table (see DESIGN.md's per-experiment
+// One benchmark per paper figure/table (experiments.All is the
 // index), plus micro-benchmarks of the core operations: construction,
 // reconfiguration, embedding verification, and the SE->dB embedder.
 //

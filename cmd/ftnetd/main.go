@@ -116,9 +116,10 @@ func main() {
 		}
 	}
 
-	// The topology is installed after recovery, so every recovered
-	// instance the ring assigns elsewhere gets pinned to this daemon
-	// (served here until a rebalance migrates it) instead of bounced.
+	// The topology is installed after recovery. The order is kept but
+	// carries no weight: a daemon serves the copies it holds whatever the
+	// ring says, so a recovered instance the ring assigns elsewhere is
+	// served here until a rebalance migrates it, whichever came first.
 	if *shardSelf != "" || *shardPeers != "" {
 		peers, err := shard.ParsePeers(*shardPeers)
 		if err != nil {
@@ -238,13 +239,13 @@ func main() {
 	}
 }
 
-// reconcileLoop audits the boot-time moved pins against the actual
-// ring owners (Manager.ReconcilePins): a crash between a handoff's
-// commit on the target and the OpDelete here leaves a stale local copy
-// that recovery faithfully resurrects and SetTopology pins to this
-// daemon — the audit retires every copy whose ring owner confirms a
-// committed handoff. Retries with backoff while any probe is
-// unresolved, since peers boot in arbitrary order.
+// reconcileLoop audits the displaced copies this daemon booted with
+// against the actual ring owners (Manager.ReconcilePins): a crash
+// between a handoff's commit on the target and the OpDelete here leaves
+// a stale local copy that recovery faithfully resurrects and this
+// daemon, holding it, serves — the audit retires every copy whose ring
+// owner confirms a committed handoff. Retries with backoff while any
+// probe is unresolved, since peers boot in arbitrary order.
 func reconcileLoop(ctx context.Context, mgr *fleet.Manager, logf func(string, ...any)) {
 	backoff := 2 * time.Second
 	for {

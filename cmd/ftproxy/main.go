@@ -10,11 +10,11 @@
 // It is one routing core and two codec adapters. The core is
 // shard.Router (internal/shard): the same consistent-hash ring the
 // daemons use, plus a bounded table of exceptions learned from the
-// daemons. The ring answer is a hint, not the truth — during a
-// migration the pinned source, and after a cutover the new owner, may
-// disagree with it — so a daemon that refuses a request names the
-// owner, and the router follows and remembers a hint that names a
-// configured peer (and only such a hint: it arrived in a response).
+// daemons. The ring answer is a hint, not the truth — until a
+// migration the source that holds the copy, and after the cutover the
+// new owner, may disagree with it — so a daemon that refuses a request
+// names the owner, and the router follows and remembers a hint that names
+// a configured peer (and only such a hint: it arrived in a response).
 // Routing therefore converges on whatever the daemons say without any
 // shared state or coordination; a proxy restart merely re-learns the
 // overrides from the next few redirects.

@@ -1,5 +1,5 @@
 // Package experiments regenerates every figure and every quantitative
-// claim of the paper's evaluation (see DESIGN.md's per-experiment
+// claim of the paper's evaluation (All is the per-experiment
 // index): Figures 1-5, the theorem/corollary tables T1-T4, the
 // Section I comparison against Samatham-Pradhan (T5), and the simulator
 // experiments S1-S2 that quantify the paper's motivation and the bus

@@ -18,7 +18,7 @@ import (
 
 // extended returns the experiments beyond the paper's own evaluation:
 // the introduction's motivating comparisons and ablations of the design
-// choices (see DESIGN.md).
+// choices (AllExtended lists them after the paper's own).
 func extended() []Experiment {
 	return []Experiment{
 		{"M1", "Intro motivation: degree and Ascend cost across topologies", M1},

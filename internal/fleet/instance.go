@@ -114,8 +114,8 @@ func (c *stripedCounter) Load() uint64 {
 // phase is where one copy of an instance stands in its lifecycle: one
 // word, assigned only under writeMu and only by the four transitions
 // below (and by Manager.restore, for a copy nothing else can reach yet),
-// readable with one atomic load — which is how resolve, SetTopology and
-// Displaced test for an arriving copy without the mutex.
+// readable with one atomic load — which is how resolve and Displaced
+// test it without the mutex.
 //
 //	phase     a write or delete is owed     moves on by
 //	live      nil: it applies               fence(peer) -> fenced, retire("") -> gone
@@ -135,10 +135,13 @@ func (c *stripedCounter) Load() uint64 {
 // or deletes a follower's copy, and a reset retire a copy to gone — as
 // does ReconcilePins, live to gone with no fenced in between: a write
 // acked on that already stale copy between its probe and the retire goes
-// with it (fencing a pin that turns out to be kept would bounce its
-// writes to an owner that has no copy). Reads look at the phase for the
-// arriving test only: until leave unregisters it, a fenced, moved or
-// gone copy answers lookups from the last snapshot it published.
+// with it (fencing a copy that turns out to be kept would bounce its
+// writes to an owner that has no copy). The phase is also who serves the
+// id, and all there is about that: resolve serves a live or fenced copy
+// whatever the ring says, refuses an arriving one, and asks the ring
+// about a moved or gone one as about an id with no copy here. Whichever
+// of them answers lookups does so, until leave unregisters it, from the
+// last snapshot it published.
 type phase uint32
 
 const (

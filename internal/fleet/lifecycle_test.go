@@ -172,6 +172,60 @@ func TestLifecyclePhaseAnswers(t *testing.T) {
 	}
 }
 
+// TestMigrateResolveByPhaseAndRing is resolve's whole decision: the
+// phase of the copy held here, and the ring only where there is no held
+// copy to decide. Every copy is made while the ring gives its id to this
+// daemon; "peer" then installs a ring that gives it to another one.
+func TestMigrateResolveByPhaseAndRing(t *testing.T) {
+	const ringOwner = "http://ring-owner.example"
+	const absent = phase(99) // no copy registered
+	names := maps.Clone(phaseNames)
+	names[absent] = "absent"
+	id := idOwnedBy(t, "b")
+	for _, p := range append([]phase{absent}, allPhases...) {
+		for _, ringSaysPeer := range []bool{false, true} {
+			m := lifecycleManager(t)
+			var in *Instance
+			if p != absent {
+				in = copyAt(t, m, id, p)
+			}
+			if ringSaysPeer {
+				m.SetTopology("a", map[string]string{"a": "http://b.example", "b": ringOwner}, 0)
+			}
+			var want error // nil: the copy
+			switch {
+			case p == phaseArriving:
+				want = ErrUnavailable
+			case ringSaysPeer && p != phaseLive && p != phaseFenced:
+				want = ErrWrongShard
+			case p == absent:
+				want = ErrNotFound
+			}
+			check := func(form string, got *Instance, err error) {
+				t.Helper()
+				name := fmt.Sprintf("%s copy, ring says peer=%v, id as %s", names[p], ringSaysPeer, form)
+				if !errors.Is(err, want) || (want == nil && got != in) {
+					t.Errorf("%s: (%p, %v), want (%p, %v)", name, got, err, in, want)
+				}
+				if want == ErrWrongShard && WrongShardOwner(err) != ringOwner {
+					t.Errorf("%s: redirect names %q, want the ring owner %s", name, WrongShardOwner(err), ringOwner)
+				}
+			}
+			got, err := resolve(m, id)
+			check("string", got, err)
+			got, err = resolve(m, []byte(id))
+			check("bytes", got, err)
+			// The refusal a writer is owed is the copy's own, not the ring's.
+			if p == phaseFenced {
+				_, err := m.EventBatch(id, []Event{{Kind: EventFault, Node: 1}})
+				if !errors.Is(err, ErrWrongShard) || WrongShardOwner(err) != lifecyclePeer {
+					t.Errorf("write on the fenced copy, ring says peer=%v: %v, want ErrWrongShard naming %s", ringSaysPeer, err, lifecyclePeer)
+				}
+			}
+		}
+	}
+}
+
 func TestLifecycleTransitions(t *testing.T) {
 	m := lifecycleManager(t)
 	// at builds an unregistered copy in phase p.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -73,17 +74,14 @@ type Manager struct {
 	follower  atomic.Pointer[Follower]
 	promoteMu sync.Mutex
 
-	// Shard-ring state. topo is nil for unsharded deployments, so the
-	// single-daemon path pays one atomic load per request. moved is the
-	// set of ids pinned to this daemon against the ring's answer until
-	// their migration cuts over (see topology.go); movedN mirrors
-	// len(moved) so the hot path skips the map lock when there are no
-	// pins.
-	topo      atomic.Pointer[topology]
-	movedMu   sync.RWMutex
-	moved     map[string]struct{}
-	movedN    atomic.Int64
-	migrateMu sync.Mutex // serializes outbound migrations
+	// Shard-ring state. topo is nil for unsharded deployments, and is
+	// asked only about an id this daemon holds no copy of (see
+	// topology.go). peerTransport carries every call this daemon makes
+	// to another one (migration pushes and probes); nil is
+	// http.DefaultTransport, a test serves the peer's handler in-process.
+	topo          atomic.Pointer[topology]
+	peerTransport http.RoundTripper
+	migrateMu     sync.Mutex // serializes outbound migrations
 
 	obs             *obs.Registry  // service metrics registry; never nil
 	pauseHist       *obs.Histogram // compaction pause (commits gated) duration
@@ -195,16 +193,19 @@ func get[T key](m *Manager, id T) (*Instance, bool) {
 }
 
 // resolve is the prologue of every id-taking entry point: the instance
-// called id, provided this daemon owns it and it is open for traffic.
-// The instance is looked up before ownership is checked, and that order
-// is what makes a racing migration cutover answer with a redirect: the
-// cutover erases the pin first and removes the instance second, so a
-// request that misses the instance because of it finds the pin gone
-// too — ErrNotFound is only ever said about an id this daemon owns.
+// called id, provided it is open for traffic. Possession decides: a copy
+// this daemon holds and has not handed off is served whatever the ring
+// says of its id, and the ring is asked only about an id with no such
+// copy here — none, or one that is moved or gone. A request that races a
+// cutover therefore finds the copy held, finds it moved or misses it,
+// and the last two are the ring's redirect: ErrNotFound is only ever
+// said about an id the ring gives this daemon.
 func resolve[T key](m *Manager, id T) (*Instance, error) {
 	in, ok := get(m, id)
-	if err := checkOwned(m, id); err != nil {
-		return nil, err
+	if !ok || in.at() >= phaseMoved {
+		if err := checkOwned(m, id); err != nil {
+			return nil, err
+		}
 	}
 	if !ok {
 		return nil, errorf(ErrNotFound, "fleet: no instance %q", id)
@@ -664,7 +665,7 @@ type Stats struct {
 type ShardStats struct {
 	Self          string `json:"self"`           // this daemon's member name
 	Members       int    `json:"members"`        // daemons in the ring
-	Moved         int    `json:"moved"`          // ids pinned away from the ring's answer
+	Moved         int    `json:"moved"`          // copies held here that the ring assigns elsewhere
 	WrongShard    uint64 `json:"wrong_shard"`    // requests redirected to their owner
 	MigrationsOut uint64 `json:"migrations_out"` // instances migrated away
 	MigrationsIn  uint64 `json:"migrations_in"`  // instances migrated in
@@ -712,7 +713,7 @@ func (m *Manager) Stats() Stats {
 		ss = &ShardStats{
 			Self:          t.self,
 			Members:       len(t.ring.Members()),
-			Moved:         int(m.movedN.Load()),
+			Moved:         len(m.Displaced()),
 			WrongShard:    m.wrongShardTotal.Value(),
 			MigrationsOut: m.migrationsOut.Value(),
 			MigrationsIn:  m.migrationsIn.Value(),

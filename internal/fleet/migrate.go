@@ -29,9 +29,10 @@ import (
 //	  writer mutex — the state it acknowledged last — and pushes it.
 //	  The target verifies that one record on receipt, journals ONE
 //	  OpMigrate record carrying it, and opens the copy in that record's
-//	  publish step (arriving -> live). The source then erases its pin,
-//	  retires its copy toward the peer (fenced -> moved) and leaves the
-//	  registry with its OpDelete. If the push provably did not commit,
+//	  publish step (arriving -> live). The source then retires its copy
+//	  toward the peer (fenced -> moved: from that word on its requests
+//	  are the ring's to redirect) and leaves the registry with its
+//	  OpDelete. If the push provably did not commit,
 //	  the target's copy was retired by the abort (arriving -> gone, the
 //	  raw door again) and the source unfences (fenced -> live).
 //
@@ -44,9 +45,9 @@ import (
 // OpMigrate commit: its journal never mentions the instance, the stage
 // evaporates, the source (fenced or not) is still authoritative and
 // the migration simply failed. Source crash after the target's commit
-// but before its own OpDelete: both journals hold the instance, and
-// recovery + SetTopology on the restarted source pins the rebuilt copy
-// to itself — which is why ReconcilePins (topology.go) runs at boot:
+// but before its own OpDelete: both journals hold the instance, and the
+// restarted source holds, and so serves, the copy recovery rebuilt —
+// which is why ReconcilePins (topology.go) runs at boot:
 // it probes the ring owner and retires the local copy once the owner
 // confirms a committed handoff at the same or newer epoch. Until that
 // probe answers, the source may serve stale reads, but writes cannot
@@ -62,15 +63,17 @@ type MigrateStats struct {
 	Pause float64 `json:"pause_seconds"` // write-fence window
 }
 
-// migrateClient pushes migration frames between daemons. Generous
-// timeout: a frame is one O(k) record, but the target's commit
-// includes an fsync.
-var migrateClient = &http.Client{Timeout: 30 * time.Second}
+// The two timeouts of a call to another daemon.
+const (
+	pushTimeout  = 30 * time.Second // a migration frame: one O(k) record, but the target's commit includes an fsync
+	probeTimeout = 5 * time.Second  // abort, state: an unanswered probe keeps the fence up, and a retry loop sits above it
+)
 
-// probeClient asks the small questions — abort, state — whose answers
-// gate the fence. Short timeout: an unanswered probe keeps the fence
-// up, and a retry loop sits above it.
-var probeClient = &http.Client{Timeout: 5 * time.Second}
+// peerClient is the client for the daemon at base, every call within
+// timeout: the one seam this daemon talks to another one through.
+func (m *Manager) peerClient(base string, timeout time.Duration) Client {
+	return Client{HTTP: &http.Client{Transport: m.peerTransport, Timeout: timeout}, Base: base}
+}
 
 // checkpointRecord is the complete-state record of one instance at snap:
 // what Compact writes per instance, what a migration stages, and — as
@@ -107,7 +110,7 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 	if peer == t.self {
 		return MigrateStats{}, fmt.Errorf("fleet: migrate %q to self", id)
 	}
-	push, probe := Client{HTTP: migrateClient, Base: url}, Client{HTTP: probeClient, Base: url}
+	push, probe := m.peerClient(url, pushTimeout), m.peerClient(url, probeTimeout)
 	m.migrateMu.Lock()
 	defer m.migrateMu.Unlock()
 	in, ok := m.Get(id)
@@ -186,7 +189,7 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 		// The commit push failed — but "failed" is ambiguous: a lost
 		// response or timeout may hide a commit the target durably
 		// journaled and is already serving. Lifting the fence on that
-		// guess would put two live owners behind one id (the moved-pin
+		// guess would put two live owners behind one id (the copy held
 		// here, the ring there) and silently drop every write the source
 		// acks after this point. resolveHandoff settles it; while it
 		// cannot, the fence stays up — writes bounce with a redirect,
@@ -209,8 +212,8 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 		// to the cutover exactly as if the push had succeeded.
 	}
 
-	// The peer owns the instance now: erase the pin (the ring's answer —
-	// the peer — takes over for routing) and journal the departure.
+	// The peer owns the instance now: hand the copy off (the ring's answer
+	// — the peer — takes over for routing) and journal the departure.
 	if err := m.completeMigration(id, in); err != nil {
 		return MigrateStats{}, err
 	}
@@ -221,14 +224,13 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 }
 
 // completeMigration retires the source copy after a committed handoff:
-// erase the routing pin first (requests redirect to the new owner from
-// this instant — resolve leans on the pin going before the instance),
-// then retire the copy toward the peer it was fenced for and leave the
-// registry with the OpDelete, so a restart does not resurrect a stale
-// replica. ReconcilePins calls this on an unfenced copy while the
-// daemon serves: that one has no peer and goes from live to gone.
+// retire it toward the peer it was fenced for — one word, and the
+// cutover: resolve asks the ring about a moved copy, so requests
+// redirect to the new owner from this instant — and leave the registry
+// with the OpDelete, so a restart does not resurrect a stale replica.
+// ReconcilePins calls this on an unfenced copy while the daemon serves:
+// that one has no peer and goes from live to gone.
 func (m *Manager) completeMigration(id string, in *Instance) error {
-	m.unpin(id)
 	m.pipe.gate.RLock()
 	defer m.pipe.gate.RUnlock()
 	in.writeMu.Lock()
@@ -361,7 +363,7 @@ func (m *Manager) AbortMigration(id string) bool {
 }
 
 // MigrationState reports this daemon's view of id for a peer resolving
-// an ambiguous handoff (or reconciling pins after a restart):
+// an ambiguous handoff (or auditing its displaced copies after a restart):
 // "absent" (no copy in service — never arrived, aborted, deleted or cut
 // over), "staged" (arrived but not committed; still refusing traffic),
 // or "committed" (a journaled copy, fenced or not; epoch is its current

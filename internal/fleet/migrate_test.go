@@ -21,12 +21,35 @@ import (
 )
 
 // shardPair is a two-daemon cluster in one process: managers a and b
-// with real journals, real HTTP servers, and a shared two-member ring.
+// with real journals and a shared two-member ring, whose calls to each
+// other are served by the peer's real HTTP handler over net.
 type shardPair struct {
-	a, b     *Manager
-	tsA, tsB *httptest.Server
-	peers    map[string]string
+	a, b  *Manager
+	net   inProcess
+	peers map[string]string
 }
+
+// inProcess is a Manager.peerTransport with no listener and no socket:
+// each request is served by the handler of the host it names.
+type inProcess map[string]http.Handler
+
+func (n inProcess) RoundTrip(r *http.Request) (*http.Response, error) {
+	h, ok := n[r.URL.Host]
+	if !ok {
+		return nil, fmt.Errorf("inProcess: no daemon at %s", r.URL.Host)
+	}
+	if r.Body == nil {
+		r.Body = http.NoBody
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, r)
+	return w.Result(), nil
+}
+
+// roundTrip decorates a transport.
+type roundTrip func(*http.Request) (*http.Response, error)
+
+func (f roundTrip) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 func newShardManager(t *testing.T, dir string) *Manager {
 	t.Helper()
@@ -52,12 +75,21 @@ func newShardPair(t *testing.T) *shardPair {
 		a: newShardManager(t, t.TempDir()),
 		b: newShardManager(t, t.TempDir()),
 	}
-	p.tsA = httptest.NewServer(NewHTTPHandler(p.a))
-	p.tsB = httptest.NewServer(NewHTTPHandler(p.b))
-	t.Cleanup(p.tsA.Close)
-	t.Cleanup(p.tsB.Close)
-	p.peers = map[string]string{"a": p.tsA.URL, "b": p.tsB.URL}
+	p.net = inProcess{"a.example": NewHTTPHandler(p.a), "b.example": NewHTTPHandler(p.b)}
+	p.peers = map[string]string{"a": "http://a.example", "b": "http://b.example"}
+	p.a.peerTransport, p.b.peerTransport = p.net, p.net
 	return p
+}
+
+// listen puts the pair behind real HTTP servers, for a test that speaks
+// HTTP to the daemons itself.
+func (p *shardPair) listen(t *testing.T) {
+	t.Helper()
+	for name, m := range map[string]*Manager{"a": p.a, "b": p.b} {
+		ts := httptest.NewServer(NewHTTPHandler(m))
+		t.Cleanup(ts.Close)
+		p.peers[name], m.peerTransport = ts.URL, nil
+	}
 }
 
 func (p *shardPair) installTopology(t *testing.T) {
@@ -109,10 +141,10 @@ func TestMigrateMovesInstanceBitIdentically(t *testing.T) {
 	wantPhi := phiSliceOf(t, p.a, moves)
 
 	p.installTopology(t)
-	// The pin keeps the displaced instance fully served here until the
+	// The displaced instance is held here, so fully served here until the
 	// migration actually runs.
 	if _, err := p.a.Lookup(moves, 0); err != nil {
-		t.Fatalf("pinned instance unavailable pre-migration: %v", err)
+		t.Fatalf("displaced instance unavailable pre-migration: %v", err)
 	}
 	if got := p.a.Displaced(); len(got) != 1 || got[0] != moves {
 		t.Fatalf("Displaced = %v, want [%s]", got, moves)
@@ -146,8 +178,8 @@ func TestMigrateMovesInstanceBitIdentically(t *testing.T) {
 	if !errors.Is(err, ErrWrongShard) {
 		t.Fatalf("old owner lookup err = %v, want ErrWrongShard", err)
 	}
-	if owner := WrongShardOwner(err); owner != p.tsB.URL {
-		t.Errorf("redirect owner = %q, want %q", owner, p.tsB.URL)
+	if owner := WrongShardOwner(err); owner != p.peers["b"] {
+		t.Errorf("redirect owner = %q, want %q", owner, p.peers["b"])
 	}
 	if _, err := p.a.Lookup(stays, 0); err != nil {
 		t.Errorf("non-displaced instance broken: %v", err)
@@ -319,12 +351,11 @@ func TestMigrateStaleWriterIsRedirected(t *testing.T) {
 }
 
 // TestMigrateCutoverMissIsRedirected is the second way: the request
-// passed the ownership check while the id was still pinned here, and
-// finds the instance gone. The requests are parked on the shard lock —
-// at the parent of this fix that is past their ownership check — while
-// the cutover's two effects land in completeMigration's order, pin
-// first. Every entry point shares one prologue; a string form, a bytes
-// form and Delete stand for them.
+// set out while the displaced copy was still held here, and finds the
+// instance gone. The requests are parked on the shard lock while the
+// cutover lands, and a miss is the ring's to answer: a redirect. Every
+// entry point shares one prologue; a string form, a bytes form and
+// Delete stand for them.
 func TestMigrateCutoverMissIsRedirected(t *testing.T) {
 	p := newShardPair(t)
 	id := idOwnedBy(t, "b")
@@ -332,7 +363,7 @@ func TestMigrateCutoverMissIsRedirected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.installTopology(t) // pins id to a
+	p.installTopology(t) // a holds id, the ring gives it to b
 
 	s := p.a.shardFor(id)
 	s.mu.Lock()
@@ -363,7 +394,6 @@ func TestMigrateCutoverMissIsRedirected(t *testing.T) {
 		go func() { answers <- answer{name, do()} }()
 	}
 	time.Sleep(50 * time.Millisecond) // let them reach the shard lock
-	p.a.unpin(id)
 	in.writeMu.Lock()
 	in.retire("")
 	in.writeMu.Unlock()
@@ -379,15 +409,15 @@ func TestMigrateCutoverMissIsRedirected(t *testing.T) {
 }
 
 // TestResolveAllocs pins the shared prologue at zero allocations for
-// both id forms, on an unsharded daemon and on a sharded one that
-// holds pins (so the pin set is consulted, not skipped).
+// both id forms, on an unsharded daemon and on a sharded one, for an id
+// the ring gives it and for a displaced one it holds.
 func TestResolveAllocs(t *testing.T) {
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}
 	ring := sharding.New([]string{"a", "b"}, 0)
 	for _, sharded := range []bool{false, true} {
 		m := NewManager(Options{})
-		var mine, pinned string
-		for i := 0; mine == "" || pinned == ""; i++ {
+		var mine, displaced string
+		for i := 0; mine == "" || displaced == ""; i++ {
 			id := fmt.Sprintf("inst-%d", i)
 			if _, err := m.Create(id, spec); err != nil {
 				t.Fatal(err)
@@ -395,16 +425,16 @@ func TestResolveAllocs(t *testing.T) {
 			if ring.Owner(id) == "a" {
 				mine = id
 			} else {
-				pinned = id
+				displaced = id
 			}
 		}
 		if sharded {
 			m.SetTopology("a", map[string]string{"a": "http://a.example", "b": "http://b.example"}, 0)
 			if info, _ := m.Topology(); info.Moved == 0 {
-				t.Fatal("no pins installed")
+				t.Fatal("no displaced copy held")
 			}
 		}
-		for _, id := range []string{mine, pinned} {
+		for _, id := range []string{mine, displaced} {
 			idBytes, xs, phis := []byte(id), []int{0, 1, 2}, make([]int, 3)
 			if n := testing.AllocsPerRun(200, func() {
 				if _, err := m.Lookup(id, 1); err != nil {
@@ -431,6 +461,7 @@ func TestResolveAllocs(t *testing.T) {
 // URL in X-Ftnet-Owner, and a client that follows it succeeds.
 func TestMigrateHTTPRedirect(t *testing.T) {
 	p := newShardPair(t)
+	p.listen(t)
 	id := idOwnedBy(t, "b")
 	if _, err := p.a.Create(id, Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}); err != nil {
 		t.Fatal(err)
@@ -452,13 +483,13 @@ func TestMigrateHTTPRedirect(t *testing.T) {
 	}
 
 	ev := Event{EventFault, 3}
-	resp := post(p.tsA.URL+"/v1/instances/"+id+"/events", ev)
+	resp := post(p.peers["a"]+"/v1/instances/"+id+"/events", ev)
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("write on old owner = %d, want 403", resp.StatusCode)
 	}
 	owner := resp.Header.Get("X-Ftnet-Owner")
-	if owner != p.tsB.URL {
-		t.Fatalf("X-Ftnet-Owner = %q, want %q", owner, p.tsB.URL)
+	if owner != p.peers["b"] {
+		t.Fatalf("X-Ftnet-Owner = %q, want %q", owner, p.peers["b"])
 	}
 	resp = post(owner+"/v1/instances/"+id+"/events", ev)
 	if resp.StatusCode != http.StatusOK {
@@ -467,12 +498,12 @@ func TestMigrateHTTPRedirect(t *testing.T) {
 
 	// Reads redirect too — both the single-x path and the dense stream.
 	for _, path := range []string{"/v1/instances/" + id + "/phi?x=0", "/v1/instances/" + id + "/phi", "/v1/instances/" + id} {
-		r, err := http.Get(p.tsA.URL + path)
+		r, err := http.Get(p.peers["a"] + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.Body.Close()
-		if r.StatusCode != http.StatusForbidden || r.Header.Get("X-Ftnet-Owner") != p.tsB.URL {
+		if r.StatusCode != http.StatusForbidden || r.Header.Get("X-Ftnet-Owner") != p.peers["b"] {
 			t.Errorf("GET %s on old owner = %d (owner %q), want 403 + owner", path, r.StatusCode, r.Header.Get("X-Ftnet-Owner"))
 		}
 	}
@@ -480,7 +511,7 @@ func TestMigrateHTTPRedirect(t *testing.T) {
 	// of planting a shadow copy.
 	other := idOwnedBy(t, "b") + "-new"
 	if owner := sharding.New([]string{"a", "b"}, 0).Owner(other); owner == "b" {
-		resp = post(p.tsA.URL+"/v1/instances", CreateRequest{ID: other, Spec: Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}})
+		resp = post(p.peers["a"]+"/v1/instances", CreateRequest{ID: other, Spec: Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}})
 		if resp.StatusCode != http.StatusForbidden {
 			t.Errorf("create for foreign id = %d, want 403", resp.StatusCode)
 		}
@@ -568,13 +599,103 @@ func TestMigrateGuards(t *testing.T) {
 	}
 }
 
-// migrationTap fronts a daemon's handler and shows see every migration
-// frame pushed at it, before the daemon hears of it. An error from see
-// is an outage: the push is answered 502 and never forwarded.
-func migrationTap(t *testing.T, m *Manager, see func(path string, mig sharding.Migration) error) *httptest.Server {
-	t.Helper()
-	h := NewHTTPHandler(m)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+// TestMigrateDeletedDisplacedCopyIsNotOwned: who serves an id is read
+// off the copy, so deleting a displaced copy leaves nothing behind that
+// still claims the id — the next request, a create included, is the
+// ring's to redirect, and only the ring owner takes the id again.
+func TestMigrateDeletedDisplacedCopyIsNotOwned(t *testing.T) {
+	p := newShardPair(t)
+	id := idOwnedBy(t, "b")
+	if _, err := p.a.Create(id, lifecycleSpec); err != nil {
+		t.Fatal(err)
+	}
+	p.installTopology(t)
+	if ok, err := p.a.Delete(id); !ok || err != nil {
+		t.Fatalf("delete of the displaced copy = %v, %v", ok, err)
+	}
+	_, lookupErr := p.a.Lookup(id, 0)
+	_, createErr := p.a.Create(id, lifecycleSpec)
+	for what, err := range map[string]error{"lookup": lookupErr, "create": createErr} {
+		if !errors.Is(err, ErrWrongShard) || WrongShardOwner(err) != p.peers["b"] {
+			t.Errorf("%s after the delete: %v, want ErrWrongShard naming %s", what, err, p.peers["b"])
+		}
+	}
+	if info, _ := p.a.Topology(); info.Moved != 0 {
+		t.Errorf("Moved = %d after the delete, want 0", info.Moved)
+	}
+	if _, err := p.b.Create(id, lifecycleSpec); err != nil {
+		t.Errorf("create on the ring owner: %v", err)
+	}
+}
+
+// TestMigrateCommitAfterRingChangeIsServed: a copy staged before a ring
+// change and committed after it is journaled here and nowhere else, so
+// it is served here — displaced, for the next rebalance to move on — in
+// whichever order the ring and the copy arrived.
+func TestMigrateCommitAfterRingChangeIsServed(t *testing.T) {
+	p := newShardPair(t)
+	p.installTopology(t)
+	grown := map[string]string{"a": p.peers["a"], "b": p.peers["b"], "c": "http://c.example"}
+	two, three := sharding.New([]string{"a", "b"}, 0), sharding.New([]string{"a", "b", "c"}, 0)
+	var id string
+	for i := 0; id == "" || two.Owner(id) != "b" || three.Owner(id) != "c"; i++ {
+		id = fmt.Sprintf("inst-%d", i)
+	}
+	if err := p.b.StageMigration(stageFrame(id, 7)); err != nil {
+		t.Fatal(err)
+	}
+	p.b.SetTopology("b", grown, 0)
+	if _, err := p.b.CommitMigration(stageFrame(id, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.b.Lookup(id, 0); err != nil {
+		t.Errorf("lookup of the only copy in the fleet: %v", err)
+	}
+	if got := p.b.Displaced(); !slices.Equal(got, []string{id}) {
+		t.Errorf("Displaced = %v, want [%s]", got, id)
+	}
+	if info, _ := p.b.Topology(); info.Moved != 1 {
+		t.Errorf("Moved = %d, want 1", info.Moved)
+	}
+}
+
+// TestMigrateHandoffInProcess: the pair's daemons reach each other
+// through Manager.peerTransport alone — the peer's real handler, no
+// listener, no socket — and that carries a whole handoff: the target
+// answers bit-identically and the source's journal ends in the OpDelete.
+func TestMigrateHandoffInProcess(t *testing.T) {
+	p := newShardPair(t)
+	id := idOwnedBy(t, "b")
+	if _, err := p.a.Create(id, lifecycleSpec); err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range []int{1, 5} {
+		if _, err := p.a.Event(id, Event{EventFault, node}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := phiSliceOf(t, p.a, id)
+	p.installTopology(t)
+	if st, err := p.a.MigrateOut(id, "b"); err != nil || st.Epoch != 2 {
+		t.Fatalf("handoff = %+v, %v; want epoch 2", st, err)
+	}
+	if got := phiSliceOf(t, p.b, id); !slices.Equal(got, want) {
+		t.Errorf("phi on the target = %v, want %v", got, want)
+	}
+	recs, _, err := journal.ReadAll(bytes.NewReader(journalImage(t, p.a)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := recs[len(recs)-1]; last.Op != journal.OpDelete || last.ID != id {
+		t.Errorf("the source's journal ends in %v of %q, want the OpDelete of %q", last.Op, last.ID, id)
+	}
+}
+
+// migrationTap decorates a peer transport and shows see every migration
+// frame pushed through it, before the daemon hears of it. An error from
+// see is an outage: the push fails and is never forwarded.
+func migrationTap(t *testing.T, next http.RoundTripper, see func(path string, mig sharding.Migration) error) http.RoundTripper {
+	return roundTrip(func(r *http.Request) (*http.Response, error) {
 		if r.URL.Path == "/v1/migrate/stage" || r.URL.Path == "/v1/migrate/commit" {
 			body, _ := io.ReadAll(r.Body)
 			mig, err := sharding.DecodeMigration(body)
@@ -582,57 +703,30 @@ func migrationTap(t *testing.T, m *Manager, see func(path string, mig sharding.M
 				t.Errorf("%s: pushed frame does not decode: %v", r.URL.Path, err)
 			}
 			if err := see(r.URL.Path, mig); err != nil {
-				http.Error(w, err.Error(), http.StatusBadGateway)
-				return
+				return nil, err
 			}
 			r.Body = io.NopCloser(bytes.NewReader(body))
 		}
-		h.ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-	return ts
+		return next.RoundTrip(r)
+	})
 }
 
-// lossyFront fronts a daemon's HTTP server for fault injection: every
-// request is forwarded verbatim, but the RESPONSE of any path swallow
-// matches is replaced with a 502 (the backend did the work; the answer
-// was lost), and any path refuse matches is 502'd without forwarding
-// (the backend never heard about it).
-func lossyFront(t *testing.T, backend string, swallow, refuse func(path string) bool) *httptest.Server {
-	t.Helper()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+// lossyFront decorates a peer transport for fault injection: the ANSWER
+// to any path swallow matches is lost (the daemon did the work), and any
+// path refuse matches fails without being forwarded (the daemon never
+// heard about it).
+func lossyFront(next http.RoundTripper, swallow, refuse func(path string) bool) http.RoundTripper {
+	return roundTrip(func(r *http.Request) (*http.Response, error) {
 		if refuse != nil && refuse(r.URL.Path) {
-			http.Error(w, "injected outage", http.StatusBadGateway)
-			return
+			return nil, errors.New("injected outage")
 		}
-		body, _ := io.ReadAll(r.Body)
-		req, err := http.NewRequest(r.Method, backend+r.URL.RequestURI(), bytes.NewReader(body))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+		resp, err := next.RoundTrip(r)
+		if err == nil && swallow(r.URL.Path) {
+			resp.Body.Close()
+			return nil, errors.New("injected response loss")
 		}
-		req.Header = r.Header.Clone()
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		if swallow != nil && swallow(r.URL.Path) {
-			http.Error(w, "injected response loss", http.StatusBadGateway)
-			return
-		}
-		for k, vs := range resp.Header {
-			for _, v := range vs {
-				w.Header().Add(k, v)
-			}
-		}
-		w.WriteHeader(resp.StatusCode)
-		w.Write(b)
-	}))
-	t.Cleanup(ts.Close)
-	return ts
+		return resp, err
+	})
 }
 
 // TestMigrateCommitResponseLostStillCutsOver is the split-brain
@@ -653,10 +747,9 @@ func TestMigrateCommitResponseLostStillCutsOver(t *testing.T) {
 		}
 	}
 
-	front := lossyFront(t, p.tsB.URL,
+	p.a.peerTransport = lossyFront(p.net,
 		func(path string) bool { return path == "/v1/migrate/commit" }, nil)
-	p.a.SetTopology("a", map[string]string{"a": p.tsA.URL, "b": front.URL}, 0)
-	p.b.SetTopology("b", p.peers, 0)
+	p.installTopology(t)
 
 	st, err := p.a.MigrateOut(id, "b")
 	if err != nil {
@@ -696,14 +789,13 @@ func TestMigrateUnresolvedCommitHoldsFence(t *testing.T) {
 
 	var outage atomic.Bool
 	outage.Store(true)
-	front := lossyFront(t, p.tsB.URL,
+	p.a.peerTransport = lossyFront(p.net,
 		func(path string) bool { return path == "/v1/migrate/commit" },
 		func(path string) bool {
 			return outage.Load() &&
 				(path == "/v1/migrate/abort" || path == "/v1/migrate/state")
 		})
-	p.a.SetTopology("a", map[string]string{"a": p.tsA.URL, "b": front.URL}, 0)
-	p.b.SetTopology("b", p.peers, 0)
+	p.installTopology(t)
 
 	if _, err := p.a.MigrateOut(id, "b"); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("unresolved migrate err = %v, want ErrUnavailable", err)
@@ -923,7 +1015,7 @@ func TestMigrateShipsStateNotHistory(t *testing.T) {
 			}
 
 			var commits []sharding.Migration
-			tap := migrationTap(t, dst, func(path string, mig sharding.Migration) error {
+			src.peerTransport = migrationTap(t, inProcess{"b.example": NewHTTPHandler(dst)}, func(path string, mig sharding.Migration) error {
 				if path == "/v1/migrate/commit" {
 					commits = append(commits, mig)
 					return nil
@@ -951,7 +1043,7 @@ func TestMigrateShipsStateNotHistory(t *testing.T) {
 				}
 				return nil
 			})
-			peers := map[string]string{"a": "http://a.example", "b": tap.URL}
+			peers := map[string]string{"a": "http://a.example", "b": "http://b.example"}
 			src.SetTopology("a", peers, 0)
 			dst.SetTopology("b", peers, 0)
 
@@ -1086,14 +1178,14 @@ func TestMigrateAttemptsHaveTheirOwnToken(t *testing.T) {
 	}
 	var tokens []uint64
 	outage := true
-	tap := migrationTap(t, p.b, func(path string, mig sharding.Migration) error {
+	p.a.peerTransport = migrationTap(t, p.net, func(path string, mig sharding.Migration) error {
 		tokens = append(tokens, mig.Token)
 		if outage && path == "/v1/migrate/commit" {
 			return errors.New("injected outage")
 		}
 		return nil
 	})
-	p.a.SetTopology("a", map[string]string{"a": p.tsA.URL, "b": tap.URL}, 0)
+	p.a.SetTopology("a", p.peers, 0)
 	if _, err := p.a.MigrateOut(id, "b"); err == nil {
 		t.Fatal("the first attempt's commit push was lost, yet it succeeded")
 	}

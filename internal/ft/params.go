@@ -15,7 +15,7 @@
 //	B^k_{m,h}  m^h + k nodes   degree <= 4(m-1)k + 2m
 //	FT SE_h (via de Bruijn embedding)   degree <= 4k + 4
 //	FT SE_h (natural labeling)          degree <= 6k + 6 measured
-//	                                    (paper states 6k + 4; see DESIGN.md)
+//	                                    (paper states 6k + 4; see DegreeBoundNatural)
 //	bus implementation                   bus-degree <= 2k + 3
 package ft
 

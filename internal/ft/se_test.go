@@ -140,7 +140,7 @@ func TestSENaturalExhaustiveSmall(t *testing.T) {
 
 func TestSENaturalDegree(t *testing.T) {
 	// Measured degree must stay within our provable 6k+6 bound; record
-	// how it compares to the paper's stated 6k+4 (see DESIGN.md).
+	// how it compares to the paper's stated 6k+4 (see DegreeBoundNatural).
 	for h := 3; h <= 7; h++ {
 		for k := 0; k <= 4; k++ {
 			p := SEParams{H: h, K: k}

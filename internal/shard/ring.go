@@ -28,12 +28,12 @@
 //     eviction at the cap, a restart — costs the next request for that
 //     id one bounce, which teaches it again; no request is ever
 //     answered from an override.
-//   - That is what sets them apart from the pins in fleet's topology:
-//     a pin says "this daemon still holds the only copy", and a pin
-//     lost early is a daemon bouncing requests for state nobody else
-//     has. Pins live with the daemon that owns the copy, unbounded and
-//     retired only by a committed handoff; they are not overrides and
-//     do not belong here.
+//   - That is what sets them apart from who serves an id in fleet: a
+//     daemon serves a copy because it holds it ("this daemon still has
+//     the only copy"), and forgetting that early would be a daemon
+//     bouncing requests for state nobody else has. That knowledge is
+//     the copy itself, gone only with a committed handoff; it is not
+//     an override and does not belong here.
 package shard
 
 import (
