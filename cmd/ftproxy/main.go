@@ -59,7 +59,6 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-attempt upstream timeout, and the bound on the shutdown drain")
 	rpcAddr := flag.String("rpc-addr", "", "binary RPC plane listen address (empty disables)")
 	rpcPeersFlag := flag.String("rpc-peers", "", `RPC addresses of the same members as "name=host:port,..."`)
-	rpcConns := flag.Int("rpc-conns", 0, "connections pooled per RPC backend (0 selects the default)")
 	flag.Parse()
 
 	peers, err := shard.ParsePeers(*peersFlag)
@@ -89,7 +88,6 @@ func main() {
 			RPCPeers:  rpcPeers,
 			HTTPPeers: peers,
 			Replicas:  *replicas,
-			Conns:     *rpcConns,
 			Timeout:   *timeout,
 			Metrics:   p.reg, // one /metrics covers both planes
 		})

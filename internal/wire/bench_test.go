@@ -3,6 +3,8 @@ package wire
 import (
 	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,47 +113,78 @@ func BenchmarkWireLookupBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkWireProxyLookupBatchPipelined is the proxied twin of the
-// pipelined benchmark, in the shape the repository benchmark's
-// read-proxy workload runs: 256 instances ring-sharded over three
-// daemons behind a Proxy, one client with 2 connections and 8
-// closed-loop callers on each, LookupBatch-16 frames. ns/op is per
-// frame, for the whole process: client, proxy and daemons.
-func BenchmarkWireProxyLookupBatchPipelined(b *testing.B) {
-	names := []string{"a", "b", "c"}
+// proxiedCluster is the repository benchmark's read-proxy stack in this
+// process: 256 instances ring-sharded over one daemon per name, behind
+// a Proxy.
+type proxiedCluster struct {
+	addr    string // the proxy's listener
+	ids     []string
+	owner   map[string]*fleet.Manager // by instance id
+	daemons []*obs.Registry           // each daemon's wire.Server metrics
+	proxy   *obs.Registry
+}
+
+func startProxiedCluster(tb testing.TB, names []string) *proxiedCluster {
+	tb.Helper()
+	listen := func() net.Listener {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return ln
+	}
+	pc := &proxiedCluster{owner: map[string]*fleet.Manager{}, proxy: obs.New()}
 	rpcPeers, httpPeers := map[string]string{}, map[string]string{}
 	mgrs := map[string]*fleet.Manager{}
 	for _, name := range names {
 		mgrs[name] = fleet.NewManager(fleet.Options{})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv := NewServer(mgrs[name], ServerOptions{Metrics: obs.New()})
+		reg, ln := obs.New(), listen()
+		srv := NewServer(mgrs[name], ServerOptions{Metrics: reg})
 		go srv.Serve(ln)
-		defer srv.Close()
-		rpcPeers[name], httpPeers[name] = ln.Addr().String(), "http://daemon-"+name+".example:8100"
+		tb.Cleanup(func() { srv.Close() })
+		pc.daemons = append(pc.daemons, reg)
+		rpcPeers[name], httpPeers[name] = ln.Addr().String(), testPeerURL(name)
 	}
 	ring := sharding.New(names, 0)
-	ids := make([]string, 256)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("inst-%d", i)
-		mgr := mgrs[ring.Owner(ids[i])]
-		if _, err := mgr.Create(ids[i], fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 6, K: 4}); err != nil {
-			b.Fatal(err)
+	for i := 0; i < 256; i++ {
+		id := fmt.Sprintf("inst-%d", i)
+		pc.ids, pc.owner[id] = append(pc.ids, id), mgrs[ring.Owner(id)]
+		if _, err := pc.owner[id].Create(id, fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 6, K: 4}); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	for _, name := range names {
 		mgrs[name].SetTopology(name, httpPeers, 0)
 	}
-	px := NewProxy(ProxyOptions{RPCPeers: rpcPeers, HTTPPeers: httpPeers, Metrics: obs.New()})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
+	px := NewProxy(ProxyOptions{RPCPeers: rpcPeers, HTTPPeers: httpPeers, Metrics: pc.proxy})
+	ln := listen()
 	go px.Serve(ln)
-	defer px.Close()
-	c, err := Dial(ln.Addr().String(), Options{Conns: 2})
+	tb.Cleanup(func() { px.Close() })
+	pc.addr = ln.Addr().String()
+	return pc
+}
+
+// writevs is how many writes the daemons and the proxy have made so
+// far, the client's own left out.
+func (pc *proxiedCluster) writevs() uint64 {
+	n := pc.proxy.Histogram("ftproxy_rpc_backend_flush_frames", "").Count() +
+		pc.proxy.Histogram("ftproxy_rpc_front_flush_frames", "").Count()
+	for _, reg := range pc.daemons {
+		n += reg.Counter("ftnet_rpc_flushes_total", "").Value()
+	}
+	return n
+}
+
+// benchProxied runs the proxied twin of the pipelined benchmark, in the
+// shape the repository benchmark's read-proxy workload runs and on one
+// processor like it: one client with 2 connections and 8 closed-loop
+// callers on each, LookupBatch-16 frames. ns/op is per frame, for the
+// whole process: client, proxy and daemons. writev/frame counts the
+// proxy's and the daemons' writes, which is where the hop's cost is.
+func benchProxied(b *testing.B, names []string) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pc := startProxiedCluster(b, names)
+	c, err := Dial(pc.addr, Options{Conns: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -171,7 +204,7 @@ func BenchmarkWireProxyLookupBatchPipelined(b *testing.B) {
 				xs[i] = i * 3 % 64
 			}
 			for n := next.Add(1); n <= int64(b.N); n = next.Add(1) {
-				if _, err := c.LookupBatch(ids[(int(n)*7+w)%len(ids)], xs, phis); err != nil {
+				if _, err := c.LookupBatch(pc.ids[(int(n)*7+w)%len(pc.ids)], xs, phis); err != nil {
 					b.Error(err)
 					return
 				}
@@ -179,4 +212,23 @@ func BenchmarkWireProxyLookupBatchPipelined(b *testing.B) {
 		}(w)
 	}
 	wg.Wait()
+	b.ReportMetric(float64(pc.writevs())/float64(b.N), "writev/frame")
+}
+
+// BenchmarkWireProxyLookupBatchPipelined is benchProxied over the three
+// members the repository benchmark shards over.
+func BenchmarkWireProxyLookupBatchPipelined(b *testing.B) {
+	benchProxied(b, []string{"a", "b", "c"})
+}
+
+// BenchmarkWireProxyMembers prices the hop by member count: a client
+// cycle of 16 frames costs one write to each member it touches, one
+// from each back, and the fronts' own, so ns/op climbs with writev/frame.
+// (members=, not n=: this is no size family for ftbenchjson -check.)
+func BenchmarkWireProxyMembers(b *testing.B) {
+	for _, members := range []int{1, 2, 3, 5, 8} {
+		b.Run(fmt.Sprintf("members=%d", members), func(b *testing.B) {
+			benchProxied(b, strings.Split("abcdefgh"[:members], ""))
+		})
+	}
 }

@@ -95,19 +95,20 @@ func answerShifted(shift uint64, hold int) func(net.Conn) {
 }
 
 // testConn is the client's socket with a test in the way of its
-// writes: each is counted, held for delay (or until gate closes), and
-// the failAt-th fails instead of being sent.
+// writes: each is counted, held for delay (or, from the holdFrom-th on,
+// until gate closes), and the failAt-th fails instead of being sent.
 type testConn struct {
 	net.Conn
-	delay  time.Duration
-	gate   chan struct{}
-	failAt int64
-	writes atomic.Int64
+	delay    time.Duration
+	gate     chan struct{}
+	holdFrom int64
+	failAt   int64
+	writes   atomic.Int64
 }
 
 func (c *testConn) Write(p []byte) (int, error) {
 	n := c.writes.Add(1)
-	if c.gate != nil {
+	if c.gate != nil && n >= c.holdFrom {
 		<-c.gate
 	}
 	time.Sleep(c.delay)

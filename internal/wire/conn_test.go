@@ -240,27 +240,27 @@ func TestWireReadFramesDrainRule(t *testing.T) {
 
 // TestWireProxyElectedReaderStrandsNoFrame is the proxy's twin of
 // TestWireElectedFlusherStrandsNoFrame: a backend connection is flushed
-// by the reader whose frame found its write queue empty, when that
-// reader's round finishes, so a frame another front's reader queues
-// while a writev is in flight (the slowed Write widens that window)
-// must leave in that flusher's next turn or elect its own. A stranded
-// frame would sit until the watchdog; every round trip must finish in
-// an eighth of that.
+// by every reader that queued a frame on it, when that reader's round
+// finishes, and only one flushes at a time, so a frame another front's
+// reader queues while a writev is in flight (the slowed Write widens
+// that window) must leave in that flusher's next turn or in its own
+// reader's flush. A stranded frame would sit until the watchdog; every
+// round trip must finish in an eighth of that.
 func TestWireProxyElectedReaderStrandsNoFrame(t *testing.T) {
 	const timeout = 20 * time.Second
 	backends := make(map[string]string)
 	for _, name := range []string{"a", "b", "c"} {
 		backends[name] = startFakeBackend(t, okReply).addr()
 	}
-	px, addr, _ := startTestProxy(t, backends, ProxyOptions{Conns: 1, Timeout: timeout})
+	px, addr, _ := startTestProxy(t, backends, ProxyOptions{Timeout: timeout})
 	for name, b := range px.backends {
 		dial := func() (net.Conn, error) {
 			nc, err := net.Dial("tcp", backends[name])
 			return &testConn{Conn: nc, delay: 200 * time.Microsecond}, err
 		}
-		b.lanes[0].mu.Lock()
-		b.lanes[0].open = func() *upstream[*relay] { return px.connect(dial) }
-		b.lanes[0].mu.Unlock()
+		b.conn.mu.Lock()
+		b.conn.open = func() *upstream[*relay] { return px.connect(dial) }
+		b.conn.mu.Unlock()
 	}
 	fronts := [2]*Client{
 		dialTest(t, addr, Options{Conns: 1, Timeout: timeout}),

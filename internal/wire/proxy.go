@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,14 +34,11 @@ type ProxyOptions struct {
 	HTTPPeers map[string]string
 	// Replicas is the ring's virtual-node count (0 selects the default).
 	Replicas int
-	// Conns is how many connections the proxy keeps to each backend. A
-	// front connection uses one of them per backend, so its frames for
-	// one owner ride one connection.
-	Conns int
 	// Timeout is Options.Timeout for the proxy's backend connections
-	// (conn.go): one that leaves a frame unanswered for Timeout after it
-	// was posted there is failed as a whole, between Timeout and
-	// 1.25×Timeout after the posting. A read it orphans inside Timeout of
+	// (conn.go), one per member: one that leaves a frame unanswered for
+	// Timeout after it was posted there is failed as a whole, between
+	// Timeout and 1.25×Timeout after the posting — and every front's
+	// frames for that member with it. A read it orphans inside Timeout of
 	// its arrival is sent once more, so a frame for a backend that never
 	// answers is refused no later than 2.5×Timeout after it came in.
 	Timeout time.Duration
@@ -57,12 +55,18 @@ type ProxyOptions struct {
 // and otherwise appended verbatim to the write queue of its owner's
 // connection; the response comes back through the response grammar,
 // gets the front's sequence number restored, and is queued on the
-// front it belongs to. Every reader — one per front, one per
-// backend connection (conn.go; its pending entries are relays) — works
-// in rounds: it handles every whole frame already buffered, then
-// flushes each connection whose write queue it was the first to put
-// something on (Bruck-style log rounds: everything bound for one
-// destination leaves in one write).
+// front it belongs to.
+//
+// Every front posts to the one connection the proxy keeps to each shard
+// member (conn.go; its pending entries are relays): a daemon serves a
+// connection from one goroutine, which alone answers more lookups than
+// a whole proxy forwards, and a second connection would only split the
+// write that can carry all fronts' frames for the member. Every reader —
+// one per front, one per backend connection — works in rounds: it
+// handles every whole frame already buffered, then wakes the writer of
+// each front it was first to queue an answer on and flushes each backend
+// connection it queued a frame on (Bruck-style log rounds: everything
+// bound for one destination leaves in one write, whoever contributed it).
 //
 // Responses leave in completion order, not request order. The seq tag
 // is the protocol's ordering contract (clients match responses by it),
@@ -88,23 +92,19 @@ type Proxy struct {
 	frontFrames   *obs.Histogram
 
 	acc      acceptor
-	accepted atomic.Int64 // fronts so far; picks each one's lane
+	accepted atomic.Int64 // fronts so far
 }
 
-// backend is one shard member: its connections are dialed on first
-// use and replaced when they fail. A front uses the same lane number at
-// every backend.
+// backend is one shard member and the one connection to it, which every
+// front posts to: dialed on first use, replaced when it has failed.
 type backend struct {
-	name  string
-	lanes []slot[*relay]
+	name string
+	conn slot[*relay]
 }
 
 // NewProxy builds an RPC routing proxy over the configured peers.
 // Call Serve with a listener to start accepting.
 func NewProxy(opts ProxyOptions) *Proxy {
-	if opts.Conns <= 0 {
-		opts.Conns = DefaultConns
-	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = DefaultTimeout
 	}
@@ -137,10 +137,8 @@ func NewProxy(opts ProxyOptions) *Proxy {
 	for name, addr := range opts.RPCPeers {
 		urls[name] = opts.HTTPPeers[name]
 		dial := func() (net.Conn, error) { return net.DialTimeout("tcp", addr, p.timeout) }
-		b := &backend{name: name, lanes: make([]slot[*relay], opts.Conns)}
-		for i := range b.lanes {
-			b.lanes[i].open = func() *upstream[*relay] { return p.connect(dial) }
-		}
+		b := &backend{name: name}
+		b.conn.open = func() *upstream[*relay] { return p.connect(dial) }
 		p.backends[name] = b
 	}
 	p.router = shard.NewRouter(urls, opts.Replicas)
@@ -172,9 +170,7 @@ func (p *Proxy) Shutdown(ctx context.Context) error {
 
 func (p *Proxy) hangUpBackends() {
 	for _, b := range p.backends {
-		for i := range b.lanes {
-			b.lanes[i].hangUp(errors.New("proxy closed"))
-		}
+		b.conn.hangUp(errors.New("proxy closed"))
 	}
 }
 
@@ -211,21 +207,34 @@ func (e *relay) id() string {
 	return string(id)
 }
 
-// round is one read pass of one reader goroutine: the connections
-// whose empty write queue it put a frame on since its last finish, and
-// so was elected to flush (a backend) or to wake the writer of (a
-// front); frames other rounds queue behind that one leave with it.
+// round is one read pass of one reader goroutine: the backend
+// connections it queued a frame on since its last finish, and the
+// fronts whose empty write queue it put an answer on, whose writer is
+// its to wake. Every round that queued on a backend connection flushes
+// it, elected or not (flush returns at once when another flusher is at
+// it or nothing is left), so a reader stuck writing to one member holds
+// no other front's frames for the members after it. Its own frames for
+// those do wait with it, until the stuck connection's watchdog cuts the
+// write (≤ 1.25×Timeout).
 type round struct {
+	open     *obs.Gauge // the fronts now open, in a front reader's round; nil in a backend reader's
 	backends []*upstream[*relay]
 	fronts   []*front
 }
 
 // finish sends what the round queued. Every reader calls it before
-// anything that can block, so a queued frame never waits on a read.
+// anything that can block, so a queued frame never waits on a read. A
+// front's reader first yields once, unless its front is the only one
+// open: one write pass of a pipelining client makes the readers of all
+// its connections runnable together, and what they queue for the same
+// members then leaves in the same writes.
 func (r *round) finish() {
 	for i, f := range r.fronts {
 		f.kick()
 		r.fronts[i] = nil
+	}
+	if len(r.backends) > 0 && r.open != nil && r.open.Value() > 1 {
+		runtime.Gosched()
 	}
 	for i, u := range r.backends {
 		u.kick()
@@ -240,8 +249,7 @@ func (r *round) finish() {
 // client that reads slowly blocks nobody else's responses; what can
 // queue up behind it is bounded by the window.
 type front struct {
-	sender     // responses queue here; only writeLoop flushes
-	lane   int // which of each backend's connections this front uses
+	sender // responses queue here; only writeLoop flushes
 	wake   chan struct{}
 
 	// Guarded by the sender's mutex.
@@ -259,12 +267,12 @@ func (p *Proxy) serveFront(nc net.Conn) {
 	defer p.connGauge.Add(-1)
 
 	f := &front{sender: sender{nc: nc, frames: p.frontFrames}, wake: make(chan struct{}, 1)}
-	f.lane = int(p.accepted.Add(1) - 1)
+	p.accepted.Add(1)
 	f.room.L = &f.mu
 	written := make(chan struct{})
 	go f.writeLoop(written)
 
-	r := new(round)
+	r := &round{open: p.connGauge}
 	readFrames(nc, r.finish, func(payload []byte) error {
 		// The whole payload is checked here, before any of it reaches a
 		// connection other fronts share. A malformed frame is a broken
@@ -377,26 +385,26 @@ func (f *front) abandon(r *round) {
 	r.fronts = append(r.fronts, f) // no frame was queued, so no other round wakes the writer for this
 }
 
-// send posts e on its front's lane to b, on a fresh connection if the
-// lane's last one has failed.
+// send posts e on the connection to b, a fresh one if the last has
+// failed, and has r flush it: the frame leaves when r finishes, or
+// sooner in the write of another round that queued there.
 func (p *Proxy) send(e *relay, b *backend, r *round) {
 	if b == nil {
 		p.giveUp(e, false, errors.New("no shard member owns the instance"), r)
 		return
 	}
 	e.b = b
-	s := &b.lanes[e.f.lane%len(b.lanes)]
 	for try := 0; try < 2; try++ {
-		u := s.live()
+		u := b.conn.live()
 		if u == nil {
 			break // the proxy is closing
 		}
-		elected, err := u.post(e, func(q *writeQueue, seq uint64) error {
+		_, err := u.post(e, func(q *writeQueue, seq uint64) error {
 			q.relay(e.t, seq, e.req)
 			return nil
 		})
 		if err == nil {
-			if elected {
+			if !slices.Contains(r.backends, u) {
 				r.backends = append(r.backends, u)
 			}
 			return

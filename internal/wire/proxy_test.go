@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -327,6 +329,13 @@ func (fb *fakeBackend) serve(nc net.Conn) {
 	}
 }
 
+// accepted is how many connections the backend has taken so far.
+func (fb *fakeBackend) accepted() int {
+	fb.mu.Lock()
+	defer fb.mu.Unlock()
+	return len(fb.conns)
+}
+
 func (fb *fakeBackend) count(t MsgType) int {
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
@@ -502,7 +511,7 @@ func TestWireProxyNeverResendsApplyBatch(t *testing.T) {
 		}
 		return okReply(req)
 	})
-	_, addr, reg := startTestProxy(t, map[string]string{"a": fb.addr()}, ProxyOptions{Conns: 1, Timeout: 2 * time.Second})
+	_, addr, reg := startTestProxy(t, map[string]string{"a": fb.addr()}, ProxyOptions{Timeout: 2 * time.Second})
 	writer := dialTest(t, addr, Options{Conns: 1, Timeout: 5 * time.Second})
 	reader := dialTest(t, addr, Options{Conns: 1, Timeout: 5 * time.Second})
 
@@ -630,7 +639,7 @@ func TestWireProxyRefusesV1Front(t *testing.T) {
 // its one backend connection.
 func checkBadFrontIsolated(t *testing.T, corrupt func(payload []byte) []byte) {
 	fb := startFakeBackend(t, okReply)
-	_, addr, _ := startTestProxy(t, map[string]string{"a": fb.addr()}, ProxyOptions{Conns: 1, Timeout: 2 * time.Second})
+	_, addr, _ := startTestProxy(t, map[string]string{"a": fb.addr()}, ProxyOptions{Timeout: 2 * time.Second})
 	good := dialTest(t, addr, Options{Conns: 1, Timeout: 5 * time.Second})
 	bad := dialRaw(t, addr)
 
@@ -730,7 +739,7 @@ func TestWireProxyCompletionOrder(t *testing.T) {
 // backend reader.
 func TestWireProxySlowFrontBackpressure(t *testing.T) {
 	fb := startFakeBackend(t, okReply)
-	_, addr, _ := startTestProxy(t, map[string]string{"a": fb.addr()}, ProxyOptions{Conns: 1, Timeout: 30 * time.Second})
+	_, addr, _ := startTestProxy(t, map[string]string{"a": fb.addr()}, ProxyOptions{Timeout: 30 * time.Second})
 	other := dialTest(t, addr, Options{Conns: 1, Timeout: 10 * time.Second})
 
 	xs := make([]int, 2000) // ~4 KB each way per frame
@@ -846,4 +855,133 @@ func TestWireProxyUnsentApplyBatchIsUnavailable(t *testing.T) {
 	if n := px.accepted.Load(); n != 1 {
 		t.Fatalf("the proxy accepted %d front connections, want 1: the refused writer's front was hung up", n)
 	}
+}
+
+// TestWireProxyStuckBackendHoldsNoOtherFront pins what a round flushes:
+// every backend connection it queued a frame on. Front A's reader sits
+// in a write to member y that never returns (y stopped reading), and the
+// frame it queued for healthy x in the same pass is not flushed yet.
+// Front B's lookup at x then finds x's queue non-empty, so B's reader is
+// not the one elected; were only the elected reader to flush, B's frame
+// would wait behind A's until x's watchdog failed a healthy connection.
+// B must be answered in an eighth of the timeout, over the one
+// connection to x the proxy ever dialed.
+func TestWireProxyStuckBackendHoldsNoOtherFront(t *testing.T) {
+	const timeout = 2 * time.Second
+	members := []string{"x", "y"}
+	fx, fy := startFakeBackend(t, okReply), startFakeBackend(t, okReply)
+	px, addr, _ := startTestProxy(t, map[string]string{"x": fx.addr(), "y": fy.addr()}, ProxyOptions{Timeout: timeout})
+	// Write 1 carries the frame that opened the connection; write 2 is a
+	// front reader's flush at the end of its round.
+	stuck := &testConn{gate: make(chan struct{}), holdFrom: 2}
+	t.Cleanup(func() { close(stuck.gate) })
+	y := px.backends["y"]
+	y.conn.mu.Lock()
+	y.conn.open = func() *upstream[*relay] {
+		return px.connect(func() (net.Conn, error) {
+			nc, err := net.Dial("tcp", fy.addr())
+			stuck.Conn = nc
+			return stuck, err
+		})
+	}
+	y.conn.mu.Unlock()
+	idX, idY := idsOwnedBy(t, members, "x", 1)[0], idsOwnedBy(t, members, "y", 1)[0]
+
+	// Both connections are dialed, and the frames that opened them sent,
+	// before the round that sticks.
+	a := dialRaw(t, addr)
+	for i, id := range []string{idY, idX} {
+		a.send(Request{Type: MsgLookup, Seq: uint64(1 + i), ID: id, X: 1})
+		if resp := a.recv(timeout); resp.Status != StatusOK {
+			t.Fatalf("front A's first lookup of %s answered %+v", id, resp)
+		}
+	}
+	// One write, so one round: it queues on y, then on x, and flushes in
+	// that order.
+	var pass []byte
+	for i, id := range []string{idY, idX} {
+		payload, err := AppendRequest(nil, Request{Type: MsgLookup, Seq: uint64(3 + i), ID: id, X: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mark := len(pass)
+		pass = append(appendFrameHeader(pass), payload...)
+		sealFrame(pass, mark)
+	}
+	if _, err := a.nc.Write(pass); err != nil {
+		t.Fatal(err)
+	}
+	if !eventually(func() bool { return stuck.writes.Load() == 2 }) {
+		t.Fatal("front A's reader never reached its write to y")
+	}
+
+	b := dialTest(t, addr, Options{Conns: 1, Timeout: 5 * timeout})
+	start := time.Now()
+	phi, _, err := b.Lookup(idX, 4)
+	if took := time.Since(start); err != nil || phi != 5 || took > timeout/8 {
+		t.Fatalf("front B's lookup at x, with front A's reader stuck writing to y: took %v, answered %d, err %v; want 5 in under %v",
+			took, phi, err, timeout/8)
+	}
+	if n := fx.accepted(); n != 1 {
+		t.Fatalf("x accepted %d connections, want 1: its healthy connection was replaced", n)
+	}
+}
+
+// TestWireProxyFrontsShareBackRound pins the merge: there is one
+// connection from the proxy to each member, however many fronts are
+// open, and under a pipelined storm from two fronts a write to a member
+// carries the frames of both. Two connections' worth of 8 closed-loop
+// callers is a cycle of 16 frames over three members: a proxy that
+// flushed per front could not average more than 16/6 frames a write.
+func TestWireProxyFrontsShareBackRound(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pc := startProxiedCluster(t, []string{"a", "b", "c"})
+	xs := make([]int, 16)
+	for i := range xs {
+		xs[i] = i * 3 % 64
+	}
+	want := make(map[string][]int, len(pc.ids))
+	for _, id := range pc.ids {
+		want[id] = make([]int, len(xs))
+		if _, err := pc.owner[id].LookupBatchBytes([]byte(id), xs, want[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	proxyConns := func(when string) {
+		t.Helper()
+		for i, reg := range pc.daemons {
+			if n := reg.Gauge("ftnet_rpc_connections", "").Value(); n != 1 {
+				t.Fatalf("%s: daemon %d serves %d connections, want the proxy's one", when, i, n)
+			}
+		}
+	}
+
+	fronts := [2]*Client{dialTest(t, pc.addr, Options{Conns: 1}), dialTest(t, pc.addr, Options{Conns: 1})}
+	const frames = 20000
+	var next atomic.Int64
+	together(8*len(fronts), func(w int) {
+		phis := make([]int, len(xs))
+		for n := next.Add(1); n <= frames; n = next.Add(1) {
+			id := pc.ids[(int(n)*7+w)%len(pc.ids)]
+			if _, err := fronts[w%len(fronts)].LookupBatch(id, xs, phis); err != nil || !slices.Equal(phis, want[id]) {
+				t.Errorf("caller %d: LookupBatch(%s) through the proxy = (%v, %v), want %v", w, id, phis, err, want[id])
+				return
+			}
+		}
+	})
+	proxyConns("after a storm from two fronts")
+	flushes := pc.proxy.Histogram("ftproxy_rpc_backend_flush_frames", "").Snapshot()
+	if mean := float64(flushes.Sum) / float64(flushes.Count); mean < 3.5 {
+		t.Fatalf("%d writes to the members carried %.2f frames each, want at least 3.5: the fronts are not sharing their back rounds",
+			flushes.Count, mean)
+	}
+
+	third := dialTest(t, pc.addr, Options{Conns: 1})
+	phis := make([]int, len(xs))
+	for _, id := range pc.ids {
+		if _, err := third.LookupBatch(id, xs, phis); err != nil || !slices.Equal(phis, want[id]) {
+			t.Fatalf("third front: LookupBatch(%s) = (%v, %v), want %v", id, phis, err, want[id])
+		}
+	}
+	proxyConns("after a third front")
 }
