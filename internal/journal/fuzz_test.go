@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 )
@@ -47,6 +48,15 @@ func FuzzJournalDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{recordVersion, byte(OpTransition), 1, 'x', 0x80, 0x00}) // non-minimal uvarint
+	// The fast paths' edges as fault deltas, and the same vector with a
+	// non-minimal 0x80 0x00 in its middle.
+	empty, err := AppendRecord(nil, Record{Op: OpTransition, ID: "edge", Epoch: 3, Applied: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range withVector(empty, 127, 128, 16383, 16384, 1<<21) {
+		f.Add(seed)
+	}
 
 	// What invariant 3 decodes over: every field set, faults to spare.
 	stale, err := AppendRecord(nil, Record{Op: OpCheckpoint, ID: "stale", Spec: Spec{Kind: "debruijn", M: 2, H: 9, K: 8},
@@ -92,4 +102,27 @@ func FuzzJournalDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// withVector takes a canonical payload that ends in an empty counted
+// vector (its last byte the zero count) and returns it with vals in that
+// vector's place, then again with a non-minimal 0x80 0x00 spliced into
+// the vector's middle (and counted).
+func withVector(empty []byte, vals ...uint64) [][]byte {
+	head := empty[:len(empty)-1]
+	enc := func(mid []byte) []byte {
+		n := len(vals)
+		if mid != nil {
+			n++
+		}
+		b := binary.AppendUvarint(bytes.Clone(head), uint64(n))
+		for i, v := range vals {
+			if i == len(vals)/2 {
+				b = append(b, mid...)
+			}
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	return [][]byte{enc(nil), enc([]byte{0x80, 0x00})}
 }

@@ -266,8 +266,17 @@ func (v *View) Record() Record {
 // encoded and every count must fit an int, so the language a codec built
 // on it accepts is exactly its canonical encodings: the property
 // FuzzJournalDecode, FuzzWireDecode and FuzzMigrationDecode lean on.
-// Uvarint and Int are the two core reads; each codec adds the readers of
-// its own fields around them.
+// Uvarint, Int and Ints are the core reads; each codec adds the readers
+// of its own fields around them.
+//
+// The values these codecs carry are mostly small, so every read first
+// tries the two encodings that cover them: one byte below 0x80, and two
+// bytes whose second is 1..127 — the only minimal two-byte forms (a zero
+// second byte is the non-minimal padding the general path rejects, one
+// of 0x80 or more continues). Those two tests are part of the strictness
+// contract, not an exception to it: they accept exactly the one- and
+// two-byte inputs the general path accepts, with the same values and
+// offsets, and hand it everything else.
 type Cursor struct {
 	B   []byte
 	Off int
@@ -275,7 +284,16 @@ type Cursor struct {
 
 // Uvarint reads one minimally-encoded uvarint.
 func (d *Cursor) Uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.B[d.Off:])
+	b := d.B[d.Off:]
+	if len(b) > 0 && b[0] < 0x80 {
+		d.Off++
+		return uint64(b[0]), nil
+	}
+	if len(b) > 1 && b[1]-1 < 0x7f {
+		d.Off += 2
+		return uint64(b[0]&0x7f) | uint64(b[1])<<7, nil
+	}
+	v, n := binary.Uvarint(b)
 	if n <= 0 {
 		return 0, fmt.Errorf("journal: truncated or overlong uvarint at offset %d", d.Off)
 	}
@@ -290,14 +308,38 @@ func (d *Cursor) Uvarint() (uint64, error) {
 
 // Int reads a uvarint that must fit a non-negative int.
 func (d *Cursor) Int() (int, error) {
-	v, err := d.Uvarint()
-	if err != nil {
-		return 0, err
+	var v [1]int
+	err := d.Ints(v[:])
+	return v[0], err
+}
+
+// Ints fills dst with len(dst) consecutive Int reads, with Uvarint's two
+// fast paths inline in one loop.
+func (d *Cursor) Ints(dst []int) error {
+	b, off := d.B, d.Off
+	for i := range dst {
+		if off < len(b) && b[off] < 0x80 {
+			dst[i] = int(b[off])
+			off++
+			continue
+		}
+		if off+1 < len(b) && b[off+1]-1 < 0x7f {
+			dst[i] = int(b[off]&0x7f) | int(b[off+1])<<7
+			off += 2
+			continue
+		}
+		d.Off = off
+		v, err := d.Uvarint()
+		if err != nil {
+			return err
+		}
+		if v > math.MaxInt {
+			return fmt.Errorf("journal: value %d overflows int", v)
+		}
+		dst[i], off = int(v), d.Off
 	}
-	if v > math.MaxInt {
-		return 0, fmt.Errorf("journal: value %d overflows int", v)
-	}
-	return int(v), nil
+	d.Off = off
+	return nil
 }
 
 // spec reads the four-field topology spec (kind, m, h, k).
@@ -333,24 +375,20 @@ func (d *Cursor) faults(dst []int) ([]int, error) {
 		return nil, fmt.Errorf("journal: fault count %d exceeds %d remaining bytes", k, len(d.B)-d.Off)
 	}
 	faults := slices.Grow(dst[:0], k)[:k]
-	prev := 0
-	for i := range faults {
-		v, err := d.Int()
-		if err != nil {
-			return nil, err
+	if err := d.Ints(faults); err != nil {
+		return nil, err
+	}
+	// The first entry is a fault, every later one a delta from its
+	// predecessor: sum them up in place.
+	for i := 1; i < k; i++ {
+		prev, v := faults[i-1], faults[i]
+		if v == 0 {
+			return nil, fmt.Errorf("journal: zero fault delta (duplicate fault)")
 		}
-		if i == 0 {
-			faults[i] = v
-		} else {
-			if v == 0 {
-				return nil, fmt.Errorf("journal: zero fault delta (duplicate fault)")
-			}
-			if v > math.MaxInt-prev {
-				return nil, fmt.Errorf("journal: fault delta %d overflows", v)
-			}
-			faults[i] = prev + v
+		if v > math.MaxInt-prev {
+			return nil, fmt.Errorf("journal: fault delta %d overflows", v)
 		}
-		prev = faults[i]
+		faults[i] = prev + v
 	}
 	return faults, nil
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -111,6 +112,37 @@ func BenchmarkWireLookupBatch(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkWireCodec is the codec alone: one op is the four walks a
+// LookupBatch-16 frame gets on its way through the proxy — the server's
+// and the client's, each with a destination, and the proxy's two
+// validating walks without one. The targets and answers spread over the
+// repository benchmark's 2^12-node instances, so most take two bytes.
+func BenchmarkWireCodec(b *testing.B) {
+	xs, phis := make([]int, 16), make([]int, 16)
+	for i := range xs {
+		xs[i], phis[i] = i*263%4096, i*263%4096+i%8
+	}
+	req, err := AppendRequest(nil, Request{Type: MsgLookupBatch, Seq: 1 << 20, ID: "inst-17", Xs: xs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp, err := AppendResponse(nil, Response{Type: MsgLookupBatch, Seq: 1 << 20, Epoch: 300, Phis: phis})
+	if err != nil {
+		b.Fatal(err)
+	}
+	into, out := Request{Xs: make([]int, 16)}, Response{Phis: make([]int, 16)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, err1 := walkRequest(req, &into)
+		_, err2 := walkRequest(req, nil)
+		_, err3 := walkResponse(resp, &out)
+		_, err4 := walkResponse(resp, nil)
+		if err := errors.Join(err1, err2, err3, err4); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // proxiedCluster is the repository benchmark's read-proxy stack in this

@@ -2,6 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
 	"testing"
 
 	"ftnet/internal/fleet"
@@ -67,6 +70,12 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		seed = append(seed, b)
 	}
+	// The fast paths' edges as xs and as phis, and each vector again with
+	// a non-minimal 0x80 0x00 in its middle.
+	emptyReq, _ := AppendRequest(nil, Request{Type: MsgLookupBatch, Seq: 300, ID: "edge"})
+	emptyResp, _ := AppendResponse(nil, Response{Type: MsgLookupBatch, Seq: 300, Epoch: 128})
+	seed = append(seed, withVector(emptyReq, edgeValues...)...)
+	seed = append(seed, withVector(emptyResp, edgeValues...)...)
 	for _, s := range seed {
 		f.Add(s)
 	}
@@ -119,6 +128,92 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// edgeValues sit on either side of the boundaries of journal.Cursor's
+// one- and two-byte fast paths.
+var edgeValues = []uint64{127, 128, 16383, 16384, 1 << 21}
+
+// withVector takes a canonical payload that ends in an empty counted
+// vector (its last byte the zero count) and returns it with vals in that
+// vector's place, then again with a non-minimal 0x80 0x00 spliced into
+// the vector's middle (and counted).
+func withVector(empty []byte, vals ...uint64) [][]byte {
+	head := empty[:len(empty)-1]
+	enc := func(mid []byte) []byte {
+		n := len(vals)
+		if mid != nil {
+			n++
+		}
+		b := binary.AppendUvarint(bytes.Clone(head), uint64(n))
+		for i, v := range vals {
+			if i == len(vals)/2 {
+				b = append(b, mid...)
+			}
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	return [][]byte{enc(nil), enc([]byte{0x80, 0x00})}
+}
+
+// TestWireWalkersValidateAsTheyDecode pins what the proxy leans on: a
+// walk with no destination — the vectors checked a stack chunk at a
+// time — rejects exactly what the same walk with one rejects, with the
+// same error, over vectors that end inside a chunk or past one, every
+// cut of them short, a non-minimal value and a value past MaxInt
+// spliced in.
+func TestWireWalkersValidateAsTheyDecode(t *testing.T) {
+	long := make([]uint64, 40)
+	for i := range long {
+		long[i] = uint64(i) * 997
+	}
+	overflow := append(slices.Clone(long[:35]), math.MaxInt+1, 5)
+	req, _ := AppendRequest(nil, Request{Type: MsgLookupBatch, Seq: 5, ID: "w"})
+	resp, _ := AppendResponse(nil, Response{Type: MsgLookupBatch, Seq: 5, Epoch: 9})
+	errText := func(err error) string {
+		if err == nil {
+			return "accepted"
+		}
+		return err.Error()
+	}
+	var payloads [][]byte
+	for _, tc := range []struct {
+		vals []uint64
+		ok   bool // whole and minimal, is the vector canonical?
+	}{{edgeValues, true}, {long, true}, {overflow, false}} {
+		for _, pair := range [][][]byte{withVector(req, tc.vals...), withVector(resp, tc.vals...)} {
+			// pair[0] is a request or a response; pair[1], spliced, is
+			// never canonical.
+			_, rerr := walkRequest(pair[0], nil)
+			_, serr := walkResponse(pair[0], nil)
+			if (rerr == nil || serr == nil) != tc.ok {
+				t.Fatalf("%x: request walk %s, response walk %s", pair[0], errText(rerr), errText(serr))
+			}
+			if _, rerr = walkRequest(pair[1], nil); rerr == nil {
+				t.Fatalf("%x: non-minimal value accepted", pair[1])
+			}
+			if _, serr = walkResponse(pair[1], nil); serr == nil {
+				t.Fatalf("%x: non-minimal value accepted", pair[1])
+			}
+			payloads = append(payloads, pair...)
+		}
+	}
+	for _, p := range payloads {
+		for cut := 0; cut <= len(p); cut++ {
+			b := p[:cut]
+			_, werr := walkRequest(b, &Request{Xs: make([]int, 3)})
+			_, verr := walkRequest(b, nil)
+			if errText(werr) != errText(verr) {
+				t.Fatalf("request %x: with a destination %s, without %s", b, errText(werr), errText(verr))
+			}
+			_, werr = walkResponse(b, &Response{Phis: make([]int, 3)})
+			_, verr = walkResponse(b, nil)
+			if errText(werr) != errText(verr) {
+				t.Fatalf("response %x: with a destination %s, without %s", b, errText(werr), errText(verr))
+			}
+		}
+	}
 }
 
 // TestWireCodecRoundTrip is the deterministic subset of the fuzz

@@ -273,21 +273,8 @@ func walkRequest(b []byte, into *Request) (reqHead, error) {
 			return h, err
 		}
 	case MsgLookupBatch:
-		n, err := d.count()
-		if err != nil {
+		if into.Xs, err = d.ints(into.Xs, store); err != nil {
 			return h, err
-		}
-		if store {
-			into.Xs = sized(into.Xs, n)
-		}
-		for i := 0; i < n; i++ {
-			x, err := d.Int()
-			if err != nil {
-				return h, err
-			}
-			if store {
-				into.Xs[i] = x
-			}
 		}
 	case MsgApplyBatch:
 		n, err := d.count()
@@ -465,21 +452,8 @@ func walkResponse(b []byte, into *Response) (respHead, error) {
 		if into.Epoch, err = d.Uvarint(); err != nil {
 			return h, err
 		}
-		n, err := d.count()
-		if err != nil {
+		if into.Phis, err = d.ints(into.Phis, store); err != nil {
 			return h, err
-		}
-		if store {
-			into.Phis = sized(into.Phis, n)
-		}
-		for i := 0; i < n; i++ {
-			phi, err := d.Int()
-			if err != nil {
-				return h, err
-			}
-			if store {
-				into.Phis[i] = phi
-			}
 		}
 	case h.t == MsgApplyBatch:
 		r := &into.Result
@@ -532,6 +506,29 @@ func (d *cursor) count() (int, error) {
 		return 0, fmt.Errorf("wire: count %d exceeds %d remaining bytes", n, len(d.B)-d.Off)
 	}
 	return n, nil
+}
+
+// ints reads a counted vector of Ints into dst's memory (see sized) or,
+// when store is false, only checks it, a stack chunk at a time, so a
+// validating walk allocates nothing.
+func (d *cursor) ints(dst []int, store bool) ([]int, error) {
+	n, err := d.count()
+	if err != nil {
+		return dst, err
+	}
+	if store {
+		dst = sized(dst, n)
+		return dst, d.Ints(dst)
+	}
+	var chunk [32]int
+	for n > 0 {
+		c := chunk[:min(n, len(chunk))]
+		if err := d.Ints(c); err != nil {
+			return dst, err
+		}
+		n -= len(c)
+	}
+	return dst, nil
 }
 
 func (d *cursor) byteVal() (byte, error) {
