@@ -15,10 +15,12 @@ import (
 	sharding "ftnet/internal/shard"
 )
 
-func benchServer(b *testing.B) (string, func()) {
+// benchServer serves one de Bruijn instance "bench" of 2^h nodes and
+// returns its address and the server's metrics.
+func benchServer(b *testing.B, h int) (string, *obs.Registry) {
 	b.Helper()
 	mgr := fleet.NewManager(fleet.Options{})
-	spec := fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 6, K: 4}
+	spec := fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: h, K: 4}
 	if _, err := mgr.Create("bench", spec); err != nil {
 		b.Fatal(err)
 	}
@@ -26,9 +28,11 @@ func benchServer(b *testing.B) (string, func()) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv := NewServer(mgr, ServerOptions{Metrics: obs.New()})
+	reg := obs.New()
+	srv := NewServer(mgr, ServerOptions{Metrics: reg})
 	go srv.Serve(ln)
-	return ln.Addr().String(), func() { srv.Close() }
+	b.Cleanup(func() { srv.Close() })
+	return ln.Addr().String(), reg
 }
 
 // BenchmarkWireLookup measures a single pipelined Lookup round trip
@@ -36,8 +40,7 @@ func benchServer(b *testing.B) (string, func()) {
 // the RPC plane's end-to-end per-op figure the README compares against
 // the JSON plane.
 func BenchmarkWireLookup(b *testing.B) {
-	addr, stop := benchServer(b)
-	defer stop()
+	addr, _ := benchServer(b, 6)
 	c, err := Dial(addr, Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -63,8 +66,7 @@ func BenchmarkWireLookup(b *testing.B) {
 // back. The single-caller variant is pure round-trip latency and never
 // batches. This is the per-core throughput figure.
 func BenchmarkWireLookupBatchPipelined(b *testing.B) {
-	addr, stop := benchServer(b)
-	defer stop()
+	addr, _ := benchServer(b, 6)
 	c, err := Dial(addr, Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -91,8 +93,7 @@ func BenchmarkWireLookupBatchPipelined(b *testing.B) {
 // frame each way resolves 16 targets, the shape loadgen's RPC driver
 // uses.
 func BenchmarkWireLookupBatch(b *testing.B) {
-	addr, stop := benchServer(b)
-	defer stop()
+	addr, _ := benchServer(b, 6)
 	c, err := Dial(addr, Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -207,20 +208,20 @@ func (pc *proxiedCluster) writevs() uint64 {
 	return n
 }
 
-// benchProxied runs the proxied twin of the pipelined benchmark, in the
-// shape the repository benchmark's read-proxy workload runs and on one
-// processor like it: one client with 2 connections and 8 closed-loop
-// callers on each, LookupBatch-16 frames. ns/op is per frame, for the
-// whole process: client, proxy and daemons. writev/frame counts the
-// proxy's and the daemons' writes, which is where the hop's cost is.
-func benchProxied(b *testing.B, names []string) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	pc := startProxiedCluster(b, names)
-	c, err := Dial(pc.addr, Options{Conns: 2})
+// pipelined is the closed loop of the repository benchmark's read
+// workloads: one client with 2 connections and 16 callers send b.N
+// LookupBatch-16 frames of targets i*stride%nodes between them, the
+// n-th frame (sent by caller w) to instance id(n, w).
+func pipelined(b *testing.B, addr string, nodes, stride int, id func(n, w int) string) {
+	c, err := Dial(addr, Options{Conns: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
+	xs := make([]int, 16)
+	for i := range xs {
+		xs[i] = i * stride % nodes
+	}
 
 	const callers = 16
 	var next atomic.Int64
@@ -230,13 +231,9 @@ func benchProxied(b *testing.B, names []string) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			xs := make([]int, 16)
-			phis := make([]int, 16)
-			for i := range xs {
-				xs[i] = i * 3 % 64
-			}
+			phis := make([]int, len(xs))
 			for n := next.Add(1); n <= int64(b.N); n = next.Add(1) {
-				if _, err := c.LookupBatch(pc.ids[(int(n)*7+w)%len(pc.ids)], xs, phis); err != nil {
+				if _, err := c.LookupBatch(id(int(n), w), xs, phis); err != nil {
 					b.Error(err)
 					return
 				}
@@ -244,6 +241,29 @@ func benchProxied(b *testing.B, names []string) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// BenchmarkWireDirectPipelined is pipelined against one daemon with
+// one instance of 2^12 nodes, the read-direct workload of the
+// repository benchmark; run it pinned to one core (or -cpu 1) for that
+// workload's shape. ns/op is per frame, client and server together.
+// writev/frame counts the server's writes: one per client round it
+// drains, so it falls as the client's rounds grow.
+func BenchmarkWireDirectPipelined(b *testing.B) {
+	addr, reg := benchServer(b, 12)
+	pipelined(b, addr, 1<<12, 263, func(int, int) string { return "bench" })
+	b.ReportMetric(float64(reg.Counter("ftnet_rpc_flushes_total", "").Value())/float64(b.N), "writev/frame")
+}
+
+// benchProxied runs the proxied twin of BenchmarkWireDirectPipelined,
+// in the shape the repository benchmark's read-proxy workload runs and
+// on one processor like it. ns/op is per frame, for the whole process:
+// client, proxy and daemons. writev/frame counts the proxy's and the
+// daemons' writes, which is where the hop's cost is.
+func benchProxied(b *testing.B, names []string) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pc := startProxiedCluster(b, names)
+	pipelined(b, pc.addr, 64, 3, func(n, w int) string { return pc.ids[(n*7+w)%len(pc.ids)] })
 	b.ReportMetric(float64(pc.writevs())/float64(b.N), "writev/frame")
 }
 

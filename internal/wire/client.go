@@ -14,10 +14,10 @@ import (
 
 // Options tunes Dial.
 type Options struct {
-	// Conns is the connection pool size (default DefaultConns). Many
-	// callers sharing few connections is the intended shape: requests
-	// pipeline down each connection and complete out of order, so one
-	// connection sustains many in-flight callers.
+	// Conns is how many connections the client's rounds rotate over
+	// (default DefaultConns). Many callers sharing few connections is the
+	// intended shape: requests pipeline down each connection and complete
+	// out of order, so one connection sustains many in-flight callers.
 	Conns int
 	// Timeout is how long a connection may leave any request unanswered
 	// (default DefaultTimeout). It is a rule about the connection, not a
@@ -39,7 +39,10 @@ const (
 // shape): the caller whose frame finds the queue empty owns the round's
 // flush and, unless it is the only one using the client, yields once
 // first, so concurrent callers share one writev on the way out the same
-// way the server coalesces them on the way back.
+// way the server coalesces them on the way back. A connection is picked
+// per round, not per call: callers post on the current one until its
+// flusher moves the client on to the next, so a round is one writev,
+// and on the server one drain pass and, for writes, one fsync.
 //
 // A connection that fails is failed as a whole: every pending call gets
 // a TransportError, and the slot is re-dialed on next use — on the new
@@ -139,8 +142,8 @@ func (c *Client) ApplyBatch(id string, events []fleet.Event) (fleet.EventResult,
 	return ca.resp.Result, err
 }
 
-// roundTrip sends req on a pooled connection and waits for its
-// response. A transport failure is retried once on a fresh connection
+// roundTrip sends req on the current round's connection and waits for
+// its response. A transport failure is retried once on a fresh connection
 // when the request is idempotent or was never sent (its connection's
 // dial failed, or had failed already).
 func (c *Client) roundTrip(req Request, ca *call, idempotent bool) error {
@@ -148,11 +151,11 @@ func (c *Client) roundTrip(req Request, ca *call, idempotent bool) error {
 	alone := c.calls.Add(1) == 1
 	defer c.calls.Add(-1)
 	for attempt := 0; attempt < 2; attempt++ {
-		u := c.pool[c.next.Add(1)%uint64(len(c.pool))].live()
+		u := c.pool[c.next.Load()%uint64(len(c.pool))].live()
 		if u == nil {
 			return transportErrf("client closed")
 		}
-		err = do(u, req, ca, alone)
+		err = c.do(u, req, ca, alone)
 		if te, failed := err.(*TransportError); !failed || !(idempotent || te.unsent) {
 			return err
 		}
@@ -186,8 +189,12 @@ func putCall(ca *call) {
 }
 
 // do posts req on u and waits for the reader (or a failure of the
-// connection, the watchdog's included) to complete ca.
-func do(u *upstream[*call], req Request, ca *call, alone bool) error {
+// connection, the watchdog's included) to complete ca. The caller that
+// is elected to flush ends the round: it moves the client on to the
+// next connection after its yield, so every caller runnable during the
+// yield has joined this round, and before its kick, so a writev stuck
+// on a peer that stopped reading holds only this round.
+func (c *Client) do(u *upstream[*call], req Request, ca *call, alone bool) error {
 	elected, err := u.post(ca, func(q *writeQueue, seq uint64) error {
 		req.Seq = seq
 		mark := q.mark()
@@ -212,6 +219,7 @@ func do(u *upstream[*call], req Request, ca *call, alone bool) error {
 			// has nobody to wait for and flushes at once.
 			runtime.Gosched()
 		}
+		c.next.Add(1)
 		u.kick()
 	}
 	return <-ca.done

@@ -378,6 +378,70 @@ func TestWireElectedFlusherOneWritePerRound(t *testing.T) {
 	}
 }
 
+// TestWireClientRoundTakesOneConnection pins that a connection is
+// picked per round, not per call: with two connections, callers that
+// are runnable together still leave in one write, because only the
+// elected flusher moves the client on to the next connection. The
+// rounds still rotate, so every connection carries writes, and lone
+// callers alternate call by call.
+func TestWireClientRoundTakesOneConnection(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mgr := newTestManager(t, "prod", 2)
+	addr, _ := startServer(t, mgr, ServerOptions{})
+	var tcs []*testConn
+	c := dialWrapped(t, addr, Options{Conns: 2, Timeout: 5 * time.Second}, func(nc net.Conn) net.Conn {
+		tc := &testConn{Conn: nc}
+		tcs = append(tcs, tc)
+		return tc
+	})
+	writes := func() (per []int64, total int64) {
+		for _, tc := range tcs {
+			n := tc.writes.Load()
+			per, total = append(per, n), total+n
+		}
+		return per, total
+	}
+
+	// As in TestWireElectedFlusherOneWritePerRound: the first of eight
+	// flushes alone, the second carries the other six, so the median
+	// round is two writes. Were a connection picked per call, the six
+	// would split over both connections and leave in two writes.
+	var rounds [9]int
+	for r := range rounds {
+		_, before := writes()
+		together(8, func(i int) {
+			if _, _, err := c.Lookup("prod", i%4); err != nil {
+				t.Error(err)
+			}
+		})
+		_, after := writes()
+		rounds[r] = int(after - before)
+	}
+	slices.Sort(rounds[:])
+	if rounds[len(rounds)/2] > 2 {
+		t.Fatalf("8 callers released together on 2 connections left in %v writes a round, want a median of at most 2", rounds)
+	}
+	per, _ := writes()
+	for i, n := range per {
+		if n == 0 {
+			t.Fatalf("writes per connection %v: connection %d carried none, want the rounds to rotate", per, i)
+		}
+	}
+
+	before, _ := writes()
+	for i := 0; i < 4; i++ {
+		if _, _, err := c.Lookup("prod", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, _ := writes()
+	for i := range after {
+		if d := after[i] - before[i]; d != 2 {
+			t.Fatalf("4 lone calls: connection %d carried %d writes, want 2 (the calls alternate)", i, d)
+		}
+	}
+}
+
 // TestWireElectedFlusherFailedFlushStrandsNobody pins the election's
 // failure path: callers that appended behind a write that then fails
 // never flush for themselves, so the flusher's failure must reach them

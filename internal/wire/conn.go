@@ -34,7 +34,9 @@ import (
 // Timeout bounds the dial too.
 //
 // Whoever puts a frame on an empty write queue flushes it: a Client
-// caller at once, a Proxy reader when its round finishes. take()
+// caller before it waits (yielding once first when others are calling,
+// then ending the round: later callers post on the client's next
+// connection), a Proxy reader when its round finishes. take()
 // empties the queue under the lock frames are appended under, so a
 // frame that arrives behind a writev in the kernel is either picked up
 // by that flusher's own loop or elects its appender.
