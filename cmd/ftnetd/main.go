@@ -43,6 +43,11 @@
 // first watch frame, discards its unreplicated tail, and resyncs from
 // the new leader's checkpoint.
 //
+// The daemon itself is fleet.NewDaemon and Daemon.Run: boot (recover,
+// fence, ring, posture), loops, planes, and on SIGINT/SIGTERM the drain
+// (RPC, watch streams, HTTP, journal). This file is its flags, its
+// listeners, bound once the journal has been replayed, and SIGUSR1.
+//
 // API (see internal/fleet/api.go for the full route table):
 //
 //	POST   /v1/instances              {"id":"prod","spec":{"kind":"debruijn","m":2,"h":4,"k":2}}
@@ -65,9 +70,7 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -75,7 +78,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"ftnet/internal/fleet"
 	"ftnet/internal/journal"
@@ -84,80 +86,40 @@ import (
 )
 
 func main() {
+	cfg := fleet.DaemonConfig{Logf: func(format string, args ...any) { log.Printf("ftnetd: "+format, args...) }}
 	addr := flag.String("addr", ":8080", "listen address")
-	journalPath := flag.String("journal", "", "append-only epoch journal path (empty disables durability)")
-	fsyncMode := flag.String("fsync", "always", `journal fsync policy: "always", "interval" or "never"`)
-	fsyncEvery := flag.Duration("fsync-interval", journal.DefaultSyncInterval, `sync period for -fsync interval`)
-	follow := flag.String("follow", "", "leader base URL; run as a read-only replica tailing its /v1/watch stream")
-	compactEvery := flag.Duration("compact-every", 0, "checkpoint-compact the journal on this period (0 disables)")
+	flag.StringVar(&cfg.Journal, "journal", "", "append-only epoch journal path (empty disables durability)")
+	flag.StringVar(&cfg.Fsync, "fsync", "always", `journal fsync policy: "always", "interval" or "never"`)
+	flag.DurationVar(&cfg.FsyncInterval, "fsync-interval", journal.DefaultSyncInterval, `sync period for -fsync interval`)
+	flag.StringVar(&cfg.Follow, "follow", "", "leader base URL; run as a read-only replica tailing its /v1/watch stream")
+	flag.DurationVar(&cfg.CompactEvery, "compact-every", 0, "checkpoint-compact the journal on this period (0 disables)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables; keep it loopback-only)")
 	rpcAddr := flag.String("rpc-addr", "", "binary RPC plane listen address for the hot path (empty disables)")
-	term := flag.Uint64("term", 0, "fence the journal at this leadership term on boot if ahead of the recovered term (0 leaves it; incompatible with -follow)")
-	shardSelf := flag.String("shard-self", "", "this daemon's member name in the shard ring (enables sharding with -shard-peers)")
+	flag.Uint64Var(&cfg.Term, "term", 0, "fence the journal at this leadership term on boot if ahead of the recovered term (0 leaves it; incompatible with -follow)")
+	flag.StringVar(&cfg.Self, "shard-self", "", "this daemon's member name in the shard ring (enables sharding with -shard-peers)")
 	shardPeers := flag.String("shard-peers", "", `shard ring membership as "name=url,name=url,..." (must include -shard-self)`)
-	shardReplicas := flag.Int("shard-replicas", 0, "virtual nodes per ring member (0 selects the default)")
+	flag.IntVar(&cfg.Replicas, "shard-replicas", 0, "virtual nodes per ring member (0 selects the default)")
 	flag.Parse()
-	if *term > 0 && *follow != "" {
-		log.Fatalf("ftnetd: -term promotes this daemon to leader and cannot be combined with -follow")
-	}
 
-	mgr := fleet.NewManager(fleet.Options{})
-	if _, err := openJournal(mgr, *journalPath, *fsyncMode, *fsyncEvery, log.Printf); err != nil {
-		log.Fatalf("ftnetd: %v", err)
-	}
-	if *term > 0 {
-		if cur, _ := mgr.Term(); *term > cur {
-			if _, err := mgr.Promote(context.Background(), *term); err != nil {
-				log.Fatalf("ftnetd: term fence: %v", err)
-			}
-			log.Printf("ftnetd: leadership term fenced at %d", *term)
-		} else {
-			log.Printf("ftnetd: recovered term %d already covers -term %d", cur, *term)
-		}
-	}
-
-	// The topology is installed after recovery. The order is kept but
-	// carries no weight: a daemon serves the copies it holds whatever the
-	// ring says, so a recovered instance the ring assigns elsewhere is
-	// served here until a rebalance migrates it, whichever came first.
-	if *shardSelf != "" || *shardPeers != "" {
-		peers, err := shard.ParsePeers(*shardPeers)
-		if err != nil {
+	var err error
+	if *shardPeers != "" {
+		if cfg.Peers, err = shard.ParsePeers(*shardPeers); err != nil {
 			log.Fatalf("ftnetd: %v", err)
 		}
-		if _, ok := peers[*shardSelf]; !ok {
-			log.Fatalf("ftnetd: -shard-self %q is not in -shard-peers", *shardSelf)
-		}
-		mgr.SetTopology(*shardSelf, peers, *shardReplicas)
-		log.Printf("ftnetd: sharding as %q across %d members", *shardSelf, len(peers))
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	d, err := fleet.NewDaemon(cfg)
+	if err != nil {
+		log.Fatalf("ftnetd: %v", err)
+	}
+	mgr := d.Manager()
 
 	if *pprofAddr != "" {
 		go func() {
 			log.Printf("ftnetd: serving pprof on %s/debug/pprof/", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, pprofMux()); !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("ftnetd: pprof server: %v", err)
-			}
+			log.Printf("ftnetd: pprof server: %v", http.ListenAndServe(*pprofAddr, pprofMux()))
 		}()
-	}
-
-	ctx, stop := context.WithCancel(context.Background())
-	defer stop()
-
-	if _, sharded := mgr.Topology(); sharded {
-		go reconcileLoop(ctx, mgr, log.Printf)
-	}
-
-	if *follow != "" {
-		follower, err := fleet.NewFollower(mgr, *follow, fleet.FollowerOptions{Logf: log.Printf})
-		if err != nil {
-			log.Fatalf("ftnetd: %v", err)
-		}
-		go follower.Run(ctx)
-		log.Printf("ftnetd: following %s (read-only replica)", *follow)
-	}
-	if *compactEvery > 0 {
-		go compactLoop(ctx, mgr, *compactEvery, log.Printf)
 	}
 
 	// SIGUSR1 promotes this daemon to leader, the same call POST
@@ -168,8 +130,7 @@ func main() {
 	signal.Notify(promoteSig, syscall.SIGUSR1)
 	go func() {
 		for range promoteSig {
-			t, err := mgr.Promote(ctx, 0)
-			if err != nil {
+			if t, err := mgr.Promote(ctx, 0); err != nil {
 				log.Printf("ftnetd: promote (SIGUSR1): %v", err)
 			} else {
 				log.Printf("ftnetd: promoted to leadership term %d (SIGUSR1)", t)
@@ -177,152 +138,20 @@ func main() {
 		}
 	}()
 
-	var rpcSrv *wire.Server
+	var rpc fleet.Plane
 	if *rpcAddr != "" {
-		ln, err := net.Listen("tcp", *rpcAddr)
-		if err != nil {
+		if rpc.Listener, err = net.Listen("tcp", *rpcAddr); err != nil {
 			log.Fatalf("ftnetd: rpc listen: %v", err)
 		}
-		rpcSrv = wire.NewServer(mgr, wire.ServerOptions{Metrics: mgr.Metrics()})
-		go func() {
-			if err := rpcSrv.Serve(ln); err != nil {
-				log.Printf("ftnetd: rpc server: %v", err)
-			}
-		}()
-		log.Printf("ftnetd: serving the binary RPC plane on %s", *rpcAddr)
+		rpc.Server = wire.NewServer(mgr, wire.ServerOptions{Metrics: mgr.Metrics()})
 	}
-
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           newServer(mgr),
-		ReadHeaderTimeout: 5 * time.Second,
-		// Request bodies and responses are bounded — except /v1/watch,
-		// which streams and lifts these per-connection deadlines itself
-		// via http.ResponseController.
-		ReadTimeout:  30 * time.Second,
-		WriteTimeout: 30 * time.Second,
-		IdleTimeout:  2 * time.Minute,
+	api, err := net.Listen("tcp", *addr)
+	if err == nil {
+		err = d.Run(ctx, api, rpc)
 	}
-
-	done := make(chan error, 1)
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		log.Printf("ftnetd: shutting down")
-		stop() // ends the follower and compaction loops
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		// Drain order: answer every RPC request already on the wire,
-		// end watch streams at a record boundary (clean EOF) so the
-		// HTTP drain below can finish, then flush+fsync the journal
-		// last — no acknowledged commit is ever lost to shutdown.
-		if rpcSrv != nil {
-			if derr := rpcSrv.Shutdown(sctx); derr != nil {
-				log.Printf("ftnetd: rpc drain: %v", derr)
-			}
-		}
-		mgr.Quiesce()
-		err := srv.Shutdown(sctx)
-		if cerr := mgr.Close(); err == nil {
-			err = cerr
-		}
-		done <- err
-	}()
-
-	log.Printf("ftnetd: serving the reconfiguration API on %s", *addr)
-	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		log.Fatal(err)
-	}
-}
-
-// reconcileLoop audits the displaced copies this daemon booted with
-// against the actual ring owners (Manager.ReconcilePins): a crash
-// between a handoff's commit on the target and the OpDelete here leaves
-// a stale local copy that recovery faithfully resurrects and this
-// daemon, holding it, serves — the audit retires every copy whose ring
-// owner confirms a committed handoff. Retries with backoff while any
-// probe is unresolved, since peers boot in arbitrary order.
-func reconcileLoop(ctx context.Context, mgr *fleet.Manager, logf func(string, ...any)) {
-	backoff := 2 * time.Second
-	for {
-		st := mgr.ReconcilePins()
-		if st.Checked > 0 {
-			logf("ftnetd: pin reconciliation: %d checked, %d retired (handoff had committed), %d kept, %d unresolved",
-				st.Checked, st.Retired, st.Kept, st.Unresolved)
-		}
-		if st.Unresolved == 0 {
-			return
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(backoff):
-		}
-		if backoff < 30*time.Second {
-			backoff *= 2
-		}
-	}
-}
-
-// compactLoop periodically checkpoints the fleet and truncates the
-// journal prefix, bounding replay length; split from main for tests.
-func compactLoop(ctx context.Context, mgr *fleet.Manager, every time.Duration, logf func(string, ...any)) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			st, err := mgr.Compact()
-			if err != nil {
-				logf("ftnetd: compaction failed: %v", err)
-				continue
-			}
-			logf("ftnetd: compacted journal to %d checkpoint records at seq %d in %.3fs",
-				st.Instances, st.Seq, st.Seconds)
-		}
-	}
-}
-
-// openJournal performs the durable boot sequence: replay the existing
-// log into the manager (verifying every epoch against a fresh mapping
-// recomputation), truncate any torn tail left by a crash mid-append,
-// and only then open the append writer and attach it — so new records
-// always continue the valid prefix. A replay that fails verification
-// is fatal: the daemon refuses to serve state it cannot prove correct.
-// Split from main (with an injectable logger) so the end-to-end test
-// boots exactly this sequence.
-func openJournal(mgr *fleet.Manager, path, fsyncMode string, interval time.Duration, logf func(string, ...any)) (*journal.Writer, error) {
-	if path == "" {
-		return nil, nil
-	}
-	policy, err := journal.ParseSyncPolicy(fsyncMode)
 	if err != nil {
-		return nil, err
+		log.Fatalf("ftnetd: %v", err)
 	}
-	st, err := mgr.RecoverFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("journal recovery from %s failed: %w", path, err)
-	}
-	if st.Torn {
-		logf("ftnetd: journal %s: torn tail dropped at byte %d (%s)", path, st.Offset, st.TornReason)
-	}
-	if st.Records > 0 {
-		logf("ftnetd: recovered %d journal records (%d instances, %d transitions, %d snapshots built, %d checkpoints, last epoch %d, next seq %d) in %.3fs from %s",
-			st.Records, st.Created+st.Checkpoints-st.Deleted, st.Transitions, st.Built, st.Checkpoints, st.LastEpoch, st.NextSeq, st.Seconds, path)
-	}
-	jw, err := journal.Create(path, journal.Options{Sync: policy, Interval: interval})
-	if err != nil {
-		return nil, err
-	}
-	mgr.SetJournal(jw)
-	logf("ftnetd: journaling epochs to %s (fsync %s)", path, policy)
-	return jw, nil
 }
 
 // pprofMux builds the -pprof-addr handler on its own mux: registering
@@ -338,10 +167,4 @@ func pprofMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// newServer builds the daemon's handler; split from main so the
-// end-to-end test serves the exact handler the binary runs.
-func newServer(mgr *fleet.Manager) http.Handler {
-	return fleet.NewHTTPHandler(mgr)
 }

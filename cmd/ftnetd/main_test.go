@@ -23,7 +23,7 @@ import (
 
 func newTestDaemon(t *testing.T) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(newServer(fleet.NewManager(fleet.Options{})))
+	ts := httptest.NewServer(fleet.NewHTTPHandler(fleet.NewManager(fleet.Options{})))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -295,19 +295,19 @@ func TestDaemonRemovedCacheFlags(t *testing.T) {
 	}
 }
 
-// bootJournaled runs the daemon's exact journal boot sequence
-// (openJournal: recover, truncate torn tail, attach append writer) and
-// serves the real handler over it.
+// bootJournaled boots the daemon's exact sequence (fleet.NewDaemon:
+// recover, truncate torn tail, attach append writer) and serves the real
+// handler over it. It never runs the drain, so a test that stops using
+// the daemon has abandoned it the way SIGKILL does.
 func bootJournaled(t *testing.T, path string) (*fleet.Manager, *journal.Writer, *httptest.Server) {
 	t.Helper()
-	mgr := fleet.NewManager(fleet.Options{})
-	jw, err := openJournal(mgr, path, "always", journal.DefaultSyncInterval, t.Logf)
+	d, err := fleet.NewDaemon(fleet.DaemonConfig{Journal: path, Logf: t.Logf})
 	if err != nil {
-		t.Fatalf("openJournal: %v", err)
+		t.Fatalf("NewDaemon: %v", err)
 	}
-	ts := httptest.NewServer(newServer(mgr))
+	ts := httptest.NewServer(fleet.NewHTTPHandler(d.Manager()))
 	t.Cleanup(ts.Close)
-	return mgr, jw, ts
+	return d.Manager(), d.Manager().CommitLog().Writer(), ts
 }
 
 // TestDaemonJournalCrashRecovery is the acceptance check at daemon
@@ -476,21 +476,24 @@ func fileSize(t *testing.T, path string) int64 {
 // TestDaemonJournalFsyncFlagParsing pins the flag surface: bad -fsync
 // values fail the boot, good ones boot with the right policy.
 func TestDaemonJournalFsyncFlagParsing(t *testing.T) {
-	mgr := fleet.NewManager(fleet.Options{})
-	if _, err := openJournal(mgr, filepath.Join(t.TempDir(), "j"), "sometimes", time.Second, t.Logf); err == nil {
-		t.Error("openJournal accepted -fsync sometimes")
+	boot := func(path, mode string) (*fleet.Daemon, error) {
+		return fleet.NewDaemon(fleet.DaemonConfig{Journal: path, Fsync: mode, FsyncInterval: 10 * time.Millisecond, Logf: t.Logf})
+	}
+	if _, err := boot(filepath.Join(t.TempDir(), "j"), "sometimes"); err == nil {
+		t.Error("NewDaemon accepted -fsync sometimes")
 	}
 	for _, mode := range []string{"always", "interval", "never"} {
-		jw, err := openJournal(fleet.NewManager(fleet.Options{}), filepath.Join(t.TempDir(), "j"), mode, 10*time.Millisecond, t.Logf)
+		d, err := boot(filepath.Join(t.TempDir(), "j"), mode)
 		if err != nil {
 			t.Errorf("-fsync %s: %v", mode, err)
 			continue
 		}
-		jw.Close()
+		d.Manager().Close()
 	}
-	// No -journal: durability off, no writer.
-	if jw, err := openJournal(mgr, "", "always", time.Second, t.Logf); err != nil || jw != nil {
-		t.Errorf("empty -journal: writer %v, err %v; want nil, nil", jw, err)
+	// No -journal: durability off, no writer — whatever -fsync says.
+	d, err := boot("", "sometimes")
+	if err != nil || d.Manager().CommitLog().Writer() != nil {
+		t.Errorf("empty -journal: err %v; want a daemon with no writer", err)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 //	POST /v1/migrate/abort   (daemon-to-daemon) drop a staged instance
 //	GET  /v1/migrate/state   (daemon-to-daemon) this daemon's view of an
 //	                         id: absent | staged | committed (+epoch) —
-//	                         the probe resolveHandoff and ReconcilePins
+//	                         the probe resolveHandoff and reconcilePins
 //	                         settle ambiguous handoffs with
 //
 // stage/commit bodies are the canonical shard.Migration encoding

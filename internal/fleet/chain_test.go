@@ -1,10 +1,9 @@
 package fleet
 
 import (
-	"context"
 	"net"
-	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 )
@@ -15,73 +14,19 @@ import (
 // a watch server, so its own appliance must be re-observable
 // downstream with the same gap-free seq and bit-identical state.
 
-// midTier is the chain's middle daemon on a stable address, so the
-// leaf can reconnect to the same URL after the tier is killed and
-// rebooted — the in-process analog of SIGKILLing the process and
-// restarting it on its port.
-type midTier struct {
-	t    *testing.T
-	addr string
-	srv  *http.Server
-	stop context.CancelFunc
-}
-
-func startMidTier(t *testing.T, m *Manager, leaderURL, addr string) *midTier {
-	t.Helper()
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		// The port of a just-closed listener can linger for a moment.
-		deadline := time.Now().Add(5 * time.Second)
-		for err != nil && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-			ln, err = net.Listen("tcp", addr)
-		}
-		if err != nil {
-			t.Fatalf("mid tier rebind %s: %v", addr, err)
-		}
-	}
-	srv := &http.Server{Handler: NewHTTPHandler(m)}
-	go srv.Serve(ln)
-
-	f, err := NewFollower(m, leaderURL, FollowerOptions{
-		Heartbeat:    50 * time.Millisecond,
-		StallTimeout: 2 * time.Second,
-		Backoff:      20 * time.Millisecond,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go f.Run(ctx)
-	mt := &midTier{t: t, addr: ln.Addr().String(), srv: srv, stop: cancel}
-	t.Cleanup(mt.kill)
-	return mt
-}
-
-// kill drops the tier abruptly: the replication loop dies and every
-// open connection (including the leaf's watch stream) is severed.
-func (mt *midTier) kill() {
-	mt.stop()
-	mt.srv.Close()
-}
-
 // TestFollowerChainConvergesAtDepthTwo drives a depth-2 chain under a
 // leader-side storm and requires the leaf — which never talks to the
 // leader — to converge bit-identically, with live lag metrics.
 func TestFollowerChainConvergesAtDepthTwo(t *testing.T) {
-	leader := journaledManager(t, t.TempDir())
+	leader := bootDaemon(t, DaemonConfig{}).mgr
 	srvLeader := httptest.NewServer(NewHTTPHandler(leader))
 	t.Cleanup(srvLeader.Close)
 
-	mid := journaledManager(t, t.TempDir())
-	mt := startMidTier(t, mid, srvLeader.URL, "")
+	mt := bootDaemon(t, DaemonConfig{Follow: srvLeader.URL})
+	midURL, _ := runDaemon(t, mt, nil, Plane{})
+	mid := mt.mgr
 
-	leaf := journaledManager(t, t.TempDir())
-	fLeaf := startFollower(t, leaf, "http://"+mt.addr)
+	leaf, fLeaf := startFollower(t, midURL)
 
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 5, K: 4}
 	for _, id := range []string{"chain-0", "chain-1", "chain-2"} {
@@ -119,21 +64,47 @@ func TestFollowerChainConvergesAtDepthTwo(t *testing.T) {
 	}
 }
 
+// severable is a listener whose sever cuts every connection it accepted
+// at whatever byte it was carrying, as a SIGKILL of the process would.
+type severable struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *severable) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+func (l *severable) sever() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		c.Close()
+	}
+}
+
 // TestFollowerChainSurvivesMidChainKill kills the middle tier abruptly
 // while the leader keeps committing, reboots it from its own journal
 // on the same address, and requires the leaf to reconnect and converge
 // bit-identically with the leader — the chain self-heals around a
 // SIGKILL of its interior node.
 func TestFollowerChainSurvivesMidChainKill(t *testing.T) {
-	leader := journaledManager(t, t.TempDir())
+	leader := bootDaemon(t, DaemonConfig{}).mgr
 	srvLeader := httptest.NewServer(NewHTTPHandler(leader))
 	t.Cleanup(srvLeader.Close)
 
-	mid := journaledManager(t, t.TempDir())
-	mt := startMidTier(t, mid, srvLeader.URL, "")
+	mt := bootDaemon(t, DaemonConfig{Follow: srvLeader.URL})
+	midLn := &severable{Listener: listen(t, "127.0.0.1:0")}
+	midURL, stopMid := runDaemon(t, mt, midLn, Plane{})
 
-	leaf := journaledManager(t, t.TempDir())
-	fLeaf := startFollower(t, leaf, "http://"+mt.addr)
+	leaf, fLeaf := startFollower(t, midURL)
 
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 5, K: 4}
 	for _, id := range []string{"kill-0", "kill-1"} {
@@ -144,10 +115,13 @@ func TestFollowerChainSurvivesMidChainKill(t *testing.T) {
 	}
 	waitConverged(t, leader, leaf, 10*time.Second)
 
-	// Snapshot the mid tier's durable state and kill it: replication
-	// loop gone, leaf's stream severed mid-chain.
-	image := journalImage(t, mid)
-	mt.kill()
+	// Snapshot the mid tier's durable state and kill it: the leaf's
+	// stream severed mid-chain, at no record boundary, then the
+	// replication loop gone (the drain that follows finds no stream left
+	// to end cleanly, and the reboot starts from the snapshot).
+	image := journalImage(t, mt.mgr)
+	midLn.sever()
+	stopMid()
 
 	// The leader keeps committing while the interior of the chain is
 	// down; nothing below it can see these entries yet.
@@ -158,10 +132,10 @@ func TestFollowerChainSurvivesMidChainKill(t *testing.T) {
 	// recovery starts where the kill left it; its follower re-streams
 	// the missed suffix from the leader, and the leaf reconnects to the
 	// same URL it was always pointed at.
-	mid2 := rebootManager(t, image, t.TempDir())
-	startMidTier(t, mid2, srvLeader.URL, mt.addr)
+	mid2 := rebootDaemon(t, image, DaemonConfig{Follow: srvLeader.URL})
+	runDaemon(t, mid2, listen(t, midLn.Addr().String()), Plane{})
 
-	waitConverged(t, leader, mid2, 15*time.Second)
+	waitConverged(t, leader, mid2.mgr, 15*time.Second)
 	waitConverged(t, leader, leaf, 15*time.Second)
 	assertSameFleet(t, leader, leaf)
 	if st := fLeaf.Stats(); st.Reconnects == 0 {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -24,6 +25,8 @@ import (
 type Client struct {
 	HTTP *http.Client
 	Base string // no trailing slash
+
+	ctx context.Context // every request's, when not nil: the ring audit's probes end with the daemon
 }
 
 // instancePath is where an instance id enters a URL path, here and
@@ -50,7 +53,11 @@ func (c Client) do(method, path string, in, out any) error {
 		}
 		body, ctype = bytes.NewReader(b), "application/json"
 	}
-	req, err := http.NewRequest(method, c.Base+path, body)
+	ctx := c.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
 	if err != nil {
 		return err
 	}

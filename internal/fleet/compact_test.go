@@ -51,7 +51,7 @@ func TestCompactRecoverEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			m := journaledManager(t, t.TempDir())
+			m := bootDaemon(t, DaemonConfig{}).mgr
 			driveRandom(t, rng, m, 80)
 
 			full := syncedJournalBytes(t, m)
@@ -106,7 +106,7 @@ func TestCompactRecoverEquivalence(t *testing.T) {
 // to exactly the live fleet, and a live subscriber sees a gap-free
 // suffix.
 func TestCompactUnderConcurrentWrites(t *testing.T) {
-	m := journaledManager(t, t.TempDir())
+	m := bootDaemon(t, DaemonConfig{}).mgr
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 5, K: 4}
 	_, nHost := spec.Sizes()
 	ids := make([]string, 3)
@@ -240,7 +240,7 @@ func TestRecoverCleansStaleCompactionTemp(t *testing.T) {
 // writer a compaction reopens over the swapped file carries on from
 // the old one's counts instead of starting at zero.
 func TestCompactKeepsJournalCountersMonotone(t *testing.T) {
-	m := journaledManager(t, t.TempDir())
+	m := bootDaemon(t, DaemonConfig{}).mgr
 	if _, err := m.Create("a", Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}); err != nil {
 		t.Fatal(err)
 	}

@@ -8,35 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"ftnet/internal/journal"
 )
-
-// rebootManager boots a manager over a pre-existing journal image —
-// the deposed leader restarting on its own data directory.
-func rebootManager(t *testing.T, data []byte, dir string) *Manager {
-	t.Helper()
-	path := filepath.Join(dir, "epochs.wal")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m := NewManager(Options{})
-	if _, err := m.RecoverFile(path); err != nil {
-		t.Fatalf("reboot recovery: %v", err)
-	}
-	w, err := journal.Create(path, journal.Options{Sync: journal.SyncInterval, Interval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetJournal(w)
-	t.Cleanup(func() { m.Close() })
-	return m
-}
 
 // journalImage syncs a live manager's journal and returns its bytes.
 func journalImage(t *testing.T, m *Manager) []byte {
@@ -87,7 +63,7 @@ func awaitDemotions(t *testing.T, f *Follower, want uint64, timeout time.Duratio
 // higher term, discard its unreplicated tail, resync bit-identically,
 // and refuse every direct write.
 func TestPromoteFailoverAndDeposedLeaderSelfHeals(t *testing.T) {
-	leader := journaledManager(t, t.TempDir())
+	leader := bootDaemon(t, DaemonConfig{}).mgr
 	ts := httptest.NewServer(NewHTTPHandler(leader))
 	t.Cleanup(ts.Close)
 
@@ -107,17 +83,9 @@ func TestPromoteFailoverAndDeposedLeaderSelfHeals(t *testing.T) {
 	stormLeader(leader, stormIDs, nHost, 4, 20, acked)
 
 	// The follower, with its own HTTP surface so promotion travels the
-	// real route.
-	fm := journaledManager(t, t.TempDir())
-	f, err := NewFollower(fm, ts.URL, FollowerOptions{
-		Heartbeat:    50 * time.Millisecond,
-		StallTimeout: 2 * time.Second,
-		Backoff:      20 * time.Millisecond,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// real route, and its loop run here so the partition can cut it alone.
+	fd := bootDaemon(t, DaemonConfig{Follow: ts.URL})
+	fm, f := fd.mgr, fd.follower
 	fctx, fcancel := context.WithCancel(context.Background())
 	defer fcancel()
 	fdone := make(chan struct{})
@@ -182,11 +150,12 @@ func TestPromoteFailoverAndDeposedLeaderSelfHeals(t *testing.T) {
 	// Rejoin: the deposed leader reboots from its own journal — its
 	// recovered tail includes entries the new leader never saw — and
 	// follows the new leader.
-	dm := rebootManager(t, image, t.TempDir())
+	dd := rebootDaemon(t, image, DaemonConfig{Follow: tsB.URL})
+	dm, f2 := dd.mgr, dd.follower
 	if dm.CommitLog().LastSeq() != divergedSeq {
 		t.Fatalf("deposed leader recovered to seq %d, want %d", dm.CommitLog().LastSeq(), divergedSeq)
 	}
-	f2 := startFollower(t, dm, tsB.URL)
+	runDaemon(t, dd, nil, Plane{})
 	awaitDemotions(t, f2, 1, 15*time.Second)
 	waitConverged(t, fm, dm, 15*time.Second)
 	assertSameFleet(t, fm, dm)
@@ -219,7 +188,7 @@ func TestPromoteFailoverAndDeposedLeaderSelfHeals(t *testing.T) {
 // recomputation), and a restart of the rejoined replica must recover
 // the new term from its own journal without spuriously re-demoting.
 func TestDeposedLeaderResyncsFromCheckpointAfterTermBump(t *testing.T) {
-	leader := journaledManager(t, t.TempDir())
+	leader := bootDaemon(t, DaemonConfig{}).mgr
 	ts := httptest.NewServer(NewHTTPHandler(leader))
 	t.Cleanup(ts.Close)
 
@@ -236,16 +205,8 @@ func TestDeposedLeaderResyncsFromCheckpointAfterTermBump(t *testing.T) {
 	}
 	stormLeader(leader, stormIDs, nHost, 2, 20, acked)
 
-	fm := journaledManager(t, t.TempDir())
-	f, err := NewFollower(fm, ts.URL, FollowerOptions{
-		Heartbeat:    50 * time.Millisecond,
-		StallTimeout: 2 * time.Second,
-		Backoff:      20 * time.Millisecond,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fd := bootDaemon(t, DaemonConfig{Follow: ts.URL})
+	fm, f := fd.mgr, fd.follower
 	fctx, fcancel := context.WithCancel(context.Background())
 	defer fcancel()
 	fdone := make(chan struct{})
@@ -276,8 +237,9 @@ func TestDeposedLeaderResyncsFromCheckpointAfterTermBump(t *testing.T) {
 	toggleStorm(t, fm, "div", 3) // a short post-compaction suffix
 
 	// The deposed leader rejoins past the compaction horizon.
-	dm := rebootManager(t, image, t.TempDir())
-	f2 := startFollower(t, dm, tsB.URL)
+	dd := rebootDaemon(t, image, DaemonConfig{Follow: tsB.URL})
+	runDaemon(t, dd, nil, Plane{})
+	dm, f2 := dd.mgr, dd.follower
 	awaitDemotions(t, f2, 1, 15*time.Second)
 	waitConverged(t, fm, dm, 15*time.Second)
 	assertSameFleet(t, fm, dm)
@@ -293,7 +255,7 @@ func TestDeposedLeaderResyncsFromCheckpointAfterTermBump(t *testing.T) {
 	// its own journal: the chain check passes and no re-demotion would
 	// trigger (its term matches the leader's).
 	image2 := journalImage(t, dm)
-	dm2 := rebootManager(t, image2, t.TempDir())
+	dm2 := rebootDaemon(t, image2, DaemonConfig{}).mgr
 	if got, _ := dm2.Term(); got != term {
 		t.Errorf("restarted replica recovered term %d, want %d", got, term)
 	}

@@ -20,8 +20,11 @@
 //   - Manager: a sharded registry owning many instances behind one API
 //     (Create, Event, EventBatch, Lookup, Stats), safe under
 //     `go test -race`.
+//   - Daemon: one daemon's life in order — boot (recover, fence, ring,
+//     posture), loops, the HTTP/JSON and binary planes, drain.
+//     cmd/ftnetd is its flags; tests boot the same sequence in process.
 //
-// cmd/ftnetd serves this API over HTTP/JSON; cmd/ftload drives it.
+// cmd/ftload drives the API.
 package fleet
 
 import (

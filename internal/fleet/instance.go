@@ -133,7 +133,7 @@ func (c *stripedCounter) Load() uint64 {
 // held the pointer from before the cutover is owed the redirect whatever
 // order anyone tests things in. Delete, a forwarded record that replaces
 // or deletes a follower's copy, and a reset retire a copy to gone — as
-// does ReconcilePins, live to gone with no fenced in between: a write
+// does reconcilePins, live to gone with no fenced in between: a write
 // acked on that already stale copy between its probe and the retire goes
 // with it (fencing a copy that turns out to be kept would bounce its
 // writes to an owner that has no copy). The phase is also who serves the

@@ -128,7 +128,7 @@ func NewManager(opts Options) *Manager {
 
 // SetJournal attaches (or replaces) the durability journal by wiring
 // it into the commit pipeline every instance already commits through.
-// ftnetd calls it after recovery — the boot order is recover from the
+// NewDaemon calls it after recovery — the boot order is recover from the
 // old log, truncate any torn tail, then attach the append writer — so
 // it must happen before traffic is served; concurrent use with event
 // application is not supported.
@@ -138,7 +138,7 @@ func (m *Manager) SetJournal(w *journal.Writer) {
 
 // CommitLog exposes the manager's commit pipeline: the ordered,
 // gap-free stream of every accepted transition. Subscribe to it for
-// watch/replication; cmd/ftnetd closes it (via Close) on shutdown.
+// watch/replication; a Daemon closes it (via Close) on shutdown.
 func (m *Manager) CommitLog() *commit.Log { return m.pipe.log }
 
 // Subscribe opens a bounded, gap-free subscription to the commit
@@ -157,12 +157,6 @@ func (m *Manager) NextSeq() uint64 { return m.pipe.log.NextSeq() }
 // fsynced and closed, and every watch/replication subscriber's stream
 // ends. Further transitions are refused.
 func (m *Manager) Close() error { return m.pipe.log.Close() }
-
-// Quiesce ends every watch/replication subscription at a record
-// boundary while keeping the manager (and its journal) open — the
-// shutdown step that lets an http.Server drain streaming handlers
-// before the final journal flush+fsync in Close.
-func (m *Manager) Quiesce() { m.pipe.log.Quiesce() }
 
 // key is an instance id in either form the API takes it: a string, or
 // the payload subslice the binary wire plane decodes ids as. The

@@ -47,7 +47,7 @@ import (
 // the migration simply failed. Source crash after the target's commit
 // but before its own OpDelete: both journals hold the instance, and the
 // restarted source holds, and so serves, the copy recovery rebuilt —
-// which is why ReconcilePins (topology.go) runs at boot:
+// which is why reconcilePins (topology.go) runs at boot:
 // it probes the ring owner and retires the local copy once the owner
 // confirms a committed handoff at the same or newer epoch. Until that
 // probe answers, the source may serve stale reads, but writes cannot
@@ -228,7 +228,7 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 // cutover: resolve asks the ring about a moved copy, so requests
 // redirect to the new owner from this instant — and leave the registry
 // with the OpDelete, so a restart does not resurrect a stale replica.
-// ReconcilePins calls this on an unfenced copy while the daemon serves:
+// reconcilePins calls this on an unfenced copy while the daemon serves:
 // that one has no peer and goes from live to gone.
 func (m *Manager) completeMigration(id string, in *Instance) error {
 	m.pipe.gate.RLock()

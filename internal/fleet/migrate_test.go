@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,29 +52,13 @@ type roundTrip func(*http.Request) (*http.Response, error)
 
 func (f roundTrip) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
-func newShardManager(t *testing.T, dir string) *Manager {
-	t.Helper()
-	m := NewManager(Options{})
-	path := filepath.Join(dir, "epochs.wal")
-	if _, err := m.RecoverFile(path); err != nil {
-		t.Fatal(err)
-	}
-	w, err := journal.Create(path, journal.Options{Sync: journal.SyncInterval, Interval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetJournal(w)
-	t.Cleanup(func() { m.Close() })
-	return m
-}
-
 // newShardPair boots the pair; the topology is NOT installed yet, so
 // tests can create instances anywhere first (the pre-sharding world).
 func newShardPair(t *testing.T) *shardPair {
 	t.Helper()
 	p := &shardPair{
-		a: newShardManager(t, t.TempDir()),
-		b: newShardManager(t, t.TempDir()),
+		a: bootDaemon(t, DaemonConfig{}).mgr,
+		b: bootDaemon(t, DaemonConfig{}).mgr,
 	}
 	p.net = inProcess{"a.example": NewHTTPHandler(p.a), "b.example": NewHTTPHandler(p.b)}
 	p.peers = map[string]string{"a": "http://a.example", "b": "http://b.example"}
@@ -908,7 +893,7 @@ func TestAbortCommitFence(t *testing.T) {
 // TestReconcilePinsRetiresStaleCopy covers the crash-resurrection
 // hole: the source crashed after the target's OpMigrate commit but
 // before its own OpDelete, restarted, recovered the instance, and
-// SetTopology pinned it to itself. ReconcilePins must retire exactly
+// SetTopology pinned it to itself. reconcilePins must retire exactly
 // the copies whose ring owner confirms a committed handoff at the same
 // or newer epoch, and keep serving everything else.
 func TestReconcilePinsRetiresStaleCopy(t *testing.T) {
@@ -960,7 +945,7 @@ func TestReconcilePinsRetiresStaleCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := p.a.ReconcilePins()
+	st := p.a.reconcilePins(context.Background())
 	if st.Checked != 3 || st.Retired != 1 || st.Kept != 2 || st.Unresolved != 0 {
 		t.Fatalf("reconcile stats = %+v, want checked=3 retired=1 kept=2 unresolved=0", st)
 	}
@@ -981,7 +966,7 @@ func TestReconcilePinsRetiresStaleCopy(t *testing.T) {
 		t.Errorf("moved pins after reconciliation = %d, want 2", info.Moved)
 	}
 	// A second pass converges: nothing more to retire, nothing lost.
-	if st2 := p.a.ReconcilePins(); st2.Retired != 0 || st2.Unresolved != 0 {
+	if st2 := p.a.reconcilePins(context.Background()); st2.Retired != 0 || st2.Unresolved != 0 {
 		t.Errorf("second reconcile pass = %+v, want no retirements", st2)
 	}
 }
@@ -1006,7 +991,7 @@ func TestMigrateShipsStateNotHistory(t *testing.T) {
 				}
 				src.SetJournal(w)
 			}
-			dst := newShardManager(t, t.TempDir())
+			dst := bootDaemon(t, DaemonConfig{}).mgr
 			moving, bystander := idOwnedBy(t, "b"), idOwnedBy(t, "a")
 			for _, id := range []string{moving, bystander} {
 				if _, err := src.Create(id, spec); err != nil {

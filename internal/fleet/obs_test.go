@@ -139,12 +139,11 @@ func TestRequestLatencyMiddleware(t *testing.T) {
 // checks the lag gauge converges to zero and the entry-age histogram
 // saw every live (timestamped) entry.
 func TestFollowerReplicationLagMetrics(t *testing.T) {
-	leader := journaledManager(t, t.TempDir())
+	leader := bootDaemon(t, DaemonConfig{}).mgr
 	srv := httptest.NewServer(NewHTTPHandler(leader))
 	t.Cleanup(srv.Close)
 
-	fm := journaledManager(t, t.TempDir())
-	f := startFollower(t, fm, srv.URL)
+	fm, f := startFollower(t, srv.URL)
 
 	if _, err := leader.Create("a", Spec{Kind: KindDeBruijn, M: 2, H: 6, K: 4}); err != nil {
 		t.Fatal(err)
@@ -185,7 +184,7 @@ func TestFollowerReplicationLagMetrics(t *testing.T) {
 
 // TestCompactionPauseHistogram pins that Compact records its pause.
 func TestCompactionPauseHistogram(t *testing.T) {
-	m := journaledManager(t, t.TempDir())
+	m := bootDaemon(t, DaemonConfig{}).mgr
 	if _, err := m.Create("a", Spec{Kind: KindDeBruijn, M: 2, H: 6, K: 4}); err != nil {
 		t.Fatal(err)
 	}

@@ -431,7 +431,7 @@ func TestDeleteWaitsForRoundOutsideShardLock(t *testing.T) {
 
 // TestReconcileRetireWaitsForRoundOutsideShardLock is the same order
 // for the other way an instance leaves a serving daemon:
-// completeMigration, which ReconcilePins runs on an unfenced, writable
+// completeMigration, which reconcilePins runs on an unfenced, writable
 // instance while commit rounds are open.
 func TestReconcileRetireWaitsForRoundOutsideShardLock(t *testing.T) {
 	checkRetireWaitsForRoundOutsideShardLock(t, func(m *Manager, id string, in *Instance) error {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"maps"
 	"slices"
 
@@ -68,15 +69,15 @@ func (m *Manager) SetTopology(self string, peers map[string]string, replicas int
 	m.topo.Store(t)
 }
 
-// ReconcileStats reports one ReconcilePins pass.
-type ReconcileStats struct {
-	Checked    int `json:"checked"`    // displaced copies audited
-	Retired    int `json:"retired"`    // stale copies retired (owner holds a committed copy)
-	Kept       int `json:"kept"`       // owner has no committed copy (or an older one): still ours
-	Unresolved int `json:"unresolved"` // owner unreachable or retire failed: re-run needed
+// reconcileStats reports one reconcilePins pass.
+type reconcileStats struct {
+	Checked    int // displaced copies audited
+	Retired    int // stale copies retired (owner holds a committed copy)
+	Kept       int // owner has no committed copy (or an older one): still ours
+	Unresolved int // owner unreachable or retire failed: re-run needed
 }
 
-// ReconcilePins audits every displaced copy this daemon holds against
+// reconcilePins audits every displaced copy this daemon holds against
 // the ring owner's actual state. A held copy is served whatever the
 // ring says, so that a ring never drops service — an availability bet:
 // after a crash between the target's OpMigrate commit and the source's
@@ -86,12 +87,15 @@ type ReconcileStats struct {
 // handoff finished and the local copy is retired (journaled OpDelete);
 // anything else keeps it — absent or staged means the handoff never
 // completed and this is still the only live copy. Unresolved probes
-// keep it too (availability over a guess); ftnetd re-runs the pass
-// until everything resolves.
+// keep it too (availability over a guess); the daemon's audit loop
+// (Daemon.reconcile) re-runs the pass until everything resolves. Every
+// probe is bound to ctx: once it ends, the one in flight and the rest
+// fail at once as unresolved, so a blackholed owner never holds up a
+// drain.
 //
 // Runs under migrateMu so it never interleaves with an active handoff.
-func (m *Manager) ReconcilePins() ReconcileStats {
-	var st ReconcileStats
+func (m *Manager) reconcilePins(ctx context.Context) reconcileStats {
+	var st reconcileStats
 	t := m.topo.Load()
 	if t == nil {
 		return st
@@ -104,7 +108,9 @@ func (m *Manager) ReconcilePins() ReconcileStats {
 			continue // not held here any more (deleted, or on its way out)
 		}
 		st.Checked++
-		state, epoch, err := m.peerClient(t.peers[t.ring.Owner(id)], probeTimeout).MigrationState(id)
+		probe := m.peerClient(t.peers[t.ring.Owner(id)], probeTimeout)
+		probe.ctx = ctx
+		state, epoch, err := probe.MigrationState(id)
 		if err != nil {
 			st.Unresolved++
 			continue

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,45 +17,7 @@ import (
 	"time"
 
 	"ftnet/internal/ft"
-	"ftnet/internal/journal"
 )
-
-// journaledManager boots a manager over a fresh journal file in dir,
-// exactly like ftnetd: recover (a no-op here), then attach the writer.
-func journaledManager(t *testing.T, dir string) *Manager {
-	t.Helper()
-	m := NewManager(Options{})
-	path := filepath.Join(dir, "epochs.wal")
-	if _, err := m.RecoverFile(path); err != nil {
-		t.Fatal(err)
-	}
-	w, err := journal.Create(path, journal.Options{Sync: journal.SyncInterval, Interval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetJournal(w)
-	t.Cleanup(func() { m.Close() })
-	return m
-}
-
-// startFollower wires a follower manager to a leader URL and runs its
-// replication loop until the test ends.
-func startFollower(t *testing.T, m *Manager, leaderURL string) *Follower {
-	t.Helper()
-	f, err := NewFollower(m, leaderURL, FollowerOptions{
-		Heartbeat:    50 * time.Millisecond,
-		StallTimeout: 2 * time.Second,
-		Backoff:      20 * time.Millisecond,
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	go f.Run(ctx)
-	return f
-}
 
 // waitConverged blocks until the follower's commit position reaches
 // the leader's current one.
@@ -145,7 +105,7 @@ func stormLeader(m *Manager, ids []string, nHost, writers, perWriter int, acked 
 // with gap-free, in-order replication (any gap or reorder would fail
 // the follower's strict seq/epoch checks and show up as a resync).
 func TestFollowerConvergesUnderWriteStorm(t *testing.T) {
-	leader := journaledManager(t, t.TempDir())
+	leader := bootDaemon(t, DaemonConfig{}).mgr
 	ts := httptest.NewServer(NewHTTPHandler(leader))
 	// Cleanup order (LIFO): the follower's context cancel runs first,
 	// ending its watch request, so Close does not wait on a live stream.
@@ -167,8 +127,7 @@ func TestFollowerConvergesUnderWriteStorm(t *testing.T) {
 	// catch up from the journal, then tail the live remainder.
 	stormLeader(leader, ids, nHost, 4, 20, acked)
 
-	fm := journaledManager(t, t.TempDir())
-	f := startFollower(t, fm, ts.URL)
+	fm, f := startFollower(t, ts.URL)
 
 	stormLeader(leader, ids, nHost, 4, 40, acked)
 
@@ -240,7 +199,7 @@ func (a *abortWriter) Flush() {
 // no duplicate application — its strict epoch chain would reject one),
 // and still converge bit-identically.
 func TestFollowerResumesTornStream(t *testing.T) {
-	leader := journaledManager(t, t.TempDir())
+	leader := bootDaemon(t, DaemonConfig{}).mgr
 	ts := httptest.NewServer(abortingHandler(NewHTTPHandler(leader), 2048))
 	t.Cleanup(ts.Close)
 
@@ -255,8 +214,7 @@ func TestFollowerResumesTornStream(t *testing.T) {
 		acked[id] = new(atomic.Uint64)
 	}
 
-	fm := journaledManager(t, t.TempDir())
-	f := startFollower(t, fm, ts.URL)
+	fm, f := startFollower(t, ts.URL)
 
 	stormLeader(leader, ids, nHost, 4, 100, acked)
 
@@ -277,7 +235,7 @@ func TestFollowerResumesTornStream(t *testing.T) {
 // records than a follower that replayed the full history — and ends
 // bit-identical anyway.
 func TestFreshFollowerAfterCompactionReplaysBounded(t *testing.T) {
-	leader := journaledManager(t, t.TempDir())
+	leader := bootDaemon(t, DaemonConfig{}).mgr
 	ts := httptest.NewServer(NewHTTPHandler(leader))
 	t.Cleanup(ts.Close)
 
@@ -294,8 +252,7 @@ func TestFreshFollowerAfterCompactionReplaysBounded(t *testing.T) {
 	stormLeader(leader, ids, nHost, 2, 30, acked)
 
 	// Follower A replays the full history.
-	fmA := journaledManager(t, t.TempDir())
-	fA := startFollower(t, fmA, ts.URL)
+	fmA, fA := startFollower(t, ts.URL)
 	waitConverged(t, leader, fmA, 15*time.Second)
 	fullReplay := fA.Stats().Entries
 	preCompaction := leader.CommitLog().LastSeq()
@@ -310,8 +267,7 @@ func TestFreshFollowerAfterCompactionReplaysBounded(t *testing.T) {
 	stormLeader(leader, ids, nHost, 2, 5, acked)
 
 	// Follower B starts fresh: checkpoint + suffix only.
-	fmB := journaledManager(t, t.TempDir())
-	fB := startFollower(t, fmB, ts.URL)
+	fmB, fB := startFollower(t, ts.URL)
 	waitConverged(t, leader, fmB, 15*time.Second)
 	waitConverged(t, leader, fmA, 15*time.Second) // A rides through the compaction live
 

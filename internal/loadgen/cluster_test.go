@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -17,17 +16,14 @@ import (
 
 // threeDaemons boots three in-process daemons (no topology installed —
 // RunCluster owns the ring lifecycle, like the real scenario against
-// unsharded ftnetd processes).
-func threeDaemons(t *testing.T) map[string]string {
+// unsharded ftnetd processes), returning their HTTP and RPC addresses.
+func threeDaemons(t *testing.T) (httpPeers, rpcPeers map[string]string) {
 	t.Helper()
-	peers := make(map[string]string, 3)
+	httpPeers, rpcPeers = make(map[string]string, 3), make(map[string]string, 3)
 	for _, name := range []string{"a", "b", "c"} {
-		m := fleet.NewManager(fleet.Options{})
-		ts := httptest.NewServer(fleet.NewHTTPHandler(m))
-		t.Cleanup(ts.Close)
-		peers[name] = ts.URL
+		_, httpPeers[name], rpcPeers[name], _ = startDaemon(t, fleet.DaemonConfig{})
 	}
-	return peers
+	return httpPeers, rpcPeers
 }
 
 // TestRunClusterRebalanceMidStorm is the flagship scale-out e2e: a
@@ -40,7 +36,7 @@ func threeDaemons(t *testing.T) map[string]string {
 // recomputation — and the clients must have converged through daemon
 // redirects alone.
 func TestRunClusterRebalanceMidStorm(t *testing.T) {
-	peers := threeDaemons(t)
+	peers, _ := threeDaemons(t)
 	cfg := ClusterConfig{
 		Config: Config{
 			Instances: 12,
@@ -96,33 +92,14 @@ func TestRunClusterRebalanceMidStorm(t *testing.T) {
 	}
 }
 
-// threeDaemonsRPC is threeDaemons with a binary RPC listener on each
-// daemon and an ftproxy-equivalent RPC front (wire.Proxy over the full
-// membership) in front, returning the HTTP peers and the proxy's RPC
-// address.
+// threeDaemonsRPC is threeDaemons with an ftproxy-equivalent RPC front
+// (wire.Proxy over the full membership) in front, returning the HTTP
+// peers and the proxy's RPC address.
 func threeDaemonsRPC(t *testing.T) (map[string]string, string) {
 	t.Helper()
-	httpPeers := make(map[string]string, 3)
-	rpcPeers := make(map[string]string, 3)
-	for _, name := range []string{"a", "b", "c"} {
-		m := fleet.NewManager(fleet.Options{})
-		ts := httptest.NewServer(fleet.NewHTTPHandler(m))
-		t.Cleanup(ts.Close)
-		httpPeers[name] = ts.URL
-		srv := wire.NewServer(m, wire.ServerOptions{})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve(ln)
-		t.Cleanup(func() { srv.Close() })
-		rpcPeers[name] = ln.Addr().String()
-	}
+	httpPeers, rpcPeers := threeDaemons(t)
 	px := wire.NewProxy(wire.ProxyOptions{RPCPeers: rpcPeers, HTTPPeers: httpPeers})
-	pln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pln := listen(t)
 	go px.Serve(pln)
 	t.Cleanup(func() { px.Close() })
 	return httpPeers, pln.Addr().String()
@@ -194,7 +171,7 @@ func TestRunClusterRebalanceMidStormRPC(t *testing.T) {
 
 // TestRunClusterGuards pins the scenario's configuration contract.
 func TestRunClusterGuards(t *testing.T) {
-	peers := threeDaemons(t)
+	peers, _ := threeDaemons(t)
 	base := Config{
 		Instances: 2,
 		Spec:      fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2},

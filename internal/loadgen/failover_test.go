@@ -2,66 +2,55 @@ package loadgen
 
 import (
 	"context"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"ftnet/internal/fleet"
-	"ftnet/internal/journal"
 )
 
-// bootDaemon assembles the in-process analogue of one ftnetd: a
-// journaled manager, optionally a follower loop, and an httptest
-// server over the real handler.
-func bootDaemon(t *testing.T, path, followURL string) (*fleet.Manager, *fleet.Follower, *httptest.Server, context.CancelFunc) {
-	t.Helper()
-	mgr := fleet.NewManager(fleet.Options{})
-	if _, err := mgr.RecoverFile(path); err != nil {
-		t.Fatal(err)
-	}
-	jw, err := journal.Create(path, journal.Options{Sync: journal.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr.SetJournal(jw)
-	var f *fleet.Follower
-	ctx, cancel := context.WithCancel(context.Background())
-	if followURL != "" {
-		f, err = fleet.NewFollower(mgr, followURL, fleet.FollowerOptions{
-			Heartbeat:    50 * time.Millisecond,
-			StallTimeout: 2 * time.Second,
-			Backoff:      20 * time.Millisecond,
-			Logf:         t.Logf,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go f.Run(ctx)
-	}
-	srv := httptest.NewServer(fleet.NewHTTPHandler(mgr))
-	t.Cleanup(func() { cancel(); srv.Close() })
-	return mgr, f, srv, cancel
-}
-
 // TestRunFailoverInProcess exercises the partition-torture scenario
-// without child processes: the partition cancels the follower's
-// replication context, the kill closes the leader's server and
-// abandons its manager (SyncAlways — the SIGKILL contract), promotion
-// travels POST /v1/promote, and the deposed leader reboots from the
-// same journal file as a follower of the new leader. The scenario's
-// own acceptance checks — demotion observed, tail discarded, 403 on
-// direct writes (zero stale-term writes), bit-identical convergence —
-// all run inside RunFailover.
+// without child processes. The leader is booted the daemon's way
+// (fleet.NewDaemon, fsync always) behind an httptest server, so the kill
+// closes the server and abandons the manager undrained — the SIGKILL
+// contract. The follower runs as a whole daemon whose connections go
+// through one dialer the partition cuts. Promotion travels POST
+// /v1/promote, and the deposed leader reboots from the same journal file
+// as a follower of the new leader. The scenario's own acceptance checks
+// — demotion observed, tail discarded, 403 on direct writes (zero
+// stale-term writes), bit-identical convergence — all run inside
+// RunFailover.
 func TestRunFailoverInProcess(t *testing.T) {
 	dir := t.TempDir()
 	leaderWAL := filepath.Join(dir, "leader.wal")
-	followerWAL := filepath.Join(dir, "follower.wal")
 
-	_, _, leaderSrv, _ := bootDaemon(t, leaderWAL, "")
-	_, _, followerSrv, followerCancel := bootDaemon(t, followerWAL, leaderSrv.URL)
+	leader, err := fleet.NewDaemon(fleet.DaemonConfig{Journal: leaderWAL, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaderSrv := httptest.NewServer(fleet.NewHTTPHandler(leader.Manager()))
+	t.Cleanup(leaderSrv.Close)
+	partition, cut := context.WithCancel(context.Background())
+	defer cut()
+	opts := fastFollower
+	opts.Client = &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			if err := partition.Err(); err != nil {
+				return nil, err
+			}
+			c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+			if err == nil {
+				context.AfterFunc(partition, func() { c.Close() })
+			}
+			return c, err
+		},
+	}}
+	_, followerURL, _, _ := startDaemon(t, fleet.DaemonConfig{
+		Journal: filepath.Join(dir, "follower.wal"), Follow: leaderSrv.URL, Follower: opts,
+	})
 
-	var rejoinSrv *httptest.Server
 	res, err := RunFailover(FailoverConfig{
 		Config: Config{
 			Addr:      leaderSrv.URL,
@@ -72,9 +61,9 @@ func TestRunFailoverInProcess(t *testing.T) {
 			Scenario:  Scenario{Batch: 4},
 			Seed:      11,
 		},
-		FollowerAddr: followerSrv.URL,
+		FollowerAddr: followerURL,
 		Partition: func() error {
-			followerCancel() // the watch stream dies; the leader keeps serving
+			cut() // the watch stream dies; the leader keeps serving
 			return nil
 		},
 		KillLeader: func() error {
@@ -82,8 +71,8 @@ func TestRunFailoverInProcess(t *testing.T) {
 			return nil
 		},
 		RestartOld: func() (string, error) {
-			_, _, rejoinSrv, _ = bootDaemon(t, leaderWAL, followerSrv.URL)
-			return rejoinSrv.URL, nil
+			_, url, _, _ := startDaemon(t, fleet.DaemonConfig{Journal: leaderWAL, Follow: followerURL, Follower: fastFollower})
+			return url, nil
 		},
 	})
 	if err != nil {

@@ -6,30 +6,24 @@ import (
 	"testing"
 
 	"ftnet/internal/fleet"
-	"ftnet/internal/journal"
 )
 
 // TestRunRestartInProcess exercises the restart scenario without a
-// child process: the "daemon" is an httptest server over a journaled
-// manager, the kill abandons the manager and its writer without
-// closing anything (with SyncAlways every acknowledged record is
-// already on disk — exactly the SIGKILL contract), and the restart
-// boots a fresh manager from the same journal file.
+// child process: the "daemon" is an httptest server over a manager
+// booted the daemon's way (fleet.NewDaemon, fsync always), the kill
+// abandons the manager and its writer without draining anything (every
+// acknowledged record is already on disk — exactly the SIGKILL
+// contract), and the restart boots again from the same journal file.
 func TestRunRestartInProcess(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "epochs.wal")
 
 	var srv *httptest.Server
 	boot := func() (string, error) {
-		mgr := fleet.NewManager(fleet.Options{})
-		if _, err := mgr.RecoverFile(path); err != nil {
-			return "", err
-		}
-		jw, err := journal.Create(path, journal.Options{Sync: journal.SyncAlways})
+		d, err := fleet.NewDaemon(fleet.DaemonConfig{Journal: path})
 		if err != nil {
 			return "", err
 		}
-		mgr.SetJournal(jw)
-		srv = httptest.NewServer(fleet.NewHTTPHandler(mgr))
+		srv = httptest.NewServer(fleet.NewHTTPHandler(d.Manager()))
 		return srv.URL, nil
 	}
 	addr, err := boot()

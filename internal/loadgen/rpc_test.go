@@ -1,40 +1,21 @@
 package loadgen
 
 import (
-	"net"
-	"net/http/httptest"
 	"testing"
 
 	"ftnet/internal/fleet"
-	"ftnet/internal/wire"
 )
-
-// startRPC serves the binary RPC plane over mgr on a loopback port for
-// the duration of the test.
-func startRPC(t *testing.T, mgr *fleet.Manager) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := wire.NewServer(mgr, wire.ServerOptions{Metrics: mgr.Metrics()})
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	return ln.Addr().String()
-}
 
 // TestRunRPCTransport drives the mixed scenario with the hot path on
 // the binary RPC plane (control plane on JSON) and requires a clean
 // run: zero transport errors, zero unexpected statuses, lookups
 // resolved in vectorized batches.
 func TestRunRPCTransport(t *testing.T) {
-	mgr := fleet.NewManager(fleet.Options{})
-	ts := httptest.NewServer(fleet.NewHTTPHandler(mgr))
-	defer ts.Close()
-	rpcAddr := startRPC(t, mgr)
+	d, url, rpcAddr, _ := startDaemon(t, fleet.DaemonConfig{})
+	mgr := d.Manager()
 
 	res, err := Run(Config{
-		Addr:           ts.URL,
+		Addr:           url,
 		Instances:      2,
 		Spec:           fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 4},
 		Workers:        4,
@@ -112,13 +93,10 @@ func TestRunRPCTransport(t *testing.T) {
 // TestRunRPCScalarLookups pins the RPCLookupBatch<=1 path: scalar
 // Lookup frames, still a clean run.
 func TestRunRPCScalarLookups(t *testing.T) {
-	mgr := fleet.NewManager(fleet.Options{})
-	ts := httptest.NewServer(fleet.NewHTTPHandler(mgr))
-	defer ts.Close()
-	rpcAddr := startRPC(t, mgr)
+	_, url, rpcAddr, _ := startDaemon(t, fleet.DaemonConfig{})
 
 	res, err := Run(Config{
-		Addr:           ts.URL,
+		Addr:           url,
 		Instances:      1,
 		Spec:           fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2},
 		Workers:        2,
