@@ -60,10 +60,12 @@ import (
 // strict +1 steps.
 //
 // At is the leader's commit wall-clock (unix nanoseconds), stamped
-// when the sequence number is assigned. It rides the watch stream so
-// followers can measure entry age, but it is NOT part of the canonical
-// journal record: entries replayed from disk (catch-up, recovery)
-// carry At == 0, and consumers must treat 0 as "age unknown".
+// when the sequence number of its round's first entry was assigned:
+// every entry of one commit round carries that one stamp. It rides the
+// watch stream so followers can measure entry age, but it is NOT part
+// of the canonical journal record: entries replayed from disk
+// (catch-up, recovery) carry At == 0, and consumers must treat 0 as
+// "age unknown".
 type Entry struct {
 	Seq uint64
 	Rec journal.Record
@@ -159,9 +161,9 @@ type Log struct {
 
 	// Stage histograms, resolved once at construction — hot-path
 	// recording is branch-free atomic adds. The four stages partition
-	// one commit: sequencing + WAL buffering under the lock (one sample
-	// per record, in Begin), then — one sample per round, in Complete —
-	// the group-commit durability wait, the callers' snapshot
+	// one commit, one sample per round each: sequencing + WAL buffering
+	// of the round's first entry under the lock (in Begin), then, in
+	// Complete, the group-commit durability wait, the callers' snapshot
 	// publishes, and the ready-prefix fan-out to subscribers.
 	appendHist *obs.Histogram
 	fsyncHist  *obs.Histogram
@@ -196,7 +198,7 @@ func NewLog(cfg Config) *Log {
 		reg = obs.New()
 	}
 	l.appendHist = reg.Histogram("ftnet_commit_append_seconds",
-		"Time to assign a sequence number and buffer the WAL frame (under the ordering lock).")
+		"Time to assign a sequence number and buffer the WAL frame (under the ordering lock), one sample per commit round: its first entry's.")
 	l.fsyncHist = reg.Histogram("ftnet_commit_fsync_wait_seconds",
 		"Time a commit waits for its record to become durable (group-commit fsync stalls).")
 	l.pubHist = reg.Histogram("ftnet_commit_publish_seconds",
@@ -311,9 +313,11 @@ func (l *Log) histBaseLocked() uint64 {
 }
 
 // Pending is one entry between Begin and Complete: sequenced and
-// buffered in the WAL, not yet durable, published or fanned out.
+// buffered in the WAL, not yet durable, published or fanned out. At is
+// its Entry.At — the stamp a round's later entries pass to Begin.
 type Pending struct {
 	Seq     uint64          // the commit sequence number Begin assigned
+	At      int64           // the entry's commit stamp, unix nanoseconds
 	w       *journal.Writer // nil on a memory-only log
 	wseq    uint64          // w's record number, what WaitDurable takes
 	publish func()
@@ -326,8 +330,16 @@ type Pending struct {
 // returns. Every successful Begin must be followed by exactly one such
 // Complete; Install refuses while any entry is in between. A non-nil
 // error means nothing was sequenced.
-func (l *Log) Begin(rec journal.Record, publish func()) (Pending, error) {
-	start := time.Now()
+//
+// at is the entry's commit stamp. A round's first entry passes 0: Begin
+// reads the clock, stamps the entry and times its append. Every later
+// entry of the round passes the first's Pending.At and reads no clock.
+func (l *Log) Begin(rec journal.Record, publish func(), at int64) (Pending, error) {
+	var start time.Time
+	if at == 0 {
+		start = time.Now()
+		at = start.UnixNano()
+	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -363,10 +375,12 @@ func (l *Log) Begin(rec journal.Record, publish func()) (Pending, error) {
 		l.term = rec.Term
 		l.termSeq = seq
 	}
-	l.pending = append(l.pending, pendingEntry{e: Entry{Seq: seq, Rec: rec, At: start.UnixNano()}})
+	l.pending = append(l.pending, pendingEntry{e: Entry{Seq: seq, Rec: rec, At: at}})
 	l.mu.Unlock()
-	l.appendHist.Observe(time.Since(start))
-	return Pending{Seq: seq, w: w, wseq: wseq, publish: publish}, nil
+	if !start.IsZero() {
+		l.appendHist.Observe(time.Since(start))
+	}
+	return Pending{Seq: seq, At: at, w: w, wseq: wseq, publish: publish}, nil
 }
 
 // Complete is the second half, for a whole round at once: round holds
@@ -441,7 +455,7 @@ func (l *Log) Complete(round []Pending) error {
 // Begin, then Complete. A non-nil error means the transition must not
 // be acknowledged.
 func (l *Log) Commit(rec journal.Record, publish func()) (uint64, error) {
-	p, err := l.Begin(rec, publish)
+	p, err := l.Begin(rec, publish, 0)
 	if err != nil {
 		return 0, err
 	}

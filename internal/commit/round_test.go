@@ -87,7 +87,7 @@ func TestRoundOneSyncOrderedFanout(t *testing.T) {
 	round := make([]Pending, 0, n)
 	for i := 0; i < n; i++ {
 		seq := uint64(i + 1)
-		p, err := l.Begin(trec(fmt.Sprintf("i%d", i), 1, i), func() { published = append(published, seq) })
+		p, err := l.Begin(trec(fmt.Sprintf("i%d", i), 1, i), func() { published = append(published, seq) }, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestRoundSyncFailure(t *testing.T) {
 	published := 0
 	var round []Pending
 	for i := 0; i < 4; i++ {
-		p, err := l.Begin(trec(fmt.Sprintf("i%d", i), 1, i), func() { published++ })
+		p, err := l.Begin(trec(fmt.Sprintf("i%d", i), 1, i), func() { published++ }, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestConcurrentRoundsGapFree(t *testing.T) {
 				var round []Pending
 				for k := 0; k < 1+(g+i)%7; k++ {
 					epoch++
-					p, err := l.Begin(trec(id, epoch), nil)
+					p, err := l.Begin(trec(id, epoch), nil, 0)
 					if err != nil {
 						t.Error(err)
 						return

@@ -62,7 +62,7 @@ import (
 //
 //	ftnet_http_request_seconds{route=...}   per-route request latency
 //	ftnet_http_inflight                     requests being served now
-//	ftnet_commit_append_seconds             seq assign + WAL buffer stage (per record)
+//	ftnet_commit_append_seconds             seq assign + WAL buffer stage (per round)
 //	ftnet_commit_fsync_wait_seconds         group-commit durability wait (per round)
 //	ftnet_commit_publish_seconds            snapshot publish stage (per round)
 //	ftnet_commit_fanout_seconds             subscriber fan-out stage (per round)

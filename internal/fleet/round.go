@@ -89,10 +89,15 @@ func (r *Round) release(in *Instance) {
 }
 
 // begin sequences rec for in, whose writer mutex the round holds, and
-// stages next as the snapshot Commit will publish.
+// stages next as the snapshot Commit will publish. The round's first
+// entry is stamped by the log; every later one shares its stamp.
 func (r *Round) begin(in *Instance, rec journal.Record, next *ft.Snapshot) error {
 	in.next = next
-	p, err := in.pipe.log.Begin(rec, in.publishNext)
+	var at int64
+	if len(r.pend) > 0 {
+		at = r.pend[0].At
+	}
+	p, err := in.pipe.log.Begin(rec, in.publishNext, at)
 	if err != nil {
 		in.next = nil
 		return errorf(ErrUnavailable, "fleet: instance %s: commit: %v", in.id, err)

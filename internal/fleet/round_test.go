@@ -147,6 +147,63 @@ func TestRoundCommitsTogether(t *testing.T) {
 	}
 }
 
+// TestRoundEntriesShareOneStamp: the entries of one round carry its
+// first entry's commit stamp, and the round is one append sample; a
+// round of one after it stamps and times its own.
+func TestRoundEntriesShareOneStamp(t *testing.T) {
+	m, _, ids := roundManager(t, 6)
+	sub, err := m.Subscribe(m.NextSeq(), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	appends := m.Metrics().Histogram("ftnet_commit_append_seconds", "")
+	next := func() commit.Entry {
+		t.Helper()
+		select {
+		case e := <-sub.C:
+			return e
+		case <-time.After(5 * time.Second):
+			t.Fatal("no entry fanned out")
+			return commit.Entry{}
+		}
+	}
+
+	before := appends.Count()
+	var r Round
+	for _, id := range ids[:5] {
+		if _, err := m.StageBatchBytes(&r, id, []Event{{Kind: EventFault, Node: 3}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.CommitRound(&r); err != nil {
+		t.Fatal(err)
+	}
+	if got := appends.Count() - before; got != 1 {
+		t.Errorf("a round of 5 added %d append samples, want 1", got)
+	}
+	at := next().At
+	if at == 0 {
+		t.Fatal("the round's first entry carries no stamp")
+	}
+	for i := 1; i < 5; i++ {
+		if e := next(); e.At != at {
+			t.Errorf("entry %d of the round carries At=%d, the round's first %d", i, e.At, at)
+		}
+	}
+
+	in, _ := m.Get(string(ids[5]))
+	if _, err := in.ApplyBatch([]Event{{Kind: EventFault, Node: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := appends.Count() - before; got != 2 {
+		t.Errorf("a round of one after it: %d append samples in all, want 2", got)
+	}
+	if e := next(); e.At <= at {
+		t.Errorf("a round of one after it carries At=%d, not later than the round's %d", e.At, at)
+	}
+}
+
 // TestRoundSyncFailure pins the failure half: when the round's fsync
 // fails, every staged burst is refused as unavailable and counted as a
 // journal failure, none is applied, and every instance of the round

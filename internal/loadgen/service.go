@@ -51,7 +51,7 @@ func FetchObs(addr string) (*obs.Export, error) {
 //	replication_lag_p99      applied-entry age p99 (follower)
 //	compaction_pause_max     worst commits-gated pause (leader)
 //	lookup_rpc_p99           client-observed RPC lookup op p99 (RPC runs)
-//	rpc_op_p99               server-side RPC handling p99 by op (RPC runs)
+//	rpc_op_p99               server-side RPC drain-pass residence p99 by op (RPC runs)
 //	lookups_per_sec          resolved lookups per second (RPC runs; ops/s,
 //	                         higher is better — ftbenchdiff flags drops)
 //

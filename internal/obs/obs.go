@@ -52,14 +52,23 @@ func bucketOf(ns uint64) int {
 
 // Observe records one duration. Negative durations (clock weirdness on
 // the caller's side) count as zero rather than wrapping.
-func (h *Histogram) Observe(d time.Duration) {
+func (h *Histogram) Observe(d time.Duration) { h.ObserveN(d, 1) }
+
+// ObserveN records n observations of the same duration at the cost of
+// one: what a batch whose members share one timing (the frames of one
+// drain pass, the writes of one commit round) records. n <= 0 records
+// nothing.
+func (h *Histogram) ObserveN(d time.Duration, n int) {
+	if n <= 0 {
+		return
+	}
 	ns := uint64(0)
 	if d > 0 {
 		ns = uint64(d)
 	}
-	h.buckets[bucketOf(ns)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
+	h.buckets[bucketOf(ns)].Add(uint64(n))
+	h.count.Add(uint64(n))
+	h.sum.Add(ns * uint64(n))
 	for {
 		cur := h.max.Load()
 		if ns <= cur || h.max.CompareAndSwap(cur, ns) {

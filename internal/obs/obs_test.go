@@ -43,6 +43,39 @@ func TestHistogramZeroAndNegative(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveNIsNObserves: ObserveN(d, n) leaves the snapshot
+// n Observe(d) calls leave — buckets, count, sum and max — for values
+// spread over several buckets, zero and a negative one among them; a
+// count of zero or less records nothing; and it allocates nothing.
+func TestHistogramObserveNIsNObserves(t *testing.T) {
+	ds := []time.Duration{-time.Second, 0, 1, 3, 700, 37 * time.Microsecond, 5 * time.Millisecond}
+	for _, n := range []int{1, 3, 1000} {
+		var one, many Histogram
+		for _, d := range ds {
+			many.ObserveN(d, n)
+			for i := 0; i < n; i++ {
+				one.Observe(d)
+			}
+		}
+		if got, want := many.Snapshot(), one.Snapshot(); got != want {
+			t.Errorf("n=%d: ObserveN left %+v, %d Observe calls %+v", n, got, n, want)
+		}
+	}
+
+	var h Histogram
+	h.Observe(42)
+	want := h.Snapshot()
+	h.ObserveN(time.Hour, 0)
+	h.ObserveN(time.Hour, -3)
+	if got := h.Snapshot(); got != want {
+		t.Errorf("ObserveN with n <= 0 changed the histogram: %+v, want %+v", got, want)
+	}
+
+	if allocs := testing.AllocsPerRun(1000, func() { h.ObserveN(700, 16) }); allocs != 0 {
+		t.Errorf("ObserveN: %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // TestHistogramQuantileWithinOneBucket is the acceptance test for the
 // bucketed representation: against an exact sorted-sample percentile,
 // the histogram's answer must land within one power-of-two bucket —

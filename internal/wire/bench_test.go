@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -11,6 +13,7 @@ import (
 	"testing"
 
 	"ftnet/internal/fleet"
+	"ftnet/internal/journal"
 	"ftnet/internal/obs"
 	sharding "ftnet/internal/shard"
 )
@@ -208,20 +211,17 @@ func (pc *proxiedCluster) writevs() uint64 {
 	return n
 }
 
-// pipelined is the closed loop of the repository benchmark's read
-// workloads: one client with 2 connections and 16 callers send b.N
-// LookupBatch-16 frames of targets i*stride%nodes between them, the
-// n-th frame (sent by caller w) to instance id(n, w).
-func pipelined(b *testing.B, addr string, nodes, stride int, id func(n, w int) string) {
+// pipelined is the closed loop of the repository benchmark's
+// workloads: one client with 2 connections and 16 callers make b.N
+// calls between them. Caller w makes its calls with caller(c, w), which
+// keeps whatever scratch it needs, passing the number of the call
+// overall.
+func pipelined(b *testing.B, addr string, caller func(c *Client, w int) func(n int) error) {
 	c, err := Dial(addr, Options{Conns: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	xs := make([]int, 16)
-	for i := range xs {
-		xs[i] = i * stride % nodes
-	}
 
 	const callers = 16
 	var next atomic.Int64
@@ -229,18 +229,34 @@ func pipelined(b *testing.B, addr string, nodes, stride int, id func(n, w int) s
 	b.ResetTimer()
 	for w := 0; w < callers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(call func(int) error) {
 			defer wg.Done()
-			phis := make([]int, len(xs))
 			for n := next.Add(1); n <= int64(b.N); n = next.Add(1) {
-				if _, err := c.LookupBatch(id(int(n), w), xs, phis); err != nil {
+				if err := call(int(n)); err != nil {
 					b.Error(err)
 					return
 				}
 			}
-		}(w)
+		}(caller(c, w))
 	}
 	wg.Wait()
+}
+
+// lookups is pipelined's caller for the read workloads: LookupBatch-16
+// frames of targets i*stride%nodes, the n-th (sent by caller w) to
+// instance id(n, w).
+func lookups(nodes, stride int, id func(n, w int) string) func(*Client, int) func(int) error {
+	xs := make([]int, 16)
+	for i := range xs {
+		xs[i] = i * stride % nodes
+	}
+	return func(c *Client, w int) func(int) error {
+		phis := make([]int, len(xs))
+		return func(n int) error {
+			_, err := c.LookupBatch(id(n, w), xs, phis)
+			return err
+		}
+	}
 }
 
 // BenchmarkWireDirectPipelined is pipelined against one daemon with
@@ -251,8 +267,57 @@ func pipelined(b *testing.B, addr string, nodes, stride int, id func(n, w int) s
 // drains, so it falls as the client's rounds grow.
 func BenchmarkWireDirectPipelined(b *testing.B) {
 	addr, reg := benchServer(b, 12)
-	pipelined(b, addr, 1<<12, 263, func(int, int) string { return "bench" })
+	pipelined(b, addr, lookups(1<<12, 263, func(int, int) string { return "bench" }))
 	b.ReportMetric(float64(reg.Counter("ftnet_rpc_flushes_total", "").Value())/float64(b.N), "writev/frame")
+}
+
+// BenchmarkWireApplyPipelined is BenchmarkWireDirectPipelined's write
+// twin, the write-durable workload of the repository benchmark: one
+// daemon journaling on fsync-always, and ApplyBatch-4 frames of
+// recurring fault sets — each caller faults a rack of four nodes of its
+// own instance of 2^12 nodes, then repairs it, and again. ns/op is per
+// frame; syncs/record is the journal fsyncs each record cost, which
+// falls as a drain pass's writes share one commit round.
+func BenchmarkWireApplyPipelined(b *testing.B) {
+	f, err := os.Create(filepath.Join(b.TempDir(), "bench.wal"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	mgr := fleet.NewManager(fleet.Options{Journal: journal.NewWriter(f, journal.Options{Sync: journal.SyncAlways})})
+	b.Cleanup(func() {
+		mgr.Close()
+		f.Close()
+	})
+	for w := 0; w < 16; w++ {
+		if _, err := mgr.Create(fmt.Sprintf("bench-%d", w), fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 12, K: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := NewServer(mgr, ServerOptions{Metrics: mgr.Metrics()})
+	go srv.Serve(ln)
+	b.Cleanup(func() { srv.Close() })
+
+	before := mgr.Stats().Journal
+	pipelined(b, ln.Addr().String(), func(c *Client, w int) func(int) error {
+		id, bursts := fmt.Sprintf("bench-%d", w), [2][]fleet.Event{}
+		for i := 0; i < 4; i++ {
+			node := 64 + (8+w%8)*250 + i // a rack of the repository benchmark's recurring writers
+			bursts[0] = append(bursts[0], fleet.Event{Kind: fleet.EventFault, Node: node})
+			bursts[1] = append(bursts[1], fleet.Event{Kind: fleet.EventRepair, Node: node})
+		}
+		sent := 0
+		return func(int) error {
+			_, err := c.ApplyBatch(id, bursts[sent%2])
+			sent++
+			return err
+		}
+	})
+	after := mgr.Stats().Journal
+	b.ReportMetric(float64(after.Syncs-before.Syncs)/float64(after.Records-before.Records), "syncs/record")
 }
 
 // benchProxied runs the proxied twin of BenchmarkWireDirectPipelined,
@@ -263,7 +328,7 @@ func BenchmarkWireDirectPipelined(b *testing.B) {
 func benchProxied(b *testing.B, names []string) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	pc := startProxiedCluster(b, names)
-	pipelined(b, pc.addr, 64, 3, func(n, w int) string { return pc.ids[(n*7+w)%len(pc.ids)] })
+	pipelined(b, pc.addr, lookups(64, 3, func(n, w int) string { return pc.ids[(n*7+w)%len(pc.ids)] }))
 	b.ReportMetric(float64(pc.writevs())/float64(b.N), "writev/frame")
 }
 

@@ -207,19 +207,33 @@ func (e *relay) id() string {
 	return string(id)
 }
 
-// round is one read pass of one reader goroutine: the backend
-// connections it queued a frame on since its last finish, and the
-// fronts whose empty write queue it put an answer on, whose writer is
-// its to wake. Every round that queued on a backend connection flushes
-// it, elected or not (flush returns at once when another flusher is at
-// it or nothing is left), so a reader stuck writing to one member holds
-// no other front's frames for the members after it. Its own frames for
-// those do wait with it, until the stuck connection's watchdog cuts the
-// write (≤ 1.25×Timeout).
+// round is one read pass of one reader goroutine: its one clock read,
+// the backend connections it queued a frame on since its last finish,
+// and the fronts whose empty write queue it put an answer on, whose
+// writer is its to wake. Every round that queued on a backend
+// connection flushes it, elected or not (flush returns at once when
+// another flusher is at it or nothing is left), so a reader stuck
+// writing to one member holds no other front's frames for the members
+// after it. Its own frames for those do wait with it, until the stuck
+// connection's watchdog cuts the write (≤ 1.25×Timeout).
 type round struct {
 	open     *obs.Gauge // the fronts now open, in a front reader's round; nil in a backend reader's
+	now      time.Time  // the pass's stamp, read at its first use; zero between passes
 	backends []*upstream[*relay]
 	fronts   []*front
+}
+
+// stamp is the pass's one clock read, taken at its first use. A front
+// reader's is the arrival of every frame it reads. A backend reader's is
+// the "now" every answer it relays, and every frame it orphans, is timed
+// against: early by at most the pass so far, so no age is overstated,
+// and never before an answer's frame arrived, since a pass handles only
+// answers buffered before it began.
+func (r *round) stamp() time.Time {
+	if r.now.IsZero() {
+		r.now = time.Now()
+	}
+	return r.now
 }
 
 // finish sends what the round queued. Every reader calls it before
@@ -241,6 +255,7 @@ func (r *round) finish() {
 		r.backends[i] = nil
 	}
 	r.fronts, r.backends = r.fronts[:0], r.backends[:0]
+	r.now = time.Time{}
 }
 
 // front is one client connection: a reader (serveFront) that forwards
@@ -285,7 +300,7 @@ func (p *Proxy) serveFront(nc net.Conn) {
 		p.requests.Inc()
 		f.admit(r)
 		e := relayPool.Get().(*relay)
-		e.f, e.start, e.seq, e.t = f, time.Now(), h.seq, h.t
+		e.f, e.start, e.seq, e.t = f, r.stamp(), h.seq, h.t
 		e.req = append(e.req, payload[h.rest:]...)
 		p.send(e, p.backends[p.router.OwnerBytes(h.id)], r) // nil on an empty ring
 		return nil
@@ -456,7 +471,7 @@ func (p *Proxy) answered(u *upstream[*relay], payload []byte, r *round) error {
 // time is not up; an ApplyBatch may have been applied and is never sent
 // twice.
 func (p *Proxy) orphaned(e *relay, sent bool, cause error, r *round) {
-	if e.t != MsgApplyBatch && !e.resent && time.Since(e.start) < p.timeout {
+	if e.t != MsgApplyBatch && !e.resent && r.stamp().Sub(e.start) < p.timeout {
 		e.resent = true
 		p.send(e, e.b, r)
 	} else {
@@ -466,7 +481,7 @@ func (p *Proxy) orphaned(e *relay, sent bool, cause error, r *round) {
 
 // deliver relays a backend's response to the front that asked.
 func (p *Proxy) deliver(e *relay, rest []byte, r *round) {
-	p.hist.Observe(time.Since(e.start))
+	p.hist.Observe(r.stamp().Sub(e.start))
 	e.f.answer(e, rest, r)
 	putRelay(e)
 }
@@ -493,7 +508,7 @@ func (p *Proxy) reject(e *relay, st Status, msg string, r *round) {
 func (p *Proxy) giveUp(e *relay, sent bool, cause error, r *round) {
 	p.upErrors.Inc()
 	if e.t == MsgApplyBatch && sent {
-		p.hist.Observe(time.Since(e.start))
+		p.hist.Observe(r.stamp().Sub(e.start))
 		e.f.abandon(r)
 		putRelay(e)
 		return

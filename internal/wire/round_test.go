@@ -51,12 +51,13 @@ func roundServer(t *testing.T, n int) (*fleet.Manager, *failingFile, *rawFront) 
 			t.Fatal(err)
 		}
 	}
-	addr, _ := startServer(t, mgr, ServerOptions{})
+	addr, _ := startServer(t, mgr, ServerOptions{Metrics: mgr.Metrics()})
 	return mgr, ff, dialRaw(t, addr)
 }
 
-// sendTogether writes the requests' frames with a single Write.
-func (r *rawFront) sendTogether(reqs ...Request) {
+// sendTogether writes the requests' frames with a single Write and
+// returns how many bytes that was.
+func (r *rawFront) sendTogether(reqs ...Request) int {
 	r.t.Helper()
 	var buf []byte
 	for _, req := range reqs {
@@ -71,6 +72,7 @@ func (r *rawFront) sendTogether(reqs ...Request) {
 	if _, err := r.nc.Write(buf); err != nil {
 		r.t.Fatal(err)
 	}
+	return len(buf)
 }
 
 // recvBySeq reads n responses and indexes them by sequence number; it
@@ -266,5 +268,62 @@ func TestWireRoundCap(t *testing.T) {
 	}
 	if syncs := mgr.Stats().Journal.Syncs - before; syncs < 2 || syncs > 8 {
 		t.Fatalf("%d bursts in one write cost %d fsyncs, want 2 (a few more if the kernel split the read)", n, syncs)
+	}
+}
+
+// TestWireOpHistogramIsPassResidence: one write of 8 LookupBatch and 4
+// ApplyBatch frames is one drain pass, and the server records it once:
+// 8 lookup_batch and 4 apply_batch samples, 12 requests and the bytes
+// sent. Each sample is the frame's residence in the pass, so the
+// lookups, handled before the pass's commit, are timed to their
+// answers' one write, after it: no shorter than the commit's fsync
+// wait.
+func TestWireOpHistogramIsPassResidence(t *testing.T) {
+	const n = 4
+	mgr, _, front := roundServer(t, n)
+	reg := mgr.Metrics()
+	op := reg.HistogramVec("ftnet_rpc_op_seconds", "", "op")
+	lookupHist, applyHist := op.With("lookup_batch"), op.With("apply_batch")
+	fsync := reg.Histogram("ftnet_commit_fsync_wait_seconds", "")
+	requests := reg.Counter("ftnet_rpc_requests_total", "")
+	bytesIn := reg.Counter("ftnet_rpc_bytes_in_total", "")
+	lookups0, applies0, fsync0 := lookupHist.Snapshot(), applyHist.Snapshot(), fsync.Snapshot()
+	requests0, bytes0 := requests.Value(), bytesIn.Value()
+
+	var reqs []Request
+	for i := 0; i < 2*n; i++ {
+		reqs = append(reqs, Request{Type: MsgLookupBatch, Seq: uint64(100 + i), ID: fmt.Sprintf("i%d", i%n), Xs: []int{0, 5, 9}})
+	}
+	for i := 0; i < n; i++ {
+		reqs = append(reqs, Request{Type: MsgApplyBatch, Seq: uint64(200 + i), ID: fmt.Sprintf("i%d", i), Events: fault(i + 1)})
+	}
+	sent := front.sendTogether(reqs...)
+	bySeq, _ := front.recvBySeq(len(reqs))
+	for _, req := range reqs {
+		if resp := bySeq[req.Seq]; resp.Status != StatusOK || resp.Type != req.Type {
+			t.Fatalf("seq %d answered %+v", req.Seq, resp)
+		}
+	}
+
+	l, a, f := lookupHist.Snapshot(), applyHist.Snapshot(), fsync.Snapshot()
+	if f.Count-fsync0.Count != 1 {
+		t.Fatalf("the write cost %d commits, want 1: the kernel split it", f.Count-fsync0.Count)
+	}
+	if got := l.Count - lookups0.Count; got != 2*n {
+		t.Errorf("lookup_batch gained %d samples, want %d", got, 2*n)
+	}
+	if got := a.Count - applies0.Count; got != n {
+		t.Errorf("apply_batch gained %d samples, want %d", got, n)
+	}
+	if got := requests.Value() - requests0; got != uint64(len(reqs)) {
+		t.Errorf("requests_total gained %d, want %d", got, len(reqs))
+	}
+	if got := bytesIn.Value() - bytes0; got != uint64(sent) {
+		t.Errorf("bytes_in_total gained %d, want the %d sent", got, sent)
+	}
+	// The pass's lookupHist share one sample, so their mean is it.
+	residence, wait := (l.Sum-lookups0.Sum)/(2*n), f.Sum-fsync0.Sum
+	if residence < wait {
+		t.Errorf("a lookup's sample is %v, below the fsync wait %v its answer sat out", time.Duration(residence), time.Duration(wait))
 	}
 }

@@ -71,7 +71,7 @@ func NewServer(mgr *fleet.Manager, opts ServerOptions) *Server {
 		reg = obs.New()
 	}
 	opHist := reg.HistogramVec("ftnet_rpc_op_seconds",
-		"RPC-plane handling latency by operation.", "op")
+		"RPC-plane latency by operation: a frame's residence in its drain pass, from the pass's first frame handled to its answers queued for the pass's one write (a staged ApplyBatch: to its round's commit).", "op")
 	return &Server{
 		mgr:        mgr,
 		lookupHist: opHist.With("lookup"),
@@ -213,26 +213,40 @@ func (a *acceptor) shutdown(ctx context.Context) error {
 }
 
 // srvConn is the per-connection state: the response queue (a sender only this goroutine appends to and
-// flushes), the decode scratch (req's slices and phis), and the open
-// commit round with the responses it owes — all reused, so a
-// steady-state Lookup handles with zero allocations and a staged
-// ApplyBatch adds none to what the manager's own apply costs.
+// flushes), the decode scratch (req's slices and phis), the drain pass
+// under way, and the open commit round with the responses it owes — all
+// reused, so a steady-state Lookup handles with zero allocations and a
+// staged ApplyBatch adds none to what the manager's own apply costs.
 type srvConn struct {
 	s *Server
 	sender
 	req  Request
 	phis []int
 
+	pass drainPass
+
 	round  fleet.Round
 	staged []stagedWrite // round's transitions, in stage order
+}
+
+// drainPass is the bookkeeping of one drain pass, recorded once, when
+// finish ends it: the pass is stamped when its first frame is handled,
+// and every frame it answers shares that stamp, so a frame costs no
+// clock read, histogram update or counter add of its own.
+type drainPass struct {
+	start  time.Time // zero between passes
+	bytes  uint64    // read, frame headers included
+	frames uint64    // requests handled
+	// Frames answered in the pass, by op: an ApplyBatch among them was
+	// refused at once; a staged one is its round's to record.
+	lookups, batches, refusals int
 }
 
 // stagedWrite is the answer owed to one ApplyBatch staged in the open
 // round: final if the round commits, StatusUnavailable if it fails.
 type stagedWrite struct {
-	seq   uint64
-	start time.Time
-	res   fleet.EventResult
+	seq uint64
+	res fleet.EventResult
 }
 
 func (s *Server) serveConn(nc net.Conn) {
@@ -251,14 +265,12 @@ func (s *Server) serveConn(nc net.Conn) {
 			nc.Close() // the write failed: so will the read that follows
 		}
 	}, func(payload []byte) error {
-		s.bytesIn.Add(frameHeaderSize + uint64(len(payload)))
 		if !c.handle(payload) {
 			// A malformed payload is a broken or hostile peer, not a bad
 			// argument: hang up rather than guess at a sequence number to
 			// answer on.
 			return errors.New("malformed request")
 		}
-		s.requests.Inc()
 		if c.wq.queued >= maxCoalesce && !c.finish() {
 			return errors.New("write failed")
 		}
@@ -268,26 +280,44 @@ func (s *Server) serveConn(nc net.Conn) {
 	c.finish()
 }
 
-// finish closes the open commit round and flushes; false means the
-// write failed and the connection is done.
+// finish closes the open commit round, ends the drain pass and
+// flushes; false means the write failed and the connection is done.
 func (c *srvConn) finish() bool {
 	c.commitRound()
+	c.endPass()
 	return c.flush()
+}
+
+// endPass records the pass: every frame it answered with the pass's
+// residence — its first frame handled to its answers queued for the one
+// write they leave in — and the frames and bytes it read.
+func (c *srvConn) endPass() {
+	p := &c.pass
+	if p.start.IsZero() {
+		return
+	}
+	d := time.Since(p.start)
+	c.s.lookupHist.ObserveN(d, p.lookups)
+	c.s.batchHist.ObserveN(d, p.batches)
+	c.s.applyHist.ObserveN(d, p.refusals)
+	c.s.requests.Add(p.frames)
+	c.s.bytesIn.Add(p.bytes)
+	*p = drainPass{}
 }
 
 // commitRound commits the open round and queues the answers it owes:
 // one durability wait, then every staged ApplyBatch is acked — or, had
-// the wait failed, refused as unavailable, none of them applied.
+// the wait failed, refused as unavailable, none of them applied. Each
+// write is recorded from its pass's stamp to the commit.
 func (c *srvConn) commitRound() {
 	if len(c.staged) == 0 {
 		return
 	}
 	err := c.s.mgr.CommitRound(&c.round)
-	now := time.Now()
+	c.s.applyHist.ObserveN(time.Since(c.pass.start), len(c.staged))
 	for i := range c.staged {
 		st := &c.staged[i]
 		c.respond(Response{Type: MsgApplyBatch, Seq: st.seq, Result: st.res}, err)
-		c.s.applyHist.Observe(now.Sub(st.start))
 	}
 	c.staged = c.staged[:0]
 }
@@ -310,31 +340,34 @@ func (c *srvConn) flush() bool {
 
 // handle decodes one request payload, executes it against the manager,
 // and queues the framed response — except for an ApplyBatch that joined
-// the open round, which commitRound answers. It reports false only for
-// payloads that are not canonical requests (the caller hangs up);
-// application failures become non-OK responses.
+// the open round, which commitRound answers. The pass's first frame
+// stamps it. It reports false only for payloads that are not canonical
+// requests (the caller hangs up); application failures become non-OK
+// responses.
 func (c *srvConn) handle(payload []byte) bool {
-	start := time.Now()
+	if c.pass.start.IsZero() {
+		c.pass.start = time.Now()
+	}
+	c.pass.bytes += frameHeaderSize + uint64(len(payload))
 	h, err := walkRequest(payload, &c.req)
 	if err != nil {
 		return false
 	}
+	c.pass.frames++
 	if h.t != MsgApplyBatch && c.round.Has(h.id) {
 		c.commitRound() // read your pipelined write
 	}
 	resp := Response{Type: h.t, Seq: h.seq}
-	var hist *obs.Histogram
 	switch h.t {
 	case MsgLookup:
-		hist = c.s.lookupHist
+		c.pass.lookups++
 		resp.Phi, resp.Epoch, err = c.s.mgr.LookupEpochBytes(h.id, c.req.X)
 	case MsgLookupBatch:
-		hist = c.s.batchHist
+		c.pass.batches++
 		c.phis = sized(c.phis, len(c.req.Xs))
 		resp.Phis = c.phis
 		resp.Epoch, err = c.s.mgr.LookupBatchBytes(h.id, c.req.Xs, c.phis)
 	case MsgApplyBatch:
-		hist = c.s.applyHist
 		resp.Result, err = c.s.mgr.StageBatchBytes(&c.round, h.id, c.req.Events)
 		if err == fleet.ErrRoundBusy {
 			// The instance's writer is taken — by this very round, if the
@@ -344,15 +377,15 @@ func (c *srvConn) handle(payload []byte) bool {
 			resp.Result, err = c.s.mgr.StageBatchBytes(&c.round, h.id, c.req.Events)
 		}
 		if err == nil {
-			c.staged = append(c.staged, stagedWrite{seq: h.seq, start: start, res: resp.Result})
+			c.staged = append(c.staged, stagedWrite{seq: h.seq, res: resp.Result})
 			if c.round.Len() == fleet.RoundCap {
 				c.commitRound()
 			}
 			return true
 		}
+		c.pass.refusals++
 	}
 	c.respond(resp, err)
-	hist.Observe(time.Since(start))
 	return true
 }
 
