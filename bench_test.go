@@ -141,11 +141,6 @@ func BenchmarkFleetEventBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkL1_ServiceThroughput reruns the tracked service-throughput
-// experiment (read-heavy and burst-heavy ftload scenarios against an
-// in-process daemon).
-func BenchmarkL1_ServiceThroughput(b *testing.B) { benchExperiment(b, "L1") }
-
 // Micro-benchmarks: full embedding check after reconfiguration.
 
 func BenchmarkEmbeddingCheckH10(b *testing.B) {

@@ -2,23 +2,29 @@
 // instances, drives them with a configurable mix of fault/repair
 // events and phi lookups from concurrent workers, and reports
 // throughput and latency percentiles. The traffic loop lives in
-// internal/loadgen, shared with the tracked service-throughput
-// experiment (internal/experiments L1).
+// internal/loadgen.
+//
+// The storm — lookups and event bursts — runs over the binary RPC
+// plane (internal/wire): persistent pipelined connections to the
+// daemon's -rpc-addr listener (or an ftproxy RPC front), lookups
+// vectorized into LookupBatch frames of -rpc-lookup-batch. Fleet
+// creation, verification and stats scraping use the JSON API at -addr.
 //
 // Usage:
 //
-//	ftload -addr http://localhost:8080 -instances 4 -kind debruijn \
-//	       -m 2 -digits 6 -k 4 -workers 8 -requests 20000 -eventfrac 0.1
+//	ftload -addr http://localhost:8080 -rpc-addr 127.0.0.1:9090 \
+//	       -instances 4 -kind debruijn -m 2 -digits 6 -k 4 \
+//	       -workers 8 -requests 20000 -eventfrac 0.1
 //
 // With -eventfrac 0.1, ~10% of operations are reconfiguration events
 // (fault or repair, 50/50) and ~90% are lookups — the read-heavy shape
 // a fleet of mostly-healthy machines produces. With -batch n > 1 each
-// reconfiguration operation posts n events as one atomic burst through
-// events:batch. -scenario selects a named preset instead:
+// reconfiguration operation sends n events as one atomic burst.
+// -scenario selects a named preset instead:
 //
 //	ftload -scenario read-heavy    # ~1% events, the lock-free lookup path
 //	ftload -scenario burst-heavy   # 30% events in atomic 4-event bursts
-//	ftload -scenario write-storm   # dedicated writers hammer events:batch
+//	ftload -scenario write-storm   # dedicated writers hammer bursts
 //	                               # while the other workers measure read p99
 //
 // The restart scenario is the crash-recovery probe; ftload itself
@@ -26,8 +32,8 @@
 // same journal, and verifies every instance recovered to (at least)
 // its last acknowledged epoch with a bit-identical mapping:
 //
-//	ftload -scenario restart \
-//	    -exec "./ftnetd -addr 127.0.0.1:18080 -journal /tmp/ft.wal -fsync always" \
+//	ftload -scenario restart -rpc-addr 127.0.0.1:18083 \
+//	    -exec "./ftnetd -addr 127.0.0.1:18080 -rpc-addr 127.0.0.1:18083 -journal /tmp/ft.wal -fsync always" \
 //	    -addr http://127.0.0.1:18080
 //
 // With -follower <url> the run doubles as a replication probe: after
@@ -36,15 +42,16 @@
 // same epoch with a bit-identical phi slice:
 //
 //	ftload -scenario write-storm -addr http://leader:8080 \
-//	       -follower http://replica:8081
+//	       -rpc-addr leader:9090 -follower http://replica:8081
 //
 // With -obs-json <path> the run also scrapes the daemon's server-side
 // histograms (/v1/stats obs section) afterwards and writes the
 // BENCH_service.json SLO artifact — request p99 by route, fsync p99,
-// replication lag p99 (when -follower is set), compaction pause max —
-// which CI diffs against a committed baseline with ftbenchdiff:
+// replication lag p99 (when -follower is set), compaction pause max,
+// RPC op p99 by op, lookup p99 and lookups/s — which CI diffs against a
+// committed baseline with ftbenchdiff:
 //
-//	ftload -scenario write-storm -addr http://leader:8080 \
+//	ftload -scenario write-storm -addr http://leader:8080 -rpc-addr leader:9090 \
 //	       -follower http://replica:8081 -obs-json BENCH_service.json
 //
 // The partition-torture scenario is the failover probe: ftload spawns
@@ -60,40 +67,29 @@
 // failover_downtime (kill to the promoted replica accepting writes):
 //
 //	ftload -scenario partition-torture -addr http://127.0.0.1:18080 \
-//	    -follower http://127.0.0.1:18081 \
-//	    -exec "./ftnetd -addr 127.0.0.1:18080 -journal /tmp/a.wal" \
+//	    -rpc-addr 127.0.0.1:18083 -follower http://127.0.0.1:18081 \
+//	    -exec "./ftnetd -addr 127.0.0.1:18080 -rpc-addr 127.0.0.1:18083 -journal /tmp/a.wal" \
 //	    -exec-follower "./ftnetd -addr 127.0.0.1:18081 -journal /tmp/b.wal -follow http://127.0.0.1:18080" \
 //	    -exec-rejoin "./ftnetd -addr 127.0.0.1:18080 -journal /tmp/a.wal -follow http://127.0.0.1:18081"
 //
 // The cluster scenario is the scale-out probe: point -peers at a fleet
-// of daemons booted *unsharded*, name the member that should join the
+// of daemons booted *unsharded*, -rpc-addr at an ftproxy RPC front
+// whose ring names all of them, name the member that should join the
 // ring mid-storm with -join, and ftload owns the topology lifecycle —
 // it installs the initial ring over POST /v1/ring, storms the cluster
-// through a shard-aware client (ring routing + X-Ftnet-Owner redirect
-// learning + 503-staged backoff, the same convergence rules as
-// ftproxy), adds the joiner to every ring mid-storm, triggers
-// /v1/rebalance so displaced instances are checkpoint-streamed to it,
-// and then verifies the handoff: every instance on exactly its ring
-// owner, epoch equal to the acknowledged watermark (zero lost or
-// double-applied transitions), phi slice bit-identical to a fresh
-// recomputation. With -obs-json it emits the rebalance_pause and
-// cluster_lookups_per_sec SLO families (with -rpc, through an ftproxy
-// RPC front, proxy_lookups_per_sec and proxy_lookup_p99 in place of the
-// latter):
+// through the proxy (which chases X-Ftnet-Owner redirects; ftload rides
+// out staged windows with backoff), adds the joiner to every ring
+// mid-storm, triggers /v1/rebalance so displaced instances are
+// checkpoint-streamed to it, and then verifies the handoff: every
+// instance on exactly its ring owner, epoch equal to the acknowledged
+// watermark (zero lost or double-applied transitions), phi slice
+// bit-identical to a fresh recomputation. With -obs-json it emits the
+// rebalance_pause, proxy_lookups_per_sec and proxy_lookup_p99 SLO
+// families:
 //
-//	ftload -scenario cluster -instances 24 -requests 30000 \
-//	    -peers a=http://127.0.0.1:18110,b=http://127.0.0.1:18111,c=http://127.0.0.1:18112 \
-//	    -join c -obs-json BENCH_service_shard.json
-//
-// With -rpc the hot path (lookups and event batches) runs over the
-// binary RPC plane (internal/wire) instead of HTTP+JSON: persistent
-// pipelined connections to the daemon's -rpc-addr listener, lookups
-// vectorized into LookupBatch frames of -rpc-lookup-batch. Fleet
-// creation and verification stay on the JSON plane. RPC runs add
-// lookup_rpc_p99 and lookups_per_sec to the -obs-json artifact:
-//
-//	ftload -rpc -rpc-addr 127.0.0.1:9090 -scenario mixed \
-//	       -addr http://127.0.0.1:8080
+//	ftload -scenario cluster -rpc-addr 127.0.0.1:18127 -instances 24 -requests 30000 \
+//	    -peers a=http://127.0.0.1:18120,b=http://127.0.0.1:18121,c=http://127.0.0.1:18122 \
+//	    -join c -obs-json BENCH_service_proxy.json
 //
 // Rejected events (budget exhausted, repairing a healthy node, a burst
 // with one invalid event) are counted separately: they are the daemon
@@ -126,16 +122,14 @@ type config struct {
 	execRejoin   string // deposed-leader rejoin command line (partition-torture)
 	follower     string // follower base URL to verify convergence against after the run
 	obsJSON      string // path to write the BENCH_service.json SLO artifact to
-	rpc          bool   // drive the hot path over the binary RPC plane
 	peers        string // cluster membership "name=url,..." (cluster scenario)
 	join         string // member joining the ring mid-storm (cluster scenario)
-	replicas     int    // ring vnodes per member (cluster scenario)
 }
 
 func main() {
 	var cfg config
 	var kind string
-	flag.StringVar(&cfg.Addr, "addr", "http://localhost:8080", "base URL of the ftnetd daemon")
+	flag.StringVar(&cfg.Addr, "addr", "http://localhost:8080", "base URL of the ftnetd daemon's JSON API (the control plane)")
 	flag.IntVar(&cfg.Instances, "instances", 4, "number of instances to create and drive")
 	flag.StringVar(&kind, "kind", "debruijn", `topology kind: "debruijn" or "shuffle"`)
 	flag.IntVar(&cfg.Spec.M, "m", 2, "de Bruijn base")
@@ -144,27 +138,21 @@ func main() {
 	flag.IntVar(&cfg.Workers, "workers", 8, "concurrent workers")
 	flag.IntVar(&cfg.Requests, "requests", 20000, "total operations to issue")
 	flag.Float64Var(&cfg.Scenario.EventFrac, "eventfrac", 0.1, "fraction of ops that are fault/repair events")
-	flag.IntVar(&cfg.Scenario.Batch, "batch", 1, "events per reconfiguration op (> 1 uses atomic events:batch bursts)")
+	flag.IntVar(&cfg.Scenario.Batch, "batch", 1, "events per reconfiguration op, applied as one atomic burst")
 	flag.StringVar(&cfg.scenario, "scenario", "", `named scenario preset: "mixed", "read-heavy", "burst-heavy", "write-storm", "restart", "partition-torture" or "cluster" (overrides -eventfrac/-batch)`)
 	flag.StringVar(&cfg.peers, "peers", "", `cluster membership as "name=url,name=url,..." for -scenario cluster (daemons booted unsharded; ftload installs the rings)`)
 	flag.StringVar(&cfg.join, "join", "", `member of -peers held out of the initial ring and joined mid-storm (-scenario cluster)`)
-	flag.IntVar(&cfg.replicas, "replicas", 0, "virtual nodes per ring member for -scenario cluster (0 = shard default)")
 	flag.StringVar(&cfg.exec, "exec", "", `daemon command line for -scenario restart/partition-torture (ftload spawns, SIGKILLs and restarts it)`)
 	flag.StringVar(&cfg.execFollower, "exec-follower", "", `follower daemon command line for -scenario partition-torture (SIGSTOPped for the partition, promoted after the kill)`)
 	flag.StringVar(&cfg.execRejoin, "exec-rejoin", "", `deposed-leader rejoin command line for -scenario partition-torture (same journal as -exec, -follow pointing at the promoted follower)`)
 	flag.StringVar(&cfg.follower, "follower", "", `follower base URL; after the run, require it to converge with -addr (same epochs, bit-identical phi)`)
-	flag.StringVar(&cfg.obsJSON, "obs-json", "", `write a BENCH_service.json SLO artifact here: request p99 by route, fsync p99, replication lag p99 (needs -follower), compaction pause max — scraped from /v1/stats after the run`)
-	var rpcAddr string
-	flag.BoolVar(&cfg.rpc, "rpc", false, "drive lookups and event batches over the binary RPC plane (internal/wire) instead of HTTP+JSON")
-	flag.StringVar(&rpcAddr, "rpc-addr", "127.0.0.1:9090", "host:port of the daemon's -rpc-addr listener (used with -rpc)")
-	flag.IntVar(&cfg.RPCLookupBatch, "rpc-lookup-batch", loadgen.DefaultRPCLookupBatch, "lookups vectorized per LookupBatch frame on the RPC plane (1 = scalar Lookup)")
+	flag.StringVar(&cfg.obsJSON, "obs-json", "", `write a BENCH_service.json SLO artifact here: request p99 by route, fsync p99, replication lag p99 (needs -follower), compaction pause max, RPC and lookup p99s, lookups/s — scraped from /v1/stats after the run`)
+	flag.StringVar(&cfg.RPCAddr, "rpc-addr", "127.0.0.1:9090", "host:port the storm goes to: the daemon's -rpc-addr listener (ftproxy's for -scenario cluster)")
+	flag.IntVar(&cfg.RPCLookupBatch, "rpc-lookup-batch", loadgen.DefaultRPCLookupBatch, "lookups vectorized per LookupBatch frame (1 = scalar Lookup)")
 	flag.IntVar(&cfg.RPCConns, "rpc-conns", 0, "pipelined connections per RPC client (0 = wire default)")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "rng seed")
 	flag.Parse()
 	cfg.Spec.Kind = fleet.Kind(kind)
-	if cfg.rpc {
-		cfg.RPCAddr = rpcAddr
-	}
 
 	if err := run(cfg, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "ftload: %v\n", err)
@@ -413,10 +401,8 @@ func runFailover(cfg config, out io.Writer) error {
 
 // runCluster owns the scale-out scenario: the daemons are already
 // running (and unsharded); ftload installs the rings, storms the
-// cluster through the shard-aware client, joins -join mid-storm,
-// rebalances, and verifies the handoff invariants. With -rpc the storm
-// data plane runs over the binary protocol through an ftproxy RPC
-// front at -rpc-addr (control plane and verification stay HTTP).
+// cluster through the ftproxy RPC front at -rpc-addr, joins -join
+// mid-storm, rebalances, and verifies the handoff invariants.
 func runCluster(cfg config, out io.Writer) error {
 	if cfg.peers == "" || cfg.join == "" {
 		return fmt.Errorf(`-scenario cluster needs -peers "name=url,..." and -join <member>`)
@@ -426,11 +412,9 @@ func runCluster(cfg config, out io.Writer) error {
 		return err
 	}
 	res, err := loadgen.RunCluster(loadgen.ClusterConfig{
-		Config:       cfg.Config,
-		Peers:        peers,
-		Joiner:       cfg.join,
-		Replicas:     cfg.replicas,
-		ProxyRPCAddr: cfg.RPCAddr,
+		Config: cfg.Config,
+		Peers:  peers,
+		Joiner: cfg.join,
 	})
 	if err != nil {
 		return err
@@ -443,12 +427,8 @@ func runCluster(cfg config, out io.Writer) error {
 		res.Migrated, res.RebalanceWall.Round(time.Millisecond), res.PauseMax.Round(time.Microsecond))
 	fmt.Fprintf(out, "  routing      %d redirects followed, %d staged-window retries — no manual retry logic\n",
 		res.Redirects, res.StagedWaits)
-	if res.Storm.RPC {
-		fmt.Fprintf(out, "  lookups      %.0f lookups/s through the %s RPC front under the rebalance (p99 %v)\n",
-			res.Storm.LookupThroughput(), cfg.RPCAddr, res.Storm.LookupPercentile(99).Round(time.Microsecond))
-	} else {
-		fmt.Fprintf(out, "  lookups      %.0f routed lookups/s under the rebalance\n", res.Storm.LookupThroughput())
-	}
+	fmt.Fprintf(out, "  lookups      %.0f lookups/s through the %s RPC front under the rebalance (p99 %v)\n",
+		res.Storm.LookupThroughput(), cfg.RPCAddr, res.Storm.LookupPercentile(99).Round(time.Microsecond))
 	fmt.Fprintf(out, "  verified     %d/%d instances on their ring owner, epoch == acked watermark, phi bit-identical\n",
 		res.Verified, cfg.Instances)
 	if cfg.obsJSON != "" {
@@ -481,7 +461,7 @@ func report(out io.Writer, cfg config, res loadgen.Result) {
 		res.Events, res.Batches, res.Rejected)
 	fmt.Fprintf(out, "  errors       %d transport, %d unexpected-status\n", res.Transport, res.Errors)
 	fmt.Fprintf(out, "  throughput   %.0f ops/s\n", res.Throughput())
-	if res.RPC && res.Lookups > 0 {
+	if res.Lookups > 0 {
 		fmt.Fprintf(out, "  rpc lookups  %.0f lookups/s (LookupBatch of %d over %s)\n",
 			res.LookupThroughput(), cfg.RPCLookupBatch, cfg.RPCAddr)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -11,18 +12,35 @@ import (
 
 	"ftnet/internal/fleet"
 	"ftnet/internal/loadgen"
+	"ftnet/internal/wire"
 )
 
-// TestRunAgainstInProcessDaemon points the load generator at an
-// in-process ftnetd handler and checks the whole loop: create fleet,
-// mixed traffic, merged report.
-func TestRunAgainstInProcessDaemon(t *testing.T) {
-	mgr := fleet.NewManager(fleet.Options{})
+// serve runs a fresh manager on both planes, an httptest server and a
+// loopback wire server, until the test ends. It returns the manager,
+// the base URL and the RPC address.
+func serve(t *testing.T) (mgr *fleet.Manager, url, rpcAddr string) {
+	t.Helper()
+	mgr = fleet.NewManager(fleet.Options{})
 	ts := httptest.NewServer(fleet.NewHTTPHandler(mgr))
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := wire.NewServer(mgr, wire.ServerOptions{Metrics: mgr.Metrics()})
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	return mgr, ts.URL, ln.Addr().String()
+}
 
+// TestRunAgainstInProcessDaemon points the load generator at an
+// in-process ftnetd and checks the whole loop: create fleet, mixed
+// traffic, merged report.
+func TestRunAgainstInProcessDaemon(t *testing.T) {
+	mgr, url, rpcAddr := serve(t)
 	cfg := config{Config: loadgen.Config{
-		Addr:      ts.URL,
+		Addr:      url,
+		RPCAddr:   rpcAddr,
 		Instances: 3,
 		Spec:      fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2},
 		Workers:   4,
@@ -35,7 +53,7 @@ func TestRunAgainstInProcessDaemon(t *testing.T) {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
 	got := out.String()
-	for _, want := range []string{"throughput", "latency", "p99", "errors       0", "scenario custom"} {
+	for _, want := range []string{"ftload: 600 ops", "throughput", "rpc lookups", "latency", "p99", "errors       0 transport, 0", "scenario custom"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("report missing %q:\n%s", want, got)
 		}
@@ -49,22 +67,23 @@ func TestRunAgainstInProcessDaemon(t *testing.T) {
 	if st.Lookups == 0 || st.Events == 0 {
 		t.Errorf("daemon saw no traffic: %+v", st)
 	}
-	if got := int(st.Lookups + st.Events + st.Rejected); got != cfg.Requests {
-		t.Errorf("ops seen by daemon = %d, want %d", got, cfg.Requests)
+	// Each lookup op resolved DefaultRPCLookupBatch targets.
+	const width = loadgen.DefaultRPCLookupBatch
+	if got := int(st.Lookups/width + st.Events + st.Rejected); got != cfg.Requests || st.Lookups%width != 0 {
+		t.Errorf("daemon saw %d lookups, %d events and %d rejections, want %d ops of which lookups are %d wide",
+			st.Lookups, st.Events, st.Rejected, cfg.Requests, width)
 	}
 }
 
 // TestRunNamedScenario drives the burst-heavy preset: reconfiguration
-// ops become atomic events:batch bursts, and every accepted burst
-// advances its instance's epoch exactly once.
+// ops become atomic bursts, and every accepted burst advances its
+// instance's epoch exactly once.
 func TestRunNamedScenario(t *testing.T) {
-	mgr := fleet.NewManager(fleet.Options{})
-	ts := httptest.NewServer(fleet.NewHTTPHandler(mgr))
-	defer ts.Close()
-
+	mgr, url, rpcAddr := serve(t)
 	cfg := config{
 		Config: loadgen.Config{
-			Addr:      ts.URL,
+			Addr:      url,
+			RPCAddr:   rpcAddr,
 			Instances: 2,
 			Spec:      fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 4},
 			Workers:   4,
@@ -123,14 +142,12 @@ func TestRunRejectsBadConfig(t *testing.T) {
 // the emitted BENCH_service.json: valid schema, the gated families
 // present, every value a positive nanosecond quantity.
 func TestRunObsJSONArtifact(t *testing.T) {
-	mgr := fleet.NewManager(fleet.Options{})
-	ts := httptest.NewServer(fleet.NewHTTPHandler(mgr))
-	defer ts.Close()
-
+	_, url, rpcAddr := serve(t)
 	path := filepath.Join(t.TempDir(), "BENCH_service.json")
 	cfg := config{
 		Config: loadgen.Config{
-			Addr:      ts.URL,
+			Addr:      url,
+			RPCAddr:   rpcAddr,
 			Instances: 2,
 			Spec:      fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 4},
 			Workers:   4,
@@ -162,11 +179,15 @@ func TestRunObsJSONArtifact(t *testing.T) {
 	families := map[string]bool{}
 	for _, b := range art.Benchmarks {
 		families[b.Family] = true
-		if b.Unit != "ns" || b.Value <= 0 {
+		unit := "ns"
+		if b.Family == "lookups_per_sec" {
+			unit = "ops/s"
+		}
+		if b.Unit != unit || b.Value <= 0 {
 			t.Errorf("benchmark %s: value %v %s", b.Name, b.Value, b.Unit)
 		}
 	}
-	for _, want := range []string{"request_p99", "fsync_p99"} {
+	for _, want := range []string{"request_p99", "fsync_p99", "lookup_rpc_p99", "lookups_per_sec"} {
 		if !families[want] {
 			t.Errorf("artifact missing family %q; has %v", want, families)
 		}

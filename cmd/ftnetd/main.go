@@ -98,7 +98,6 @@ func main() {
 	flag.Uint64Var(&cfg.Term, "term", 0, "fence the journal at this leadership term on boot if ahead of the recovered term (0 leaves it; incompatible with -follow)")
 	flag.StringVar(&cfg.Self, "shard-self", "", "this daemon's member name in the shard ring (enables sharding with -shard-peers)")
 	shardPeers := flag.String("shard-peers", "", `shard ring membership as "name=url,name=url,..." (must include -shard-self)`)
-	flag.IntVar(&cfg.Replicas, "shard-replicas", 0, "virtual nodes per ring member (0 selects the default)")
 	flag.Parse()
 
 	var err error

@@ -55,7 +55,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8200", "listen address")
 	peersFlag := flag.String("peers", "", `ring membership as "name=url,name=url,..."`)
-	replicas := flag.Int("replicas", 0, "virtual nodes per ring member (0 selects the default)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-attempt upstream timeout, and the bound on the shutdown drain")
 	rpcAddr := flag.String("rpc-addr", "", "binary RPC plane listen address (empty disables)")
 	rpcPeersFlag := flag.String("rpc-peers", "", `RPC addresses of the same members as "name=host:port,..."`)
@@ -65,7 +64,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("ftproxy: %v", err)
 	}
-	p := newProxy(peers, *replicas, *timeout)
+	p := newProxy(peers, *timeout)
 
 	var rp *wire.Proxy
 	var rpcLn net.Listener
@@ -87,7 +86,6 @@ func main() {
 		rp = wire.NewProxy(wire.ProxyOptions{
 			RPCPeers:  rpcPeers,
 			HTTPPeers: peers,
-			Replicas:  *replicas,
 			Timeout:   *timeout,
 			Metrics:   p.reg, // one /metrics covers both planes
 		})

@@ -32,7 +32,7 @@ func twoShardCluster(t *testing.T, daemonReplicas int) (*httptest.Server, *fleet
 	peers := map[string]string{"a": tsA.URL, "b": tsB.URL}
 	mA.SetTopology("a", peers, daemonReplicas)
 	mB.SetTopology("b", peers, daemonReplicas)
-	px := httptest.NewServer(newProxy(peers, 0, 10*time.Second))
+	px := httptest.NewServer(newProxy(peers, 10*time.Second))
 	t.Cleanup(px.Close)
 	return px, mA, mB, peers
 }
@@ -245,7 +245,7 @@ func TestProxyIgnoresForeignOwnerHint(t *testing.T) {
 	}))
 	t.Cleanup(bad.Close)
 
-	px := httptest.NewServer(newProxy(map[string]string{"a": bad.URL, "b": bad.URL}, 0, 5*time.Second))
+	px := httptest.NewServer(newProxy(map[string]string{"a": bad.URL, "b": bad.URL}, 5*time.Second))
 	t.Cleanup(px.Close)
 
 	r, err := http.Get(px.URL + "/v1/instances/steered/phi?x=0")
@@ -330,7 +330,7 @@ func TestProxyDrainsOnShutdown(t *testing.T) {
 		}
 	}()
 
-	p := newProxy(map[string]string{"a": "http://daemon-a.example:8100"}, 0, 5*time.Second)
+	p := newProxy(map[string]string{"a": "http://daemon-a.example:8100"}, 5*time.Second)
 	rp := wire.NewProxy(wire.ProxyOptions{
 		RPCPeers:  map[string]string{"a": relayLn.Addr().String()},
 		HTTPPeers: map[string]string{"a": "http://daemon-a.example:8100"},

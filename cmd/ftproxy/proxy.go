@@ -36,11 +36,11 @@ type proxy struct {
 	hist      *obs.Histogram
 }
 
-func newProxy(peers map[string]string, replicas int, timeout time.Duration) *proxy {
+func newProxy(peers map[string]string, timeout time.Duration) *proxy {
 	reg := obs.New()
 	p := &proxy{
 		peers:  peers,
-		router: shard.NewRouter(peers, replicas),
+		router: shard.NewRouter(peers, 0),
 		client: &http.Client{
 			Timeout: timeout,
 			// Redirect-following is the proxy's job (with override

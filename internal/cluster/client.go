@@ -25,10 +25,10 @@ import (
 )
 
 // Transport reaches one member of the fleet. It is the data-plane
-// method set of *wire.Client, which therefore is one as it stands; HTTP
-// is the JSON plane's. Errors come back in fleet's categories
-// (errors.Is(err, fleet.ErrWrongShard) and fleet.WrongShardOwner,
-// fleet.ErrUnavailable, ...), whatever carried them.
+// method set of *wire.Client, which therefore is one as it stands.
+// Errors come back in fleet's categories (errors.Is(err,
+// fleet.ErrWrongShard) and fleet.WrongShardOwner, fleet.ErrUnavailable,
+// ...).
 type Transport interface {
 	Lookup(id string, x int) (phi int, epoch uint64, err error)
 	LookupBatch(id string, xs, phis []int) (epoch uint64, err error)

@@ -51,7 +51,7 @@ func All() []Experiment {
 
 // AllExtended returns the paper experiments plus the extended set
 // (intro motivation, connectivity comparison, distributed protocol,
-// ablations, the online-service throughput scenarios).
+// ablations, the compact-mapping scale experiment).
 func AllExtended() []Experiment {
 	out := append(All(), extended()...)
 	out = append(out, extendedMore()...)

@@ -11,6 +11,14 @@ import (
 	"ftnet/internal/num"
 )
 
+// extendedFleet returns the experiments that drive the online
+// service's own types.
+func extendedFleet() []Experiment {
+	return []Experiment{
+		{"L2", "Scale: compact rank-based mappings, nHost 2^10 .. 2^20", L2},
+	}
+}
+
 // allocsPerRun measures the average number of heap allocations one
 // call of fn performs, via the runtime's Mallocs counter — the
 // experiment runs single-goroutine, so the delta is fn's own. (The

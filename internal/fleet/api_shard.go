@@ -52,9 +52,8 @@ func (s *apiServer) getRing(w http.ResponseWriter, r *http.Request) {
 
 // RingRequest is the body of POST /v1/ring.
 type RingRequest struct {
-	Self     string            `json:"self"`
-	Peers    map[string]string `json:"peers"`
-	Replicas int               `json:"replicas,omitempty"`
+	Self  string            `json:"self"`
+	Peers map[string]string `json:"peers"`
 }
 
 func (s *apiServer) setRing(w http.ResponseWriter, r *http.Request) {
@@ -68,7 +67,7 @@ func (s *apiServer) setRing(w http.ResponseWriter, r *http.Request) {
 	// redirects every instance request to its owner — how a
 	// not-yet-joined member boots behind a routing proxy, so traffic
 	// misdirected to it converges through its hints instead of 404ing.
-	s.mgr.SetTopology(req.Self, req.Peers, req.Replicas)
+	s.mgr.SetTopology(req.Self, req.Peers, 0)
 	info, ok := s.mgr.Topology()
 	if !ok {
 		writeJSON(w, http.StatusOK, map[string]bool{"sharded": false})

@@ -37,9 +37,8 @@ type DaemonConfig struct {
 	Term uint64
 	// Self and Peers install the shard ring (SetTopology); Self must be a
 	// member. Both empty leave the daemon unsharded.
-	Self     string
-	Peers    map[string]string
-	Replicas int
+	Self  string
+	Peers map[string]string
 	// Follow, a leader's base URL, boots the daemon as its read-only
 	// replica, on a loop Follower tunes (its Logf defaults to Logf).
 	Follow   string
@@ -91,7 +90,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 		}
 	}
 	if err == nil && sharded {
-		d.mgr.SetTopology(cfg.Self, cfg.Peers, cfg.Replicas)
+		d.mgr.SetTopology(cfg.Self, cfg.Peers, 0)
 		cfg.Logf("sharding as %q across %d members", cfg.Self, len(cfg.Peers))
 	}
 	if err == nil && cfg.Follow != "" {

@@ -12,14 +12,16 @@ import (
 )
 
 // The cluster scenario is the scale-out probe: storm a sharded fleet
-// of daemons through a cluster.Client while a new member joins the
+// of daemons through an ftproxy RPC front while a new member joins the
 // ring mid-storm and the displaced instances are checkpoint-streamed
-// to it. The client routes by the same consistent-hash ring the
-// daemons use, but treats the ring as a hint exactly like ftproxy
-// does: a wrong-shard refusal teaches it the instance's real home, an
-// "unavailable" one (the instance is staged mid-migration) is ridden
-// out with backoff. No retry logic leaks to the workers — the client
-// converges on its own, which is the acceptance contract.
+// to it. The proxy routes by the same consistent-hash ring the daemons
+// use, but treats the ring as a hint: a wrong-shard refusal teaches it
+// the instance's real home. The storm's client is a cluster.Client
+// over that one member: it rides out an "unavailable" answer (the
+// instance is staged mid-migration) with backoff, and re-issues the
+// rare double bounce the proxy could not chase mid-cutover. No retry
+// logic leaks to the workers — the client converges on its own, which
+// is the acceptance contract.
 //
 // After the storm, verification holds the cluster to the single-daemon
 // invariants across the ownership handoff: every instance lives on
@@ -35,35 +37,25 @@ import (
 
 // ClusterConfig drives one scale-out run. Peers names every running
 // daemon; Joiner is held out of the initial ring and joined mid-storm.
+// Config.RPCAddr is the ftproxy RPC front the storm goes through, whose
+// ring names every peer; Config.RPCLookupBatch and Config.RPCConns
+// apply.
 type ClusterConfig struct {
 	Config
-	// Peers is the full membership, name -> base URL. Every daemon must
-	// be up; Config.Addr is ignored (the shard client routes by ring).
+	// Peers is the full membership, name -> base URL of its JSON API,
+	// the control plane. Every daemon must be up; Config.Addr is
+	// ignored.
 	Peers map[string]string
 	// Joiner is the member excluded from the initial topology and added
 	// to every daemon's ring when the storm crosses JoinAfterFrac; the
 	// initial members then rebalance their displaced instances onto it.
 	Joiner string
-	// Replicas is the ring vnode count installed on every daemon and
-	// used by the client (0 selects the shard package default).
-	Replicas int
 	// JoinAfterFrac is the fraction of the request budget to complete
 	// before the join + rebalance fires (default 0.4 — mid-storm).
 	JoinAfterFrac float64
 	// HealthTimeout bounds the initial health checks and the client's
-	// patience with a 503-staged instance (default 15s).
+	// patience with a staged instance (default 15s).
 	HealthTimeout time.Duration
-	// ProxyRPCAddr, when non-empty, drives the storm's data plane
-	// (lookups and event bursts) over the binary RPC protocol through
-	// an ftproxy RPC front at this address instead of HTTP direct to
-	// the daemons. The proxy owns the routing then — wrong-shard
-	// redirect chasing happens inside it — and the storm client is the
-	// same cluster.Client over a single member: it rides out
-	// staged/unavailable windows with backoff, and re-issues the rare
-	// double bounce the proxy could not chase mid-cutover. Control
-	// plane (creates, ring installs, rebalances, verification) stays on
-	// HTTP. Config.RPCLookupBatch and Config.RPCConns apply.
-	ProxyRPCAddr string
 }
 
 // ClusterResult reports one scale-out run.
@@ -73,7 +65,7 @@ type ClusterResult struct {
 	Migrated      int               // instances the rebalance moved
 	RebalanceWall time.Duration     // join start to last rebalance done
 	Redirects     uint64            // wrong-shard hints the client followed
-	StagedWaits   uint64            // 503-staged responses ridden out
+	StagedWaits   uint64            // unavailable (staged) answers ridden out
 	PauseMax      time.Duration     // widest write-fence window (daemon obs)
 	Verified      int               // instances that passed every check
 	Exports       map[string]*obs.Export
@@ -99,9 +91,9 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 	if cfg.Scenario.Batch < 1 {
 		cfg.Scenario.Batch = 4
 	}
-	// Role-split shape: dedicated writers storm events:batch while the
-	// other workers measure routed lookup throughput — the
-	// cluster_lookups_per_sec figure.
+	// Role-split shape: dedicated writers storm bursts while the other
+	// workers measure routed lookup throughput — the
+	// proxy_lookups_per_sec figure.
 	cfg.Scenario.EventFrac = 1
 	if cfg.Scenario.Writers < 1 {
 		cfg.Scenario.Writers = cfg.Workers / 2
@@ -125,7 +117,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		}
 	}
 	setRing := func(name string, members map[string]string) error {
-		err := control(cfg.Peers[name]).SetRing(fleet.RingRequest{Self: name, Peers: members, Replicas: cfg.Replicas})
+		err := control(cfg.Peers[name]).SetRing(fleet.RingRequest{Self: name, Peers: members})
 		if err != nil {
 			return fmt.Errorf("install ring on %s: %w", name, err)
 		}
@@ -133,7 +125,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 	}
 	// Install the initial topology. The joiner boots as a spectator on
 	// the same ring: it owns nothing yet, so anything misdirected to it
-	// (an RPC proxy whose ring already names the full membership) bounces
+	// (by the proxy, whose ring already names the full membership) bounces
 	// to the real owner with a hint instead of 404ing. It gets the grown
 	// ring at join time, first, so it can accept migrations the instant
 	// the initial members learn the new membership.
@@ -144,7 +136,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 	}
 
 	// Instances are created where the initial ring puts them.
-	initialRing := sharding.New(memberNames(initial), cfg.Replicas)
+	initialRing := sharding.New(memberNames(initial), 0)
 	ids := cfg.InstanceIDs()
 	for _, id := range ids {
 		if err := createInstance(control(initial[initialRing.Owner(id)]), id, cfg.Spec); err != nil {
@@ -152,29 +144,17 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		}
 	}
 
-	// The storm client is never told about the join. Over HTTP it is a
-	// router over the full membership, like a proxy configured ahead of
-	// the join: what the ring gives the joiner bounces off the spectator
-	// to its real home before the join, and off the old home back to the
-	// ring's answer after the cutover — it converges through the
-	// daemons' hints alone. Over RPC it is a router over one member, the
-	// proxy front, which does the chasing.
-	t, lookupBatch, hangUp, err := cfg.dataPlane(cfg.ProxyRPCAddr, nil)
+	// Nobody tells the proxy about the join: what its ring gives the
+	// joiner bounces off the spectator to its real home before the join,
+	// and off the old home back to the ring's answer after the cutover —
+	// it converges through the daemons' hints alone.
+	rc, lookupBatch, err := cfg.dataPlane()
 	if err != nil {
 		return ClusterResult{}, err
 	}
-	defer hangUp()
-	routed := cfg.Peers
-	members := make(map[string]cluster.Transport, len(cfg.Peers))
-	if cfg.ProxyRPCAddr != "" {
-		routed = map[string]string{"proxy": ""}
-		members["proxy"] = t
-	} else {
-		for name, url := range cfg.Peers {
-			members[name] = cluster.HTTP(control(url))
-		}
-	}
-	client := cluster.New(sharding.NewRouter(routed, cfg.Replicas), members, cfg.HealthTimeout)
+	defer rc.Close()
+	client := cluster.New(sharding.NewRouter(map[string]string{"proxy": ""}, 0),
+		map[string]cluster.Transport{"proxy": rc}, cfg.HealthTimeout)
 
 	// The worker that crosses the threshold performs the join +
 	// rebalance inline — the storm keeps running on the other workers
@@ -203,7 +183,6 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		return nil
 	}}
 	res.Storm, res.Acked = cfg.storm(client, lookupBatch, ids, join)
-	res.Storm.RPC = cfg.ProxyRPCAddr != ""
 	res.Redirects, res.StagedWaits = client.Redirects(), client.StagedWaits()
 	if err := join.fired("join"); err != nil {
 		return res, err
@@ -230,7 +209,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 	// Verify against the final ring. Epoch equality is the zero
 	// lost/double-applied proof — but only when every storm response
 	// was seen (a transport failure could hide an applied write).
-	finalRing := sharding.New(memberNames(cfg.Peers), cfg.Replicas)
+	finalRing := sharding.New(memberNames(cfg.Peers), 0)
 	strict := res.Storm.Transport == 0 && res.Storm.Errors == 0
 	for _, id := range ids {
 		if err := verifyClusterInstance(cfg, finalRing, id, res.Acked[id], strict); err != nil {

@@ -2,14 +2,12 @@ package loadgen
 
 import (
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"ftnet/internal/cluster"
 	"ftnet/internal/fleet"
+	"ftnet/internal/journal"
 	sharding "ftnet/internal/shard"
 	"ftnet/internal/wire"
 )
@@ -26,76 +24,10 @@ func threeDaemons(t *testing.T) (httpPeers, rpcPeers map[string]string) {
 	return httpPeers, rpcPeers
 }
 
-// TestRunClusterRebalanceMidStorm is the flagship scale-out e2e: a
-// 3-daemon cluster (two in the initial ring, one joining mid-storm)
-// under a role-split write storm routed by the shard client. The join
-// displaces instances onto the new member while writes are in flight;
-// afterwards every instance must live on exactly its ring owner, at
-// exactly the acknowledged epoch (zero lost / double-applied
-// transitions), with a phi slice bit-identical to a client-side
-// recomputation — and the clients must have converged through daemon
-// redirects alone.
-func TestRunClusterRebalanceMidStorm(t *testing.T) {
-	peers, _ := threeDaemons(t)
-	cfg := ClusterConfig{
-		Config: Config{
-			Instances: 12,
-			Spec:      fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 3},
-			Workers:   4,
-			Requests:  1200,
-			Seed:      1,
-			Scenario:  Scenario{Batch: 2},
-		},
-		Peers:         peers,
-		Joiner:        "c",
-		JoinAfterFrac: 0.3,
-	}
-	res, err := RunCluster(cfg)
-	if err != nil {
-		t.Fatalf("RunCluster: %v", err)
-	}
-	if res.Storm.Transport != 0 || res.Storm.Errors != 0 {
-		t.Fatalf("storm saw %d transport and %d unexpected-status errors — the routing client did not converge",
-			res.Storm.Transport, res.Storm.Errors)
-	}
-	if res.Migrated == 0 {
-		t.Fatal("no instance was rebalanced onto the joiner")
-	}
-	if res.Verified != cfg.Instances {
-		t.Fatalf("verified %d/%d instances", res.Verified, cfg.Instances)
-	}
-	// With 12 instances over a 3-member ring, some must have moved to c
-	// — and the storm kept writing to them, so the client chased at
-	// least one redirect.
-	if res.Redirects == 0 {
-		t.Error("client followed no redirects: the storm never touched a moved instance")
-	}
-	if res.Storm.Batches == 0 || res.Storm.Lookups == 0 {
-		t.Fatalf("degenerate storm: %d batches, %d lookups", res.Storm.Batches, res.Storm.Lookups)
-	}
-	if res.PauseMax <= 0 {
-		t.Error("no write-fence pause was observed on any daemon")
-	}
-	if res.PauseMax > 5*time.Second {
-		t.Errorf("fence pause %v is implausibly wide", res.PauseMax)
-	}
-
-	// The artifact families the CI shard job gates.
-	art := ServiceArtifact{Kind: "service", Scenario: "cluster"}
-	AppendCluster(&art, res)
-	families := make(map[string]bool)
-	for _, b := range art.Benchmarks {
-		families[b.Family] = true
-	}
-	if !families["rebalance_pause"] || !families["cluster_lookups_per_sec"] {
-		t.Errorf("artifact families = %v, want rebalance_pause and cluster_lookups_per_sec", families)
-	}
-}
-
-// threeDaemonsRPC is threeDaemons with an ftproxy-equivalent RPC front
-// (wire.Proxy over the full membership) in front, returning the HTTP
-// peers and the proxy's RPC address.
-func threeDaemonsRPC(t *testing.T) (map[string]string, string) {
+// threeDaemonsBehindProxy boots three daemons and an ftproxy-equivalent
+// RPC front (wire.Proxy over the full membership), returning the
+// daemons' HTTP base URLs and the proxy's RPC address.
+func threeDaemonsBehindProxy(t *testing.T) (map[string]string, string) {
 	t.Helper()
 	httpPeers, rpcPeers := threeDaemons(t)
 	px := wire.NewProxy(wire.ProxyOptions{RPCPeers: rpcPeers, HTTPPeers: httpPeers})
@@ -105,36 +37,56 @@ func threeDaemonsRPC(t *testing.T) (map[string]string, string) {
 	return httpPeers, pln.Addr().String()
 }
 
-// TestRunClusterRebalanceMidStormRPC is the mid-storm-rebalance e2e
-// restated over the binary plane: the storm's lookups and event bursts
-// travel the wire protocol through a full-membership RPC proxy while
-// the join displaces instances underneath it. The proxy's ring names
-// the joiner from the start, so pre-join traffic converges through the
-// joiner's spectator redirects and post-cutover traffic through the
-// sources' hints — and the verification holds the same exact-epoch /
-// bit-identical / single-owner contract at zero transport errors.
+// TestRunClusterRebalanceMidStorm is the flagship scale-out e2e: a
+// 3-daemon cluster (two in the initial ring, one joining mid-storm)
+// under a role-split write storm whose lookups and bursts travel the
+// wire protocol through a full-membership RPC proxy. The join displaces
+// instances onto the new member while writes are in flight. The
+// proxy's ring names the joiner from the start, so pre-join traffic
+// converges through the joiner's spectator redirects and post-cutover
+// traffic through the sources' hints. Afterwards every instance must
+// live on exactly its ring owner, at exactly the acknowledged epoch
+// (zero lost / double-applied transitions), with a phi slice
+// bit-identical to a client-side recomputation — at zero transport
+// errors.
+func TestRunClusterRebalanceMidStorm(t *testing.T) {
+	runMidStorm(t, Config{})
+}
+
+// TestRunClusterRebalanceMidStormRPC restates the mid-storm rebalance
+// with the wire client's other shape: single Lookup frames instead of
+// vectors, spread over a wider connection pool, so every per-target
+// redirect and staged-window retry through the proxy is its own frame.
+// The verification contract is the flagship's.
 func TestRunClusterRebalanceMidStormRPC(t *testing.T) {
-	peers, proxyAddr := threeDaemonsRPC(t)
+	runMidStorm(t, Config{RPCLookupBatch: 1, RPCConns: 4})
+}
+
+// runMidStorm runs the 12-instance join-mid-storm scenario through a
+// proxy in front of threeDaemonsBehindProxy with knobs' RPCLookupBatch
+// and RPCConns, and holds it to the scale-out contract.
+func runMidStorm(t *testing.T, knobs Config) {
+	t.Helper()
+	peers, proxyAddr := threeDaemonsBehindProxy(t)
 	cfg := ClusterConfig{
 		Config: Config{
-			Instances: 12,
-			Spec:      fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 3},
-			Workers:   4,
-			Requests:  1200,
-			Seed:      1,
-			Scenario:  Scenario{Batch: 2},
+			RPCAddr:        proxyAddr,
+			RPCLookupBatch: knobs.RPCLookupBatch,
+			RPCConns:       knobs.RPCConns,
+			Instances:      12,
+			Spec:           fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 3},
+			Workers:        4,
+			Requests:       1200,
+			Seed:           1,
+			Scenario:       Scenario{Batch: 2},
 		},
 		Peers:         peers,
 		Joiner:        "c",
 		JoinAfterFrac: 0.3,
-		ProxyRPCAddr:  proxyAddr,
 	}
 	res, err := RunCluster(cfg)
 	if err != nil {
 		t.Fatalf("RunCluster: %v", err)
-	}
-	if !res.Storm.RPC {
-		t.Fatal("storm did not mark the RPC plane")
 	}
 	if res.Storm.Transport != 0 || res.Storm.Errors != 0 {
 		t.Fatalf("storm saw %d transport and %d unexpected-status errors through the proxy",
@@ -149,10 +101,14 @@ func TestRunClusterRebalanceMidStormRPC(t *testing.T) {
 	if res.Storm.Batches == 0 || res.Storm.Lookups == 0 {
 		t.Fatalf("degenerate storm: %d batches, %d lookups", res.Storm.Batches, res.Storm.Lookups)
 	}
+	if res.PauseMax <= 0 {
+		t.Error("no write-fence pause was observed on any daemon")
+	}
+	if res.PauseMax > 5*time.Second {
+		t.Errorf("fence pause %v is implausibly wide", res.PauseMax)
+	}
 
-	// The artifact carries the proxy-plane SLO families the CI shard job
-	// gates — and not the same throughput a second time under the HTTP
-	// run's name.
+	// The artifact carries the families the CI shard job gates.
 	art := ServiceArtifact{Kind: "service", Scenario: "cluster"}
 	AppendCluster(&art, res)
 	families := make(map[string]bool)
@@ -163,9 +119,6 @@ func TestRunClusterRebalanceMidStormRPC(t *testing.T) {
 		if !families[want] {
 			t.Errorf("artifact families = %v, missing %s", families, want)
 		}
-	}
-	if families["cluster_lookups_per_sec"] {
-		t.Errorf("artifact families = %v: an RPC run reports its lookup throughput twice", families)
 	}
 }
 
@@ -187,57 +140,73 @@ func TestRunClusterGuards(t *testing.T) {
 	}
 }
 
-// TestShardClientRidesOutStagedWindow pins the 503 path over the real
-// HTTP transport (cluster's own tests script it on a fake one): a
-// request that lands mid-migration (instance staged on the target,
-// cutover not yet committed) is retried with backoff until the daemon
-// serves it — the worker never sees the window.
+// TestShardClientRidesOutStagedWindow pins the "unavailable" path over
+// the real wire transport (cluster's own tests script it on a fake
+// one): a request that lands mid-migration (instance staged on the
+// target, cutover not yet committed) is retried with backoff until the
+// daemon serves it — the worker never sees the window.
 func TestShardClientRidesOutStagedWindow(t *testing.T) {
+	spec := fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2}
 	m := fleet.NewManager(fleet.Options{})
-	if _, err := m.Create("inst-0", fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2}); err != nil {
+	m.SetTopology("a", map[string]string{"a": "http://a.example"}, 0)
+	arrival := func(id string) sharding.Migration {
+		return sharding.Migration{ID: id, Token: 7, Record: journal.Record{Op: journal.OpCheckpoint, ID: id,
+			Spec: journal.Spec{Kind: string(spec.Kind), M: spec.M, H: spec.H, K: spec.K}, Epoch: 4, Faults: []int{2}}}
+	}
+	for _, id := range []string{"inst-0", "inst-1"} {
+		if err := m.StageMigration(arrival(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := wire.NewServer(m, wire.ServerOptions{})
+	ln := listen(t)
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	rc, err := wire.Dial(ln.Addr().String(), wire.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	inner := fleet.NewHTTPHandler(m)
-	// The first few requests hit the staged window; then the "cutover
-	// commits" and the daemon answers normally.
-	var staged atomic.Int64
-	staged.Store(3)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if staged.Add(-1) >= 0 {
-			http.Error(w, `{"error":"instance is mid-migration"}`, http.StatusServiceUnavailable)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() { rc.Close() })
 	newClient := func(grace time.Duration) *cluster.Client {
-		peers := map[string]string{"a": ts.URL}
-		return cluster.New(sharding.NewRouter(peers, 0),
-			map[string]cluster.Transport{"a": cluster.HTTP{HTTP: ts.Client(), Base: ts.URL}}, grace)
+		return cluster.New(sharding.NewRouter(map[string]string{"a": ""}, 0),
+			map[string]cluster.Transport{"a": rc}, grace)
 	}
 	rng := rand.New(rand.NewSource(1))
 	var scratch lookupScratch
 
-	sc := newClient(2 * time.Second)
+	// inst-0's cutover commits once the client has been turned away
+	// three times.
+	sc := newClient(5 * time.Second)
+	committed := make(chan error, 1)
+	go func() {
+		for sc.StagedWaits() < 3 {
+			time.Sleep(time.Millisecond)
+		}
+		_, err := m.CommitMigration(arrival("inst-0"))
+		committed <- err
+	}()
 	var st opStats
 	driveLookup(sc, "inst-0", rng, 16, 1, &scratch, &st)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
 	if st.lookups != 1 || st.errors != 0 || st.transport != 0 {
 		t.Fatalf("lookup through the staged window: %+v", st)
 	}
-	if got := sc.StagedWaits(); got != 3 {
-		t.Fatalf("staged waits = %d, want 3", got)
+	if got := sc.StagedWaits(); got < 3 {
+		t.Fatalf("staged waits = %d, want at least 3", got)
 	}
 	driveBatch(sc, "inst-0", rng, 18, 1, &st, nil)
 	if st.batches+st.rejected != 1 || st.errors != 0 {
 		t.Fatalf("burst after the staged window: %+v", st)
 	}
 
-	// With the grace window elapsed, a persistent 503 surfaces as the
-	// daemon's answer instead of hanging the client forever.
-	staged.Store(1 << 30)
+	// With the grace window elapsed, a persistent "unavailable" (inst-1
+	// never commits) surfaces as the daemon's answer instead of hanging
+	// the client forever.
 	var st2 opStats
-	driveLookup(newClient(10*time.Millisecond), "inst-0", rng, 16, 1, &scratch, &st2)
+	driveLookup(newClient(10*time.Millisecond), "inst-1", rng, 16, 1, &scratch, &st2)
 	if st2.errors != 1 || st2.lookups != 0 {
-		t.Fatalf("persistent 503 past the grace window: %+v", st2)
+		t.Fatalf("persistent unavailable past the grace window: %+v", st2)
 	}
 }

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"net"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -46,4 +47,41 @@ func listen(t *testing.T) net.Listener {
 		t.Fatal(err)
 	}
 	return ln
+}
+
+// crashable is one in-process daemon that dies the SIGKILL way: kill
+// stops both planes once the requests they already read are answered,
+// and abandons the manager and its journal writer undrained — every
+// record acknowledged by then is on disk, and nothing else is.
+type crashable struct {
+	url, rpcAddr string
+	api          *httptest.Server
+	rpc          *wire.Server
+}
+
+// bootCrashable boots cfg the daemon's way (fleet.NewDaemon) and serves
+// it on an httptest server and a loopback wire server, killed when the
+// test ends if not before.
+func bootCrashable(t *testing.T, cfg fleet.DaemonConfig) (*crashable, error) {
+	t.Helper()
+	cfg.Logf = t.Logf
+	d, err := fleet.NewDaemon(cfg)
+	if err != nil {
+		return nil, err
+	}
+	mgr := d.Manager()
+	c := &crashable{
+		api: httptest.NewServer(fleet.NewHTTPHandler(mgr)),
+		rpc: wire.NewServer(mgr, wire.ServerOptions{Metrics: mgr.Metrics()}),
+	}
+	ln := listen(t)
+	go c.rpc.Serve(ln)
+	c.url, c.rpcAddr = c.api.URL, ln.Addr().String()
+	t.Cleanup(func() { c.kill() })
+	return c, nil
+}
+
+func (c *crashable) kill() error {
+	c.api.Close()
+	return c.rpc.Shutdown(context.Background())
 }

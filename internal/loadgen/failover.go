@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"ftnet/internal/cluster"
 	"ftnet/internal/fleet"
 )
 
@@ -35,11 +34,13 @@ import (
 //
 // Like restart, it is not a Scenario preset: it owns two daemon
 // lifecycles. cmd/ftload wires the hooks to child processes it
-// SIGSTOPs/SIGKILLs; the in-process test wires them to httptest
-// servers sharing journal files.
+// SIGSTOPs/SIGKILLs; the in-process test wires them to in-process
+// daemons sharing journal files.
 
 // FailoverConfig drives one partition-torture run. Addr is the old
-// leader; FollowerAddr the replica that gets promoted.
+// leader and RPCAddr its RPC plane, which the storm drives;
+// FollowerAddr is the replica that gets promoted, reached only on its
+// JSON API.
 type FailoverConfig struct {
 	Config
 	FollowerAddr string
@@ -114,6 +115,11 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	if err != nil {
 		return FailoverResult{}, err
 	}
+	rc, lookupBatch, err := cfg.dataPlane()
+	if err != nil {
+		return FailoverResult{}, err
+	}
+	defer rc.Close()
 	// The follower must have replicated the fleet before the partition,
 	// or the promoted leader would be missing instances rather than
 	// merely trailing epochs.
@@ -136,7 +142,7 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	partition := &trigger{after: cfg.PartitionAfterFrac, fire: cfg.Partition}
 	kill := &trigger{after: cfg.KillAfterFrac, stop: true, fire: cfg.KillLeader}
 	var res FailoverResult
-	res.Storm, res.Acked = cfg.storm(cluster.HTTP(leader), 1, ids, partition, kill)
+	res.Storm, res.Acked = cfg.storm(rc, lookupBatch, ids, partition, kill)
 	if err := partition.fired("partition"); err != nil {
 		return res, err
 	}
@@ -178,12 +184,13 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 
 	// Advance the new leader past the promotion point so the rejoined
 	// deposed leader replicates post-failover history, not just the
-	// checkpoint.
+	// checkpoint. They go over the control plane, so the scenario needs
+	// no RPC address for the follower, and their answers go unchecked:
+	// the convergence check below compares whatever history they made.
 	_, nHost := cfg.Spec.Sizes()
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
-	var st opStats
 	for i := 0; i < 32; i++ {
-		driveBatch(cluster.HTTP(promoted), ids[rng.Intn(len(ids))], rng, nHost, cfg.Scenario.Batch, &st, nil)
+		promoted.EventBatch(ids[rng.Intn(len(ids))], makeEvents(rng, nHost, cfg.Scenario.Batch))
 	}
 
 	if cfg.RestartOld == nil {

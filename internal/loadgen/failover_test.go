@@ -4,7 +4,6 @@ import (
 	"context"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
@@ -13,9 +12,9 @@ import (
 
 // TestRunFailoverInProcess exercises the partition-torture scenario
 // without child processes. The leader is booted the daemon's way
-// (fleet.NewDaemon, fsync always) behind an httptest server, so the kill
-// closes the server and abandons the manager undrained — the SIGKILL
-// contract. The follower runs as a whole daemon whose connections go
+// (fleet.NewDaemon, fsync always) and stormed over its RPC plane; the
+// kill stops its planes and abandons the manager undrained — the
+// SIGKILL contract. The follower runs as a whole daemon whose connections go
 // through one dialer the partition cuts. Promotion travels POST
 // /v1/promote, and the deposed leader reboots from the same journal file
 // as a follower of the new leader. The scenario's own acceptance checks
@@ -26,12 +25,10 @@ func TestRunFailoverInProcess(t *testing.T) {
 	dir := t.TempDir()
 	leaderWAL := filepath.Join(dir, "leader.wal")
 
-	leader, err := fleet.NewDaemon(fleet.DaemonConfig{Journal: leaderWAL, Logf: t.Logf})
+	leader, err := bootCrashable(t, fleet.DaemonConfig{Journal: leaderWAL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaderSrv := httptest.NewServer(fleet.NewHTTPHandler(leader.Manager()))
-	t.Cleanup(leaderSrv.Close)
 	partition, cut := context.WithCancel(context.Background())
 	defer cut()
 	opts := fastFollower
@@ -48,12 +45,13 @@ func TestRunFailoverInProcess(t *testing.T) {
 		},
 	}}
 	_, followerURL, _, _ := startDaemon(t, fleet.DaemonConfig{
-		Journal: filepath.Join(dir, "follower.wal"), Follow: leaderSrv.URL, Follower: opts,
+		Journal: filepath.Join(dir, "follower.wal"), Follow: leader.url, Follower: opts,
 	})
 
 	res, err := RunFailover(FailoverConfig{
 		Config: Config{
-			Addr:      leaderSrv.URL,
+			Addr:      leader.url,
+			RPCAddr:   leader.rpcAddr,
 			Instances: 3,
 			Spec:      fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 4},
 			Workers:   4,
@@ -66,10 +64,7 @@ func TestRunFailoverInProcess(t *testing.T) {
 			cut() // the watch stream dies; the leader keeps serving
 			return nil
 		},
-		KillLeader: func() error {
-			leaderSrv.Close() // in-flight handlers drain; manager and writer abandoned
-			return nil
-		},
+		KillLeader: leader.kill,
 		RestartOld: func() (string, error) {
 			_, url, _, _ := startDaemon(t, fleet.DaemonConfig{Journal: leaderWAL, Follow: followerURL, Follower: fastFollower})
 			return url, nil

@@ -8,15 +8,16 @@ import (
 )
 
 // TestVerifyFollowerConverges runs a real leader + follower pair in
-// process, drives a write-storm through the leader's HTTP API, and
+// process, drives a write-storm through the leader's RPC plane, and
 // holds the pair to VerifyFollower's contract — the same check the CI
 // replication job runs against separate daemons.
 func TestVerifyFollowerConverges(t *testing.T) {
-	_, leader, _, _ := startDaemon(t, fleet.DaemonConfig{})
+	_, leader, leaderRPC, _ := startDaemon(t, fleet.DaemonConfig{})
 	_, follower, _, _ := startDaemon(t, fleet.DaemonConfig{Follow: leader, Follower: fastFollower})
 
 	cfg := Config{
 		Addr:      leader,
+		RPCAddr:   leaderRPC,
 		Instances: 2,
 		Spec:      fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 5, K: 4},
 		Workers:   4,

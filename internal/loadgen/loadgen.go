@@ -2,8 +2,7 @@
 // reconfiguration daemon: it creates a fleet of instances, drives them
 // with a configurable mix of phi lookups and fault/repair bursts from
 // concurrent workers, and reports throughput and latency percentiles.
-// A run picks its data plane once — a cluster.Transport: the JSON API,
-// the binary RPC plane, or a cluster.Client routing over either — and
+// Lookups and bursts travel the binary RPC plane (internal/wire), and
 // one storm drives it: the only worker loop, with one driveLookup and
 // one driveBatch. The scenarios that own a daemon's lifecycle (restart,
 // partition-torture, cluster) are scripts over that storm — triggers
@@ -11,9 +10,7 @@
 // control plane (creates, health, promotion, topology, verification,
 // scrapes), which is always the JSON API.
 //
-// cmd/ftload wraps it on the command line; internal/experiments runs
-// its named scenarios against an in-process daemon so service
-// throughput is tracked like a paper figure.
+// cmd/ftload wraps it on the command line.
 package loadgen
 
 import (
@@ -37,9 +34,9 @@ import (
 // carries (one atomic burst of Batch events; Batch 1 is a random single
 // event, Batch > 1 a whole rack). Writers > 0 switches to role-split mode: that
 // many workers become dedicated writers issuing nothing but sustained
-// events:batch bursts, every remaining worker issues nothing but
-// lookups, and EventFrac is ignored — the shape that measures read
-// latency while the write path storms.
+// atomic bursts, every remaining worker issues nothing but lookups, and
+// EventFrac is ignored — the shape that measures read latency while the
+// write path storms.
 type Scenario struct {
 	Name      string
 	EventFrac float64
@@ -77,7 +74,7 @@ func ByName(name string) (Scenario, bool) {
 
 // Config describes one load run.
 type Config struct {
-	Addr      string // base URL of the daemon
+	Addr      string // base URL of the daemon's JSON API: the control plane
 	Instances int
 	Spec      fleet.Spec
 	Workers   int
@@ -95,11 +92,11 @@ type Config struct {
 	// latency by route, commit stages, compaction pauses) the
 	// BENCH_service.json artifact is built from.
 	ScrapeObs bool
-	// RPCAddr switches the data plane: when non-empty, lookups and
-	// event bursts travel the binary RPC plane at this TCP address
-	// (host:port). The control plane — instance creation, health
-	// checks, verification, stats scraping — stays on the JSON API at
-	// Addr.
+	// RPCAddr is where the storm goes: the TCP address (host:port) of
+	// the daemon's binary RPC plane, or of an ftproxy RPC front, that
+	// carries every lookup and event burst. The control plane —
+	// instance creation, health checks, verification, stats scraping —
+	// stays on the JSON API at Addr.
 	RPCAddr string
 	// RPCLookupBatch vectorizes RPC reads: each lookup op issues one
 	// LookupBatch frame carrying this many targets (<= 1 issues single
@@ -147,13 +144,12 @@ func (cfg Config) Validate() error {
 // sorted; LookupLatencies is the read-side subset, the distribution a
 // write-storm run exists to measure.
 type Result struct {
-	Lookups         int  // successful phi queries
-	Events          int  // individual events applied (bursts count each event)
-	Batches         int  // accepted event transitions
-	Rejected        int  // rejected transitions (budget/state enforcement)
-	Errors          int  // unexpected application failures (bad status, not connection trouble)
-	Transport       int  // connection-level failures: dial, reset, timeout
-	RPC             bool // the run drove the binary RPC plane
+	Lookups         int // resolved lookup targets
+	Events          int // individual events applied (bursts count each event)
+	Batches         int // accepted event transitions
+	Rejected        int // rejected transitions (budget/state enforcement)
+	Errors          int // unexpected application failures (bad status, not connection trouble)
+	Transport       int // connection-level failures: dial, reset, timeout
 	Elapsed         time.Duration
 	Latencies       []time.Duration // every successful operation, sorted
 	LookupLatencies []time.Duration // lookups only, sorted
@@ -163,9 +159,10 @@ type Result struct {
 	Service *obs.Export
 }
 
-// Ops returns the number of completed operations (lookups plus event
-// transitions, accepted or rejected).
-func (r Result) Ops() int { return r.Lookups + r.Batches + r.Rejected }
+// Ops returns the number of completed operations: lookup ops (one per
+// frame, however many targets it resolved) plus event transitions,
+// accepted or rejected. Each of them recorded exactly one latency.
+func (r Result) Ops() int { return len(r.Latencies) }
 
 // Throughput returns completed operations per second.
 func (r Result) Throughput() float64 {
@@ -175,9 +172,9 @@ func (r Result) Throughput() float64 {
 	return float64(r.Ops()) / r.Elapsed.Seconds()
 }
 
-// LookupThroughput returns resolved lookups per second — on the RPC
-// plane a vectorized op resolves many, so this is the figure the
-// lookups_per_sec SLO family records.
+// LookupThroughput returns resolved lookups per second — a vectorized
+// op resolves many, so this is the figure the lookups_per_sec SLO
+// family records.
 func (r Result) LookupThroughput() float64 {
 	if r.Elapsed <= 0 {
 		return 0
@@ -262,14 +259,13 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	t, lookupBatch, hangUp, err := cfg.dataPlane(cfg.RPCAddr, cluster.HTTP(api))
+	rc, lookupBatch, err := cfg.dataPlane()
 	if err != nil {
 		return Result{}, err
 	}
-	defer hangUp()
+	defer rc.Close()
 
-	res, _ := cfg.storm(t, lookupBatch, ids)
-	res.RPC = cfg.RPCAddr != ""
+	res, _ := cfg.storm(rc, lookupBatch, ids)
 	if cfg.ScrapeObs {
 		e, err := FetchObs(cfg.Addr)
 		if err != nil {
@@ -439,26 +435,21 @@ func AwaitHealthy(addr string, timeout time.Duration) error {
 	return nil
 }
 
-// dataPlane picks where a run's lookups and bursts go, once. With an
-// RPC address it is the binary plane: one pooled wire client shared by
-// every worker — a few persistent connections carrying everyone's
-// pipelined requests is the shape the plane is built for, not a
-// connection per worker — and lookup ops of cfg.RPCLookupBatch targets.
-// Without one it is jsonPlane, one target per lookup op. hangUp closes
-// whatever was dialed.
-func (cfg Config) dataPlane(rpcAddr string, jsonPlane cluster.Transport) (t cluster.Transport, lookupBatch int, hangUp func(), err error) {
-	if rpcAddr == "" {
-		return jsonPlane, 1, func() {}, nil
-	}
-	rc, err := wire.Dial(rpcAddr, wire.Options{Conns: cfg.RPCConns})
+// dataPlane dials where a run's lookups and bursts go: one pooled wire
+// client at cfg.RPCAddr shared by every worker — a few persistent
+// connections carrying everyone's pipelined requests is the shape the
+// plane is built for, not a connection per worker — and the width of
+// its lookup ops, cfg.RPCLookupBatch targets.
+func (cfg Config) dataPlane() (rc *wire.Client, lookupBatch int, err error) {
+	rc, err = wire.Dial(cfg.RPCAddr, wire.Options{Conns: cfg.RPCConns})
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("loadgen: rpc plane unreachable: %v", err)
+		return nil, 0, fmt.Errorf("loadgen: rpc plane at %q unreachable: %v", cfg.RPCAddr, err)
 	}
 	lookupBatch = cfg.RPCLookupBatch
 	if lookupBatch == 0 {
 		lookupBatch = DefaultRPCLookupBatch
 	}
-	return rc, lookupBatch, func() { rc.Close() }, nil
+	return rc, lookupBatch, nil
 }
 
 // driveBatch issues one reconfiguration operation: an atomic burst of
@@ -510,10 +501,9 @@ func countFailure(err error, st *opStats) {
 	}
 }
 
-// makeEvents builds one reconfiguration op's events — the traffic
-// shape shared by both planes: a random single event for batch 1, a
-// whole "rack" of adjacent nodes for bursts, drawn from a small
-// working set so fault patterns recur.
+// makeEvents builds one reconfiguration op's events: a random single
+// event for batch 1, a whole "rack" of adjacent nodes for bursts, drawn
+// from a small working set so fault patterns recur.
 func makeEvents(rng *rand.Rand, nHost, batch int) []fleet.Event {
 	events := make([]fleet.Event, batch)
 	kind := fleet.EventFault

@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"errors"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,15 +113,16 @@ func TestPercentileEdgeCases(t *testing.T) {
 
 // TestRunScenarios drives every named scenario against an in-process
 // daemon and checks the accounting: no transport errors, every
-// operation measured, burst scenarios applying whole batches.
+// operation measured, burst scenarios applying whole batches, and each
+// accepted burst advancing its instance's epoch exactly once.
 func TestRunScenarios(t *testing.T) {
 	for _, sc := range Scenarios() {
 		t.Run(sc.Name, func(t *testing.T) {
-			mgr := fleet.NewManager(fleet.Options{})
-			ts := httptest.NewServer(fleet.NewHTTPHandler(mgr))
-			defer ts.Close()
+			d, url, rpcAddr, _ := startDaemon(t, fleet.DaemonConfig{})
+			mgr := d.Manager()
 			res, err := Run(Config{
-				Addr:      ts.URL,
+				Addr:      url,
+				RPCAddr:   rpcAddr,
 				Instances: 2,
 				Spec:      fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 4},
 				Workers:   4,
@@ -134,8 +134,8 @@ func TestRunScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Errors != 0 {
-				t.Fatalf("%d errors: %+v", res.Errors, res)
+			if res.Errors != 0 || res.Transport != 0 {
+				t.Fatalf("%d errors, %d transport: %+v", res.Errors, res.Transport, res)
 			}
 			if got := res.Ops(); got != 300 {
 				t.Fatalf("ops = %d, want 300", got)
@@ -151,8 +151,16 @@ func TestRunScenarios(t *testing.T) {
 				t.Fatalf("daemon saw lookups/batches %d/%d, client measured %d/%d",
 					st.Lookups, st.Batches, res.Lookups, res.Batches)
 			}
-			if len(res.LookupLatencies) != res.Lookups {
-				t.Fatalf("lookup latencies = %d, lookups = %d", len(res.LookupLatencies), res.Lookups)
+			if res.Lookups != len(res.LookupLatencies)*DefaultRPCLookupBatch {
+				t.Fatalf("lookups = %d from %d lookup ops of %d", res.Lookups, len(res.LookupLatencies), DefaultRPCLookupBatch)
+			}
+			var epochs uint64
+			for _, id := range mgr.List() {
+				in, _ := mgr.Get(id)
+				epochs += in.Info().Epoch
+			}
+			if epochs != uint64(res.Batches) {
+				t.Fatalf("epoch sum %d != accepted bursts %d: a burst was not applied atomically", epochs, res.Batches)
 			}
 		})
 	}
@@ -163,12 +171,11 @@ func TestRunScenarios(t *testing.T) {
 // bursts (every event op is an atomic batch) and the read side is pure
 // lookups whose latencies are reported separately.
 func TestRunWriteStormRoleSplit(t *testing.T) {
-	mgr := fleet.NewManager(fleet.Options{})
-	ts := httptest.NewServer(fleet.NewHTTPHandler(mgr))
-	defer ts.Close()
+	_, url, rpcAddr, _ := startDaemon(t, fleet.DaemonConfig{})
 	const requests = 400
 	res, err := Run(Config{
-		Addr:      ts.URL,
+		Addr:      url,
+		RPCAddr:   rpcAddr,
 		Instances: 2,
 		Spec:      fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 4},
 		Workers:   4,
@@ -183,18 +190,15 @@ func TestRunWriteStormRoleSplit(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("%d errors", res.Errors)
 	}
-	// 2 of 4 workers are writers, so about half the ops are event
+	// 2 of 4 workers are writers, so half the ops are event
 	// transitions (accepted or rejected) and the other half lookups.
-	writes := res.Batches + res.Rejected
-	if writes != requests/2 || res.Lookups != requests/2 {
-		t.Fatalf("role split: %d writes, %d lookups, want %d each", writes, res.Lookups, requests/2)
+	writes, reads := res.Batches+res.Rejected, len(res.LookupLatencies)
+	if writes != requests/2 || reads != requests/2 {
+		t.Fatalf("role split: %d writes, %d lookup ops, want %d each", writes, reads, requests/2)
 	}
 	// Sustained bursts: every accepted transition carries a full batch.
 	if res.Events != res.Batches*WriteStorm.Batch {
 		t.Fatalf("events %d != batches %d x %d", res.Events, res.Batches, WriteStorm.Batch)
-	}
-	if len(res.LookupLatencies) != res.Lookups {
-		t.Fatalf("lookup latencies = %d, lookups = %d", len(res.LookupLatencies), res.Lookups)
 	}
 	if p99 := res.LookupPercentile(99); p99 <= 0 {
 		t.Fatalf("read p99 = %v under storm", p99)

@@ -3,8 +3,6 @@ package loadgen
 import (
 	"fmt"
 	"time"
-
-	"ftnet/internal/cluster"
 )
 
 // The restart scenario is the durability probe: storm a journaled
@@ -16,14 +14,15 @@ import (
 // reconfiguration induces for the recovered fault set.
 //
 // It is not a Scenario preset: it needs control over the daemon's
-// lifecycle, which an HTTP load shape cannot express. cmd/ftload wires
-// the hooks to a child process it SIGKILLs; the in-process test wires
-// them to an httptest server sharing a journal file.
+// lifecycle, which a load shape cannot express. cmd/ftload wires the
+// hooks to a child process it SIGKILLs; the in-process test wires them
+// to an in-process daemon sharing a journal file.
 
 // RestartConfig drives one kill/recover run. Kill must terminate the
 // daemon abruptly; Start must boot a fresh daemon over the same
 // journal and return its base URL (usually cfg.Addr again — a test may
-// return a new one).
+// return a new one). The storm goes to Config.RPCAddr, which is not
+// dialed again after the restart.
 type RestartConfig struct {
 	Config
 	Kill  func() error
@@ -72,22 +71,20 @@ func RunRestart(cfg RestartConfig) (RestartResult, error) {
 	if err != nil {
 		return RestartResult{}, err
 	}
-	// With RPCAddr set the storm travels the binary RPC plane; the
-	// ack-watermark contract is identical (ApplyBatch returns the
-	// committed epoch), and the kill manifests as transport errors
-	// either way.
-	t, lookupBatch, hangUp, err := cfg.dataPlane(cfg.RPCAddr, cluster.HTTP(api))
+	// ApplyBatch returns the committed epoch, the ack watermark; the
+	// kill manifests as transport errors.
+	rc, lookupBatch, err := cfg.dataPlane()
 	if err != nil {
 		return RestartResult{}, err
 	}
-	defer hangUp()
+	defer rc.Close()
 
 	// Storm: every worker posts atomic bursts; the one that crosses the
 	// kill threshold pulls the trigger, after which transport errors are
 	// the expected symptom and the workers drain out.
 	kill := &trigger{after: cfg.KillAfterFrac, stop: true, fire: cfg.Kill}
 	res := RestartResult{Recovered: make(map[string]uint64, len(ids))}
-	res.Storm, res.Acked = cfg.storm(t, lookupBatch, ids, kill)
+	res.Storm, res.Acked = cfg.storm(rc, lookupBatch, ids, kill)
 	if err := kill.fired("kill"); err != nil {
 		return res, err
 	}

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
@@ -9,32 +8,22 @@ import (
 )
 
 // TestRunRestartInProcess exercises the restart scenario without a
-// child process: the "daemon" is an httptest server over a manager
-// booted the daemon's way (fleet.NewDaemon, fsync always), the kill
-// abandons the manager and its writer without draining anything (every
-// acknowledged record is already on disk — exactly the SIGKILL
-// contract), and the restart boots again from the same journal file.
+// child process: the daemon is booted the daemon's way (fleet.NewDaemon,
+// fsync always) and storms over its RPC plane, the kill abandons the
+// manager and its writer without draining anything (every acknowledged
+// record is already on disk — exactly the SIGKILL contract), and the
+// restart boots again from the same journal file.
 func TestRunRestartInProcess(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "epochs.wal")
 
-	var srv *httptest.Server
-	boot := func() (string, error) {
-		d, err := fleet.NewDaemon(fleet.DaemonConfig{Journal: path})
-		if err != nil {
-			return "", err
-		}
-		srv = httptest.NewServer(fleet.NewHTTPHandler(d.Manager()))
-		return srv.URL, nil
-	}
-	addr, err := boot()
+	first, err := bootCrashable(t, fleet.DaemonConfig{Journal: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
-
 	res, err := RunRestart(RestartConfig{
 		Config: Config{
-			Addr:      addr,
+			Addr:      first.url,
+			RPCAddr:   first.rpcAddr,
 			Instances: 3,
 			Spec:      fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 4},
 			Workers:   4,
@@ -42,11 +31,14 @@ func TestRunRestartInProcess(t *testing.T) {
 			Scenario:  Scenario{Batch: 4},
 			Seed:      7,
 		},
-		Kill: func() error {
-			srv.Close() // in-flight handlers drain; the journal writer is simply abandoned
-			return nil
+		Kill: first.kill,
+		Start: func() (string, error) {
+			again, err := bootCrashable(t, fleet.DaemonConfig{Journal: path})
+			if err != nil {
+				return "", err
+			}
+			return again.url, nil
 		},
-		Start: boot,
 	})
 	if err != nil {
 		t.Fatalf("RunRestart: %v (acked %v, recovered %v)", err, res.Acked, res.Recovered)

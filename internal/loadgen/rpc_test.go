@@ -9,7 +9,7 @@ import (
 // TestRunRPCTransport drives the mixed scenario with the hot path on
 // the binary RPC plane (control plane on JSON) and requires a clean
 // run: zero transport errors, zero unexpected statuses, lookups
-// resolved in vectorized batches.
+// resolved in vectorized batches, and every operation counted once.
 func TestRunRPCTransport(t *testing.T) {
 	d, url, rpcAddr, _ := startDaemon(t, fleet.DaemonConfig{})
 	mgr := d.Manager()
@@ -29,9 +29,6 @@ func TestRunRPCTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.RPC {
-		t.Fatal("Result.RPC not set on an RPC-plane run")
-	}
 	if res.Transport != 0 {
 		t.Fatalf("%d transport errors on a healthy loopback server", res.Transport)
 	}
@@ -40,6 +37,10 @@ func TestRunRPCTransport(t *testing.T) {
 	}
 	if res.Lookups == 0 || res.Batches == 0 {
 		t.Fatalf("mixed RPC run drove no traffic: %+v", res)
+	}
+	// An op is one frame, however many targets it resolved.
+	if got := res.Ops(); got != 400 {
+		t.Errorf("ops = %d, want the 400 requested", got)
 	}
 	// Vectorized reads: each lookup op resolves RPCLookupBatch targets,
 	// so resolved lookups must be a multiple of the batch width.

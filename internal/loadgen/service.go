@@ -50,10 +50,10 @@ func FetchObs(addr string) (*obs.Export, error) {
 //	fsync_p99                commit durability-wait p99 (leader)
 //	replication_lag_p99      applied-entry age p99 (follower)
 //	compaction_pause_max     worst commits-gated pause (leader)
-//	lookup_rpc_p99           client-observed RPC lookup op p99 (RPC runs)
-//	rpc_op_p99               server-side RPC drain-pass residence p99 by op (RPC runs)
-//	lookups_per_sec          resolved lookups per second (RPC runs; ops/s,
-//	                         higher is better — ftbenchdiff flags drops)
+//	lookup_rpc_p99           client-observed RPC lookup op p99
+//	rpc_op_p99               server-side RPC drain-pass residence p99 by op
+//	lookups_per_sec          resolved lookups per second (ops/s, higher
+//	                         is better — ftbenchdiff flags drops)
 //
 // Families with no samples are omitted rather than emitted as zero, so
 // a baseline diff never treats "didn't happen" as "infinitely fast".
@@ -92,7 +92,7 @@ func BuildServiceArtifact(scenario string, res *Result, leader, follower *obs.Ex
 			add("replication_entry_age_p99", "replication_lag_p99", h.P99NS, "ns")
 		}
 	}
-	if res != nil && res.RPC {
+	if res != nil {
 		if len(res.LookupLatencies) > 0 {
 			add("lookup_rpc_p99", "lookup_rpc_p99", float64(res.LookupPercentile(99)), "ns")
 		}
@@ -120,18 +120,15 @@ func AppendFailover(art *ServiceArtifact, res FailoverResult) {
 }
 
 // AppendCluster folds a scale-out run into a service artifact, as the
-// families the shard SLO gates watch:
+// families the shard SLO gate watches:
 //
 //	rebalance_pause          widest write-fence window of any migration
 //	                         — how long a client's writes to one
 //	                         instance stall during its handoff
-//	cluster_lookups_per_sec  routed lookup throughput while the ring
-//	                         changed underneath the storm (ops/s,
-//	                         higher is better) — an HTTP run, routed by
-//	                         the client
-//	proxy_lookups_per_sec,   the same figure and the lookup p99 of an RPC
-//	proxy_lookup_p99         run, which went through the ftproxy front
-//	                         door: the proxy-plane families
+//	proxy_lookups_per_sec    lookup throughput through the ftproxy front
+//	                         while the ring changed underneath the storm
+//	                         (ops/s, higher is better)
+//	proxy_lookup_p99         the lookup op p99 of the same storm
 func AppendCluster(art *ServiceArtifact, res ClusterResult) {
 	add := func(family string, v float64, unit string) {
 		art.Benchmarks = append(art.Benchmarks, ServiceBenchmark{Name: family, Family: family, Value: v, Unit: unit})
@@ -140,10 +137,6 @@ func AppendCluster(art *ServiceArtifact, res ClusterResult) {
 		add("rebalance_pause", float64(res.PauseMax), "ns")
 	}
 	if res.Storm.Lookups == 0 {
-		return
-	}
-	if !res.Storm.RPC {
-		add("cluster_lookups_per_sec", res.Storm.LookupThroughput(), "ops/s")
 		return
 	}
 	add("proxy_lookups_per_sec", res.Storm.LookupThroughput(), "ops/s")

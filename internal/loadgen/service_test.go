@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"net/http/httptest"
 	"testing"
 
 	"ftnet/internal/fleet"
@@ -12,11 +11,10 @@ import (
 // checks the scraped export carries the server-side histograms and the
 // distilled BENCH_service.json artifact has the gated families.
 func TestScrapeObsAndBuildArtifact(t *testing.T) {
-	mgr := fleet.NewManager(fleet.Options{})
-	ts := httptest.NewServer(fleet.NewHTTPHandler(mgr))
-	defer ts.Close()
+	_, url, rpcAddr, _ := startDaemon(t, fleet.DaemonConfig{})
 	res, err := Run(Config{
-		Addr:      ts.URL,
+		Addr:      url,
+		RPCAddr:   rpcAddr,
 		Instances: 2,
 		Spec:      fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 4},
 		Workers:   4,
@@ -32,9 +30,9 @@ func TestScrapeObsAndBuildArtifact(t *testing.T) {
 	if res.Service == nil {
 		t.Fatal("ScrapeObs set but Result.Service is nil")
 	}
-	phi, ok := res.Service.Find("ftnet_http_request_seconds", "route=phi")
-	if !ok || int(phi.Count) != res.Lookups {
-		t.Errorf("phi route histogram count %d (ok=%v), client measured %d lookups", phi.Count, ok, res.Lookups)
+	frames, ok := res.Service.Find("ftnet_rpc_op_seconds", "op=lookup_batch")
+	if !ok || int(frames.Count) != len(res.LookupLatencies) {
+		t.Errorf("lookup_batch histogram count %d (ok=%v), client measured %d lookup ops", frames.Count, ok, len(res.LookupLatencies))
 	}
 	if _, ok := res.Service.Find("ftnet_commit_append_seconds", ""); !ok {
 		t.Error("commit stage histograms missing from the scrape")
@@ -47,15 +45,21 @@ func TestScrapeObsAndBuildArtifact(t *testing.T) {
 	families := map[string]int{}
 	for _, b := range art.Benchmarks {
 		families[b.Family]++
-		if b.Unit != "ns" {
-			t.Errorf("%s: unit %q, want ns", b.Name, b.Unit)
+		unit := "ns"
+		if b.Family == "lookups_per_sec" {
+			unit = "ops/s"
+		}
+		if b.Unit != unit {
+			t.Errorf("%s: unit %q, want %s", b.Name, b.Unit, unit)
 		}
 		if b.Value <= 0 {
 			t.Errorf("%s: non-positive value %v", b.Name, b.Value)
 		}
 	}
-	if families["request_p99"] == 0 {
-		t.Error("no request_p99 entries")
+	for _, want := range []string{"request_p99", "rpc_op_p99", "lookup_rpc_p99", "lookups_per_sec"} {
+		if families[want] == 0 {
+			t.Errorf("no %s entries", want)
+		}
 	}
 	// The manager is journal-less here, so the fsync wait histogram has
 	// samples (the stage runs, near-zero) — and no compaction happened,

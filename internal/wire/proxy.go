@@ -32,8 +32,6 @@ type ProxyOptions struct {
 	// format both planes share), so the router needs this map to
 	// translate a hint back into a member.
 	HTTPPeers map[string]string
-	// Replicas is the ring's virtual-node count (0 selects the default).
-	Replicas int
 	// Timeout is Options.Timeout for the proxy's backend connections
 	// (conn.go), one per member: one that leaves a frame unanswered for
 	// Timeout after it was posted there is failed as a whole, between
@@ -141,7 +139,7 @@ func NewProxy(opts ProxyOptions) *Proxy {
 		b.conn.open = func() *upstream[*relay] { return p.connect(dial) }
 		p.backends[name] = b
 	}
-	p.router = shard.NewRouter(urls, opts.Replicas)
+	p.router = shard.NewRouter(urls, 0)
 	return p
 }
 
