@@ -77,15 +77,16 @@
 // whose ring names all of them, name the member that should join the
 // ring mid-storm with -join, and ftload owns the topology lifecycle —
 // it installs the initial ring over POST /v1/ring, storms the cluster
-// through the proxy (which chases X-Ftnet-Owner redirects; ftload rides
-// out staged windows with backoff), adds the joiner to every ring
-// mid-storm, triggers /v1/rebalance so displaced instances are
-// checkpoint-streamed to it, and then verifies the handoff: every
-// instance on exactly its ring owner, epoch equal to the acknowledged
-// watermark (zero lost or double-applied transitions), phi slice
-// bit-identical to a fresh recomputation. With -obs-json it emits the
-// rebalance_pause, proxy_lookups_per_sec and proxy_lookup_p99 SLO
-// families:
+// through the proxy (which chases wrong-shard hints and learns them;
+// ftload asks again once after a wrong-shard answer the proxy could
+// not chase, and rides out staged windows with backoff), adds the
+// joiner to every ring mid-storm, triggers /v1/rebalance so displaced
+// instances are checkpoint-streamed to it, and then verifies the
+// handoff: every instance on exactly its ring owner, epoch equal to
+// the acknowledged watermark (zero lost or double-applied transitions),
+// phi slice bit-identical to a fresh recomputation. With -obs-json it
+// emits the rebalance_pause, proxy_lookups_per_sec and
+// proxy_lookup_p99 SLO families:
 //
 //	ftload -scenario cluster -rpc-addr 127.0.0.1:18127 -instances 24 -requests 30000 \
 //	    -peers a=http://127.0.0.1:18120,b=http://127.0.0.1:18121,c=http://127.0.0.1:18122 \
@@ -425,7 +426,7 @@ func runCluster(cfg config, out io.Writer) error {
 		res.Storm.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(out, "  rebalance    %d instances checkpoint-streamed in %v (max write-fence pause %v)\n",
 		res.Migrated, res.RebalanceWall.Round(time.Millisecond), res.PauseMax.Round(time.Microsecond))
-	fmt.Fprintf(out, "  routing      %d redirects followed, %d staged-window retries — no manual retry logic\n",
+	fmt.Fprintf(out, "  routing      %d wrong-shard re-asks, %d staged-window retries — no manual retry logic\n",
 		res.Redirects, res.StagedWaits)
 	fmt.Fprintf(out, "  lookups      %.0f lookups/s through the %s RPC front under the rebalance (p99 %v)\n",
 		res.Storm.LookupThroughput(), cfg.RPCAddr, res.Storm.LookupPercentile(99).Round(time.Microsecond))

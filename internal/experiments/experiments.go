@@ -51,12 +51,11 @@ func All() []Experiment {
 
 // AllExtended returns the paper experiments plus the extended set
 // (intro motivation, connectivity comparison, distributed protocol,
-// ablations, the compact-mapping scale experiment).
+// ablations).
 func AllExtended() []Experiment {
 	out := append(All(), extended()...)
 	out = append(out, extendedMore()...)
-	out = append(out, extendedFinal()...)
-	return append(out, extendedFleet()...)
+	return append(out, extendedFinal()...)
 }
 
 // ByID returns the experiment with the given id (paper or extended set).

@@ -8,12 +8,12 @@ import (
 )
 
 func TestExtendedExperimentsRegistered(t *testing.T) {
-	for _, id := range []string{"M1", "M2", "M3", "A1", "A2", "A3", "A4", "S3", "S4", "S5", "S6", "T6", "L2"} {
+	for _, id := range []string{"M1", "M2", "M3", "A1", "A2", "A3", "A4", "S3", "S4", "S5", "S6", "T6"} {
 		if _, ok := ByID(id); !ok {
 			t.Errorf("extended experiment %s not registered", id)
 		}
 	}
-	if len(AllExtended()) != len(All())+13 {
+	if len(AllExtended()) != len(All())+12 {
 		t.Errorf("AllExtended size %d", len(AllExtended()))
 	}
 }
@@ -24,7 +24,6 @@ func TestExtendedExperimentsRun(t *testing.T) {
 	}
 	all := append(extended(), extendedMore()...)
 	all = append(all, extendedFinal()...)
-	all = append(all, extendedFleet()...)
 	for _, e := range all {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {

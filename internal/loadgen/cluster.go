@@ -3,9 +3,9 @@ package loadgen
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
-	"ftnet/internal/cluster"
 	"ftnet/internal/fleet"
 	"ftnet/internal/obs"
 	sharding "ftnet/internal/shard"
@@ -16,12 +16,12 @@ import (
 // ring mid-storm and the displaced instances are checkpoint-streamed
 // to it. The proxy routes by the same consistent-hash ring the daemons
 // use, but treats the ring as a hint: a wrong-shard refusal teaches it
-// the instance's real home. The storm's client is a cluster.Client
-// over that one member: it rides out an "unavailable" answer (the
-// instance is staged mid-migration) with backoff, and re-issues the
-// rare double bounce the proxy could not chase mid-cutover. No retry
-// logic leaks to the workers — the client converges on its own, which
-// is the acceptance contract.
+// the instance's real home. The storm's transport is a shardClient
+// over the wire client at that one front: it rides out an
+// "unavailable" answer (the instance is staged mid-migration) with
+// backoff, and asks again after the rare double bounce the proxy could
+// not chase mid-cutover. No retry logic leaks to the workers — the
+// client converges on its own, which is the acceptance contract.
 //
 // After the storm, verification holds the cluster to the single-daemon
 // invariants across the ownership handoff: every instance lives on
@@ -47,16 +47,14 @@ type ClusterConfig struct {
 	// ignored.
 	Peers map[string]string
 	// Joiner is the member excluded from the initial topology and added
-	// to every daemon's ring when the storm crosses JoinAfterFrac; the
-	// initial members then rebalance their displaced instances onto it.
+	// to every daemon's ring when the storm crosses joinAt; the initial
+	// members then rebalance their displaced instances onto it.
 	Joiner string
-	// JoinAfterFrac is the fraction of the request budget to complete
-	// before the join + rebalance fires (default 0.4 — mid-storm).
-	JoinAfterFrac float64
-	// HealthTimeout bounds the initial health checks and the client's
-	// patience with a staged instance (default 15s).
-	HealthTimeout time.Duration
 }
+
+// joinAt is the fraction of the request budget completed before the
+// join + rebalance fires: mid-storm.
+const joinAt = 0.4
 
 // ClusterResult reports one scale-out run.
 type ClusterResult struct {
@@ -64,7 +62,7 @@ type ClusterResult struct {
 	Acked         map[string]uint64 // per-instance max acknowledged epoch
 	Migrated      int               // instances the rebalance moved
 	RebalanceWall time.Duration     // join start to last rebalance done
-	Redirects     uint64            // wrong-shard hints the client followed
+	Redirects     uint64            // wrong-shard answers the client asked again after
 	StagedWaits   uint64            // unavailable (staged) answers ridden out
 	PauseMax      time.Duration     // widest write-fence window (daemon obs)
 	Verified      int               // instances that passed every check
@@ -72,7 +70,7 @@ type ClusterResult struct {
 }
 
 // RunCluster executes the scale-out scenario: install the initial
-// ring, storm through the shard client, join + rebalance mid-storm,
+// ring, storm through the proxy, join + rebalance mid-storm,
 // verify ownership, epochs and mappings afterwards.
 func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 	if len(cfg.Peers) < 2 {
@@ -101,18 +99,12 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 			cfg.Scenario.Writers = 1
 		}
 	}
-	if cfg.JoinAfterFrac <= 0 || cfg.JoinAfterFrac >= 1 {
-		cfg.JoinAfterFrac = 0.4
-	}
-	if cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = 15 * time.Second
-	}
 	if err := cfg.Config.Validate(); err != nil {
 		return ClusterResult{}, err
 	}
 
 	for name, url := range cfg.Peers {
-		if err := AwaitHealthy(url, cfg.HealthTimeout); err != nil {
+		if err := AwaitHealthy(url, healthTimeout); err != nil {
 			return ClusterResult{}, fmt.Errorf("loadgen: cluster member %s: %w", name, err)
 		}
 	}
@@ -153,14 +145,13 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		return ClusterResult{}, err
 	}
 	defer rc.Close()
-	client := cluster.New(sharding.NewRouter(map[string]string{"proxy": ""}, 0),
-		map[string]cluster.Transport{"proxy": rc}, cfg.HealthTimeout)
+	client := &shardClient{t: rc, grace: healthTimeout}
 
 	// The worker that crosses the threshold performs the join +
 	// rebalance inline — the storm keeps running on the other workers
 	// while instances are fenced, streamed and cut over underneath it.
 	res := ClusterResult{Exports: make(map[string]*obs.Export, len(cfg.Peers))}
-	join := &trigger{after: cfg.JoinAfterFrac, fire: func() error {
+	join := &trigger{after: joinAt, fire: func() error {
 		start := time.Now()
 		// Joiner first: its ring must name it owner before any stage
 		// frame arrives.
@@ -183,7 +174,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 		return nil
 	}}
 	res.Storm, res.Acked = cfg.storm(client, lookupBatch, ids, join)
-	res.Redirects, res.StagedWaits = client.Redirects(), client.StagedWaits()
+	res.Redirects, res.StagedWaits = client.redirects.Load(), client.stagedWaits.Load()
 	if err := join.fired("join"); err != nil {
 		return res, err
 	}
@@ -248,4 +239,70 @@ func memberNames(peers map[string]string) []string {
 		names = append(names, name)
 	}
 	return names
+}
+
+// stagedBackoff is the pause between two asks of a request refused as
+// unavailable: a staged window lasts about one fsync on the target.
+const stagedBackoff = 2 * time.Millisecond
+
+// shardClient is the cluster storm's transport: t reaches the routing
+// front, which owns placement, and shardClient adds the one rule the
+// front leaves to its caller. After a wrong-shard answer it asks the
+// same target again, once — the front has learned the new home by
+// then. After "unavailable" (an instance staged mid-migration) it
+// waits stagedBackoff and asks again until grace has passed. Both
+// refusals guarantee nothing was applied, so asking again is safe for
+// a write. Everything else is the answer — above all a transport
+// failure, after which a write's fate is unknown: it is never sent
+// twice.
+type shardClient struct {
+	t     transport
+	grace time.Duration
+
+	redirects   atomic.Uint64 // wrong-shard answers asked again after
+	stagedWaits atomic.Uint64 // unavailable answers ridden out
+}
+
+// do sends one request by call and asks again as shardClient says;
+// what it returns is final.
+func (c *shardClient) do(call func() error) error {
+	reasked := false
+	deadline := time.Now().Add(c.grace)
+	for {
+		err := call()
+		switch {
+		case errors.Is(err, fleet.ErrWrongShard) && !reasked:
+			reasked = true
+			c.redirects.Add(1)
+		case errors.Is(err, fleet.ErrUnavailable) && time.Now().Before(deadline):
+			c.stagedWaits.Add(1)
+			time.Sleep(stagedBackoff)
+		default:
+			return err
+		}
+	}
+}
+
+func (c *shardClient) Lookup(id string, x int) (phi int, epoch uint64, err error) {
+	err = c.do(func() (err error) {
+		phi, epoch, err = c.t.Lookup(id, x)
+		return err
+	})
+	return phi, epoch, err
+}
+
+func (c *shardClient) LookupBatch(id string, xs, phis []int) (epoch uint64, err error) {
+	err = c.do(func() (err error) {
+		epoch, err = c.t.LookupBatch(id, xs, phis)
+		return err
+	})
+	return epoch, err
+}
+
+func (c *shardClient) ApplyBatch(id string, events []fleet.Event) (res fleet.EventResult, err error) {
+	err = c.do(func() (err error) {
+		res, err = c.t.ApplyBatch(id, events)
+		return err
+	})
+	return res, err
 }

@@ -58,15 +58,15 @@ type FailoverConfig struct {
 	// follower of FollowerAddr and returns its base URL ("" keeps
 	// cfg.Addr). Nil skips the rejoin/self-heal phase.
 	RestartOld func() (addr string, err error)
-	// PartitionAfterFrac and KillAfterFrac place T1 and T2 as fractions
-	// of the request budget (defaults 0.3 and 0.6; the gap between them
-	// is what materializes divergence).
-	PartitionAfterFrac float64
-	KillAfterFrac      float64
-	// HealthTimeout bounds every wait: follower catch-up before the
-	// storm, promotion, rejoin convergence (default 15s).
-	HealthTimeout time.Duration
 }
+
+// partitionAt and failoverKillAt place T1 and T2 as fractions of the
+// request budget: the kill halfway through what the partition leaves.
+// The gap between them is what materializes divergence.
+const (
+	partitionAt    = 0.3
+	failoverKillAt = 0.65
+)
 
 // FailoverResult reports one partition-torture run.
 type FailoverResult struct {
@@ -98,15 +98,6 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	cfg.Scenario.Name = "partition-torture"
 	cfg.Scenario.EventFrac = 1
 	cfg.Scenario.Writers = 0
-	if cfg.PartitionAfterFrac <= 0 || cfg.PartitionAfterFrac >= 1 {
-		cfg.PartitionAfterFrac = 0.3
-	}
-	if cfg.KillAfterFrac <= cfg.PartitionAfterFrac || cfg.KillAfterFrac >= 1 {
-		cfg.KillAfterFrac = cfg.PartitionAfterFrac + (1-cfg.PartitionAfterFrac)/2
-	}
-	if cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = 15 * time.Second
-	}
 	if err := cfg.Config.Validate(); err != nil {
 		return FailoverResult{}, err
 	}
@@ -123,7 +114,7 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	// The follower must have replicated the fleet before the partition,
 	// or the promoted leader would be missing instances rather than
 	// merely trailing epochs.
-	if err := fleet.Poll(cfg.HealthTimeout, func() error {
+	if err := fleet.Poll(healthTimeout, func() error {
 		for _, id := range ids {
 			if _, err := promoted.Instance(id); err != nil {
 				return fmt.Errorf("%s: %w", id, err)
@@ -132,15 +123,15 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 		return nil
 	}); err != nil {
 		return FailoverResult{}, fmt.Errorf("loadgen: follower %s never replicated the fleet within %v: %w",
-			cfg.FollowerAddr, cfg.HealthTimeout, err)
+			cfg.FollowerAddr, healthTimeout, err)
 	}
 
-	// Storm with two triggers: the worker that crosses
-	// PartitionAfterFrac cuts the follower off (T1), the one that
-	// crosses KillAfterFrac kills the leader (T2) and stops the run.
-	// Between the two, every acknowledged write is divergence.
-	partition := &trigger{after: cfg.PartitionAfterFrac, fire: cfg.Partition}
-	kill := &trigger{after: cfg.KillAfterFrac, stop: true, fire: cfg.KillLeader}
+	// Storm with two triggers: the worker that crosses partitionAt cuts
+	// the follower off (T1), the one that crosses failoverKillAt kills
+	// the leader (T2) and stops the run. Between the two, every
+	// acknowledged write is divergence.
+	partition := &trigger{after: partitionAt, fire: cfg.Partition}
+	kill := &trigger{after: failoverKillAt, stop: true, fire: cfg.KillLeader}
 	var res FailoverResult
 	res.Storm, res.Acked = cfg.storm(rc, lookupBatch, ids, partition, kill)
 	if err := partition.fired("partition"); err != nil {
@@ -161,7 +152,7 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 		}
 	}
 	var fence uint64 // seq of the promotion's term bump
-	if err := fleet.Poll(cfg.HealthTimeout, func() error {
+	if err := fleet.Poll(healthTimeout, func() error {
 		pr, err := promoted.Promote()
 		res.Term, fence = pr.Term, pr.Seq
 		return err
@@ -171,7 +162,7 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	// An applied burst proves the write path open; so does one the state
 	// machine rejected (the request got past the posture check). Anything
 	// else — read-only above all — means not yet.
-	if err := fleet.Poll(cfg.HealthTimeout, func() error {
+	if err := fleet.Poll(healthTimeout, func() error {
 		_, err := promoted.EventBatch(ids[0], []fleet.Event{{Kind: fleet.EventRepair, Node: 0}})
 		if rejectedByStateMachine(err) {
 			return nil
@@ -204,7 +195,7 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	if oldAddr != "" {
 		deposed = control(oldAddr)
 	}
-	if err := AwaitHealthy(deposed.Base, cfg.HealthTimeout); err != nil {
+	if err := AwaitHealthy(deposed.Base, healthTimeout); err != nil {
 		return res, err
 	}
 	// Self-healing contract: once its replication loop has made its first
@@ -213,7 +204,7 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 	// reset) exactly if it recovered anything past the fence — the
 	// comparison its own handshake makes ...
 	var ds fleet.StatsResponse
-	if err := fleet.Poll(cfg.HealthTimeout, func() (err error) {
+	if err := fleet.Poll(healthTimeout, func() (err error) {
 		if ds, err = deposed.Stats(); err != nil {
 			return err
 		}
@@ -234,7 +225,7 @@ func RunFailover(cfg FailoverConfig) (FailoverResult, error) {
 			deposed.Base, recovered, fence, res.Demotions, divergent)
 	}
 	// ... converge bit-identically with the promoted leader ...
-	fv, err := VerifyFollower(cfg.FollowerAddr, deposed.Base, ids, cfg.HealthTimeout)
+	fv, err := VerifyFollower(cfg.FollowerAddr, deposed.Base, ids, healthTimeout)
 	if err != nil {
 		return res, err
 	}

@@ -6,9 +6,9 @@
 // one storm drives it: the only worker loop, with one driveLookup and
 // one driveBatch. The scenarios that own a daemon's lifecycle (restart,
 // partition-torture, cluster) are scripts over that storm — triggers
-// that fire at a fraction of its budget — and over fleet.Client, the
-// control plane (creates, health, promotion, topology, verification,
-// scrapes), which is always the JSON API.
+// that fire at a fixed fraction of its budget — and over fleet.Client,
+// the control plane (creates, health, promotion, topology,
+// verification, scrapes), which is always the JSON API.
 //
 // cmd/ftload wraps it on the command line.
 package loadgen
@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ftnet/internal/cluster"
 	"ftnet/internal/fleet"
 	"ftnet/internal/obs"
 	"ftnet/internal/wire"
@@ -306,6 +305,15 @@ func (tr *trigger) fired(what string) error {
 	return nil
 }
 
+// transport is what a storm drives: the data-plane method set of
+// *wire.Client, whose errors come back in fleet's categories
+// (errors.Is(err, fleet.ErrWrongShard), fleet.ErrUnavailable, ...).
+type transport interface {
+	Lookup(id string, x int) (phi int, epoch uint64, err error)
+	LookupBatch(id string, xs, phis []int) (epoch uint64, err error)
+	ApplyBatch(id string, events []fleet.Event) (fleet.EventResult, error)
+}
+
 // storm is the worker loop of every scenario: cfg.Workers workers
 // spend cfg.Requests operations on ids over t, each drawing (id, role,
 // payload) from its own seeded rng — in role-split mode the first
@@ -314,7 +322,7 @@ func (tr *trigger) fired(what string) error {
 // measurement and, per id, the highest epoch any write was acknowledged
 // at: the watermark a kill/recover or handoff verification holds the
 // fleet to.
-func (cfg Config) storm(t cluster.Transport, lookupBatch int, ids []string, triggers ...*trigger) (Result, map[string]uint64) {
+func (cfg Config) storm(t transport, lookupBatch int, ids []string, triggers ...*trigger) (Result, map[string]uint64) {
 	nTarget, nHost := cfg.Spec.Sizes()
 	acked := make(map[string]*atomic.Uint64, len(ids))
 	for _, id := range ids {
@@ -427,6 +435,11 @@ func createInstance(api fleet.Client, id string, spec fleet.Spec) error {
 	return nil
 }
 
+// healthTimeout bounds every wait a scenario makes for a daemon: to
+// answer /healthz, to replicate, to promote, to converge, and to serve
+// an instance staged mid-migration.
+const healthTimeout = 15 * time.Second
+
 // AwaitHealthy polls /healthz of the daemon at addr until it answers.
 func AwaitHealthy(addr string, timeout time.Duration) error {
 	if err := fleet.Poll(timeout, control(addr).Healthz); err != nil {
@@ -465,7 +478,7 @@ func (cfg Config) dataPlane() (rc *wire.Client, lookupBatch int, err error) {
 // that fails in transport is neither acked nor sent again (every
 // transport guarantees the latter), which is exactly that contract:
 // only confirmed epochs must survive.
-func driveBatch(t cluster.Transport, id string, rng *rand.Rand, nHost, batch int, st *opStats, acked *atomic.Uint64) {
+func driveBatch(t transport, id string, rng *rand.Rand, nHost, batch int, st *opStats, acked *atomic.Uint64) {
 	events := makeEvents(rng, nHost, batch)
 	t0 := time.Now()
 	res, err := t.ApplyBatch(id, events)
@@ -543,7 +556,7 @@ func (s *lookupScratch) size(n int) {
 // driveLookup issues one read of batch random targets of one instance:
 // one latency sample, batch lookups. Above one target it is a
 // LookupBatch, at one (or below) a scalar Lookup.
-func driveLookup(t cluster.Transport, id string, rng *rand.Rand, nTarget, batch int, scratch *lookupScratch, st *opStats) {
+func driveLookup(t transport, id string, rng *rand.Rand, nTarget, batch int, scratch *lookupScratch, st *opStats) {
 	scratch.size(max(batch, 1))
 	for i := range scratch.xs {
 		scratch.xs[i] = rng.Intn(nTarget)

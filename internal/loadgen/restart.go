@@ -27,13 +27,11 @@ type RestartConfig struct {
 	Config
 	Kill  func() error
 	Start func() (addr string, err error)
-	// KillAfterFrac is the fraction of the request budget to complete
-	// before the kill (default 0.5 — mid-storm).
-	KillAfterFrac float64
-	// HealthTimeout bounds the wait for the restarted daemon's /healthz
-	// (default 15s).
-	HealthTimeout time.Duration
 }
+
+// restartKillAt is the fraction of the request budget completed before
+// the kill: mid-storm.
+const restartKillAt = 0.5
 
 // RestartResult reports one kill/recover run.
 type RestartResult struct {
@@ -57,12 +55,6 @@ func RunRestart(cfg RestartConfig) (RestartResult, error) {
 	cfg.Scenario.Name = "restart"
 	cfg.Scenario.EventFrac = 1
 	cfg.Scenario.Writers = 0
-	if cfg.KillAfterFrac <= 0 || cfg.KillAfterFrac >= 1 {
-		cfg.KillAfterFrac = 0.5
-	}
-	if cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = 15 * time.Second
-	}
 	if err := cfg.Config.Validate(); err != nil {
 		return RestartResult{}, err
 	}
@@ -82,7 +74,7 @@ func RunRestart(cfg RestartConfig) (RestartResult, error) {
 	// Storm: every worker posts atomic bursts; the one that crosses the
 	// kill threshold pulls the trigger, after which transport errors are
 	// the expected symptom and the workers drain out.
-	kill := &trigger{after: cfg.KillAfterFrac, stop: true, fire: cfg.Kill}
+	kill := &trigger{after: restartKillAt, stop: true, fire: cfg.Kill}
 	res := RestartResult{Recovered: make(map[string]uint64, len(ids))}
 	res.Storm, res.Acked = cfg.storm(rc, lookupBatch, ids, kill)
 	if err := kill.fired("kill"); err != nil {
@@ -98,7 +90,7 @@ func RunRestart(cfg RestartConfig) (RestartResult, error) {
 	if addr != "" {
 		api = control(addr)
 	}
-	if err := AwaitHealthy(api.Base, cfg.HealthTimeout); err != nil {
+	if err := AwaitHealthy(api.Base, healthTimeout); err != nil {
 		return res, err
 	}
 	res.Downtime = time.Since(kill.at)
