@@ -18,7 +18,6 @@ import (
 func main() {
 	exp := flag.String("exp", "", "experiment id (F1..F5, T1..T6, S1..S6, M1..M3, A1..A4); empty = all")
 	list := flag.Bool("list", false, "list experiments and exit")
-	extended := flag.Bool("extended", true, "include the extended experiments (M1..M3, A1..A4, S3..S6, T6)")
 	flag.Parse()
 
 	if *list {
@@ -28,10 +27,7 @@ func main() {
 		return
 	}
 
-	run := experiments.All()
-	if *extended {
-		run = experiments.AllExtended()
-	}
+	run := experiments.AllExtended()
 	if *exp != "" {
 		e, ok := experiments.ByID(*exp)
 		if !ok {

@@ -3,41 +3,28 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"net"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"ftnet/internal/fleet"
+	"ftnet/internal/fleet/fleettest"
 	"ftnet/internal/loadgen"
 	"ftnet/internal/wire"
 )
 
-// serve runs a fresh manager on both planes, an httptest server and a
-// loopback wire server, until the test ends. It returns the manager,
-// the base URL and the RPC address.
-func serve(t *testing.T) (mgr *fleet.Manager, url, rpcAddr string) {
-	t.Helper()
-	mgr = fleet.NewManager(fleet.Options{})
-	ts := httptest.NewServer(fleet.NewHTTPHandler(mgr))
-	t.Cleanup(ts.Close)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := wire.NewServer(mgr, wire.ServerOptions{Metrics: mgr.Metrics()})
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	return mgr, ts.URL, ln.Addr().String()
+// wirePlane is a daemon's RPC plane as ftnetd serves it.
+func wirePlane(m *fleet.Manager) fleettest.Server {
+	return wire.NewServer(m, wire.ServerOptions{Metrics: m.Metrics()})
 }
 
 // TestRunAgainstInProcessDaemon points the load generator at an
 // in-process ftnetd and checks the whole loop: create fleet, mixed
 // traffic, merged report.
 func TestRunAgainstInProcessDaemon(t *testing.T) {
-	mgr, url, rpcAddr := serve(t)
+	n := fleettest.Start(t, fleet.DaemonConfig{}, wirePlane)
+	mgr, url, rpcAddr := n.Manager(), n.URL, n.RPCAddr
 	cfg := config{Config: loadgen.Config{
 		Addr:      url,
 		RPCAddr:   rpcAddr,
@@ -79,7 +66,8 @@ func TestRunAgainstInProcessDaemon(t *testing.T) {
 // ops become atomic bursts, and every accepted burst advances its
 // instance's epoch exactly once.
 func TestRunNamedScenario(t *testing.T) {
-	mgr, url, rpcAddr := serve(t)
+	n := fleettest.Start(t, fleet.DaemonConfig{}, wirePlane)
+	mgr, url, rpcAddr := n.Manager(), n.URL, n.RPCAddr
 	cfg := config{
 		Config: loadgen.Config{
 			Addr:      url,
@@ -142,7 +130,8 @@ func TestRunRejectsBadConfig(t *testing.T) {
 // the emitted BENCH_service.json: valid schema, the gated families
 // present, every value a positive nanosecond quantity.
 func TestRunObsJSONArtifact(t *testing.T) {
-	_, url, rpcAddr := serve(t)
+	n := fleettest.Start(t, fleet.DaemonConfig{}, wirePlane)
+	url, rpcAddr := n.URL, n.RPCAddr
 	path := filepath.Join(t.TempDir(), "BENCH_service.json")
 	cfg := config{
 		Config: loadgen.Config{

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,16 +16,9 @@ import (
 	"time"
 
 	"ftnet/internal/fleet"
+	"ftnet/internal/fleet/fleettest"
 	"ftnet/internal/ft"
-	"ftnet/internal/journal"
 )
-
-func newTestDaemon(t *testing.T) *httptest.Server {
-	t.Helper()
-	ts := httptest.NewServer(fleet.NewHTTPHandler(fleet.NewManager(fleet.Options{})))
-	t.Cleanup(ts.Close)
-	return ts
-}
 
 func do(t *testing.T, method, url string, body any, wantCode int, out any) {
 	t.Helper()
@@ -62,8 +54,7 @@ func do(t *testing.T, method, url string, body any, wantCode int, out any) {
 // repair cycle over HTTP and cross-checks every answer against the
 // library's one-shot reconfiguration.
 func TestDaemonEndToEnd(t *testing.T) {
-	ts := newTestDaemon(t)
-	base := ts.URL
+	base := fleettest.Start(t, fleet.DaemonConfig{}, nil).URL
 
 	// Create a B^2_{2,4} instance.
 	var info fleet.InstanceInfo
@@ -155,40 +146,13 @@ func TestDaemonEndToEnd(t *testing.T) {
 	do(t, "GET", base+"/v1/instances/prod", nil, http.StatusNotFound, nil)
 }
 
-// TestDaemonShufflePhiSlice pins that the bulk phi endpoint agrees
-// with single lookups for shuffle instances (the slice must be indexed
-// by SE target node, composing psi).
-func TestDaemonShufflePhiSlice(t *testing.T) {
-	ts := newTestDaemon(t)
-	base := ts.URL
-	do(t, "POST", base+"/v1/instances",
-		map[string]any{"id": "se", "spec": fleet.Spec{Kind: fleet.KindShuffle, H: 4, K: 2}},
-		http.StatusCreated, nil)
-	do(t, "POST", base+"/v1/instances/se/events",
-		fleet.Event{Kind: fleet.EventFault, Node: 2}, http.StatusOK, nil)
-
-	var full struct{ Phi []int }
-	do(t, "GET", base+"/v1/instances/se/phi", nil, http.StatusOK, &full)
-	if len(full.Phi) != 16 {
-		t.Fatalf("slice length %d, want 16", len(full.Phi))
-	}
-	for x, want := range full.Phi {
-		var pr struct{ X, Phi int }
-		do(t, "GET", fmt.Sprintf("%s/v1/instances/se/phi?x=%d", base, x), nil, http.StatusOK, &pr)
-		if pr.Phi != want {
-			t.Fatalf("phi?x=%d = %d but slice[%d] = %d", x, pr.Phi, x, want)
-		}
-	}
-}
-
 // TestDaemonEventBatch drives the events:batch endpoint end to end:
 // an atomic burst advances the epoch exactly once, a partially-invalid
 // burst changes nothing, and /v1/stats reports the rejection causes —
 // and, there being no mapping cache, no cache section or ftnet_cache_
 // metric family.
 func TestDaemonEventBatch(t *testing.T) {
-	ts := newTestDaemon(t)
-	base := ts.URL
+	base := fleettest.Start(t, fleet.DaemonConfig{}, nil).URL
 	do(t, "POST", base+"/v1/instances",
 		map[string]any{"id": "prod", "spec": fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 3}},
 		http.StatusCreated, nil)
@@ -295,34 +259,42 @@ func TestDaemonRemovedCacheFlags(t *testing.T) {
 	}
 }
 
-// bootJournaled boots the daemon's exact sequence (fleet.NewDaemon:
-// recover, truncate torn tail, attach append writer) and serves the real
-// handler over it. It never runs the drain, so a test that stops using
-// the daemon has abandoned it the way SIGKILL does.
-func bootJournaled(t *testing.T, path string) (*fleet.Manager, *journal.Writer, *httptest.Server) {
-	t.Helper()
-	d, err := fleet.NewDaemon(fleet.DaemonConfig{Journal: path, Logf: t.Logf})
-	if err != nil {
-		t.Fatalf("NewDaemon: %v", err)
+// TestDaemonJournalFsyncFlagParsing pins the flag surface: bad -fsync
+// values fail the boot, good ones boot with the right policy.
+func TestDaemonJournalFsyncFlagParsing(t *testing.T) {
+	boot := func(path, mode string) (*fleet.Daemon, error) {
+		return fleet.NewDaemon(fleet.DaemonConfig{Journal: path, Fsync: mode, FsyncInterval: 10 * time.Millisecond, Logf: t.Logf})
 	}
-	ts := httptest.NewServer(fleet.NewHTTPHandler(d.Manager()))
-	t.Cleanup(ts.Close)
-	return d.Manager(), d.Manager().CommitLog().Writer(), ts
+	if _, err := boot(filepath.Join(t.TempDir(), "j"), "sometimes"); err == nil {
+		t.Error("NewDaemon accepted -fsync sometimes")
+	}
+	for _, mode := range []string{"always", "interval", "never"} {
+		d, err := boot(filepath.Join(t.TempDir(), "j"), mode)
+		if err != nil {
+			t.Errorf("-fsync %s: %v", mode, err)
+			continue
+		}
+		d.Manager().Close()
+	}
+	// No -journal: durability off, no writer — whatever -fsync says.
+	d, err := boot("", "sometimes")
+	if err != nil || d.Manager().CommitLog().Writer() != nil {
+		t.Errorf("empty -journal: err %v; want a daemon with no writer", err)
+	}
 }
 
 // TestDaemonJournalCrashRecovery is the acceptance check at daemon
 // granularity: drive a journaled daemon through creates, bursts,
-// repairs and a delete, "crash" it (the writer is abandoned, never
-// closed — with -fsync always everything acknowledged is already on
-// disk), boot a second daemon over the same journal, and require every
+// repairs and a delete, crash it the way SIGKILL does (with -fsync
+// always everything acknowledged is already on disk), reboot it over the same journal, and require every
 // instance back at its exact pre-kill epoch, fault set, and Phi —
 // bit-identical against both the live pre-crash state and a fresh
 // ft.NewMapping recomputation. A third boot after scribbling garbage
 // on the tail must log, truncate, and preserve the same state.
 func TestDaemonJournalCrashRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "epochs.wal")
-	mgr1, _, ts1 := bootJournaled(t, path)
-	base := ts1.URL
+	n1 := fleettest.Start(t, fleet.DaemonConfig{Journal: path}, nil)
+	mgr1, base := n1.Manager(), n1.URL
 
 	do(t, "POST", base+"/v1/instances",
 		map[string]any{"id": "prod", "spec": fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 3}},
@@ -353,11 +325,10 @@ func TestDaemonJournalCrashRecovery(t *testing.T) {
 		}}, http.StatusConflict, nil)
 	do(t, "DELETE", base+"/v1/instances/scratch", nil, http.StatusNoContent, nil)
 
-	// SIGKILL equivalent: no Close, no flush beyond what -fsync always
-	// already guaranteed per acknowledged request.
-	ts1.Close()
-
-	mgr2, _, ts2 := bootJournaled(t, path)
+	// SIGKILL: no drain, no flush beyond what -fsync always already
+	// guaranteed per acknowledged request.
+	n2 := n1.Reboot(t, nil)
+	mgr2 := n2.Manager()
 	checkSameFleet(t, mgr1, mgr2)
 	if _, ok := mgr2.Get("scratch"); ok {
 		t.Error("deleted instance resurrected by recovery")
@@ -366,7 +337,7 @@ func TestDaemonJournalCrashRecovery(t *testing.T) {
 	// The recovered daemon keeps serving and journaling: one more event
 	// must land on the recovered epoch chain.
 	var res fleet.EventResult
-	do(t, "POST", ts2.URL+"/v1/instances/prod/events",
+	do(t, "POST", n2.URL+"/v1/instances/prod/events",
 		fleet.Event{Kind: fleet.EventFault, Node: 0}, http.StatusOK, &res)
 	if want := mustSnap(t, mgr1, "prod").Epoch() + 1; res.Epoch != want {
 		t.Errorf("post-recovery epoch %d, want %d", res.Epoch, want)
@@ -374,7 +345,7 @@ func TestDaemonJournalCrashRecovery(t *testing.T) {
 
 	// Stats surface the journal and recovery counters.
 	var st fleet.Stats
-	do(t, "GET", ts2.URL+"/v1/stats", nil, http.StatusOK, &st)
+	do(t, "GET", n2.URL+"/v1/stats", nil, http.StatusOK, &st)
 	if !st.Journal.Enabled || st.Journal.Records == 0 {
 		t.Errorf("journal stats %+v, want enabled with fresh records", st.Journal)
 	}
@@ -389,7 +360,7 @@ func TestDaemonJournalCrashRecovery(t *testing.T) {
 		t.Errorf("recovery replayed %d transitions and built %d snapshots for %d instances, want 3, 2 and 2",
 			rec.Transitions, rec.Built, st.Instances)
 	}
-	resp, err := http.Get(ts2.URL + "/metrics")
+	resp, err := http.Get(n2.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +371,7 @@ func TestDaemonJournalCrashRecovery(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	ts2.Close()
+	n2.Crash()
 
 	// Crash No. 2, this time with a torn tail: garbage appended to the
 	// file (a record the "crash" cut mid-write). Boot three must drop
@@ -413,7 +384,7 @@ func TestDaemonJournalCrashRecovery(t *testing.T) {
 	f.Write([]byte{0x13, 0x37, 0xde, 0xad, 0xbe})
 	f.Close()
 
-	mgr3, _, _ := bootJournaled(t, path)
+	mgr3 := n2.Reboot(t, nil).Manager()
 	checkSameFleet(t, mgr2, mgr3)
 	if got := fileSize(t, path); got != sizeBefore {
 		t.Errorf("torn tail not truncated: file %d bytes, want %d", got, sizeBefore)
@@ -473,88 +444,14 @@ func fileSize(t *testing.T, path string) int64 {
 	return fi.Size()
 }
 
-// TestDaemonJournalFsyncFlagParsing pins the flag surface: bad -fsync
-// values fail the boot, good ones boot with the right policy.
-func TestDaemonJournalFsyncFlagParsing(t *testing.T) {
-	boot := func(path, mode string) (*fleet.Daemon, error) {
-		return fleet.NewDaemon(fleet.DaemonConfig{Journal: path, Fsync: mode, FsyncInterval: 10 * time.Millisecond, Logf: t.Logf})
-	}
-	if _, err := boot(filepath.Join(t.TempDir(), "j"), "sometimes"); err == nil {
-		t.Error("NewDaemon accepted -fsync sometimes")
-	}
-	for _, mode := range []string{"always", "interval", "never"} {
-		d, err := boot(filepath.Join(t.TempDir(), "j"), mode)
-		if err != nil {
-			t.Errorf("-fsync %s: %v", mode, err)
-			continue
-		}
-		d.Manager().Close()
-	}
-	// No -journal: durability off, no writer — whatever -fsync says.
-	d, err := boot("", "sometimes")
-	if err != nil || d.Manager().CommitLog().Writer() != nil {
-		t.Errorf("empty -journal: err %v; want a daemon with no writer", err)
-	}
-}
-
-// TestDaemonPhiGzip pins the dense endpoint's content negotiation:
-// with Accept-Encoding: gzip the stream is gzip-compressed (and much
-// smaller), without it plain JSON — and both decode to the same slice.
-func TestDaemonPhiGzip(t *testing.T) {
-	ts := newTestDaemon(t)
-	base := ts.URL
-	do(t, "POST", base+"/v1/instances",
-		map[string]any{"id": "big", "spec": fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 10, K: 4}},
-		http.StatusCreated, nil)
-
-	var plain struct{ Phi []int }
-	do(t, "GET", base+"/v1/instances/big/phi", nil, http.StatusOK, &plain)
-	if len(plain.Phi) != 1024 {
-		t.Fatalf("plain slice has %d entries", len(plain.Phi))
-	}
-
-	req, _ := http.NewRequest("GET", base+"/v1/instances/big/phi", nil)
-	req.Header.Set("Accept-Encoding", "gzip")
-	// A manual Accept-Encoding disables the transport's transparent
-	// decompression: we see the raw compressed body.
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get("Content-Encoding"); got != "gzip" {
-		t.Fatalf("Content-Encoding %q, want gzip", got)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 1024 near-sequential integers compress drastically below their
-	// ~5KB JSON form.
-	if len(raw) >= 2048 {
-		t.Errorf("gzip body is %d bytes; compression seems off", len(raw))
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gzipped struct{ Phi []int }
-	if err := json.NewDecoder(zr).Decode(&gzipped); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(gzipped.Phi) != fmt.Sprint(plain.Phi) {
-		t.Error("gzip and plain phi slices differ")
-	}
-}
-
 // TestDaemonCompactEndpoint drives POST /v1/compact end to end over a
 // journaled daemon: the journal shrinks to checkpoint+suffix, a
 // restart replays the bounded log to identical state, and the commit
 // counters surface the compaction.
 func TestDaemonCompactEndpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "epochs.wal")
-	mgr1, _, ts1 := bootJournaled(t, path)
-	base := ts1.URL
+	n1 := fleettest.Start(t, fleet.DaemonConfig{Journal: path}, nil)
+	mgr1, base := n1.Manager(), n1.URL
 
 	do(t, "POST", base+"/v1/instances",
 		map[string]any{"id": "prod", "spec": fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 3}},
@@ -588,9 +485,7 @@ func TestDaemonCompactEndpoint(t *testing.T) {
 	if st.Commit.Compactions != 1 || st.Commit.Base != 7 || st.Commit.LastSeq != 7 {
 		t.Errorf("commit stats after compaction: %+v", st.Commit)
 	}
-	ts1.Close()
-
-	mgr2, _, _ := bootJournaled(t, path)
+	mgr2 := n1.Reboot(t, nil).Manager()
 	checkSameFleet(t, mgr1, mgr2)
 	// Bounded replay: seq marker + 1 checkpoint + 1 suffix event.
 	if rec := mgr2.Stats().Journal.Recovery; rec == nil || rec.Records != 3 || rec.Checkpoints != 1 {
@@ -599,8 +494,7 @@ func TestDaemonCompactEndpoint(t *testing.T) {
 }
 
 func TestDaemonErrorPaths(t *testing.T) {
-	ts := newTestDaemon(t)
-	base := ts.URL
+	base := fleettest.Start(t, fleet.DaemonConfig{}, nil).URL
 
 	// Malformed body / bad spec.
 	req, _ := http.NewRequest("POST", base+"/v1/instances", strings.NewReader("{"))
@@ -666,7 +560,7 @@ func TestPprofMux(t *testing.T) {
 		}
 	}
 
-	api := newTestDaemon(t)
+	api := fleettest.Start(t, fleet.DaemonConfig{}, nil)
 	resp, err := http.Get(api.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)

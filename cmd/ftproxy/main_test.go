@@ -15,27 +15,10 @@ import (
 	"time"
 
 	"ftnet/internal/fleet"
+	"ftnet/internal/fleet/fleettest"
 	"ftnet/internal/shard"
 	"ftnet/internal/wire"
 )
-
-// twoShardCluster boots two in-process daemons sharing a topology with
-// the given vnode count, and a proxy (always at the default vnode
-// count) in front.
-func twoShardCluster(t *testing.T, daemonReplicas int) (*httptest.Server, *fleet.Manager, *fleet.Manager, map[string]string) {
-	t.Helper()
-	mA, mB := fleet.NewManager(fleet.Options{}), fleet.NewManager(fleet.Options{})
-	tsA := httptest.NewServer(fleet.NewHTTPHandler(mA))
-	tsB := httptest.NewServer(fleet.NewHTTPHandler(mB))
-	t.Cleanup(tsA.Close)
-	t.Cleanup(tsB.Close)
-	peers := map[string]string{"a": tsA.URL, "b": tsB.URL}
-	mA.SetTopology("a", peers, daemonReplicas)
-	mB.SetTopology("b", peers, daemonReplicas)
-	px := httptest.NewServer(newProxy(peers, 10*time.Second))
-	t.Cleanup(px.Close)
-	return px, mA, mB, peers
-}
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
 	t.Helper()
@@ -52,7 +35,11 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 }
 
 func TestProxyRoutesByRing(t *testing.T) {
-	px, mA, mB, _ := twoShardCluster(t, 0)
+	nodes := fleettest.Cluster(t, nil, "a", "b")
+	peers, _ := fleettest.Addrs(nodes)
+	px := httptest.NewServer(newProxy(peers, 10*time.Second))
+	t.Cleanup(px.Close)
+	mA, mB := nodes["a"].Manager(), nodes["b"].Manager()
 	spec := fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2}
 
 	// Create a handful of instances through the proxy; each must land on
@@ -121,7 +108,11 @@ func TestProxyRoutesByRing(t *testing.T) {
 // the proxy reach it there, because the proxy forwards the path as the
 // client escaped it.
 func TestProxyEscapedIDRoutesWhole(t *testing.T) {
-	px, mA, mB, _ := twoShardCluster(t, 0)
+	nodes := fleettest.Cluster(t, nil, "a", "b")
+	peers, _ := fleettest.Addrs(nodes)
+	px := httptest.NewServer(newProxy(peers, 10*time.Second))
+	t.Cleanup(px.Close)
+	mA, mB := nodes["a"].Manager(), nodes["b"].Manager()
 	spec := fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2}
 	ring := shard.New([]string{"a", "b"}, 0)
 	byMember := map[string]*fleet.Manager{"a": mA, "b": mB}
@@ -166,7 +157,13 @@ func TestProxyEscapedIDRoutesWhole(t *testing.T) {
 // client sees only the success; the second request uses the cached
 // override and never bounces.
 func TestProxyLearnsFromRedirect(t *testing.T) {
-	px, _, _, _ := twoShardCluster(t, 16) // daemons: 16 vnodes; proxy: default
+	nodes := fleettest.Cluster(t, nil, "a", "b")
+	peers, _ := fleettest.Addrs(nodes)
+	for name, n := range nodes {
+		n.Manager().SetTopology(name, peers, 16) // daemons: 16 vnodes; proxy: default
+	}
+	px := httptest.NewServer(newProxy(peers, 10*time.Second))
+	t.Cleanup(px.Close)
 	spec := fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2}
 
 	proxyRing := shard.New([]string{"a", "b"}, 0)
@@ -294,17 +291,13 @@ func ringOverrides(t *testing.T, base string) int {
 // context is cancelled is still forwarded, answered and written back
 // before its connection closes, and serve returns nil.
 func TestProxyDrainsOnShutdown(t *testing.T) {
-	mgr := fleet.NewManager(fleet.Options{})
+	backend := fleettest.Start(t, fleet.DaemonConfig{}, func(m *fleet.Manager) fleettest.Server {
+		return wire.NewServer(m, wire.ServerOptions{})
+	})
+	mgr := backend.Manager()
 	if _, err := mgr.Create("prod", fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2}); err != nil {
 		t.Fatal(err)
 	}
-	backend := wire.NewServer(mgr, wire.ServerOptions{})
-	backendLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go backend.Serve(backendLn)
-	t.Cleanup(func() { backend.Close() })
 
 	// The proxy reaches the daemon through a relay that holds what the
 	// proxy sends until release: that is the frame in flight.
@@ -320,7 +313,7 @@ func TestProxyDrainsOnShutdown(t *testing.T) {
 			if err != nil {
 				return
 			}
-			up, err := net.Dial("tcp", backendLn.Addr().String())
+			up, err := net.Dial("tcp", backend.RPCAddr)
 			if err != nil {
 				down.Close()
 				return

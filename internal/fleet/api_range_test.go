@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 )
 
@@ -120,5 +122,41 @@ func TestGetPhiRanged(t *testing.T) {
 		if _, code, body := getWindow(t, q); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", q, code, body)
 		}
+	}
+}
+
+// TestGetPhiGzip pins the dense endpoint's content negotiation: with
+// Accept-Encoding: gzip the stream is gzip-compressed, and much
+// smaller; without it it is plain JSON; both decode to the same slice.
+func TestGetPhiGzip(t *testing.T) {
+	mgr := NewManager(Options{})
+	if _, err := mgr.Create("big", Spec{Kind: KindDeBruijn, M: 2, H: 10, K: 4}); err != nil {
+		t.Fatal(err)
+	}
+	get := func(encoding string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("GET", "/v1/instances/big/phi", nil)
+		req.Header.Set("Accept-Encoding", encoding)
+		rec := httptest.NewRecorder()
+		NewHTTPHandler(mgr).ServeHTTP(rec, req)
+		return rec
+	}
+	var plain, gzipped PhiSliceResponse
+	if rec := get(""); rec.Header().Get("Content-Encoding") != "" || json.Unmarshal(rec.Body.Bytes(), &plain) != nil || len(plain.Phi) != 1024 {
+		t.Fatalf("plain dump: %q, %d bytes, %d entries", rec.Header().Get("Content-Encoding"), rec.Body.Len(), len(plain.Phi))
+	}
+	rec := get("gzip")
+	if got := rec.Header().Get("Content-Encoding"); got != "gzip" {
+		t.Fatalf("Content-Encoding %q, want gzip", got)
+	}
+	// 1024 near-sequential integers compress far below their ~5KB of JSON.
+	if rec.Body.Len() >= 2048 {
+		t.Errorf("gzip body is %d bytes; compression seems off", rec.Body.Len())
+	}
+	zr, err := gzip.NewReader(rec.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(zr).Decode(&gzipped); err != nil || !slices.Equal(gzipped.Phi, plain.Phi) {
+		t.Errorf("gzip and plain phi slices differ (%v)", err)
 	}
 }

@@ -67,6 +67,10 @@ type Follower struct {
 	ageHist  *obs.Histogram
 }
 
+// backoffMax caps the follower's exponential reconnect backoff, unless
+// FollowerOptions.Backoff starts above it.
+const backoffMax = 10 * time.Second
+
 // FollowerOptions tunes a Follower.
 type FollowerOptions struct {
 	// Client issues the watch requests. It must not set a global
@@ -79,13 +83,11 @@ type FollowerOptions struct {
 	// for this long (default 4x Heartbeat).
 	StallTimeout time.Duration
 	// Backoff is the initial pause between reconnect attempts (default
-	// 500ms). Each consecutive failure doubles it up to BackoffMax,
+	// 500ms). Each consecutive failure doubles it up to backoffMax,
 	// with +-50% jitter, so a fleet of followers does not hammer a dead
 	// leader in lockstep during exactly the window a failover happens;
 	// a stream that connects resets the ladder.
 	Backoff time.Duration
-	// BackoffMax caps the exponential reconnect backoff (default 10s).
-	BackoffMax time.Duration
 	// Logf, when non-nil, receives connection lifecycle messages.
 	Logf func(format string, args ...any)
 }
@@ -129,12 +131,6 @@ func NewFollower(mgr *Manager, leader string, opts FollowerOptions) (*Follower, 
 	}
 	if opts.Backoff <= 0 {
 		opts.Backoff = 500 * time.Millisecond
-	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = 10 * time.Second
-	}
-	if opts.BackoffMax < opts.Backoff {
-		opts.BackoffMax = opts.Backoff
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
@@ -232,7 +228,7 @@ func (f *Follower) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		backoff = min(backoff*2, f.opts.BackoffMax)
+		backoff = min(backoff*2, max(backoffMax, f.opts.Backoff))
 	}
 }
 

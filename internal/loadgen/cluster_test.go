@@ -4,41 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"ftnet/internal/fleet"
+	"ftnet/internal/fleet/fleettest"
 	"ftnet/internal/journal"
 	sharding "ftnet/internal/shard"
 	"ftnet/internal/wire"
 )
-
-// threeDaemons boots three in-process daemons (no topology installed —
-// RunCluster owns the ring lifecycle, like the real scenario against
-// unsharded ftnetd processes), returning their HTTP and RPC addresses.
-func threeDaemons(t *testing.T) (httpPeers, rpcPeers map[string]string) {
-	t.Helper()
-	httpPeers, rpcPeers = make(map[string]string, 3), make(map[string]string, 3)
-	for _, name := range []string{"a", "b", "c"} {
-		_, httpPeers[name], rpcPeers[name], _ = startDaemon(t, fleet.DaemonConfig{})
-	}
-	return httpPeers, rpcPeers
-}
-
-// threeDaemonsBehindProxy boots three daemons and an ftproxy-equivalent
-// RPC front (wire.Proxy over the full membership), returning the
-// daemons' HTTP base URLs and the proxy's RPC address.
-func threeDaemonsBehindProxy(t *testing.T) (map[string]string, string) {
-	t.Helper()
-	httpPeers, rpcPeers := threeDaemons(t)
-	px := wire.NewProxy(wire.ProxyOptions{RPCPeers: rpcPeers, HTTPPeers: httpPeers})
-	pln := listen(t)
-	go px.Serve(pln)
-	t.Cleanup(func() { px.Close() })
-	return httpPeers, pln.Addr().String()
-}
 
 // TestRunClusterRebalanceMidStorm is the flagship scale-out e2e: a
 // 3-daemon cluster (two in the initial ring, one joining mid-storm)
@@ -65,15 +42,28 @@ func TestRunClusterRebalanceMidStormRPC(t *testing.T) {
 	runMidStorm(t, Config{RPCLookupBatch: 1, RPCConns: 4})
 }
 
-// runMidStorm runs the 12-instance join-mid-storm scenario through a
-// proxy in front of threeDaemonsBehindProxy with knobs' RPCLookupBatch
-// and RPCConns, and holds it to the scale-out contract.
+// runMidStorm runs the 12-instance join-mid-storm scenario with knobs'
+// RPCLookupBatch and RPCConns through an ftproxy-equivalent RPC front
+// (wire.Proxy over the full membership) in front of three daemons, and
+// holds it to the scale-out contract. The daemons boot unsharded, like
+// the real scenario's ftnetd processes: RunCluster owns the ring.
 func runMidStorm(t *testing.T, knobs Config) {
 	t.Helper()
-	peers, proxyAddr := threeDaemonsBehindProxy(t)
+	peers, rpcPeers := make(map[string]string), make(map[string]string)
+	for _, name := range []string{"a", "b", "c"} {
+		n := fleettest.Start(t, fleet.DaemonConfig{}, wirePlane)
+		peers[name], rpcPeers[name] = n.URL, n.RPCAddr
+	}
+	px := wire.NewProxy(wire.ProxyOptions{RPCPeers: rpcPeers, HTTPPeers: peers})
+	pln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go px.Serve(pln)
+	t.Cleanup(func() { px.Close() })
 	cfg := ClusterConfig{
 		Config: Config{
-			RPCAddr:        proxyAddr,
+			RPCAddr:        pln.Addr().String(),
 			RPCLookupBatch: knobs.RPCLookupBatch,
 			RPCConns:       knobs.RPCConns,
 			Instances:      12,
@@ -126,7 +116,10 @@ func runMidStorm(t *testing.T, knobs Config) {
 
 // TestRunClusterGuards pins the scenario's configuration contract.
 func TestRunClusterGuards(t *testing.T) {
-	peers, _ := threeDaemons(t)
+	peers := make(map[string]string)
+	for _, name := range []string{"a", "b", "c"} {
+		peers[name] = fleettest.Start(t, fleet.DaemonConfig{}, nil).URL
+	}
 	base := Config{
 		Instances: 2,
 		Spec:      fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2},
@@ -149,8 +142,8 @@ func TestRunClusterGuards(t *testing.T) {
 // daemon serves it — the worker never sees the window.
 func TestShardClientRidesOutStagedWindow(t *testing.T) {
 	spec := fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2}
-	m := fleet.NewManager(fleet.Options{})
-	m.SetTopology("a", map[string]string{"a": "http://a.example"}, 0)
+	n := fleettest.Start(t, fleet.DaemonConfig{Self: "a", Peers: map[string]string{"a": "http://a.example"}}, wirePlane)
+	m := n.Manager()
 	arrival := func(id string) sharding.Migration {
 		return sharding.Migration{ID: id, Token: 7, Record: journal.Record{Op: journal.OpCheckpoint, ID: id,
 			Spec: journal.Spec{Kind: string(spec.Kind), M: spec.M, H: spec.H, K: spec.K}, Epoch: 4, Faults: []int{2}}}
@@ -160,11 +153,7 @@ func TestShardClientRidesOutStagedWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := wire.NewServer(m, wire.ServerOptions{})
-	ln := listen(t)
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	rc, err := wire.Dial(ln.Addr().String(), wire.Options{})
+	rc, err := wire.Dial(n.RPCAddr, wire.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,16 +6,21 @@ import (
 	"net/http"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"ftnet/internal/fleet"
+	"ftnet/internal/fleet/fleettest"
 )
+
+// fastFollower is a replication loop at test speed.
+var fastFollower = fleet.FollowerOptions{Heartbeat: 50 * time.Millisecond, StallTimeout: 2 * time.Second, Backoff: 20 * time.Millisecond}
 
 // TestRunFailoverInProcess exercises the partition-torture scenario
 // without child processes. The leader is booted the daemon's way
 // (fleet.NewDaemon, fsync always) and stormed over its RPC plane; the
-// kill stops its planes and abandons the manager undrained — the
-// SIGKILL contract. The follower runs as a whole daemon whose connections go
-// through one dialer the partition cuts. Promotion travels POST
+// kill cuts its planes without draining them — the SIGKILL contract.
+// The follower runs as a whole daemon whose connections go through one
+// dialer the partition cuts. Promotion travels POST
 // /v1/promote, and the deposed leader reboots from the same journal file
 // as a follower of the new leader. The scenario's own acceptance checks
 // — demotion observed, tail discarded, 403 on direct writes (zero
@@ -25,10 +30,7 @@ func TestRunFailoverInProcess(t *testing.T) {
 	dir := t.TempDir()
 	leaderWAL := filepath.Join(dir, "leader.wal")
 
-	leader, err := bootCrashable(t, fleet.DaemonConfig{Journal: leaderWAL})
-	if err != nil {
-		t.Fatal(err)
-	}
+	leader := fleettest.Start(t, fleet.DaemonConfig{Journal: leaderWAL}, wirePlane)
 	partition, cut := context.WithCancel(context.Background())
 	defer cut()
 	opts := fastFollower
@@ -44,14 +46,14 @@ func TestRunFailoverInProcess(t *testing.T) {
 			return c, err
 		},
 	}}
-	_, followerURL, _, _ := startDaemon(t, fleet.DaemonConfig{
-		Journal: filepath.Join(dir, "follower.wal"), Follow: leader.url, Follower: opts,
-	})
+	followerURL := fleettest.Start(t, fleet.DaemonConfig{
+		Journal: filepath.Join(dir, "follower.wal"), Follow: leader.URL, Follower: opts,
+	}, wirePlane).URL
 
 	res, err := RunFailover(FailoverConfig{
 		Config: Config{
-			Addr:      leader.url,
-			RPCAddr:   leader.rpcAddr,
+			Addr:      leader.URL,
+			RPCAddr:   leader.RPCAddr,
 			Instances: 3,
 			Spec:      fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 4},
 			Workers:   4,
@@ -64,10 +66,10 @@ func TestRunFailoverInProcess(t *testing.T) {
 			cut() // the watch stream dies; the leader keeps serving
 			return nil
 		},
-		KillLeader: leader.kill,
+		KillLeader: func() error { leader.Crash(); return nil },
 		RestartOld: func() (string, error) {
-			_, url, _, _ := startDaemon(t, fleet.DaemonConfig{Journal: leaderWAL, Follow: followerURL, Follower: fastFollower})
-			return url, nil
+			cfg := fleet.DaemonConfig{Journal: leaderWAL, Follow: followerURL, Follower: fastFollower}
+			return fleettest.Start(t, cfg, wirePlane).URL, nil
 		},
 	})
 	if err != nil {

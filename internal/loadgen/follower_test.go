@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ftnet/internal/fleet"
+	"ftnet/internal/fleet/fleettest"
 )
 
 // TestVerifyFollowerConverges runs a real leader + follower pair in
@@ -12,8 +13,9 @@ import (
 // holds the pair to VerifyFollower's contract — the same check the CI
 // replication job runs against separate daemons.
 func TestVerifyFollowerConverges(t *testing.T) {
-	_, leader, leaderRPC, _ := startDaemon(t, fleet.DaemonConfig{})
-	_, follower, _, _ := startDaemon(t, fleet.DaemonConfig{Follow: leader, Follower: fastFollower})
+	lead := fleettest.Start(t, fleet.DaemonConfig{}, wirePlane)
+	leader, leaderRPC := lead.URL, lead.RPCAddr
+	follower := fleettest.Start(t, fleet.DaemonConfig{Follow: leader, Follower: fastFollower}, nil).URL
 
 	cfg := Config{
 		Addr:      leader,
@@ -43,7 +45,7 @@ func TestVerifyFollowerConverges(t *testing.T) {
 
 	// A wrong follower is caught: point the check at the leader's ids
 	// on a daemon that never replicated them.
-	_, blank, _, _ := startDaemon(t, fleet.DaemonConfig{})
+	blank := fleettest.Start(t, fleet.DaemonConfig{}, nil).URL
 	if _, err := VerifyFollower(leader, blank, cfg.InstanceIDs(), 200*time.Millisecond); err == nil {
 		t.Fatal("VerifyFollower accepted a daemon with no replica state")
 	}

@@ -8,8 +8,14 @@ import (
 	"time"
 
 	"ftnet/internal/fleet"
+	"ftnet/internal/fleet/fleettest"
 	"ftnet/internal/wire"
 )
+
+// wirePlane is a daemon's RPC plane as ftnetd serves it.
+func wirePlane(m *fleet.Manager) fleettest.Server {
+	return wire.NewServer(m, wire.ServerOptions{Metrics: m.Metrics()})
+}
 
 func TestScenarioByName(t *testing.T) {
 	for _, want := range []string{"mixed", "read-heavy", "burst-heavy", "write-storm"} {
@@ -118,8 +124,8 @@ func TestPercentileEdgeCases(t *testing.T) {
 func TestRunScenarios(t *testing.T) {
 	for _, sc := range Scenarios() {
 		t.Run(sc.Name, func(t *testing.T) {
-			d, url, rpcAddr, _ := startDaemon(t, fleet.DaemonConfig{})
-			mgr := d.Manager()
+			n := fleettest.Start(t, fleet.DaemonConfig{}, wirePlane)
+			mgr, url, rpcAddr := n.Manager(), n.URL, n.RPCAddr
 			res, err := Run(Config{
 				Addr:      url,
 				RPCAddr:   rpcAddr,
@@ -171,7 +177,8 @@ func TestRunScenarios(t *testing.T) {
 // bursts (every event op is an atomic batch) and the read side is pure
 // lookups whose latencies are reported separately.
 func TestRunWriteStormRoleSplit(t *testing.T) {
-	_, url, rpcAddr, _ := startDaemon(t, fleet.DaemonConfig{})
+	n := fleettest.Start(t, fleet.DaemonConfig{}, wirePlane)
+	url, rpcAddr := n.URL, n.RPCAddr
 	const requests = 400
 	res, err := Run(Config{
 		Addr:      url,

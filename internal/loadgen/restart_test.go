@@ -5,25 +5,23 @@ import (
 	"testing"
 
 	"ftnet/internal/fleet"
+	"ftnet/internal/fleet/fleettest"
 )
 
 // TestRunRestartInProcess exercises the restart scenario without a
 // child process: the daemon is booted the daemon's way (fleet.NewDaemon,
-// fsync always) and storms over its RPC plane, the kill abandons the
-// manager and its writer without draining anything (every acknowledged
-// record is already on disk — exactly the SIGKILL contract), and the
-// restart boots again from the same journal file.
+// fsync always) and storms over its RPC plane, the kill cuts both planes
+// without draining them (every acknowledged record is already on disk —
+// exactly the SIGKILL contract), and the restart boots again from the
+// same journal file.
 func TestRunRestartInProcess(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "epochs.wal")
 
-	first, err := bootCrashable(t, fleet.DaemonConfig{Journal: path})
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := fleettest.Start(t, fleet.DaemonConfig{Journal: path}, wirePlane)
 	res, err := RunRestart(RestartConfig{
 		Config: Config{
-			Addr:      first.url,
-			RPCAddr:   first.rpcAddr,
+			Addr:      first.URL,
+			RPCAddr:   first.RPCAddr,
 			Instances: 3,
 			Spec:      fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 4},
 			Workers:   4,
@@ -31,14 +29,8 @@ func TestRunRestartInProcess(t *testing.T) {
 			Scenario:  Scenario{Batch: 4},
 			Seed:      7,
 		},
-		Kill: first.kill,
-		Start: func() (string, error) {
-			again, err := bootCrashable(t, fleet.DaemonConfig{Journal: path})
-			if err != nil {
-				return "", err
-			}
-			return again.url, nil
-		},
+		Kill:  func() error { first.Crash(); return nil },
+		Start: func() (string, error) { return first.Reboot(t, nil).URL, nil },
 	})
 	if err != nil {
 		t.Fatalf("RunRestart: %v (acked %v, recovered %v)", err, res.Acked, res.Recovered)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ftnet/internal/fleet"
+	"ftnet/internal/fleet/fleettest"
 )
 
 // TestRunRPCTransport drives the mixed scenario with the hot path on
@@ -11,8 +12,8 @@ import (
 // run: zero transport errors, zero unexpected statuses, lookups
 // resolved in vectorized batches, and every operation counted once.
 func TestRunRPCTransport(t *testing.T) {
-	d, url, rpcAddr, _ := startDaemon(t, fleet.DaemonConfig{})
-	mgr := d.Manager()
+	n := fleettest.Start(t, fleet.DaemonConfig{}, wirePlane)
+	mgr, url, rpcAddr := n.Manager(), n.URL, n.RPCAddr
 
 	res, err := Run(Config{
 		Addr:           url,
@@ -94,7 +95,8 @@ func TestRunRPCTransport(t *testing.T) {
 // TestRunRPCScalarLookups pins the RPCLookupBatch<=1 path: scalar
 // Lookup frames, still a clean run.
 func TestRunRPCScalarLookups(t *testing.T) {
-	_, url, rpcAddr, _ := startDaemon(t, fleet.DaemonConfig{})
+	n := fleettest.Start(t, fleet.DaemonConfig{}, wirePlane)
+	url, rpcAddr := n.URL, n.RPCAddr
 
 	res, err := Run(Config{
 		Addr:           url,

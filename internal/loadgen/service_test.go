@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ftnet/internal/fleet"
+	"ftnet/internal/fleet/fleettest"
 	"ftnet/internal/obs"
 )
 
@@ -11,7 +12,8 @@ import (
 // checks the scraped export carries the server-side histograms and the
 // distilled BENCH_service.json artifact has the gated families.
 func TestScrapeObsAndBuildArtifact(t *testing.T) {
-	_, url, rpcAddr, _ := startDaemon(t, fleet.DaemonConfig{})
+	n := fleettest.Start(t, fleet.DaemonConfig{}, wirePlane)
+	url, rpcAddr := n.URL, n.RPCAddr
 	res, err := Run(Config{
 		Addr:      url,
 		RPCAddr:   rpcAddr,

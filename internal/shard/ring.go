@@ -37,8 +37,11 @@
 package shard
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // DefaultReplicas is the virtual-node count per member when none is
@@ -120,20 +123,21 @@ func New(members []string, replicas int) *Ring {
 	}
 	sort.Strings(r.members)
 	r.points = make([]point, 0, len(r.members)*replicas)
+	var key []byte
 	for _, m := range r.members {
+		// The vnode key is "member#v": deterministic, and distinct
+		// members cannot collide into each other's vnode keys unless
+		// their names already embed a "#" collision, which the sorted
+		// order still resolves deterministically.
+		key = append(append(key[:0], m...), '#')
+		prefix := len(key)
 		for v := 0; v < replicas; v++ {
-			// The vnode key is "member#v": deterministic, and distinct
-			// members cannot collide into each other's vnode keys unless
-			// their names already embed a "#" collision, which the sorted
-			// order still resolves deterministically.
-			r.points = append(r.points, point{hash: fnvString(fmt.Sprintf("%s#%d", m, v)), member: m})
+			key = strconv.AppendInt(key[:prefix], int64(v), 10)
+			r.points = append(r.points, point{hash: fnvBytes(key), member: m})
 		}
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
-		}
-		return r.points[i].member < r.points[j].member
+	slices.SortFunc(r.points, func(a, b point) int {
+		return cmp.Or(cmp.Compare(a.hash, b.hash), strings.Compare(a.member, b.member))
 	})
 	return r
 }

@@ -159,3 +159,19 @@ func TestRingEdgeCases(t *testing.T) {
 		t.Fatalf("replicas = %d, want default %d", r.Replicas(), DefaultReplicas)
 	}
 }
+
+// TestRingOwnersGolden pins where a fixed id set lands on a fixed
+// membership at DefaultReplicas. Every other ring test checks agreement
+// within one build; this one fails when a change to the vnode keys, the
+// hash or the tie-break would re-place instances across versions.
+func TestRingOwnersGolden(t *testing.T) {
+	const want = "acccabbcbcabbbcabcbbccabbabcbbcbbaabbbcbcabbbbabccbbccacacaacaba"
+	r := New([]string{"a", "b", "c"}, 0)
+	got := make([]byte, 0, len(want))
+	for i := 0; i < 64; i++ {
+		got = append(got, r.Owner(fmt.Sprintf("inst-%d", i))...)
+	}
+	if string(got) != want {
+		t.Fatalf("owners of inst-0..inst-63:\n got %s\nwant %s", got, want)
+	}
+}

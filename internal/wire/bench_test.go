@@ -3,8 +3,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"net"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -13,29 +11,20 @@ import (
 	"testing"
 
 	"ftnet/internal/fleet"
-	"ftnet/internal/journal"
+	"ftnet/internal/fleet/fleettest"
 	"ftnet/internal/obs"
 	sharding "ftnet/internal/shard"
 )
 
-// benchServer serves one de Bruijn instance "bench" of 2^h nodes and
-// returns its address and the server's metrics.
+// benchServer boots a daemon holding one de Bruijn instance "bench" of
+// 2^h nodes and returns its RPC address and metrics.
 func benchServer(b *testing.B, h int) (string, *obs.Registry) {
 	b.Helper()
-	mgr := fleet.NewManager(fleet.Options{})
-	spec := fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: h, K: 4}
-	if _, err := mgr.Create("bench", spec); err != nil {
+	n := fleettest.Start(b, fleet.DaemonConfig{}, wirePlane)
+	if _, err := n.Manager().Create("bench", fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: h, K: 4}); err != nil {
 		b.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	reg := obs.New()
-	srv := NewServer(mgr, ServerOptions{Metrics: reg})
-	go srv.Serve(ln)
-	b.Cleanup(func() { srv.Close() })
-	return ln.Addr().String(), reg
+	return n.RPCAddr, n.Manager().Metrics()
 }
 
 // BenchmarkWireLookup measures a single pipelined Lookup round trip
@@ -150,53 +139,35 @@ func BenchmarkWireCodec(b *testing.B) {
 }
 
 // proxiedCluster is the repository benchmark's read-proxy stack in this
-// process: 256 instances ring-sharded over one daemon per name, behind
-// a Proxy.
+// process: 256 instances ring-sharded over the daemons, behind a Proxy.
 type proxiedCluster struct {
 	addr    string // the proxy's listener
 	ids     []string
 	owner   map[string]*fleet.Manager // by instance id
-	daemons []*obs.Registry           // each daemon's wire.Server metrics
+	daemons []*obs.Registry           // each daemon's metrics
 	proxy   *obs.Registry
 }
 
-func startProxiedCluster(tb testing.TB, names []string) *proxiedCluster {
+// newProxiedCluster creates the 256 instances on their owners among
+// nodes, a fleettest.Cluster, and serves a Proxy in front of them.
+func newProxiedCluster(tb testing.TB, nodes map[string]*fleettest.Node) *proxiedCluster {
 	tb.Helper()
-	listen := func() net.Listener {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return ln
-	}
-	pc := &proxiedCluster{owner: map[string]*fleet.Manager{}, proxy: obs.New()}
-	rpcPeers, httpPeers := map[string]string{}, map[string]string{}
-	mgrs := map[string]*fleet.Manager{}
-	for _, name := range names {
-		mgrs[name] = fleet.NewManager(fleet.Options{})
-		reg, ln := obs.New(), listen()
-		srv := NewServer(mgrs[name], ServerOptions{Metrics: reg})
-		go srv.Serve(ln)
-		tb.Cleanup(func() { srv.Close() })
-		pc.daemons = append(pc.daemons, reg)
-		rpcPeers[name], httpPeers[name] = ln.Addr().String(), testPeerURL(name)
+	pc := &proxiedCluster{owner: map[string]*fleet.Manager{}}
+	var names []string
+	for name, n := range nodes {
+		names = append(names, name)
+		pc.daemons = append(pc.daemons, n.Manager().Metrics())
 	}
 	ring := sharding.New(names, 0)
 	for i := 0; i < 256; i++ {
 		id := fmt.Sprintf("inst-%d", i)
-		pc.ids, pc.owner[id] = append(pc.ids, id), mgrs[ring.Owner(id)]
+		pc.ids, pc.owner[id] = append(pc.ids, id), nodes[ring.Owner(id)].Manager()
 		if _, err := pc.owner[id].Create(id, fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 6, K: 4}); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	for _, name := range names {
-		mgrs[name].SetTopology(name, httpPeers, 0)
-	}
-	px := NewProxy(ProxyOptions{RPCPeers: rpcPeers, HTTPPeers: httpPeers, Metrics: pc.proxy})
-	ln := listen()
-	go px.Serve(ln)
-	tb.Cleanup(func() { px.Close() })
-	pc.addr = ln.Addr().String()
+	urls, rpcAddrs := fleettest.Addrs(nodes)
+	_, pc.addr, pc.proxy = startTestProxy(tb, rpcAddrs, ProxyOptions{HTTPPeers: urls})
 	return pc
 }
 
@@ -279,30 +250,15 @@ func BenchmarkWireDirectPipelined(b *testing.B) {
 // frame; syncs/record is the journal fsyncs each record cost, which
 // falls as a drain pass's writes share one commit round.
 func BenchmarkWireApplyPipelined(b *testing.B) {
-	f, err := os.Create(filepath.Join(b.TempDir(), "bench.wal"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	mgr := fleet.NewManager(fleet.Options{Journal: journal.NewWriter(f, journal.Options{Sync: journal.SyncAlways})})
-	b.Cleanup(func() {
-		mgr.Close()
-		f.Close()
-	})
+	n := fleettest.Start(b, fleet.DaemonConfig{Journal: filepath.Join(b.TempDir(), "bench.wal"), Fsync: "always"}, wirePlane)
+	mgr := n.Manager()
 	for w := 0; w < 16; w++ {
 		if _, err := mgr.Create(fmt.Sprintf("bench-%d", w), fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 12, K: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := NewServer(mgr, ServerOptions{Metrics: mgr.Metrics()})
-	go srv.Serve(ln)
-	b.Cleanup(func() { srv.Close() })
-
 	before := mgr.Stats().Journal
-	pipelined(b, ln.Addr().String(), func(c *Client, w int) func(int) error {
+	pipelined(b, n.RPCAddr, func(c *Client, w int) func(int) error {
 		id, bursts := fmt.Sprintf("bench-%d", w), [2][]fleet.Event{}
 		for i := 0; i < 4; i++ {
 			node := 64 + (8+w%8)*250 + i // a rack of the repository benchmark's recurring writers
@@ -327,7 +283,7 @@ func BenchmarkWireApplyPipelined(b *testing.B) {
 // daemons' writes, which is where the hop's cost is.
 func benchProxied(b *testing.B, names []string) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	pc := startProxiedCluster(b, names)
+	pc := newProxiedCluster(b, fleettest.Cluster(b, wirePlane, names...))
 	pipelined(b, pc.addr, lookups(64, 3, func(n, w int) string { return pc.ids[(n*7+w)%len(pc.ids)] }))
 	b.ReportMetric(float64(pc.writevs())/float64(b.N), "writev/frame")
 }

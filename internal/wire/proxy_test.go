@@ -15,37 +15,14 @@ import (
 	"time"
 
 	"ftnet/internal/fleet"
+	"ftnet/internal/fleet/fleettest"
 	"ftnet/internal/obs"
 	sharding "ftnet/internal/shard"
 )
 
-// rpcCluster boots two in-process daemons (manager + wire server)
-// sharing a topology with the given vnode count, and an RPC proxy
-// (always at the default vnode count) in front. The returned registry
-// carries the proxy's counters.
-func rpcCluster(t *testing.T, daemonReplicas int) (cl *Client, mA, mB *fleet.Manager, reg *obs.Registry) {
-	t.Helper()
-	mA, mB = fleet.NewManager(fleet.Options{}), fleet.NewManager(fleet.Options{})
-	addrA, _ := startServer(t, mA, ServerOptions{})
-	addrB, _ := startServer(t, mB, ServerOptions{})
-	httpPeers := map[string]string{"a": "http://daemon-a.example:8100", "b": "http://daemon-b.example:8100"}
-	mA.SetTopology("a", httpPeers, daemonReplicas)
-	mB.SetTopology("b", httpPeers, daemonReplicas)
-
-	reg = obs.New()
-	px := NewProxy(ProxyOptions{
-		RPCPeers:  map[string]string{"a": addrA, "b": addrB},
-		HTTPPeers: httpPeers,
-		Metrics:   reg,
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { px.Close() })
-	go px.Serve(ln)
-	cl = dialTest(t, ln.Addr().String(), Options{})
-	return cl, mA, mB, reg
+// wirePlane is a daemon's RPC plane as ftnetd serves it.
+func wirePlane(m *fleet.Manager) fleettest.Server {
+	return NewServer(m, ServerOptions{Metrics: m.Metrics()})
 }
 
 // TestWireProxyRoutesAndMerges pins the RPC front door's routing
@@ -54,8 +31,11 @@ func rpcCluster(t *testing.T, daemonReplicas int) (cl *Client, mA, mB *fleet.Man
 // owner only, and a pipelined burst across both owners merges back
 // with every caller seeing its own answer.
 func TestWireProxyRoutesAndMerges(t *testing.T) {
-	cl, mA, mB, _ := rpcCluster(t, 0)
-	byMember := map[string]*fleet.Manager{"a": mA, "b": mB}
+	nodes := fleettest.Cluster(t, wirePlane, "a", "b")
+	urls, rpcAddrs := fleettest.Addrs(nodes)
+	_, addr, _ := startTestProxy(t, rpcAddrs, ProxyOptions{HTTPPeers: urls})
+	cl := dialTest(t, addr, Options{})
+	byMember := map[string]*fleet.Manager{"a": nodes["a"].Manager(), "b": nodes["b"].Manager()}
 	ring := sharding.New([]string{"a", "b"}, 0)
 	spec := fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2}
 
@@ -150,8 +130,14 @@ func TestWireProxyRoutesAndMerges(t *testing.T) {
 // frames use the override and never bounce again — exactly the HTTP
 // 403 path's contract, restated in binary.
 func TestWireProxyLearnsFromRedirect(t *testing.T) {
-	cl, mA, mB, reg := rpcCluster(t, 64)
-	byMember := map[string]*fleet.Manager{"a": mA, "b": mB}
+	nodes := fleettest.Cluster(t, wirePlane, "a", "b")
+	urls, rpcAddrs := fleettest.Addrs(nodes)
+	for name, n := range nodes {
+		n.Manager().SetTopology(name, urls, 64) // the proxy keeps the default
+	}
+	_, addr, reg := startTestProxy(t, rpcAddrs, ProxyOptions{HTTPPeers: urls})
+	cl := dialTest(t, addr, Options{})
+	byMember := map[string]*fleet.Manager{"a": nodes["a"].Manager(), "b": nodes["b"].Manager()}
 	proxyRing := sharding.New([]string{"a", "b"}, 0)
 	daemonRing := sharding.New([]string{"a", "b"}, 64)
 
@@ -409,21 +395,24 @@ func (r *rawFront) recv(wait time.Duration) Response {
 func testPeerURL(name string) string { return "http://daemon-" + name + ".example:8100" }
 
 // startTestProxy runs a proxy over backends (member name -> RPC
-// address) and returns it with its listen address and registry.
-func startTestProxy(t *testing.T, backends map[string]string, opts ProxyOptions) (*Proxy, string, *obs.Registry) {
-	t.Helper()
+// address), advertised at opts.HTTPPeers or else at testPeerURL, and
+// returns it with its listen address and registry.
+func startTestProxy(tb testing.TB, backends map[string]string, opts ProxyOptions) (*Proxy, string, *obs.Registry) {
+	tb.Helper()
 	opts.RPCPeers = backends
-	opts.HTTPPeers = make(map[string]string)
-	for name := range backends {
-		opts.HTTPPeers[name] = testPeerURL(name)
+	if opts.HTTPPeers == nil {
+		opts.HTTPPeers = make(map[string]string)
+		for name := range backends {
+			opts.HTTPPeers[name] = testPeerURL(name)
+		}
 	}
 	opts.Metrics = obs.New()
 	px := NewProxy(opts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { px.Close() })
+	tb.Cleanup(func() { px.Close() })
 	go px.Serve(ln)
 	return px, ln.Addr().String(), opts.Metrics
 }
@@ -935,7 +924,7 @@ func TestWireProxyStuckBackendHoldsNoOtherFront(t *testing.T) {
 // flushed per front could not average more than 16/6 frames a write.
 func TestWireProxyFrontsShareBackRound(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	pc := startProxiedCluster(t, []string{"a", "b", "c"})
+	pc := newProxiedCluster(t, fleettest.Cluster(t, wirePlane, "a", "b", "c"))
 	xs := make([]int, 16)
 	for i := range xs {
 		xs[i] = i * 3 % 64
