@@ -8,8 +8,9 @@
 //	    | go run ./cmd/ftbenchjson -out BENCH_fleet.json -check
 //
 // The JSON artifact is a stable record of one CI run (ns/op, B/op,
-// allocs/op per benchmark), suitable for uploading per run and diffing
-// across runs.
+// allocs/op per benchmark, and every other value/unit pair a benchmark
+// reports, such as writev/frame, syncs/record or ns/record, under
+// metrics), suitable for uploading per run and diffing across runs.
 //
 // With -check, benchmarks whose names carry an `/n=<size>` sub-name
 // (the scale sweeps) are grouped by family and the allocation counts
@@ -42,6 +43,8 @@ type Benchmark struct {
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	HasAllocs   bool    `json:"-"`
+	// Metrics holds the custom units (b.ReportMetric), by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Artifact is the JSON document one run produces.
@@ -150,6 +153,11 @@ func parse(r io.Reader) (Artifact, error) {
 			case "allocs/op":
 				b.AllocsPerOp = v
 				b.HasAllocs = true
+			default:
+				if b.Metrics == nil {
+					b.Metrics = make(map[string]float64)
+				}
+				b.Metrics[fields[i+1]] = v
 			}
 		}
 		art.Benchmarks = append(art.Benchmarks, b)

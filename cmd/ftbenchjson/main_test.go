@@ -43,6 +43,29 @@ func TestParse(t *testing.T) {
 	if last.Name != "CacheGetSharded" || last.N != 0 {
 		t.Errorf("non-scale benchmark = %+v", last)
 	}
+	if b.Metrics != nil {
+		t.Errorf("a line of the three standard units carries metrics %v", b.Metrics)
+	}
+}
+
+// TestParseKeepsCustomUnits: a b.ReportMetric unit reaches the artifact
+// beside the standard three, whatever its place on the line.
+func TestParseKeepsCustomUnits(t *testing.T) {
+	const line = "BenchmarkWireDirectPipelined-8   \t  200000\t      2034 ns/op\t         0.07812 writev/frame\t     120 B/op\t       2 allocs/op\n"
+	art, err := parse(strings.NewReader(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(art.Benchmarks) != 1 {
+		t.Fatalf("parsed %d benchmarks, want 1", len(art.Benchmarks))
+	}
+	b := art.Benchmarks[0]
+	if b.Name != "WireDirectPipelined" || b.NsPerOp != 2034 || b.BytesPerOp != 120 || b.AllocsPerOp != 2 {
+		t.Errorf("standard units = %+v", b)
+	}
+	if len(b.Metrics) != 1 || b.Metrics["writev/frame"] != 0.07812 {
+		t.Errorf("metrics = %v, want writev/frame 0.07812", b.Metrics)
+	}
 }
 
 func TestCheckAllocsFlatPasses(t *testing.T) {

@@ -77,6 +77,7 @@ func TestRunNamedScenario(t *testing.T) {
 			Workers:   4,
 			Requests:  400,
 			Seed:      11,
+			IDPrefix:  "named",
 		},
 		scenario: "burst-heavy",
 	}
@@ -98,8 +99,11 @@ func TestRunNamedScenario(t *testing.T) {
 	// Epochs count transitions: the sum over instances must equal the
 	// accepted batch count.
 	var epochs uint64
-	for _, id := range mgr.List() {
-		in, _ := mgr.Get(id)
+	for _, id := range cfg.InstanceIDs() {
+		in, ok := mgr.Get(id)
+		if !ok {
+			t.Fatalf("instance %s missing", id)
+		}
 		epochs += in.Info().Epoch
 	}
 	if epochs != st.Batches {

@@ -48,7 +48,7 @@ func TestProxyRoutesByRing(t *testing.T) {
 	byMember := map[string]*fleet.Manager{"a": mA, "b": mB}
 	for i := 0; i < 8; i++ {
 		id := fmt.Sprintf("inst-%d", i)
-		resp := postJSON(t, px.URL+"/v1/instances", fleet.CreateRequest{ID: id, Spec: spec})
+		resp := postJSON(t, px.URL+"/v1/instances", map[string]any{"id": id, "spec": spec})
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("create %s via proxy = %d", id, resp.StatusCode)
 		}
@@ -78,7 +78,7 @@ func TestProxyRoutesByRing(t *testing.T) {
 	if r.StatusCode != http.StatusOK {
 		t.Fatalf("phi via proxy = %d", r.StatusCode)
 	}
-	var phi fleet.PhiResponse
+	var phi struct{ Phi int }
 	if err := json.NewDecoder(r.Body).Decode(&phi); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestProxyLearnsFromRedirect(t *testing.T) {
 		t.Fatal("no id where the two rings disagree")
 	}
 
-	resp := postJSON(t, px.URL+"/v1/instances", fleet.CreateRequest{ID: id, Spec: spec})
+	resp := postJSON(t, px.URL+"/v1/instances", map[string]any{"id": id, "spec": spec})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create via mismatched proxy = %d (redirect not followed)", resp.StatusCode)
 	}

@@ -20,7 +20,9 @@ import (
 
 // Fleet-facing types, re-exported from internal/fleet.
 type (
-	// FleetManager is the sharded registry owning many live instances.
+	// FleetManager is the sharded registry owning many live instances:
+	// Create, Get and Delete them, feed them Event or EventBatch, ask
+	// Lookup, read Stats.
 	FleetManager = fleet.Manager
 	// FleetOptions configures NewFleetManager.
 	FleetOptions = fleet.Options

@@ -27,16 +27,16 @@ import (
 //
 // Routes, with the types that are their bodies (request -> answer;
 // every refusal is {"error":...} under the status errCode picks, and
-// ResponseError reads it back):
+// responseError reads it back):
 //
-//	POST   /v1/instances              CreateRequest -> 201 InstanceInfo
+//	POST   /v1/instances              createRequest -> 201 InstanceInfo
 //	GET    /v1/instances              list instance ids
 //	GET    /v1/instances/{id}         -> InstanceInfo
 //	DELETE /v1/instances/{id}         -> 204
 //	POST   /v1/instances/{id}/events  Event -> EventResult
-//	POST   /v1/instances/{id}/events:batch  BatchRequest -> EventResult
-//	GET    /v1/instances/{id}/phi?x=n -> PhiResponse (omit x for the slice,
-//	                                  PhiSliceResponse; it gzips when
+//	POST   /v1/instances/{id}/events:batch  batchRequest -> EventResult
+//	GET    /v1/instances/{id}/phi?x=n -> phiResponse (omit x for the slice,
+//	                                  phiSliceResponse; it gzips when
 //	                                  Accept-Encoding allows)
 //	GET    /v1/watch?from=n           NDJSON commit stream of WatchEntry:
 //	                                  catch-up, then live tail
@@ -150,13 +150,13 @@ type PromoteResponse struct {
 // replication loop to drain). Promoting a replica that is already the
 // leader is a no-op reporting the term in force.
 func (s *apiServer) promote(w http.ResponseWriter, r *http.Request) {
-	wasLeader := !s.mgr.ReadOnly()
+	wasLeader := !s.mgr.readOnly.Load()
 	term, err := s.mgr.Promote(r.Context(), 0)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	_, termSeq := s.mgr.Term()
+	_, termSeq := s.mgr.pipe.log.Term()
 	writeJSON(w, http.StatusOK, PromoteResponse{Term: term, Seq: termSeq, WasLeader: wasLeader})
 }
 
@@ -198,7 +198,7 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, errCode(err), apiError{Error: err.Error()})
 }
 
-// ResponseError is writeError read backwards, for clients of this API:
+// responseError is writeError read backwards, for clients of this API:
 // the error a non-2xx response stands for, in the category errCode
 // mapped it from, so errors.Is and WrongShardOwner work on it as on the
 // in-process error. Three rows lose detail on the way: 409 comes back
@@ -208,7 +208,7 @@ func writeError(w http.ResponseWriter, err error) {
 // message still says which. A status the API never sends is an error
 // of no category. It reads what it needs of the body; the caller
 // closes it.
-func ResponseError(resp *http.Response) error {
+func responseError(resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	var body apiError
 	if json.Unmarshal(raw, &body) != nil || body.Error == "" {
@@ -233,14 +233,14 @@ func ResponseError(resp *http.Response) error {
 	return &fleetError{category: category, msg: body.Error}
 }
 
-// CreateRequest is the body of POST /v1/instances.
-type CreateRequest struct {
+// createRequest is the body of POST /v1/instances.
+type createRequest struct {
 	ID   string `json:"id"`
 	Spec Spec   `json:"spec"`
 }
 
 func (s *apiServer) createInstance(w http.ResponseWriter, r *http.Request) {
-	var req CreateRequest
+	var req createRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, fmt.Errorf("bad request body: %v", err))
 		return
@@ -254,7 +254,7 @@ func (s *apiServer) createInstance(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *apiServer) listInstances(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"instances": s.mgr.List()})
+	writeJSON(w, http.StatusOK, map[string]any{"instances": s.mgr.list()})
 }
 
 func (s *apiServer) getInstance(w http.ResponseWriter, r *http.Request) {
@@ -293,13 +293,13 @@ func (s *apiServer) postEvent(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// BatchRequest is the body of POST /v1/instances/{id}/events:batch.
-type BatchRequest struct {
+// batchRequest is the body of POST /v1/instances/{id}/events:batch.
+type batchRequest struct {
 	Events []Event `json:"events"`
 }
 
 func (s *apiServer) postEventBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
+	var req batchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, fmt.Errorf("bad request body: %v", err))
 		return
@@ -316,16 +316,16 @@ func (s *apiServer) postEventBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// PhiResponse is the body of GET /v1/instances/{id}/phi?x=n.
-type PhiResponse struct {
+// phiResponse is the body of GET /v1/instances/{id}/phi?x=n.
+type phiResponse struct {
 	X   int `json:"x"`
 	Phi int `json:"phi"`
 }
 
-// PhiSliceResponse is the body of GET /v1/instances/{id}/phi without x,
+// phiSliceResponse is the body of GET /v1/instances/{id}/phi without x,
 // which getPhi streams by hand: the whole embedding, or the window
 // ?from=&count= selects (From and Count are only present then).
-type PhiSliceResponse struct {
+type phiSliceResponse struct {
 	From  int   `json:"from,omitempty"`
 	Count int   `json:"count,omitempty"`
 	Phi   []int `json:"phi"`
@@ -345,7 +345,7 @@ func (s *apiServer) getPhi(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, PhiResponse{X: x, Phi: phi})
+		writeJSON(w, http.StatusOK, phiResponse{X: x, Phi: phi})
 		return
 	}
 	// The dense path bypasses Manager.Lookup but not its fences: a

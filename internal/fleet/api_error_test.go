@@ -8,7 +8,7 @@ import (
 )
 
 // TestResponseErrorInvertsWriteError holds the two halves of the status
-// table together: whatever category writeError sends, ResponseError
+// table together: whatever category writeError sends, responseError
 // reads back — up to the three rows that share a status with a
 // neighbour, which come back as the neighbour the doc comment names.
 func TestResponseErrorInvertsWriteError(t *testing.T) {
@@ -30,7 +30,7 @@ func TestResponseErrorInvertsWriteError(t *testing.T) {
 	} {
 		rec := httptest.NewRecorder()
 		writeError(rec, tc.sent)
-		got := ResponseError(rec.Result())
+		got := responseError(rec.Result())
 		if !errors.Is(got, tc.want) {
 			t.Errorf("%v sent as %d came back as %v, want %v", tc.sent, rec.Code, got, tc.want)
 		}
@@ -46,7 +46,7 @@ func TestResponseErrorInvertsWriteError(t *testing.T) {
 	rec := httptest.NewRecorder()
 	rec.WriteHeader(502)
 	rec.WriteString("bad gateway")
-	got := ResponseError(rec.Result())
+	got := responseError(rec.Result())
 	for _, cat := range []error{ErrNotFound, ErrConflict, ErrUnavailable, ErrWrongShard, ErrReadOnly, ErrInvalid} {
 		if errors.Is(got, cat) {
 			t.Errorf("a 502 came back as %v", cat)

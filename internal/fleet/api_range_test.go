@@ -41,7 +41,7 @@ func TestGetPhiRanged(t *testing.T) {
 		return resp.StatusCode, buf[:n]
 	}
 
-	var full PhiSliceResponse // the type that names what getPhi streams by hand
+	var full phiSliceResponse // the type that names what getPhi streams by hand
 	code, body := get(t, ts.URL+"/v1/instances/a/phi")
 	if code != http.StatusOK {
 		t.Fatalf("full dump: status %d: %s", code, body)
@@ -54,7 +54,7 @@ func TestGetPhiRanged(t *testing.T) {
 		t.Fatalf("full dump has %d entries, want %d", len(full.Phi), n)
 	}
 
-	type window = PhiSliceResponse
+	type window = phiSliceResponse
 	getWindow := func(t *testing.T, query string) (window, int, []byte) {
 		t.Helper()
 		code, body := get(t, ts.URL+"/v1/instances/a/phi?"+query)
@@ -140,7 +140,7 @@ func TestGetPhiGzip(t *testing.T) {
 		NewHTTPHandler(mgr).ServeHTTP(rec, req)
 		return rec
 	}
-	var plain, gzipped PhiSliceResponse
+	var plain, gzipped phiSliceResponse
 	if rec := get(""); rec.Header().Get("Content-Encoding") != "" || json.Unmarshal(rec.Body.Bytes(), &plain) != nil || len(plain.Phi) != 1024 {
 		t.Fatalf("plain dump: %q, %d bytes, %d entries", rec.Header().Get("Content-Encoding"), rec.Body.Len(), len(plain.Phi))
 	}

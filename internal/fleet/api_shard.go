@@ -12,11 +12,11 @@ import (
 // The shard-plane routes, served next to the instance API so every
 // daemon is simultaneously a data node and a migration endpoint:
 //
-//	GET  /v1/ring            -> RingInfo (404 when unsharded)
-//	POST /v1/ring            RingRequest -> RingInfo: install a topology
+//	GET  /v1/ring            -> ringInfo (404 when unsharded)
+//	POST /v1/ring            RingRequest -> ringInfo: install a topology
 //	POST /v1/rebalance       -> RebalanceResponse: migrate every displaced
 //	                         instance to its owner
-//	POST /v1/migrate         MigrateRequest -> MigrateStats: migrate one
+//	POST /v1/migrate         migrateRequest -> migrateStats: migrate one
 //	POST /v1/migrate/stage   (daemon-to-daemon) binary frame: the unfenced checkpoint
 //	POST /v1/migrate/commit  (daemon-to-daemon) binary frame: the fenced checkpoint
 //	POST /v1/migrate/abort   (daemon-to-daemon) drop a staged instance
@@ -28,12 +28,12 @@ import (
 // stage/commit bodies are the canonical shard.Migration encoding
 // (application/octet-stream), the same bytes FuzzMigrationDecode
 // hammers; everything else is JSON, and all four daemon-to-daemon
-// routes answer a MigrationAnswer.
+// routes answer a migrationAnswer.
 
-// MigrationAnswer is what the four daemon-to-daemon migrate routes
+// migrationAnswer is what the four daemon-to-daemon migrate routes
 // answer, each filling in its own part — and, with only ID set, the
 // body abort takes.
-type MigrationAnswer struct {
+type migrationAnswer struct {
 	ID      string `json:"id"`
 	Staged  bool   `json:"staged,omitempty"`  // stage: the checkpoint is held
 	Aborted bool   `json:"aborted,omitempty"` // abort: a staged copy existed and was dropped
@@ -42,7 +42,7 @@ type MigrationAnswer struct {
 }
 
 func (s *apiServer) getRing(w http.ResponseWriter, r *http.Request) {
-	info, ok := s.mgr.Topology()
+	info, ok := s.mgr.ring()
 	if !ok {
 		writeError(w, errorf(ErrNotFound, "fleet: no shard topology installed"))
 		return
@@ -68,7 +68,7 @@ func (s *apiServer) setRing(w http.ResponseWriter, r *http.Request) {
 	// not-yet-joined member boots behind a routing proxy, so traffic
 	// misdirected to it converges through its hints instead of 404ing.
 	s.mgr.SetTopology(req.Self, req.Peers, 0)
-	info, ok := s.mgr.Topology()
+	info, ok := s.mgr.ring()
 	if !ok {
 		writeJSON(w, http.StatusOK, map[string]bool{"sharded": false})
 		return
@@ -78,13 +78,13 @@ func (s *apiServer) setRing(w http.ResponseWriter, r *http.Request) {
 
 // RebalanceResponse is the body of POST /v1/rebalance.
 type RebalanceResponse struct {
-	Migrated []MigrateStats `json:"migrated"`
+	Migrated []migrateStats `json:"migrated"`
 	Count    int            `json:"count"`
 	Error    string         `json:"error,omitempty"` // set when the run stopped early
 }
 
 func (s *apiServer) rebalance(w http.ResponseWriter, r *http.Request) {
-	out, err := s.mgr.Rebalance()
+	out, err := s.mgr.rebalance()
 	resp := RebalanceResponse{Migrated: out, Count: len(out)}
 	if err != nil {
 		resp.Error = err.Error()
@@ -94,19 +94,19 @@ func (s *apiServer) rebalance(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// MigrateRequest is the body of POST /v1/migrate.
-type MigrateRequest struct {
+// migrateRequest is the body of POST /v1/migrate.
+type migrateRequest struct {
 	ID   string `json:"id"`
 	Peer string `json:"peer"`
 }
 
 func (s *apiServer) migrateOut(w http.ResponseWriter, r *http.Request) {
-	var req MigrateRequest
+	var req migrateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, fmt.Errorf("bad request body: %v", err))
 		return
 	}
-	st, err := s.mgr.MigrateOut(req.ID, req.Peer)
+	st, err := s.mgr.migrateOut(req.ID, req.Peer)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -130,11 +130,11 @@ func (s *apiServer) migrateStage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if err := s.mgr.StageMigration(mig); err != nil {
+	if err := s.mgr.stageMigration(mig); err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, MigrationAnswer{ID: mig.ID, Staged: true})
+	writeJSON(w, http.StatusOK, migrationAnswer{ID: mig.ID, Staged: true})
 }
 
 func (s *apiServer) migrateCommit(w http.ResponseWriter, r *http.Request) {
@@ -143,21 +143,21 @@ func (s *apiServer) migrateCommit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	epoch, err := s.mgr.CommitMigration(mig)
+	epoch, err := s.mgr.commitMigration(mig)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, MigrationAnswer{ID: mig.ID, Epoch: epoch})
+	writeJSON(w, http.StatusOK, migrationAnswer{ID: mig.ID, Epoch: epoch})
 }
 
 func (s *apiServer) migrateAbort(w http.ResponseWriter, r *http.Request) {
-	var req MigrationAnswer
+	var req migrationAnswer
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, fmt.Errorf("bad request body: %v", err))
 		return
 	}
-	writeJSON(w, http.StatusOK, MigrationAnswer{ID: req.ID, Aborted: s.mgr.AbortMigration(req.ID)})
+	writeJSON(w, http.StatusOK, migrationAnswer{ID: req.ID, Aborted: s.mgr.abortMigration(req.ID)})
 }
 
 func (s *apiServer) migrateState(w http.ResponseWriter, r *http.Request) {
@@ -166,6 +166,6 @@ func (s *apiServer) migrateState(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("missing id query parameter"))
 		return
 	}
-	state, epoch := s.mgr.MigrationState(id)
-	writeJSON(w, http.StatusOK, MigrationAnswer{ID: id, State: state, Epoch: epoch})
+	state, epoch := s.mgr.migrationState(id)
+	writeJSON(w, http.StatusOK, migrationAnswer{ID: id, State: state, Epoch: epoch})
 }

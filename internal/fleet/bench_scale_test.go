@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ftnet/internal/journal"
@@ -139,20 +141,36 @@ func TestLookupAllocFree(t *testing.T) {
 
 // replayJournal frames an in-memory journal of exactly `records`
 // records: one create per instance, then transitions dealt round-robin,
-// each carrying the whole fault set after it (1 to 8 faults, the first
-// the largest, so every buffer replay reuses reaches its size at once).
-func replayJournal(tb testing.TB, instances, records int) []byte {
+// each carrying the whole fault set after it. The rack shape holds 1 to
+// 8 faults 40 apart, the first set the largest (so every buffer replay
+// reuses reaches its size at once), and every delta after a set's first
+// is a one-byte uvarint. The uniform shape is a mixed-storm journal's:
+// 8 faults drawn at random from the host, whose deltas are one- and
+// two-byte uvarints in no order the decode can predict.
+func replayJournal(tb testing.TB, instances, records int, uniform bool) []byte {
 	tb.Helper()
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 12, K: scaleK}
+	_, nHost := spec.Sizes()
+	rng := rand.New(rand.NewSource(1))
 	recs := make([]journal.Record, 0, records)
 	for i := 0; i < instances; i++ {
 		recs = append(recs, journal.Record{Op: journal.OpCreate, ID: fmt.Sprintf("scale-%03d", i), Spec: journalSpec(spec)})
 	}
 	for n := 0; len(recs) < records; n++ {
 		i, epoch := n%instances, n/instances+1
-		faults := make([]int, 8-(epoch-1)%8)
-		for j := range faults {
-			faults[j] = (i*131+epoch*17)%3000 + j*40
+		var faults []int
+		if uniform {
+			for len(faults) < 8 {
+				if f := rng.Intn(nHost); !slices.Contains(faults, f) {
+					faults = append(faults, f)
+				}
+			}
+			slices.Sort(faults)
+		} else {
+			faults = make([]int, 8-(epoch-1)%8)
+			for j := range faults {
+				faults[j] = (i*131+epoch*17)%3000 + j*40
+			}
 		}
 		recs = append(recs, journal.Record{Op: journal.OpTransition, ID: recs[i].ID,
 			Epoch: uint64(epoch), Applied: 1, Faults: faults})
@@ -164,13 +182,19 @@ func replayJournal(tb testing.TB, instances, records int) []byte {
 // journal of n records over 256 instances into a fresh manager. Replay
 // verifies every record and builds one snapshot per instance, so
 // allocs/op is flat in n (the CI -check) and ns/record is the figure to
-// read.
+// read. The n=... rows replay the rack shape; uniform/n=16384 replays
+// the mixed-storm one at the middle size, where the fault-set decode
+// is no longer well predicted.
 //
 //	go test ./internal/fleet -bench RecoverScale -benchtime 200x -benchmem
 func BenchmarkRecoverScale(b *testing.B) {
-	for _, n := range []int{1024, 16384, 131072} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			raw := replayJournal(b, 256, n)
+	for _, c := range []struct {
+		name    string
+		n       int
+		uniform bool
+	}{{"n=1024", 1024, false}, {"n=16384", 16384, false}, {"n=131072", 131072, false}, {"uniform/n=16384", 16384, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			raw := replayJournal(b, 256, c.n, c.uniform)
 			rd := bytes.NewReader(raw)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -179,11 +203,11 @@ func BenchmarkRecoverScale(b *testing.B) {
 				m := NewManager(Options{})
 				rd.Reset(raw)
 				b.StartTimer()
-				if st, err := m.Recover(rd); err != nil || st.Records != n {
-					b.Fatalf("recovered %d of %d records: %v", st.Records, n, err)
+				if st, err := m.Recover(rd); err != nil || st.Records != c.n {
+					b.Fatalf("recovered %d of %d records: %v", st.Records, c.n, err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/record")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.n), "ns/record")
 		})
 	}
 }
@@ -193,7 +217,7 @@ func BenchmarkRecoverScale(b *testing.B) {
 // (the eager replay it replaced cost 7 objects a record).
 func TestRecoverAllocsPerRecord(t *testing.T) {
 	const instances, transitions = 16, 20000
-	raw := replayJournal(t, instances, instances+transitions)
+	raw := replayJournal(t, instances, instances+transitions, false)
 	rd := bytes.NewReader(raw)
 	allocs := testing.AllocsPerRun(5, func() {
 		rd.Reset(raw)

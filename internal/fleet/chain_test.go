@@ -45,7 +45,7 @@ func TestFollowerChainConvergesAtDepthTwo(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st := fLeaf.Stats()
-		if st.LeaderSeq >= mid.CommitLog().LastSeq() && st.LagSeqs == 0 {
+		if st.LeaderSeq >= mid.pipe.log.LastSeq() && st.LagSeqs == 0 {
 			break
 		}
 		if time.Now().After(deadline) {

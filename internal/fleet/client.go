@@ -16,7 +16,7 @@ import (
 // Client is the one client of the JSON API in api.go and api_shard.go:
 // the daemon (or ftproxy) at Base, asked one request per call. Every
 // answer is read back the way the handlers wrote it — a refusal as the
-// error ResponseError makes of it, so errors.Is and WrongShardOwner
+// error responseError makes of it, so errors.Is and WrongShardOwner
 // work as on the in-process error; a request that got no answer as the
 // error http.Client.Do returned, untouched, because its fate is unknown
 // and only the caller knows what that means. It has the methods its
@@ -73,7 +73,7 @@ func (c Client) do(method, path string, in, out any) error {
 		resp.Body.Close()
 	}()
 	if resp.StatusCode/100 != 2 {
-		return ResponseError(resp)
+		return responseError(resp)
 	}
 	if out == nil {
 		return nil
@@ -100,7 +100,7 @@ func (c Client) Healthz() error { return c.do(http.MethodGet, "/healthz", nil, n
 // Create is POST /v1/instances. An id that already exists is refused
 // with ErrConflict.
 func (c Client) Create(id string, spec Spec) (info InstanceInfo, err error) {
-	err = c.do(http.MethodPost, "/v1/instances", CreateRequest{ID: id, Spec: spec}, &info)
+	err = c.do(http.MethodPost, "/v1/instances", createRequest{ID: id, Spec: spec}, &info)
 	return info, err
 }
 
@@ -113,21 +113,21 @@ func (c Client) Instance(id string) (info InstanceInfo, err error) {
 // Phi is GET /v1/instances/{id}/phi without x: the whole embedding,
 // phi[x] for every target node x.
 func (c Client) Phi(id string) ([]int, error) {
-	var out PhiSliceResponse
+	var out phiSliceResponse
 	err := c.do(http.MethodGet, instancePath(id, "/phi"), nil, &out)
 	return out.Phi, err
 }
 
 // Lookup is GET /v1/instances/{id}/phi?x=.
 func (c Client) Lookup(id string, x int) (int, error) {
-	var out PhiResponse
+	var out phiResponse
 	err := c.do(http.MethodGet, instancePath(id, "/phi?x="+strconv.Itoa(x)), nil, &out)
 	return out.Phi, err
 }
 
 // EventBatch is POST /v1/instances/{id}/events:batch.
 func (c Client) EventBatch(id string, events []Event) (res EventResult, err error) {
-	err = c.do(http.MethodPost, instancePath(id, "/events:batch"), BatchRequest{Events: events}, &res)
+	err = c.do(http.MethodPost, instancePath(id, "/events:batch"), batchRequest{Events: events}, &res)
 	return res, err
 }
 
@@ -165,32 +165,32 @@ func (c Client) pushMigration(path string, mig sharding.Migration) error {
 	return c.do(http.MethodPost, path, frame, nil)
 }
 
-// StageMigration is POST /v1/migrate/stage: Manager.StageMigration on
+// stageMigration is POST /v1/migrate/stage: Manager.stageMigration on
 // the peer.
-func (c Client) StageMigration(mig sharding.Migration) error {
+func (c Client) stageMigration(mig sharding.Migration) error {
 	return c.pushMigration("/v1/migrate/stage", mig)
 }
 
-// CommitMigration is POST /v1/migrate/commit: Manager.CommitMigration
+// commitMigration is POST /v1/migrate/commit: Manager.commitMigration
 // on the peer.
-func (c Client) CommitMigration(mig sharding.Migration) error {
+func (c Client) commitMigration(mig sharding.Migration) error {
 	return c.pushMigration("/v1/migrate/commit", mig)
 }
 
-// AbortMigration is POST /v1/migrate/abort: Manager.AbortMigration on
+// abortMigration is POST /v1/migrate/abort: Manager.abortMigration on
 // the peer. Thanks to its writeMu discipline, aborted=true proves the
 // handoff's commit can never land; aborted=false says nothing by itself
-// (already committed, or never staged) and is settled by MigrationState.
-func (c Client) AbortMigration(id string) (aborted bool, err error) {
-	var out MigrationAnswer
-	err = c.do(http.MethodPost, "/v1/migrate/abort", MigrationAnswer{ID: id}, &out)
+// (already committed, or never staged) and is settled by migrationState.
+func (c Client) abortMigration(id string) (aborted bool, err error) {
+	var out migrationAnswer
+	err = c.do(http.MethodPost, "/v1/migrate/abort", migrationAnswer{ID: id}, &out)
 	return out.Aborted, err
 }
 
-// MigrationState is GET /v1/migrate/state: Manager.MigrationState on
+// migrationState is GET /v1/migrate/state: Manager.migrationState on
 // the peer — "absent", "staged", or "committed" with the live epoch.
-func (c Client) MigrationState(id string) (state string, epoch uint64, err error) {
-	var out MigrationAnswer
+func (c Client) migrationState(id string) (state string, epoch uint64, err error) {
+	var out migrationAnswer
 	err = c.do(http.MethodGet, "/v1/migrate/state?id="+url.QueryEscape(id), nil, &out)
 	return out.State, out.Epoch, err
 }

@@ -20,7 +20,7 @@ var categories = []error{ErrNotFound, ErrConflict, ErrReadOnly, ErrWrongShard, E
 // TestClientAnswersInFleetCategories drives every Client method against
 // the real handler — the happy path first, then once per category
 // errCode emits — so the status -> category half of the table
-// (ResponseError) cannot drift from the category -> status half it
+// (responseError) cannot drift from the category -> status half it
 // inverts, and no caller has a "status %d" to flatten a refusal into.
 func TestClientAnswersInFleetCategories(t *testing.T) {
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 1}
@@ -47,7 +47,7 @@ func TestClientAnswersInFleetCategories(t *testing.T) {
 	if _, err := mgr.Create(mine, spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.StageMigration(stageFrame(arriving, 7)); err != nil {
+	if err := mgr.stageMigration(stageFrame(arriving, 7)); err != nil {
 		t.Fatal(err)
 	}
 	// A read-only replica of its own, and a daemon whose one instance the
@@ -56,7 +56,7 @@ func TestClientAnswersInFleetCategories(t *testing.T) {
 	if _, err := replica.Create(mine, spec); err != nil {
 		t.Fatal(err)
 	}
-	replica.SetReadOnly(true)
+	replica.readOnly.Store(true)
 	tsRO := httptest.NewServer(NewHTTPHandler(replica))
 	t.Cleanup(tsRO.Close)
 	stuck := NewManager(Options{})
@@ -105,29 +105,29 @@ func TestClientAnswersInFleetCategories(t *testing.T) {
 	if rr, err := c.Rebalance(); err != nil || rr.Count != 0 {
 		t.Errorf("Rebalance with nothing displaced = (%+v, %v)", rr, err)
 	}
-	if err := c.StageMigration(stageFrame(inbound, 7)); err != nil {
-		t.Errorf("StageMigration: %v", err)
+	if err := c.stageMigration(stageFrame(inbound, 7)); err != nil {
+		t.Errorf("stageMigration: %v", err)
 	}
-	if state, _, err := c.MigrationState(inbound); err != nil || state != "staged" {
-		t.Errorf("MigrationState of a stage = (%q, %v)", state, err)
+	if state, _, err := c.migrationState(inbound); err != nil || state != "staged" {
+		t.Errorf("migrationState of a stage = (%q, %v)", state, err)
 	}
-	if err := c.CommitMigration(stageFrame(inbound, 7)); err != nil {
-		t.Errorf("CommitMigration: %v", err)
+	if err := c.commitMigration(stageFrame(inbound, 7)); err != nil {
+		t.Errorf("commitMigration: %v", err)
 	}
-	if state, epoch, err := c.MigrationState(inbound); err != nil || state != "committed" || epoch != 4 {
-		t.Errorf("MigrationState of an arrival = (%q, %d, %v), want committed at 4", state, epoch, err)
+	if state, epoch, err := c.migrationState(inbound); err != nil || state != "committed" || epoch != 4 {
+		t.Errorf("migrationState of an arrival = (%q, %d, %v), want committed at 4", state, epoch, err)
 	}
-	if err := c.StageMigration(stageFrame(dropped, 7)); err != nil {
-		t.Errorf("StageMigration: %v", err)
+	if err := c.stageMigration(stageFrame(dropped, 7)); err != nil {
+		t.Errorf("stageMigration: %v", err)
 	}
-	if aborted, err := c.AbortMigration(dropped); err != nil || !aborted {
-		t.Errorf("AbortMigration of a stage = (%v, %v), want true", aborted, err)
+	if aborted, err := c.abortMigration(dropped); err != nil || !aborted {
+		t.Errorf("abortMigration of a stage = (%v, %v), want true", aborted, err)
 	}
-	if aborted, err := c.AbortMigration(inbound); err != nil || aborted {
-		t.Errorf("AbortMigration of an arrival = (%v, %v), want false", aborted, err)
+	if aborted, err := c.abortMigration(inbound); err != nil || aborted {
+		t.Errorf("abortMigration of an arrival = (%v, %v), want false", aborted, err)
 	}
-	if state, _, err := c.MigrationState(dropped); err != nil || state != "absent" {
-		t.Errorf("MigrationState after the abort = (%q, %v), want absent", state, err)
+	if state, _, err := c.migrationState(dropped); err != nil || state != "absent" {
+		t.Errorf("migrationState after the abort = (%q, %v), want absent", state, err)
 	}
 
 	// Every category, through every kind of method that can meet it.
@@ -140,27 +140,27 @@ func TestClientAnswersInFleetCategories(t *testing.T) {
 		{"404 Lookup", func() error { _, err := c.Lookup(missing, 0); return err }, ErrNotFound},
 		{"404 Phi", func() error { _, err := c.Phi(missing); return err }, ErrNotFound},
 		{"404 EventBatch", func() error { _, err := c.EventBatch(missing, fault(0)); return err }, ErrNotFound},
-		{"404 CommitMigration of nothing staged", func() error {
-			return c.CommitMigration(stageFrame(missing, 7))
+		{"404 commitMigration of nothing staged", func() error {
+			return c.commitMigration(stageFrame(missing, 7))
 		}, ErrNotFound},
 		{"409 duplicate Create", func() error { _, err := c.Create(mine, spec); return err }, ErrConflict},
 		{"409 double fault", func() error { _, err := c.EventBatch(mine, fault(0)); return err }, ErrConflict},
 		{"409 budget exhausted", func() error { _, err := c.EventBatch(mine, fault(1)); return err }, ErrConflict},
-		{"409 CommitMigration of another attempt", func() error {
-			if err := c.StageMigration(stageFrame(dropped, 7)); err != nil {
+		{"409 commitMigration of another attempt", func() error {
+			if err := c.stageMigration(stageFrame(dropped, 7)); err != nil {
 				return err
 			}
-			defer c.AbortMigration(dropped)
-			return c.CommitMigration(stageFrame(dropped, 8))
+			defer c.abortMigration(dropped)
+			return c.commitMigration(stageFrame(dropped, 8))
 		}, ErrConflict},
 		{"403 read-only EventBatch", func() error { _, err := ro.EventBatch(mine, fault(1)); return err }, ErrReadOnly},
 		{"403 read-only Create", func() error { _, err := ro.Create(created, spec); return err }, ErrReadOnly},
-		{"403 read-only StageMigration", func() error { return ro.StageMigration(stageFrame(inbound, 7)) }, ErrReadOnly},
+		{"403 read-only stageMigration", func() error { return ro.stageMigration(stageFrame(inbound, 7)) }, ErrReadOnly},
 		{"403 + owner Instance", func() error { _, err := c.Instance(foreign); return err }, ErrWrongShard},
 		{"403 + owner Lookup", func() error { _, err := c.Lookup(foreign, 0); return err }, ErrWrongShard},
 		{"403 + owner EventBatch", func() error { _, err := c.EventBatch(foreign, fault(0)); return err }, ErrWrongShard},
 		{"403 + owner Create", func() error { _, err := c.Create(foreign, spec); return err }, ErrWrongShard},
-		{"403 + owner StageMigration", func() error { return c.StageMigration(stageFrame(foreign, 7)) }, ErrWrongShard},
+		{"403 + owner stageMigration", func() error { return c.stageMigration(stageFrame(foreign, 7)) }, ErrWrongShard},
 		{"503 arriving Instance", func() error { _, err := c.Instance(arriving); return err }, ErrUnavailable},
 		{"503 arriving Lookup", func() error { _, err := c.Lookup(arriving, 0); return err }, ErrUnavailable},
 		{"503 arriving Phi", func() error { _, err := c.Phi(arriving); return err }, ErrUnavailable},
@@ -169,8 +169,8 @@ func TestClientAnswersInFleetCategories(t *testing.T) {
 		{"400 empty batch", func() error { _, err := c.EventBatch(mine, nil); return err }, ErrInvalid},
 		{"400 target out of range", func() error { _, err := c.Lookup(mine, 1<<20); return err }, ErrInvalid},
 		{"400 Create of a bad spec", func() error { _, err := c.Create(created, Spec{Kind: "ring"}); return err }, ErrInvalid},
-		{"400 MigrationState of no id", func() error { _, _, err := c.MigrationState(""); return err }, ErrInvalid},
-		{"400 StageMigration of garbage", func() error { return c.do(http.MethodPost, "/v1/migrate/stage", []byte("junk"), nil) }, ErrInvalid},
+		{"400 migrationState of no id", func() error { _, _, err := c.migrationState(""); return err }, ErrInvalid},
+		{"400 stageMigration of garbage", func() error { return c.do(http.MethodPost, "/v1/migrate/stage", []byte("junk"), nil) }, ErrInvalid},
 		{"400 Rebalance stopped by an unreachable owner", func() error {
 			_, err := Client{HTTP: tsStuck.Client(), Base: tsStuck.URL}.Rebalance()
 			return err
@@ -252,8 +252,8 @@ func TestClientEscapesIDs(t *testing.T) {
 		if phi, err := c.Phi(id); err != nil || !reflect.DeepEqual(phi, phiSliceOf(t, mgr, id)) {
 			t.Errorf("Phi(%q) = (%v, %v), want %v", id, phi, err, phiSliceOf(t, mgr, id))
 		}
-		if state, epoch, err := c.MigrationState(id); err != nil || state != "committed" || epoch != 1 {
-			t.Errorf("MigrationState(%q) = (%q, %d, %v), want committed at 1", id, state, epoch, err)
+		if state, epoch, err := c.migrationState(id); err != nil || state != "committed" || epoch != 1 {
+			t.Errorf("migrationState(%q) = (%q, %d, %v), want committed at 1", id, state, epoch, err)
 		}
 	}
 }
@@ -282,10 +282,10 @@ func TestPoll(t *testing.T) {
 
 // TestFollowerPostureRefusesDirectWrites is the lost-write regression: a
 // manager given nothing but NewFollower + Run — no handler option, no
-// SetReadOnly — refuses a direct write, on the Manager API the binary
-// plane calls and on the JSON plane alike. Accepting it would commit it
-// at the seq the leader's next entry carries, and that entry would then
-// be dropped as a reconnect duplicate. Promotion opens both.
+// posture set by hand — refuses a direct write, on the Manager API the
+// binary plane calls and on the JSON plane alike. Accepting it would
+// commit it at the seq the leader's next entry carries, and that entry
+// would then be dropped as a reconnect duplicate. Promotion opens both.
 func TestFollowerPostureRefusesDirectWrites(t *testing.T) {
 	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}
 	leader := NewManager(Options{})

@@ -18,7 +18,7 @@ import (
 // writer's buffer and fsync, so the copy is a clean prefix.
 func syncedJournalBytes(t *testing.T, m *Manager) []byte {
 	t.Helper()
-	w := m.CommitLog().Writer()
+	w := m.pipe.log.Writer()
 	if w == nil {
 		t.Fatal("manager has no journal")
 	}
@@ -73,7 +73,7 @@ func TestCompactRecoverEquivalence(t *testing.T) {
 
 			// A suffix of more random traffic, then recover again: the
 			// checkpoint+suffix replay must match the live fleet.
-			for _, id := range m.List() {
+			for _, id := range m.list() {
 				in := mustGet(t, m, id)
 				nHost := in.Snapshot().NHost()
 				for i := 0; i < 10; i++ {

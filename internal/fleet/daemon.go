@@ -80,7 +80,7 @@ func NewDaemon(cfg DaemonConfig) (*Daemon, error) {
 	}
 	d := &Daemon{cfg: cfg, mgr: NewManager(Options{})}
 	err := d.openJournal()
-	if cur, _ := d.mgr.Term(); err == nil && cfg.Term > 0 {
+	if cur, _ := d.mgr.pipe.log.Term(); err == nil && cfg.Term > 0 {
 		if cfg.Term <= cur {
 			cfg.Logf("recovered term %d already covers -term %d", cur, cfg.Term)
 		} else if _, err = d.mgr.Promote(context.Background(), cfg.Term); err != nil {
@@ -154,7 +154,7 @@ func (d *Daemon) Run(ctx context.Context, api net.Listener, rpc Plane) error {
 			loop(loopCtx)
 		}()
 	}
-	if _, sharded := d.mgr.Topology(); sharded {
+	if _, sharded := d.mgr.ring(); sharded {
 		spawn(d.reconcile)
 	}
 	if d.follower != nil {

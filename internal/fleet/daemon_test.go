@@ -18,13 +18,16 @@ import (
 
 // bootDaemon boots cfg the way ftnetd does (NewDaemon), at test speed:
 // journaled in a fresh directory unless cfg names its journal, fsync on
-// a 1ms interval, a follower on short heartbeats and backoffs.
+// a 1ms interval unless cfg names its policy, a follower on short
+// heartbeats and backoffs.
 func bootDaemon(t *testing.T, cfg DaemonConfig) *Daemon {
 	t.Helper()
 	if cfg.Journal == "" {
 		cfg.Journal = filepath.Join(t.TempDir(), "epochs.wal")
 	}
-	cfg.Fsync, cfg.FsyncInterval = "interval", time.Millisecond
+	if cfg.Fsync == "" {
+		cfg.Fsync, cfg.FsyncInterval = "interval", time.Millisecond
+	}
 	cfg.Follower = FollowerOptions{Heartbeat: 50 * time.Millisecond, StallTimeout: 2 * time.Second, Backoff: 20 * time.Millisecond}
 	cfg.Logf = t.Logf
 	d, err := NewDaemon(cfg)
@@ -199,10 +202,10 @@ func TestDaemonBootsMidHandoff(t *testing.T) {
 	b := bootDaemon(t, DaemonConfig{Self: "b", Peers: peers})
 	in, _ := src.Get(id)
 	mig := sharding.Migration{ID: id, Token: 1, Record: checkpointRecord(id, spec, in.snap.Load())}
-	if err := b.mgr.StageMigration(mig); err != nil {
+	if err := b.mgr.stageMigration(mig); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.mgr.CommitMigration(mig); err != nil {
+	if _, err := b.mgr.commitMigration(mig); err != nil {
 		t.Fatal(err)
 	}
 	a := rebootDaemon(t, journalImage(t, src), DaemonConfig{Self: "a", Peers: peers})

@@ -17,7 +17,7 @@ import (
 // journalImage syncs a live manager's journal and returns its bytes.
 func journalImage(t *testing.T, m *Manager) []byte {
 	t.Helper()
-	w := m.CommitLog().Writer()
+	w := m.pipe.log.Writer()
 	if err := w.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +100,10 @@ func TestPromoteFailoverAndDeposedLeaderSelfHeals(t *testing.T) {
 	<-fdone
 	stormLeader(leader, stormIDs, nHost, 4, 20, acked)
 	toggleStorm(t, leader, "div", 20)
-	divergedSeq := leader.CommitLog().LastSeq()
-	if divergedSeq <= fm.CommitLog().LastSeq() {
+	divergedSeq := leader.pipe.log.LastSeq()
+	if divergedSeq <= fm.pipe.log.LastSeq() {
 		t.Fatalf("no divergence materialized: leader at %d, follower at %d",
-			divergedSeq, fm.CommitLog().LastSeq())
+			divergedSeq, fm.pipe.log.LastSeq())
 	}
 
 	// Kill the leader, keeping its disk image for the rejoin.
@@ -124,10 +124,10 @@ func TestPromoteFailoverAndDeposedLeaderSelfHeals(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || pr.Term == 0 || pr.WasLeader {
 		t.Fatalf("promote: status %d, response %+v", resp.StatusCode, pr)
 	}
-	if fm.ReadOnly() {
+	if fm.readOnly.Load() {
 		t.Fatal("promoted replica still read-only")
 	}
-	if term, _ := fm.Term(); term != pr.Term {
+	if term, _ := fm.pipe.log.Term(); term != pr.Term {
 		t.Fatalf("manager term %d, promote reported %d", term, pr.Term)
 	}
 	// Promotion is idempotent: a second request reports the term in
@@ -152,8 +152,8 @@ func TestPromoteFailoverAndDeposedLeaderSelfHeals(t *testing.T) {
 	// follows the new leader.
 	dd := rebootDaemon(t, image, DaemonConfig{Follow: tsB.URL})
 	dm, f2 := dd.mgr, dd.follower
-	if dm.CommitLog().LastSeq() != divergedSeq {
-		t.Fatalf("deposed leader recovered to seq %d, want %d", dm.CommitLog().LastSeq(), divergedSeq)
+	if dm.pipe.log.LastSeq() != divergedSeq {
+		t.Fatalf("deposed leader recovered to seq %d, want %d", dm.pipe.log.LastSeq(), divergedSeq)
 	}
 	runDaemon(t, dd, nil, Plane{})
 	awaitDemotions(t, f2, 1, 15*time.Second)
@@ -166,7 +166,7 @@ func TestPromoteFailoverAndDeposedLeaderSelfHeals(t *testing.T) {
 	if st.Discarded == 0 {
 		t.Error("the deposed leader's unreplicated tail was not counted as discarded")
 	}
-	if term, _ := dm.Term(); term != pr.Term {
+	if term, _ := dm.pipe.log.Term(); term != pr.Term {
 		t.Errorf("rejoined replica at term %d, leader at %d", term, pr.Term)
 	}
 
@@ -174,7 +174,7 @@ func TestPromoteFailoverAndDeposedLeaderSelfHeals(t *testing.T) {
 	if _, err := dm.EventBatch(ids[0], []Event{{Kind: EventFault, Node: 0}}); !errors.Is(err, ErrReadOnly) {
 		t.Errorf("stale-term write on the deposed leader: err = %v, want ErrReadOnly", err)
 	}
-	if !dm.ReadOnly() {
+	if !dm.readOnly.Load() {
 		t.Error("deposed leader left read-only posture")
 	}
 }
@@ -247,7 +247,7 @@ func TestDeposedLeaderResyncsFromCheckpointAfterTermBump(t *testing.T) {
 	if st.Demotions != 1 || st.Resyncs == 0 {
 		t.Errorf("stats %+v: want 1 demotion and >= 1 resync (checkpoint catch-up)", st)
 	}
-	if got, _ := dm.Term(); got != term {
+	if got, _ := dm.pipe.log.Term(); got != term {
 		t.Errorf("rejoined replica at term %d, want %d", got, term)
 	}
 
@@ -256,7 +256,7 @@ func TestDeposedLeaderResyncsFromCheckpointAfterTermBump(t *testing.T) {
 	// trigger (its term matches the leader's).
 	image2 := journalImage(t, dm)
 	dm2 := rebootDaemon(t, image2, DaemonConfig{}).mgr
-	if got, _ := dm2.Term(); got != term {
+	if got, _ := dm2.pipe.log.Term(); got != term {
 		t.Errorf("restarted replica recovered term %d, want %d", got, term)
 	}
 	assertSameFleet(t, fm, dm2)
@@ -287,8 +287,8 @@ func TestManagerPromoteAndTermFence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m.SetReadOnly(true)
-	m.SetLeaderHint("http://leader:8080")
+	m.readOnly.Store(true)
+	m.leaderHint.Store("http://leader:8080")
 	if _, err := m.Create("b", Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("create in read-only posture: %v, want ErrReadOnly", err)
 	}
@@ -304,7 +304,7 @@ func TestManagerPromoteAndTermFence(t *testing.T) {
 	if err != nil || term != 1 {
 		t.Fatalf("Promote(0) = %d, %v, want term 1", term, err)
 	}
-	if m.ReadOnly() {
+	if m.readOnly.Load() {
 		t.Fatal("promotion left read-only posture in place")
 	}
 	if _, err := m.EventBatch("a", []Event{{Kind: EventFault, Node: 1}}); err != nil {
@@ -318,8 +318,8 @@ func TestManagerPromoteAndTermFence(t *testing.T) {
 	if term, err = m.Promote(context.Background(), 5); err != nil || term != 5 {
 		t.Fatalf("Promote(5) = %d, %v", term, err)
 	}
-	if got, _ := m.Term(); got != 5 {
-		t.Fatalf("Term() = %d, want 5", got)
+	if got, _ := m.pipe.log.Term(); got != 5 {
+		t.Fatalf("term = %d, want 5", got)
 	}
 	// The failed bump consumed no sequence number and the stats surface
 	// reports the fence.
@@ -398,7 +398,7 @@ func TestPromoteStopsFollowing(t *testing.T) {
 			if st := f.Stats(); !st.Promoted || st.Connected {
 				t.Errorf("follower stats %+v, want promoted and disconnected", st)
 			}
-			_, fence := fm.Term()
+			_, fence := fm.pipe.log.Term()
 			if fence != 4 || fm.NextSeq() != 5 {
 				t.Fatalf("fence at seq %d, next seq %d, want 4 and 5", fence, fm.NextSeq())
 			}
@@ -458,11 +458,11 @@ func TestRacingPromotionsCommitOneFence(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("the replication loop is still running after both promotions returned")
 	}
-	if term, fence := fm.Term(); term != 1 || fence != 2 || fm.NextSeq() != 3 {
+	if term, fence := fm.pipe.log.Term(); term != 1 || fence != 2 || fm.NextSeq() != 3 {
 		t.Errorf("term %d fenced at seq %d, next seq %d: want one fence, term 1 at seq 2", term, fence, fm.NextSeq())
 	}
-	if !f.Stats().Promoted || fm.ReadOnly() {
-		t.Errorf("promoted %v, read-only %v after the race", f.Stats().Promoted, fm.ReadOnly())
+	if !f.Stats().Promoted || fm.readOnly.Load() {
+		t.Errorf("promoted %v, read-only %v after the race", f.Stats().Promoted, fm.readOnly.Load())
 	}
 }
 

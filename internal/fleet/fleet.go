@@ -17,14 +17,19 @@
 //     monotone rank mapping of Section III-A is the sorted fault set
 //     itself, so each transition builds its O(k) mapping in place.
 //     There is one way to obtain a mapping, and it is to compute it.
-//   - Manager: a sharded registry owning many instances behind one API
-//     (Create, Event, EventBatch, Lookup, Stats), safe under
+//   - Manager: a sharded registry owning many instances, safe under
 //     `go test -race`.
-//   - Daemon: one daemon's life in order — boot (recover, fence, ring,
-//     posture), loops, the HTTP/JSON and binary planes, drain.
-//     cmd/ftnetd is its flags; tests boot the same sequence in process.
 //
-// cmd/ftload drives the API.
+// Its exported surface is what its doors call, and no more:
+//
+//   - NewHTTPHandler: the JSON API (api.go, api_shard.go), whose one
+//     client is Client;
+//   - Plane: the binary RPC plane, a wire.Server over Manager's *Bytes
+//     methods and CommitRound;
+//   - Daemon: one daemon's life in order — boot (recover, fence, ring,
+//     posture), loops, both planes, drain. cmd/ftnetd is its flags;
+//   - the root package's facade (FleetManager and its kin) and the
+//     benchmark's system under test, which call the rest of Manager.
 package fleet
 
 import (
@@ -46,7 +51,7 @@ var (
 	// transport. In-process, invalid input (node out of range, unknown
 	// kind, empty batch) is the error with no category, which is how
 	// errCode and wire's statusOf recognize it; the decode side of each
-	// transport (ResponseError, wire.Error) rebuilds it under this
+	// transport (responseError, wire.Error) rebuilds it under this
 	// sentinel, so a remote caller can tell the daemon refusing bad
 	// input from a failure that has no category at all.
 	ErrInvalid = errors.New("fleet: invalid input")

@@ -1,6 +1,7 @@
 package fleettest_test
 
 import (
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -68,8 +69,17 @@ func TestClusterDrains(t *testing.T) {
 	nodes := fleettest.Cluster(t, wirePlane, "a", "b")
 	urls, _ := fleettest.Addrs(nodes)
 	for name, n := range nodes {
-		if ring, ok := n.Manager().Topology(); !ok || ring.Self != name || !reflect.DeepEqual(ring.Peers, urls) {
-			t.Fatalf("%s booted on ring %+v", name, ring)
+		var ring struct {
+			Self  string
+			Peers map[string]string
+		}
+		resp, err := http.Get(n.URL + "/v1/ring")
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&ring)
+			resp.Body.Close()
+		}
+		if err != nil || ring.Self != name || !reflect.DeepEqual(ring.Peers, urls) {
+			t.Fatalf("%s booted on ring %+v (%v)", name, ring, err)
 		}
 	}
 	for _, n := range nodes {

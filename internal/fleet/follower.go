@@ -135,9 +135,9 @@ func NewFollower(mgr *Manager, leader string, opts FollowerOptions) (*Follower, 
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	mgr.SetReadOnly(true)
+	mgr.readOnly.Store(true)
 	// Rejected writers should learn where the leader is.
-	mgr.SetLeaderHint(leader)
+	mgr.leaderHint.Store(leader)
 	reg := mgr.Metrics()
 	f := &Follower{
 		mgr: mgr, leader: leader, opts: opts,
@@ -160,7 +160,7 @@ func (f *Follower) observeStream(seq uint64, ts int64) {
 			break
 		}
 	}
-	f.lagGauge.Set(int64(f.leaderSeq.Load()) - int64(f.mgr.CommitLog().LastSeq()))
+	f.lagGauge.Set(int64(f.leaderSeq.Load()) - int64(f.mgr.pipe.log.LastSeq()))
 	if ts > 0 {
 		f.ageHist.Observe(time.Duration(time.Now().UnixNano() - ts))
 	}
@@ -178,7 +178,7 @@ func (f *Follower) Stats() FollowerStats {
 		Demotions:  f.demotions.Load(),
 		Discarded:  f.discarded.Load(),
 		Promoted:   f.promoted.Load(),
-		LastSeq:    f.mgr.CommitLog().LastSeq(),
+		LastSeq:    f.mgr.pipe.log.LastSeq(),
 		LeaderSeq:  f.leaderSeq.Load(),
 	}
 	st.LagSeqs = f.lagGauge.Value()
@@ -270,7 +270,7 @@ func (f *Follower) halt(ctx context.Context) error {
 func (f *Follower) settle(term uint64, err error) {
 	f.promoted.Store(err == nil)
 	if err == nil {
-		f.opts.Logf("follower: promoted to leader at term %d (seq %d)", term, f.mgr.CommitLog().LastSeq())
+		f.opts.Logf("follower: promoted to leader at term %d (seq %d)", term, f.mgr.pipe.log.LastSeq())
 	}
 }
 
@@ -328,7 +328,7 @@ func (f *Follower) streamFrom(ctx context.Context, from uint64) error {
 			return fmt.Errorf("fleet: follower: bad X-Ftnet-Term %q: %v", ts, err)
 		}
 		leaderTermSeq, _ = strconv.ParseUint(resp.Header.Get("X-Ftnet-Term-Seq"), 10, 64)
-		localTerm, _ := f.mgr.Term()
+		localTerm, _ := f.mgr.pipe.log.Term()
 		if leaderTerm < localTerm {
 			return errorf(ErrStaleTerm,
 				"fleet: follower: refusing stream from %s: it advertises term %d below local term %d (stale leader)",
@@ -377,7 +377,7 @@ func (f *Follower) streamFrom(ctx context.Context, from uint64) error {
 		// behind the checkpoint.
 		cpTerm := leaderTerm
 		if leaderTermSeq > stagedSeq {
-			cpTerm, _ = f.mgr.Term()
+			cpTerm, _ = f.mgr.pipe.log.Term()
 		}
 		if err := f.mgr.resetFromCheckpoint(stagedSeq, cpTerm, staged); err != nil {
 			return err
@@ -421,7 +421,7 @@ func (f *Follower) streamFrom(ctx context.Context, from uint64) error {
 			return err
 		}
 		if err := f.mgr.replicateEntry(e); err != nil {
-			if errors.Is(err, ErrSeqGap) {
+			if errors.Is(err, errSeqGap) {
 				return f.reset(err.Error())
 			}
 			return err

@@ -114,7 +114,7 @@ func (c *stripedCounter) Load() uint64 {
 // phase is where one copy of an instance stands in its lifecycle: one
 // word, assigned only under writeMu and only by the four transitions
 // below (and by Manager.restore, for a copy nothing else can reach yet),
-// readable with one atomic load — which is how resolve and Displaced
+// readable with one atomic load — which is how resolve and displaced
 // test it without the mutex.
 //
 //	phase     a write or delete is owed     moves on by
@@ -124,9 +124,9 @@ func (c *stripedCounter) Load() uint64 {
 //	moved     ErrWrongShard naming peer     nothing: it is on its way out of the registry
 //	gone      ErrNotFound                   nothing, bar the undo of the retire that got it there
 //
-// StageMigration registers an arriving copy (through the raw door: it is
-// never journaled), CommitMigration opens it in the publish step of its
-// OpMigrate record, AbortMigration retires it instead. MigrateOut fences
+// stageMigration registers an arriving copy (through the raw door: it is
+// never journaled), commitMigration opens it in the publish step of its
+// OpMigrate record, abortMigration retires it instead. migrateOut fences
 // a live copy to take the state it ships and unfences it when
 // the handoff provably did not commit; otherwise completeMigration
 // retires it toward the peer. moved is its own state, so a writer that

@@ -45,7 +45,7 @@ func stageFrame(id string, token uint64) sharding.Migration {
 func copyAt(t *testing.T, m *Manager, id string, p phase) *Instance {
 	t.Helper()
 	if p == phaseArriving {
-		if err := m.StageMigration(stageFrame(id, 7)); err != nil {
+		if err := m.stageMigration(stageFrame(id, 7)); err != nil {
 			t.Fatal(err)
 		}
 		return mustGet(t, m, id)
@@ -140,12 +140,12 @@ func TestLifecyclePhaseAnswers(t *testing.T) {
 			is(t, "lookup", err, want.lookup)
 		})
 		probe("MigrationState", func(t *testing.T, m *Manager, id string, _ *Instance) {
-			if state, _ := m.MigrationState(id); state != want.state {
+			if state, _ := m.migrationState(id); state != want.state {
 				t.Errorf("state %q, want %q", state, want.state)
 			}
 		})
 		probe("AbortMigration", func(t *testing.T, m *Manager, id string, in *Instance) {
-			if got := m.AbortMigration(id); got != want.abort {
+			if got := m.abortMigration(id); got != want.abort {
 				t.Errorf("abort reported %v, want %v", got, want.abort)
 			}
 			if _, still := m.Get(id); still == want.abort {
@@ -156,7 +156,7 @@ func TestLifecyclePhaseAnswers(t *testing.T) {
 			}
 		})
 		probe("CommitMigration", func(t *testing.T, m *Manager, id string, in *Instance) {
-			epoch, err := m.CommitMigration(stageFrame(id, 7))
+			epoch, err := m.commitMigration(stageFrame(id, 7))
 			is(t, "commit", err, want.commit)
 			after := p
 			if want.commit == nil {
@@ -341,7 +341,7 @@ func TestResetFromCheckpointRefusedGroupLeavesFleet(t *testing.T) {
 			t.Fatalf("%s: the refused group moved the fleet from %+v (next seq %d) to %+v (next seq %d)",
 				name, before, seq, after, m.NextSeq())
 		}
-		if term, _ := m.Term(); term != 0 {
+		if term, _ := m.pipe.log.Term(); term != 0 {
 			t.Fatalf("%s: the refused group's term %d was adopted", name, term)
 		}
 	}
@@ -354,7 +354,7 @@ func TestResetFromCheckpointRefusedGroupLeavesFleet(t *testing.T) {
 	}
 	checkRecovered(t, m, map[string]expectedState{"a": {epoch: 9, faults: []int{1}}, "c": {epoch: 2, faults: []int{5}}},
 		map[string]Spec{"a": lifecycleSpec, "c": lifecycleSpec})
-	if term, _ := m.Term(); m.NextSeq() != 41 || term != 3 {
+	if term, _ := m.pipe.log.Term(); m.NextSeq() != 41 || term != 3 {
 		t.Fatalf("after the reset: next seq %d term %d, want 41 and 3", m.NextSeq(), term)
 	}
 	if in := before["b"].in; in.at() != phaseGone {

@@ -61,11 +61,13 @@ type Manager struct {
 	// Write posture. A replica in read-only posture (a follower, or a
 	// deposed leader) refuses Create/Delete/EventBatch with ErrReadOnly
 	// — consulted per-request by every transport, so promotion flips
-	// the whole surface at once without rewiring handlers. leaderHint,
-	// when known, is the leader's advertised URL, folded into the
-	// ErrReadOnly message so clients learn where to go.
+	// the whole surface at once without rewiring handlers; recovery and
+	// replication are unaffected, as they re-commit the leader's entries
+	// by construction. leaderHint, when known, is the leader's
+	// advertised URL, folded into the ErrReadOnly message so clients
+	// learn where to go.
 	readOnly   atomic.Bool
-	leaderHint atomic.Pointer[string]
+	leaderHint atomic.Value  // string; "" or never stored: none known
 	rejectedRO atomic.Uint64 // mutations refused while read-only
 
 	// follower is the loop NewFollower registered (nil if none): Promote
@@ -136,11 +138,6 @@ func (m *Manager) SetJournal(w *journal.Writer) {
 	m.pipe.log.SetWriter(w)
 }
 
-// CommitLog exposes the manager's commit pipeline: the ordered,
-// gap-free stream of every accepted transition. Subscribe to it for
-// watch/replication; a Daemon closes it (via Close) on shutdown.
-func (m *Manager) CommitLog() *commit.Log { return m.pipe.log }
-
 // Subscribe opens a bounded, gap-free subscription to the commit
 // stream starting at fromSeq (catch-up from journal/checkpoint, then
 // live tail) — the primitive under GET /v1/watch and follower
@@ -210,46 +207,15 @@ func resolve[T key](m *Manager, id T) (*Instance, error) {
 	return in, nil
 }
 
-// SetReadOnly flips the manager's write posture. Read-only refuses
-// client mutations (Create, Delete, EventBatch) with ErrReadOnly;
-// replication and recovery paths are unaffected — they re-commit the
-// leader's entries by construction.
-func (m *Manager) SetReadOnly(ro bool) { m.readOnly.Store(ro) }
-
-// ReadOnly reports the current write posture.
-func (m *Manager) ReadOnly() bool { return m.readOnly.Load() }
-
-// SetLeaderHint records the leader URL advertised to rejected writers
-// ("" clears it).
-func (m *Manager) SetLeaderHint(url string) {
-	if url == "" {
-		m.leaderHint.Store(nil)
-		return
-	}
-	m.leaderHint.Store(&url)
-}
-
-// LeaderHint returns the advertised leader URL, or "".
-func (m *Manager) LeaderHint() string {
-	if p := m.leaderHint.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
 // errReadOnly builds the rejection for a mutation attempted in
 // read-only posture, carrying the leader hint when one is known.
 func (m *Manager) errReadOnly(verb string) error {
 	m.rejectedRO.Add(1)
-	if hint := m.LeaderHint(); hint != "" {
+	if hint, _ := m.leaderHint.Load().(string); hint != "" {
 		return errorf(ErrReadOnly, "fleet: %s refused: read-only replica (leader: %s)", verb, hint)
 	}
 	return errorf(ErrReadOnly, "fleet: %s refused: read-only replica", verb)
 }
-
-// Term returns the leadership term in force and the commit seq of the
-// entry that established it.
-func (m *Manager) Term() (term, termSeq uint64) { return m.pipe.log.Term() }
 
 // Promote makes this replica the leader, and is the one way to: a manager
 // that follows first stops following — no new stream is opened, the
@@ -281,7 +247,7 @@ func (m *Manager) Promote(ctx context.Context, term uint64) (_ uint64, err error
 		return 0, err
 	}
 	m.readOnly.Store(false)
-	m.leaderHint.Store(nil)
+	m.leaderHint.Store("")
 	return term, nil
 }
 
@@ -412,7 +378,7 @@ func (m *Manager) unsetRaw(id string) {
 // wipeRaw retires and unregisters every instance. The caller holds the
 // gate exclusive, so nothing is entering meanwhile.
 func (m *Manager) wipeRaw() {
-	for _, id := range m.List() {
+	for _, id := range m.list() {
 		if in, ok := m.Get(id); ok {
 			in.writeMu.Lock()
 			in.retire("")
@@ -448,7 +414,7 @@ func (m *Manager) GetBytes(id []byte) (*Instance, bool) { return get(m, id) }
 // settles racing deletes: the loser reports "no such instance" without
 // waiting for the winner's commit. A copy that is not this daemon's to
 // delete — arriving (not journaled yet: an OpDelete would be an orphan
-// and race the source's CommitMigration), fenced or cut over — is
+// and race the source's commitMigration), fenced or cut over — is
 // refused with what refuse says about it.
 func (m *Manager) Delete(id string) (bool, error) {
 	if m.readOnly.Load() {
@@ -620,8 +586,8 @@ func (m *Manager) LookupBatchBytes(id []byte, xs, phis []int) (uint64, error) {
 	return epoch, nil
 }
 
-// List returns the sorted ids of all registered instances.
-func (m *Manager) List() []string {
+// list returns the sorted ids of all registered instances.
+func (m *Manager) list() []string {
 	var ids []string
 	for i := range m.shards {
 		s := &m.shards[i]
@@ -707,12 +673,13 @@ func (m *Manager) Stats() Stats {
 		ss = &ShardStats{
 			Self:          t.self,
 			Members:       len(t.ring.Members()),
-			Moved:         len(m.Displaced()),
+			Moved:         len(m.displaced()),
 			WrongShard:    m.wrongShardTotal.Value(),
 			MigrationsOut: m.migrationsOut.Value(),
 			MigrationsIn:  m.migrationsIn.Value(),
 		}
 	}
+	hint, _ := m.leaderHint.Load().(string)
 	return Stats{
 		Instances:  n,
 		Events:     m.events.Load(),
@@ -721,7 +688,7 @@ func (m *Manager) Stats() Stats {
 		RejectedBy: rej,
 		ReadOnly:   m.readOnly.Load(),
 		RejectedRO: m.rejectedRO.Load(),
-		LeaderHint: m.LeaderHint(),
+		LeaderHint: hint,
 		Shard:      ss,
 		Lookups:    m.lookups.Load(),
 		Journal:    js,
@@ -780,16 +747,16 @@ func (m *Manager) Compact() (CompactStats, error) {
 	return CompactStats{Instances: len(cps), Seq: seq, Seconds: pause.Seconds()}, nil
 }
 
-// ErrSeqGap is returned by replicateEntry when the forwarded entry's
+// errSeqGap is returned by replicateEntry when the forwarded entry's
 // sequence number is ahead of the follower's next expected one — the
 // leader compacted past this follower (or lost history), and the
 // follower must resynchronize from a checkpoint.
-var ErrSeqGap = errors.New("fleet: replicated entry ahead of expected sequence")
+var errSeqGap = errors.New("fleet: replicated entry ahead of expected sequence")
 
 // replicateEntry applies one forwarded commit entry on a follower, in
 // order: the entry's seq must be exactly the follower's next expected
 // one (an entry behind it is a reconnect duplicate, skipped silently;
-// one ahead is ErrSeqGap). Each record re-commits through the
+// one ahead is errSeqGap). Each record re-commits through the
 // follower's own pipeline — journaled locally for restart, transitions
 // validated and their mapping computed by ft.NewMapping — so a
 // follower is a full replica whose own watch stream chains.
@@ -799,7 +766,7 @@ func (m *Manager) replicateEntry(e commit.Entry) error {
 		return nil // duplicate from a resumed stream
 	}
 	if e.Seq > expected {
-		return fmt.Errorf("%w: got seq %d, expected %d", ErrSeqGap, e.Seq, expected)
+		return fmt.Errorf("%w: got seq %d, expected %d", errSeqGap, e.Seq, expected)
 	}
 	switch rec := e.Rec; rec.Op {
 	case journal.OpCreate:

@@ -3,6 +3,8 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -34,8 +36,8 @@ func TestManagerRegistry(t *testing.T) {
 	if _, err := m.Create("b", Spec{Kind: KindShuffle, H: 4, K: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if ids := m.List(); len(ids) != 2 || ids[0] != "a" || ids[1] != "b" {
-		t.Errorf("List = %v", ids)
+	if ids := m.list(); len(ids) != 2 || ids[0] != "a" || ids[1] != "b" {
+		t.Errorf("list = %v", ids)
 	}
 	if ok, err := m.Delete("b"); !ok || err != nil {
 		t.Errorf("Delete(b) = %v, %v; want true, nil", ok, err)
@@ -206,5 +208,44 @@ func TestManagerStress(t *testing.T) {
 				t.Fatalf("%s: final Lookup(%d) = %d, want %d", id, x, phi, want.Phi(x))
 			}
 		}
+	}
+}
+
+// TestManagerSurface pins Manager's exported methods to the ones called
+// from outside fleet, each beside its caller. A method whose last outside
+// caller goes is unexported, and a new one is added here with its caller.
+func TestManagerSurface(t *testing.T) {
+	want := []string{
+		"Close",            // benchmark/sut.go
+		"CommitRound",      // wire.Server
+		"Compact",          // the facade: FleetCompactStats
+		"Create",           // benchmark/sut.go, README's quickstart
+		"Delete",           // the facade: FleetManager, Create's one inverse
+		"Event",            // README's quickstart
+		"EventBatch",       // the facade: FleetManager, README's fleet line
+		"EventBatchBytes",  // benchmark/sut.go
+		"Get",              // the facade: FleetManager
+		"GetBytes",         // benchmark/sut.go
+		"Lookup",           // README's quickstart, the facade: FleetManager
+		"LookupBatchBytes", // wire.Server, benchmark/sut.go
+		"LookupEpochBytes", // wire.Server, benchmark/sut.go
+		"Metrics",          // cmd/ftnetd, benchmark/sut.go
+		"NextSeq",          // benchmark/sut.go
+		"Promote",          // cmd/ftnetd's SIGUSR1
+		"Recover",          // the facade: FleetJournal
+		"RecoverFile",      // benchmark/sut.go
+		"SetJournal",       // the facade: OpenFleetJournal
+		"SetTopology",      // benchmark/sut.go
+		"StageBatchBytes",  // wire.Server
+		"Stats",            // benchmark/sut.go
+		"Subscribe",        // benchmark/sut.go
+	}
+	typ := reflect.TypeFor[*Manager]()
+	var got []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Manager exports %d methods %v, want the %d with an outside caller %v", len(got), got, len(want), want)
 	}
 }

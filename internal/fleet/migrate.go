@@ -55,8 +55,8 @@ import (
 // the fence up until resolveHandoff settles which side owns the id,
 // and the target refuses traffic until the handoff record is durable.
 
-// MigrateStats reports one completed migration.
-type MigrateStats struct {
+// migrateStats reports one completed migration.
+type migrateStats struct {
 	ID    string  `json:"id"`
 	Peer  string  `json:"peer"`          // target member name
 	Epoch uint64  `json:"epoch"`         // instance epoch at handoff
@@ -89,33 +89,33 @@ func checkpointRecord(id string, spec Spec, snap *ft.Snapshot) journal.Record {
 	}
 }
 
-// MigrateOut hands instance id to peer (a member name from the
+// migrateOut hands instance id to peer (a member name from the
 // installed topology) and cuts over: after it returns nil, the peer
 // owns the instance, this daemon's journal records the departure, and
 // requests here are redirected. Outbound migrations are serialized —
 // a rebalance is a sequence of handoffs, each with its own short
 // fence, not one long pause.
-func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
+func (m *Manager) migrateOut(id, peer string) (migrateStats, error) {
 	if m.readOnly.Load() {
-		return MigrateStats{}, m.errReadOnly("migrate")
+		return migrateStats{}, m.errReadOnly("migrate")
 	}
 	t := m.topo.Load()
 	if t == nil {
-		return MigrateStats{}, fmt.Errorf("fleet: migrate without a shard topology")
+		return migrateStats{}, fmt.Errorf("fleet: migrate without a shard topology")
 	}
 	url, ok := t.peers[peer]
 	if !ok {
-		return MigrateStats{}, fmt.Errorf("fleet: migrate to unknown peer %q", peer)
+		return migrateStats{}, fmt.Errorf("fleet: migrate to unknown peer %q", peer)
 	}
 	if peer == t.self {
-		return MigrateStats{}, fmt.Errorf("fleet: migrate %q to self", id)
+		return migrateStats{}, fmt.Errorf("fleet: migrate %q to self", id)
 	}
 	push, probe := m.peerClient(url, pushTimeout), m.peerClient(url, probeTimeout)
 	m.migrateMu.Lock()
 	defer m.migrateMu.Unlock()
 	in, ok := m.Get(id)
 	if !ok {
-		return MigrateStats{}, errorf(ErrNotFound, "fleet: no instance %q", id)
+		return migrateStats{}, errorf(ErrNotFound, "fleet: no instance %q", id)
 	}
 
 	// A fence left up by an earlier unresolved handoff is settled before
@@ -127,20 +127,20 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 	in.writeMu.Unlock()
 	if p == phaseFenced || p == phaseMoved {
 		if pendingTo != url {
-			return MigrateStats{}, errorf(ErrConflict,
+			return migrateStats{}, errorf(ErrConflict,
 				"fleet: instance %q is already migrating to %s", id, pendingTo)
 		}
 		committed, epoch, rerr := resolveHandoff(probe, id)
 		if rerr != nil {
-			return MigrateStats{}, errorf(ErrUnavailable,
+			return migrateStats{}, errorf(ErrUnavailable,
 				"fleet: %v; write fence held, re-run the migration to resolve", rerr)
 		}
 		if committed {
 			if cerr := m.completeMigration(id, in); cerr != nil {
-				return MigrateStats{}, cerr
+				return migrateStats{}, cerr
 			}
 			m.migrationsOut.Inc()
-			return MigrateStats{ID: id, Peer: peer, Epoch: epoch}, nil
+			return migrateStats{ID: id, Peer: peer, Epoch: epoch}, nil
 		}
 		in.writeMu.Lock()
 		in.unfence()
@@ -153,7 +153,7 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 	in.writeMu.Lock()
 	if err := in.refuse(); err != nil {
 		in.writeMu.Unlock()
-		return MigrateStats{}, err
+		return migrateStats{}, err
 	}
 	in.writeMu.Unlock()
 	frame := sharding.Migration{
@@ -161,13 +161,13 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 		Token:  rand.Uint64(),
 		Record: checkpointRecord(id, in.spec, in.snap.Load()),
 	}
-	if err := push.StageMigration(frame); err != nil {
+	if err := push.stageMigration(frame); err != nil {
 		// The push may have staged despite the lost answer; a leftover
 		// stage refuses traffic until dropped, so clean up best-effort.
-		probe.AbortMigration(id)
+		probe.abortMigration(id)
 		// %v, not %w, here and for the commit push: the peer's category is
 		// about the peer's request, not about the one this daemon is serving.
-		return MigrateStats{}, fmt.Errorf("fleet: stage %q on %s: %v", id, peer, err)
+		return migrateStats{}, fmt.Errorf("fleet: stage %q on %s: %v", id, peer, err)
 	}
 
 	// Phase 2: fence, ship the state, cut over. The fence window —
@@ -179,13 +179,13 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 	in.writeMu.Lock()
 	if err := in.fence(url); err != nil {
 		in.writeMu.Unlock()
-		probe.AbortMigration(id) // best effort; the stage was never durable
-		return MigrateStats{}, err
+		probe.abortMigration(id) // best effort; the stage was never durable
+		return migrateStats{}, err
 	}
 	frame.Record = checkpointRecord(id, in.spec, in.snap.Load())
 	in.writeMu.Unlock()
 
-	if perr := push.CommitMigration(frame); perr != nil {
+	if perr := push.commitMigration(frame); perr != nil {
 		// The commit push failed — but "failed" is ambiguous: a lost
 		// response or timeout may hide a commit the target durably
 		// journaled and is already serving. Lifting the fence on that
@@ -198,7 +198,7 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 		err := fmt.Errorf("fleet: commit %q on %s: %v", id, peer, perr)
 		committed, _, rerr := resolveHandoff(probe, id)
 		if rerr != nil {
-			return MigrateStats{}, errorf(ErrUnavailable,
+			return migrateStats{}, errorf(ErrUnavailable,
 				"fleet: %v (commit push: %v); write fence held, re-run the migration to resolve", rerr, err)
 		}
 		if !committed {
@@ -206,7 +206,7 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 			in.writeMu.Lock()
 			in.unfence()
 			in.writeMu.Unlock()
-			return MigrateStats{}, err
+			return migrateStats{}, err
 		}
 		// The commit landed and only its answer was lost: fall through
 		// to the cutover exactly as if the push had succeeded.
@@ -215,12 +215,12 @@ func (m *Manager) MigrateOut(id, peer string) (MigrateStats, error) {
 	// The peer owns the instance now: hand the copy off (the ring's answer
 	// — the peer — takes over for routing) and journal the departure.
 	if err := m.completeMigration(id, in); err != nil {
-		return MigrateStats{}, err
+		return migrateStats{}, err
 	}
 	pause := time.Since(fenceStart)
 	m.migratePause.Observe(pause)
 	m.migrationsOut.Inc()
-	return MigrateStats{ID: id, Peer: peer, Epoch: frame.Record.Epoch, Pause: pause.Seconds()}, nil
+	return migrateStats{ID: id, Peer: peer, Epoch: frame.Record.Epoch, Pause: pause.Seconds()}, nil
 }
 
 // completeMigration retires the source copy after a committed handoff:
@@ -239,18 +239,18 @@ func (m *Manager) completeMigration(id string, in *Instance) error {
 	return m.leave(id)
 }
 
-// Rebalance migrates every displaced local instance (the ids the
+// rebalance migrates every displaced local instance (the ids the
 // current ring assigns elsewhere) to its owner, one fenced handoff at
 // a time. It returns the stats of the migrations that completed; on
 // the first failure it stops and reports both.
-func (m *Manager) Rebalance() ([]MigrateStats, error) {
-	var out []MigrateStats
-	for _, id := range m.Displaced() {
+func (m *Manager) rebalance() ([]migrateStats, error) {
+	var out []migrateStats
+	for _, id := range m.displaced() {
 		t := m.topo.Load()
 		if t == nil {
 			break
 		}
-		st, err := m.MigrateOut(id, t.ring.Owner(id))
+		st, err := m.migrateOut(id, t.ring.Owner(id))
 		if err != nil {
 			return out, err
 		}
@@ -259,11 +259,11 @@ func (m *Manager) Rebalance() ([]MigrateStats, error) {
 	return out, nil
 }
 
-// StageMigration is the target half of phase 1: rebuild the pushed
+// stageMigration is the target half of phase 1: rebuild the pushed
 // checkpoint bit-identically and hold it staged — in memory, invisible
 // to the journal, refusing traffic — until the fenced state commits.
 // Staging is idempotent: a source retry replaces the previous stage.
-func (m *Manager) StageMigration(mig sharding.Migration) error {
+func (m *Manager) stageMigration(mig sharding.Migration) error {
 	if m.readOnly.Load() {
 		return m.errReadOnly("migration stage")
 	}
@@ -287,7 +287,7 @@ func (m *Manager) StageMigration(mig sharding.Migration) error {
 	return m.setRaw(in, false)
 }
 
-// CommitMigration is the target half of phase 2: verify the fenced
+// commitMigration is the target half of phase 2: verify the fenced
 // state on receipt — the staged attempt's token, a checkpoint of the
 // staged spec at an epoch the staged one has not passed, a fault set
 // ft.Restore accepts — journal ONE OpMigrate record carrying it, and
@@ -295,7 +295,7 @@ func (m *Manager) StageMigration(mig sharding.Migration) error {
 // like any ordinary record, so this daemon's followers receive the
 // arrival as a single atomic entry. A refused frame leaves the copy
 // arriving at its staged snapshot, for the source's abort to retire.
-func (m *Manager) CommitMigration(mig sharding.Migration) (uint64, error) {
+func (m *Manager) commitMigration(mig sharding.Migration) (uint64, error) {
 	if m.readOnly.Load() {
 		return 0, m.errReadOnly("migration commit")
 	}
@@ -307,7 +307,7 @@ func (m *Manager) CommitMigration(mig sharding.Migration) (uint64, error) {
 	defer m.pipe.gate.RUnlock()
 	in.writeMu.Lock()
 	defer in.writeMu.Unlock()
-	// Re-check under writeMu: a successful AbortMigration (which retires
+	// Re-check under writeMu: a successful abortMigration (which retires
 	// under this same mutex) is a definitive fence — no commit may land
 	// after it, or the source could resume ownership of an id this daemon
 	// also serves.
@@ -337,15 +337,15 @@ func (m *Manager) CommitMigration(mig sharding.Migration) (uint64, error) {
 	return snap.Epoch(), nil
 }
 
-// AbortMigration drops a staged (never-committed) inbound instance,
+// abortMigration drops a staged (never-committed) inbound instance,
 // reporting whether one existed. The source calls it when phase 2
 // fails; since the stage was never journaled, dropping it from memory
 // is the entire rollback. The arriving test happens under writeMu — the
-// mutex CommitMigration verifies and journals under — so a true answer
+// mutex commitMigration verifies and journals under — so a true answer
 // is a fence: the commit for this stage either already happened
 // (answer false) or can never happen (answer true), never "is about
 // to". resolveHandoff leans on exactly that.
-func (m *Manager) AbortMigration(id string) bool {
+func (m *Manager) abortMigration(id string) bool {
 	in, ok := m.Get(id)
 	if !ok {
 		return false
@@ -362,14 +362,14 @@ func (m *Manager) AbortMigration(id string) bool {
 	return staged
 }
 
-// MigrationState reports this daemon's view of id for a peer resolving
+// migrationState reports this daemon's view of id for a peer resolving
 // an ambiguous handoff (or auditing its displaced copies after a restart):
 // "absent" (no copy in service — never arrived, aborted, deleted or cut
 // over), "staged" (arrived but not committed; still refusing traffic),
 // or "committed" (a journaled copy, fenced or not; epoch is its current
 // epoch). The phase is read under writeMu so the answer never observes a
 // commit or abort halfway through.
-func (m *Manager) MigrationState(id string) (string, uint64) {
+func (m *Manager) migrationState(id string) (string, uint64) {
 	in, ok := m.Get(id)
 	if !ok {
 		return "absent", 0
@@ -389,7 +389,7 @@ func (m *Manager) MigrationState(id string) (string, uint64) {
 // resolveHandoff decides the fate of a handoff whose commit push got no
 // usable answer — the split-brain hinge. The order is what makes it
 // sound: abort FIRST. A successful abort is a fence (see
-// AbortMigration), so aborted=true means the commit provably never
+// abortMigration), so aborted=true means the commit provably never
 // happened and never will. Only when the abort found nothing staged do
 // we probe the state: "committed" means the push landed and its answer
 // was lost; "absent" means the stage evaporated (target restart) and a
@@ -402,7 +402,7 @@ func resolveHandoff(probe Client, id string) (committed bool, epoch uint64, err 
 		if attempt > 0 {
 			time.Sleep(time.Duration(attempt) * 200 * time.Millisecond)
 		}
-		aborted, aerr := probe.AbortMigration(id)
+		aborted, aerr := probe.abortMigration(id)
 		if aerr != nil {
 			lastErr = aerr
 			continue
@@ -410,7 +410,7 @@ func resolveHandoff(probe Client, id string) (committed bool, epoch uint64, err 
 		if aborted {
 			return false, 0, nil
 		}
-		state, e, serr := probe.MigrationState(id)
+		state, e, serr := probe.migrationState(id)
 		if serr != nil {
 			lastErr = serr
 			continue

@@ -131,11 +131,11 @@ func TestMigrateMovesInstanceBitIdentically(t *testing.T) {
 	if _, err := p.a.Lookup(moves, 0); err != nil {
 		t.Fatalf("displaced instance unavailable pre-migration: %v", err)
 	}
-	if got := p.a.Displaced(); len(got) != 1 || got[0] != moves {
-		t.Fatalf("Displaced = %v, want [%s]", got, moves)
+	if got := p.a.displaced(); len(got) != 1 || got[0] != moves {
+		t.Fatalf("displaced = %v, want [%s]", got, moves)
 	}
 
-	stats, err := p.a.Rebalance()
+	stats, err := p.a.rebalance()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestMigrateWriteRaceLosesNothing(t *testing.T) {
 	}()
 
 	time.Sleep(5 * time.Millisecond) // let some pre-fence writes land
-	if _, err := p.a.MigrateOut(id, "b"); err != nil {
+	if _, err := p.a.migrateOut(id, "b"); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -325,7 +325,7 @@ func TestMigrateStaleWriterIsRedirected(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.installTopology(t)
-	if _, err := p.a.MigrateOut(id, "b"); err != nil {
+	if _, err := p.a.migrateOut(id, "b"); err != nil {
 		t.Fatal(err)
 	}
 	_, err = in.ApplyBatch([]Event{{EventFault, 0}})
@@ -415,7 +415,7 @@ func TestResolveAllocs(t *testing.T) {
 		}
 		if sharded {
 			m.SetTopology("a", map[string]string{"a": "http://a.example", "b": "http://b.example"}, 0)
-			if info, _ := m.Topology(); info.Moved == 0 {
+			if info, _ := m.ring(); info.Moved == 0 {
 				t.Fatal("no displaced copy held")
 			}
 		}
@@ -452,7 +452,7 @@ func TestMigrateHTTPRedirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.installTopology(t)
-	if _, err := p.a.MigrateOut(id, "b"); err != nil {
+	if _, err := p.a.migrateOut(id, "b"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -496,7 +496,7 @@ func TestMigrateHTTPRedirect(t *testing.T) {
 	// of planting a shadow copy.
 	other := idOwnedBy(t, "b") + "-new"
 	if owner := sharding.New([]string{"a", "b"}, 0).Owner(other); owner == "b" {
-		resp = post(p.peers["a"]+"/v1/instances", CreateRequest{ID: other, Spec: Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}})
+		resp = post(p.peers["a"]+"/v1/instances", createRequest{ID: other, Spec: Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}})
 		if resp.StatusCode != http.StatusForbidden {
 			t.Errorf("create for foreign id = %d, want 403", resp.StatusCode)
 		}
@@ -520,10 +520,10 @@ func TestMigrateStageLifecycle(t *testing.T) {
 	}
 
 	// Staging on the wrong member bounces with a redirect.
-	if err := p.a.StageMigration(frame); !errors.Is(err, ErrWrongShard) {
+	if err := p.a.stageMigration(frame); !errors.Is(err, ErrWrongShard) {
 		t.Fatalf("stage on non-owner err = %v, want ErrWrongShard", err)
 	}
-	if err := p.b.StageMigration(frame); err != nil {
+	if err := p.b.stageMigration(frame); err != nil {
 		t.Fatal(err)
 	}
 	// Staged = invisible to readers until the fenced state commits.
@@ -533,27 +533,27 @@ func TestMigrateStageLifecycle(t *testing.T) {
 	// A commit that doesn't carry the staged attempt's token is refused.
 	foreign := frame
 	foreign.Token = 99
-	if _, err := p.b.CommitMigration(foreign); !errors.Is(err, ErrConflict) {
+	if _, err := p.b.commitMigration(foreign); !errors.Is(err, ErrConflict) {
 		t.Fatalf("mismatched commit err = %v, want ErrConflict", err)
 	}
 	// Re-staging (source retry) is idempotent.
-	if err := p.b.StageMigration(frame); err != nil {
+	if err := p.b.stageMigration(frame); err != nil {
 		t.Fatalf("re-stage: %v", err)
 	}
-	if !p.b.AbortMigration(id) {
+	if !p.b.abortMigration(id) {
 		t.Fatal("abort found nothing")
 	}
 	if _, ok := p.b.Get(id); ok {
 		t.Fatal("aborted stage still visible")
 	}
-	if p.b.AbortMigration(id) {
+	if p.b.abortMigration(id) {
 		t.Fatal("second abort claimed success")
 	}
 	// A stage must never replace a live instance.
 	if _, err := p.b.Create(id, spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.b.StageMigration(frame); !errors.Is(err, ErrConflict) {
+	if err := p.b.stageMigration(frame); !errors.Is(err, ErrConflict) {
 		t.Fatalf("stage over live instance err = %v, want ErrConflict", err)
 	}
 }
@@ -564,17 +564,17 @@ func TestMigrateGuards(t *testing.T) {
 	if _, err := p.a.Create(id, Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.a.MigrateOut(id, "b"); err == nil {
+	if _, err := p.a.migrateOut(id, "b"); err == nil {
 		t.Error("migrate without topology accepted")
 	}
 	p.installTopology(t)
-	if _, err := p.a.MigrateOut(id, "ghost"); err == nil {
+	if _, err := p.a.migrateOut(id, "ghost"); err == nil {
 		t.Error("migrate to unknown peer accepted")
 	}
-	if _, err := p.a.MigrateOut(id, "a"); err == nil {
+	if _, err := p.a.migrateOut(id, "a"); err == nil {
 		t.Error("migrate to self accepted")
 	}
-	if _, err := p.a.MigrateOut("missing", "b"); !errors.Is(err, ErrNotFound) {
+	if _, err := p.a.migrateOut("missing", "b"); !errors.Is(err, ErrNotFound) {
 		t.Error("migrate of unknown instance accepted")
 	}
 	// Delete is fenced off for an in-flight instance only; a plain
@@ -605,7 +605,7 @@ func TestMigrateDeletedDisplacedCopyIsNotOwned(t *testing.T) {
 			t.Errorf("%s after the delete: %v, want ErrWrongShard naming %s", what, err, p.peers["b"])
 		}
 	}
-	if info, _ := p.a.Topology(); info.Moved != 0 {
+	if info, _ := p.a.ring(); info.Moved != 0 {
 		t.Errorf("Moved = %d after the delete, want 0", info.Moved)
 	}
 	if _, err := p.b.Create(id, lifecycleSpec); err != nil {
@@ -626,20 +626,20 @@ func TestMigrateCommitAfterRingChangeIsServed(t *testing.T) {
 	for i := 0; id == "" || two.Owner(id) != "b" || three.Owner(id) != "c"; i++ {
 		id = fmt.Sprintf("inst-%d", i)
 	}
-	if err := p.b.StageMigration(stageFrame(id, 7)); err != nil {
+	if err := p.b.stageMigration(stageFrame(id, 7)); err != nil {
 		t.Fatal(err)
 	}
 	p.b.SetTopology("b", grown, 0)
-	if _, err := p.b.CommitMigration(stageFrame(id, 7)); err != nil {
+	if _, err := p.b.commitMigration(stageFrame(id, 7)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.b.Lookup(id, 0); err != nil {
 		t.Errorf("lookup of the only copy in the fleet: %v", err)
 	}
-	if got := p.b.Displaced(); !slices.Equal(got, []string{id}) {
-		t.Errorf("Displaced = %v, want [%s]", got, id)
+	if got := p.b.displaced(); !slices.Equal(got, []string{id}) {
+		t.Errorf("displaced = %v, want [%s]", got, id)
 	}
-	if info, _ := p.b.Topology(); info.Moved != 1 {
+	if info, _ := p.b.ring(); info.Moved != 1 {
 		t.Errorf("Moved = %d, want 1", info.Moved)
 	}
 }
@@ -661,7 +661,7 @@ func TestMigrateHandoffInProcess(t *testing.T) {
 	}
 	want := phiSliceOf(t, p.a, id)
 	p.installTopology(t)
-	if st, err := p.a.MigrateOut(id, "b"); err != nil || st.Epoch != 2 {
+	if st, err := p.a.migrateOut(id, "b"); err != nil || st.Epoch != 2 {
 		t.Fatalf("handoff = %+v, %v; want epoch 2", st, err)
 	}
 	if got := phiSliceOf(t, p.b, id); !slices.Equal(got, want) {
@@ -736,7 +736,7 @@ func TestMigrateCommitResponseLostStillCutsOver(t *testing.T) {
 		func(path string) bool { return path == "/v1/migrate/commit" }, nil)
 	p.installTopology(t)
 
-	st, err := p.a.MigrateOut(id, "b")
+	st, err := p.a.migrateOut(id, "b")
 	if err != nil {
 		t.Fatalf("migrate with lost commit answer = %v, want resolved success", err)
 	}
@@ -759,7 +759,7 @@ func TestMigrateCommitResponseLostStillCutsOver(t *testing.T) {
 // lost AND the target cannot be probed, the handoff is genuinely
 // ambiguous — the only safe posture is to keep the write fence up
 // (writes bounce with a redirect, they do not land on the maybe-stale
-// copy) and let a later MigrateOut resume the resolution.
+// copy) and let a later migrateOut resume the resolution.
 func TestMigrateUnresolvedCommitHoldsFence(t *testing.T) {
 	p := newShardPair(t)
 	id := idOwnedBy(t, "b")
@@ -782,7 +782,7 @@ func TestMigrateUnresolvedCommitHoldsFence(t *testing.T) {
 		})
 	p.installTopology(t)
 
-	if _, err := p.a.MigrateOut(id, "b"); !errors.Is(err, ErrUnavailable) {
+	if _, err := p.a.migrateOut(id, "b"); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("unresolved migrate err = %v, want ErrUnavailable", err)
 	}
 	// The fence held: a write on the source is redirected, never applied
@@ -798,7 +798,7 @@ func TestMigrateUnresolvedCommitHoldsFence(t *testing.T) {
 	// The outage heals; re-running the migration resumes the pending
 	// resolution (not ErrConflict), finishes the cutover, and reports it.
 	outage.Store(false)
-	st, err := p.a.MigrateOut(id, "b")
+	st, err := p.a.migrateOut(id, "b")
 	if err != nil {
 		t.Fatalf("resumed migrate: %v", err)
 	}
@@ -827,7 +827,7 @@ func TestDeleteStagedRefused(t *testing.T) {
 		Token:  3,
 		Record: journal.Record{Op: journal.OpCheckpoint, ID: id, Spec: journalSpec(spec), Epoch: 0},
 	}
-	if err := p.b.StageMigration(frame); err != nil {
+	if err := p.b.stageMigration(frame); err != nil {
 		t.Fatal(err)
 	}
 	ok, err := p.b.Delete(id)
@@ -835,10 +835,10 @@ func TestDeleteStagedRefused(t *testing.T) {
 		t.Fatalf("delete of staged copy = (%v, %v), want refused with ErrUnavailable", ok, err)
 	}
 	// The stage is untouched and the handoff still commits.
-	if state, _ := p.b.MigrationState(id); state != "staged" {
+	if state, _ := p.b.migrationState(id); state != "staged" {
 		t.Fatalf("state after refused delete = %q, want staged", state)
 	}
-	if _, err := p.b.CommitMigration(frame); err != nil {
+	if _, err := p.b.commitMigration(frame); err != nil {
 		t.Fatalf("commit after refused delete: %v", err)
 	}
 }
@@ -859,30 +859,30 @@ func TestAbortCommitFence(t *testing.T) {
 	}
 
 	// Abort first: the commit must find nothing to land on.
-	if err := p.b.StageMigration(frame); err != nil {
+	if err := p.b.stageMigration(frame); err != nil {
 		t.Fatal(err)
 	}
-	if !p.b.AbortMigration(id) {
+	if !p.b.abortMigration(id) {
 		t.Fatal("abort found nothing staged")
 	}
-	if _, err := p.b.CommitMigration(frame); !errors.Is(err, ErrNotFound) {
+	if _, err := p.b.commitMigration(frame); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("commit after abort err = %v, want ErrNotFound", err)
 	}
-	if state, _ := p.b.MigrationState(id); state != "absent" {
+	if state, _ := p.b.migrationState(id); state != "absent" {
 		t.Fatalf("state after aborted handoff = %q, want absent", state)
 	}
 
 	// Commit first: the abort must not drop the committed copy.
-	if err := p.b.StageMigration(frame); err != nil {
+	if err := p.b.stageMigration(frame); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.b.CommitMigration(frame); err != nil {
+	if _, err := p.b.commitMigration(frame); err != nil {
 		t.Fatal(err)
 	}
-	if p.b.AbortMigration(id) {
+	if p.b.abortMigration(id) {
 		t.Fatal("abort claimed to drop a committed instance")
 	}
-	if state, _ := p.b.MigrationState(id); state != "committed" {
+	if state, _ := p.b.migrationState(id); state != "committed" {
 		t.Fatalf("state after commit = %q, want committed", state)
 	}
 	if _, err := p.b.Lookup(id, 0); err != nil {
@@ -926,10 +926,10 @@ func TestReconcilePinsRetiresStaleCopy(t *testing.T) {
 	// crash-window state the OpDelete never recorded).
 	inA, _ := p.a.Get(handedOff)
 	frame := sharding.Migration{ID: handedOff, Token: 5, Record: checkpointRecord(handedOff, spec, inA.snap.Load())}
-	if err := p.b.StageMigration(frame); err != nil {
+	if err := p.b.stageMigration(frame); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.b.CommitMigration(frame); err != nil {
+	if _, err := p.b.commitMigration(frame); err != nil {
 		t.Fatal(err)
 	}
 	// divergent: b holds an OLDER committed copy (epoch 0 < a's 1) — the
@@ -938,10 +938,10 @@ func TestReconcilePinsRetiresStaleCopy(t *testing.T) {
 		ID: divergent, Token: 6,
 		Record: journal.Record{Op: journal.OpCheckpoint, ID: divergent, Spec: journalSpec(spec), Epoch: 0},
 	}
-	if err := p.b.StageMigration(frame); err != nil {
+	if err := p.b.stageMigration(frame); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.b.CommitMigration(frame); err != nil {
+	if _, err := p.b.commitMigration(frame); err != nil {
 		t.Fatal(err)
 	}
 
@@ -962,7 +962,7 @@ func TestReconcilePinsRetiresStaleCopy(t *testing.T) {
 			t.Errorf("kept instance %q unavailable after reconciliation: %v", id, err)
 		}
 	}
-	if info, ok := p.a.Topology(); !ok || info.Moved != 2 {
+	if info, ok := p.a.ring(); !ok || info.Moved != 2 {
 		t.Errorf("moved pins after reconciliation = %d, want 2", info.Moved)
 	}
 	// A second pass converges: nothing more to retire, nothing lost.
@@ -1032,7 +1032,7 @@ func TestMigrateShipsStateNotHistory(t *testing.T) {
 			src.SetTopology("a", peers, 0)
 			dst.SetTopology("b", peers, 0)
 
-			st, err := src.MigrateOut(moving, "b")
+			st, err := src.migrateOut(moving, "b")
 			if err != nil {
 				t.Fatalf("handoff past 80 commits of history: %v", err)
 			}
@@ -1085,7 +1085,7 @@ func TestMigrateCommitRefusals(t *testing.T) {
 		return mig
 	}
 	staged := frame(func(mig *sharding.Migration) { mig.Record.Epoch, mig.Record.Faults = 1, []int{3} })
-	if err := p.b.StageMigration(staged); err != nil {
+	if err := p.b.stageMigration(staged); err != nil {
 		t.Fatal(err)
 	}
 	in := mustGet(t, p.b, id)
@@ -1103,7 +1103,7 @@ func TestMigrateCommitRefusals(t *testing.T) {
 		"foreign token":              {edit: func(mig *sharding.Migration) { mig.Token = 8 }, want: ErrConflict},
 		"forged fault set":           {edit: func(mig *sharding.Migration) { mig.Record.Faults = []int{3, 3} }, want: ErrCorruptRecord},
 	} {
-		_, err := p.b.CommitMigration(frame(c.edit))
+		_, err := p.b.commitMigration(frame(c.edit))
 		if err == nil || (c.want != nil && !errors.Is(err, c.want)) {
 			t.Errorf("%s: err %v, want a refusal (%v)", name, err, c.want)
 		}
@@ -1113,7 +1113,7 @@ func TestMigrateCommitRefusals(t *testing.T) {
 		}
 	}
 
-	epoch, err := p.b.CommitMigration(frame(func(*sharding.Migration) {}))
+	epoch, err := p.b.commitMigration(frame(func(*sharding.Migration) {}))
 	if err != nil || epoch != 2 {
 		t.Fatalf("the genuine frame: epoch %d, err %v; want epoch 2", epoch, err)
 	}
@@ -1126,7 +1126,7 @@ func TestMigrateCommitRefusals(t *testing.T) {
 // it answers, for good. The commit frame of an aborted attempt finds a
 // later attempt's stage and must not land on it — the source would read
 // "committed" as its own attempt's and drop what it acked in between —
-// so every MigrateOut attempt stages and commits under a token minted
+// so every migrateOut attempt stages and commits under a token minted
 // for it alone.
 func TestMigrateAttemptsHaveTheirOwnToken(t *testing.T) {
 	p := newShardPair(t)
@@ -1134,22 +1134,22 @@ func TestMigrateAttemptsHaveTheirOwnToken(t *testing.T) {
 	p.b.SetTopology("b", p.peers, 0)
 
 	// The target's half: stage A, abort, stage B, commit A.
-	if err := p.b.StageMigration(stageFrame(id, 1)); err != nil {
+	if err := p.b.stageMigration(stageFrame(id, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if !p.b.AbortMigration(id) {
+	if !p.b.abortMigration(id) {
 		t.Fatal("abort found nothing staged")
 	}
-	if err := p.b.StageMigration(stageFrame(id, 2)); err != nil {
+	if err := p.b.stageMigration(stageFrame(id, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.b.CommitMigration(stageFrame(id, 1)); !errors.Is(err, ErrConflict) {
+	if _, err := p.b.commitMigration(stageFrame(id, 1)); !errors.Is(err, ErrConflict) {
 		t.Fatalf("commit of the aborted attempt on the next one's stage: err %v, want ErrConflict", err)
 	}
-	if state, _ := p.b.MigrationState(id); state != "staged" {
+	if state, _ := p.b.migrationState(id); state != "staged" {
 		t.Fatalf("state after the refused commit = %q, want staged", state)
 	}
-	if epoch, err := p.b.CommitMigration(stageFrame(id, 2)); err != nil || epoch != 4 {
+	if epoch, err := p.b.commitMigration(stageFrame(id, 2)); err != nil || epoch != 4 {
 		t.Fatalf("commit of the staged attempt: epoch %d, err %v", epoch, err)
 	}
 	if ok, err := p.b.Delete(id); !ok || err != nil {
@@ -1171,11 +1171,11 @@ func TestMigrateAttemptsHaveTheirOwnToken(t *testing.T) {
 		return nil
 	})
 	p.a.SetTopology("a", p.peers, 0)
-	if _, err := p.a.MigrateOut(id, "b"); err == nil {
+	if _, err := p.a.migrateOut(id, "b"); err == nil {
 		t.Fatal("the first attempt's commit push was lost, yet it succeeded")
 	}
 	outage = false
-	if _, err := p.a.MigrateOut(id, "b"); err != nil {
+	if _, err := p.a.migrateOut(id, "b"); err != nil {
 		t.Fatal(err)
 	}
 	if len(tokens) != 4 || tokens[0] != tokens[1] || tokens[2] != tokens[3] || tokens[0] == tokens[2] {

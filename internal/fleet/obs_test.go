@@ -160,7 +160,7 @@ func TestFollowerReplicationLagMetrics(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st := f.Stats()
-		if st.LeaderSeq >= leader.CommitLog().LastSeq() && st.LagSeqs == 0 {
+		if st.LeaderSeq >= leader.pipe.log.LastSeq() && st.LagSeqs == 0 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -46,7 +46,7 @@ func snapshotModel(model map[string]*ft.Snapshot) map[string]expectedState {
 // same Phi for every target (recomputed via ft.NewMapping).
 func checkRecovered(t *testing.T, m *Manager, want map[string]expectedState, specs map[string]Spec) {
 	t.Helper()
-	if ids := m.List(); len(ids) != len(want) {
+	if ids := m.list(); len(ids) != len(want) {
 		t.Fatalf("recovered %d instances %v, want %d", len(ids), ids, len(want))
 	}
 	for id, ws := range want {
@@ -526,8 +526,8 @@ func TestRecoverRejectsCorruptSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("orphaned transition should be skipped, got %v", err)
 	}
-	if st.Orphaned != 1 || st.Built != 0 || len(m.List()) != 0 {
-		t.Fatalf("stats %+v, instances %v; want 1 orphaned, nothing built, none live", st, m.List())
+	if st.Orphaned != 1 || st.Built != 0 || len(m.list()) != 0 {
+		t.Fatalf("stats %+v, instances %v; want 1 orphaned, nothing built, none live", st, m.list())
 	}
 }
 
@@ -543,7 +543,7 @@ type registered struct {
 
 func registryOf(m *Manager) map[string]registered {
 	out := make(map[string]registered)
-	for _, id := range m.List() {
+	for _, id := range m.list() {
 		in, _ := m.Get(id)
 		out[id] = registered{in, in.at(), in.Snapshot()}
 	}
@@ -647,15 +647,15 @@ func TestInstallPathsRejectCorruptRecords(t *testing.T) {
 					Op: journal.OpCheckpoint, ID: id, Spec: journalSpec(spec), Epoch: epoch, Faults: faults}}
 			}
 			// A forged checkpoint never registers at all.
-			if err := p.b.StageMigration(frame(1, []int{3, 3})); !errors.Is(err, ErrCorruptRecord) {
+			if err := p.b.stageMigration(frame(1, []int{3, 3})); !errors.Is(err, ErrCorruptRecord) {
 				t.Fatalf("stage of a forged checkpoint: err %v, want ErrCorruptRecord", err)
 			}
 			if _, ok := p.b.Get(id); ok {
 				t.Fatal("a forged checkpoint registered the instance")
 			}
-			err := p.b.StageMigration(frame(1, []int{3}))
+			err := p.b.stageMigration(frame(1, []int{3}))
 			return p.b, id, func(epoch uint64, faults []int) error {
-				_, err := p.b.CommitMigration(frame(epoch, faults))
+				_, err := p.b.commitMigration(frame(epoch, faults))
 				return err
 			}, err
 		}},
@@ -1046,7 +1046,7 @@ func TestRecoverMatchesEagerOracle(t *testing.T) {
 				t.Fatalf("seed %d, %d of %d bytes:\n stats %+v\noracle %+v", seed, cut, len(raw), gotSt, wantSt)
 			}
 			state, specs := map[string]expectedState{}, map[string]Spec{}
-			for _, id := range want.List() {
+			for _, id := range want.list() {
 				in := mustGet(t, want, id)
 				state[id], specs[id] = expectedState{epoch: in.Snapshot().Epoch(), faults: in.Snapshot().Faults()}, in.Spec()
 				other, ok := got.Get(id)

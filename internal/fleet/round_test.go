@@ -428,7 +428,7 @@ func TestRoundsUnderCompactAndMigrate(t *testing.T) {
 	if ok, err := p.a.Delete(doomed); !ok || err != nil {
 		t.Errorf("delete under rounds: %v, %v", ok, err)
 	}
-	if _, err := p.a.MigrateOut(moving, "b"); err != nil {
+	if _, err := p.a.migrateOut(moving, "b"); err != nil {
 		t.Errorf("migrate under rounds: %v", err)
 	}
 	if _, err := p.a.Compact(); err != nil {

@@ -38,13 +38,13 @@ type topology struct {
 	ring     *sharding.Ring
 }
 
-// RingInfo describes the installed topology (the GET /v1/ring body).
-type RingInfo struct {
+// ringInfo describes the installed topology (the GET /v1/ring body).
+type ringInfo struct {
 	Self     string            `json:"self"`
 	Peers    map[string]string `json:"peers"`
 	Replicas int               `json:"replicas"`
 	Members  []string          `json:"members"`
-	Moved    int               `json:"moved"` // len(Displaced()): copies held here that the ring assigns elsewhere
+	Moved    int               `json:"moved"` // len(displaced()): copies held here that the ring assigns elsewhere
 }
 
 // SetTopology installs a shard-ring view: self is this daemon's member
@@ -102,7 +102,7 @@ func (m *Manager) reconcilePins(ctx context.Context) reconcileStats {
 	}
 	m.migrateMu.Lock()
 	defer m.migrateMu.Unlock()
-	for _, id := range m.Displaced() {
+	for _, id := range m.displaced() {
 		in, ok := m.Get(id)
 		if !ok || in.at() >= phaseMoved {
 			continue // not held here any more (deleted, or on its way out)
@@ -110,7 +110,7 @@ func (m *Manager) reconcilePins(ctx context.Context) reconcileStats {
 		st.Checked++
 		probe := m.peerClient(t.peers[t.ring.Owner(id)], probeTimeout)
 		probe.ctx = ctx
-		state, epoch, err := probe.MigrationState(id)
+		state, epoch, err := probe.migrationState(id)
 		if err != nil {
 			st.Unresolved++
 			continue
@@ -128,28 +128,28 @@ func (m *Manager) reconcilePins(ctx context.Context) reconcileStats {
 	return st
 }
 
-// Topology returns the installed ring view, or ok=false when this
+// ring returns the installed ring view, or ok=false when this
 // daemon is unsharded.
-func (m *Manager) Topology() (RingInfo, bool) {
+func (m *Manager) ring() (ringInfo, bool) {
 	t := m.topo.Load()
 	if t == nil {
-		return RingInfo{}, false
+		return ringInfo{}, false
 	}
-	info := RingInfo{
+	info := ringInfo{
 		Self:     t.self,
 		Peers:    t.peers,
 		Replicas: t.replicas,
 		Members:  append([]string(nil), t.ring.Members()...),
-		Moved:    len(m.Displaced()),
+		Moved:    len(m.displaced()),
 	}
 	return info, true
 }
 
-// Displaced returns the sorted ids of local instances the current ring
+// displaced returns the sorted ids of local instances the current ring
 // assigns to another daemon — the work list of a rebalance, computed
 // from the registry and the ring at each call. Staged inbound
 // migrations are skipped (they are arriving, not leaving).
-func (m *Manager) Displaced() []string {
+func (m *Manager) displaced() []string {
 	t := m.topo.Load()
 	if t == nil {
 		return nil

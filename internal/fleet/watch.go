@@ -131,7 +131,7 @@ func (s *apiServer) watch(w http.ResponseWriter, r *http.Request) {
 	// is a stale leader and must not be followed; a higher term combined
 	// with a from beyond the term fence means the caller is a deposed
 	// leader holding un-replicated suffix it must discard.
-	term, termSeq := s.mgr.Term()
+	term, termSeq := s.mgr.pipe.log.Term()
 	w.Header().Set("X-Ftnet-Term", strconv.FormatUint(term, 10))
 	w.Header().Set("X-Ftnet-Term-Seq", strconv.FormatUint(termSeq, 10))
 	sub, err := s.mgr.Subscribe(from, watchBuffer)

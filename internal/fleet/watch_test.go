@@ -23,12 +23,12 @@ import (
 // the leader's current one.
 func waitConverged(t *testing.T, leader, follower *Manager, timeout time.Duration) {
 	t.Helper()
-	target := leader.CommitLog().LastSeq()
+	target := leader.pipe.log.LastSeq()
 	deadline := time.Now().Add(timeout)
-	for follower.CommitLog().LastSeq() < target {
+	for follower.pipe.log.LastSeq() < target {
 		if time.Now().After(deadline) {
 			t.Fatalf("follower at seq %d, leader at %d after %v",
-				follower.CommitLog().LastSeq(), target, timeout)
+				follower.pipe.log.LastSeq(), target, timeout)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -39,7 +39,7 @@ func waitConverged(t *testing.T, leader, follower *Manager, timeout time.Duratio
 // against a fresh ft.NewMapping.
 func assertSameFleet(t *testing.T, want, got *Manager) {
 	t.Helper()
-	wids, gids := want.List(), got.List()
+	wids, gids := want.list(), got.list()
 	if fmt.Sprint(wids) != fmt.Sprint(gids) {
 		t.Fatalf("instances %v, want %v", gids, wids)
 	}
@@ -142,13 +142,13 @@ func TestFollowerConvergesUnderWriteStorm(t *testing.T) {
 	if st.Resyncs != 0 {
 		t.Errorf("follower needed %d resyncs during a plain storm", st.Resyncs)
 	}
-	if st.Entries == 0 || st.LastSeq != leader.CommitLog().LastSeq() {
-		t.Errorf("follower stats %+v, leader seq %d", st, leader.CommitLog().LastSeq())
+	if st.Entries == 0 || st.LastSeq != leader.pipe.log.LastSeq() {
+		t.Errorf("follower stats %+v, leader seq %d", st, leader.pipe.log.LastSeq())
 	}
 
 	// The follower's own journal restarts it to the same state (read
 	// from a synced copy: the live writer still owns the file).
-	fw := fm.CommitLog().Writer()
+	fw := fm.pipe.log.Writer()
 	if err := fw.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestFreshFollowerAfterCompactionReplaysBounded(t *testing.T) {
 	fmA, fA := startFollower(t, ts.URL)
 	waitConverged(t, leader, fmA, 15*time.Second)
 	fullReplay := fA.Stats().Entries
-	preCompaction := leader.CommitLog().LastSeq()
+	preCompaction := leader.pipe.log.LastSeq()
 	if fullReplay != preCompaction {
 		t.Fatalf("follower A received %d entries, leader committed %d", fullReplay, preCompaction)
 	}
@@ -272,7 +272,7 @@ func TestFreshFollowerAfterCompactionReplaysBounded(t *testing.T) {
 	waitConverged(t, leader, fmA, 15*time.Second) // A rides through the compaction live
 
 	boundedReplay := fB.Stats().Entries
-	suffix := leader.CommitLog().LastSeq() - preCompaction
+	suffix := leader.pipe.log.LastSeq() - preCompaction
 	if boundedReplay >= preCompaction+suffix {
 		t.Errorf("fresh follower replayed %d records, no fewer than the %d of full history",
 			boundedReplay, preCompaction+suffix)
@@ -286,7 +286,7 @@ func TestFreshFollowerAfterCompactionReplaysBounded(t *testing.T) {
 
 	// And a leader restart replays the same bounded log (from a synced
 	// copy: the live writer still owns the file).
-	lw := leader.CommitLog().Writer()
+	lw := leader.pipe.log.Writer()
 	if err := lw.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestReadOnlyHandlerRejectsMutations(t *testing.T) {
 	if _, err := m.Create("a", Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}); err != nil {
 		t.Fatal(err)
 	}
-	m.SetReadOnly(true)
+	m.readOnly.Store(true)
 	ts := httptest.NewServer(NewHTTPHandler(m))
 	defer ts.Close()
 
@@ -436,8 +436,8 @@ func TestReadOnlyRefusalIsTheManagers(t *testing.T) {
 	if _, err := m.Create("a", spec); err != nil {
 		t.Fatal(err)
 	}
-	m.SetReadOnly(true)
-	m.SetLeaderHint("http://leader:8080")
+	m.readOnly.Store(true)
+	m.leaderHint.Store("http://leader:8080")
 	ts := httptest.NewServer(NewHTTPHandler(m))
 	defer ts.Close()
 	c := Client{HTTP: ts.Client(), Base: ts.URL}
@@ -448,8 +448,8 @@ func TestReadOnlyRefusalIsTheManagers(t *testing.T) {
 		body         any
 	}{
 		"event":       {"POST", "/v1/instances/a/events", fault},
-		"event batch": {"POST", "/v1/instances/a/events:batch", BatchRequest{Events: []Event{fault, {Kind: EventFault, Node: 2}}}},
-		"create":      {"POST", "/v1/instances", CreateRequest{ID: "b", Spec: spec}},
+		"event batch": {"POST", "/v1/instances/a/events:batch", batchRequest{Events: []Event{fault, {Kind: EventFault, Node: 2}}}},
+		"create":      {"POST", "/v1/instances", createRequest{ID: "b", Spec: spec}},
 		"delete":      {"DELETE", "/v1/instances/a", nil},
 	} {
 		before := m.Stats().RejectedRO

@@ -1,10 +1,12 @@
 package loadgen
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"net/http"
 	"reflect"
 	"sync"
 	"testing"
@@ -143,13 +145,27 @@ func TestRunClusterGuards(t *testing.T) {
 func TestShardClientRidesOutStagedWindow(t *testing.T) {
 	spec := fleet.Spec{Kind: fleet.KindDeBruijn, M: 2, H: 4, K: 2}
 	n := fleettest.Start(t, fleet.DaemonConfig{Self: "a", Peers: map[string]string{"a": "http://a.example"}}, wirePlane)
-	m := n.Manager()
-	arrival := func(id string) sharding.Migration {
-		return sharding.Migration{ID: id, Token: 7, Record: journal.Record{Op: journal.OpCheckpoint, ID: id,
-			Spec: journal.Spec{Kind: string(spec.Kind), M: spec.M, H: spec.H, K: spec.K}, Epoch: 4, Faults: []int{2}}}
+	// push sends id's arrival to the daemon's migrate route ("stage" or
+	// "commit"), as the handoff's source would.
+	push := func(route, id string) error {
+		frame, err := sharding.AppendMigration(nil, sharding.Migration{ID: id, Token: 7, Record: journal.Record{
+			Op: journal.OpCheckpoint, ID: id, Spec: journal.Spec{Kind: string(spec.Kind), M: spec.M, H: spec.H, K: spec.K},
+			Epoch: 4, Faults: []int{2}}})
+		if err != nil {
+			return err
+		}
+		resp, err := http.Post(n.URL+"/v1/migrate/"+route, "application/octet-stream", bytes.NewReader(frame))
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("%s %s: status %d", route, id, resp.StatusCode)
+		}
+		return nil
 	}
 	for _, id := range []string{"inst-0", "inst-1"} {
-		if err := m.StageMigration(arrival(id)); err != nil {
+		if err := push("stage", id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,8 +188,7 @@ func TestShardClientRidesOutStagedWindow(t *testing.T) {
 		for sc.stagedWaits.Load() < 3 {
 			time.Sleep(time.Millisecond)
 		}
-		_, err := m.CommitMigration(arrival("inst-0"))
-		committed <- err
+		committed <- push("commit", "inst-0")
 	}()
 	var st opStats
 	driveLookup(sc, "inst-0", rng, 16, 1, &scratch, &st)

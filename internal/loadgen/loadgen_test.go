@@ -126,7 +126,7 @@ func TestRunScenarios(t *testing.T) {
 		t.Run(sc.Name, func(t *testing.T) {
 			n := fleettest.Start(t, fleet.DaemonConfig{}, wirePlane)
 			mgr, url, rpcAddr := n.Manager(), n.URL, n.RPCAddr
-			res, err := Run(Config{
+			cfg := Config{
 				Addr:      url,
 				RPCAddr:   rpcAddr,
 				Instances: 2,
@@ -136,7 +136,8 @@ func TestRunScenarios(t *testing.T) {
 				Scenario:  sc,
 				Seed:      3,
 				IDPrefix:  "t-" + sc.Name,
-			})
+			}
+			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,8 +162,11 @@ func TestRunScenarios(t *testing.T) {
 				t.Fatalf("lookups = %d from %d lookup ops of %d", res.Lookups, len(res.LookupLatencies), DefaultRPCLookupBatch)
 			}
 			var epochs uint64
-			for _, id := range mgr.List() {
-				in, _ := mgr.Get(id)
+			for _, id := range cfg.InstanceIDs() {
+				in, ok := mgr.Get(id)
+				if !ok {
+					t.Fatalf("instance %s missing", id)
+				}
 				epochs += in.Info().Epoch
 			}
 			if epochs != uint64(res.Batches) {

@@ -152,10 +152,13 @@ func TestWireErrorMapping(t *testing.T) {
 }
 
 // TestWireReadOnly pins the follower posture: reads are served,
-// mutations are refused with StatusReadOnly.
+// mutations are refused with StatusReadOnly. NewFollower takes the
+// posture; its loop never runs.
 func TestWireReadOnly(t *testing.T) {
 	mgr := newTestManager(t, "prod", 2)
-	mgr.SetReadOnly(true)
+	if _, err := fleet.NewFollower(mgr, "http://leader.example", fleet.FollowerOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	addr, _ := startServer(t, mgr, ServerOptions{})
 	c := dialTest(t, addr, Options{})
 
