@@ -37,7 +37,7 @@ func TestFollowerChainConvergesAtDepthTwo(t *testing.T) {
 	}
 	waitConverged(t, leader, mid, 10*time.Second)
 	waitConverged(t, leader, leaf, 10*time.Second)
-	assertSameFleet(t, leader, leaf)
+	checkFleet(t, leaf, stateOf(t, leader))
 
 	// Lag metrics at depth 2: the leaf measures its stream against the
 	// MID tier (its leader), and its entry-age histogram must have seen
@@ -137,7 +137,7 @@ func TestFollowerChainSurvivesMidChainKill(t *testing.T) {
 
 	waitConverged(t, leader, mid2.mgr, 15*time.Second)
 	waitConverged(t, leader, leaf, 15*time.Second)
-	assertSameFleet(t, leader, leaf)
+	checkFleet(t, leaf, stateOf(t, leader))
 	if st := fLeaf.Stats(); st.Reconnects == 0 {
 		t.Errorf("leaf never reconnected through the mid-chain kill: %+v", st)
 	}

@@ -14,24 +14,6 @@ import (
 	"ftnet/internal/journal"
 )
 
-// syncedJournalBytes snapshots the live journal file after forcing the
-// writer's buffer and fsync, so the copy is a clean prefix.
-func syncedJournalBytes(t *testing.T, m *Manager) []byte {
-	t.Helper()
-	w := m.pipe.log.Writer()
-	if w == nil {
-		t.Fatal("manager has no journal")
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(w.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 func recoverInto(t *testing.T, data []byte) *Manager {
 	t.Helper()
 	m := NewManager(Options{})
@@ -54,22 +36,22 @@ func TestCompactRecoverEquivalence(t *testing.T) {
 			m := bootDaemon(t, DaemonConfig{}).mgr
 			driveRandom(t, rng, m, 80)
 
-			full := syncedJournalBytes(t, m)
+			full := journalImage(t, m)
 			mFull := recoverInto(t, full)
 
 			st, err := m.Compact()
 			if err != nil {
 				t.Fatal(err)
 			}
-			compacted := syncedJournalBytes(t, m)
+			compacted := journalImage(t, m)
 			if len(compacted) >= len(full) && st.Instances > 0 && len(full) > 0 {
 				// Not strictly guaranteed for tiny logs, but 80 random ops
 				// produce far more transitions than instances.
 				t.Errorf("compaction grew the log: %d -> %d bytes", len(full), len(compacted))
 			}
 			mCompact := recoverInto(t, compacted)
-			assertSameFleet(t, mFull, mCompact)
-			assertSameFleet(t, m, mCompact)
+			checkFleet(t, mCompact, stateOf(t, mFull))
+			checkFleet(t, mCompact, stateOf(t, m))
 
 			// A suffix of more random traffic, then recover again: the
 			// checkpoint+suffix replay must match the live fleet.
@@ -84,9 +66,9 @@ func TestCompactRecoverEquivalence(t *testing.T) {
 					m.EventBatch(id, []Event{{Kind: kind, Node: rng.Intn(nHost)}})
 				}
 			}
-			after := syncedJournalBytes(t, m)
+			after := journalImage(t, m)
 			mAfter := recoverInto(t, after)
-			assertSameFleet(t, m, mAfter)
+			checkFleet(t, mAfter, stateOf(t, m))
 
 			// The compacted-at-cut replay is bounded: one seq-base marker
 			// plus one checkpoint per instance.
@@ -188,8 +170,8 @@ func TestCompactUnderConcurrentWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mRec := recoverInto(t, syncedJournalBytes(t, m))
-	assertSameFleet(t, m, mRec)
+	mRec := recoverInto(t, journalImage(t, m))
+	checkFleet(t, mRec, stateOf(t, m))
 }
 
 // TestRecoverCleansStaleCompactionTemp pins the crash-mid-compaction
@@ -204,7 +186,7 @@ func TestRecoverCleansStaleCompactionTemp(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewManager(Options{Journal: w})
-	if _, err := m.Create("a", Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}); err != nil {
+	if _, err := m.Create("a", lifecycleSpec); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.EventBatch("a", []Event{{EventFault, 3}}); err != nil {
@@ -230,9 +212,7 @@ func TestRecoverCleansStaleCompactionTemp(t *testing.T) {
 	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("stale %s not removed on boot", tmp)
 	}
-	if s := mustGet(t, m2, "a").Snapshot(); s.Epoch() != 1 || s.NumFaults() != 1 {
-		t.Errorf("recovered to epoch %d faults %v", s.Epoch(), s.Faults())
-	}
+	checkFleet(t, m2, map[string]expectedState{"a": {lifecycleSpec, 1, []int{3}}})
 }
 
 // TestCompactKeepsJournalCountersMonotone: the journal counters are

@@ -10,8 +10,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"ftnet/internal/ft"
 )
 
 // This file drives a whole daemon over its JSON API, the way a curl
@@ -49,6 +47,15 @@ func do(t *testing.T, method, url string, body any, wantCode int, out any) {
 	}
 }
 
+// phiDoor is checkPhi's door through the JSON API: GET .../phi?x=.
+func phiDoor(t *testing.T, base, id string) func(x int) (int, error) {
+	return func(x int) (int, error) {
+		var pr struct{ Phi int }
+		do(t, "GET", fmt.Sprintf("%s/v1/instances/%s/phi?x=%d", base, id, x), nil, http.StatusOK, &pr)
+		return pr.Phi, nil
+	}
+}
+
 // TestDaemonEndToEnd exercises the full create -> fault -> lookup ->
 // repair cycle over HTTP and cross-checks every answer against the
 // library's one-shot reconfiguration.
@@ -56,10 +63,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 	base, _ := runDaemon(t, bootDaemon(t, DaemonConfig{}), nil, Plane{})
 
 	// Create a B^2_{2,4} instance.
+	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}
 	var info InstanceInfo
-	do(t, "POST", base+"/v1/instances",
-		createRequest{ID: "prod", Spec: Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}},
-		http.StatusCreated, &info)
+	do(t, "POST", base+"/v1/instances", createRequest{ID: "prod", Spec: spec}, http.StatusCreated, &info)
 	if info.NHost != 18 || info.SparesFree != 2 {
 		t.Fatalf("unexpected instance info %+v", info)
 	}
@@ -75,26 +81,12 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Every lookup must match ft.NewMapping.
-	want, err := ft.NewMapping(16, 18, []int{3, 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := 0; x < 16; x++ {
-		var pr struct{ X, Phi int }
-		do(t, "GET", fmt.Sprintf("%s/v1/instances/prod/phi?x=%d", base, x), nil, http.StatusOK, &pr)
-		if pr.Phi != want.Phi(x) {
-			t.Fatalf("phi(%d) = %d, want %d", x, pr.Phi, want.Phi(x))
-		}
-	}
+	checkPhi(t, spec, []int{3, 11}, phiDoor(t, base, "prod"))
 
 	// The full slice agrees too.
 	var full struct{ Phi []int }
 	do(t, "GET", base+"/v1/instances/prod/phi", nil, http.StatusOK, &full)
-	for x, phi := range full.Phi {
-		if phi != want.Phi(x) {
-			t.Fatalf("slice phi(%d) = %d, want %d", x, phi, want.Phi(x))
-		}
-	}
+	checkPhi(t, spec, []int{3, 11}, func(x int) (int, error) { return full.Phi[x], nil })
 
 	// Repair node 3: back to the single-fault mapping.
 	do(t, "POST", base+"/v1/instances/prod/events",
@@ -102,12 +94,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if res.NumFaults != 1 {
 		t.Fatalf("after repair: %+v", res)
 	}
-	want, _ = ft.NewMapping(16, 18, []int{11})
-	var pr struct{ X, Phi int }
-	do(t, "GET", base+"/v1/instances/prod/phi?x=11", nil, http.StatusOK, &pr)
-	if pr.Phi != want.Phi(11) {
-		t.Fatalf("after repair phi(11) = %d, want %d", pr.Phi, want.Phi(11))
-	}
+	checkPhi(t, spec, []int{11}, phiDoor(t, base, "prod"))
 
 	// Instance snapshot and listing.
 	do(t, "GET", base+"/v1/instances/prod", nil, http.StatusOK, &info)
@@ -152,9 +139,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 // metric family.
 func TestDaemonEventBatch(t *testing.T) {
 	base, _ := runDaemon(t, bootDaemon(t, DaemonConfig{}), nil, Plane{})
-	do(t, "POST", base+"/v1/instances",
-		createRequest{ID: "prod", Spec: Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 3}},
-		http.StatusCreated, nil)
+	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 3}
+	do(t, "POST", base+"/v1/instances", createRequest{ID: "prod", Spec: spec}, http.StatusCreated, nil)
 
 	// A three-fault burst: one transition, epoch 1.
 	var res EventResult
@@ -167,15 +153,7 @@ func TestDaemonEventBatch(t *testing.T) {
 	if res.Epoch != 1 || res.NumFaults != 3 || res.Applied != 3 {
 		t.Fatalf("burst result %+v", res)
 	}
-	want, err := ft.NewMapping(16, 19, []int{3, 7, 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pr struct{ X, Phi int }
-	do(t, "GET", base+"/v1/instances/prod/phi?x=5", nil, http.StatusOK, &pr)
-	if pr.Phi != want.Phi(5) {
-		t.Fatalf("phi(5) = %d, want %d", pr.Phi, want.Phi(5))
-	}
+	checkPhi(t, spec, []int{3, 7, 11}, phiDoor(t, base, "prod"))
 
 	// A burst that would exceed the budget rejects whole: 409, no change.
 	do(t, "POST", base+"/v1/instances/prod/events:batch",
@@ -271,9 +249,8 @@ func TestDaemonJournalCrashRecovery(t *testing.T) {
 	d1 := bootDaemon(t, DaemonConfig{Fsync: "always"})
 	base, _ := runDaemon(t, d1, nil, Plane{})
 
-	do(t, "POST", base+"/v1/instances",
-		createRequest{ID: "prod", Spec: Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 3}},
-		http.StatusCreated, nil)
+	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 3}
+	do(t, "POST", base+"/v1/instances", createRequest{ID: "prod", Spec: spec}, http.StatusCreated, nil)
 	do(t, "POST", base+"/v1/instances",
 		createRequest{ID: "se", Spec: Spec{Kind: KindShuffle, H: 4, K: 2}},
 		http.StatusCreated, nil)
@@ -305,7 +282,7 @@ func TestDaemonJournalCrashRecovery(t *testing.T) {
 	// nothing).
 	d2 := rebootDaemon(t, journalImage(t, d1.mgr), DaemonConfig{Fsync: "always"})
 	url2, _ := runDaemon(t, d2, nil, Plane{})
-	assertSameFleet(t, d1.mgr, d2.mgr)
+	checkFleet(t, d2.mgr, stateOf(t, d1.mgr))
 	if _, ok := d2.mgr.Get("scratch"); ok {
 		t.Error("deleted instance resurrected by recovery")
 	}
@@ -353,7 +330,7 @@ func TestDaemonJournalCrashRecovery(t *testing.T) {
 	// exactly the garbage and keep every complete record.
 	image := journalImage(t, d2.mgr)
 	d3 := rebootDaemon(t, append(image, 0x13, 0x37, 0xde, 0xad, 0xbe), DaemonConfig{Fsync: "always"})
-	assertSameFleet(t, d2.mgr, d3.mgr)
+	checkFleet(t, d3.mgr, stateOf(t, d2.mgr))
 	if got := journalImage(t, d3.mgr); len(got) != len(image) {
 		t.Errorf("torn tail not truncated: file %d bytes, want %d", len(got), len(image))
 	}
@@ -370,9 +347,8 @@ func TestDaemonCompactEndpoint(t *testing.T) {
 	d1 := bootDaemon(t, DaemonConfig{})
 	base, _ := runDaemon(t, d1, nil, Plane{})
 
-	do(t, "POST", base+"/v1/instances",
-		createRequest{ID: "prod", Spec: Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 3}},
-		http.StatusCreated, nil)
+	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 3}
+	do(t, "POST", base+"/v1/instances", createRequest{ID: "prod", Spec: spec}, http.StatusCreated, nil)
 	for i, n := range []int{3, 11, 7, 3, 11} {
 		kind := EventFault
 		if i >= 3 {
@@ -403,7 +379,7 @@ func TestDaemonCompactEndpoint(t *testing.T) {
 		t.Errorf("commit stats after compaction: %+v", st.Commit)
 	}
 	d2 := rebootDaemon(t, journalImage(t, d1.mgr), DaemonConfig{})
-	assertSameFleet(t, d1.mgr, d2.mgr)
+	checkFleet(t, d2.mgr, stateOf(t, d1.mgr))
 	// Bounded replay: seq marker + 1 checkpoint + 1 suffix event.
 	if rec := d2.mgr.Stats().Journal.Recovery; rec == nil || rec.Records != 3 || rec.Checkpoints != 1 {
 		t.Errorf("recovery after compaction: %+v, want 3 records incl. 1 checkpoint", rec)

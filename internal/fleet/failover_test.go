@@ -158,7 +158,7 @@ func TestPromoteFailoverAndDeposedLeaderSelfHeals(t *testing.T) {
 	runDaemon(t, dd, nil, Plane{})
 	awaitDemotions(t, f2, 1, 15*time.Second)
 	waitConverged(t, fm, dm, 15*time.Second)
-	assertSameFleet(t, fm, dm)
+	checkFleet(t, dm, stateOf(t, fm))
 	st := f2.Stats()
 	if st.Demotions != 1 {
 		t.Errorf("demotions = %d, want exactly 1", st.Demotions)
@@ -184,7 +184,7 @@ func TestPromoteFailoverAndDeposedLeaderSelfHeals(t *testing.T) {
 // promotion, so the rejoining deposed leader cannot replay history —
 // it must resync from a checkpoint whose seq-base record carries the
 // new term. The result must be bit-identical to the promoted leader
-// (assertSameFleet re-verifies every phi slice against a fresh
+// (checkFleet re-verifies every phi slice against a fresh
 // recomputation), and a restart of the rejoined replica must recover
 // the new term from its own journal without spuriously re-demoting.
 func TestDeposedLeaderResyncsFromCheckpointAfterTermBump(t *testing.T) {
@@ -242,7 +242,7 @@ func TestDeposedLeaderResyncsFromCheckpointAfterTermBump(t *testing.T) {
 	dm, f2 := dd.mgr, dd.follower
 	awaitDemotions(t, f2, 1, 15*time.Second)
 	waitConverged(t, fm, dm, 15*time.Second)
-	assertSameFleet(t, fm, dm)
+	checkFleet(t, dm, stateOf(t, fm))
 	st := f2.Stats()
 	if st.Demotions != 1 || st.Resyncs == 0 {
 		t.Errorf("stats %+v: want 1 demotion and >= 1 resync (checkpoint catch-up)", st)
@@ -259,7 +259,7 @@ func TestDeposedLeaderResyncsFromCheckpointAfterTermBump(t *testing.T) {
 	if got, _ := dm2.pipe.log.Term(); got != term {
 		t.Errorf("restarted replica recovered term %d, want %d", got, term)
 	}
-	assertSameFleet(t, fm, dm2)
+	checkFleet(t, dm2, stateOf(t, fm))
 }
 
 // TestReconnectJitterBounds pins the reconnect backoff's jitter range:
@@ -515,7 +515,7 @@ func TestFollowerResetsOnlyOnTheWordOfItsLeader(t *testing.T) {
 			serve(first)
 			fm, f, _ := followingReplica(t, ts.URL)
 			waitConverged(t, first, fm, 15*time.Second)
-			assertSameFleet(t, first, fm)
+			checkFleet(t, fm, stateOf(t, first))
 
 			// The upstream comes back with two entries and term 0.
 			second := NewManager(Options{})
@@ -536,7 +536,7 @@ func TestFollowerResetsOnlyOnTheWordOfItsLeader(t *testing.T) {
 					}
 					time.Sleep(2 * time.Millisecond)
 				}
-				assertSameFleet(t, second, fm)
+				checkFleet(t, fm, stateOf(t, second))
 				if got := f.Stats().Resyncs; got != 1 {
 					t.Errorf("resyncs = %d, want 1", got)
 				}
@@ -549,7 +549,7 @@ func TestFollowerResetsOnlyOnTheWordOfItsLeader(t *testing.T) {
 				}
 				time.Sleep(2 * time.Millisecond)
 			}
-			assertSameFleet(t, first, fm)
+			checkFleet(t, fm, stateOf(t, first))
 			if st := f.Stats(); st.Resyncs != 0 || fm.NextSeq() != first.NextSeq() {
 				t.Errorf("a stale upstream moved the replica: stats %+v, next seq %d", st, fm.NextSeq())
 			}

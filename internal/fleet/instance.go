@@ -28,8 +28,9 @@ import (
 // the copy it supersedes and then locks the shard, and Manager.leave,
 // which locks the shard for a copy its caller has already retired.
 type pipeline struct {
-	gate sync.RWMutex
-	log  *commit.Log
+	gate     sync.RWMutex
+	log      *commit.Log
+	rejected rejections // bursts its instances refused, fleet-wide
 }
 
 // newPipeline returns a memory-only pipeline (tests and non-durable
@@ -79,10 +80,8 @@ type Instance struct {
 	peer     string
 	stagedBy uint64
 
-	rejectedBudget   atomic.Uint64 // events refused: budget exhausted
-	rejectedConflict atomic.Uint64 // events refused: double fault / repair healthy
-	rejectedInvalid  atomic.Uint64 // events refused: unknown node or kind
-	lookups          stripedCounter
+	rejected rejections // bursts refused, by cause
+	lookups  stripedCounter
 }
 
 // stripedCounter spreads a hot counter over cache-line-padded stripes
@@ -311,7 +310,7 @@ func (in *Instance) ApplyBatch(events []Event) (EventResult, error) {
 // as it was; ErrRoundBusy means "Commit the round, then Stage again".
 func (r *Round) Stage(in *Instance, events []Event) (EventResult, error) {
 	if len(events) == 0 {
-		return in.reject(&in.rejectedInvalid, nil, "empty event batch")
+		return in.reject(rejectedInvalid, nil, "empty event batch")
 	}
 	batch := make([]ft.Change, len(events))
 	for i, ev := range events {
@@ -321,7 +320,7 @@ func (r *Round) Stage(in *Instance, events []Event) (EventResult, error) {
 		case EventRepair:
 			batch[i] = ft.Change{Node: ev.Node, Repair: true}
 		default:
-			return in.reject(&in.rejectedInvalid, nil, "unknown event kind %q", ev.Kind)
+			return in.reject(rejectedInvalid, nil, "unknown event kind %q", ev.Kind)
 		}
 	}
 	if !r.acquire(in) {
@@ -343,11 +342,11 @@ func (r *Round) stageLocked(in *Instance, batch []ft.Change) (EventResult, error
 	if err != nil {
 		switch {
 		case errors.Is(err, ft.ErrBudget):
-			return in.reject(&in.rejectedBudget, ErrBudget, "%v", err)
+			return in.reject(rejectedBudget, ErrBudget, "%v", err)
 		case errors.Is(err, ft.ErrConflict):
-			return in.reject(&in.rejectedConflict, ErrConflict, "%v", err)
+			return in.reject(rejectedConflict, ErrConflict, "%v", err)
 		default:
-			return in.reject(&in.rejectedInvalid, nil, "%v", err)
+			return in.reject(rejectedInvalid, nil, "%v", err)
 		}
 	}
 	// One ordered commit, the writer mutex held across both halves: the
@@ -438,10 +437,27 @@ func (r *Round) replicateLocked(in *Instance, rec journal.Record) error {
 	return r.begin(in, rec, next)
 }
 
-func (in *Instance) reject(counter *atomic.Uint64, category error, format string, args ...any) (EventResult, error) {
-	counter.Add(1)
+// reject refuses a burst under category and files it under cause, on
+// the instance and fleet-wide: the one count of a refusal.
+func (in *Instance) reject(cause int, category error, format string, args ...any) (EventResult, error) {
+	in.rejected[cause].Add(1)
+	in.pipe.rejected[cause].Add(1)
 	return EventResult{}, errorf(category, "fleet: instance %s: "+format,
 		append([]any{in.id}, args...)...)
+}
+
+// The causes a refused burst is filed under, in RejectedStats's order.
+const (
+	rejectedBudget = iota
+	rejectedConflict
+	rejectedInvalid
+)
+
+// rejections counts refused bursts by cause.
+type rejections [3]atomic.Uint64
+
+func (r *rejections) stats() RejectedStats {
+	return RejectedStats{Budget: r[rejectedBudget].Load(), Conflict: r[rejectedConflict].Load(), Invalid: r[rejectedInvalid].Load()}
 }
 
 // Snapshot returns the currently published state. Snapshots are
@@ -569,11 +585,7 @@ type InstanceInfo struct {
 // are read separately and may trail a concurrent writer slightly.
 func (in *Instance) Info() InstanceInfo {
 	s := in.snap.Load()
-	rej := RejectedStats{
-		Budget:   in.rejectedBudget.Load(),
-		Conflict: in.rejectedConflict.Load(),
-		Invalid:  in.rejectedInvalid.Load(),
-	}
+	rej := in.rejected.stats()
 	return InstanceInfo{
 		ID:         in.id,
 		Spec:       in.spec,

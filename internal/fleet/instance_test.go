@@ -3,8 +3,6 @@ package fleet
 import (
 	"strings"
 	"testing"
-
-	"ftnet/internal/ft"
 )
 
 func newTestInstance(t *testing.T, spec Spec) *Instance {
@@ -46,30 +44,13 @@ func TestInstanceLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cross-check the full map against a one-shot recompute.
-	want, err := ft.NewMapping(16, 18, []int{3, 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := 0; x < 16; x++ {
-		phi, err := in.Lookup(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if phi != want.Phi(x) {
-			t.Fatalf("after 2 faults: Lookup(%d) = %d, want %d", x, phi, want.Phi(x))
-		}
-	}
+	checkPhi(t, spec, []int{3, 11}, in.Lookup)
 
 	// Repair brings the map back.
 	if _, err := in.Apply(Event{Kind: EventRepair, Node: 3}); err != nil {
 		t.Fatal(err)
 	}
-	want, _ = ft.NewMapping(16, 18, []int{11})
-	for x := 0; x < 16; x++ {
-		if phi, _ := in.Lookup(x); phi != want.Phi(x) {
-			t.Fatalf("after repair: Lookup(%d) = %d, want %d", x, phi, want.Phi(x))
-		}
-	}
+	checkPhi(t, spec, []int{11}, in.Lookup)
 
 	info := in.Info()
 	if info.Epoch != 3 || len(info.Faults) != 1 || info.Faults[0] != 11 || info.SparesFree != 1 {
@@ -119,7 +100,8 @@ func TestInstanceRejectsInvalidEvents(t *testing.T) {
 // applies whole with the epoch advancing exactly once; a batch with
 // any invalid event applies nothing.
 func TestInstanceApplyBatchAtomic(t *testing.T) {
-	in := newTestInstance(t, Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 3})
+	spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 3}
+	in := newTestInstance(t, spec)
 	res, err := in.ApplyBatch([]Event{
 		{Kind: EventFault, Node: 3},
 		{Kind: EventFault, Node: 11},
@@ -131,15 +113,7 @@ func TestInstanceApplyBatchAtomic(t *testing.T) {
 	if res.Epoch != 1 || res.NumFaults != 3 || res.Applied != 3 {
 		t.Fatalf("burst result %+v, want epoch 1, 3 faults, 3 applied", res)
 	}
-	want, err := ft.NewMapping(16, 19, []int{3, 7, 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := 0; x < 16; x++ {
-		if phi, _ := in.Lookup(x); phi != want.Phi(x) {
-			t.Fatalf("after burst: Lookup(%d) = %d, want %d", x, phi, want.Phi(x))
-		}
-	}
+	checkPhi(t, spec, []int{3, 7, 11}, in.Lookup)
 
 	// A burst whose last event is invalid must leave the state at the
 	// pre-burst epoch with the pre-burst faults: all-or-nothing.
@@ -155,9 +129,7 @@ func TestInstanceApplyBatchAtomic(t *testing.T) {
 	if after.Epoch != before.Epoch || len(after.Faults) != len(before.Faults) {
 		t.Fatalf("rejected burst mutated state: %+v -> %+v", before, after)
 	}
-	if phi, _ := in.Lookup(3); phi != want.Phi(3) {
-		t.Fatalf("rejected burst changed Lookup(3) = %d, want %d", phi, want.Phi(3))
-	}
+	checkPhi(t, spec, []int{3, 7, 11}, in.Lookup)
 
 	// Repair burst drains the faults in one transition.
 	res, err = in.ApplyBatch([]Event{
@@ -224,32 +196,15 @@ func TestInstanceSnapshotImmutable(t *testing.T) {
 }
 
 func TestInstanceShuffleMatchesSEMapViaDB(t *testing.T) {
-	const h, k = 4, 3
-	in := newTestInstance(t, Spec{Kind: KindShuffle, H: h, K: k})
+	spec := Spec{Kind: KindShuffle, H: 4, K: 3}
+	in := newTestInstance(t, spec)
 	faults := []int{1, 8, 17}
 	for _, f := range faults {
 		if _, err := in.Apply(Event{Kind: EventFault, Node: f}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p := ft.SEParams{H: h, K: k}
-	_, psi, err := ft.NewSEViaDB(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ft.SEMapViaDB(p, psi, faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := 0; x < p.NTarget(); x++ {
-		phi, err := in.Lookup(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if phi != want[x] {
-			t.Fatalf("SE Lookup(%d) = %d, want %d", x, phi, want[x])
-		}
-	}
+	checkPhi(t, spec, faults, in.Lookup)
 }
 
 // phiOf collects the instance's whole embedding through RangePhi: the

@@ -101,13 +101,7 @@ func TestFleetJournalConcurrentWriters(t *testing.T) {
 	if _, err := m2.RecoverFile(path); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ids {
-		live, rec := mustGet(t, m, id).Snapshot(), mustGet(t, m2, id).Snapshot()
-		if live.Epoch() != rec.Epoch() || live.NumFaults() != rec.NumFaults() {
-			t.Errorf("%s: recovered epoch/faults %d/%d, live %d/%d",
-				id, rec.Epoch(), rec.NumFaults(), live.Epoch(), live.NumFaults())
-		}
-	}
+	checkFleet(t, m2, stateOf(t, m))
 }
 
 // tailAndVerify follows the journal file until done is closed AND a

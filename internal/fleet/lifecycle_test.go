@@ -352,8 +352,7 @@ func TestResetFromCheckpointRefusedGroupLeavesFleet(t *testing.T) {
 	if err := m.resetFromCheckpoint(40, 3, []journal.Record{cp("a", 9, 1), cp("c", 2, 5)}); err != nil {
 		t.Fatal(err)
 	}
-	checkRecovered(t, m, map[string]expectedState{"a": {epoch: 9, faults: []int{1}}, "c": {epoch: 2, faults: []int{5}}},
-		map[string]Spec{"a": lifecycleSpec, "c": lifecycleSpec})
+	checkFleet(t, m, map[string]expectedState{"a": {lifecycleSpec, 9, []int{1}}, "c": {lifecycleSpec, 2, []int{5}}})
 	if term, _ := m.pipe.log.Term(); m.NextSeq() != 41 || term != 3 {
 		t.Fatalf("after the reset: next seq %d term %d, want 41 and 3", m.NextSeq(), term)
 	}

@@ -50,10 +50,6 @@ type Manager struct {
 	batches atomic.Uint64  // applied atomic transitions (a single event counts one)
 	lookups stripedCounter // lookups, fleet-wide (striped: it sits on the read path)
 
-	rejectedBudget   atomic.Uint64 // rejections: budget exhausted
-	rejectedConflict atomic.Uint64 // rejections: double fault / repair healthy
-	rejectedInvalid  atomic.Uint64 // rejections: unknown node/kind, empty batch
-
 	journalFailed atomic.Uint64                // transitions refused: journal/commit error
 	recovered     atomic.Pointer[RecoverStats] // last Recover result, for stats
 	compactions   atomic.Uint64                // successful Compact calls
@@ -517,8 +513,10 @@ func (m *Manager) applyBatch(in *Instance, events []Event) (EventResult, error) 
 	return res, nil
 }
 
-// stage stages a burst of a resolved instance in r, filing a refusal
-// under its cause.
+// stage stages a burst of a resolved instance in r. Instance.reject has
+// filed a refused burst under its cause; what is left to count here is a
+// journal failure, and a write bounced off a fenced or moved copy, which
+// is a redirect. A copy deleted under the write is neither.
 func (m *Manager) stage(r *Round, in *Instance, events []Event) (EventResult, error) {
 	if m.readOnly.Load() {
 		return EventResult{}, m.errReadOnly("event batch")
@@ -528,12 +526,8 @@ func (m *Manager) stage(r *Round, in *Instance, events []Event) (EventResult, er
 	case err == nil, err == ErrRoundBusy:
 	case errors.Is(err, ErrUnavailable):
 		m.journalFailed.Add(1)
-	case errors.Is(err, ErrBudget):
-		m.rejectedBudget.Add(1)
-	case errors.Is(err, ErrConflict):
-		m.rejectedConflict.Add(1)
-	default:
-		m.rejectedInvalid.Add(1)
+	case errors.Is(err, ErrWrongShard):
+		m.wrongShardTotal.Inc()
 	}
 	return res, err
 }
@@ -654,11 +648,7 @@ func (m *Manager) Stats() Stats {
 		n += len(s.instances)
 		s.mu.RUnlock()
 	}
-	rej := RejectedStats{
-		Budget:   m.rejectedBudget.Load(),
-		Conflict: m.rejectedConflict.Load(),
-		Invalid:  m.rejectedInvalid.Load(),
-	}
+	rej := m.pipe.rejected.stats()
 	js := JournalStats{AppendFailed: m.journalFailed.Load(), Recovery: m.recovered.Load()}
 	if jw := m.pipe.log.Writer(); jw != nil {
 		ws := jw.Stats()

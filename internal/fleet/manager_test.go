@@ -119,6 +119,23 @@ func TestManagerEventBatch(t *testing.T) {
 	}
 }
 
+// TestManagerRedirectIsNoRejection pins who files a refused burst: a
+// write bounced off a fenced or moved copy is a wrong-shard redirect,
+// one to a copy deleted under it is neither, and no rejection cause
+// counts either of them, on the instance or fleet-wide.
+func TestManagerRedirectIsNoRejection(t *testing.T) {
+	for p, redirects := range map[phase]uint64{phaseFenced: 1, phaseMoved: 1, phaseGone: 0} {
+		m := lifecycleManager(t)
+		id := idOwnedBy(t, "b")
+		in := copyAt(t, m, id, p)
+		m.EventBatch(id, []Event{{EventFault, 0}})
+		if st := m.Stats(); st.RejectedBy != (RejectedStats{}) || in.Info().RejectedBy != (RejectedStats{}) || st.Shard.WrongShard != redirects {
+			t.Errorf("a write to a %s copy: rejected %+v fleet-wide and %+v on the instance, %d redirects; want none, none and %d",
+				phaseNames[p], st.RejectedBy, in.Info().RejectedBy, st.Shard.WrongShard, redirects)
+		}
+	}
+}
+
 // TestManagerStress hits one shared Manager from many goroutines mixing
 // creates, fault/repair events, lookups and stats. Run under -race this
 // is the subsystem's concurrency proof. Every lookup answer is checked
@@ -194,20 +211,7 @@ func TestManagerStress(t *testing.T) {
 	// Final state of every instance must equal a one-shot recompute.
 	for _, id := range ids {
 		in, _ := m.Get(id)
-		info := in.Info()
-		want, err := ft.NewMapping(nTarget, nHost, info.Faults)
-		if err != nil {
-			t.Fatalf("%s: invalid final fault set %v: %v", id, info.Faults, err)
-		}
-		for x := 0; x < nTarget; x++ {
-			phi, err := in.Lookup(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if phi != want.Phi(x) {
-				t.Fatalf("%s: final Lookup(%d) = %d, want %d", id, x, phi, want.Phi(x))
-			}
-		}
+		checkPhi(t, spec, in.Info().Faults, in.Lookup)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"ftnet/internal/ft"
 	"ftnet/internal/journal"
 	sharding "ftnet/internal/shard"
 )
@@ -123,8 +122,6 @@ func TestMigrateMovesInstanceBitIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantPhi := phiSliceOf(t, p.a, moves)
-
 	p.installTopology(t)
 	// The displaced instance is held here, so fully served here until the
 	// migration actually runs.
@@ -147,18 +144,7 @@ func TestMigrateMovesInstanceBitIdentically(t *testing.T) {
 	}
 
 	// The new owner answers bit-identically; the old owner redirects.
-	gotPhi := phiSliceOf(t, p.b, moves)
-	if len(gotPhi) != len(wantPhi) {
-		t.Fatalf("phi length %d != %d", len(gotPhi), len(wantPhi))
-	}
-	for x := range wantPhi {
-		if gotPhi[x] != wantPhi[x] {
-			t.Fatalf("phi[%d] = %d on new owner, want %d", x, gotPhi[x], wantPhi[x])
-		}
-	}
-	if in, _ := p.b.Get(moves); in.Info().Epoch != 2 {
-		t.Errorf("epoch on new owner = %d, want 2", in.Info().Epoch)
-	}
+	checkFleet(t, p.b, map[string]expectedState{moves: {spec, 2, []int{1, 5}}})
 	_, err = p.a.Lookup(moves, 0)
 	if !errors.Is(err, ErrWrongShard) {
 		t.Fatalf("old owner lookup err = %v, want ErrWrongShard", err)
@@ -226,7 +212,7 @@ func TestMigrateMovesInstanceBitIdentically(t *testing.T) {
 func TestMigrateWriteRaceLosesNothing(t *testing.T) {
 	p := newShardPair(t)
 	id := idOwnedBy(t, "b")
-	if _, err := p.a.Create(id, Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}); err != nil {
+	if _, err := p.a.Create(id, lifecycleSpec); err != nil {
 		t.Fatal(err)
 	}
 	p.installTopology(t)
@@ -269,47 +255,15 @@ func TestMigrateWriteRaceLosesNothing(t *testing.T) {
 		t.Fatal("no writes applied before the fence")
 	}
 
-	in, ok := p.b.Get(id)
-	if !ok {
-		t.Fatal("instance missing on new owner")
-	}
-	info := in.Info()
-	if info.Epoch != uint64(applied) {
-		t.Fatalf("epoch on new owner = %d, acked writes = %d (lost or doubled)", info.Epoch, applied)
-	}
-	// The toggle pattern makes the final fault set a parity function of
-	// the write count — an independent check the state, not just the
-	// counter, arrived intact.
-	wantFaults := 0
+	// The epoch on the new owner is the acked write count: nothing lost
+	// or doubled. The toggle pattern makes the final fault set a parity
+	// function of that count — an independent check the state, not just
+	// the counter, arrived intact — and phi is a fresh mapping's over it.
+	var faults []int
 	if applied%2 == 1 {
-		wantFaults = 1
+		faults = []int{0}
 	}
-	if len(info.Faults) != wantFaults {
-		t.Fatalf("faults = %v after %d toggles", info.Faults, applied)
-	}
-	// And bit-identical phi against an independent replay of the same
-	// acknowledged prefix.
-	ref := NewManager(Options{})
-	if _, err := ref.Create(id, Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 2}); err != nil {
-		t.Fatal(err)
-	}
-	kind := EventFault
-	for i := 0; i < applied; i++ {
-		if _, err := ref.Event(id, Event{kind, 0}); err != nil {
-			t.Fatal(err)
-		}
-		if kind == EventFault {
-			kind = EventRepair
-		} else {
-			kind = EventFault
-		}
-	}
-	want, got := phiSliceOf(t, ref, id), phiSliceOf(t, p.b, id)
-	for x := range want {
-		if got[x] != want[x] {
-			t.Fatalf("phi[%d] = %d, want %d after racing cutover", x, got[x], want[x])
-		}
-	}
+	checkFleet(t, p.b, map[string]expectedState{id: {lifecycleSpec, uint64(applied), faults}})
 }
 
 // TestMigrateStaleWriterIsRedirected is the first way the race above
@@ -659,14 +613,11 @@ func TestMigrateHandoffInProcess(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := phiSliceOf(t, p.a, id)
 	p.installTopology(t)
 	if st, err := p.a.migrateOut(id, "b"); err != nil || st.Epoch != 2 {
 		t.Fatalf("handoff = %+v, %v; want epoch 2", st, err)
 	}
-	if got := phiSliceOf(t, p.b, id); !slices.Equal(got, want) {
-		t.Errorf("phi on the target = %v, want %v", got, want)
-	}
+	checkFleet(t, p.b, map[string]expectedState{id: {lifecycleSpec, 2, []int{1, 5}}})
 	recs, _, err := journal.ReadAll(bytes.NewReader(journalImage(t, p.a)))
 	if err != nil {
 		t.Fatal(err)
@@ -1042,23 +993,7 @@ func TestMigrateShipsStateNotHistory(t *testing.T) {
 			if len(commits) != 1 || commits[0].Record.Op != journal.OpCheckpoint || commits[0].Record.Epoch != 40 {
 				t.Fatalf("commit frames = %+v, want one OpCheckpoint at epoch 40", commits)
 			}
-			in, ok := dst.Get(moving)
-			if !ok {
-				t.Fatal("instance missing on the target")
-			}
-			if info := in.Info(); info.Epoch != 40 || !slices.Equal(info.Faults, []int{1, 5}) {
-				t.Fatalf("target holds epoch %d faults %v, want epoch 40 faults [1 5]", info.Epoch, info.Faults)
-			}
-			nTarget, nHost := spec.Sizes()
-			fresh, err := ft.NewMapping(nTarget, nHost, []int{1, 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for x, phi := range phiOf(in) {
-				if phi != fresh.Phi(x) {
-					t.Fatalf("phi[%d] = %d on the target, a fresh mapping says %d", x, phi, fresh.Phi(x))
-				}
-			}
+			checkFleet(t, dst, map[string]expectedState{moving: {spec, 40, []int{1, 5}}})
 			if _, ok := src.Get(moving); ok {
 				t.Error("the source still holds the instance")
 			}

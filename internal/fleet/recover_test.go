@@ -26,61 +26,20 @@ import (
 // ft.Snapshot.Apply produces: same epoch, same fault set, same Phi,
 // bit for bit.
 
-// expectedState is the model's per-instance view after one record.
-type expectedState struct {
-	epoch  uint64
-	faults []int
-}
-
 // snapshotModel deep-copies the model's live state.
-func snapshotModel(model map[string]*ft.Snapshot) map[string]expectedState {
+func snapshotModel(model map[string]*ft.Snapshot, specs map[string]Spec) map[string]expectedState {
 	out := make(map[string]expectedState, len(model))
 	for id, s := range model {
-		out[id] = expectedState{epoch: s.Epoch(), faults: s.Faults()}
+		out[id] = expectedState{spec: specs[id], epoch: s.Epoch(), faults: s.Faults()}
 	}
 	return out
-}
-
-// checkRecovered asserts a recovered manager matches a model state
-// bit-identically: same instances, same epoch, same fault set, and the
-// same Phi for every target (recomputed via ft.NewMapping).
-func checkRecovered(t *testing.T, m *Manager, want map[string]expectedState, specs map[string]Spec) {
-	t.Helper()
-	if ids := m.list(); len(ids) != len(want) {
-		t.Fatalf("recovered %d instances %v, want %d", len(ids), ids, len(want))
-	}
-	for id, ws := range want {
-		in, ok := m.Get(id)
-		if !ok {
-			t.Fatalf("instance %s lost in recovery", id)
-		}
-		s := in.Snapshot()
-		if s.Epoch() != ws.epoch {
-			t.Fatalf("%s: epoch %d, want %d", id, s.Epoch(), ws.epoch)
-		}
-		if !slices.Equal(s.Faults(), ws.faults) {
-			t.Fatalf("%s: faults %v, want %v", id, s.Faults(), ws.faults)
-		}
-		fresh, err := ft.NewMapping(s.NTarget(), s.NHost(), ws.faults)
-		if err != nil {
-			t.Fatalf("%s: recompute: %v", id, err)
-		}
-		for x := 0; x < s.NTarget(); x++ {
-			if s.Phi(x) != fresh.Phi(x) {
-				t.Fatalf("%s: phi(%d) = %d, recomputation says %d", id, x, s.Phi(x), fresh.Phi(x))
-			}
-		}
-		if got := in.Spec(); got != specs[id] {
-			t.Fatalf("%s: spec %+v, want %+v", id, got, specs[id])
-		}
-	}
 }
 
 // driveRandom pushes nOps random operations (creates, deletes, event
 // batches) through a journaled manager while maintaining the oracle
 // via ft.Snapshot.Apply. It returns the model snapshot after each
-// appended record, keyed by record count, plus the final spec map.
-func driveRandom(t *testing.T, rng *rand.Rand, m *Manager, nOps int) (perRecord []map[string]expectedState, specs map[string]Spec) {
+// appended record, keyed by record count.
+func driveRandom(t *testing.T, rng *rand.Rand, m *Manager, nOps int) (perRecord []map[string]expectedState) {
 	t.Helper()
 	specPool := []Spec{
 		{Kind: KindDeBruijn, M: 2, H: 4, K: 3},
@@ -88,11 +47,11 @@ func driveRandom(t *testing.T, rng *rand.Rand, m *Manager, nOps int) (perRecord 
 		{Kind: KindShuffle, H: 4, K: 2},
 	}
 	model := make(map[string]*ft.Snapshot)
-	specs = make(map[string]Spec)
+	specs := make(map[string]Spec)
 	live := []string{}
 	nextID := 0
 
-	record := func() { perRecord = append(perRecord, snapshotModel(model)) }
+	record := func() { perRecord = append(perRecord, snapshotModel(model, specs)) }
 
 	for op := 0; op < nOps; op++ {
 		switch r := rng.Float64(); {
@@ -156,7 +115,7 @@ func driveRandom(t *testing.T, rng *rand.Rand, m *Manager, nOps int) (perRecord 
 			record()
 		}
 	}
-	return perRecord, specs
+	return perRecord
 }
 
 // TestRecoverRandomSequencesFullAndEveryPrefix is the main property
@@ -170,7 +129,7 @@ func TestRecoverRandomSequencesFullAndEveryPrefix(t *testing.T) {
 			var buf bytes.Buffer
 			w := journal.NewWriter(&buf, journal.Options{Sync: journal.SyncAlways})
 			m := NewManager(Options{Journal: w})
-			perRecord, finalSpecs := driveRandom(t, rng, m, 150)
+			perRecord := driveRandom(t, rng, m, 150)
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -194,19 +153,17 @@ func TestRecoverRandomSequencesFullAndEveryPrefix(t *testing.T) {
 			if st.Torn || st.Records != len(recs) {
 				t.Fatalf("recover stats %+v, want %d clean records", st, len(recs))
 			}
-			checkRecovered(t, m2, perRecord[len(perRecord)-1], finalSpecs)
+			checkFleet(t, m2, perRecord[len(perRecord)-1])
 
 			// Recovery from EVERY record prefix matches the oracle at
 			// that record. Prefixes land on frame boundaries, so each is
 			// a clean log.
-			offsets := recordOffsets(t, raw)
-			specsAt := specsAtEachRecord(t, recs)
-			for i, off := range offsets {
+			for i, off := range recordOffsets(t, raw) {
 				mi := NewManager(Options{})
 				if _, err := mi.Recover(bytes.NewReader(raw[:off])); err != nil {
 					t.Fatalf("prefix %d (%d bytes): %v", i+1, off, err)
 				}
-				checkRecovered(t, mi, perRecord[i], specsAt[i])
+				checkFleet(t, mi, perRecord[i])
 			}
 		})
 	}
@@ -223,28 +180,6 @@ func recordOffsets(t *testing.T, raw []byte) []int64 {
 		}
 		offs = append(offs, jr.Offset())
 	}
-}
-
-// specsAtEachRecord reconstructs the live spec map after each record
-// (deletes remove, creates add), for prefix checking.
-func specsAtEachRecord(t *testing.T, recs []journal.Record) []map[string]Spec {
-	t.Helper()
-	cur := make(map[string]Spec)
-	out := make([]map[string]Spec, len(recs))
-	for i, rec := range recs {
-		switch rec.Op {
-		case journal.OpCreate:
-			cur[rec.ID] = Spec{Kind: Kind(rec.Spec.Kind), M: rec.Spec.M, H: rec.Spec.H, K: rec.Spec.K}
-		case journal.OpDelete:
-			delete(cur, rec.ID)
-		}
-		snap := make(map[string]Spec, len(cur))
-		for id, sp := range cur {
-			snap[id] = sp
-		}
-		out[i] = snap
-	}
-	return out
 }
 
 var errInjected = errors.New("injected write failure")
@@ -289,7 +224,7 @@ func TestRecoverAfterInjectedCrash(t *testing.T) {
 
 			model := make(map[string]*ft.Snapshot)
 			specs := make(map[string]Spec)
-			acked := snapshotModel(model)
+			acked := snapshotModel(model, specs)
 
 			spec := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 3}
 			nTarget, nHost := spec.Sizes()
@@ -309,7 +244,7 @@ func TestRecoverAfterInjectedCrash(t *testing.T) {
 					s, _ := ft.NewSnapshot(nTarget, nHost, spec.K)
 					model[id] = s
 					specs[id] = spec
-					acked = snapshotModel(model)
+					acked = snapshotModel(model, specs)
 					continue
 				}
 				n := 1 + rng.Intn(3)
@@ -346,7 +281,7 @@ func TestRecoverAfterInjectedCrash(t *testing.T) {
 					t.Fatalf("oracle accepted but manager said %v", err)
 				default:
 					model[id] = wantNext
-					acked = snapshotModel(model)
+					acked = snapshotModel(model, specs)
 				}
 			}
 			// Small budgets must hit the crash point within the run; large
@@ -376,7 +311,7 @@ func TestRecoverAfterInjectedCrash(t *testing.T) {
 			if failed && int64(fw.buf.Len()) > st.Offset && !st.Torn {
 				t.Errorf("crash left %d bytes but recovery saw no torn tail (offset %d)", fw.buf.Len(), st.Offset)
 			}
-			checkRecovered(t, m2, acked, specs)
+			checkFleet(t, m2, acked)
 		})
 	}
 }
@@ -416,9 +351,7 @@ func TestDeleteTombstonesInFlightWriter(t *testing.T) {
 	if st.Orphaned != 0 {
 		t.Errorf("orphaned %d, want 0 (tombstone prevents stale records)", st.Orphaned)
 	}
-	if s := mustGet(t, m2, "a").Snapshot(); s.Epoch() != 1 || s.NumFaults() != 1 {
-		t.Errorf("recreated instance recovered to epoch %d faults %v", s.Epoch(), s.Faults())
-	}
+	checkFleet(t, m2, map[string]expectedState{"a": {spec, 1, []int{2}}})
 }
 
 // encodeJournal frames recs as a journal file's bytes.
@@ -511,7 +444,7 @@ func TestRecoverRejectsCorruptSemantics(t *testing.T) {
 				t.Errorf("failed at record %d (%v), want record %d", st.Records, err, c.failAt)
 			}
 			if in, ok := m.Get("a"); ok {
-				checkRecovered(t, m, map[string]expectedState{"a": {epoch: c.epoch, faults: c.faults}}, map[string]Spec{"a": in.Spec()})
+				checkFleet(t, m, map[string]expectedState{"a": {in.Spec(), c.epoch, c.faults}})
 			} else if c.epoch > 0 {
 				t.Errorf("the valid prefix holds a at epoch %d, and recovery lost it", c.epoch)
 			}
@@ -741,7 +674,7 @@ func TestRecoverStagedStateLifecycle(t *testing.T) {
 			if st.Built != c.built {
 				t.Errorf("built %d snapshots, want %d (stats %+v)", st.Built, c.built, st)
 			}
-			checkRecovered(t, m, map[string]expectedState{"a": {epoch: c.epoch, faults: c.faults}}, map[string]Spec{"a": c.spec})
+			checkFleet(t, m, map[string]expectedState{"a": {c.spec, c.epoch, c.faults}})
 		})
 	}
 	// The chain restarts with the incarnation: epoch 3 would have
@@ -1031,10 +964,17 @@ func randomJournal(t *testing.T, rng *rand.Rand, nRecs int) []byte {
 // the valid prefix.
 func TestRecoverMatchesEagerOracle(t *testing.T) {
 	refused, clean := 0, 0
-	for seed := int64(0); seed < 12; seed++ {
+	var seed int64
+	var cut int
+	defer func() {
+		if t.Failed() {
+			t.Logf("failed at seed %d, the journal cut at %d bytes", seed, cut)
+		}
+	}()
+	for seed = 0; seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		raw := randomJournal(t, rng, 40+rng.Intn(40))
-		for cut := len(raw); cut >= 0; cut-- {
+		for cut = len(raw); cut >= 0; cut-- {
 			want, got := NewManager(Options{}), NewManager(Options{})
 			wantSt, wantErr := eagerRecover(want, bytes.NewReader(raw[:cut]))
 			gotSt, gotErr := got.Recover(bytes.NewReader(raw[:cut]))
@@ -1045,19 +985,12 @@ func TestRecoverMatchesEagerOracle(t *testing.T) {
 			if gotSt != wantSt {
 				t.Fatalf("seed %d, %d of %d bytes:\n stats %+v\noracle %+v", seed, cut, len(raw), gotSt, wantSt)
 			}
-			state, specs := map[string]expectedState{}, map[string]Spec{}
+			checkFleet(t, got, stateOf(t, want))
 			for _, id := range want.list() {
-				in := mustGet(t, want, id)
-				state[id], specs[id] = expectedState{epoch: in.Snapshot().Epoch(), faults: in.Snapshot().Faults()}, in.Spec()
-				other, ok := got.Get(id)
-				if !ok {
-					t.Fatalf("seed %d, %d bytes: Recover lost %s", seed, cut, id)
-				}
-				if !slices.Equal(phiOf(other), phiOf(in)) {
+				if !slices.Equal(phiOf(mustGet(t, got, id)), phiOf(mustGet(t, want, id))) {
 					t.Fatalf("seed %d, %d bytes: %s: phi differs from the eager replay's", seed, cut, id)
 				}
 			}
-			checkRecovered(t, got, state, specs)
 			if cut == len(raw) {
 				if gotErr != nil {
 					refused++
@@ -1136,10 +1069,10 @@ func TestRecoverParentFormatLog(t *testing.T) {
 		t.Fatalf("stats %+v\n want %+v", st, want)
 	}
 	db := Spec{Kind: KindDeBruijn, M: 2, H: 4, K: 3}
-	checkRecovered(t, m, map[string]expectedState{
-		"alpha": {epoch: 133},
-		"beta":  {epoch: 1, faults: []int{18}},
-		"fresh": {epoch: 70001, faults: []int{1, 3}},
-		"wide":  {epoch: 3, faults: []int{127, 300, 4099}},
-	}, map[string]Spec{"alpha": db, "beta": db, "fresh": db, "wide": {Kind: KindDeBruijn, M: 2, H: 12, K: 16}})
+	checkFleet(t, m, map[string]expectedState{
+		"alpha": {db, 133, nil},
+		"beta":  {db, 1, []int{18}},
+		"fresh": {db, 70001, []int{1, 3}},
+		"wide":  {Spec{Kind: KindDeBruijn, M: 2, H: 12, K: 16}, 3, []int{127, 300, 4099}},
+	})
 }

@@ -467,7 +467,7 @@ func TestRoundsUnderCompactAndMigrate(t *testing.T) {
 	if _, still := p.a.Get(moving); still {
 		t.Fatalf("%s still registered on its old owner", moving)
 	}
-	assertSameFleet(t, p.a, recoverInto(t, syncedJournalBytes(t, p.a)))
+	checkFleet(t, recoverInto(t, journalImage(t, p.a)), stateOf(t, p.a))
 }
 
 // TestDeleteWaitsForRoundOutsideShardLock pins the lock order the round

@@ -64,24 +64,14 @@ func watchEntryFrom(e commit.Entry) WatchEntry {
 
 // Entry converts a received wire entry back to a commit entry.
 func (we WatchEntry) Entry() (commit.Entry, error) {
-	rec := journal.Record{ID: we.ID, Epoch: we.Epoch, Applied: we.Applied, Faults: we.Faults}
-	switch we.Op {
-	case "create":
-		rec.Op = journal.OpCreate
-	case "delete":
-		rec.Op = journal.OpDelete
-	case "transition":
-		rec.Op = journal.OpTransition
-	case "checkpoint":
-		rec.Op = journal.OpCheckpoint
-	case "migrate":
-		rec.Op = journal.OpMigrate
-	case "termbump":
-		rec.Op = journal.OpTermBump
+	op, err := journal.ParseOp(we.Op)
+	if err != nil {
+		return commit.Entry{}, fmt.Errorf("fleet: watch entry: %w", err)
+	}
+	rec := journal.Record{Op: op, ID: we.ID, Epoch: we.Epoch, Applied: we.Applied, Faults: we.Faults}
+	if op == journal.OpTermBump {
 		rec.ID = journal.SeqBaseID
 		rec.Term = we.Term
-	default:
-		return commit.Entry{}, fmt.Errorf("fleet: unknown watch op %q", we.Op)
 	}
 	if we.Spec != nil {
 		rec.Spec = journalSpec(*we.Spec)

@@ -16,7 +16,7 @@ import (
 	"testing"
 	"time"
 
-	"ftnet/internal/ft"
+	"ftnet/internal/journal"
 )
 
 // waitConverged blocks until the follower's commit position reaches
@@ -31,37 +31,6 @@ func waitConverged(t *testing.T, leader, follower *Manager, timeout time.Duratio
 				follower.pipe.log.LastSeq(), target, timeout)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// assertSameFleet requires two managers to hold bit-identical fleets:
-// same ids, epochs, fault sets, and phi slices, each re-verified
-// against a fresh ft.NewMapping.
-func assertSameFleet(t *testing.T, want, got *Manager) {
-	t.Helper()
-	wids, gids := want.list(), got.list()
-	if fmt.Sprint(wids) != fmt.Sprint(gids) {
-		t.Fatalf("instances %v, want %v", gids, wids)
-	}
-	for _, id := range wids {
-		ws := mustGet(t, want, id).Snapshot()
-		gs := mustGet(t, got, id).Snapshot()
-		if ws.Epoch() != gs.Epoch() {
-			t.Fatalf("%s: epoch %d, want %d", id, gs.Epoch(), ws.Epoch())
-		}
-		if fmt.Sprint(ws.Faults()) != fmt.Sprint(gs.Faults()) {
-			t.Fatalf("%s: faults %v, want %v", id, gs.Faults(), ws.Faults())
-		}
-		fresh, err := ft.NewMapping(ws.NTarget(), ws.NHost(), ws.Faults())
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		for x := 0; x < ws.NTarget(); x++ {
-			if ws.Phi(x) != gs.Phi(x) || gs.Phi(x) != fresh.Phi(x) {
-				t.Fatalf("%s: phi(%d): want %d, got %d, recomputed %d",
-					id, x, ws.Phi(x), gs.Phi(x), fresh.Phi(x))
-			}
-		}
 	}
 }
 
@@ -132,7 +101,7 @@ func TestFollowerConvergesUnderWriteStorm(t *testing.T) {
 	stormLeader(leader, ids, nHost, 4, 40, acked)
 
 	waitConverged(t, leader, fm, 15*time.Second)
-	assertSameFleet(t, leader, fm)
+	checkFleet(t, fm, stateOf(t, leader))
 	for id, a := range acked {
 		if got := mustGet(t, fm, id).Snapshot().Epoch(); got < a.Load() {
 			t.Errorf("%s: follower epoch %d below acknowledged %d", id, got, a.Load())
@@ -160,7 +129,7 @@ func TestFollowerConvergesUnderWriteStorm(t *testing.T) {
 	if _, err := fm2.Recover(bytes.NewReader(data)); err != nil {
 		t.Fatalf("follower journal replay: %v", err)
 	}
-	assertSameFleet(t, fm, fm2)
+	checkFleet(t, fm2, stateOf(t, fm))
 }
 
 // abortingHandler wraps a handler and kills every /v1/watch response
@@ -219,7 +188,7 @@ func TestFollowerResumesTornStream(t *testing.T) {
 	stormLeader(leader, ids, nHost, 4, 100, acked)
 
 	waitConverged(t, leader, fm, 20*time.Second)
-	assertSameFleet(t, leader, fm)
+	checkFleet(t, fm, stateOf(t, leader))
 	st := f.Stats()
 	if st.Reconnects < 2 {
 		t.Errorf("stream was cut every 2KB but the follower reconnected only %d times", st.Reconnects)
@@ -281,8 +250,8 @@ func TestFreshFollowerAfterCompactionReplaysBounded(t *testing.T) {
 		t.Errorf("fresh follower replayed %d records, want checkpoint(%d)+suffix(%d)",
 			boundedReplay, len(ids), suffix)
 	}
-	assertSameFleet(t, leader, fmB)
-	assertSameFleet(t, leader, fmA)
+	checkFleet(t, fmB, stateOf(t, leader))
+	checkFleet(t, fmA, stateOf(t, leader))
 
 	// And a leader restart replays the same bounded log (from a synced
 	// copy: the live writer still owns the file).
@@ -302,7 +271,7 @@ func TestFreshFollowerAfterCompactionReplaysBounded(t *testing.T) {
 	if uint64(st.Records) >= preCompaction+suffix {
 		t.Errorf("leader restart replayed %d records, want fewer than %d", st.Records, preCompaction+suffix)
 	}
-	assertSameFleet(t, leader, m2)
+	checkFleet(t, m2, stateOf(t, leader))
 }
 
 // TestWatchEndpointStreamsAndResumes drives the NDJSON surface
@@ -463,5 +432,23 @@ func TestReadOnlyRefusalIsTheManagers(t *testing.T) {
 	}
 	if err := c.do("POST", "/v1/instances/nope/events", fault, nil); !errors.Is(err, ErrNotFound) {
 		t.Errorf("JSON event for an unknown id on a read-only replica = %v, want ErrNotFound", err)
+	}
+}
+
+// TestWatchEntryOps pins the op names of the watch stream: a name no op
+// has is refused, and a seqbase entry, which parses, is refused by the
+// follower, whose position does not move.
+func TestWatchEntryOps(t *testing.T) {
+	if _, err := (WatchEntry{Op: "snapshot"}).Entry(); err == nil {
+		t.Error("an entry with an unknown op was accepted")
+	}
+	m := NewManager(Options{})
+	seq := m.NextSeq()
+	e, err := WatchEntry{Seq: seq, Op: journal.OpSeqBase.String(), ID: journal.SeqBaseID}.Entry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.replicateEntry(e); err == nil || m.NextSeq() != seq {
+		t.Fatalf("the follower took a seqbase entry: %v, next seq %d -> %d", err, seq, m.NextSeq())
 	}
 }

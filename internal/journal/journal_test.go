@@ -81,6 +81,21 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseOpInvertsString pins that every op's name parses back to the
+// op, and that a name no op has is refused.
+func TestParseOpInvertsString(t *testing.T) {
+	for op := OpCreate; op <= OpMigrate; op++ {
+		if got, err := ParseOp(op.String()); got != op || err != nil {
+			t.Errorf("ParseOp(%q) = %v, %v; want %v", op.String(), got, err, op)
+		}
+	}
+	for _, name := range []string{"", "Create", Op(0).String(), (OpMigrate + 1).String()} {
+		if op, err := ParseOp(name); err == nil {
+			t.Errorf("ParseOp(%q) = %v, want an error", name, op)
+		}
+	}
+}
+
 func TestEncodeRejectsInvalid(t *testing.T) {
 	bad := []Record{
 		{Op: OpCreate, ID: ""},

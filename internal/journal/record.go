@@ -66,6 +66,17 @@ func (op Op) String() string {
 	}
 }
 
+// ParseOp is the inverse of Op.String: the op named s. It walks the ops
+// (OpMigrate is the last), so String stays the one table of names.
+func ParseOp(s string) (Op, error) {
+	for op := OpCreate; op <= OpMigrate; op++ {
+		if op.String() == s {
+			return op, nil
+		}
+	}
+	return 0, fmt.Errorf("journal: unknown op %q", s)
+}
+
 // Spec mirrors the fleet instance spec without importing the fleet
 // package (fleet imports journal, not the other way around). Kind is
 // an opaque string to the journal; the fleet layer validates it on

@@ -216,7 +216,7 @@ func RunCluster(cfg ClusterConfig) (ClusterResult, error) {
 // member says it is not theirs (redirects, or has never heard of it).
 func verifyClusterInstance(cfg ClusterConfig, ring *sharding.Ring, id string, acked uint64, strict bool) error {
 	owner := ring.Owner(id)
-	if _, err := verifyInstance(control(cfg.Peers[owner]), id, acked, strict); err != nil {
+	if _, err := verifyInstance(control(cfg.Peers[owner]), cfg.Spec, id, acked, strict); err != nil {
 		return fmt.Errorf("%w (ring owner %s, after the handoff)", err, owner)
 	}
 	for name, url := range cfg.Peers {

@@ -9,9 +9,9 @@ import (
 // daemon with atomic fault bursts, kill it mid-storm (SIGKILL — no
 // shutdown grace, no final flush beyond the journal's fsync policy),
 // restart it, and verify that recovery brought every instance back to
-// at least the last epoch any client was acknowledged — and, where the
-// client can recompute it, to the exact mapping the paper's
-// reconfiguration induces for the recovered fault set.
+// at least the last epoch any client was acknowledged — and to the
+// exact mapping the paper's reconfiguration induces for the recovered
+// fault set, recomputed by the client from the spec it created.
 //
 // It is not a Scenario preset: it needs control over the daemon's
 // lifecycle, which a load shape cannot express. cmd/ftload wires the
@@ -98,15 +98,12 @@ func RunRestart(cfg RestartConfig) (RestartResult, error) {
 	// Verify every instance against the durability contract: it exists,
 	// its epoch covers every acknowledged transition (a write the kill
 	// cut off before its answer may have landed too, so not strictly the
-	// watermark), its mapping is the paper's, and its fault set respects
-	// the budget.
+	// watermark), and its mapping is the paper's over a fault set within
+	// the budget of the spec it was created with.
 	for _, id := range ids {
-		info, err := verifyInstance(api, id, res.Acked[id], false)
+		info, err := verifyInstance(api, cfg.Spec, id, res.Acked[id], false)
 		if info.ID != "" {
 			res.Recovered[id] = info.Epoch
-		}
-		if err == nil && len(info.Faults) > cfg.Spec.K {
-			err = fmt.Errorf("loadgen: %s recovered %d faults over budget k=%d", id, len(info.Faults), cfg.Spec.K)
 		}
 		if err != nil {
 			return res, err
